@@ -7,7 +7,7 @@
 //! seeds, so the gate cannot flake on CI-runner noise the way wall-clock comparisons
 //! would. Wall clock is reported in the delta for context but never gated.
 
-use crate::report::Json;
+use sdn_metrics::json::Json;
 
 /// The per-cell metrics the gate compares, all lower-is-better. Each entry is the key
 /// of a `Json::samples` object in a campaign result cell; its `mean` member is

@@ -54,8 +54,9 @@ use renaissance::scenario::{
 use renaissance_bench::baseline::gate_campaign;
 use renaissance_bench::cli::{self, Flag};
 use renaissance_bench::output::OutputFormat;
-use renaissance_bench::report::{fmt2, print_table, write_json_file, Json, Row};
+use renaissance_bench::report::{fmt2, print_table, write_json_file, Row};
 use renaissance_bench::{ExperimentScale, MetricKey, MetricPipeline, Recorder};
+use sdn_metrics::json::Json;
 use sdn_metrics::{csv_field, Digest};
 use sdn_netsim::SimDuration;
 use sdn_topology::{builders, connectivity};

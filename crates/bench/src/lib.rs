@@ -32,5 +32,5 @@ pub mod report;
 
 pub use experiments::{ExperimentScale, Measurement};
 pub use output::MetricPipeline;
-pub use report::{print_table, Json, Row};
+pub use report::{print_table, Row};
 pub use sdn_metrics::{MetricKey, Recorder};

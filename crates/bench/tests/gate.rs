@@ -6,7 +6,7 @@
 //! seeds, so "no regression against an artifact produced by the same command" is an
 //! exact statement, not a tolerance.
 
-use renaissance_bench::report::Json;
+use sdn_metrics::json::Json;
 use std::path::PathBuf;
 use std::process::Command;
 

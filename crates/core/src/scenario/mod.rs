@@ -50,7 +50,7 @@ mod runner;
 mod schedule;
 mod workload;
 
-pub use probe::{Probe, ProbeKeyArg, ProbeSeries};
+pub use probe::{Probe, ProbeSeries};
 pub use report::{
     InjectedFault, MetricDelta, RecoveryRecord, ReportDelta, RunReport, ScenarioReport,
 };
@@ -117,27 +117,6 @@ pub type WorkloadFactory = Box<dyn Fn() -> Box<dyn Workload> + Send + Sync>;
 
 /// An end-of-run summary statistic: a pure function of the final network state.
 pub type SummaryFn = fn(&SdnNetwork) -> f64;
-
-/// Conversion shim for [`ScenarioBuilder::summary`]: accepts a typed [`MetricKey`] or
-/// a bare `&str`/`String` name (registered as a count-valued key in the scenario
-/// namespace with neutral polarity).
-pub struct SummaryKeyArg(MetricKey);
-
-impl From<MetricKey> for SummaryKeyArg {
-    fn from(key: MetricKey) -> Self {
-        SummaryKeyArg(key)
-    }
-}
-impl From<&str> for SummaryKeyArg {
-    fn from(name: &str) -> Self {
-        SummaryKeyArg(MetricKey::custom(Namespace::Scenario, name))
-    }
-}
-impl From<String> for SummaryKeyArg {
-    fn from(name: String) -> Self {
-        SummaryKeyArg(MetricKey::custom(Namespace::Scenario, name))
-    }
-}
 
 /// A fully described experiment, ready to [`run`](Scenario::run).
 ///
@@ -318,10 +297,9 @@ impl ScenarioBuilder {
     }
 
     /// Registers an end-of-run summary statistic under a typed [`MetricKey`],
-    /// evaluated once per run when the run finishes. A bare name is accepted as a
-    /// shorthand for a count-valued key in the scenario namespace.
-    pub fn summary(mut self, key: impl Into<SummaryKeyArg>, f: fn(&SdnNetwork) -> f64) -> Self {
-        self.summaries.push((key.into().0, f));
+    /// evaluated once per run when the run finishes.
+    pub fn summary(mut self, key: MetricKey, f: fn(&SdnNetwork) -> f64) -> Self {
+        self.summaries.push((key, f));
         self
     }
 

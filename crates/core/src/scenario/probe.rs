@@ -7,7 +7,7 @@
 //! [`Probe::custom`] under its own key.
 
 use crate::harness::SdnNetwork;
-use sdn_metrics::{MetricKey, Namespace};
+use sdn_metrics::MetricKey;
 
 /// An observable sampled periodically over a running [`SdnNetwork`], keyed by a typed
 /// [`MetricKey`].
@@ -72,14 +72,13 @@ impl Probe {
     }
 
     /// A probe evaluating an arbitrary pure function of the network state, registered
-    /// under a typed key. A bare name is accepted for convenience and placed in the
-    /// probe namespace.
+    /// under a typed key.
     ///
     /// The function pointer (rather than a closure) keeps scenarios freely reusable
     /// across repeated runs.
-    pub fn custom(key: impl Into<ProbeKeyArg>, f: fn(&SdnNetwork) -> f64) -> Self {
+    pub fn custom(key: MetricKey, f: fn(&SdnNetwork) -> f64) -> Self {
         Probe {
-            key: key.into().0,
+            key,
             kind: ProbeKind::Custom(f),
         }
     }
@@ -104,26 +103,6 @@ impl Probe {
             ProbeKind::MessagesSent => net.metrics().total_sent() as f64,
             ProbeKind::Custom(f) => f(net),
         }
-    }
-}
-
-/// Conversion shim for [`Probe::custom`]: accepts a typed [`MetricKey`] or a bare
-/// `&str`/`String` name (placed in the probe namespace).
-pub struct ProbeKeyArg(MetricKey);
-
-impl From<MetricKey> for ProbeKeyArg {
-    fn from(key: MetricKey) -> Self {
-        ProbeKeyArg(key)
-    }
-}
-impl From<&str> for ProbeKeyArg {
-    fn from(name: &str) -> Self {
-        ProbeKeyArg(MetricKey::custom(Namespace::Probe, name))
-    }
-}
-impl From<String> for ProbeKeyArg {
-    fn from(name: String) -> Self {
-        ProbeKeyArg(MetricKey::custom(Namespace::Probe, name))
     }
 }
 
@@ -164,6 +143,7 @@ impl ProbeSeries {
 mod tests {
     use super::*;
     use crate::config::{ControllerConfig, HarnessConfig};
+    use sdn_metrics::Namespace;
     use sdn_netsim::SimDuration;
     use sdn_topology::builders;
 
@@ -180,12 +160,11 @@ mod tests {
         assert_eq!(Probe::total_rules().sample(&net), 0.0);
         assert_eq!(Probe::max_rules_per_switch().sample(&net), 0.0);
         assert_eq!(Probe::messages_sent().sample(&net), 0.0);
-        let custom = Probe::custom("live_switches", |n| n.live_switch_ids().len() as f64);
+        let custom = Probe::custom(MetricKey::custom(Namespace::Probe, "live_switches"), |n| {
+            n.live_switch_ids().len() as f64
+        });
         assert_eq!(custom.key().path(), "probe/live_switches");
         assert_eq!(custom.sample(&net), 4.0);
-        // A fully typed key is accepted too.
-        let typed = Probe::custom(MetricKey::custom(Namespace::Scenario, "x"), |_| 0.0);
-        assert_eq!(typed.key().path(), "scenario/x");
     }
 
     #[test]

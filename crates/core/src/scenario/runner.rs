@@ -599,7 +599,10 @@ mod tests {
             .probe(Probe::total_rules())
             .sample_probes_every(SimDuration::from_millis(500))
             .workload(|| Box::new(CountingWorkload { ticks: Vec::new() }))
-            .summary("live_switches", |net| net.live_switch_ids().len() as f64)
+            .summary(
+                MetricKey::custom(Namespace::Scenario, "live_switches"),
+                |net| net.live_switch_ids().len() as f64,
+            )
     }
 
     #[test]

@@ -219,7 +219,7 @@ pub enum FaultEvent {
         /// Delay until the automatic heal, measured from the partition instant.
         heal_after: Option<SimDuration>,
     },
-    /// Restores every link cut by the most recent `Partition` event.
+    /// Restores every link cut by the `Partition` events in force.
     HealPartition,
     /// A link that goes down and comes back `count` times, `period` apart (down
     /// for the first half of each period). Expanded by [`FaultSchedule::batches`]
@@ -398,7 +398,8 @@ pub struct FaultContext {
     pub last_failed_switch: Option<NodeId>,
     /// Links degraded by the most recent `DegradeLink` event.
     pub last_degraded_links: Vec<(NodeId, NodeId)>,
-    /// Links cut by the most recent `Partition` event, restored by `HealPartition`.
+    /// Links cut by every `Partition` event since the last `HealPartition`, which
+    /// restores them all.
     pub partitioned_links: Vec<(NodeId, NodeId)>,
     /// Victims of each flapping link, resolved on its first down-phase so every
     /// subsequent phase of the same flap hits the same links.
@@ -422,7 +423,10 @@ impl FaultContext {
     }
 
     /// Applies one event to `net`, resolving selectors, and returns a human-readable
-    /// description of everything that was actually done.
+    /// description of everything that was actually done — nothing for an event that
+    /// changed nothing (no victim resolved, no link to remove, no override to clear,
+    /// no link cut or healed), which is how `sdn-serve` tells a no-op request from
+    /// an applied one.
     pub fn apply(&mut self, net: &mut SdnNetwork, event: &FaultEvent) -> Vec<String> {
         let mut done = Vec::new();
         match event {
@@ -442,8 +446,9 @@ impl FaultContext {
             }
             FaultEvent::RemoveLink(selector) => {
                 for (a, b) in self.resolve_links(net, *selector) {
-                    net.remove_link(a, b);
-                    done.push(format!("remove link {a}-{b}"));
+                    if net.remove_link(a, b) {
+                        done.push(format!("remove link {a}-{b}"));
+                    }
                 }
             }
             FaultEvent::FailLink(selector) => {
@@ -517,8 +522,9 @@ impl FaultContext {
             }
             FaultEvent::RestoreLinkQuality(selector) => {
                 for (a, b) in self.resolve_links(net, *selector) {
-                    net.clear_link_config(a, b);
-                    done.push(format!("restore link quality {a}-{b}"));
+                    if net.clear_link_config(a, b) {
+                        done.push(format!("restore link quality {a}-{b}"));
+                    }
                 }
             }
             FaultEvent::Partition { groups, .. } => {
@@ -527,22 +533,29 @@ impl FaultContext {
                     PartitionSpec::Halves => 2,
                     PartitionSpec::Groups(g) => g.len(),
                 };
-                for &(a, b) in &cut {
-                    net.fail_link(a, b);
+                if !cut.is_empty() {
+                    done.push(format!(
+                        "partition into {n_groups} groups ({} links cut)",
+                        cut.len()
+                    ));
                 }
-                done.push(format!(
-                    "partition into {n_groups} groups ({} links cut)",
-                    cut.len()
-                ));
-                self.partitioned_links = cut;
+                // A partition applied while another is in force adds to the set the
+                // next heal restores (a crossing link may be in both cuts).
+                for (a, b) in cut {
+                    net.fail_link(a, b);
+                    if !self.partitioned_links.contains(&(a, b)) {
+                        self.partitioned_links.push((a, b));
+                    }
+                }
             }
             FaultEvent::HealPartition => {
                 let links = std::mem::take(&mut self.partitioned_links);
-                let n = links.len();
+                if !links.is_empty() {
+                    done.push(format!("heal partition ({} links restored)", links.len()));
+                }
                 for (a, b) in links {
                     net.restore_link(a, b);
                 }
-                done.push(format!("heal partition ({n} links restored)"));
             }
             FaultEvent::FlapLink { selector, .. } => {
                 // Compound event: `batches()` expands it into `FlapPhase`s; applying
@@ -930,6 +943,73 @@ mod tests {
         for &(a, b) in &ctx.partitioned_links {
             assert!(a == lone || b == lone);
         }
+    }
+
+    #[test]
+    fn overlapping_partitions_heal_every_cut_link() {
+        let mut net = bootstrapped();
+        let mut ctx = FaultContext::new(21);
+        // Adjacent ring switches split off one after the other: the link between
+        // them is in both cuts, and the second partition lands before the first heals.
+        let all: Vec<NodeId> = net.topology().graph.nodes().collect();
+        let split_off = |lone: NodeId| {
+            let rest = all.iter().copied().filter(|&n| n != lone).collect();
+            PartitionSpec::Groups(vec![vec![lone], rest])
+        };
+        let switches = net.topology().switches.clone();
+        let schedule = FaultSchedule::new()
+            .at(
+                SimDuration::from_secs(1),
+                FaultEvent::Partition {
+                    groups: split_off(switches[0]),
+                    heal_after: Some(SimDuration::from_secs(6)),
+                },
+            )
+            .at(
+                SimDuration::from_secs(3),
+                FaultEvent::Partition {
+                    groups: split_off(switches[1]),
+                    heal_after: Some(SimDuration::from_secs(2)),
+                },
+            );
+        let mut cut: Vec<(NodeId, NodeId)> = Vec::new();
+        for (_, events) in schedule.batches() {
+            for event in &events {
+                ctx.apply(&mut net, event);
+                cut.extend(ctx.partitioned_links.iter().copied());
+            }
+        }
+        cut.sort();
+        cut.dedup();
+        let degrees =
+            net.topology().graph.degree(switches[0]) + net.topology().graph.degree(switches[1]);
+        assert_eq!(cut.len(), degrees - 1, "the shared link is cut once");
+        for &(a, b) in &cut {
+            assert!(net.sim().link_is_operational(a, b), "{a}-{b} never healed");
+        }
+        assert!(ctx.partitioned_links.is_empty());
+    }
+
+    #[test]
+    fn faults_that_change_nothing_describe_nothing() {
+        let mut net = bootstrapped();
+        let mut ctx = FaultContext::new(25);
+        let (a, b) = (net.topology().switches[0], net.topology().switches[2]);
+        assert!(!net.sim().topology().has_link(a, b));
+        let between = LinkSelector::Between(a, b);
+        assert!(ctx
+            .apply(&mut net, &FaultEvent::RemoveLink(between))
+            .is_empty());
+        assert!(ctx
+            .apply(&mut net, &FaultEvent::RestoreLinkQuality(between))
+            .is_empty());
+        // Likewise a partition that cuts nothing, and a heal with none in force.
+        let apart = FaultEvent::Partition {
+            groups: PartitionSpec::Groups(vec![vec![a], vec![b]]),
+            heal_after: None,
+        };
+        assert!(ctx.apply(&mut net, &apart).is_empty());
+        assert!(ctx.apply(&mut net, &FaultEvent::HealPartition).is_empty());
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!   digest store ([`MemorySink`]), streaming JSON-lines ([`JsonLinesSink`]) and CSV
 //!   ([`CsvSink`]) writers, and a [`Fanout`] combinator.
 //!
+//! Beside them sits [`json`]: the workspace's one JSON value, emitter and parser —
+//! below both of its users, the benchmark artifacts and the `sdn-serve` wire format.
+//!
 //! # Example
 //!
 //! ```
@@ -34,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod digest;
+pub mod json;
 mod key;
 mod recorder;
 mod ring;

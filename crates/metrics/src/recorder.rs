@@ -1,6 +1,7 @@
 //! The sink abstraction metric observations flow through.
 
 use crate::digest::Digest;
+use crate::json;
 use crate::key::MetricKey;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -79,19 +80,24 @@ impl Recorder for MemorySink {
     }
 }
 
-/// Escapes a string for embedding in a JSON document (quotes not included).
-pub(crate) fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// One observation rendered as the JSON object both line-oriented sinks emit
+/// (no trailing newline).
+pub(crate) fn observation_json(scope: &str, key: &MetricKey, value: f64) -> String {
+    let mut line = String::with_capacity(96);
+    line.push_str("{\"scope\":\"");
+    json::escape(scope, &mut line);
+    line.push_str("\",\"metric\":\"");
+    json::escape(&key.path(), &mut line);
+    line.push_str("\",\"unit\":\"");
+    json::escape(key.unit().symbol(), &mut line);
+    line.push_str("\",\"value\":");
+    if value.is_finite() {
+        line.push_str(&format!("{value}"));
+    } else {
+        line.push_str("null");
     }
+    line.push('}');
+    line
 }
 
 /// A streaming sink writing one JSON object per observation, one per line
@@ -130,20 +136,8 @@ impl<W: Write> JsonLinesSink<W> {
 
 impl<W: Write> Recorder for JsonLinesSink<W> {
     fn record(&mut self, scope: &str, key: &MetricKey, value: f64) {
-        let mut line = String::with_capacity(96);
-        line.push_str("{\"scope\":\"");
-        json_escape(scope, &mut line);
-        line.push_str("\",\"metric\":\"");
-        json_escape(&key.path(), &mut line);
-        line.push_str("\",\"unit\":\"");
-        json_escape(key.unit().symbol(), &mut line);
-        line.push_str("\",\"value\":");
-        if value.is_finite() {
-            line.push_str(&format!("{value}"));
-        } else {
-            line.push_str("null");
-        }
-        line.push_str("}\n");
+        let mut line = observation_json(scope, key, value);
+        line.push('\n');
         if self.deferred.is_none() {
             self.deferred = self.out.write_all(line.as_bytes()).err();
         }

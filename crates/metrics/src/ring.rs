@@ -7,7 +7,7 @@
 //! it evicts, and serves paged reads over whatever survives.
 
 use crate::key::MetricKey;
-use crate::recorder::{json_escape, Recorder};
+use crate::recorder::{observation_json, Recorder};
 use std::collections::VecDeque;
 
 /// A bounded in-memory ring of rendered JSON lines with drop-count accounting.
@@ -134,21 +134,7 @@ impl RingSink {
 
 impl Recorder for RingSink {
     fn record(&mut self, scope: &str, key: &MetricKey, value: f64) {
-        let mut line = String::with_capacity(96);
-        line.push_str("{\"scope\":\"");
-        json_escape(scope, &mut line);
-        line.push_str("\",\"metric\":\"");
-        json_escape(&key.path(), &mut line);
-        line.push_str("\",\"unit\":\"");
-        json_escape(key.unit().symbol(), &mut line);
-        line.push_str("\",\"value\":");
-        if value.is_finite() {
-            line.push_str(&format!("{value}"));
-        } else {
-            line.push_str("null");
-        }
-        line.push('}');
-        self.push_line(line);
+        self.push_line(observation_json(scope, key, value));
     }
 }
 

@@ -32,7 +32,7 @@ pub mod sim;
 pub mod time;
 
 pub use link::{BurstLoss, BurstState, LinkConfig, LinkStatus};
-pub use metrics::{NetworkMetrics, TimeSeries};
+pub use metrics::NetworkMetrics;
 pub use node::{Context, Node, Payload, TimerId};
 pub use sim::{SimConfig, Simulator};
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,6 @@
 //! Message and byte accounting used by the communication-overhead experiments
 //! (paper, Figure 9) and by the throughput experiments (Figures 15–20).
 
-use crate::time::SimTime;
 use sdn_topology::NodeId;
 use std::collections::BTreeMap;
 
@@ -151,134 +150,6 @@ impl NetworkMetrics {
     }
 }
 
-/// A single timestamped sample of a scalar observable, used for time-series outputs
-/// such as the throughput curves of Figures 15 and 16.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Sample {
-    /// When the sample was taken.
-    pub at: SimTime,
-    /// The observed value.
-    pub value: f64,
-}
-
-/// An append-only time series of [`Sample`]s.
-///
-/// # Example
-///
-/// ```
-/// use sdn_netsim::metrics::TimeSeries;
-/// use sdn_netsim::time::SimTime;
-/// let mut ts = TimeSeries::new("throughput");
-/// ts.push(SimTime::from_secs(1), 480.0);
-/// ts.push(SimTime::from_secs(2), 500.0);
-/// assert_eq!(ts.len(), 2);
-/// assert_eq!(ts.mean(), Some(490.0));
-/// ```
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TimeSeries {
-    name: String,
-    samples: Vec<Sample>,
-}
-
-impl TimeSeries {
-    /// Creates an empty, named time series.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// The series name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends a sample.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        self.samples.push(Sample { at, value });
-    }
-
-    /// The recorded samples in insertion order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean of the values, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().map(|s| s.value).sum::<f64>() / self.samples.len() as f64)
-    }
-
-    /// Minimum value, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-    }
-
-    /// Maximum value, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// The values as a plain vector (timestamps dropped).
-    pub fn values(&self) -> Vec<f64> {
-        self.samples.iter().map(|s| s.value).collect()
-    }
-}
-
-/// Pearson correlation coefficient of two equally long value sequences.
-///
-/// Returns `None` when the sequences have different lengths, fewer than two points,
-/// or zero variance. Used to regenerate the paper's Table 17.
-///
-/// # Example
-///
-/// ```
-/// use sdn_netsim::metrics::pearson_correlation;
-/// let r = pearson_correlation(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]).unwrap();
-/// assert!((r - 1.0).abs() < 1e-9);
-/// ```
-pub fn pearson_correlation(a: &[f64], b: &[f64]) -> Option<f64> {
-    if a.len() != b.len() || a.len() < 2 {
-        return None;
-    }
-    let n = a.len() as f64;
-    let mean_a = a.iter().sum::<f64>() / n;
-    let mean_b = b.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut var_a = 0.0;
-    let mut var_b = 0.0;
-    for (x, y) in a.iter().zip(b.iter()) {
-        let dx = x - mean_a;
-        let dy = y - mean_b;
-        cov += dx * dy;
-        var_a += dx * dx;
-        var_b += dy * dy;
-    }
-    if var_a == 0.0 || var_b == 0.0 {
-        return None;
-    }
-    Some(cov / (var_a.sqrt() * var_b.sqrt()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,32 +222,5 @@ mod tests {
         m.reset();
         assert_eq!(m.total_sent(), 0);
         assert_eq!(m.dropped(), 0);
-    }
-
-    #[test]
-    fn time_series_statistics() {
-        let mut ts = TimeSeries::new("x");
-        assert!(ts.is_empty());
-        assert_eq!(ts.mean(), None);
-        assert_eq!(ts.min(), None);
-        ts.push(SimTime::from_secs(1), 3.0);
-        ts.push(SimTime::from_secs(2), 1.0);
-        ts.push(SimTime::from_secs(3), 2.0);
-        assert_eq!(ts.name(), "x");
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts.mean(), Some(2.0));
-        assert_eq!(ts.min(), Some(1.0));
-        assert_eq!(ts.max(), Some(3.0));
-        assert_eq!(ts.values(), vec![3.0, 1.0, 2.0]);
-        assert_eq!(ts.samples()[0].at, SimTime::from_secs(1));
-    }
-
-    #[test]
-    fn correlation_edge_cases() {
-        assert_eq!(pearson_correlation(&[1.0], &[1.0]), None);
-        assert_eq!(pearson_correlation(&[1.0, 2.0], &[1.0]), None);
-        assert_eq!(pearson_correlation(&[1.0, 1.0], &[1.0, 2.0]), None);
-        let anti = pearson_correlation(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]).unwrap();
-        assert!((anti + 1.0).abs() < 1e-9);
     }
 }

@@ -3,7 +3,7 @@
 //! Speaks the same dependency-free HTTP/1.1 the server does: one connection per
 //! request, JSON bodies, chunked transfer for `stream`.
 
-use renaissance_bench::report::Json;
+use sdn_metrics::json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;

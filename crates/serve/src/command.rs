@@ -7,7 +7,7 @@
 //! (every command round-trips through [`Command::to_json`] / [`Command::from_json`])
 //! is what makes a recorded session a complete, self-contained artifact.
 
-use renaissance_bench::report::Json;
+use sdn_metrics::json::Json;
 
 /// One fault injection, addressed by concrete node indices (no random selectors:
 /// a logged command must mean the same victims on every replay).
@@ -56,7 +56,7 @@ pub enum FaultSpec {
     /// Restore every link cut by the partition currently in force.
     HealPartition,
     /// Flap the link: starting next tick, down for half of each period and back
-    /// up for the rest, `count` times. Phases fire from the session's scheduled
+    /// up for the rest, `count` times. Phases fire from the session's pending
     /// fault queue, so a replay flips the link on exactly the same ticks.
     FlapLink {
         /// One endpoint of the link.
@@ -278,15 +278,10 @@ impl FaultSpec {
                     let mut nodes = Vec::new();
                     for member in members {
                         let n = member
-                            .as_f64()
-                            .filter(|n| {
-                                n.is_finite()
-                                    && *n >= 0.0
-                                    && *n <= f64::from(u32::MAX)
-                                    && n.trunc() == *n
-                            })
+                            .as_u64()
+                            .and_then(|n| u32::try_from(n).ok())
                             .ok_or("partition group members must be node indices")?;
-                        nodes.push(n as u32);
+                        nodes.push(n);
                     }
                     parsed.push(nodes);
                 }
@@ -505,12 +500,7 @@ fn field_prob(json: &Json, key: &str) -> Result<Option<f64>, String> {
 }
 
 fn field_u32(json: &Json, key: &str) -> Option<u32> {
-    let n = json.get(key)?.as_f64()?;
-    if n.is_finite() && n >= 0.0 && n <= f64::from(u32::MAX) && n.trunc() == n {
-        Some(n as u32)
-    } else {
-        None
-    }
+    u32::try_from(json.get(key)?.as_u64()?).ok()
 }
 
 #[cfg(test)]

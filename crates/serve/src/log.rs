@@ -16,7 +16,7 @@
 
 use crate::command::Command;
 use crate::session::{Session, SessionConfig};
-use renaissance_bench::report::Json;
+use sdn_metrics::json::Json;
 
 /// A complete recorded session: boot config, stamped commands, final tick, and the
 /// final report the live session produced.
@@ -98,7 +98,8 @@ impl CommandLog {
             return Err("first line is not a header".to_string());
         }
         let config =
-            SessionConfig::from_json(header.get("config").ok_or("header has no `config`")?)?;
+            SessionConfig::from_json(header.get("config").ok_or("header has no `config`")?)
+                .map_err(|e| format!("header: {e}"))?;
         let mut log = CommandLog::new(config);
         let mut sealed = false;
         let mut last_tick = 0u64;
@@ -109,9 +110,7 @@ impl CommandLog {
             let json = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
             let tick = json
                 .get("tick")
-                .and_then(Json::as_f64)
-                .filter(|t| t.is_finite() && *t >= 0.0)
-                .map(|t| t as u64)
+                .and_then(Json::as_u64)
                 .ok_or_else(|| format!("line {}: missing `tick`", i + 2))?;
             if tick < last_tick {
                 return Err(format!(
@@ -313,6 +312,20 @@ mod tests {
             (
                 good.clone() + "{\"kind\":\"command\",\"tick\":0,\"cmd\":{\"op\":\"pause\"}}\n",
                 "after the final",
+            ),
+            // A header that would panic `Session::new` or silently truncate is refused
+            // at parse time, before replay boots anything.
+            (
+                good.replacen("grid(2,3)", "arpanet(3)", 1),
+                "unknown topology `arpanet(3)`",
+            ),
+            (
+                good.replacen("\"controllers\":2", "\"controllers\":2.5", 1),
+                "non-negative integer `controllers`",
+            ),
+            (
+                good.replacen("\"seed\":13", "\"seed\":-13", 1),
+                "non-negative integer `seed`",
             ),
         ] {
             let err = CommandLog::parse(&mangle).unwrap_err();

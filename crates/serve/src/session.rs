@@ -7,16 +7,27 @@
 //! no host entropy reaches this module (the `sdn-stancheck` scope rule enforces
 //! that statically), which is why a live interactive session and a single-threaded
 //! replay of its command log produce bit-identical final reports.
+//!
+//! Faults are a thin boundary over the scenario fault engine: a [`FaultSpec`] is
+//! validated against the live network (it is input from outside the program),
+//! lowered to [`FaultEvent`]s naming concrete victims, and executed by the
+//! session's one [`FaultContext`] — at once, or from the pending queue when the
+//! phase's tick arrives. This module never mutates the network's nodes or links
+//! itself.
 
 use crate::command::{Command, FaultSpec, FlowsSpec};
-use renaissance::scenario::{Workload, WorkloadReport, WorkloadTick};
+use renaissance::scenario::{
+    ControllerSelector, DegradeSpec, FaultContext, FaultEvent, LinkSelector, PartitionSpec,
+    SwitchSelector, Workload, WorkloadReport, WorkloadTick,
+};
 use renaissance::{ControllerConfig, HarnessConfig, SdnNetwork};
-use renaissance_bench::report::Json;
+use sdn_metrics::json::Json;
 use sdn_metrics::{RingPage, RingSink};
 use sdn_netsim::{BurstLoss, SimDuration};
 use sdn_topology::{builders, NodeId};
 use sdn_traffic::{Arrival, FlowEngineWorkload, FlowMix, FlowSetConfig, TrafficMatrix};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Everything needed to rebuild a session from scratch — the command log's header.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,6 +56,29 @@ impl Default for SessionConfig {
     }
 }
 
+/// Why a serialized [`SessionConfig`] was refused.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `topology` is missing or not a string.
+    MissingTopology,
+    /// `topology` names nothing [`builders::try_by_name`] accepts.
+    UnknownTopology(String),
+    /// The named member is missing or not a non-negative integer.
+    NotACount(&'static str),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::MissingTopology => f.write_str("config needs a `topology` name"),
+            ConfigError::UnknownTopology(name) => write!(f, "unknown topology `{name}`"),
+            ConfigError::NotACount(key) => write!(f, "config needs a non-negative integer `{key}`"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl SessionConfig {
     /// Serializes to the command-log header object.
     pub fn to_json(&self) -> Json {
@@ -57,39 +91,31 @@ impl SessionConfig {
         ])
     }
 
-    /// Parses the command-log header object.
-    pub fn from_json(json: &Json) -> Result<SessionConfig, String> {
+    /// Parses the command-log header object. A config this returns boots:
+    /// [`Session::new`] accepts its topology name.
+    pub fn from_json(json: &Json) -> Result<SessionConfig, ConfigError> {
         let topology = json
             .get("topology")
             .and_then(Json::as_str)
-            .ok_or("session config needs a `topology` name")?
+            .ok_or(ConfigError::MissingTopology)?
             .to_string();
-        let int = |key: &str| -> Result<u64, String> {
+        let int = |key: &'static str| -> Result<u64, ConfigError> {
             json.get(key)
-                .and_then(Json::as_f64)
-                .filter(|n| n.is_finite() && *n >= 0.0)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("session config needs a numeric `{key}`"))
+                .and_then(Json::as_u64)
+                .ok_or(ConfigError::NotACount(key))
         };
-        Ok(SessionConfig {
+        let config = SessionConfig {
             topology,
             controllers: int("controllers")? as usize,
             seed: int("seed")?,
             tick_millis: int("tick_millis")?.max(1),
             ring_capacity: int("ring_capacity")? as usize,
-        })
+        };
+        if builders::try_by_name(&config.topology, config.controllers).is_none() {
+            return Err(ConfigError::UnknownTopology(config.topology));
+        }
+        Ok(config)
     }
-}
-
-/// One deferred fault action, fired by [`Session::step`] when its tick arrives.
-/// Multi-phase faults (flaps, rolling restarts) expand into these at apply time,
-/// so a replay flips exactly the same nodes and links on exactly the same ticks.
-#[derive(Clone, Copy, Debug)]
-enum ScheduledFault {
-    LinkDown(NodeId, NodeId),
-    LinkUp(NodeId, NodeId),
-    ControllerDown(NodeId),
-    ControllerUp(NodeId),
 }
 
 /// One attached flow workload, advanced a service tick per session tick.
@@ -99,6 +125,14 @@ struct FlowSlot {
     workload: FlowEngineWorkload,
     ticks_done: u32,
     duration: u32,
+}
+
+/// A validated [`FaultSpec`], lowered to the fault engine's events.
+enum Lowered {
+    /// One event to execute at the current tick boundary.
+    Now(FaultEvent),
+    /// The phases of a compound fault, each stamped with the tick it fires at.
+    Later(Vec<(u64, FaultEvent)>),
 }
 
 /// A long-running simulated SDN session. See the module docs for the contract.
@@ -111,12 +145,13 @@ pub struct Session {
     samples: RingSink,
     tick: u64,
     commands_applied: u64,
-    /// Deferred fault phases keyed by the absolute tick they fire at; a `BTreeMap`
-    /// keeps the draining order deterministic.
-    scheduled: BTreeMap<u64, Vec<ScheduledFault>>,
-    /// Links cut by the partition currently in force, in cut order; drained by
-    /// `heal_partition`.
-    partitioned: Vec<(NodeId, NodeId)>,
+    /// The scenario fault engine: the only path a fault takes to the network. It
+    /// also keeps the cut set of the partition in force.
+    faults: FaultContext,
+    /// Later phases of accepted faults (flap half-cycles, rolling fail/revive
+    /// pairs), keyed by the absolute tick they fire at; a `BTreeMap` keeps the
+    /// draining order deterministic.
+    pending: BTreeMap<u64, Vec<FaultEvent>>,
 }
 
 impl Session {
@@ -135,6 +170,7 @@ impl Session {
             HarnessConfig::default().with_seed(config.seed),
         );
         let samples = RingSink::new(config.ring_capacity.max(1));
+        let faults = FaultContext::new(config.seed);
         let mut session = Session {
             config,
             net,
@@ -144,8 +180,8 @@ impl Session {
             samples,
             tick: 0,
             commands_applied: 0,
-            scheduled: BTreeMap::new(),
-            partitioned: Vec::new(),
+            faults,
+            pending: BTreeMap::new(),
         };
         session.record_sample();
         session
@@ -181,21 +217,14 @@ impl Session {
             .next()
     }
 
-    /// Advances the session by one tick: fires any fault phases scheduled for this
+    /// Advances the session by one tick: fires any fault phases pending for this
     /// tick, runs the simulator for the configured slice, drives every attached
     /// flow workload one service tick, retires workloads whose window ended, and
     /// records a probe sample.
     pub fn step(&mut self) {
         self.tick += 1;
-        if let Some(actions) = self.scheduled.remove(&self.tick) {
-            for action in actions {
-                match action {
-                    ScheduledFault::LinkDown(a, b) => self.net.fail_link(a, b),
-                    ScheduledFault::LinkUp(a, b) => self.net.restore_link(a, b),
-                    ScheduledFault::ControllerDown(id) => self.net.fail_controller(id),
-                    ScheduledFault::ControllerUp(id) => self.net.revive_controller(id),
-                }
-            }
+        for event in self.pending.remove(&self.tick).unwrap_or_default() {
+            self.faults.apply(&mut self.net, &event);
         }
         self.net
             .run_for(SimDuration::from_millis(self.config.tick_millis));
@@ -233,148 +262,29 @@ impl Session {
         }
     }
 
+    /// Validates and lowers `spec`, executes what is due now through the fault
+    /// engine and queues the rest. A fault the engine reports as having changed
+    /// nothing (an absent link, no override to clear, a partition that cuts no
+    /// link, a heal with none in force) is a conflict, like a victim that does not
+    /// exist.
     fn apply_fault(&mut self, spec: &FaultSpec) -> Json {
-        let outcome: Result<String, String> =
-            match spec {
-                FaultSpec::FailController(n) => self.checked_controller(*n).map(|id| {
-                    self.net.fail_controller(id);
-                    format!("controller {n} failed")
-                }),
-                FaultSpec::ReviveController(n) => self.checked_controller(*n).map(|id| {
-                    self.net.revive_controller(id);
-                    format!("controller {n} revived")
-                }),
-                FaultSpec::FailSwitch(n) => self.checked_switch(*n).map(|id| {
-                    self.net.fail_switch(id);
-                    format!("switch {n} failed")
-                }),
-                FaultSpec::ReviveSwitch(n) => self.checked_switch(*n).map(|id| {
-                    self.net.revive_switch(id);
-                    format!("switch {n} revived")
-                }),
-                FaultSpec::FailLink(a, b) => self.checked_link(*a, *b).map(|(a, b)| {
-                    self.net.fail_link(a, b);
-                    format!("link {}-{} failed", a.index(), b.index())
-                }),
-                FaultSpec::RestoreLink(a, b) => self.checked_link(*a, *b).map(|(a, b)| {
-                    self.net.restore_link(a, b);
-                    format!("link {}-{} restored", a.index(), b.index())
-                }),
-                FaultSpec::RemoveLink(a, b) => self.checked_link(*a, *b).and_then(|(a, b)| {
-                    if self.net.remove_link(a, b) {
-                        Ok(format!("link {}-{} removed", a.index(), b.index()))
-                    } else {
-                        Err(format!("link {}-{} not present", a.index(), b.index()))
-                    }
-                }),
-                FaultSpec::AddLink(a, b) => {
-                    let (a, b) = (NodeId::new(*a), NodeId::new(*b));
-                    if a == b {
-                        Err("cannot add a self-loop".to_string())
-                    } else {
-                        self.net.add_link(a, b);
-                        Ok(format!("link {}-{} added", a.index(), b.index()))
-                    }
+        let outcome = self.lower(spec).and_then(|lowered| match lowered {
+            Lowered::Now(event) => {
+                let done = self.faults.apply(&mut self.net, &event);
+                if done.is_empty() {
+                    Err(format!("fault `{}` found nothing to change", spec.kind()))
+                } else {
+                    Ok(done.join("; "))
                 }
-                FaultSpec::DegradeLink {
-                    a,
-                    b,
-                    loss,
-                    burst,
-                    asymmetric,
-                } => self.checked_present_link(*a, *b).map(|(a, b)| {
-                    let base = self.net.default_link_config();
-                    let config = match burst {
-                        Some((p_enter, p_exit, loss_bad)) => {
-                            base.with_burst(BurstLoss::gilbert(*p_enter, *p_exit, *loss_bad))
-                        }
-                        None => base.with_loss(*loss),
-                    };
-                    if *asymmetric {
-                        self.net.set_link_config_directed(a, b, config);
-                    } else {
-                        self.net.set_link_config(a, b, config);
-                    }
-                    let direction = if *asymmetric { " (one-way)" } else { "" };
-                    format!("link {}-{} degraded{direction}", a.index(), b.index())
-                }),
-                FaultSpec::RestoreLinkQuality(a, b) => {
-                    self.checked_present_link(*a, *b).and_then(|(a, b)| {
-                        if self.net.clear_link_config(a, b) {
-                            Ok(format!("link {}-{} quality restored", a.index(), b.index()))
-                        } else {
-                            Err(format!(
-                                "link {}-{} has no quality override",
-                                a.index(),
-                                b.index()
-                            ))
-                        }
-                    })
+            }
+            Lowered::Later(phases) => {
+                let detail = format!("{} phases queued", phases.len());
+                for (tick, event) in phases {
+                    self.pending.entry(tick).or_default().push(event);
                 }
-                FaultSpec::Partition { groups } => self.apply_partition(groups),
-                FaultSpec::HealPartition => {
-                    if self.partitioned.is_empty() {
-                        Err("no partition is in force".to_string())
-                    } else {
-                        let cut = std::mem::take(&mut self.partitioned);
-                        for &(a, b) in &cut {
-                            self.net.restore_link(a, b);
-                        }
-                        Ok(format!("partition healed, {} links restored", cut.len()))
-                    }
-                }
-                FaultSpec::FlapLink {
-                    a,
-                    b,
-                    period_ticks,
-                    count,
-                } => self.checked_present_link(*a, *b).and_then(|(a, b)| {
-                    if *period_ticks < 2 || *count == 0 {
-                        return Err("flap needs period_ticks >= 2 and a positive count".to_string());
-                    }
-                    let down_for = u64::from(*period_ticks / 2);
-                    let start = self.tick + 1;
-                    for cycle in 0..u64::from(*count) {
-                        let down_at = start + cycle * u64::from(*period_ticks);
-                        self.schedule(down_at, ScheduledFault::LinkDown(a, b));
-                        self.schedule(down_at + down_for, ScheduledFault::LinkUp(a, b));
-                    }
-                    Ok(format!(
-                        "link {}-{} flapping {count} times, period {period_ticks} ticks",
-                        a.index(),
-                        b.index()
-                    ))
-                }),
-                FaultSpec::RollingRestart {
-                    interval_ticks,
-                    down_ticks,
-                    count,
-                } => {
-                    let controllers = self.net.controller_ids();
-                    if *count == 0 || *down_ticks == 0 || *interval_ticks <= *down_ticks {
-                        Err("rolling restart needs count >= 1 and down_ticks in [1, interval_ticks)"
-                        .to_string())
-                    } else if controllers.len() < *count as usize {
-                        Err(format!(
-                            "rolling restart of {count} controllers but only {} exist",
-                            controllers.len()
-                        ))
-                    } else {
-                        let start = self.tick + 1;
-                        for (index, id) in controllers.iter().take(*count as usize).enumerate() {
-                            let down_at = start + index as u64 * u64::from(*interval_ticks);
-                            self.schedule(down_at, ScheduledFault::ControllerDown(*id));
-                            self.schedule(
-                                down_at + u64::from(*down_ticks),
-                                ScheduledFault::ControllerUp(*id),
-                            );
-                        }
-                        Ok(format!(
-                        "rolling restart of {count} controllers, one every {interval_ticks} ticks"
-                    ))
-                    }
-                }
-            };
+                Ok(detail)
+            }
+        });
         match outcome {
             Ok(detail) => Json::obj([
                 ("ok", Json::Bool(true)),
@@ -385,95 +295,161 @@ impl Session {
         }
     }
 
-    fn checked_controller(&self, n: u32) -> Result<NodeId, String> {
-        let id = NodeId::new(n);
-        if self.net.controller_ids().contains(&id) {
-            Ok(id)
-        } else {
-            Err(format!("no controller with index {n}"))
-        }
+    /// Checks `spec`'s victims against the live network and translates it into
+    /// fault-engine events: concrete-victim selectors only, so a logged command
+    /// means the same nodes and links on every replay. Compound faults start on
+    /// the next tick.
+    fn lower(&self, spec: &FaultSpec) -> Result<Lowered, String> {
+        let between = |(a, b)| LinkSelector::Between(a, b);
+        let start = self.tick + 1;
+        let event = match spec {
+            FaultSpec::FailController(n) => {
+                FaultEvent::FailController(ControllerSelector::Id(self.controller(*n)?))
+            }
+            FaultSpec::ReviveController(n) => FaultEvent::ReviveController(self.controller(*n)?),
+            FaultSpec::FailSwitch(n) => {
+                FaultEvent::FailSwitch(SwitchSelector::Id(self.switch(*n)?))
+            }
+            FaultSpec::ReviveSwitch(n) => FaultEvent::ReviveSwitch(self.switch(*n)?),
+            FaultSpec::FailLink(a, b) => FaultEvent::FailLink(between(self.endpoints(*a, *b)?)),
+            FaultSpec::RestoreLink(a, b) => {
+                let (a, b) = self.endpoints(*a, *b)?;
+                FaultEvent::RestoreLink(a, b)
+            }
+            FaultSpec::RemoveLink(a, b) => FaultEvent::RemoveLink(between(self.endpoints(*a, *b)?)),
+            FaultSpec::AddLink(a, b) if a == b => return Err("cannot add a self-loop".to_string()),
+            FaultSpec::AddLink(a, b) => FaultEvent::AddLink(NodeId::new(*a), NodeId::new(*b)),
+            FaultSpec::DegradeLink {
+                a,
+                b,
+                loss,
+                burst,
+                asymmetric,
+            } => {
+                let degrade = DegradeSpec {
+                    loss: *loss,
+                    burst: burst
+                        .map(|(enter, exit, loss_bad)| BurstLoss::gilbert(enter, exit, loss_bad)),
+                    extra_jitter: SimDuration::ZERO,
+                    asymmetric: *asymmetric,
+                };
+                FaultEvent::DegradeLink(between(self.link(*a, *b)?), degrade)
+            }
+            FaultSpec::RestoreLinkQuality(a, b) => {
+                FaultEvent::RestoreLinkQuality(between(self.link(*a, *b)?))
+            }
+            FaultSpec::Partition { groups } => FaultEvent::Partition {
+                groups: PartitionSpec::Groups(self.groups(groups)?),
+                heal_after: None,
+            },
+            FaultSpec::HealPartition => FaultEvent::HealPartition,
+            FaultSpec::FlapLink {
+                a,
+                b,
+                period_ticks,
+                count,
+            } => {
+                let (a, b) = self.link(*a, *b)?;
+                if *period_ticks < 2 || *count == 0 {
+                    return Err("flap needs period_ticks >= 2 and a positive count".to_string());
+                }
+                let (period, down_for) = (u64::from(*period_ticks), u64::from(*period_ticks / 2));
+                let phases = (0..u64::from(*count)).flat_map(|cycle| {
+                    let down_at = start + cycle * period;
+                    [
+                        (down_at, FaultEvent::FailLink(between((a, b)))),
+                        (down_at + down_for, FaultEvent::RestoreLink(a, b)),
+                    ]
+                });
+                return Ok(Lowered::Later(phases.collect()));
+            }
+            FaultSpec::RollingRestart {
+                interval_ticks,
+                down_ticks,
+                count,
+            } => {
+                let (interval, down_for) = (u64::from(*interval_ticks), u64::from(*down_ticks));
+                let controllers = self.net.controller_ids().len();
+                if *count == 0 || down_for == 0 || interval <= down_for {
+                    return Err("rolling restart needs count >= 1 and down_ticks in \
+                                [1, interval_ticks)"
+                        .to_string());
+                }
+                if controllers < *count as usize {
+                    return Err(format!(
+                        "rolling restart of {count} controllers but only {controllers} exist"
+                    ));
+                }
+                let phases = (0..*count as usize).flat_map(|i| {
+                    let down_at = start + i as u64 * interval;
+                    let fail = FaultEvent::FailController(ControllerSelector::Index(i));
+                    let revive = FaultEvent::ReviveControllerIndex(i);
+                    [(down_at, fail), (down_at + down_for, revive)]
+                });
+                return Ok(Lowered::Later(phases.collect()));
+            }
+        };
+        Ok(Lowered::Now(event))
     }
 
-    fn checked_switch(&self, n: u32) -> Result<NodeId, String> {
+    fn controller(&self, n: u32) -> Result<NodeId, String> {
         let id = NodeId::new(n);
-        if self.net.switch_ids().contains(&id) {
-            Ok(id)
-        } else {
-            Err(format!("no switch with index {n}"))
-        }
+        let known = self.net.controller_ids().contains(&id);
+        known
+            .then_some(id)
+            .ok_or_else(|| format!("no controller with index {n}"))
     }
 
-    fn checked_link(&self, a: u32, b: u32) -> Result<(NodeId, NodeId), String> {
-        let (a, b) = (NodeId::new(a), NodeId::new(b));
+    fn switch(&self, n: u32) -> Result<NodeId, String> {
+        let id = NodeId::new(n);
+        let known = self.net.switch_ids().contains(&id);
+        known
+            .then_some(id)
+            .ok_or_else(|| format!("no switch with index {n}"))
+    }
+
+    /// Two known nodes; whether a link joins them is the fault engine's business.
+    fn endpoints(&self, a: u32, b: u32) -> Result<(NodeId, NodeId), String> {
+        let ids = (NodeId::new(a), NodeId::new(b));
         let graph = self.net.sim().topology();
-        if !graph.contains_node(a) || !graph.contains_node(b) {
-            Err(format!(
-                "link {}-{}: unknown endpoint",
-                a.index(),
-                b.index()
-            ))
-        } else {
-            Ok((a, b))
-        }
+        let known = graph.contains_node(ids.0) && graph.contains_node(ids.1);
+        known
+            .then_some(ids)
+            .ok_or_else(|| format!("link {a}-{b}: unknown endpoint"))
     }
 
-    /// Like [`Session::checked_link`], but also requires the link to currently
-    /// exist in `Gc` — quality overrides and flaps on a never-built link would be
-    /// silent no-ops, so they are rejected up front instead.
-    fn checked_present_link(&self, a: u32, b: u32) -> Result<(NodeId, NodeId), String> {
-        let (a, b) = self.checked_link(a, b)?;
-        if self.net.sim().topology().has_link(a, b) {
-            Ok((a, b))
-        } else {
-            Err(format!("link {}-{} not present", a.index(), b.index()))
-        }
+    /// Like [`Session::endpoints`], but also requires the link to currently exist
+    /// in `Gc` — quality overrides and flaps on a never-built link would be silent
+    /// no-ops, so they are rejected up front instead.
+    fn link(&self, a: u32, b: u32) -> Result<(NodeId, NodeId), String> {
+        let ids = self.endpoints(a, b)?;
+        let present = self.net.sim().topology().has_link(ids.0, ids.1);
+        present
+            .then_some(ids)
+            .ok_or_else(|| format!("link {a}-{b} not present"))
     }
 
-    /// Enqueues one deferred fault phase for `tick`.
-    fn schedule(&mut self, tick: u64, fault: ScheduledFault) {
-        self.scheduled.entry(tick).or_default().push(fault);
-    }
-
-    /// Cuts every link crossing the given groups (first-wins membership, unlisted
-    /// nodes keep all their links — the same semantics as the scenario schedule's
-    /// explicit partition) and remembers the cut set for `heal_partition`.
-    fn apply_partition(&mut self, groups: &[Vec<u32>]) -> Result<String, String> {
-        if !self.partitioned.is_empty() {
+    /// The groups of a partition request as node ids: at least two groups of known
+    /// nodes, and only while no other partition is in force.
+    fn groups(&self, groups: &[Vec<u32>]) -> Result<Vec<Vec<NodeId>>, String> {
+        if !self.faults.partitioned_links.is_empty() {
             return Err("a partition is already in force (heal it first)".to_string());
         }
         if groups.len() < 2 {
             return Err("a partition needs at least two groups".to_string());
         }
-        let mut assignment: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (index, group) in groups.iter().enumerate() {
-            for &n in group {
-                let id = NodeId::new(n);
-                if !self.net.sim().topology().contains_node(id) {
-                    return Err(format!("partition group {index}: unknown node {n}"));
-                }
-                assignment.entry(id).or_insert(index);
-            }
-        }
-        let cut: Vec<(NodeId, NodeId)> = self
-            .net
-            .sim()
-            .topology()
-            .links()
-            .filter_map(|link| {
-                let group_a = assignment.get(&link.a)?;
-                let group_b = assignment.get(&link.b)?;
-                (group_a != group_b).then_some((link.a, link.b))
-            })
-            .collect();
-        if cut.is_empty() {
-            return Err("partition cuts no links".to_string());
-        }
-        for &(a, b) in &cut {
-            self.net.fail_link(a, b);
-        }
-        let count = cut.len();
-        self.partitioned = cut;
-        Ok(format!("partition cut {count} links"))
+        let graph = self.net.sim().topology();
+        let node = |n: &u32| {
+            let id = NodeId::new(*n);
+            let known = graph.contains_node(id);
+            known
+                .then_some(id)
+                .ok_or_else(|| format!("partition: unknown node {n}"))
+        };
+        groups
+            .iter()
+            .map(|group| group.iter().map(node).collect())
+            .collect()
     }
 
     fn attach_flows(&mut self, spec: FlowsSpec) -> Json {
@@ -646,11 +622,11 @@ impl Session {
             ("samples_dropped", Json::num(self.samples.dropped() as f64)),
             (
                 "pending_faults",
-                Json::num(self.scheduled.values().map(Vec::len).sum::<usize>() as f64),
+                Json::num(self.pending.values().map(Vec::len).sum::<usize>() as f64),
             ),
             (
                 "partitioned_links",
-                Json::num(self.partitioned.len() as f64),
+                Json::num(self.faults.partitioned_links.len() as f64),
             ),
             (
                 "link_config_warnings",
@@ -805,6 +781,25 @@ mod tests {
         let wire = config.to_json().to_string();
         let back = SessionConfig::from_json(&Json::parse(&wire).unwrap()).unwrap();
         assert_eq!(back, config);
+    }
+
+    #[test]
+    fn session_config_refuses_what_would_not_boot() {
+        let parse = |wire: &str| SessionConfig::from_json(&Json::parse(wire).unwrap());
+        let wire = tiny().to_json().to_string();
+        assert_eq!(
+            parse(&wire.replace("grid(2,3)", "arpanet")),
+            Err(ConfigError::UnknownTopology("arpanet".to_string()))
+        );
+        assert_eq!(
+            parse(&wire.replace("\"tick_millis\":500", "\"tick_millis\":0.5")),
+            Err(ConfigError::NotACount("tick_millis"))
+        );
+        assert_eq!(
+            parse(&wire.replace("\"ring_capacity\":64", "\"ring_capacity\":\"64\"")),
+            Err(ConfigError::NotACount("ring_capacity"))
+        );
+        assert_eq!(parse("{}"), Err(ConfigError::MissingTopology));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::command::{Command, FaultSpec, FlowsSpec};
 use crate::log::CommandLog;
 use crate::session::Session;
-use renaissance_bench::report::Json;
+use sdn_metrics::json::Json;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -3,7 +3,7 @@
 //! failure, stream telemetry, attach flows, pause/step — then shut down cleanly
 //! and prove the recorded command log replays bit-identically.
 
-use renaissance_bench::report::Json;
+use sdn_metrics::json::Json;
 use sdn_serve::{CommandLog, Server, Session, SessionConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;

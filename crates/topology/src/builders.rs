@@ -104,20 +104,26 @@ pub const GENERATOR_FAMILY_NAMES: [&str; 3] = [
 ///
 /// Panics if `name` is neither a paper network nor a well-formed generator name.
 pub fn by_name(name: &str, n_controllers: usize) -> NamedTopology {
-    match name.to_ascii_lowercase().as_str() {
+    try_by_name(name, n_controllers).unwrap_or_else(|| {
+        panic!(
+            "unknown network '{name}': expected one of {PAPER_NETWORK_NAMES:?} \
+             or a generator name like {GENERATOR_FAMILY_NAMES:?}"
+        )
+    })
+}
+
+/// [`by_name`] for names that come from outside the program (a command-log header,
+/// a request): `None` when `name` is neither a paper network nor a well-formed
+/// generator name. The generators still assert their own parameter ranges.
+pub fn try_by_name(name: &str, n_controllers: usize) -> Option<NamedTopology> {
+    Some(match name.to_ascii_lowercase().as_str() {
         "b4" => b4(n_controllers),
         "clos" => clos(n_controllers),
         "telstra" => telstra(n_controllers),
         "at&t" | "att" => att(n_controllers),
         "ebone" => ebone(n_controllers),
-        other => match parse_generator(other) {
-            Some(net) => net(n_controllers),
-            None => panic!(
-                "unknown network '{name}': expected one of {PAPER_NETWORK_NAMES:?} \
-                 or a generator name like {GENERATOR_FAMILY_NAMES:?}"
-            ),
-        },
-    }
+        other => parse_generator(other)?(n_controllers),
+    })
 }
 
 /// Parses a lowercase parameterized generator name (`family(a, b)` or `family-a-b`)
@@ -867,6 +873,16 @@ mod tests {
         let g = by_name("Grid(3, 4)", 2);
         assert_eq!(g.switch_count(), 12);
         assert_eq!(g.graph, by_name("grid-3-4", 2).graph);
+    }
+
+    #[test]
+    fn try_by_name_returns_none_where_by_name_panics() {
+        assert!(try_by_name("arpanet", 1).is_none());
+        assert!(try_by_name("fat_tree(4, 9)", 1).is_none());
+        assert_eq!(
+            try_by_name("grid(2,3)", 2).map(|net| net.graph),
+            Some(by_name("grid(2,3)", 2).graph)
+        );
     }
 
     #[test]

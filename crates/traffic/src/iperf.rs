@@ -305,6 +305,43 @@ impl Workload for IperfWorkload {
     }
 }
 
+/// Pearson correlation between the throughput curves of two runs, the statistic the
+/// paper reports in Table 17 (values of 0.92–0.96 across networks).
+pub fn throughput_correlation(
+    with_recovery: &IperfRun,
+    without_recovery: &IperfRun,
+) -> Option<f64> {
+    pearson_correlation(
+        &with_recovery.throughput_mbps,
+        &without_recovery.throughput_mbps,
+    )
+}
+
+/// Pearson correlation coefficient of two equally long value sequences: `None` when
+/// the sequences have different lengths, fewer than two points, or zero variance.
+fn pearson_correlation(a: &[f64], b: &[f64]) -> Option<f64> {
+    if a.len() != b.len() || a.len() < 2 {
+        return None;
+    }
+    let n = a.len() as f64;
+    let mean_a = a.iter().sum::<f64>() / n;
+    let mean_b = b.iter().sum::<f64>() / n;
+    let mut cov = 0.0;
+    let mut var_a = 0.0;
+    let mut var_b = 0.0;
+    for (x, y) in a.iter().zip(b.iter()) {
+        let dx = x - mean_a;
+        let dy = y - mean_b;
+        cov += dx * dy;
+        var_a += dx * dx;
+        var_b += dy * dy;
+    }
+    if var_a == 0.0 || var_b == 0.0 {
+        return None;
+    }
+    Some(cov / (var_a.sqrt() * var_b.sqrt()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,5 +469,28 @@ mod tests {
         );
         // And the control plane really did nothing: no recovery records.
         assert!(run.recoveries.is_empty());
+    }
+
+    #[test]
+    fn correlation_of_similar_runs_is_high() {
+        let run_with = |values: Vec<f64>| IperfRun {
+            throughput_mbps: values,
+            ..IperfRun::default()
+        };
+        let a = run_with(vec![500.0, 505.0, 480.0, 500.0, 502.0]);
+        let b = run_with(vec![501.0, 506.0, 482.0, 499.0, 503.0]);
+        let r = throughput_correlation(&a, &b).unwrap();
+        assert!(r > 0.9, "correlation {r}");
+    }
+
+    #[test]
+    fn correlation_edge_cases() {
+        assert_eq!(pearson_correlation(&[1.0], &[1.0]), None);
+        assert_eq!(pearson_correlation(&[1.0, 2.0], &[1.0]), None);
+        assert_eq!(pearson_correlation(&[1.0, 1.0], &[1.0, 2.0]), None);
+        let same = pearson_correlation(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]).unwrap();
+        assert!((same - 1.0).abs() < 1e-9);
+        let anti = pearson_correlation(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]).unwrap();
+        assert!((anti + 1.0).abs() < 1e-9);
     }
 }

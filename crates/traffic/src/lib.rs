@@ -8,8 +8,8 @@
 //! * [`reno`] — an AIMD congestion-window model producing throughput, retransmission,
 //!   BAD-TCP, and out-of-order series,
 //! * [`iperf`] — the experiment driver: host placement, mid-path link failure, and the
-//!   with-recovery (Figure 15) / without-recovery (Figure 16) modes,
-//! * [`stats`] — series extraction and the Table 17 correlation statistic,
+//!   with-recovery (Figure 15) / without-recovery (Figure 16) modes, plus the
+//!   Table 17 correlation statistic between the two,
 //! * [`engine`] — the heavy-traffic flow engine: struct-of-arrays flow batches,
 //!   seeded traffic-matrix generators, bottleneck fair-share progress charged per
 //!   coarse service tick, and flow-completion-time telemetry — millions of concurrent
@@ -44,14 +44,13 @@
 pub mod engine;
 pub mod iperf;
 pub mod reno;
-pub mod stats;
 
 pub use engine::{
     generate, Arrival, EngineConfig, FanOut, FctCollector, FctSummary, FlowBatch, FlowEngine,
     FlowEngineWorkload, FlowId, FlowMix, FlowSetConfig, FlowSpec, TrafficMatrix,
 };
 pub use iperf::{
-    farthest_switch_pair, run_throughput_experiment, IperfConfig, IperfRun, IperfWorkload,
+    farthest_switch_pair, run_throughput_experiment, throughput_correlation, IperfConfig, IperfRun,
+    IperfWorkload,
 };
 pub use reno::{PathEvent, RenoConfig, RenoConnection};
-pub use stats::{throughput_correlation, Series};
