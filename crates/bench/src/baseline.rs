@@ -1,11 +1,11 @@
 //! Baseline regression gating for the scale campaign.
 //!
-//! The campaign's JSON artifact (`BENCH_scale.json`) is the repository's performance
-//! trajectory; this module compares a freshly produced artifact against a committed
-//! baseline and decides whether the change regressed. Gating uses the *simulated*
-//! quantities (`bootstrap_s`, `recovery_s`, `messages_sent`) — deterministic for equal
-//! seeds, so the gate cannot flake on CI-runner noise the way wall-clock comparisons
-//! would. Wall clock is reported in the delta for context but never gated.
+//! This module compares a freshly produced campaign artifact (`BENCH_scale.json`)
+//! against a committed baseline and decides whether the change regressed. Every
+//! quantity in the artifact is *simulated* (`bootstrap_s`, `recovery_s`,
+//! `messages_sent`, ...) — deterministic for equal seeds, so the gate cannot flake on
+//! CI-runner noise. Host time is not in the artifact at all; `renaissance-perf`
+//! (`BENCHMARK.json`) measures it.
 
 use sdn_metrics::json::Json;
 
@@ -23,20 +23,11 @@ pub const OPTIONAL_GATED_METRICS: &[&str] = &["partition_messages"];
 /// threshold regresses). Compared only when present in both cells.
 pub const OPTIONAL_GATED_HIGHER: &[&str] = &["flap_survival"];
 
-/// Per-cell metrics compared in the delta report but never gated: host-dependent
-/// wall-clock quantities whose drift is interesting context (is the simulator getting
-/// faster?) but would make the gate flake on runner noise, plus the flow-engine
+/// Per-cell metrics compared in the delta report but never gated: the flow-engine
 /// telemetry of the under-load cells. Schema-tolerant — cells missing one of these
-/// are simply not compared on it, so old baselines without `events_per_sec` (or
-/// without the under-load cells entirely) still gate cleanly.
-pub const CONTEXT_METRICS: &[&str] = &[
-    "wall_clock_ms",
-    "events_per_sec",
-    "fct_p50_s",
-    "fct_p99_s",
-    "achieved_mbps",
-    "flows_per_sec",
-];
+/// are simply not compared on it, so baselines without the under-load cells still
+/// gate cleanly.
+pub const CONTEXT_METRICS: &[&str] = &["fct_p50_s", "fct_p99_s", "achieved_mbps"];
 
 /// The change of one gated metric in one campaign cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,7 +63,7 @@ pub struct GateReport {
     /// One entry per `(cell, gated metric)` present in both artifacts.
     pub entries: Vec<GateEntry>,
     /// One entry per `(cell, context metric)` present in both artifacts — reported
-    /// for throughput trend visibility, never counted as a regression. For these,
+    /// for FCT/goodput trend visibility, never counted as a regression. For these,
     /// `change_pct` is the raw relative change (sign uninterpreted).
     pub context: Vec<GateEntry>,
     /// Cells present in only one of the two artifacts (`"spec/scenario"`), compared
@@ -179,12 +170,9 @@ pub fn gate_campaign(current: &Json, baseline: &Json, gate_pct: f64) -> Result<G
         })?);
     }
 
-    // A context metric can be a plain number on the cell or a samples object; either
-    // shape (or its absence) is tolerated.
-    let context_value = |cell: &Json, metric: &str| -> Option<f64> {
-        let v = cell.get(metric)?;
-        v.as_f64().or_else(|| v.get("mean")?.as_f64())
-    };
+    // Optional and context metrics are samples objects a cell may lack.
+    let mean_of =
+        |cell: &Json, metric: &str| -> Option<f64> { cell.get(metric)?.get("mean")?.as_f64() };
 
     let mut report = GateReport {
         gate_pct,
@@ -232,8 +220,8 @@ pub fn gate_campaign(current: &Json, baseline: &Json, gate_pct: f64) -> Result<G
         ] {
             for &metric in metrics {
                 let (Some(current), Some(base)) = (
-                    context_value(result, metric),
-                    context_value(&baseline_cells[index], metric),
+                    mean_of(result, metric),
+                    mean_of(&baseline_cells[index], metric),
                 ) else {
                     continue;
                 };
@@ -264,8 +252,8 @@ pub fn gate_campaign(current: &Json, baseline: &Json, gate_pct: f64) -> Result<G
         }
         for &metric in CONTEXT_METRICS {
             let (Some(current), Some(base)) = (
-                context_value(result, metric),
-                context_value(&baseline_cells[index], metric),
+                mean_of(result, metric),
+                mean_of(&baseline_cells[index], metric),
             ) else {
                 continue;
             };
@@ -413,38 +401,33 @@ mod tests {
 
     #[test]
     fn context_metrics_are_reported_not_gated() {
-        let with_context = |eps: f64| {
+        let with_context = |fct_p99: f64| {
             Json::obj([
                 ("benchmark", Json::str("scale_campaign")),
                 (
                     "results",
                     Json::arr([Json::obj([
                         ("spec", Json::str("a")),
-                        ("scenario", Json::str("bootstrap")),
+                        ("scenario", Json::str("bootstrap_under_load")),
                         ("bootstrap_s", Json::obj([("mean", Json::num(1.0))])),
                         ("recovery_s", Json::obj([("mean", Json::num(0.0))])),
                         ("messages_sent", Json::obj([("mean", Json::num(1.0))])),
-                        ("wall_clock_ms", Json::num(100.0)),
-                        ("events_per_sec", Json::num(eps)),
+                        ("fct_p99_s", Json::obj([("mean", Json::num(fct_p99))])),
                     ])]),
                 ),
             ])
         };
-        // Throughput halved: reported in `context`, but no regression is flagged.
-        let report = gate_campaign(&with_context(500.0), &with_context(1000.0), 25.0).unwrap();
+        // Tail FCT doubled: reported in `context`, but no regression is flagged.
+        let report = gate_campaign(&with_context(8.0), &with_context(4.0), 25.0).unwrap();
         assert!(report.regressions().is_empty());
-        let eps = report
-            .context
-            .iter()
-            .find(|e| e.metric == "events_per_sec")
-            .expect("events_per_sec context entry");
-        assert!((eps.change_pct + 50.0).abs() < 1e-9);
-        assert!(report.context.iter().any(|e| e.metric == "wall_clock_ms"));
+        assert_eq!(report.context.len(), 1);
+        assert_eq!(report.context[0].metric, "fct_p99_s");
+        assert!((report.context[0].change_pct - 100.0).abs() < 1e-9);
         let json = report.to_json().to_string();
         assert!(json.contains("\"context\":["));
-        // A baseline without the context keys (pre-throughput schema) still gates.
-        let old = artifact(&[("a", "bootstrap", 1.0, 0.0, 1.0)]);
-        let report = gate_campaign(&with_context(500.0), &old, 25.0).unwrap();
+        // A baseline without the context keys still gates.
+        let old = artifact(&[("a", "bootstrap_under_load", 1.0, 0.0, 1.0)]);
+        let report = gate_campaign(&with_context(8.0), &old, 25.0).unwrap();
         assert!(report.context.is_empty());
         assert_eq!(report.entries.len(), 3);
     }

@@ -36,7 +36,6 @@ fn main() {
         "Ablation — transient-fault recovery (s) and rules after stabilization",
         &["median s", "mean s", "rules after"],
         &rows,
-        &results,
     );
     pipeline.finish();
 }

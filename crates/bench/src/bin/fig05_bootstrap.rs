@@ -31,7 +31,6 @@ fn main() {
         "Figure 5 — bootstrap time, 3 controllers (simulated seconds)",
         &["median", "mean", "stddev", "p90", "min", "max", "runs"],
         &rows,
-        &results,
     );
     pipeline.finish();
 }

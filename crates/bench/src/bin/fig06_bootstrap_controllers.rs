@@ -9,12 +9,12 @@ fn main() {
         "Figure 6: bootstrap time for Telstra, AT&T and EBONE with 1 to 7 controllers.",
         &[],
     );
-    let mut scale = ExperimentScale::from_env();
-    // The figure's default network subset; an explicit env/CLI list still wins.
-    if std::env::var("RENAISSANCE_NETWORKS").is_err() {
-        scale.networks = vec!["Telstra".into(), "AT&T".into(), "EBONE".into()];
+    // The figure's default network subset; an explicit --networks list still wins.
+    let scale = ExperimentScale {
+        networks: vec!["Telstra".into(), "AT&T".into(), "EBONE".into()],
+        ..ExperimentScale::default()
     }
-    let scale = scale.with_args(&args);
+    .with_args(&args);
     let mut pipeline = MetricPipeline::from_args(&args);
     let counts = [1, 3, 5, 7];
     let results = bootstrap_vs_controllers(&scale, &counts, &mut pipeline);
@@ -35,7 +35,6 @@ fn main() {
         "Figure 6 — bootstrap time vs number of controllers (simulated seconds)",
         &["median", "mean", "max"],
         &rows,
-        &results,
     );
     pipeline.finish();
 }

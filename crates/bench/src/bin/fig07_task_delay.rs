@@ -28,7 +28,6 @@ fn main() {
         "Figure 7 — bootstrap time vs task delay, 7 controllers (simulated seconds)",
         &["median", "mean"],
         &rows,
-        &results,
     );
     pipeline.finish();
 }

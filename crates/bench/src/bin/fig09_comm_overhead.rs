@@ -26,7 +26,6 @@ fn main() {
         "Figure 9 — messages per node per iteration (max-loaded controller)",
         &["median", "mean"],
         &rows,
-        &results,
     );
     pipeline.finish();
 }

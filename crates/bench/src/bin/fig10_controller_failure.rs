@@ -32,7 +32,6 @@ fn main() {
         "Figure 10 — recovery time after one controller fail-stop (simulated seconds)",
         &["median", "mean", "max"],
         &rows,
-        &results,
     );
     pipeline.finish();
 }

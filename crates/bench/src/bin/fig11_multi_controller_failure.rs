@@ -9,12 +9,12 @@ fn main() {
         "Figure 11: recovery time after the fail-stop of 1 to 6 controllers (7 deployed).",
         &[],
     );
-    let mut scale = ExperimentScale::from_env();
-    // The figure's default network subset; an explicit env/CLI list still wins.
-    if std::env::var("RENAISSANCE_NETWORKS").is_err() {
-        scale.networks = vec!["Telstra".into(), "AT&T".into(), "EBONE".into()];
+    // The figure's default network subset; an explicit --networks list still wins.
+    let scale = ExperimentScale {
+        networks: vec!["Telstra".into(), "AT&T".into(), "EBONE".into()],
+        ..ExperimentScale::default()
     }
-    let scale = scale.with_args(&args);
+    .with_args(&args);
     let mut pipeline = MetricPipeline::from_args(&args);
     let mut all = Vec::new();
     let mut rows = Vec::new();
@@ -33,7 +33,6 @@ fn main() {
         "Figure 11 — recovery time after multiple controller fail-stops (simulated seconds)",
         &["median", "mean"],
         &rows,
-        &all,
     );
     pipeline.finish();
 }

@@ -26,7 +26,6 @@ fn main() {
         "Figure 12 — recovery time after a switch fail-stop (simulated seconds)",
         &["median", "mean", "max"],
         &rows,
-        &results,
     );
     pipeline.finish();
 }

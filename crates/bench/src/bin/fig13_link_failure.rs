@@ -27,7 +27,6 @@ fn main() {
         "Figure 13 — recovery time after a permanent link failure (simulated seconds)",
         &["median", "mean", "max"],
         &rows,
-        &results,
     );
     pipeline.finish();
 }

@@ -26,7 +26,6 @@ fn main() {
         "Figure 14 — recovery time after multiple permanent link failures (simulated seconds)",
         &["median", "mean"],
         &rows,
-        &all,
     );
     pipeline.finish();
 }

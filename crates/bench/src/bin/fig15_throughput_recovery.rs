@@ -30,7 +30,6 @@ fn main() {
          p50/p99 (s), failed link",
         &["mean", "dip", "fct p50", "fct p99", "failed link"],
         &rows,
-        &results,
     );
     for r in &results {
         println!(

@@ -29,7 +29,6 @@ fn main() {
          FCT p50/p99 (s)",
         &["mean", "dip", "fct p50", "fct p99"],
         &rows,
-        &results,
     );
     for r in &results {
         println!(

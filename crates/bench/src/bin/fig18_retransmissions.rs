@@ -21,7 +21,6 @@ fn main() {
         "Figure 18 — peak retransmission % (burst at the failure second)",
         &["peak %"],
         &rows,
-        &results,
     );
     for r in &results {
         println!(

@@ -21,7 +21,6 @@ fn main() {
         "Figure 19 — peak BAD-TCP % (burst at the failure second)",
         &["peak %"],
         &rows,
-        &results,
     );
     for r in &results {
         println!(

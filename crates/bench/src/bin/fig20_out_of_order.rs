@@ -21,7 +21,6 @@ fn main() {
         "Figure 20 — peak out-of-order % (burst at the failure second)",
         &["peak %"],
         &rows,
-        &results,
     );
     for r in &results {
         println!(

@@ -1,7 +1,9 @@
 //! The scale campaign: sweeps topology family x size x fault scenario, records
-//! wall-clock and simulated-time metrics through the typed metric pipeline, and
-//! writes the machine-readable `BENCH_scale.json` that CI tracks as the repository's
-//! performance trajectory — optionally gating it against a committed baseline.
+//! simulated-time metrics through the typed metric pipeline, and writes the
+//! machine-readable `BENCH_scale.json` CI tracks — optionally gating it against a
+//! committed baseline. Every field of the artifact is a function of the flags alone, so
+//! equal commands produce byte-identical files; host time is `renaissance-perf`'s job
+//! (`BENCHMARK.json`).
 //!
 //! Three fault scenarios per topology, mirroring the paper's core measurements at
 //! datacenter scale:
@@ -22,7 +24,7 @@
 //!   plane repairs.
 //!
 //! Under-load cells report `fct_p50_s` / `fct_p99_s` / `achieved_mbps` digests plus
-//! completed-flow counts and (host-dependent, never gated) flows-per-second.
+//! completed-flow counts.
 //!
 //! Selected networks additionally run the *gray-failure* family (see
 //! [`runs_gray_cells`]) — the dynamic fault schedules that stress recovery under
@@ -61,7 +63,6 @@ use sdn_metrics::{csv_field, Digest};
 use sdn_netsim::SimDuration;
 use sdn_topology::{builders, connectivity};
 use sdn_traffic::engine::{FlowEngineWorkload, FlowSetConfig};
-use std::time::Instant;
 
 const ABOUT: &str = "Scale campaign: topology family x size x fault scenario sweep, \
 emitting BENCH_scale.json (--out PATH, --format json|csv) and optionally gating it \
@@ -77,12 +78,6 @@ const EXTRA_FLAGS: &[Flag] = &[
         name: "--large",
         value_name: None,
         help: "scale-large tier: fat_tree(16) and jellyfish(1024, 8, 1), 1 seed",
-    },
-    Flag {
-        name: "--stable-output",
-        value_name: None,
-        help: "zero host-dependent fields (wall clock, events/sec, threads) so \
-               artifacts from equal seeds byte-compare across runs",
     },
     Flag {
         name: "--baseline",
@@ -176,43 +171,25 @@ fn main() {
     let args = cli::parse(ABOUT, EXTRA_FLAGS);
     let smoke = args.switch("--smoke");
     let large = args.switch("--large");
-    let tier = if smoke {
-        "smoke"
+    // Each tier has its own committed baseline (so a casual smoke run never overwrites
+    // the full one) and its own sweep.
+    let (tier, default_out, networks) = if smoke {
+        ("smoke", "BENCH_scale_smoke.json", &SMOKE_NETWORKS[..])
     } else if large {
-        "large"
+        ("large", "BENCH_scale_large.json", &LARGE_NETWORKS[..])
     } else {
-        "full"
+        ("full", "BENCH_scale.json", &FULL_NETWORKS[..])
     };
-    let stable = args.switch("--stable-output");
-    let out = args
-        .value("--out")
-        .unwrap_or(if smoke {
-            // Keep casual smoke runs from overwriting the committed full baseline.
-            "BENCH_scale_smoke.json"
-        } else if large {
-            "BENCH_scale_large.json"
-        } else {
-            "BENCH_scale.json"
-        })
-        .to_string();
+    let out = args.value("--out").unwrap_or(default_out).to_string();
     // The shared validator keeps --format semantics identical across every binary.
     let csv = OutputFormat::from_args(&args) == OutputFormat::Csv;
 
-    let mut scale = ExperimentScale::from_env();
-    // The campaign's own sweep is only the default: an explicit RENAISSANCE_NETWORKS
-    // or --networks selection wins, like on every other binary.
-    if std::env::var("RENAISSANCE_NETWORKS").is_err() {
-        scale.networks = if smoke {
-            &SMOKE_NETWORKS[..]
-        } else if large {
-            &LARGE_NETWORKS[..]
-        } else {
-            &FULL_NETWORKS[..]
-        }
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
+    // The tier's sweep and scale are only defaults: explicit flags win, like on every
+    // other binary.
+    let mut scale = ExperimentScale {
+        networks: networks.iter().map(|s| s.to_string()).collect(),
+        ..ExperimentScale::default()
+    };
     if smoke || large {
         scale.runs = 1;
         scale.task_delay = SimDuration::from_millis(200);
@@ -241,7 +218,6 @@ fn main() {
         }
         for scenario in scenarios {
             let scope = format!("{network}/{scenario}");
-            let started = Instant::now();
             let report = run_scenario(
                 &scale,
                 network,
@@ -250,14 +226,6 @@ fn main() {
                 load_pairs,
                 under_load_ticks(tier),
             );
-            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-            pipeline.record(&scope, &MetricKey::WALL_CLOCK, wall_ms);
-            // The hot-path throughput observable: simulator events processed per
-            // wall-clock second across the cell's runs. Host-dependent, so it is
-            // reported (and delta-tracked) but never gated.
-            let events: u64 = report.runs.iter().map(|r| r.events_processed).sum();
-            let events_per_sec = events as f64 / (wall_ms / 1e3).max(1e-9);
-            pipeline.record(&scope, &MetricKey::EVENTS_PER_SEC, events_per_sec);
             let mut completed_flows = 0u64;
             let mut peak_concurrent = 0u64;
             for run in &report.runs {
@@ -310,13 +278,7 @@ fn main() {
                     }
                 }
             }
-            // Completed flows per wall-clock second: the engine's headline rate.
-            // Host-dependent like events_per_sec, so reported but never gated.
-            let flows_per_sec = completed_flows as f64 / (wall_ms / 1e3).max(1e-9);
             let under_load = scenario.ends_with("_under_load");
-            if under_load {
-                pipeline.record(&scope, &MetricKey::FLOWS_PER_SEC, flows_per_sec);
-            }
             let converged = report.all_converged();
             let digest = |key: &MetricKey| -> Digest {
                 pipeline
@@ -333,7 +295,6 @@ fn main() {
                     switches.to_string(),
                     fmt2(bootstrap.median()),
                     fmt2(recovery.median()),
-                    fmt2(wall_ms),
                     if converged { "yes" } else { "NO" }.to_string(),
                 ],
             ));
@@ -348,16 +309,6 @@ fn main() {
                 ("runs", Json::num(report.runs.len() as f64)),
                 ("seed", Json::str(seed.to_string())),
                 ("converged", Json::Bool(converged)),
-                // Host-dependent fields; zeroed under --stable-output so equal-seed
-                // artifacts can be compared byte for byte (the determinism CI job).
-                (
-                    "wall_clock_ms",
-                    Json::num(if stable { 0.0 } else { wall_ms }),
-                ),
-                (
-                    "events_per_sec",
-                    Json::num(if stable { 0.0 } else { events_per_sec }),
-                ),
                 ("bootstrap_s", Json::samples(&bootstrap)),
                 ("recovery_s", Json::samples(&recovery)),
                 ("sim_end_s", Json::samples(&digest(&MetricKey::SIM_END))),
@@ -389,10 +340,6 @@ fn main() {
                         "achieved_mbps",
                         Json::samples(&digest(&MetricKey::ACHIEVED_THROUGHPUT)),
                     ),
-                    (
-                        "flows_per_sec",
-                        Json::num(if stable { 0.0 } else { flows_per_sec }),
-                    ),
                 ]);
             }
             results.push(Json::obj(cell));
@@ -401,7 +348,7 @@ fn main() {
 
     let doc = Json::obj([
         ("benchmark", Json::str("scale_campaign")),
-        ("version", Json::num(2.0)),
+        ("version", Json::num(3.0)),
         ("smoke", Json::Bool(smoke)),
         ("tier", Json::str(tier)),
         (
@@ -412,17 +359,6 @@ fn main() {
                 (
                     "task_delay_ms",
                     Json::num(scale.task_delay.as_secs_f64() * 1e3),
-                ),
-                (
-                    "threads",
-                    if stable {
-                        Json::Null
-                    } else {
-                        scale
-                            .threads
-                            .map(|t| Json::num(t as f64))
-                            .unwrap_or(Json::Null)
-                    },
                 ),
             ]),
         ),
@@ -440,9 +376,8 @@ fn main() {
             "Scale campaign ({tier} mode) — medians over {} run(s), artifact: {out}",
             scale.runs
         ),
-        &["switches", "boot med s", "recov med s", "wall ms", "conv"],
+        &["switches", "boot med s", "recov med s", "conv"],
         &rows,
-        &doc.to_string(),
     );
 
     if let Some(baseline_path) = args.value("--baseline") {
@@ -500,7 +435,7 @@ fn gate_against(current: &Json, baseline_path: &str, gate_pct: f64, out: &str) -
     for cell in &report.unmatched {
         println!("  (unmatched: {cell})");
     }
-    // Context metrics: throughput trend, reported but never gated.
+    // Context metrics: FCT and goodput trend, reported but never gated.
     for entry in &report.context {
         println!(
             "  context {}/{} {}: {:.0} -> {:.0} ({:+.1}%)",

@@ -22,7 +22,6 @@ fn main() {
         "Table 17 — correlation of throughput with vs without recovery",
         &["correlation"],
         &rows,
-        &correlations,
     );
     pipeline.finish();
 }

@@ -23,11 +23,6 @@ fn main() {
             )
         })
         .collect();
-    print_table(
-        "Table 8 — studied networks",
-        &["nodes", "diameter"],
-        &rows,
-        &rows_data,
-    );
+    print_table("Table 8 — studied networks", &["nodes", "diameter"], &rows);
     pipeline.finish();
 }

@@ -3,20 +3,21 @@
 //! All `fig*`/`table*` binaries and the `scale_campaign` accept the same core flags,
 //! so sweeping seeds or scaling repetitions never requires editing a binary:
 //!
-//! | flag | environment fallback | meaning |
-//! |------|----------------------|---------|
-//! | `--runs N` | `RENAISSANCE_RUNS` | repetitions per configuration |
-//! | `--seed N` | `RENAISSANCE_SEED` | base seed (run `i` uses `seed + i`) |
-//! | `--networks A,B` | `RENAISSANCE_NETWORKS` | topology list (paper names or generator names like `fat_tree(8)`) |
-//! | `--task-delay-ms N` | — | controller do-forever-loop delay |
-//! | `--threads N` | `RENAISSANCE_THREADS` | scenario-runner worker threads |
-//! | `--out PATH` | — | machine-readable results file |
-//! | `--format json\|csv` | — | format of the `--out` file |
-//! | `--help` | — | print usage and exit |
+//! | flag | meaning |
+//! |------|---------|
+//! | `--runs N` | repetitions per configuration |
+//! | `--seed N` | base seed (run `i` uses `seed + i`) |
+//! | `--networks A,B` | topology list (paper names or generator names like `fat_tree(8)`) |
+//! | `--task-delay-ms N` | controller do-forever-loop delay |
+//! | `--threads N` | scenario-runner worker threads |
+//! | `--out PATH` | machine-readable results file |
+//! | `--format json\|csv` | format of the `--out` file |
+//! | `--help` | print usage and exit |
 //!
-//! Flags take their value as the next argument (`--runs 5`) or inline (`--runs=5`).
-//! A binary can register extra flags (the scale campaign adds `--smoke`,
-//! `--baseline`, and `--gate`).
+//! The flags are the only input: no binary reads an environment variable. Flags take
+//! their value as the next argument (`--runs 5`) or inline (`--runs=5`). A binary can
+//! register extra flags (the scale campaign adds `--smoke`, `--large`, `--baseline`,
+//! and `--gate`).
 
 use std::collections::BTreeMap;
 
@@ -36,17 +37,17 @@ pub const COMMON_FLAGS: &[Flag] = &[
     Flag {
         name: "--runs",
         value_name: Some("N"),
-        help: "repetitions per configuration (env RENAISSANCE_RUNS, default 3)",
+        help: "repetitions per configuration (default 3)",
     },
     Flag {
         name: "--seed",
         value_name: Some("N"),
-        help: "base seed; run i uses seed+i (env RENAISSANCE_SEED, default per experiment)",
+        help: "base seed; run i uses seed+i (default per experiment)",
     },
     Flag {
         name: "--networks",
         value_name: Some("A,B"),
-        help: "comma-separated topologies: B4,Clos,Telstra,AT&T,EBONE or fat_tree(8), jellyfish(100,4,7), grid(10,12) (env RENAISSANCE_NETWORKS)",
+        help: "comma-separated topologies: B4,Clos,Telstra,AT&T,EBONE or fat_tree(8), jellyfish(100,4,7), grid(10,12)",
     },
     Flag {
         name: "--task-delay-ms",
@@ -56,7 +57,7 @@ pub const COMMON_FLAGS: &[Flag] = &[
     Flag {
         name: "--threads",
         value_name: Some("N"),
-        help: "scenario-runner worker threads (env RENAISSANCE_THREADS, default: all cores)",
+        help: "scenario-runner worker threads (default: all cores)",
     },
     Flag {
         name: "--out",

@@ -73,8 +73,7 @@ pub struct ExperimentScale {
     pub task_delay: SimDuration,
     /// Base-seed override; `None` keeps each experiment's documented default seed.
     pub seed: Option<u64>,
-    /// Scenario-runner worker threads; `None` lets the runner pick
-    /// (`RENAISSANCE_THREADS`, then all cores).
+    /// Scenario-runner worker threads; `None` lets the runner use all cores.
     pub threads: Option<usize>,
 }
 
@@ -94,36 +93,13 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Reads the scale from the `RENAISSANCE_RUNS` / `RENAISSANCE_NETWORKS` /
-    /// `RENAISSANCE_SEED` environment variables, falling back to the defaults.
-    pub fn from_env() -> Self {
-        let mut scale = ExperimentScale::default();
-        if let Ok(runs) = std::env::var("RENAISSANCE_RUNS") {
-            if let Ok(runs) = runs.parse::<usize>() {
-                scale.runs = runs.max(1);
-            }
-        }
-        if let Ok(networks) = std::env::var("RENAISSANCE_NETWORKS") {
-            let list = split_network_list(&networks);
-            if !list.is_empty() {
-                scale.networks = list;
-            }
-        }
-        if let Ok(seed) = std::env::var("RENAISSANCE_SEED") {
-            if let Ok(seed) = seed.parse::<u64>() {
-                scale.seed = Some(seed);
-            }
-        }
-        scale
-    }
-
-    /// The scale every experiment binary uses: environment variables overridden by the
-    /// shared command-line convention (see [`crate::cli`]). Handles `--help` itself.
+    /// The scale every experiment binary uses: the defaults overridden by the shared
+    /// command-line convention (see [`crate::cli`]). Handles `--help` itself.
     /// Also returns the parsed arguments so the binary can build its
     /// [`MetricPipeline`](crate::output::MetricPipeline) from `--out`/`--format`.
     pub fn from_cli(about: &str) -> (Self, crate::cli::CliArgs) {
         let args = crate::cli::parse(about, &[]);
-        (Self::from_env().with_args(&args), args)
+        (Self::default().with_args(&args), args)
     }
 
     /// Applies parsed command-line arguments on top of this scale.
@@ -149,7 +125,7 @@ impl ExperimentScale {
         self
     }
 
-    /// The base seed to use: the CLI/env override if one was given, otherwise the
+    /// The base seed to use: the `--seed` override if one was given, otherwise the
     /// experiment's documented default.
     pub fn seed_or(&self, default: u64) -> u64 {
         self.seed.unwrap_or(default)
@@ -763,7 +739,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_from_env_defaults() {
+    fn scale_defaults() {
         let scale = ExperimentScale::default();
         assert_eq!(scale.runs, 3);
         assert_eq!(scale.networks.len(), 5);

@@ -3,7 +3,6 @@
 //! value itself lives in [`sdn_metrics::json`].
 
 use sdn_metrics::json::Json;
-use std::fmt::Debug;
 
 /// One row of an experiment output table.
 #[derive(Clone, Debug)]
@@ -24,11 +23,8 @@ impl Row {
     }
 }
 
-/// Prints a fixed-width table with a title and per-column headers, and (when the
-/// `RENAISSANCE_DUMP` environment variable is set) a structured dump of `payload` so
-/// EXPERIMENTS.md can be regenerated mechanically. `RENAISSANCE_JSON` is accepted as a
-/// legacy alias for the dump switch.
-pub fn print_table<T: Debug>(title: &str, headers: &[&str], rows: &[Row], payload: &T) {
+/// Prints a fixed-width table with a title and per-column headers.
+pub fn print_table(title: &str, headers: &[&str], rows: &[Row]) {
     println!("\n== {title} ==");
     let label_width = rows
         .iter()
@@ -47,9 +43,6 @@ pub fn print_table<T: Debug>(title: &str, headers: &[&str], rows: &[Row], payloa
             print!("  {v:>14}");
         }
         println!();
-    }
-    if std::env::var("RENAISSANCE_DUMP").is_ok() || std::env::var("RENAISSANCE_JSON").is_ok() {
-        println!("\n--- RAW ---\n{payload:#?}");
     }
 }
 
@@ -73,8 +66,8 @@ mod tests {
         assert_eq!(row.label, "B4");
         assert_eq!(row.values, vec!["1.23".to_string(), "5.00".to_string()]);
         // Printing must not panic even with empty rows.
-        print_table("test", &["a", "b"], &[row], &"payload");
-        print_table::<()>("empty", &[], &[], &());
+        print_table("test", &["a", "b"], &[row]);
+        print_table("empty", &[], &[]);
     }
 
     #[test]

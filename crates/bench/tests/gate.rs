@@ -15,25 +15,39 @@ fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("renaissance_gate_{}_{name}", std::process::id()))
 }
 
-/// Runs the scale campaign on one tiny network and returns (exit code, stdout).
-fn run_campaign(extra: &[&str]) -> (i32, String) {
-    let output = Command::new(env!("CARGO_BIN_EXE_scale_campaign"))
-        .args([
-            "--smoke",
-            "--networks",
-            "grid(3, 3)",
-            "--seed",
-            "77",
-            "--runs",
-            "1",
-        ])
-        .args(extra)
+/// Variables named after the flags. No binary reads the environment; the test sets
+/// these on a child to prove it.
+const FLAG_NAMED_ENV: [(&str, &str); 4] = [
+    ("RENAISSANCE_SEED", "5"),
+    ("RENAISSANCE_RUNS", "3"),
+    ("RENAISSANCE_THREADS", "1"),
+    ("RENAISSANCE_NETWORKS", "B4"),
+];
+
+/// Runs the scale campaign's smoke tier with `args` and `env` on top of a clean
+/// environment and returns (exit code, stdout).
+fn campaign(args: &[&str], env: &[(&str, &str)]) -> (i32, String) {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_scale_campaign"));
+    for (name, _) in FLAG_NAMED_ENV {
+        command.env_remove(name);
+    }
+    let output = command
+        .arg("--smoke")
+        .args(args)
+        .envs(env.iter().copied())
         .output()
         .expect("spawn scale_campaign");
     (
         output.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&output.stdout).into_owned(),
     )
+}
+
+/// Runs the scale campaign on one tiny network and returns (exit code, stdout).
+fn run_campaign(extra: &[&str]) -> (i32, String) {
+    let mut args = vec!["--networks", "grid(3, 3)", "--seed", "77", "--runs", "1"];
+    args.extend(extra);
+    campaign(&args, &[])
 }
 
 #[test]
@@ -64,6 +78,22 @@ fn campaign_gate_passes_on_identical_baseline_and_fails_on_regression() {
     );
     let delta = scratch("current.delta.json");
     assert!(delta.exists(), "delta report missing");
+    // Not just gate-clean: the artifact holds no host time, so the two runs of the
+    // same command wrote the same bytes.
+    let read = |path: &PathBuf| std::fs::read(path).expect("read artifact");
+    assert_eq!(read(&current), read(&baseline), "same command, same bytes");
+
+    // The flags are the only input: without --seed, variables named after the flags
+    // change nothing, and neither does the thread count.
+    let from_env = scratch("from_env.json");
+    let flags = ["--networks", "grid(3, 3)", "--threads", "2", "--out"];
+    for (out, env) in [(&current, &[][..]), (&from_env, &FLAG_NAMED_ENV[..])] {
+        let mut args = flags.to_vec();
+        args.push(out.to_str().unwrap());
+        let (code, _) = campaign(&args, env);
+        assert_eq!(code, 0, "seedless campaign run failed");
+    }
+    assert_eq!(read(&from_env), read(&current), "environment leaked in");
 
     // 3. Doctor the baseline so the current run looks 10x slower to bootstrap, then
     //    verify the synthetic regression makes the campaign exit nonzero.
@@ -83,7 +113,7 @@ fn campaign_gate_passes_on_identical_baseline_and_fails_on_regression() {
     assert!(stdout.contains("REGRESSION"), "{stdout}");
     assert!(stdout.contains("bootstrap_s"), "{stdout}");
 
-    for path in [&baseline, &current, &doctored, &delta] {
+    for path in [&baseline, &current, &doctored, &delta, &from_env] {
         let _ = std::fs::remove_file(path);
     }
 }

@@ -51,17 +51,14 @@ mod schedule;
 mod workload;
 
 pub use probe::{Probe, ProbeSeries};
-pub use report::{
-    InjectedFault, MetricDelta, RecoveryRecord, ReportDelta, RunReport, ScenarioReport,
-};
+pub use report::{InjectedFault, RecoveryRecord, RunReport, ScenarioReport};
 pub use runner::ScenarioRunner;
 pub use schedule::{
     mid_path_link, ControllerSelector, DegradeSpec, Endpoints, FaultContext, FaultEvent,
     FaultSchedule, LinkSelector, PartitionSpec, SwitchSelector,
 };
 pub use sdn_metrics::{
-    CsvSink, Digest, Fanout, JsonLinesSink, MemorySink, MetricKey, Namespace, Polarity, Recorder,
-    Unit,
+    CsvSink, Digest, JsonLinesSink, MemorySink, MetricKey, Namespace, Polarity, Recorder, Unit,
 };
 pub use workload::{NamedSeries, Workload, WorkloadReport, WorkloadTick};
 
@@ -168,11 +165,6 @@ impl Scenario {
     /// This scenario's display name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The name of the topology the scenario runs on.
-    pub fn network_name(&self) -> String {
-        self.topology.label()
     }
 
     /// The base seed of the first run; run `i` uses `base + i`.
@@ -316,8 +308,7 @@ impl ScenarioBuilder {
     }
 
     /// Number of worker threads the runner fans the seeded repetitions out over
-    /// (clamped to at least 1). Without an explicit value the runner honours the
-    /// `RENAISSANCE_THREADS` environment variable and otherwise uses
+    /// (clamped to at least 1). Without an explicit value the runner uses
     /// [`std::thread::available_parallelism`]. The aggregated [`ScenarioReport`] is
     /// bit-identical regardless of the thread count: every seeded run is fully
     /// self-contained and reports are merged back in seed order.

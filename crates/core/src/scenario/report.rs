@@ -1,10 +1,9 @@
 //! Result types produced by the [`ScenarioRunner`](super::ScenarioRunner): per-run
-//! records, typed multi-seed aggregation into [`Digest`]s, and baseline comparison
-//! ([`ScenarioReport::compare`]).
+//! records and typed multi-seed aggregation into [`Digest`]s.
 
 use super::probe::ProbeSeries;
 use super::workload::WorkloadReport;
-use sdn_metrics::{Digest, MetricKey, Polarity};
+use sdn_metrics::{Digest, MetricKey};
 use std::collections::BTreeSet;
 
 /// One fault event as actually injected during a run (selectors resolved to concrete
@@ -127,18 +126,6 @@ impl ScenarioReport {
         digest
     }
 
-    /// First-batch recovery times across runs as a [`Digest`] — the quantity the
-    /// paper's single-fault recovery figures plot.
-    pub fn first_recovery_digest(&self) -> Digest {
-        let mut digest = Digest::default();
-        for run in &self.runs {
-            if let Some(s) = run.first_recovery_s() {
-                digest.record(s);
-            }
-        }
-        digest
-    }
-
     /// Values of the end-of-run summary registered under `key` across runs, as a
     /// [`Digest`].
     pub fn metric_digest(&self, key: &MetricKey) -> Digest {
@@ -169,45 +156,6 @@ impl ScenarioReport {
         out
     }
 
-    /// Compares this report against a baseline report of the same scenario, metric by
-    /// metric, producing the per-key mean deltas a regression gate consumes.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use renaissance::scenario::Scenario;
-    /// use sdn_netsim::SimDuration;
-    ///
-    /// let scenario = Scenario::builder("compare-demo")
-    ///     .network("B4")
-    ///     .task_delay(SimDuration::from_millis(200))
-    ///     .build();
-    /// let baseline = scenario.run();
-    /// let current = scenario.run();
-    /// // Identical seeds -> identical runs -> no change against the baseline.
-    /// let delta = current.compare(&baseline);
-    /// assert!(delta.regressions(5.0).is_empty());
-    /// let bootstrap = &delta.deltas[0];
-    /// assert_eq!(bootstrap.key.path(), "scenario/bootstrap_s");
-    /// assert_eq!(bootstrap.change_pct, 0.0);
-    /// ```
-    pub fn compare(&self, baseline: &ScenarioReport) -> ReportDelta {
-        let current = self.metric_digests();
-        let base: Vec<(MetricKey, Digest)> = baseline.metric_digests();
-        let mut deltas = Vec::new();
-        for (key, digest) in current {
-            let Some((_, base_digest)) = base.iter().find(|(k, _)| k == &key) else {
-                continue;
-            };
-            deltas.push(MetricDelta::new(key, base_digest.mean(), digest.mean()));
-        }
-        ReportDelta {
-            scenario: self.scenario.clone(),
-            network: self.network.clone(),
-            deltas,
-        }
-    }
-
     /// Returns `true` when every run bootstrapped and every fault batch recovered.
     ///
     /// Note that [`RunReport::final_legitimate`] is deliberately not part of this
@@ -222,75 +170,10 @@ impl ScenarioReport {
     }
 }
 
-/// The change of one metric between a baseline report and a current report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricDelta {
-    /// The metric.
-    pub key: MetricKey,
-    /// Mean over the baseline report's runs.
-    pub baseline_mean: f64,
-    /// Mean over the current report's runs.
-    pub current_mean: f64,
-    /// Relative change in percent, signed (`+` means the value grew). Infinite when
-    /// the baseline mean is zero and the current one is not.
-    pub change_pct: f64,
-}
-
-impl MetricDelta {
-    fn new(key: MetricKey, baseline_mean: f64, current_mean: f64) -> Self {
-        let change_pct = if baseline_mean != 0.0 {
-            (current_mean - baseline_mean) / baseline_mean * 100.0
-        } else if current_mean == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY * current_mean.signum()
-        };
-        MetricDelta {
-            key,
-            baseline_mean,
-            current_mean,
-            change_pct,
-        }
-    }
-
-    /// Whether this delta is a regression at the given gate: the metric moved in its
-    /// worse direction (per [`MetricKey::polarity`]) by more than `gate_pct` percent.
-    pub fn is_regression(&self, gate_pct: f64) -> bool {
-        match self.key.polarity() {
-            Polarity::LowerIsBetter => self.change_pct > gate_pct,
-            Polarity::HigherIsBetter => self.change_pct < -gate_pct,
-            Polarity::Neutral => false,
-        }
-    }
-}
-
-/// The metric-by-metric comparison of a scenario report against a baseline, produced
-/// by [`ScenarioReport::compare`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ReportDelta {
-    /// The (current) scenario name.
-    pub scenario: String,
-    /// The topology name.
-    pub network: String,
-    /// One delta per metric present in both reports.
-    pub deltas: Vec<MetricDelta>,
-}
-
-impl ReportDelta {
-    /// The deltas that regressed past the gate (each metric's
-    /// [`Polarity`](sdn_metrics::Polarity) decides which direction is worse).
-    pub fn regressions(&self, gate_pct: f64) -> Vec<&MetricDelta> {
-        self.deltas
-            .iter()
-            .filter(|d| d.is_regression(gate_pct))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdn_metrics::{Namespace, Polarity, Unit};
+    use sdn_metrics::Namespace;
 
     #[test]
     fn report_aggregation_skips_failed_runs() {
@@ -316,7 +199,6 @@ mod tests {
         assert_eq!(bootstrap.len(), 1);
         assert_eq!(bootstrap.mean(), 1.0);
         assert_eq!(report.recovery_digest().mean(), 2.0);
-        assert_eq!(report.first_recovery_digest().len(), 1);
         assert!(!report.all_converged());
     }
 
@@ -335,55 +217,5 @@ mod tests {
         assert_eq!(run.first_recovery_s(), None);
         assert!(run.workload("iperf").is_none());
         assert!(run.probe(&MetricKey::LEGITIMACY).is_none());
-    }
-
-    fn report_with(bootstrap: f64, summary: Option<(MetricKey, f64)>) -> ScenarioReport {
-        ScenarioReport {
-            scenario: "t".into(),
-            network: "B4".into(),
-            runs: vec![RunReport {
-                bootstrap_s: Some(bootstrap),
-                summaries: summary.into_iter().collect(),
-                ..RunReport::default()
-            }],
-        }
-    }
-
-    #[test]
-    fn compare_flags_regressions_by_polarity() {
-        let throughput = MetricKey::named(
-            Namespace::Workload,
-            "goodput",
-            Unit::MbitPerSec,
-            Polarity::HigherIsBetter,
-        );
-        let baseline = report_with(10.0, Some((throughput.clone(), 100.0)));
-        // Bootstrap 30% slower, goodput 50% lower: both directions are regressions.
-        let current = report_with(13.0, Some((throughput.clone(), 50.0)));
-        let delta = current.compare(&baseline);
-        assert_eq!(delta.deltas.len(), 2);
-        let regressions = delta.regressions(25.0);
-        assert_eq!(regressions.len(), 2);
-        assert!((regressions[0].change_pct - 30.0).abs() < 1e-9);
-        assert!((regressions[1].change_pct + 50.0).abs() < 1e-9);
-        // A 40% gate only catches the goodput drop.
-        assert_eq!(delta.regressions(40.0).len(), 1);
-        // Improvements are never regressions.
-        let improved = report_with(5.0, Some((throughput, 200.0)));
-        assert!(improved.compare(&baseline).regressions(0.5).is_empty());
-    }
-
-    #[test]
-    fn compare_handles_zero_baselines_and_neutral_metrics() {
-        let rules = MetricKey::custom(Namespace::Probe, "rules");
-        let baseline = report_with(0.0, Some((rules.clone(), 0.0)));
-        let current = report_with(1.0, Some((rules, 500.0)));
-        let delta = current.compare(&baseline);
-        // Zero baseline -> infinite growth, still caught by any finite gate...
-        assert!(delta.deltas[0].change_pct.is_infinite());
-        let regressions = delta.regressions(25.0);
-        assert_eq!(regressions.len(), 1);
-        // ...but the neutral-polarity rules metric is never a regression.
-        assert_eq!(regressions[0].key, MetricKey::BOOTSTRAP_TIME);
     }
 }

@@ -70,19 +70,11 @@ impl<'a> ScenarioRunner<'a> {
     }
 
     /// The number of worker threads [`run`](Self::run) uses, before clamping to the
-    /// number of runs: an explicit [`ScenarioBuilder::threads`](super::ScenarioBuilder::threads)
-    /// wins, then a positive integer in the `RENAISSANCE_THREADS` environment variable,
-    /// then [`std::thread::available_parallelism`].
+    /// number of runs: an explicit [`ScenarioBuilder::threads`](super::ScenarioBuilder::threads),
+    /// else [`std::thread::available_parallelism`].
     pub fn worker_count(&self) -> usize {
         if let Some(threads) = self.scenario.threads {
             return threads.max(1);
-        }
-        if let Some(threads) = std::env::var("RENAISSANCE_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-        {
-            return threads;
         }
         // Host core count sizes the worker pool only: every seed is an independent
         // run and reports merge back in seed order, so the count never reaches
@@ -700,9 +692,6 @@ mod tests {
         // threads(0) clamps to one worker instead of deadlocking on zero.
         let zero = determinism_scenario().threads(0).build();
         assert_eq!(ScenarioRunner::new(&zero).worker_count(), 1);
-        // Without an override the count comes from the environment/hardware: >= 1.
-        let auto = determinism_scenario().build();
-        assert!(ScenarioRunner::new(&auto).worker_count() >= 1);
     }
 
     #[test]

@@ -99,8 +99,6 @@ pub struct DegradeSpec {
     /// Optional two-state burst-loss process; bursty links draw from a dedicated
     /// per-link RNG stream in the simulator, keeping runs interleaving-independent.
     pub burst: Option<BurstLoss>,
-    /// Extra jitter added on top of the default link's jitter bound.
-    pub extra_jitter: SimDuration,
     /// Degrade only the `a -> b` direction of each selected link, leaving the
     /// reverse direction clean — the asymmetric gray failure.
     pub asymmetric: bool,
@@ -112,7 +110,6 @@ impl DegradeSpec {
         DegradeSpec {
             loss,
             burst: None,
-            extra_jitter: SimDuration::ZERO,
             asymmetric: false,
         }
     }
@@ -123,7 +120,6 @@ impl DegradeSpec {
         DegradeSpec {
             loss: 0.0,
             burst: Some(BurstLoss::gilbert(0.15, 0.35, 1.0)),
-            extra_jitter: SimDuration::ZERO,
             asymmetric: true,
         }
     }
@@ -134,21 +130,13 @@ impl DegradeSpec {
         self
     }
 
-    /// Adds jitter on top of the default link's jitter bound.
-    pub fn with_extra_jitter(mut self, jitter: SimDuration) -> Self {
-        self.extra_jitter = jitter;
-        self
-    }
-
     /// The concrete link configuration of a degraded link, derived from the
     /// network's default link behaviour.
     pub fn link_config(&self, base: LinkConfig) -> LinkConfig {
-        let mut cfg = base.with_jitter(base.jitter + self.extra_jitter);
-        cfg = match self.burst {
-            Some(burst) => cfg.with_burst(burst),
-            None => cfg.without_burst().with_loss(self.loss),
-        };
-        cfg
+        match self.burst {
+            Some(burst) => base.with_burst(burst),
+            None => base.without_burst().with_loss(self.loss),
+        }
     }
 
     /// Short human-readable summary for fault descriptions.

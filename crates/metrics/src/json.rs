@@ -130,7 +130,9 @@ impl Json {
     }
 
     /// Parses a JSON document (RFC 8259) — the inverse of the emitter, used to read
-    /// committed baseline artifacts back for regression gating.
+    /// committed baseline artifacts back for regression gating and `sdn-serve`'s
+    /// request bodies and log lines. Input nested deeper than [`MAX_DEPTH`] is an
+    /// error, not a stack overflow.
     ///
     /// # Example
     ///
@@ -144,6 +146,7 @@ impl Json {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -228,11 +231,19 @@ impl std::fmt::Display for Json {
     }
 }
 
+/// How deeply arrays and objects may nest in a document [`Json::parse`] accepts. The
+/// parser recurses once per level and its input can come from the network, so the
+/// bound is what keeps a body of `[[[[…` from overflowing the stack; the artifacts and
+/// wire types nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Recursive-descent JSON parser over raw bytes (inputs are our own ASCII-heavy
 /// artifacts; string content is still handled as UTF-8).
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -270,8 +281,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
@@ -279,6 +290,20 @@ impl<'a> Parser<'a> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object, refusing to go deeper than [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -476,6 +501,18 @@ mod tests {
         assert!(Json::parse(r#""bad \q escape""#).is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("01a").is_err());
+    }
+
+    #[test]
+    fn json_parse_bounds_nesting_depth() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
+        // The hostile shape: a request-sized body of nothing but openers, arrays or
+        // objects, must come back as an error instead of overflowing the stack.
+        assert!(Json::parse(&"[".repeat(60_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(10_000)).is_err());
     }
 
     #[test]

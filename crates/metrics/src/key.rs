@@ -238,29 +238,6 @@ impl MetricKey {
         Unit::Count,
         Polarity::Neutral,
     );
-    /// Flow completions per wall-clock second of the batch engine — the heavy-traffic
-    /// counterpart of [`MetricKey::EVENTS_PER_SEC`] (host-dependent, never gated).
-    pub const FLOWS_PER_SEC: MetricKey = MetricKey::named(
-        Namespace::Bench,
-        "flows_per_sec",
-        Unit::Count,
-        Polarity::HigherIsBetter,
-    );
-    /// Wall-clock time the host spent executing an experiment cell.
-    pub const WALL_CLOCK: MetricKey = MetricKey::named(
-        Namespace::Bench,
-        "wall_clock_ms",
-        Unit::Millis,
-        Polarity::LowerIsBetter,
-    );
-    /// Simulator events processed per wall-clock second — the hot-path throughput
-    /// observable the scale campaign reports (never gated: it depends on the host).
-    pub const EVENTS_PER_SEC: MetricKey = MetricKey::named(
-        Namespace::Bench,
-        "events_per_sec",
-        Unit::Count,
-        Polarity::HigherIsBetter,
-    );
 
     /// A key with a `'static` name — usable in `const` contexts.
     pub const fn named(

@@ -12,8 +12,8 @@
 //!   (count/mean/stddev/min/max plus p50/p90/p99 quantiles) that experiment code
 //!   aggregates instead of buffering every sample,
 //! * [`Recorder`] — the sink abstraction observations flow through: an in-memory
-//!   digest store ([`MemorySink`]), streaming JSON-lines ([`JsonLinesSink`]) and CSV
-//!   ([`CsvSink`]) writers, and a [`Fanout`] combinator.
+//!   digest store ([`MemorySink`]) and streaming JSON-lines ([`JsonLinesSink`]) and CSV
+//!   ([`CsvSink`]) writers.
 //!
 //! Beside them sits [`json`]: the workspace's one JSON value, emitter and parser —
 //! below both of its users, the benchmark artifacts and the `sdn-serve` wire format.
@@ -44,5 +44,5 @@ mod ring;
 
 pub use digest::Digest;
 pub use key::{MetricKey, Namespace, Polarity, Unit};
-pub use recorder::{csv_field, CsvSink, Fanout, JsonLinesSink, MemorySink, Recorder};
+pub use recorder::{csv_field, CsvSink, JsonLinesSink, MemorySink, Recorder};
 pub use ring::{RingPage, RingSink};

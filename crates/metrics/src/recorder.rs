@@ -223,40 +223,6 @@ impl<W: Write> Recorder for CsvSink<W> {
     }
 }
 
-/// Broadcasts every observation to several sinks — e.g. an in-memory digest store for
-/// the results table plus a streaming file sink for the machine-readable artifact.
-#[derive(Default)]
-pub struct Fanout {
-    sinks: Vec<Box<dyn Recorder>>,
-}
-
-impl Fanout {
-    /// An empty fanout (recording into it is a no-op).
-    pub fn new() -> Self {
-        Fanout::default()
-    }
-
-    /// Adds a sink.
-    pub fn push(&mut self, sink: Box<dyn Recorder>) {
-        self.sinks.push(sink);
-    }
-}
-
-impl Recorder for Fanout {
-    fn record(&mut self, scope: &str, key: &MetricKey, value: f64) {
-        for sink in &mut self.sinks {
-            sink.record(scope, key, value);
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        for sink in &mut self.sinks {
-            sink.flush()?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,16 +287,5 @@ mod tests {
             String::from_utf8(buf).unwrap(),
             "scope,metric,unit,value\n\"a,b\",bench/x,s,1\nplain,bench/x,s,2.5\n"
         );
-    }
-
-    #[test]
-    fn fanout_broadcasts() {
-        let mut fanout = Fanout::new();
-        fanout.push(Box::new(MemorySink::default()));
-        fanout.push(Box::new(MemorySink::default()));
-        fanout.record("s", &MetricKey::BOOTSTRAP_TIME, 1.0);
-        assert!(fanout.flush().is_ok());
-        // An empty fanout accepts records silently.
-        Fanout::new().record("s", &MetricKey::BOOTSTRAP_TIME, 1.0);
     }
 }

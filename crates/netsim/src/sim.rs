@@ -456,11 +456,6 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
         }
     }
 
-    /// Replaces the default link behaviour applied to links without an override.
-    pub fn set_default_link_config(&mut self, config: LinkConfig) {
-        self.config.default_link = config;
-    }
-
     /// The default link behaviour applied to links without an override.
     pub fn default_link_config(&self) -> LinkConfig {
         self.config.default_link

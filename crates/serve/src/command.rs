@@ -430,11 +430,6 @@ pub enum Command {
 }
 
 impl Command {
-    /// True for commands that change simulated state when applied.
-    pub fn is_mutating(&self) -> bool {
-        matches!(self, Command::Fault(_) | Command::Flows(_))
-    }
-
     /// Serializes to the wire object (`{"op":...,...}`).
     pub fn to_json(&self) -> Json {
         match self {

@@ -319,6 +319,11 @@ mod tests {
                 good.replacen("grid(2,3)", "arpanet(3)", 1),
                 "unknown topology `arpanet(3)`",
             ),
+            // ...including a known generator with a parameter outside its range.
+            (
+                good.replacen("grid(2,3)", "fat_tree(3)", 1),
+                "header: unknown topology `fat_tree(3)`",
+            ),
             (
                 good.replacen("\"controllers\":2", "\"controllers\":2.5", 1),
                 "non-negative integer `controllers`",

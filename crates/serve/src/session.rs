@@ -330,7 +330,6 @@ impl Session {
                     loss: *loss,
                     burst: burst
                         .map(|(enter, exit, loss_bad)| BurstLoss::gilbert(enter, exit, loss_bad)),
-                    extra_jitter: SimDuration::ZERO,
                     asymmetric: *asymmetric,
                 };
                 FaultEvent::DegradeLink(between(self.link(*a, *b)?), degrade)

@@ -223,6 +223,13 @@ fn a_full_interactive_session_replays_bit_identically() {
     // Bad input is rejected at the transport boundary.
     let (status, _) = http(&addr, "POST", "/faults", "{\"kind\":\"nonsense\"}");
     assert_eq!(status, 400);
+    // A body under the request limit that nests 60 000 arrays deep: the parser's depth
+    // bound makes it one more 400 (unbounded recursion would overflow the connection
+    // thread's stack and abort the process), and the service keeps serving.
+    let (status, _) = http(&addr, "POST", "/faults", &"[".repeat(60_000));
+    assert_eq!(status, 400);
+    let (status, _) = http(&addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
     let (status, _) = http(&addr, "GET", "/no-such-route", "");
     assert_eq!(status, 404);
 

@@ -9,7 +9,7 @@
 //! | rule | hazard |
 //! |------|--------|
 //! | `hash-collections` | `HashMap`/`HashSet` in simulation crates (iteration order) |
-//! | `wall-clock` | `SystemTime` / `Instant::now` outside the bench crate or serve's transport module |
+//! | `wall-clock` | `SystemTime` / `Instant::now` outside the benchmark package and serve's transport |
 //! | `thread-identity` | `thread::current` / `ThreadId` / `available_parallelism` in simulation crates or serve outside transport |
 //! | `unordered-merge` | `rayon`-style `par_*` iteration anywhere outside tests |
 //! | `unsafe-block` | `unsafe` anywhere (the workspace forbids it) |

@@ -96,9 +96,12 @@ impl FileContext {
         SIMULATION_CRATES.contains(&self.crate_name.as_str())
     }
 
-    /// True when wall-clock reads are sanctioned here: the bench crate (measuring
-    /// wall time is its whole job) and the serve crate's transport module, the one
-    /// place where the long-running service is *supposed* to meet the host clock.
+    /// True when wall-clock reads are sanctioned here: the benchmark package
+    /// (`crates/bench/perf`, classified as crate `bench`; measuring wall time is its
+    /// whole job — the experiment harness beside it in `crates/bench/src` reads no
+    /// clock, which CI's layering grep holds) and the serve crate's transport module,
+    /// the one place where the long-running service is *supposed* to meet the host
+    /// clock.
     /// The serve session/driver modules stay restricted — a clock read there would
     /// leak wall time into the replayable command log.
     pub fn allows_wall_clock(&self) -> bool {
@@ -136,9 +139,8 @@ pub const RULES: [Rule; 7] = [
     Rule {
         id: "wall-clock",
         severity: Severity::Error,
-        summary: "SystemTime/Instant::now outside the bench crate or serve's \
-                  transport module: wall-clock reads leak host timing into simulated \
-                  results",
+        summary: "SystemTime/Instant::now outside the benchmark package and serve's \
+                  transport: wall-clock reads leak host timing into simulated results",
     },
     Rule {
         id: "thread-identity",
@@ -251,7 +253,7 @@ pub fn scan(tokens: &[Token<'_>], mask: &[bool], ctx: &FileContext) -> Vec<RawFi
                     token.line,
                     format!(
                         "`Instant::now` in crate `{}`: wall-clock timing belongs in \
-                         the bench crate or serve's transport module",
+                         the benchmark package or serve's transport",
                         ctx.crate_name
                     ),
                 ));

@@ -129,13 +129,6 @@ impl TagGenerator {
         self.last_value = self.last_value.max(tag.value());
     }
 
-    /// Incorporates every tag of an iterator.
-    pub fn observe_all<I: IntoIterator<Item = Tag>>(&mut self, tags: I) {
-        for tag in tags {
-            self.observe(tag);
-        }
-    }
-
     /// Generates the next tag: strictly larger than everything generated or observed.
     pub fn next_tag(&mut self) -> Tag {
         self.last_value = self.last_value.saturating_add(1);
@@ -261,7 +254,9 @@ mod tests {
     #[test]
     fn observation_jumps_past_corrupted_tags() {
         let mut gen = TagGenerator::new(1);
-        gen.observe_all([Tag::new(2, 50), Tag::new(3, 10_000), Tag::new(1, 7)]);
+        for tag in [Tag::new(2, 50), Tag::new(3, 10_000), Tag::new(1, 7)] {
+            gen.observe(tag);
+        }
         let t = gen.next_tag();
         assert_eq!(t.value(), 10_001);
         // Observing something older never moves the counter backwards.

@@ -114,7 +114,9 @@ pub fn by_name(name: &str, n_controllers: usize) -> NamedTopology {
 
 /// [`by_name`] for names that come from outside the program (a command-log header,
 /// a request): `None` when `name` is neither a paper network nor a well-formed
-/// generator name. The generators still assert their own parameter ranges.
+/// generator name with parameters inside the generator's range (`fat_tree`: even
+/// `k >= 4`; `jellyfish`: `degree >= 3`, more switches than `degree`, an even port
+/// count; `grid`: both dimensions `>= 2`).
 pub fn try_by_name(name: &str, n_controllers: usize) -> Option<NamedTopology> {
     Some(match name.to_ascii_lowercase().as_str() {
         "b4" => b4(n_controllers),
@@ -141,13 +143,22 @@ fn parse_generator(lower: &str) -> Option<Box<dyn Fn(usize) -> NamedTopology>> {
         .filter(|s| !s.is_empty())
         .map(|s| s.parse().ok())
         .collect::<Option<_>>()?;
+    // A name can come from outside the program (a flag, a command-log header), so the
+    // ranges the generators assert are checked here first: out of range is "unknown".
+    let jellyfish_in_range = |n: u64, d: u64| d >= 3 && n > d && (n % 2 == 0 || d % 2 == 0);
     match (family.as_str(), args.as_slice()) {
-        ("fattree", &[k]) => Some(Box::new(move |c| fat_tree(k as usize, c))),
-        ("jellyfish", &[n, d]) => Some(Box::new(move |c| jellyfish(n as usize, d as usize, 1, c))),
-        ("jellyfish", &[n, d, seed]) => Some(Box::new(move |c| {
+        ("fattree", &[k]) if k >= 4 && k % 2 == 0 => {
+            Some(Box::new(move |c| fat_tree(k as usize, c)))
+        }
+        ("jellyfish", &[n, d]) if jellyfish_in_range(n, d) => {
+            Some(Box::new(move |c| jellyfish(n as usize, d as usize, 1, c)))
+        }
+        ("jellyfish", &[n, d, seed]) if jellyfish_in_range(n, d) => Some(Box::new(move |c| {
             jellyfish(n as usize, d as usize, seed, c)
         })),
-        ("grid", &[rows, cols]) => Some(Box::new(move |c| grid(rows as usize, cols as usize, c))),
+        ("grid", &[rows, cols]) if rows >= 2 && cols >= 2 => {
+            Some(Box::new(move |c| grid(rows as usize, cols as usize, c)))
+        }
         _ => None,
     }
 }
@@ -879,6 +890,19 @@ mod tests {
     fn try_by_name_returns_none_where_by_name_panics() {
         assert!(try_by_name("arpanet", 1).is_none());
         assert!(try_by_name("fat_tree(4, 9)", 1).is_none());
+        // Out-of-range generator parameters are unknown names, not generator panics.
+        for name in [
+            "fat_tree(3)",
+            "fat_tree(2)",
+            "jellyfish(20, 2)",
+            "jellyfish(4, 4, 1)",
+            "jellyfish(5, 3, 1)",
+            "grid(1, 9)",
+            "grid(4, 0)",
+        ] {
+            assert!(try_by_name(name, 1).is_none(), "{name}");
+        }
+        assert!(try_by_name("jellyfish(6, 3)", 1).is_some());
         assert_eq!(
             try_by_name("grid(2,3)", 2).map(|net| net.graph),
             Some(by_name("grid(2,3)", 2).graph)

@@ -14,7 +14,6 @@
 
 use crate::flat::{FlatGraph, NO_INDEX};
 use crate::graph::Graph;
-use crate::ids::NodeId;
 
 /// The CSR flow network shared by every max-flow run over one graph: the snapshot,
 /// the reverse-arc table, and the reusable residual-capacity / BFS workspaces.
@@ -122,37 +121,6 @@ impl FlowNetwork {
     }
 }
 
-/// Maximum number of edge-disjoint paths between `source` and `target`.
-///
-/// Returns 0 when either endpoint is missing or the nodes are disconnected, and
-/// `usize::MAX` is never returned (the value is bounded by the minimum degree).
-///
-/// # Example
-///
-/// ```
-/// use sdn_topology::{Graph, NodeId, connectivity};
-/// let g = Graph::from_links([
-///     (NodeId::new(0), NodeId::new(1)),
-///     (NodeId::new(1), NodeId::new(2)),
-///     (NodeId::new(2), NodeId::new(0)),
-/// ]);
-/// assert_eq!(connectivity::edge_disjoint_paths(&g, NodeId::new(0), NodeId::new(2)), 2);
-/// ```
-pub fn edge_disjoint_paths(graph: &Graph, source: NodeId, target: NodeId) -> usize {
-    if source == target {
-        return usize::from(graph.contains_node(source));
-    }
-    // Cheap early exit before paying for the flow-network construction.
-    if !graph.contains_node(source) || !graph.contains_node(target) {
-        return 0;
-    }
-    let mut net = FlowNetwork::new(graph);
-    let (Some(s), Some(t)) = (net.flat.index_of(source), net.flat.index_of(target)) else {
-        return 0;
-    };
-    net.max_flow(s, t)
-}
-
 /// Computes the edge connectivity `lambda(G)`: the minimum number of link removals that
 /// can disconnect the graph. Returns 0 for graphs with fewer than 2 nodes or graphs that
 /// are already disconnected.
@@ -196,6 +164,7 @@ pub fn max_supported_kappa(graph: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NodeId;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -253,18 +222,18 @@ mod tests {
         let mut g = Graph::new();
         g.add_node(n(0));
         assert_eq!(edge_connectivity(&g), 0);
-        assert_eq!(edge_disjoint_paths(&g, n(0), n(0)), 1);
-        assert_eq!(edge_disjoint_paths(&g, n(0), n(1)), 0);
     }
 
     #[test]
-    fn disjoint_paths_on_two_parallel_routes() {
-        // 0-1-3 and 0-2-3: two edge-disjoint paths between 0 and 3.
+    fn two_parallel_routes_tolerate_one_failure() {
+        // 0-1-3 and 0-2-3: two edge-disjoint routes between every pair.
         let g = Graph::from_links([(n(0), n(1)), (n(1), n(3)), (n(0), n(2)), (n(2), n(3))]);
-        assert_eq!(edge_disjoint_paths(&g, n(0), n(3)), 2);
+        assert_eq!(edge_connectivity(&g), 2);
+        assert!(supports_kappa(&g, 1));
         // Removing one middle edge drops it to 1.
         let g2 = g.without_links(&[crate::ids::Link::new(n(1), n(3))]);
-        assert_eq!(edge_disjoint_paths(&g2, n(0), n(3)), 1);
+        assert_eq!(edge_connectivity(&g2), 1);
+        assert!(!supports_kappa(&g2, 1));
     }
 
     #[test]
@@ -285,7 +254,6 @@ mod tests {
             (n(10), n(200)),
             (n(200), n(30)),
         ]);
-        assert_eq!(edge_disjoint_paths(&g, n(10), n(30)), 2);
         assert_eq!(edge_connectivity(&g), 2);
     }
 }

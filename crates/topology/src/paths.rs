@@ -177,11 +177,6 @@ impl BfsTree {
     }
 }
 
-/// Computes the first shortest path between `from` and `to`, or `None` when disconnected.
-pub fn first_shortest_path(graph: &Graph, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-    BfsTree::compute(graph, from).path_to(to)
-}
-
 /// Computes the hop distance between `from` and `to`, or `None` when disconnected.
 pub fn distance(graph: &Graph, from: NodeId, to: NodeId) -> Option<u32> {
     BfsTree::compute(graph, from).distance(to)
@@ -278,7 +273,7 @@ mod tests {
     fn first_shortest_path_uses_lowest_index_neighbors() {
         // Two shortest paths 0->3: 0-1-3 and 0-2-3. The "first" one goes through 1.
         let g = Graph::from_links([(n(0), n(1)), (n(0), n(2)), (n(1), n(3)), (n(2), n(3))]);
-        let path = first_shortest_path(&g, n(0), n(3)).unwrap();
+        let path = BfsTree::compute(&g, n(0)).path_to(n(3)).unwrap();
         assert_eq!(path, vec![n(0), n(1), n(3)]);
         let tree = BfsTree::compute(&g, n(0));
         assert_eq!(tree.first_hop(n(3)), Some(n(1)));
@@ -328,9 +323,9 @@ mod tests {
     #[test]
     fn path_endpoints_are_inclusive() {
         let g = ring4();
-        let p = first_shortest_path(&g, n(1), n(1)).unwrap();
+        let p = BfsTree::compute(&g, n(1)).path_to(n(1)).unwrap();
         assert_eq!(p, vec![n(1)]);
-        let p = first_shortest_path(&g, n(1), n(2)).unwrap();
+        let p = BfsTree::compute(&g, n(1)).path_to(n(2)).unwrap();
         assert_eq!(p.first(), Some(&n(1)));
         assert_eq!(p.last(), Some(&n(2)));
     }

@@ -49,11 +49,6 @@ impl FctCollector {
         &self.digest
     }
 
-    /// Consumes the collector, yielding the completion-time digest.
-    pub fn into_digest(self) -> Digest {
-        self.digest
-    }
-
     /// Achieved goodput in Mbit/s over a window of `secs` seconds.
     pub fn achieved_mbps(&self, secs: f64) -> f64 {
         if secs <= 0.0 {

@@ -355,7 +355,6 @@ impl FlowEngine {
 #[derive(Debug)]
 pub struct FlowEngineWorkload {
     config: FlowSetConfig,
-    engine_config: EngineConfig,
     duration_secs: u32,
     seed_salt: u64,
     engine: Option<FlowEngine>,
@@ -372,7 +371,6 @@ impl FlowEngineWorkload {
     pub fn new(config: FlowSetConfig, duration_secs: u32) -> Self {
         FlowEngineWorkload {
             config,
-            engine_config: EngineConfig::default(),
             duration_secs,
             seed_salt: WORKLOAD_SEED_SALT,
             engine: None,
@@ -383,12 +381,6 @@ impl FlowEngineWorkload {
             stalled: Vec::new(),
             achieved: Vec::new(),
         }
-    }
-
-    /// Overrides the engine's capacity/cadence parameters.
-    pub fn with_engine_config(mut self, engine_config: EngineConfig) -> Self {
-        self.engine_config = engine_config;
-        self
     }
 
     /// Overrides the salt mixed into the harness seed (to run decorrelated flow
@@ -423,7 +415,7 @@ impl Workload for FlowEngineWorkload {
         let seed = net.harness_config().seed ^ self.seed_salt;
         let batch = generate(&endpoints, &self.config, seed);
         self.n_controllers = net.controller_config().n_controllers;
-        self.engine = Some(FlowEngine::new(batch, self.engine_config));
+        self.engine = Some(FlowEngine::new(batch, EngineConfig::default()));
         self.retarget_engine(net);
     }
 

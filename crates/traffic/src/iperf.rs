@@ -8,56 +8,24 @@
 //! the pre-installed backup paths carry the traffic. Either way the data plane fails
 //! over locally, so the throughput only dips briefly.
 //!
-//! Two entry points expose the model:
-//!
-//! * [`IperfWorkload`] — a [`Workload`](renaissance::scenario::Workload) for the
-//!   declarative scenario API: the runner drives the ticks, the mid-path failure is a
-//!   [`FaultEvent`](renaissance::scenario::FaultEvent) on the schedule, and the
-//!   "without recovery" mode is the scenario's
-//!   [`ControlPlane::Frozen`](renaissance::scenario::ControlPlane::Frozen),
-//! * [`run_throughput_experiment`] — the self-contained escape hatch driving an
-//!   [`SdnNetwork`] directly (used by this crate's tests and available to ad-hoc
-//!   experiments).
+//! [`IperfWorkload`] exposes the model as a [`Workload`](renaissance::scenario::Workload)
+//! for the declarative scenario API: the runner drives the ticks, the mid-path failure
+//! is a [`FaultEvent`](renaissance::scenario::FaultEvent) on the schedule, and the
+//! "without recovery" mode is the scenario's
+//! [`ControlPlane::Frozen`](renaissance::scenario::ControlPlane::Frozen).
 
 use crate::reno::{PathEvent, RenoConfig, RenoConnection, StepOutcome};
-use renaissance::scenario::{mid_path_link, Endpoints, Workload, WorkloadReport, WorkloadTick};
+use renaissance::scenario::{Endpoints, Workload, WorkloadReport, WorkloadTick};
 use renaissance::{legitimacy, SdnNetwork};
 use sdn_netsim::SimDuration;
-use sdn_topology::{paths, NodeId};
+use sdn_topology::NodeId;
 
-/// Parameters of one throughput experiment.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IperfConfig {
-    /// Total duration in seconds (the paper uses 30).
-    pub duration_secs: u32,
-    /// The second at which the link failure is injected (the paper uses 10).
-    pub failure_at_secs: u32,
-    /// Whether the controllers keep repairing flows after the failure
-    /// (`true` = Figure 15, `false` = Figure 16).
-    pub recovery_enabled: bool,
-    /// TCP model parameters.
-    pub reno: RenoConfig,
-}
-
-impl Default for IperfConfig {
-    fn default() -> Self {
-        IperfConfig {
-            duration_secs: 30,
-            failure_at_secs: 10,
-            recovery_enabled: true,
-            reno: RenoConfig::default(),
-        }
-    }
-}
-
-/// Result of one throughput experiment: per-second series, exactly the quantities the
+/// Result of one throughput run: per-second series, exactly the quantities the
 /// paper plots in Figures 15, 16, 18, 19, and 20.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct IperfRun {
     /// The two endpoints the flow ran between.
     pub endpoints: (NodeId, NodeId),
-    /// The link that was failed at `failure_at_secs`.
-    pub failed_link: Option<(NodeId, NodeId)>,
     /// Per-second goodput in Mbit/s.
     pub throughput_mbps: Vec<f64>,
     /// Per-second retransmission percentage.
@@ -88,15 +56,8 @@ impl IperfRun {
     }
 }
 
-/// Picks the two switches at maximal distance in the switch graph — where the paper
-/// attaches its iperf hosts.
-pub fn farthest_switch_pair(sdn: &SdnNetwork) -> Option<(NodeId, NodeId)> {
-    paths::farthest_pair(&sdn.topology().switch_graph).map(|(a, b, _)| (a, b))
-}
-
 /// The per-tick core of the iperf experiment: observes the in-band data-plane path,
-/// steps the Reno model, and accumulates the per-second series. Shared between the
-/// scenario [`IperfWorkload`] and the self-driving [`run_throughput_experiment`].
+/// steps the Reno model, and accumulates the per-second series.
 #[derive(Clone, Debug)]
 struct IperfFlow {
     reno: RenoConnection,
@@ -105,9 +66,9 @@ struct IperfFlow {
 }
 
 impl IperfFlow {
-    fn new(sdn: &SdnNetwork, src: NodeId, dst: NodeId, reno: RenoConfig) -> Self {
+    fn new(sdn: &SdnNetwork, src: NodeId, dst: NodeId) -> Self {
         IperfFlow {
-            reno: RenoConnection::new(reno),
+            reno: RenoConnection::new(RenoConfig::default()),
             previous_path: current_path(sdn, src, dst),
             run: IperfRun {
                 endpoints: (src, dst),
@@ -140,33 +101,6 @@ impl IperfFlow {
         self.run.path_hops.push(hops);
         self.previous_path = path;
     }
-}
-
-/// Runs the throughput experiment on an already-bootstrapped network.
-///
-/// The data packets follow the same in-band forwarding semantics as the control plane:
-/// highest-priority applicable rule, local fast-failover, bounce-back. The TCP model is
-/// driven by whether the path exists and whether it changed since the previous second.
-pub fn run_throughput_experiment(
-    sdn: &mut SdnNetwork,
-    src: NodeId,
-    dst: NodeId,
-    config: IperfConfig,
-) -> IperfRun {
-    let mut flow = IperfFlow::new(sdn, src, dst, config.reno);
-    for second in 0..config.duration_secs {
-        if second == config.failure_at_secs {
-            flow.run.failed_link = mid_path_link(sdn, src, dst).map(|(a, b)| {
-                sdn.remove_link(a, b);
-                (a, b)
-            });
-        }
-        if config.recovery_enabled {
-            sdn.run_for(SimDuration::from_secs(1));
-        }
-        flow.observe_second(sdn);
-    }
-    flow.run
 }
 
 /// The data-plane path currently taken by packets from `src` to `dst`, or `None`.
@@ -207,7 +141,6 @@ fn current_path(sdn: &SdnNetwork, src: NodeId, dst: NodeId) -> Option<Vec<NodeId
 pub struct IperfWorkload {
     endpoints: Endpoints,
     duration_secs: u32,
-    reno: RenoConfig,
     flow: Option<IperfFlow>,
 }
 
@@ -217,7 +150,6 @@ impl IperfWorkload {
         IperfWorkload {
             endpoints: Endpoints::FarthestSwitches,
             duration_secs,
-            reno: RenoConfig::default(),
             flow: None,
         }
     }
@@ -227,15 +159,8 @@ impl IperfWorkload {
         IperfWorkload {
             endpoints: Endpoints::Nodes(src, dst),
             duration_secs,
-            reno: RenoConfig::default(),
             flow: None,
         }
-    }
-
-    /// Overrides the TCP model parameters.
-    pub fn with_reno(mut self, reno: RenoConfig) -> Self {
-        self.reno = reno;
-        self
     }
 
     /// Reconstructs a typed [`IperfRun`] from a workload report produced by this
@@ -246,7 +171,6 @@ impl IperfWorkload {
         };
         Some(IperfRun {
             endpoints: (parse("src")?, parse("dst")?),
-            failed_link: None,
             throughput_mbps: report.series("throughput_mbps")?.to_vec(),
             retransmission_pct: report.series("retransmission_pct")?.to_vec(),
             bad_tcp_pct: report.series("bad_tcp_pct")?.to_vec(),
@@ -275,7 +199,7 @@ impl Workload for IperfWorkload {
             .resolve(net)
             // stancheck: allow(unwrap-expect) — scenario configuration error: failing loudly at workload start beats silently simulating a run with no traffic
             .expect("iperf workload endpoints must resolve");
-        self.flow = Some(IperfFlow::new(net, src, dst, self.reno));
+        self.flow = Some(IperfFlow::new(net, src, dst));
     }
 
     fn tick(&mut self, net: &mut SdnNetwork, _tick: WorkloadTick) {
@@ -346,78 +270,6 @@ fn pearson_correlation(a: &[f64], b: &[f64]) -> Option<f64> {
 mod tests {
     use super::*;
     use renaissance::scenario::{ControlPlane, FaultEvent, LinkSelector, Scenario};
-    use renaissance::{ControllerConfig, HarnessConfig};
-    use sdn_topology::builders;
-
-    fn bootstrapped_b4() -> SdnNetwork {
-        let topology = builders::b4(3);
-        let mut sdn = SdnNetwork::new(
-            topology,
-            ControllerConfig::for_network(3, 12),
-            HarnessConfig::default()
-                .with_task_delay(SimDuration::from_millis(200))
-                .with_seed(5),
-        );
-        sdn.run_until_legitimate(SimDuration::from_millis(500), SimDuration::from_secs(300))
-            .expect("bootstrap B4");
-        sdn
-    }
-
-    #[test]
-    fn throughput_experiment_shows_failure_dip_and_recovery() {
-        let mut sdn = bootstrapped_b4();
-        let (src, dst) = farthest_switch_pair(&sdn).expect("farthest pair");
-        let config = IperfConfig {
-            duration_secs: 20,
-            failure_at_secs: 8,
-            recovery_enabled: true,
-            ..IperfConfig::default()
-        };
-        let run = run_throughput_experiment(&mut sdn, src, dst, config);
-        assert_eq!(run.throughput_mbps.len(), 20);
-        assert!(run.failed_link.is_some(), "a mid-path link must fail");
-        // Steady state before the failure.
-        let before = run.throughput_mbps[7];
-        assert!(before > 200.0, "pre-failure throughput {before}");
-        // The retransmission burst happens at / right after the failure second.
-        let burst: f64 = run.retransmission_pct[8..=10.min(run.retransmission_pct.len() - 1)]
-            .iter()
-            .copied()
-            .fold(0.0, f64::max);
-        assert!(burst > 0.0, "failure must cause retransmissions");
-        // The flow keeps running: the last seconds are back near the pre-failure rate.
-        let after = *run.throughput_mbps.last().unwrap();
-        assert!(after > before * 0.8, "after {after} vs before {before}");
-        assert!(run.min_throughput() <= before);
-        assert!(run.mean_throughput() > 0.0);
-    }
-
-    #[test]
-    fn no_recovery_still_survives_thanks_to_backup_paths() {
-        let mut sdn = bootstrapped_b4();
-        let (src, dst) = farthest_switch_pair(&sdn).expect("farthest pair");
-        let config = IperfConfig {
-            duration_secs: 16,
-            failure_at_secs: 6,
-            recovery_enabled: false,
-            ..IperfConfig::default()
-        };
-        let run = run_throughput_experiment(&mut sdn, src, dst, config);
-        assert!(run.failed_link.is_some());
-        let after = *run.throughput_mbps.last().unwrap();
-        assert!(
-            after > 100.0,
-            "backup paths must keep the flow alive without controller help, got {after}"
-        );
-    }
-
-    #[test]
-    fn farthest_pair_spans_the_diameter() {
-        let sdn = bootstrapped_b4();
-        let (a, b) = farthest_switch_pair(&sdn).unwrap();
-        let d = paths::distance(&sdn.topology().switch_graph, a, b).unwrap();
-        assert_eq!(d, sdn.topology().expected_diameter);
-    }
 
     fn throughput_scenario(mode: ControlPlane) -> Scenario {
         Scenario::builder("throughput")

@@ -7,9 +7,10 @@
 //!
 //! * [`reno`] — an AIMD congestion-window model producing throughput, retransmission,
 //!   BAD-TCP, and out-of-order series,
-//! * [`iperf`] — the experiment driver: host placement, mid-path link failure, and the
-//!   with-recovery (Figure 15) / without-recovery (Figure 16) modes, plus the
-//!   Table 17 correlation statistic between the two,
+//! * [`iperf`] — the Reno flow between the two farthest-apart switches as a scenario
+//!   workload (the mid-path link failure and the with-recovery (Figure 15) /
+//!   without-recovery (Figure 16) modes are the scenario's), plus the Table 17
+//!   correlation statistic between the two,
 //! * [`engine`] — the heavy-traffic flow engine: struct-of-arrays flow batches,
 //!   seeded traffic-matrix generators, bottleneck fair-share progress charged per
 //!   coarse service tick, and flow-completion-time telemetry — millions of concurrent
@@ -18,23 +19,22 @@
 //! # Example
 //!
 //! ```
-//! use renaissance::{ControllerConfig, HarnessConfig, SdnNetwork};
+//! use renaissance::scenario::{Endpoints, FaultEvent, LinkSelector, Scenario};
 //! use sdn_netsim::SimDuration;
-//! use sdn_topology::builders;
-//! use sdn_traffic::iperf::{self, IperfConfig};
+//! use sdn_traffic::iperf::IperfWorkload;
 //!
-//! let mut sdn = SdnNetwork::new(
-//!     builders::ring(6, 2),
-//!     ControllerConfig::for_network(2, 6),
-//!     HarnessConfig::default().with_task_delay(SimDuration::from_millis(100)),
-//! );
-//! sdn.run_until_legitimate(SimDuration::from_millis(100), SimDuration::from_secs(120)).unwrap();
-//! let (src, dst) = iperf::farthest_switch_pair(&sdn).unwrap();
-//! let run = iperf::run_throughput_experiment(&mut sdn, src, dst, IperfConfig {
-//!     duration_secs: 12,
-//!     failure_at_secs: 5,
-//!     ..IperfConfig::default()
-//! });
+//! let report = Scenario::builder("throughput")
+//!     .network("grid(2, 3)")
+//!     .controllers(2)
+//!     .task_delay(SimDuration::from_millis(100))
+//!     .workload(|| Box::new(IperfWorkload::farthest(12)))
+//!     .fault_at(
+//!         SimDuration::from_secs(5),
+//!         FaultEvent::RemoveLink(LinkSelector::MidPath(Endpoints::FarthestSwitches)),
+//!     )
+//!     .run();
+//! let iperf = report.runs[0].workload("iperf").unwrap();
+//! let run = IperfWorkload::run_from_report(iperf).unwrap();
 //! assert_eq!(run.throughput_mbps.len(), 12);
 //! ```
 
@@ -49,8 +49,5 @@ pub use engine::{
     generate, Arrival, EngineConfig, FanOut, FctCollector, FctSummary, FlowBatch, FlowEngine,
     FlowEngineWorkload, FlowId, FlowMix, FlowSetConfig, FlowSpec, TrafficMatrix,
 };
-pub use iperf::{
-    farthest_switch_pair, run_throughput_experiment, throughput_correlation, IperfConfig, IperfRun,
-    IperfWorkload,
-};
+pub use iperf::{throughput_correlation, IperfRun, IperfWorkload};
 pub use reno::{PathEvent, RenoConfig, RenoConnection};
