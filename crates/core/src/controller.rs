@@ -353,7 +353,7 @@ impl Controller {
 /// deletions are applied, that extra condition lets two live controllers alternately
 /// delete each other's state forever under an unlucky deterministic schedule, so we
 /// implement the reachability-only criterion that Algorithm 1 describes. See
-/// DESIGN.md, "Deviations".)
+/// README.md, "Deviations from the paper".)
 ///
 /// The non-memory-adaptive variant (Section 8.1) issues no deletions at all and
 /// leaves cleanup to the switches' own eviction.
@@ -379,8 +379,7 @@ fn switch_update_commands(
                 manager_deletions += 1;
             }
         }
-        let controllers_with_rules: BTreeSet<NodeId> = reply.rules.iter().map(|r| r.cid).collect();
-        for &cid in &controllers_with_rules {
+        for cid in reply.rules.owners() {
             if is_stale(&cid) {
                 commands.push(SwitchCommand::DelAllRules { controller: cid });
                 rule_deletions += 1;
@@ -396,6 +395,7 @@ fn switch_update_commands(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdn_switch::RuleSummary;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -416,7 +416,7 @@ mod tests {
             responder: n(responder),
             neighbors: neighbors.iter().map(|&i| n(i)).collect(),
             managers: managers.iter().map(|&i| n(i)).collect(),
-            rules,
+            rules: RuleSummary::from_rules(&rules),
             echo_tag: tag,
         }
     }
@@ -595,6 +595,41 @@ mod tests {
     }
 
     #[test]
+    fn stale_owner_hidden_inside_a_live_owners_block_is_still_purged() {
+        let mut c = Controller::new(n(0), config());
+        let _ = c.iterate(&[n(1)]);
+        // Switch 1's rules as a corrupted memory might list them: controller 7's one
+        // leftover, under a tag of long ago, sits between the live controller's rules.
+        let live = |dst: u32, tag: Tag| Rule {
+            dst: n(dst),
+            tag,
+            ..stale_rule(0, 1)
+        };
+        let rules = |tag: Tag| vec![live(2, tag), stale_rule(7, 1), live(3, tag)];
+        let tag = c.curr_tag();
+        c.on_reply(reply_from_switch(1, &[0], &[0], rules(tag), tag));
+        // This iteration completes the round; the next one must emit the cleanup.
+        let _ = c.iterate(&[n(1)]);
+        let tag = c.curr_tag();
+        c.on_reply(reply_from_switch(1, &[0], &[0], rules(tag), tag));
+        let out = c.iterate(&[n(1)]);
+        let purged: Vec<NodeId> = out[0]
+            .1
+            .commands
+            .iter()
+            .filter_map(|cmd| match cmd {
+                SwitchCommand::DelAllRules { controller } => Some(*controller),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            purged,
+            vec![n(7)],
+            "the stale owner, and only it, is purged"
+        );
+    }
+
+    #[test]
     fn non_adaptive_variant_never_requests_deletions() {
         let mut c = Controller::new(n(0), config().non_adaptive());
         let _ = c.iterate(&[n(1)]);
@@ -683,7 +718,7 @@ mod tests {
         assert_eq!(reply.responder, n(0));
         assert_eq!(reply.neighbors, vec![n(2), n(3)]);
         assert!(reply.managers.is_empty());
-        assert!(reply.rules.is_empty());
+        assert_eq!(reply.rules.rule_count(), 0);
         assert_eq!(reply.echo_tag, Tag::new(1, 5));
         assert_eq!(c.stats().queries_answered, 1);
     }

@@ -9,7 +9,7 @@
 
 use crate::harness::SdnNetwork;
 use sdn_rng::Rng;
-use sdn_switch::{QueryReply, Rule};
+use sdn_switch::{QueryReply, Rule, RuleSummary};
 use sdn_tags::Tag;
 use sdn_topology::NodeId;
 
@@ -214,7 +214,7 @@ impl FaultInjector {
             responder,
             neighbors,
             managers: vec![],
-            rules: vec![],
+            rules: RuleSummary::default(),
             echo_tag: Tag::new(
                 self.rng.gen_range(0..node_count),
                 self.rng.gen_range(1..500u64),

@@ -41,15 +41,17 @@ pub struct SdnNetwork {
     /// last check, [`SdnNetwork::legitimacy_report`] is O(nodes) instead of O(BFS).
     /// Caching never changes observable results — the key covers every input the
     /// predicate reads, and a property test cross-checks cached against recomputed
-    /// reports under randomized fault schedules.
+    /// verdicts and reports under randomized fault schedules.
     legitimacy_cache: RefCell<Option<LegitimacyCache>>,
 }
 
 /// One memoized legitimacy evaluation (see [`SdnNetwork::legitimacy_report`]).
 struct LegitimacyCache {
-    generation: u64,
-    state_stamp: u64,
-    report: LegitimacyReport,
+    /// `(topology_generation, state_stamp)` at the time of the evaluation.
+    key: (u64, u64),
+    /// `None`: [`SdnNetwork::is_legitimate`] found the state illegitimate and nobody
+    /// has asked why yet. A legitimate verdict is the complete (empty) report.
+    report: Option<LegitimacyReport>,
 }
 
 impl SdnNetwork {
@@ -163,11 +165,20 @@ impl SdnNetwork {
     }
 
     /// Evaluates the legitimacy predicate (paper, Definition 1).
+    ///
+    /// Memoized under the same key as [`SdnNetwork::legitimacy_report`], but a miss
+    /// costs less than a report: the walk stops at the first violated condition.
     pub fn is_legitimate(&self) -> bool {
-        self.legitimacy_report().is_legitimate()
+        let key = self.legitimacy_key();
+        if let Some(memo) = self.memo(key) {
+            return memo.is_some_and(|report| report.is_legitimate());
+        }
+        let legitimate = legitimacy::holds(self);
+        self.remember(key, legitimate.then(LegitimacyReport::default));
+        legitimate
     }
 
-    /// Detailed legitimacy report, listing every violated condition.
+    /// Detailed legitimacy report, listing the violated conditions.
     ///
     /// Dirty-tracked: the report is recomputed only when the operational topology,
     /// the observed neighborhoods, or any controller/switch state changed since the
@@ -176,19 +187,12 @@ impl SdnNetwork {
     /// reports are always identical — [`SdnNetwork::legitimacy_report_fresh`] is the
     /// explicit escape hatch that bypasses the cache.
     pub fn legitimacy_report(&self) -> LegitimacyReport {
-        let generation = self.sim.topology_generation();
-        let state_stamp = self.state_stamp();
-        if let Some(cache) = self.legitimacy_cache.borrow().as_ref() {
-            if cache.generation == generation && cache.state_stamp == state_stamp {
-                return cache.report.clone();
-            }
+        let key = self.legitimacy_key();
+        if let Some(Some(report)) = self.memo(key) {
+            return report;
         }
         let report = legitimacy::check(self);
-        *self.legitimacy_cache.borrow_mut() = Some(LegitimacyCache {
-            generation,
-            state_stamp,
-            report: report.clone(),
-        });
+        self.remember(key, Some(report.clone()));
         report
     }
 
@@ -197,12 +201,23 @@ impl SdnNetwork {
     /// and the oracle the cache property test compares against.
     pub fn legitimacy_report_fresh(&self) -> LegitimacyReport {
         let report = legitimacy::check(self);
-        *self.legitimacy_cache.borrow_mut() = Some(LegitimacyCache {
-            generation: self.sim.topology_generation(),
-            state_stamp: self.state_stamp(),
-            report: report.clone(),
-        });
+        self.remember(self.legitimacy_key(), Some(report.clone()));
         report
+    }
+
+    /// What the memo holds if it was taken under `key` (see
+    /// [`LegitimacyCache::report`] for the inner `None`).
+    fn memo(&self, key: (u64, u64)) -> Option<Option<LegitimacyReport>> {
+        let cache = self.legitimacy_cache.borrow();
+        Some(cache.as_ref().filter(|c| c.key == key)?.report.clone())
+    }
+
+    fn remember(&self, key: (u64, u64), report: Option<LegitimacyReport>) {
+        *self.legitimacy_cache.borrow_mut() = Some(LegitimacyCache { key, report });
+    }
+
+    fn legitimacy_key(&self) -> (u64, u64) {
+        (self.sim.topology_generation(), self.state_stamp())
     }
 
     /// Folds every node's state version into one stamp. Any single state mutation
@@ -514,6 +529,7 @@ mod tests {
     #[test]
     fn cached_legitimacy_equals_fresh_recompute_under_random_faults() {
         use sdn_rng::Rng;
+        let mut legitimate_states = 0;
         for seed in 0..5u64 {
             let topology = builders::ring(8, 2);
             let mut sdn = SdnNetwork::new(
@@ -524,13 +540,19 @@ mod tests {
                     .with_seed(seed),
             );
             let mut rng = Rng::seed_from_u64(seed ^ 0xF00D);
+            // Odd seeds start from a converged network, so the walk also crosses
+            // legitimate states (and the memo a `true` verdict leaves behind).
+            if seed % 2 == 1 {
+                sdn.run_until_legitimate(SimDuration::from_millis(100), SimDuration::from_secs(60))
+                    .expect("bootstrap");
+            }
             for step in 0..40 {
                 let switches = sdn.switch_ids();
                 let controllers = sdn.controller_ids();
                 let s = switches[rng.gen_range(0..switches.len() as u64) as usize];
                 let c = controllers[rng.gen_range(0..controllers.len() as u64) as usize];
                 match rng.gen_range(0..8u32) {
-                    0 => sdn.run_for(SimDuration::from_millis(rng.gen_range(10..300u64))),
+                    0 => sdn.run_for(SimDuration::from_millis(rng.gen_range(10..3000u64))),
                     1 => sdn.fail_switch(s),
                     2 => sdn.revive_switch(s),
                     3 => sdn.fail_controller(c),
@@ -551,16 +573,37 @@ mod tests {
                         }
                     }
                 }
-                // First query may serve a memoized report, second recomputes: any
-                // stale cache key would make them diverge.
-                let cached = sdn.legitimacy_report();
-                let fresh = sdn.legitimacy_report_fresh();
-                assert_eq!(cached, fresh, "cache divergence at seed {seed} step {step}");
+                // The first query of the new state is a memo miss — the yes/no walk
+                // on even steps, the full report on odd ones — and everything after
+                // it may be served from the memo: any stale key, or a verdict that is
+                // not the report's verdict, makes them diverge from the recompute.
+                let at = format!("seed {seed} step {step}");
+                let fresh = if step % 2 == 0 {
+                    let verdict = sdn.is_legitimate();
+                    let explained = sdn.legitimacy_report();
+                    let fresh = sdn.legitimacy_report_fresh();
+                    assert_eq!(verdict, fresh.is_legitimate(), "verdict first, {at}");
+                    assert_eq!(explained, fresh, "report after a verdict, {at}");
+                    fresh
+                } else {
+                    let cached = sdn.legitimacy_report();
+                    let verdict = sdn.is_legitimate();
+                    let fresh = sdn.legitimacy_report_fresh();
+                    assert_eq!(cached, fresh, "report first, {at}");
+                    assert_eq!(verdict, fresh.is_legitimate(), "verdict after, {at}");
+                    fresh
+                };
                 // A repeat query with no intervening event serves the cache; it must
                 // still match.
-                assert_eq!(sdn.legitimacy_report(), fresh);
+                assert_eq!(sdn.legitimacy_report(), fresh, "{at}");
+                assert_eq!(sdn.is_legitimate(), fresh.is_legitimate(), "{at}");
+                legitimate_states += usize::from(fresh.is_legitimate());
             }
         }
+        assert!(
+            (1..200).contains(&legitimate_states),
+            "the walk must cross both kinds of state, saw {legitimate_states} legitimate of 200"
+        );
     }
 
     #[test]

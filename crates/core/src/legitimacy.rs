@@ -17,11 +17,13 @@ use sdn_switch::forwarding;
 use sdn_topology::flat::NO_INDEX;
 use sdn_topology::{BfsScratch, FlatGraph, Graph, NodeId};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// The outcome of a legitimacy check: an empty issue list means the state is legitimate.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LegitimacyReport {
-    /// Human-readable descriptions of every violated condition.
+    /// Human-readable descriptions of the violated conditions: the first 64 in walk
+    /// order (a completely un-converged network violates thousands).
     pub issues: Vec<String>,
 }
 
@@ -30,31 +32,64 @@ impl LegitimacyReport {
     pub fn is_legitimate(&self) -> bool {
         self.issues.is_empty()
     }
+}
 
-    fn push(&mut self, issue: String) {
-        // Cap the list so that a completely un-converged network does not allocate an
-        // enormous report on every check.
-        if self.issues.len() < 64 {
-            self.issues.push(issue);
+/// How many issues a report lists before the walk stops.
+const MAX_ISSUES: usize = 64;
+
+/// Evaluates the legitimacy predicate over the current state of `net`.
+pub fn check(net: &SdnNetwork) -> LegitimacyReport {
+    first_issues(net, MAX_ISSUES)
+}
+
+/// The yes/no form of [`check`]: the same walk, stopped at the first violation.
+pub(crate) fn holds(net: &SdnNetwork) -> bool {
+    first_issues(net, 1).is_legitimate()
+}
+
+fn first_issues(net: &SdnNetwork, limit: usize) -> LegitimacyReport {
+    let mut issues = Issues {
+        found: Vec::new(),
+        limit,
+    };
+    // A break only says the walk stopped at the limit; what it found is in `issues`.
+    let _ = walk(net, &mut issues);
+    LegitimacyReport {
+        issues: issues.found,
+    }
+}
+
+/// The issues found so far and the number at which to stop looking.
+struct Issues {
+    found: Vec<String>,
+    limit: usize,
+}
+
+impl Issues {
+    fn push(&mut self, issue: String) -> ControlFlow<()> {
+        self.found.push(issue);
+        if self.found.len() < self.limit {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
         }
     }
 }
 
-/// Evaluates the legitimacy predicate over the current state of `net`.
+/// Walks the four conditions of Definition 1 in order, recording each violation,
+/// until `issues` is full.
 ///
 /// The operational graph is snapshot once into a [`FlatGraph`] and every
 /// reachability question — the per-controller switch-transit sets, the induced
 /// subgraphs, and the in-band routing walks — runs over that snapshot with a
 /// shared, reusable [`BfsScratch`] workspace.
-pub fn check(net: &SdnNetwork) -> LegitimacyReport {
-    let mut report = LegitimacyReport::default();
+fn walk(net: &SdnNetwork, issues: &mut Issues) -> ControlFlow<()> {
     let operational = net.sim().operational_graph();
     let live_controllers = net.live_controller_ids();
     let live_switches = net.live_switch_ids();
 
     if live_controllers.is_empty() {
-        report.push("no live controller exists".to_string());
-        return report;
+        return issues.push("no live controller exists".to_string());
     }
 
     // All reachability below is "through switches only": controllers never forward
@@ -85,27 +120,27 @@ pub fn check(net: &SdnNetwork) -> LegitimacyReport {
     for (c, reach) in &transit {
         let c = *c;
         let Some(controller) = net.controller(c) else {
-            report.push(format!("controller {c} has no state machine"));
+            issues.push(format!("controller {c} has no state machine"))?;
             continue;
         };
         let observed = net.sim().observed(c);
         let discovered = controller.discovered_graph(observed);
         let expected = reach.induced_subgraph(&flat);
         if discovered != expected {
-            report.push(format!(
+            issues.push(format!(
                 "controller {c} topology view diverges: knows {} nodes / {} links, expected {} nodes / {} links",
                 discovered.node_count(),
                 discovered.link_count(),
                 expected.node_count(),
                 expected.link_count(),
-            ));
+            ))?;
         }
     }
 
     // Condition 2 and 4: manager sets and rule ownership match the live controller set.
     for &s in &live_switches {
         let Some(switch) = net.switch(s) else {
-            report.push(format!("switch {s} has no state machine"));
+            issues.push(format!("switch {s} has no state machine"))?;
             continue;
         };
         let expected_managers: BTreeSet<NodeId> = transit
@@ -116,9 +151,9 @@ pub fn check(net: &SdnNetwork) -> LegitimacyReport {
         let actual_managers: BTreeSet<NodeId> =
             switch.managers().to_sorted_vec().into_iter().collect();
         if actual_managers != expected_managers {
-            report.push(format!(
+            issues.push(format!(
                 "switch {s} managers {actual_managers:?} differ from live controllers {expected_managers:?}"
-            ));
+            ))?;
         }
         let rule_owners: BTreeSet<NodeId> = switch
             .rules()
@@ -127,9 +162,9 @@ pub fn check(net: &SdnNetwork) -> LegitimacyReport {
             .collect();
         for owner in rule_owners {
             if !expected_managers.contains(&owner) {
-                report.push(format!(
+                issues.push(format!(
                     "switch {s} still stores rules of stale controller {owner}"
-                ));
+                ))?;
             }
         }
     }
@@ -144,17 +179,17 @@ pub fn check(net: &SdnNetwork) -> LegitimacyReport {
                 continue;
             }
             if route_in_band_flat(net, &flat, c, node, &mut neighbor_buf).is_none() {
-                report.push(format!("no in-band path from controller {c} to {node}"));
+                issues.push(format!("no in-band path from controller {c} to {node}"))?;
             }
             if route_in_band_flat(net, &flat, node, c, &mut neighbor_buf).is_none() {
-                report.push(format!(
+                issues.push(format!(
                     "no in-band path from {node} back to controller {c}"
-                ));
+                ))?;
             }
         }
     }
 
-    report
+    ControlFlow::Continue(())
 }
 
 /// The switch-transit reachability of one controller: nodes reachable along paths

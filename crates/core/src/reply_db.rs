@@ -12,17 +12,6 @@ use sdn_tags::Tag;
 use sdn_topology::{paths, Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The largest-valued tag carried by the rules reported in `reply`, if any.
-fn max_rule_tag(reply: &QueryReply) -> Option<Tag> {
-    let mut best: Option<Tag> = None;
-    for rule in &reply.rules {
-        if best.is_none_or(|b| rule.tag.value() > b.value()) {
-            best = Some(rule.tag);
-        }
-    }
-    best
-}
-
 /// Outcome of inserting a reply into the database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InsertOutcome {
@@ -35,25 +24,11 @@ pub enum InsertOutcome {
 }
 
 /// Bounded store of query replies keyed by `(responder, round tag)`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplyDb {
     max_replies: usize,
     records: BTreeMap<(NodeId, Tag), QueryReply>,
-    /// Largest rule tag per stored reply (`None` for replies without rules),
-    /// precomputed at insert so the per-iterate tag observation is O(#replies)
-    /// instead of O(#rules). Maintained alongside `records`; replies injected
-    /// behind the database's back (tests) fall back to an on-the-fly scan.
-    rule_tag_ceiling: BTreeMap<(NodeId, Tag), Option<Tag>>,
     c_resets: u64,
-}
-
-impl PartialEq for ReplyDb {
-    fn eq(&self, other: &Self) -> bool {
-        // The ceiling cache is derived data: databases with equal records are equal.
-        self.max_replies == other.max_replies
-            && self.records == other.records
-            && self.c_resets == other.c_resets
-    }
 }
 
 impl ReplyDb {
@@ -67,7 +42,6 @@ impl ReplyDb {
         ReplyDb {
             max_replies,
             records: BTreeMap::new(),
-            rule_tag_ceiling: BTreeMap::new(),
             c_resets: 0,
         }
     }
@@ -103,13 +77,11 @@ impl ReplyDb {
         let mut outcome = InsertOutcome::Stored;
         if !replaces_existing && self.records.len() + 1 > self.max_replies {
             self.records.clear();
-            self.rule_tag_ceiling.clear();
             self.c_resets += 1;
             outcome = InsertOutcome::StoredAfterReset;
         }
-        // Remove any other response from the same node carrying a different tag for the
-        // current round bucket (line 22 replaces "the previous response from pj").
-        self.rule_tag_ceiling.insert(key, max_rule_tag(&reply));
+        // Line 22 replaces "the previous response from pj": same key, so the map
+        // insert overwrites it.
         self.records.insert(key, reply);
         outcome
     }
@@ -136,21 +108,16 @@ impl ReplyDb {
                 .map(|reachable| reachable.contains(node))
                 .unwrap_or(false)
         });
-        let records = &self.records;
-        self.rule_tag_ceiling
-            .retain(|key, _| records.contains_key(key));
     }
 
     /// Removes every reply carrying `tag` (Algorithm 2 line 12).
     pub fn drop_tag(&mut self, tag: Tag) {
         self.records.retain(|(_, t), _| *t != tag);
-        self.rule_tag_ceiling.retain(|(_, t), _| *t != tag);
     }
 
     /// Performs an explicit C-reset, forgetting everything.
     pub fn c_reset(&mut self) {
         self.records.clear();
-        self.rule_tag_ceiling.clear();
         self.c_resets += 1;
     }
 
@@ -173,39 +140,26 @@ impl ReplyDb {
             .collect()
     }
 
-    /// Every tag present anywhere in the stored replies (including tags inside rules),
-    /// used to feed the practically-self-stabilizing tag generator.
+    /// Every tag present anywhere in the stored replies (including the tags of the
+    /// rules they summarize) — what the practically-self-stabilizing tag generator
+    /// must stay ahead of.
     pub fn observed_tags(&self) -> Vec<Tag> {
         let mut tags = Vec::new();
         for ((_, tag), reply) in &self.records {
             tags.push(*tag);
-            tags.extend(reply.rules.iter().map(|r| r.tag));
+            tags.extend(reply.rules.tags());
         }
         tags
     }
 
-    /// The tag with the largest value present anywhere in the stored replies (including
-    /// tags inside rules). The tag generator folds observations with `max`, so this is
-    /// all it needs — without walking every rule of every reply each iteration.
+    /// The largest tag of [`ReplyDb::observed_tags`] (tags order by value first). The
+    /// tag generator folds observations with `max`, so this is all it needs.
     pub fn max_observed_tag(&self) -> Option<Tag> {
-        let mut best: Option<Tag> = None;
-        for ((node, tag), reply) in &self.records {
-            for t in [
-                Some(*tag),
-                self.rule_tag_ceiling
-                    .get(&(*node, *tag))
-                    .copied()
-                    .unwrap_or_else(|| max_rule_tag(reply)),
-            ]
-            .into_iter()
+        self.records
+            .iter()
+            .flat_map(|((_, tag), reply)| [Some(*tag), reply.rules.max_tag()])
             .flatten()
-            {
-                if best.is_none_or(|b| t.value() > b.value()) {
-                    best = Some(t);
-                }
-            }
-        }
-        best
+            .max()
     }
 
     /// `G(res(tag))`: the topology derivable from the replies of round `tag` plus the
@@ -309,6 +263,8 @@ impl ReplyDb {
 mod tests {
     use super::*;
 
+    use sdn_switch::RuleSummary;
+
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
     }
@@ -318,7 +274,7 @@ mod tests {
             responder: n(responder),
             neighbors: neighbors.iter().map(|&i| n(i)).collect(),
             managers: vec![],
-            rules: vec![],
+            rules: RuleSummary::default(),
             echo_tag: tag,
         }
     }
@@ -477,6 +433,44 @@ mod tests {
         assert!(db.is_empty());
         assert_eq!(db.c_resets(), 1);
         assert_eq!(db.capacity(), 8);
+    }
+
+    /// The equivalence `Controller::iterate` relies on when it observes one tag
+    /// instead of all of them: the generator keeps a running max by value.
+    #[test]
+    fn max_observed_tag_is_the_max_by_value_of_observed_tags() {
+        use sdn_rng::Rng;
+        use sdn_switch::Rule;
+        assert_eq!(ReplyDb::new(4).max_observed_tag(), None);
+        for seed in 0..50u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut db = ReplyDb::new(64);
+            for _ in 0..rng.gen_range(1..12u32) {
+                // Echo tags sit mid-range; rule tags fall on both sides of them.
+                let echo = Tag::new(rng.gen_range(0..3u32), rng.gen_range(400..600u64));
+                let responder = rng.gen_range(3..20u32);
+                let rules: Vec<Rule> = (0..rng.gen_range(0..6u32))
+                    .map(|_| Rule {
+                        cid: n(rng.gen_range(0..5u32)),
+                        sid: n(responder),
+                        src: None,
+                        dst: n(rng.gen_range(0..20u32)),
+                        prt: 1,
+                        fwd: n(0),
+                        tag: Tag::new(rng.gen_range(0..5u32), rng.gen_range(1..1000u64)),
+                    })
+                    .collect();
+                let mut r = reply(responder, &[0], echo);
+                r.rules = RuleSummary::from_rules(&rules);
+                db.insert(r, echo);
+            }
+            let by_value = db.observed_tags().into_iter().map(Tag::value).max();
+            assert_eq!(
+                db.max_observed_tag().map(Tag::value),
+                by_value,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

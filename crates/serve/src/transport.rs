@@ -30,6 +30,9 @@ use std::time::{Duration, Instant};
 const MAX_REQUEST_BYTES: usize = 64 * 1024;
 /// Lines a slow `/stream` consumer may lag before the oldest are dropped.
 const MAX_STREAM_BACKLOG: usize = 1024;
+/// Requests that may wait for the driver (it drains them between ticks, so they pile
+/// up during a long `/run` or `/step`) before further ones are refused with 503.
+const MAX_PENDING_REQUESTS: usize = 256;
 
 /// One typed request for the driver.
 enum Request {
@@ -306,17 +309,25 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     match route(&method, &path, &query, &body) {
         Ok(request) => {
             let (tx, rx) = mpsc::channel();
-            {
+            // Decide under the lock, answer a refusal after releasing it.
+            let refusal = {
                 let mut inner = shared.lock();
                 if inner.shutdown {
-                    write_json(
-                        &mut stream,
-                        410,
-                        &Json::obj([("error", Json::str("session is shut down"))]),
-                    );
-                    return;
+                    Some((410, "session is shut down"))
+                } else if inner.queue.len() >= MAX_PENDING_REQUESTS {
+                    Some((503, "driver queue is full"))
+                } else {
+                    inner.queue.push_back(Pending { request, reply: tx });
+                    None
                 }
-                inner.queue.push_back(Pending { request, reply: tx });
+            };
+            if let Some((status, error)) = refusal {
+                write_json(
+                    &mut stream,
+                    status,
+                    &Json::obj([("error", Json::str(error))]),
+                );
+                return;
             }
             shared.wake.notify_all();
             match rx.recv_timeout(Duration::from_secs(60)) {
@@ -455,6 +466,7 @@ fn write_json(stream: &mut TcpStream, status: u16, body: &Json) {
         404 => "Not Found",
         409 => "Conflict",
         410 => "Gone",
+        503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "Error",
     };

@@ -7,6 +7,7 @@ use sdn_metrics::json::Json;
 use sdn_serve::{CommandLog, Server, Session, SessionConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
@@ -246,4 +247,61 @@ fn a_full_interactive_session_replays_bit_identically() {
     let parsed = CommandLog::parse(&text).expect("parse recorded log");
     parsed.verify().expect("round-tripped log verifies");
     assert_eq!(parsed.to_jsonl(), text);
+}
+
+/// The driver's queue is bounded: with the driver not draining, the 257th pending
+/// request is refused with 503, and the service keeps serving once it drains.
+#[test]
+fn a_full_driver_queue_refuses_with_503_and_recovers() {
+    const QUEUE: usize = 256; // transport::MAX_PENDING_REQUESTS
+    const SURPLUS: usize = 8;
+    // Bound but not running: every routed request waits in the queue.
+    let server = Server::bind(Session::new(config()), "127.0.0.1:0").expect("bind");
+    let addr = server.addr().to_string();
+
+    let (refused_tx, refused_rx) = mpsc::channel();
+    let clients: Vec<_> = (0..QUEUE + SURPLUS)
+        .map(|_| {
+            let (addr, refused_tx) = (addr.clone(), refused_tx.clone());
+            thread::spawn(move || {
+                let (status, body) = http(&addr, "POST", "/step?ticks=1", "");
+                if status == 503 {
+                    refused_tx.send(body.to_string()).expect("report refusal");
+                }
+                status
+            })
+        })
+        .collect();
+    // Nothing leaves the queue, so exactly the surplus is refused — and once those
+    // refusals are in, the other 256 requests are known to be queued.
+    for _ in 0..SURPLUS {
+        let body = refused_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a refusal");
+        assert!(body.contains("driver queue is full"), "{body}");
+    }
+    let (status, _) = http(&addr, "GET", "/metrics", "");
+    assert_eq!(status, 503, "the 257th pending request is refused");
+
+    // Drain: every queued request is answered, and the service serves again.
+    let driver = thread::spawn(move || server.run());
+    let statuses: Vec<u16> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .collect();
+    assert_eq!(statuses.iter().filter(|&&s| s == 200).count(), QUEUE);
+    assert_eq!(statuses.iter().filter(|&&s| s == 503).count(), SURPLUS);
+    let (status, metrics) = http(&addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert_eq!(
+        metrics.get("tick").and_then(Json::as_f64),
+        Some(QUEUE as f64)
+    );
+
+    let (status, _) = http(&addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    let (report, log) = driver.join().expect("driver thread");
+    // Only accepted commands were logged: the queued steps and the shutdown.
+    assert_eq!(log.entries.len(), QUEUE + 1);
+    assert_eq!(log.replay().to_string(), report.to_string());
 }

@@ -2,9 +2,10 @@
 //!
 //! Controllers talk to switches in *command batches*: a `newRound` header, a number of
 //! update commands, and a trailing `query`. The switch answers queries with a
-//! [`QueryReply`] describing its identifier, neighborhood, manager set, and rule set.
+//! [`QueryReply`] describing its identifier, neighborhood, manager set, and a
+//! summary of its rule set.
 
-use crate::rules::Rule;
+use crate::rules::{Rule, RuleSummary};
 use sdn_tags::Tag;
 use sdn_topology::NodeId;
 
@@ -99,6 +100,14 @@ impl CommandBatch {
 
 /// The switch's (or, degenerately, a controller's) answer to a query command:
 /// `<j, Nc(j), manager(j), rules(j)>` plus the echoed round tag.
+///
+/// `rules(j)` travels as a [`RuleSummary`], not as a copy of the table, because that
+/// is all Algorithm 2 reads out of it: the controllers that still own rules at `j`
+/// (line 15, the stale-state cleanup — [`RuleSummary::owners`]), every tag in
+/// circulation (line 8, so `nextTag()` stays ahead of them — [`RuleSummary::tags`]),
+/// and the number of rules (the message size of Lemma 3 —
+/// [`RuleSummary::rule_count`], which [`QueryReply::wire_size`] charges at
+/// [`Rule::WIRE_SIZE`] apiece, exactly as if the rules themselves were on the wire).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryReply {
     /// The responding node.
@@ -107,8 +116,8 @@ pub struct QueryReply {
     pub neighbors: Vec<NodeId>,
     /// The responder's manager set (empty for controllers).
     pub managers: Vec<NodeId>,
-    /// The responder's installed rules (empty for controllers).
-    pub rules: Vec<Rule>,
+    /// Summary of the responder's installed rules (empty for controllers).
+    pub rules: RuleSummary,
     /// The tag of the query this reply answers (the meta-rule tag of the paper).
     pub echo_tag: Tag,
 }
@@ -121,14 +130,17 @@ impl QueryReply {
             responder,
             neighbors,
             managers: Vec::new(),
-            rules: Vec::new(),
+            rules: RuleSummary::default(),
             echo_tag,
         }
     }
 
-    /// Approximate encoded size in bytes.
+    /// Approximate encoded size in bytes: the reply is charged for every rule it
+    /// summarizes.
     pub fn wire_size(&self) -> usize {
-        16 + self.neighbors.len() * 4 + self.managers.len() * 4 + self.rules.len() * Rule::WIRE_SIZE
+        16 + self.neighbors.len() * 4
+            + self.managers.len() * 4
+            + self.rules.rule_count() * Rule::WIRE_SIZE
     }
 }
 
@@ -187,7 +199,7 @@ mod tests {
             responder: n(3),
             neighbors: vec![n(1), n(2)],
             managers: vec![n(0)],
-            rules: vec![sample_rule(); 5],
+            rules: RuleSummary::from_rules(&[sample_rule(); 5]),
             echo_tag: Tag::new(0, 1),
         };
         let empty_reply = QueryReply::from_controller(n(1), vec![n(2)], Tag::new(0, 1));
@@ -199,7 +211,7 @@ mod tests {
         let r = QueryReply::from_controller(n(1), vec![n(5), n(6)], Tag::new(1, 3));
         assert_eq!(r.responder, n(1));
         assert!(r.managers.is_empty());
-        assert!(r.rules.is_empty());
+        assert_eq!(r.rules.rule_count(), 0);
         assert_eq!(r.echo_tag, Tag::new(1, 3));
         assert_eq!(r.neighbors, vec![n(5), n(6)]);
     }

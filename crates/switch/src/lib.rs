@@ -36,7 +36,7 @@
 //!     SwitchCommand::Query { tag },
 //! ]);
 //! let reply = sw.apply_batch(&batch, &[NodeId::new(2), NodeId::new(4)]).unwrap();
-//! assert_eq!(reply.rules.len(), 1);
+//! assert_eq!(reply.rules.rule_count(), 1);
 //! let hop = sw.next_hop(NodeId::new(0), NodeId::new(7), &[], &[NodeId::new(2), NodeId::new(4)], |_| true);
 //! assert_eq!(hop, Some(NodeId::new(4)));
 //! ```
@@ -52,5 +52,5 @@ pub mod switch;
 
 pub use commands::{CommandBatch, QueryReply, SwitchCommand};
 pub use managers::ManagerSet;
-pub use rules::{Rule, RuleTable};
+pub use rules::{Rule, RuleSummary, RuleTable};
 pub use switch::{AbstractSwitch, SwitchConfig, SwitchStats};

@@ -67,6 +67,64 @@ impl Rule {
     }
 }
 
+/// One group of a [`RuleSummary`]: `count` rules installed by `cid` under `tag`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SummaryEntry {
+    cid: NodeId,
+    tag: Tag,
+    count: usize,
+}
+
+/// What a controller reads out of a switch's rule set `rules(j)`: who owns rules
+/// there, under which tags, and how many — one entry per distinct `(cid, tag)` pair,
+/// in `(cid, tag)` order. This, not a copy of the table, is what a query reply
+/// carries (see [`crate::QueryReply`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RuleSummary {
+    entries: Vec<SummaryEntry>,
+}
+
+impl RuleSummary {
+    /// Summarizes arbitrary rules, in any order — including rule sets no switch would
+    /// produce (foreign owners, tags far ahead of any generator), which is what a
+    /// corrupted `replyDB` holds. The reference [`RuleTable::summary`] is tested against.
+    pub fn from_rules<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> Self {
+        let mut pairs: Vec<(NodeId, Tag)> = rules.into_iter().map(|r| (r.cid, r.tag)).collect();
+        pairs.sort_unstable();
+        let entries = pairs
+            .chunk_by(|a, b| a == b)
+            .map(|run| SummaryEntry {
+                cid: run[0].0,
+                tag: run[0].1,
+                count: run.len(),
+            })
+            .collect();
+        RuleSummary { entries }
+    }
+
+    /// The controllers that own at least one rule, ascending and distinct.
+    pub fn owners(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries
+            .chunk_by(|a, b| a.cid == b.cid)
+            .map(|run| run[0].cid)
+    }
+
+    /// Every tag some rule carries (once per owner that uses it).
+    pub fn tags(&self) -> impl Iterator<Item = Tag> + '_ {
+        self.entries.iter().map(|e| e.tag)
+    }
+
+    /// The largest tag some rule carries (tags order by value first).
+    pub fn max_tag(&self) -> Option<Tag> {
+        self.tags().max()
+    }
+
+    /// How many rules the summarized table holds.
+    pub fn rule_count(&self) -> usize {
+        self.entries.iter().map(|e| e.count).sum()
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct StoredRule {
     rule: Rule,
@@ -97,30 +155,14 @@ fn key_of(rule: &Rule) -> RuleKey {
 /// per-round `updateRule` command (a wholesale replacement of one controller's
 /// rules) a splice of one contiguous block instead of per-rule tree operations —
 /// the dominant cost of the simulation's recovery phases.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RuleTable {
     max_rules: usize,
     /// Sorted by `key_of`, one entry per key.
     rules: Vec<StoredRule>,
     next_stamp: u64,
     evictions: u64,
-    /// Reusable buffers for `replace_controller_rules` (never observable).
-    staged: Vec<StoredRule>,
-    scratch: Vec<StoredRule>,
 }
-
-impl PartialEq for RuleTable {
-    fn eq(&self, other: &Self) -> bool {
-        // The merge buffers are scratch space: two tables with the same rules,
-        // stamps, and counters are equal regardless of buffer capacity.
-        self.max_rules == other.max_rules
-            && self.rules == other.rules
-            && self.next_stamp == other.next_stamp
-            && self.evictions == other.evictions
-    }
-}
-
-impl Eq for RuleTable {}
 
 impl RuleTable {
     /// Creates an empty table with capacity `max_rules`.
@@ -135,8 +177,6 @@ impl RuleTable {
             rules: Vec::new(),
             next_stamp: 0,
             evictions: 0,
-            staged: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -227,14 +267,15 @@ impl RuleTable {
         // Stamp the incoming rules in arrival order — one stamp per rule, exactly as
         // repeated `insert` calls would consume them (including overwritten duplicates).
         let mut all_same_cid = true;
-        let mut staged = std::mem::take(&mut self.staged);
-        staged.clear();
-        staged.extend(new_rules.into_iter().map(|rule| {
-            let stamp = self.next_stamp;
-            self.next_stamp += 1;
-            all_same_cid &= rule.cid == controller;
-            StoredRule { rule, stamp }
-        }));
+        let mut staged: Vec<StoredRule> = new_rules
+            .into_iter()
+            .map(|rule| {
+                let stamp = self.next_stamp;
+                self.next_stamp += 1;
+                all_same_cid &= rule.cid == controller;
+                StoredRule { rule, stamp }
+            })
+            .collect();
 
         let (lo, hi) = self.controller_range(controller);
         let keep = |s: &StoredRule| keep_tags.contains(&s.rule.tag);
@@ -247,10 +288,9 @@ impl RuleTable {
             // consumed above, so bypass `insert`'s stamp counter.
             self.rules
                 .retain(|s| s.rule.cid != controller || keep_tags.contains(&s.rule.tag));
-            for s in staged.drain(..) {
+            for s in staged {
                 self.insert_stamped(s);
             }
-            self.staged = staged;
             return removed;
         }
 
@@ -270,10 +310,9 @@ impl RuleTable {
                 false
             }
         });
-        let mut block = std::mem::take(&mut self.scratch);
-        block.clear();
+        let mut block: Vec<StoredRule> = Vec::with_capacity(staged.len());
         let mut old = lo;
-        for s in staged.drain(..) {
+        for s in staged {
             let key = key_of(&s.rule);
             while old < hi && key_of(&self.rules[old].rule) < key {
                 if keep(&self.rules[old]) {
@@ -295,11 +334,8 @@ impl RuleTable {
         if block.len() == hi - lo {
             self.rules[lo..hi].copy_from_slice(&block);
         } else {
-            self.rules.splice(lo..hi, block.iter().copied());
+            self.rules.splice(lo..hi, block);
         }
-        block.clear();
-        self.scratch = block;
-        self.staged = staged;
         removed
     }
 
@@ -322,6 +358,31 @@ impl RuleTable {
                 self.rules.insert(at, stored);
             }
         }
+    }
+
+    /// The per-owner, per-tag summary a query reply carries, built in one pass: the
+    /// table is sorted by owner first, so each owner's entries form one run, kept in
+    /// tag order by inserting a tag the first time the run meets it. Neighbouring
+    /// rules mostly share their tag (one `updateRule` wrote them), so they are
+    /// counted a stretch at a time.
+    pub fn summary(&self) -> RuleSummary {
+        let mut entries: Vec<SummaryEntry> = Vec::new();
+        for block in self.rules.chunk_by(|a, b| a.rule.cid == b.rule.cid) {
+            let run = entries.len();
+            for stretch in block.chunk_by(|a, b| a.rule.tag == b.rule.tag) {
+                let (cid, tag) = (stretch[0].rule.cid, stretch[0].rule.tag);
+                let at = run
+                    + match entries[run..].binary_search_by_key(&tag, |e| e.tag) {
+                        Ok(found) => found,
+                        Err(slot) => {
+                            entries.insert(run + slot, SummaryEntry { cid, tag, count: 0 });
+                            slot
+                        }
+                    };
+                entries[at].count += stretch.len();
+            }
+        }
+        RuleSummary { entries }
     }
 
     /// All stored rules, in key order.
@@ -478,6 +539,94 @@ mod tests {
         {
             assert!(Rule::WIRE_SIZE > 0);
         }
+    }
+
+    #[test]
+    fn summary_groups_by_owner_and_tag() {
+        // Owner 0 holds an old-tag rule between two new-tag ones (the three-tag
+        // variant's kept rules interleave like this); owner 2 holds one rule.
+        let mut t = RuleTable::new(10);
+        t.insert(rule(0, 0, 1, 1, 5, 8));
+        t.insert(rule(0, 0, 2, 1, 5, 7));
+        t.insert(rule(0, 0, 3, 1, 5, 8));
+        t.insert(rule(2, 0, 1, 1, 5, 3));
+        let summary = t.summary();
+        assert_eq!(summary.owners().collect::<Vec<_>>(), vec![n(0), n(2)]);
+        assert_eq!(
+            summary.tags().collect::<Vec<_>>(),
+            vec![Tag::new(0, 7), Tag::new(0, 8), Tag::new(2, 3)]
+        );
+        assert_eq!(summary.max_tag(), Some(Tag::new(0, 8)));
+        assert_eq!(summary.rule_count(), 4);
+        assert_eq!(RuleTable::new(1).summary(), RuleSummary::default());
+        assert_eq!(RuleSummary::default().max_tag(), None);
+    }
+
+    /// The one-pass summary of the sorted table equals the sort-and-count reference
+    /// after every step of a random `insert` / `replace_controller_rules` /
+    /// `delete_controller` history, including foreign owners and evictions.
+    #[test]
+    fn summary_matches_reference_under_random_histories() {
+        use sdn_rng::Rng;
+        let mut evictions = 0;
+        for seed in 0..20u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut t = RuleTable::new(rng.gen_range(4..40usize));
+            let random_rule = |rng: &mut Rng, cid: u32| {
+                rule(
+                    cid,
+                    rng.gen_range(0..3u32),
+                    rng.gen_range(0..12u32),
+                    rng.gen_range(0..3u32) as u8,
+                    rng.gen_range(0..6u32),
+                    rng.gen_range(1..6u64),
+                )
+            };
+            for step in 0..200 {
+                let owner = rng.gen_range(0..4u32);
+                match rng.gen_range(0..6u32) {
+                    0 => {
+                        t.insert(random_rule(&mut rng, owner));
+                    }
+                    1 => {
+                        t.delete_controller(n(owner));
+                    }
+                    kind => {
+                        // Mostly the owner's own rules under one round tag, as
+                        // `myRules()` sends them; sometimes a foreign one mixed in.
+                        let tag = rng.gen_range(1..6u64);
+                        let rules: Vec<Rule> = (0..rng.gen_range(0..30u32))
+                            .map(|_| {
+                                let cid = if rng.gen_bool(0.05) {
+                                    rng.gen_range(0..6u32)
+                                } else {
+                                    owner
+                                };
+                                Rule {
+                                    tag: Tag::new(owner, tag),
+                                    ..random_rule(&mut rng, cid)
+                                }
+                            })
+                            .collect();
+                        let keep: Vec<Tag> = (kind >= 4)
+                            .then(|| Tag::new(owner, rng.gen_range(1..6u64)))
+                            .into_iter()
+                            .collect();
+                        t.replace_controller_rules(n(owner), rules, &keep);
+                    }
+                }
+                let summary = t.summary();
+                assert_eq!(
+                    summary,
+                    RuleSummary::from_rules(t.iter()),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(summary.rule_count(), t.len());
+                assert!(t.len() <= t.capacity());
+            }
+            evictions += t.evictions();
+        }
+        assert!(evictions > 0, "the near-capacity path must have run");
     }
 
     #[test]

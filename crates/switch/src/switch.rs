@@ -203,7 +203,7 @@ impl AbstractSwitch {
                 responder: self.id,
                 neighbors: neighbors.to_vec(),
                 managers: self.managers.to_sorted_vec(),
-                rules: self.rules.iter().copied().collect(),
+                rules: self.rules.summary(),
                 echo_tag: tag,
             }
         })
@@ -313,11 +313,32 @@ mod tests {
         assert_eq!(reply.responder, n(9));
         assert_eq!(reply.neighbors, vec![n(3), n(4)]);
         assert_eq!(reply.managers, vec![n(0)]);
-        assert_eq!(reply.rules.len(), 2);
+        assert_eq!(reply.rules.rule_count(), 2);
         assert_eq!(reply.echo_tag, tag);
         assert_eq!(sw.meta_tag(n(0)), Some(tag));
         assert_eq!(sw.stats().batches_applied, 1);
         assert_eq!(sw.stats().queries_answered, 1);
+    }
+
+    /// Message-size invariance: the reply is charged for every rule of the table it
+    /// summarizes, as when the rules themselves travelled.
+    #[test]
+    fn reply_wire_size_counts_every_rule() {
+        let mut sw = AbstractSwitch::new(n(9), SwitchConfig::default());
+        for dst in 0..5 {
+            sw.corrupt_install_rule(rule(0, 0, dst, 2, 4, 7));
+        }
+        for dst in 0..3 {
+            sw.corrupt_install_rule(rule(1, 1, dst, 2, 4, 3));
+        }
+        sw.corrupt_add_manager(n(0));
+        sw.corrupt_add_manager(n(1));
+        let tag = Tag::new(0, 7);
+        let reply = sw
+            .apply_batch(&query_batch(0, tag, vec![]), &[n(3), n(4), n(5)])
+            .unwrap();
+        assert_eq!(reply.rules.owners().collect::<Vec<_>>(), vec![n(0), n(1)]);
+        assert_eq!(reply.wire_size(), 16 + 4 * 3 + 4 * 2 + 24 * 8);
     }
 
     #[test]
@@ -364,7 +385,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(reply.managers, vec![n(0)]);
-        assert!(reply.rules.is_empty());
+        assert_eq!(reply.rules.rule_count(), 0);
         assert_eq!(
             sw.meta_tag(n(1)),
             None,
