@@ -11,7 +11,7 @@ use crate::config::{ControllerConfig, Variant};
 use crate::reply_db::{InsertOutcome, ReplyDb};
 use sdn_switch::{CommandBatch, QueryReply, Rule, SwitchCommand};
 use sdn_tags::{RoundTracker, Tag, TagGenerator};
-use sdn_topology::{FlowPlan, FlowPlanner, Graph, NodeId};
+use sdn_topology::{FlowPlan, FlowPlanner, Graph, NextHopSet, NodeId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -136,21 +136,18 @@ impl Controller {
     }
 
     /// The first-hop candidates (in priority order) this controller would use to reach
-    /// `dst`, according to its latest routing plan.
-    pub fn first_hop_candidates(&self, dst: NodeId) -> Vec<NodeId> {
+    /// `dst`, according to its latest routing plan: that pair's row of the plan, read
+    /// in place.
+    pub fn first_hop_candidates(&self, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.plan
             .next_hops(self.id, dst)
-            .map(|set| set.iter().collect())
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(NextHopSet::iter)
     }
 
-    /// The first plan candidate towards `dst` that is currently an observed
-    /// neighbor — the allocation-free routing decision
-    /// [`first_hop_candidates`](Controller::first_hop_candidates) is collected from.
+    /// The first plan candidate towards `dst` that is currently an observed neighbor.
     pub fn first_hop(&self, dst: NodeId, neighbors: &[NodeId]) -> Option<NodeId> {
-        self.plan
-            .next_hops(self.id, dst)?
-            .iter()
+        self.first_hop_candidates(dst)
             .find(|h| neighbors.contains(h))
     }
 
@@ -280,10 +277,9 @@ impl Controller {
     /// that destination.
     fn my_rules(&self, plan: &FlowPlan, switch: NodeId, tag: Tag) -> Vec<Rule> {
         let mut rules = Vec::new();
-        // One ordered range scan over the plan: the plan only stores pairs of its
+        // One walk over the switch's rows of the plan: it only stores pairs of its
         // own reference graph with a non-empty hop set and never an `(s, s)` pair,
-        // so this visits exactly the destinations the per-node lookup loop did, in
-        // the same ascending order.
+        // so this visits the reachable destinations in ascending order.
         for (dst, hops) in plan.next_hops_from(switch) {
             for (level, fwd) in hops.iter().enumerate() {
                 rules.push(Rule {
@@ -729,8 +725,8 @@ mod tests {
         let _ = c.iterate(&[n(1)]);
         run_discovery_round_trip(&mut c, &[(1, vec![0, 2]), (2, vec![1])]);
         let _ = c.iterate(&[n(1)]);
-        assert_eq!(c.first_hop_candidates(n(2)), vec![n(1)]);
-        assert!(c.first_hop_candidates(n(99)).is_empty());
+        assert_eq!(c.first_hop_candidates(n(2)).collect::<Vec<_>>(), vec![n(1)]);
+        assert_eq!(c.first_hop_candidates(n(99)).count(), 0);
     }
 
     #[test]

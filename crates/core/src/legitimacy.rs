@@ -143,25 +143,25 @@ fn walk(net: &SdnNetwork, issues: &mut Issues) -> ControlFlow<()> {
             issues.push(format!("switch {s} has no state machine"))?;
             continue;
         };
-        let expected_managers: BTreeSet<NodeId> = transit
+        // Both sides as sorted lists — the live controllers that reach `s`, and what
+        // the switch stores — compared in place; sets are built only to word an issue.
+        let mut expected_managers: Vec<NodeId> = transit
             .iter()
             .filter(|(_, reach)| reach.contains(&flat, s))
             .map(|&(c, _)| c)
             .collect();
-        let actual_managers: BTreeSet<NodeId> =
-            switch.managers().to_sorted_vec().into_iter().collect();
+        expected_managers.sort_unstable();
+        expected_managers.dedup();
+        let actual_managers = switch.managers().to_sorted_vec();
         if actual_managers != expected_managers {
+            let actual_managers: BTreeSet<NodeId> = actual_managers.into_iter().collect();
+            let expected_managers: BTreeSet<&NodeId> = expected_managers.iter().collect();
             issues.push(format!(
                 "switch {s} managers {actual_managers:?} differ from live controllers {expected_managers:?}"
             ))?;
         }
-        let rule_owners: BTreeSet<NodeId> = switch
-            .rules()
-            .controllers_with_rules()
-            .into_iter()
-            .collect();
-        for owner in rule_owners {
-            if !expected_managers.contains(&owner) {
+        for owner in switch.rules().controllers_with_rules() {
+            if expected_managers.binary_search(&owner).is_err() {
                 issues.push(format!(
                     "switch {s} still stores rules of stale controller {owner}"
                 ))?;
@@ -331,7 +331,6 @@ where
             if cur == from {
                 controller
                     .first_hop_candidates(to)
-                    .into_iter()
                     .find(|h| neighbors.contains(h) && !visited.contains(h))
                     .or_else(|| (neighbors.contains(&to) && !visited.contains(&to)).then_some(to))
             } else {

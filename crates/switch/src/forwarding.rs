@@ -36,9 +36,7 @@ where
     F: FnMut(NodeId) -> bool,
 {
     let candidate = rules
-        .matching(src, dst)
-        .into_iter()
-        .map(|r| r.fwd)
+        .matching_hops(src, dst)
         .find(|&hop| !visited.contains(&hop) && neighbors.contains(&hop) && is_up(hop));
     if candidate.is_some() {
         return candidate;
@@ -134,5 +132,71 @@ mod tests {
         let t = table(&[rule(1, 5, 3, 4)]);
         // Packet source differs from the rule's match.
         assert_eq!(decide(&t, n(0), n(5), &[], &[n(4)], &mut |_| true), None);
+    }
+
+    /// `decide` as it was before the rule walk stopped allocating: collect the matching
+    /// rules, sort them, take the first usable one.
+    fn decide_by_collecting(
+        rules: &RuleTable,
+        (src, dst): (NodeId, NodeId),
+        visited: &[NodeId],
+        neighbors: &[NodeId],
+        is_up: &mut impl FnMut(NodeId) -> bool,
+    ) -> Option<NodeId> {
+        let mut hops = rules.matching(src, dst).into_iter().map(|r| r.fwd);
+        let by_rule =
+            hops.find(|&hop| !visited.contains(&hop) && neighbors.contains(&hop) && is_up(hop));
+        by_rule.or_else(|| {
+            (neighbors.contains(&dst) && !visited.contains(&dst) && is_up(dst)).then_some(dst)
+        })
+    }
+
+    /// Random tables (several owners, wildcard and exact sources, equal priorities and
+    /// next hops across owners), random visited / neighbor sets and link masks: the
+    /// in-place walk picks the same hop and asks `is_up` the same questions in the
+    /// same order as the collect-and-sort formulation.
+    #[test]
+    fn decide_matches_the_collecting_reference() {
+        use sdn_rng::Rng;
+        let (mut decided, mut probes) = (0, 0);
+        for seed in 0..40u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut t = RuleTable::new(rng.gen_range(8..120usize));
+            for _ in 0..rng.gen_range(0..150u32) {
+                t.insert(Rule {
+                    cid: n(rng.gen_range(0..4u32)),
+                    src: rng.gen_bool(0.3).then(|| n(rng.gen_range(0..3u32))),
+                    ..rule(
+                        0,
+                        rng.gen_range(0..6u32),
+                        rng.gen_range(0..4u32) as u8,
+                        rng.gen_range(0..8u32),
+                    )
+                });
+            }
+            for _ in 0..60 {
+                let mut subset =
+                    |p: f64| -> Vec<NodeId> { (0..8).filter(|_| rng.gen_bool(p)).map(n).collect() };
+                let (visited, neighbors, up) = (subset(0.2), subset(0.7), subset(0.6));
+                let packet = (n(rng.gen_range(0..3u32)), n(rng.gen_range(0..6u32)));
+                let (mut asked, mut expected_asked) = (Vec::new(), Vec::new());
+                let hop = decide(&t, packet.0, packet.1, &visited, &neighbors, &mut |h| {
+                    asked.push(h);
+                    up.contains(&h)
+                });
+                let expected = decide_by_collecting(&t, packet, &visited, &neighbors, &mut |h| {
+                    expected_asked.push(h);
+                    up.contains(&h)
+                });
+                assert_eq!(hop, expected, "seed {seed}: packet {packet:?}");
+                assert_eq!(asked, expected_asked, "seed {seed}: packet {packet:?}");
+                decided += usize::from(hop.is_some());
+                probes += usize::from(asked.len() > 1);
+            }
+        }
+        assert!(
+            decided > 500 && probes > 500,
+            "{decided} decisions, {probes} multi-probe"
+        );
     }
 }

@@ -8,6 +8,7 @@
 
 use sdn_tags::Tag;
 use sdn_topology::NodeId;
+use std::cmp::Reverse;
 
 /// A single match-action packet-forwarding rule.
 ///
@@ -138,10 +139,10 @@ struct StoredRule {
 /// block (the per-round `updateRule` replacement is a splice of that block), and the
 /// priority is reversed so that `myRules()` — which emits destinations ascending with
 /// priorities descending — produces rule lists already in key order.
-type RuleKey = (NodeId, NodeId, Option<NodeId>, std::cmp::Reverse<u8>);
+type RuleKey = (NodeId, NodeId, Option<NodeId>, Reverse<u8>);
 
 fn key_of(rule: &Rule) -> RuleKey {
-    (rule.cid, rule.dst, rule.src, std::cmp::Reverse(rule.prt))
+    (rule.cid, rule.dst, rule.src, Reverse(rule.prt))
 }
 
 /// The bounded rule table of an abstract switch.
@@ -396,34 +397,57 @@ impl RuleTable {
         self.rules[lo..hi].iter().map(|s| s.rule).collect()
     }
 
-    /// The set of controllers that currently have at least one rule in the table.
-    pub fn controllers_with_rules(&self) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self.iter().map(|r| r.cid).collect();
-        out.sort();
-        out.dedup();
-        out
+    /// Each owner's contiguous block of the table, owners ascending: the table is
+    /// sorted by owner first, so a block ends at a `partition_point` and no rule in
+    /// between is visited.
+    fn owner_blocks(&self) -> impl Iterator<Item = &[StoredRule]> + '_ {
+        let mut rest = &self.rules[..];
+        std::iter::from_fn(move || {
+            let cid = rest.first()?.rule.cid;
+            let (block, tail) = rest.split_at(rest.partition_point(|s| s.rule.cid <= cid));
+            rest = tail;
+            Some(block)
+        })
     }
 
-    /// The rules matching a packet `(src, dst)`, sorted by decreasing priority.
-    pub fn matching(&self, src: NodeId, dst: NodeId) -> Vec<Rule> {
-        // One contiguous sub-block per installing controller: walk the controller
-        // blocks (a handful at most) and binary-search the destination inside each.
-        let mut out: Vec<Rule> = Vec::new();
-        let mut i = 0;
-        while i < self.rules.len() {
-            let cid = self.rules[i].rule.cid;
-            let run_end = i + self.rules[i..].partition_point(|s| s.rule.cid <= cid);
-            let run = &self.rules[i..run_end];
-            let lo = i + run.partition_point(|s| s.rule.dst < dst);
-            let hi = i + run.partition_point(|s| s.rule.dst <= dst);
-            out.extend(
-                self.rules[lo..hi]
-                    .iter()
-                    .map(|s| s.rule)
-                    .filter(|r| r.matches(src, dst)),
-            );
-            i = run_end;
-        }
+    /// The set of controllers that currently have at least one rule in the table.
+    pub fn controllers_with_rules(&self) -> Vec<NodeId> {
+        self.owner_blocks().map(|block| block[0].rule.cid).collect()
+    }
+
+    /// The next hops of the rules matching a packet `(src, dst)`, by decreasing
+    /// priority (ties: ascending next hop, then table order), without collecting them:
+    /// each step scans every owner's `dst` range for the successor of the rule it
+    /// yielded last. A packet matches a handful of rules and mostly takes the first.
+    pub fn matching_hops(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let mut last = None;
+        std::iter::from_fn(move || {
+            let mut next = None;
+            for block in self.owner_blocks() {
+                let lo = block.partition_point(|s| s.rule.dst < dst);
+                let same_dst = block[lo..].iter().map(|s| &s.rule);
+                for r in same_dst.take_while(|r| r.dst == dst) {
+                    // Among equal `(prt, fwd)`, `(cid, src)` is the table's own order.
+                    let key = (Reverse(r.prt), r.fwd, r.cid, r.src);
+                    if r.matches(src, dst) && Some(key) > last && next.is_none_or(|n| key < n) {
+                        next = Some(key);
+                    }
+                }
+            }
+            last = Some(next?);
+            next.map(|(_, fwd, _, _)| fwd)
+        })
+    }
+
+    /// The rules matching a packet `(src, dst)`, sorted by decreasing priority: the
+    /// collect-and-sort reference [`RuleTable::matching_hops`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn matching(&self, src: NodeId, dst: NodeId) -> Vec<Rule> {
+        let mut out: Vec<Rule> = self
+            .iter()
+            .copied()
+            .filter(|r| r.matches(src, dst))
+            .collect();
         out.sort_by(|a, b| b.prt.cmp(&a.prt).then(a.fwd.cmp(&b.fwd)));
         out
     }

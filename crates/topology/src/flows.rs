@@ -11,59 +11,59 @@
 //! The forwarding engine in `sdn-switch` picks the highest-priority rule whose out-link
 //! is currently operational, which is exactly the fast-failover group behaviour.
 
-use crate::flat::{BfsScratch, FlatGraph};
+use crate::flat::BfsScratch;
 use crate::graph::Graph;
 use crate::ids::NodeId;
-use std::collections::BTreeMap;
 
-/// A priority-ordered list of candidate next hops from one node towards a destination.
+/// A priority-ordered list of candidate next hops from one node towards a destination:
+/// a borrowed view of one row of a [`FlowPlan`].
 ///
 /// Index 0 is the primary (first-shortest-path) next hop; index `k` is the `k`-th
 /// failover alternative. The list never contains duplicates and never exceeds
 /// `kappa + 1` entries.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NextHopSet {
-    hops: Vec<NodeId>,
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NextHopSet<'a> {
+    hops: &'a [NodeId],
 }
 
-impl NextHopSet {
+impl<'a> NextHopSet<'a> {
     /// Creates a next-hop set from an ordered list of candidates.
-    pub fn new(hops: Vec<NodeId>) -> Self {
+    pub fn new(hops: &'a [NodeId]) -> Self {
         NextHopSet { hops }
     }
 
     /// The primary next hop, if any.
-    pub fn primary(&self) -> Option<NodeId> {
+    pub fn primary(self) -> Option<NodeId> {
         self.hops.first().copied()
     }
 
     /// The candidate at the given priority level (0 = primary).
-    pub fn at_priority(&self, level: usize) -> Option<NodeId> {
+    pub fn at_priority(self, level: usize) -> Option<NodeId> {
         self.hops.get(level).copied()
     }
 
     /// Iterates over the candidates in priority order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn iter(self) -> impl Iterator<Item = NodeId> + 'a {
         self.hops.iter().copied()
     }
 
     /// Number of candidates.
-    pub fn len(&self) -> usize {
+    pub fn len(self) -> usize {
         self.hops.len()
     }
 
     /// Returns `true` when there is no candidate at all (destination unreachable).
-    pub fn is_empty(&self) -> bool {
+    pub fn is_empty(self) -> bool {
         self.hops.is_empty()
     }
 
     /// The first candidate whose out-link is reported operational by `is_up`,
     /// mimicking a fast-failover group evaluation.
-    pub fn first_operational<F>(&self, mut is_up: F) -> Option<NodeId>
+    pub fn first_operational<F>(self, mut is_up: F) -> Option<NodeId>
     where
         F: FnMut(NodeId) -> bool,
     {
-        self.hops.iter().copied().find(|&h| is_up(h))
+        self.iter().find(|&h| is_up(h))
     }
 }
 
@@ -72,6 +72,11 @@ impl NextHopSet {
 /// For every ordered pair `(at, towards)` of distinct nodes the plan stores a
 /// [`NextHopSet`]. Controllers derive their switch rules from this plan; the data-plane
 /// traffic model uses it directly to route host packets.
+///
+/// The plan is one dense table over the planned graph's `n` nodes in ascending
+/// identifier order: row `at * n + towards` of `offsets` delimits that pair's slice of
+/// `hops` (empty = no entry), so reading a node's rules is a walk over `n` adjacent
+/// rows and replacing a plan frees four vectors.
 ///
 /// # Example
 ///
@@ -90,8 +95,14 @@ impl NextHopSet {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlowPlan {
     kappa: usize,
-    next_hops: BTreeMap<(NodeId, NodeId), NextHopSet>,
-    distances: BTreeMap<(NodeId, NodeId), u32>,
+    /// The planned graph's nodes, ascending; dense index = position.
+    nodes: Vec<NodeId>,
+    /// `n * n + 1` row bounds into `hops` (none for the default, node-less plan).
+    offsets: Vec<u32>,
+    /// Every pair's candidates in priority order, rows concatenated.
+    hops: Vec<NodeId>,
+    /// `dist[towards * n + from]`; `u32::MAX` marks a disconnected pair.
+    dist: Vec<u32>,
 }
 
 impl FlowPlan {
@@ -100,9 +111,20 @@ impl FlowPlan {
         self.kappa
     }
 
+    /// The dense index of `node`, if the plan covers it.
+    fn index_of(&self, node: NodeId) -> Option<usize> {
+        self.nodes.binary_search(&node).ok()
+    }
+
+    /// The candidates stored for row `row`.
+    fn row(&self, row: usize) -> &[NodeId] {
+        &self.hops[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+    }
+
     /// The next-hop set stored for packets at `at` going towards `towards`.
-    pub fn next_hops(&self, at: NodeId, towards: NodeId) -> Option<&NextHopSet> {
-        self.next_hops.get(&(at, towards))
+    pub fn next_hops(&self, at: NodeId, towards: NodeId) -> Option<NextHopSet<'_>> {
+        let row = self.index_of(at)? * self.nodes.len() + self.index_of(towards)?;
+        Some(NextHopSet::new(self.row(row))).filter(|set| !set.is_empty())
     }
 
     /// The shortest-path distance between the pair, if connected.
@@ -110,31 +132,39 @@ impl FlowPlan {
         if from == to {
             return Some(0);
         }
-        self.distances.get(&(from, to)).copied()
+        let d = self.dist[self.index_of(to)? * self.nodes.len() + self.index_of(from)?];
+        (d != u32::MAX).then_some(d)
     }
 
     /// Iterates over every `(at, towards)` pair with its next-hop set.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId, &NextHopSet)> + '_ {
-        self.next_hops.iter().map(|(&(a, t), s)| (a, t, s))
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId, NextHopSet<'_>)> + '_ {
+        self.nodes
+            .iter()
+            .flat_map(move |&at| self.next_hops_from(at).map(move |(t, set)| (at, t, set)))
     }
 
     /// Iterates over the next-hop sets stored for packets at `at`, in ascending
-    /// destination order — one ordered range scan instead of a tree lookup per
-    /// destination, which is what makes `myRules()` linear in the rule count.
-    pub fn next_hops_from(&self, at: NodeId) -> impl Iterator<Item = (NodeId, &NextHopSet)> + '_ {
-        self.next_hops
-            .range((at, NodeId::new(0))..=(at, NodeId::new(u32::MAX)))
-            .map(|(&(_, t), s)| (t, s))
+    /// destination order — a walk over that node's `n` adjacent rows, which is what
+    /// makes `myRules()` linear in the rule count.
+    pub fn next_hops_from(
+        &self,
+        at: NodeId,
+    ) -> impl Iterator<Item = (NodeId, NextHopSet<'_>)> + '_ {
+        let n = self.nodes.len();
+        let rows = self.index_of(at).map_or(0..0, |a| a * n..(a + 1) * n);
+        rows.zip(&self.nodes)
+            .map(move |(row, &towards)| (towards, NextHopSet::new(self.row(row))))
+            .filter(|(_, set)| !set.is_empty())
     }
 
     /// Number of `(at, towards)` entries in the plan.
     pub fn len(&self) -> usize {
-        self.next_hops.len()
+        self.offsets.windows(2).filter(|w| w[0] != w[1]).count()
     }
 
     /// Returns `true` when the plan holds no entries (e.g. planned over an empty graph).
     pub fn is_empty(&self) -> bool {
-        self.next_hops.is_empty()
+        self.hops.is_empty()
     }
 
     /// Simulates forwarding a packet from `from` to `to` under the given set of failed
@@ -282,116 +312,65 @@ impl FlowPlanner {
         non_transit: &std::collections::BTreeSet<NodeId>,
     ) -> FlowPlan {
         let limit = self.max_candidates.unwrap_or(usize::MAX);
-        // Distances towards a target are computed over the graph without the other
-        // non-transit nodes: paths may start or end at a non-transit node but never
-        // pass through one. That search graph is *identical* for every
-        // transit-capable target, so it is built and snapshot once; only the few
-        // non-transit targets (the controllers) need a per-target variant that keeps
-        // the target itself. One scratch serves every BFS.
-        let mut scratch = BfsScratch::new();
         let full = graph.snapshot();
         let n = full.node_count();
-        let base: FlatGraph = if non_transit.is_empty() {
-            graph.snapshot()
-        } else {
-            graph.without_nodes(non_transit.iter()).snapshot()
-        };
-        // Everything below works on dense indices of the full snapshot: per-node
-        // translation tables and one distance matrix replace the per-neighbor
-        // binary searches and set probes of the naive formulation.
-        let to_base: Vec<Option<u32>> = full
-            .node_ids()
-            .iter()
-            .map(|&id| base.index_of(id))
-            .collect();
         let endpoint_only: Vec<bool> = full
             .node_ids()
             .iter()
             .map(|id| non_transit.contains(id))
             .collect();
-        let mut dist: Vec<u32> = vec![u32::MAX; n * n];
+        // One search per target over the one snapshot: paths may start or end at a
+        // non-transit node but never pass through one, which is a BFS that reaches
+        // such nodes without expanding them (its source always expands). Everything
+        // works on dense indices; the distance matrix becomes the plan's own.
+        let mut scratch = BfsScratch::new();
+        let mut dist: Vec<u32> = Vec::with_capacity(n * n);
         for ti in 0..n {
-            let row = &mut dist[ti * n..(ti + 1) * n];
-            if endpoint_only[ti] {
-                let target = full.node_at(ti as u32);
-                let restricted: Vec<NodeId> = non_transit
-                    .iter()
-                    .copied()
-                    .filter(|&x| x != target)
-                    .collect();
-                let per_target = graph.without_nodes(restricted.iter()).snapshot();
-                let Some(target_idx) = per_target.index_of(target) else {
-                    continue;
-                };
-                per_target.bfs(target_idx, &mut scratch);
-                for (fi, slot) in row.iter_mut().enumerate() {
-                    if let Some(pi) = per_target.index_of(full.node_at(fi as u32)) {
-                        if let Some(d) = scratch.distance(pi) {
-                            *slot = d;
-                        }
-                    }
-                }
-            } else {
-                let Some(target_idx) = to_base[ti] else {
-                    continue;
-                };
-                base.bfs(target_idx, &mut scratch);
-                for (fi, slot) in row.iter_mut().enumerate() {
-                    if let Some(bi) = to_base[fi] {
-                        if let Some(d) = scratch.distance(bi) {
-                            *slot = d;
-                        }
-                    }
-                }
-            }
+            full.bfs_filtered(ti as u32, &mut scratch, |i| !endpoint_only[i as usize]);
+            dist.extend_from_slice(scratch.distances());
         }
-        // Assemble with `at` as the outer loop so both maps build from key-sorted
-        // pairs (one bulk construction each instead of per-pair tree inserts).
-        let mut next_hops_v: Vec<((NodeId, NodeId), NextHopSet)> = Vec::new();
-        let mut distances_v: Vec<((NodeId, NodeId), u32)> = Vec::new();
-        let mut candidates: Vec<(u32, NodeId)> = Vec::new();
+        // `at`-major rows, written straight into the plan's table. A node has at most
+        // its degree in candidates towards each target, which bounds every offset.
+        assert!(
+            n * full.arc_targets().len() <= u32::MAX as usize,
+            "a plan over {n} nodes would exceed 2^32 next hops"
+        );
+        let mut offsets: Vec<u32> = Vec::with_capacity(n * n + 1);
+        let mut hops: Vec<NodeId> = Vec::new();
+        // Candidates rank by `(distance, identifier)` — dense indices ascend with the
+        // identifiers — packed into one integer each so the sort compares words.
+        let mut candidates: Vec<u64> = Vec::new();
+        offsets.push(0);
         for ai in 0..n {
-            let at = full.node_at(ai as u32);
             for ti in 0..n {
-                if ti == ai {
-                    continue;
-                }
-                let target = full.node_at(ti as u32);
                 candidates.clear();
-                for &hi in full.neighbor_indices(ai as u32) {
-                    if endpoint_only[hi as usize] && hi as usize != ti {
-                        continue;
+                if ti != ai {
+                    for &hi in full.neighbor_indices(ai as u32) {
+                        if endpoint_only[hi as usize] && hi as usize != ti {
+                            continue;
+                        }
+                        let d = dist[ti * n + hi as usize];
+                        if d != u32::MAX {
+                            candidates.push(u64::from(d) << 32 | u64::from(hi));
+                        }
                     }
-                    let d = dist[ti * n + hi as usize];
-                    if d != u32::MAX {
-                        candidates.push((d, full.node_at(hi)));
-                    }
+                    candidates.sort_unstable();
                 }
-                candidates.sort();
-                // For transit-capable nodes the distance comes from the restricted
-                // BFS; endpoint-only nodes sit one hop above their best transit
-                // neighbor.
-                let d_at = if endpoint_only[ai] {
-                    candidates.first().map(|&(d, _)| d + 1)
-                } else {
-                    let d = dist[ti * n + ai];
-                    (d != u32::MAX).then_some(d)
-                };
-                let Some(d_at) = d_at else {
-                    continue; // disconnected pair under the transit restriction
-                };
-                distances_v.push(((at, target), d_at));
-                if !candidates.is_empty() {
-                    let hops: Vec<NodeId> =
-                        candidates.iter().take(limit).map(|&(_, h)| h).collect();
-                    next_hops_v.push(((at, target), NextHopSet::new(hops)));
-                }
+                hops.extend(
+                    candidates
+                        .iter()
+                        .take(limit)
+                        .map(|&c| full.node_at(c as u32)),
+                );
+                offsets.push(hops.len() as u32);
             }
         }
         FlowPlan {
             kappa: self.kappa,
-            next_hops: next_hops_v.into_iter().collect(),
-            distances: distances_v.into_iter().collect(),
+            nodes: full.node_ids().to_vec(),
+            offsets,
+            hops,
+            dist,
         }
     }
 }
@@ -400,6 +379,7 @@ impl FlowPlanner {
 mod tests {
     use super::*;
     use crate::ids::Link;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -563,10 +543,148 @@ mod tests {
 
     #[test]
     fn next_hop_set_first_operational() {
-        let set = NextHopSet::new(vec![n(1), n(2), n(3)]);
+        let hops = [n(1), n(2), n(3)];
+        let set = NextHopSet::new(&hops);
         assert_eq!(set.first_operational(|h| h == n(2)), Some(n(2)));
         assert_eq!(set.first_operational(|_| false), None);
         assert_eq!(set.iter().count(), 3);
         assert!(!set.is_empty());
+    }
+
+    type HopMap = BTreeMap<(NodeId, NodeId), Vec<NodeId>>;
+    type DistanceMap = BTreeMap<(NodeId, NodeId), u32>;
+
+    /// The map-built plan the dense table replaced, kept as the reference: distances
+    /// towards a target come from a BFS over a copy of the graph *without* the other
+    /// non-transit nodes, and every pair is inserted into a tree on its own.
+    fn reference_plan(
+        planner: FlowPlanner,
+        graph: &Graph,
+        non_transit: &BTreeSet<NodeId>,
+    ) -> (HopMap, DistanceMap) {
+        let limit = planner.max_candidates().unwrap_or(usize::MAX);
+        let mut scratch = BfsScratch::new();
+        let (mut next_hops, mut distances) = (HopMap::new(), DistanceMap::new());
+        for target in graph.nodes() {
+            let others: Vec<NodeId> = non_transit
+                .iter()
+                .copied()
+                .filter(|&x| x != target)
+                .collect();
+            let pruned = graph.without_nodes(others.iter()).snapshot();
+            pruned.bfs(pruned.index_of(target).unwrap(), &mut scratch);
+            let dist = |node: NodeId| pruned.index_of(node).and_then(|i| scratch.distance(i));
+            for at in graph.nodes().filter(|&at| at != target) {
+                let mut candidates: Vec<(u32, NodeId)> = graph
+                    .neighbors(at)
+                    .filter(|&h| h == target || !non_transit.contains(&h))
+                    .filter_map(|h| dist(h).map(|d| (d, h)))
+                    .collect();
+                candidates.sort();
+                // Endpoint-only nodes sit one hop above their best transit neighbor.
+                let d_at = if non_transit.contains(&at) {
+                    candidates.first().map(|&(d, _)| d + 1)
+                } else {
+                    dist(at)
+                };
+                let Some(d_at) = d_at else {
+                    continue;
+                };
+                distances.insert((at, target), d_at);
+                if !candidates.is_empty() {
+                    let hops = candidates.iter().take(limit).map(|&(_, h)| h).collect();
+                    next_hops.insert((at, target), hops);
+                }
+            }
+        }
+        (next_hops, distances)
+    }
+
+    /// Over random connected and disconnected graphs with sparse identifiers, random
+    /// non-transit sets (none, some, all) and candidate limits, the dense plan equals
+    /// the map-built reference pair for pair.
+    #[test]
+    fn dense_plan_matches_the_map_built_reference() {
+        use sdn_rng::Rng;
+        let (mut disconnected, mut absent_pairs) = (0, 0);
+        for seed in 0..60u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let ids: Vec<NodeId> = (0..rng.gen_range(1..14u32))
+                .map(|i| n(3 * i + rng.gen_range(0..3u32)))
+                .collect();
+            let mut g = Graph::new();
+            for &id in &ids {
+                g.add_node(id);
+            }
+            // A random tree (or, for every third seed, a forest) plus random chords.
+            for (i, &id) in ids.iter().enumerate().skip(1) {
+                if seed % 3 != 0 || rng.gen_bool(0.7) {
+                    g.add_link(id, ids[rng.gen_range(0..i)]);
+                }
+            }
+            for _ in 0..rng.gen_range(0..ids.len()) {
+                let (a, b) = (
+                    ids[rng.gen_range(0..ids.len())],
+                    ids[rng.gen_range(0..ids.len())],
+                );
+                if a != b {
+                    g.add_link(a, b);
+                }
+            }
+            let non_transit: BTreeSet<NodeId> = match seed % 4 {
+                0 => BTreeSet::new(),
+                1 => ids.iter().copied().collect(),
+                _ => ids.iter().copied().filter(|_| rng.gen_bool(0.3)).collect(),
+            };
+            let mut planner = FlowPlanner::new(1);
+            if seed % 2 == 1 {
+                planner = planner.with_max_candidates(rng.gen_range(1..4usize));
+            }
+            let plan = planner.plan_restricted(&g, &non_transit);
+            let (next_hops, distances) = reference_plan(planner, &g, &non_transit);
+
+            let listed: Vec<(NodeId, NodeId, Vec<NodeId>)> = plan
+                .iter()
+                .map(|(a, t, set)| (a, t, set.iter().collect()))
+                .collect();
+            let expected: Vec<(NodeId, NodeId, Vec<NodeId>)> = next_hops
+                .iter()
+                .map(|(&(a, t), hops)| (a, t, hops.clone()))
+                .collect();
+            assert_eq!(listed, expected, "seed {seed}: iter()");
+            assert_eq!(plan.len(), next_hops.len(), "seed {seed}: len()");
+            assert_eq!(plan.is_empty(), next_hops.is_empty(), "seed {seed}");
+            // One identifier outside the graph: every pair naming it is absent.
+            let stranger = n(1000);
+            for &at in ids.iter().chain([&stranger]) {
+                let from_at: Vec<(NodeId, Vec<NodeId>)> = plan
+                    .next_hops_from(at)
+                    .map(|(t, set)| (t, set.iter().collect()))
+                    .collect();
+                let expected: Vec<(NodeId, Vec<NodeId>)> = next_hops
+                    .range((at, n(0))..=(at, n(u32::MAX)))
+                    .map(|(&(_, t), hops)| (t, hops.clone()))
+                    .collect();
+                assert_eq!(from_at, expected, "seed {seed}: next_hops_from({at})");
+                for &towards in ids.iter().chain([&stranger]) {
+                    let hops = plan.next_hops(at, towards);
+                    assert_eq!(
+                        hops.map(|set| set.iter().collect::<Vec<_>>()),
+                        next_hops.get(&(at, towards)).cloned(),
+                        "seed {seed}: next_hops({at}, {towards})"
+                    );
+                    let expected = (at == towards)
+                        .then_some(0)
+                        .or_else(|| distances.get(&(at, towards)).copied());
+                    assert_eq!(plan.distance(at, towards), expected, "seed {seed}");
+                    absent_pairs += usize::from(hops.is_none() && at != towards);
+                }
+            }
+            disconnected += usize::from(!crate::paths::is_connected(&g));
+        }
+        assert!(
+            disconnected > 5 && absent_pairs > 100,
+            "both kinds of graph ran"
+        );
     }
 }
