@@ -56,7 +56,7 @@ use renaissance::scenario::{
 use renaissance_bench::baseline::gate_campaign;
 use renaissance_bench::cli::{self, Flag};
 use renaissance_bench::output::OutputFormat;
-use renaissance_bench::report::{fmt2, print_table, write_json_file, Row};
+use renaissance_bench::report::{fmt2, print_table, write_json_file, Row, Table};
 use renaissance_bench::{ExperimentScale, MetricKey, MetricPipeline, Recorder};
 use sdn_metrics::json::Json;
 use sdn_metrics::{csv_field, Digest};
@@ -371,14 +371,15 @@ fn main() {
             .unwrap_or_else(|e| panic!("failed to write {out}: {e}"));
     }
 
-    print_table(
-        &format!(
+    print_table(&Table {
+        title: format!(
             "Scale campaign ({tier} mode) — medians over {} run(s), artifact: {out}",
             scale.runs
         ),
-        &["switches", "boot med s", "recov med s", "conv"],
-        &rows,
-    );
+        headers: vec!["switches", "boot med s", "recov med s", "conv"],
+        rows,
+        trailer: Vec::new(),
+    });
 
     if let Some(baseline_path) = args.value("--baseline") {
         let gate_pct = args.parsed::<f64>("--gate").unwrap_or(25.0);
@@ -469,7 +470,7 @@ fn gate_against(current: &Json, baseline_path: &str, gate_pct: f64, out: &str) -
 }
 
 /// Builds and runs one campaign cell on the same scenario skeleton (timeout,
-/// measurement resolution, thread plumbing) as the fig/table binaries.
+/// measurement resolution, thread plumbing) as the paper figures.
 fn run_scenario(
     scale: &ExperimentScale,
     network: &str,

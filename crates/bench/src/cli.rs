@@ -1,7 +1,7 @@
 //! The shared command-line convention of every experiment binary.
 //!
-//! All `fig*`/`table*` binaries and the `scale_campaign` accept the same core flags,
-//! so sweeping seeds or scaling repetitions never requires editing a binary:
+//! `renaissance-fig` and the `scale_campaign` accept the same core flags, so sweeping
+//! seeds or scaling repetitions never requires editing a binary:
 //!
 //! | flag | meaning |
 //! |------|---------|
@@ -17,14 +17,17 @@
 //! The flags are the only input: no binary reads an environment variable. Flags take
 //! their value as the next argument (`--runs 5`) or inline (`--runs=5`). A binary can
 //! register extra flags (the scale campaign adds `--smoke`, `--large`, `--baseline`,
-//! and `--gate`).
+//! and `--gate`; `renaissance-fig` adds `--all`) and, by declaring a [`Flag`] whose
+//! name is a placeholder such as `<id>...`, positional arguments. A bare word given
+//! to a binary that declares none is a typo and fails like an unknown flag.
 
 use std::collections::BTreeMap;
 
 /// Description of one accepted flag, used for parsing and for `--help` output.
 #[derive(Clone, Copy, Debug)]
 pub struct Flag {
-    /// The flag including the leading dashes, e.g. `"--runs"`.
+    /// The flag including the leading dashes, e.g. `"--runs"` — or, without dashes, the
+    /// placeholder (`"<id>..."`) under which the binary accepts positional arguments.
     pub name: &'static str,
     /// Placeholder for the value in `--help`; `None` for boolean switches.
     pub value_name: Option<&'static str>,
@@ -72,11 +75,13 @@ pub const COMMON_FLAGS: &[Flag] = &[
     },
 ];
 
-/// Parsed command-line arguments: `--flag value` pairs plus boolean switches.
+/// Parsed command-line arguments: `--flag value` pairs, boolean switches, and
+/// positional arguments in the order given.
 #[derive(Clone, Debug, Default)]
 pub struct CliArgs {
     values: BTreeMap<String, String>,
     switches: Vec<String>,
+    positionals: Vec<String>,
 }
 
 impl CliArgs {
@@ -102,6 +107,11 @@ impl CliArgs {
     pub fn switch(&self, flag: &str) -> bool {
         self.switches.iter().any(|s| s == flag)
     }
+
+    /// The positional arguments, in the order given.
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
+    }
 }
 
 /// Parses `std::env::args` against the common flags plus `extra` binary-specific ones.
@@ -121,6 +131,10 @@ fn parse_from(about: &str, extra: &[Flag], args: impl Iterator<Item = String>) -
         if arg == "--help" || arg == "-h" {
             print_help(about, &flags);
             std::process::exit(0);
+        }
+        if !arg.starts_with('-') && flags.iter().any(|f| !f.name.starts_with('-')) {
+            parsed.positionals.push(arg);
+            continue;
         }
         let (name, inline) = match arg.split_once('=') {
             Some((name, value)) => (name.to_string(), Some(value.to_string())),
@@ -159,7 +173,8 @@ fn print_help(about: &str, flags: &[Flag]) {
     println!("  {:<24} print this help", "--help");
 }
 
-fn die(message: &str) -> ! {
+/// Reports a command-line mistake and exits 2, before any run has started.
+pub(crate) fn die(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
 }
@@ -201,6 +216,18 @@ mod tests {
         assert!(parsed.switch("--smoke"));
         assert!(!parsed.switch("--other"));
         assert_eq!(parsed.value("--threads"), None);
+    }
+
+    #[test]
+    fn positionals_keep_their_order_between_flags() {
+        const IDS: Flag = Flag {
+            name: "<id>...",
+            value_name: None,
+            help: "what to run",
+        };
+        let parsed = parse_from("t", &[IDS], args(&["fig10", "--runs", "2", "fig05"]));
+        assert_eq!(parsed.positionals(), ["fig10", "fig05"]);
+        assert_eq!(parsed.parsed::<usize>("--runs"), Some(2));
     }
 
     #[test]

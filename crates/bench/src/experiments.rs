@@ -2,11 +2,12 @@
 //!
 //! Every function takes an [`ExperimentScale`] (how many repetitions, which networks)
 //! and a [`Recorder`] the per-run samples stream through under typed [`MetricKey`]s,
-//! and returns digest-backed results the `src/bin/*` wrappers print. Each experiment
-//! is a declarative [`Scenario`]: topology + fault schedule + workloads + probes,
-//! executed by the event-driven scenario runner — no experiment hand-rolls fault
+//! and returns digest-backed results the [`crate::figures`] registry turns into tables.
+//! Each experiment is a declarative [`Scenario`]: topology + fault schedule + workloads +
+//! probes, executed by the event-driven scenario runner — no experiment hand-rolls fault
 //! injection, polling loops, or stringly-typed summaries anymore.
 
+use crate::cli::die;
 use renaissance::scenario::{
     ControlPlane, ControllerSelector, Endpoints, FaultEvent, LinkSelector, Scenario,
     ScenarioBuilder, SwitchSelector,
@@ -17,6 +18,7 @@ use sdn_netsim::SimDuration;
 use sdn_topology::builders;
 use sdn_traffic::engine::{FctSummary, FlowEngineWorkload, FlowSetConfig};
 use sdn_traffic::iperf::{IperfRun, IperfWorkload};
+use std::num::{NonZeroU64, NonZeroUsize};
 
 /// Streaming summary statistics of repeated measurements (the numbers behind a violin
 /// in the paper's plots): count, mean, stddev, min/max, p50/p90/p99.
@@ -93,34 +95,39 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// The scale every experiment binary uses: the defaults overridden by the shared
-    /// command-line convention (see [`crate::cli`]). Handles `--help` itself.
-    /// Also returns the parsed arguments so the binary can build its
-    /// [`MetricPipeline`](crate::output::MetricPipeline) from `--out`/`--format`.
-    pub fn from_cli(about: &str) -> (Self, crate::cli::CliArgs) {
-        let args = crate::cli::parse(about, &[]);
-        (Self::default().with_args(&args), args)
-    }
-
-    /// Applies parsed command-line arguments on top of this scale.
+    /// Applies parsed command-line arguments (see [`crate::cli`]) on top of this scale.
+    ///
+    /// Exits the process with `error: ...` (status 2) on a zero `--runs`, `--threads` or
+    /// `--task-delay-ms` and on a `--networks` entry no builder knows, so a typo fails
+    /// before the first run starts rather than minutes in.
     pub fn with_args(mut self, args: &crate::cli::CliArgs) -> Self {
-        if let Some(runs) = args.parsed::<usize>("--runs") {
-            self.runs = runs.max(1);
+        if let Some(runs) = args.parsed::<NonZeroUsize>("--runs") {
+            self.runs = runs.get();
         }
         if let Some(seed) = args.parsed::<u64>("--seed") {
             self.seed = Some(seed);
         }
         if let Some(networks) = args.value("--networks") {
-            let list = split_network_list(networks);
-            if !list.is_empty() {
-                self.networks = list;
+            self.networks = split_network_list(networks);
+            if self.networks.is_empty() {
+                die(&format!("invalid value '{networks}' for --networks"));
+            }
+            for name in &self.networks {
+                if builders::try_by_name(name, 1).is_none() {
+                    die(&format!(
+                        "unknown network '{name}': expected one of {:?} or a generator name \
+                         like {:?}",
+                        builders::PAPER_NETWORK_NAMES,
+                        builders::GENERATOR_FAMILY_NAMES
+                    ));
+                }
             }
         }
-        if let Some(ms) = args.parsed::<u64>("--task-delay-ms") {
-            self.task_delay = SimDuration::from_millis(ms.max(1));
+        if let Some(ms) = args.parsed::<NonZeroU64>("--task-delay-ms") {
+            self.task_delay = SimDuration::from_millis(ms.get());
         }
-        if let Some(threads) = args.parsed::<usize>("--threads") {
-            self.threads = Some(threads.max(1));
+        if let Some(threads) = args.parsed::<NonZeroUsize>("--threads") {
+            self.threads = Some(threads.get());
         }
         self
     }
@@ -175,7 +182,7 @@ pub fn split_network_list(raw: &str) -> Vec<String> {
 /// The shared scenario skeleton of every experiment: a network, the scale's task
 /// delay and thread count, and the evaluation's timeout and measurement resolution.
 /// Public so the scale campaign measures with exactly the same skeleton as the
-/// fig/table binaries.
+/// figures.
 pub fn experiment(
     scale: &ExperimentScale,
     name: &str,
@@ -210,15 +217,18 @@ pub struct Table8Row {
     pub diameter: u32,
 }
 
-/// Regenerates Table 8 from the topology builders.
-pub fn table8(rec: &mut dyn Recorder) -> Vec<Table8Row> {
+/// Regenerates Table 8 from the topology builders, one row per network of the scale
+/// (labelled, like every other figure's rows and scopes, with the name as given).
+pub fn table8(scale: &ExperimentScale, rec: &mut dyn Recorder) -> Vec<Table8Row> {
     let switches = MetricKey::custom(Namespace::Bench, "switches");
     let diameter = MetricKey::custom(Namespace::Bench, "diameter");
-    builders::paper_networks(3)
-        .into_iter()
-        .map(|net| {
+    scale
+        .networks
+        .iter()
+        .map(|name| {
+            let net = builders::by_name(name, 3);
             let row = Table8Row {
-                network: net.name.clone(),
+                network: name.clone(),
                 nodes: net.switch_count(),
                 diameter: sdn_topology::paths::diameter(&net.switch_graph),
             };
@@ -503,7 +513,7 @@ pub struct ThroughputResult {
 }
 
 /// Flow-population size of the background flow engine the figure experiments run
-/// beside the iperf flow. Small enough to keep the figure binaries fast; large
+/// beside the iperf flow. Small enough to keep the figures fast; large
 /// enough for stable FCT quantiles.
 const FIGURE_FLOW_PAIRS: u32 = 10_000;
 
@@ -693,7 +703,7 @@ mod tests {
     #[test]
     fn table8_matches_paper() {
         let mut sink = MemorySink::default();
-        let rows = table8(&mut sink);
+        let rows = table8(&ExperimentScale::default(), &mut sink);
         // The typed pipeline saw every row.
         assert_eq!(
             sink.digest("B4", &MetricKey::custom(Namespace::Bench, "switches"))

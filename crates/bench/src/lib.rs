@@ -1,9 +1,11 @@
 //! Experiment harness regenerating every table and figure of the Renaissance ICDCS 2018
 //! evaluation (Section 6).
 //!
-//! Each `fig*`/`table*` binary in `src/bin/` is a thin wrapper around a function of the
-//! [`experiments`] module; all of them print a human-readable table to stdout and stream
-//! every per-run sample to `--out PATH` when asked.
+//! One binary, `renaissance-fig <id>... | --all`, regenerates them from the [`figures`]
+//! registry: each entry runs a function of the [`experiments`] module, prints a
+//! human-readable table to stdout and streams every per-run sample to `--out PATH` when
+//! asked. Its output at a small fixed scale is committed as `BENCH_figures.txt` and
+//! gated byte for byte (`tests/figures.rs`, CI's `bench-smoke`).
 //!
 //! A run is a function of its flags alone (see [`cli`]): every binary accepts
 //! `--runs N` (default 3; the paper used 20), `--seed N` (each experiment documents its
@@ -22,10 +24,11 @@
 pub mod baseline;
 pub mod cli;
 pub mod experiments;
+pub mod figures;
 pub mod output;
 pub mod report;
 
 pub use experiments::{ExperimentScale, Measurement};
 pub use output::MetricPipeline;
-pub use report::{print_table, Row};
+pub use report::{print_table, Row, Table};
 pub use sdn_metrics::{MetricKey, Recorder};

@@ -6,7 +6,7 @@
 //! produced — so machine-readable artifacts of arbitrarily long campaigns never
 //! require buffering the sample stream.
 
-use crate::cli::CliArgs;
+use crate::cli::{die, CliArgs};
 use sdn_metrics::{CsvSink, JsonLinesSink, MemorySink, MetricKey, Recorder};
 use std::fs::File;
 use std::io::BufWriter;
@@ -27,10 +27,9 @@ impl OutputFormat {
         match args.value("--format") {
             None | Some("json") | Some("jsonl") => OutputFormat::JsonLines,
             Some("csv") => OutputFormat::Csv,
-            Some(other) => {
-                eprintln!("error: invalid value '{other}' for --format (expected json or csv)");
-                std::process::exit(2);
-            }
+            Some(other) => die(&format!(
+                "invalid value '{other}' for --format (expected json or csv)"
+            )),
         }
     }
 }
@@ -48,10 +47,9 @@ impl MetricPipeline {
     pub fn from_args(args: &CliArgs) -> MetricPipeline {
         let format = OutputFormat::from_args(args);
         let file = args.value("--out").map(|path| {
-            let writer = BufWriter::new(File::create(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot create {path}: {e}");
-                std::process::exit(2);
-            }));
+            let writer = BufWriter::new(
+                File::create(path).unwrap_or_else(|e| die(&format!("cannot create {path}: {e}"))),
+            );
             let sink: Box<dyn Recorder> = match format {
                 OutputFormat::JsonLines => Box::new(JsonLinesSink::new(writer)),
                 OutputFormat::Csv => Box::new(CsvSink::new(writer)),

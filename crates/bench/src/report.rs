@@ -23,26 +23,45 @@ impl Row {
     }
 }
 
-/// Prints a fixed-width table with a title and per-column headers.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Row]) {
-    println!("\n== {title} ==");
-    let label_width = rows
+/// One printed experiment table: what a figure runner returns and [`print_table`]
+/// renders.
+#[derive(Clone, Debug)]
+pub struct Table {
+    /// The `== title ==` line.
+    pub title: String,
+    /// Per-column headers.
+    pub headers: Vec<&'static str>,
+    /// The rows, in print order.
+    pub rows: Vec<Row>,
+    /// Lines printed verbatim under the table (the per-second series of the
+    /// throughput figures).
+    pub trailer: Vec<String>,
+}
+
+/// Prints a fixed-width table with a title and per-column headers, then its trailer.
+pub fn print_table(table: &Table) {
+    println!("\n== {} ==", table.title);
+    let label_width = table
+        .rows
         .iter()
         .map(|r| r.label.len())
         .chain(std::iter::once(12))
         .max()
         .unwrap_or(12);
     print!("{:<label_width$}", "");
-    for h in headers {
+    for h in &table.headers {
         print!("  {h:>14}");
     }
     println!();
-    for row in rows {
+    for row in &table.rows {
         print!("{:<label_width$}", row.label);
         for v in &row.values {
             print!("  {v:>14}");
         }
         println!();
+    }
+    for line in &table.trailer {
+        println!("{line}");
     }
 }
 
@@ -66,8 +85,18 @@ mod tests {
         assert_eq!(row.label, "B4");
         assert_eq!(row.values, vec!["1.23".to_string(), "5.00".to_string()]);
         // Printing must not panic even with empty rows.
-        print_table("test", &["a", "b"], &[row]);
-        print_table("empty", &[], &[]);
+        print_table(&Table {
+            title: "test".into(),
+            headers: vec!["a", "b"],
+            rows: vec![row],
+            trailer: vec!["under the table".into()],
+        });
+        print_table(&Table {
+            title: "empty".into(),
+            headers: vec![],
+            rows: vec![],
+            trailer: vec![],
+        });
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! The injector scribbles over switch rule tables, manager sets, controller reply
 //! databases, and round tags. Theorem 2 of the paper promises recovery from *any* such
-//! state within a bounded number of frames; the integration tests and the
-//! `ablation_variants` bench use this module to check that empirically.
+//! state within a bounded number of frames; the integration tests and
+//! `renaissance-fig ablation` use this module to check that empirically.
 
 use crate::harness::SdnNetwork;
 use sdn_rng::Rng;
