@@ -6,6 +6,8 @@
 //! Every number the binary prints is simulated and deterministic for equal flags, so
 //! "equal to the committed text" is an exact statement, like the campaign baselines.
 
+mod common;
+
 use renaissance_bench::figures::FIGURES;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -40,25 +42,11 @@ fn text(bytes: &[u8]) -> String {
 fn all_figures_match_the_committed_golden() {
     let output = fig(&GOLDEN_ARGS);
     assert!(output.status.success(), "{}", text(&output.stderr));
-    let current = text(&output.stdout);
-    let golden = std::fs::read_to_string(repo_file("BENCH_figures.txt")).expect("read golden");
-    if current != golden {
-        let line = current
-            .lines()
-            .zip(golden.lines())
-            .position(|(c, g)| c != g)
-            .unwrap_or_else(|| current.lines().count().min(golden.lines().count()));
-        panic!(
-            "figure output differs from BENCH_figures.txt, first at line {}:\n  committed: {}\n  \
-             current:   {}\nIf simulated behaviour or a table layout was meant to change, \
-             regenerate it and say why in the PR:\n  cargo run --release -p renaissance-bench \
-             --bin renaissance-fig -- {} > BENCH_figures.txt",
-            line + 1,
-            golden.lines().nth(line).unwrap_or("<end of file>"),
-            current.lines().nth(line).unwrap_or("<end of output>"),
-            GOLDEN_ARGS.join(" "),
-        );
-    }
+    let regenerate = format!(
+        "cargo run --release -p renaissance-bench --bin renaissance-fig -- {} > BENCH_figures.txt",
+        GOLDEN_ARGS.join(" ")
+    );
+    common::assert_equals_committed(&text(&output.stdout), "BENCH_figures.txt", &regenerate);
 }
 
 #[test]

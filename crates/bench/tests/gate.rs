@@ -1,10 +1,13 @@
 //! End-to-end test of the scale campaign's baseline regression gate: the binary must
 //! exit zero when the fresh artifact matches the baseline and nonzero when a gated
-//! metric regressed past `--gate`.
+//! metric regressed past `--gate` — and the smoke tier must still write the committed
+//! `BENCH_scale_smoke.json`.
 //!
 //! The campaign's gated metrics are simulated quantities, deterministic for equal
 //! seeds, so "no regression against an artifact produced by the same command" is an
 //! exact statement, not a tolerance.
+
+mod common;
 
 use sdn_metrics::json::Json;
 use std::path::PathBuf;
@@ -116,6 +119,23 @@ fn campaign_gate_passes_on_identical_baseline_and_fails_on_regression() {
     for path in [&baseline, &current, &doctored, &delta, &from_env] {
         let _ = std::fs::remove_file(path);
     }
+}
+
+/// The committed smoke baseline is what the smoke campaign writes today, byte for
+/// byte: the artifact holds only simulated quantities, so any difference is a change
+/// of simulated behaviour (or of the artifact's layout) that the PR has to own.
+#[test]
+fn smoke_campaign_reproduces_the_committed_baseline() {
+    let out = scratch("smoke.json");
+    let (code, stdout) = campaign(&["--out", out.to_str().unwrap()], &[]);
+    assert_eq!(code, 0, "smoke campaign failed:\n{stdout}");
+    let current = std::fs::read_to_string(&out).expect("read artifact");
+    let _ = std::fs::remove_file(&out);
+    common::assert_equals_committed(
+        &current,
+        "BENCH_scale_smoke.json",
+        "cargo run --release -p renaissance-bench --bin scale_campaign -- --smoke",
+    );
 }
 
 /// Divides every result cell's `bootstrap_s.mean` by `factor`, making a re-run of the

@@ -9,10 +9,10 @@
 
 use crate::config::{ControllerConfig, Variant};
 use crate::reply_db::{InsertOutcome, ReplyDb};
-use sdn_switch::{CommandBatch, QueryReply, Rule, SwitchCommand};
+use sdn_switch::{CommandBatch, QueryReply, RuleBody, RuleSet, SwitchCommand};
 use sdn_tags::{RoundTracker, Tag, TagGenerator};
 use sdn_topology::{FlowPlan, FlowPlanner, Graph, NextHopSet, NodeId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Counters describing a controller's activity; several experiments (Figure 9, the
@@ -56,6 +56,10 @@ pub struct Controller {
     /// of re-running the all-pairs planner — the steady state costs one graph
     /// comparison instead of `n` BFS traversals. `None` until the first plan.
     planned_graph: Option<Graph>,
+    /// `myRules()` per switch under `plan`, built the first time a switch is sent
+    /// rules and handed out by reference from then on. A set names neither tag nor
+    /// owner, so it outlives rounds; only a new plan empties the memo.
+    rule_sets: BTreeMap<NodeId, RuleSet>,
     stats: ControllerStats,
     /// Bumped whenever state a legitimacy check reads (`replyDB`, round tags, the
     /// routing plan) may have changed; the harness dirty-tracks on it.
@@ -80,6 +84,7 @@ impl Controller {
             tag_gen,
             plan: Arc::new(FlowPlan::default()),
             planned_graph: None,
+            rule_sets: BTreeMap::new(),
             stats: ControllerStats::default(),
             state_version: 0,
         }
@@ -206,17 +211,15 @@ impl Controller {
         // one computation, shared through the `Arc`. The plan is a pure function of
         // the reference graph (the planner config is fixed and `non_transit` is
         // derived from the graph), so an unchanged graph reuses the previous plan.
-        let rule_plan = if self.planned_graph.as_ref() == Some(refer_graph) {
-            Arc::clone(&self.plan)
-        } else {
+        if self.planned_graph.as_ref() != Some(refer_graph) {
             let mut planner = FlowPlanner::new(self.config.kappa);
             if let Some(limit) = self.config.max_priorities {
                 planner = planner.with_max_candidates(limit);
             }
             self.planned_graph = Some(refer_graph.clone());
-            Arc::new(planner.plan_restricted(refer_graph, &non_transit))
-        };
-        self.plan = Arc::clone(&rule_plan);
+            self.plan = Arc::new(planner.plan_restricted(refer_graph, &non_transit));
+            self.rule_sets.clear();
+        }
 
         // Reachability in the *previous* round's view decides which controllers are
         // considered alive when a new round cleans up stale state (line 15).
@@ -259,7 +262,8 @@ impl Controller {
                     });
                 }
                 commands.push(SwitchCommand::UpdateRules {
-                    rules: self.my_rules(&rule_plan, dst, curr),
+                    tag: curr,
+                    rules: self.my_rules(dst),
                     keep_tags: keep_tags.clone(),
                 });
                 self.stats.rule_updates_sent += 1;
@@ -274,26 +278,28 @@ impl Controller {
     /// `myRules(G, j, tag)`: the rules this controller installs at switch `j` given its
     /// current view `G` (paper, Sections 2.2.2 and 3.3). One wildcard-source rule per
     /// destination and priority level, encoding the kappa-fault-resilient flow towards
-    /// that destination.
-    fn my_rules(&self, plan: &FlowPlan, switch: NodeId, tag: Tag) -> Vec<Rule> {
-        let mut rules = Vec::new();
-        // One walk over the switch's rows of the plan: it only stores pairs of its
-        // own reference graph with a non-empty hop set and never an `(s, s)` pair,
-        // so this visits the reachable destinations in ascending order.
-        for (dst, hops) in plan.next_hops_from(switch) {
-            for (level, fwd) in hops.iter().enumerate() {
-                rules.push(Rule {
-                    cid: self.id,
-                    sid: switch,
+    /// that destination. The tag and the owner are the `updateRule` command's; the
+    /// set is a function of the plan and `j` alone, so it is built once per plan.
+    fn my_rules(&mut self, switch: NodeId) -> RuleSet {
+        let Controller {
+            plan, rule_sets, ..
+        } = self;
+        let build = || {
+            // One walk over the switch's rows of the plan: it only stores pairs of its
+            // own reference graph with a non-empty hop set and never an `(s, s)` pair,
+            // so this visits the reachable destinations in ascending order.
+            let rows = plan.next_hops_from(switch);
+            rows.flat_map(|(dst, hops)| {
+                hops.iter().enumerate().map(move |(level, fwd)| RuleBody {
                     src: None,
                     dst,
                     prt: u8::MAX - level.min(u8::MAX as usize - 1) as u8,
                     fwd,
-                    tag,
-                });
-            }
-        }
-        rules
+                })
+            })
+            .collect()
+        };
+        rule_sets.entry(switch).or_insert_with(build).clone()
     }
 
     /// Handles a query reply travelling back to this controller
@@ -391,7 +397,7 @@ fn switch_update_commands(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdn_switch::RuleSummary;
+    use sdn_switch::{Rule, RuleSummary};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -417,16 +423,31 @@ mod tests {
         }
     }
 
-    fn stale_rule(cid: u32, sid: u32) -> Rule {
+    fn stale_rule(cid: u32) -> Rule {
         Rule {
             cid: n(cid),
-            sid: n(sid),
             src: None,
             dst: n(0),
             prt: 1,
             fwd: n(0),
             tag: Tag::new(cid, 1),
         }
+    }
+
+    /// The tag and the rule set of the batch's `updateRule` command, if it has one.
+    fn update_rules(batch: &CommandBatch) -> Option<(Tag, RuleSet)> {
+        batch.commands.iter().find_map(|c| match c {
+            SwitchCommand::UpdateRules { tag, rules, .. } => Some((*tag, rules.clone())),
+            _ => None,
+        })
+    }
+
+    /// The rule set `out` carries for `switch`.
+    fn rules_for(out: &[(NodeId, CommandBatch)], switch: u32) -> RuleSet {
+        let batch = &out.iter().find(|(d, _)| *d == n(switch)).unwrap().1;
+        update_rules(batch)
+            .unwrap_or_else(|| panic!("switch {switch} must receive rules"))
+            .1
     }
 
     /// Line topology: controller 0 — switch 1 — switch 2 — switch 3.
@@ -450,14 +471,7 @@ mod tests {
         assert_eq!(batch.query_tag(), Some(c.curr_tag()));
         // Even before switch 1 has ever replied, the controller installs a flow towards
         // itself (query-and-modify-by-neighbor) so the reply can travel back in-band.
-        let rules = batch
-            .commands
-            .iter()
-            .find_map(|c| match c {
-                SwitchCommand::UpdateRules { rules, .. } => Some(rules.clone()),
-                _ => None,
-            })
-            .expect("bootstrap batch must install a flow");
+        let (_, rules) = update_rules(batch).expect("bootstrap batch must install a flow");
         assert!(rules.iter().any(|r| r.dst == n(0)));
         assert_eq!(c.stats().iterations, 1);
         assert_eq!(c.stats().queries_sent, 1);
@@ -479,15 +493,7 @@ mod tests {
         // Switch 1 (which has answered) and the freshly discovered switch 2 both receive
         // rule updates; switch 2's rules give it a path back to the controller via 1.
         for switch in [n(1), n(2)] {
-            let batch = &out.iter().find(|(d, _)| *d == switch).unwrap().1;
-            let rules = batch
-                .commands
-                .iter()
-                .find_map(|c| match c {
-                    SwitchCommand::UpdateRules { rules, .. } => Some(rules.clone()),
-                    _ => None,
-                })
-                .unwrap_or_else(|| panic!("switch {switch} must receive rules"));
+            let rules = rules_for(&out, switch.index());
             assert!(
                 rules.iter().any(|r| r.dst == n(0)),
                 "switch {switch} needs a flow to the controller"
@@ -502,14 +508,7 @@ mod tests {
         run_discovery_round_trip(&mut c, &[(1, vec![0, 2]), (2, vec![1, 3]), (3, vec![2])]);
         let out = c.iterate(&[n(1)]);
         let batch_for_2 = &out.iter().find(|(d, _)| *d == n(2)).unwrap().1;
-        let rules: &Vec<Rule> = batch_for_2
-            .commands
-            .iter()
-            .find_map(|c| match c {
-                SwitchCommand::UpdateRules { rules, .. } => Some(rules),
-                _ => None,
-            })
-            .expect("switch 2 must receive rules");
+        let (tag, rules) = update_rules(batch_for_2).expect("switch 2 must receive rules");
         // Switch 2 must know how to reach the controller (0), switch 1 and switch 3.
         for dst in [0u32, 1, 3] {
             assert!(
@@ -518,8 +517,8 @@ mod tests {
             );
         }
         // All rules carry the current tag and our controller id.
-        assert!(rules.iter().all(|r| r.cid == n(0)));
-        assert!(rules.iter().all(|r| r.tag == c.curr_tag()));
+        assert_eq!(batch_for_2.from, n(0));
+        assert_eq!(tag, c.curr_tag());
     }
 
     #[test]
@@ -556,7 +555,7 @@ mod tests {
             1,
             &[0, 2],
             &[0, 7],
-            vec![stale_rule(7, 1)],
+            vec![stale_rule(7)],
             tag,
         ));
         c.on_reply(reply_from_switch(2, &[1], &[0], vec![], tag));
@@ -567,7 +566,7 @@ mod tests {
             1,
             &[0, 2],
             &[0, 7],
-            vec![stale_rule(7, 1)],
+            vec![stale_rule(7)],
             tag,
         ));
         c.on_reply(reply_from_switch(2, &[1], &[0], vec![], tag));
@@ -599,9 +598,9 @@ mod tests {
         let live = |dst: u32, tag: Tag| Rule {
             dst: n(dst),
             tag,
-            ..stale_rule(0, 1)
+            ..stale_rule(0)
         };
-        let rules = |tag: Tag| vec![live(2, tag), stale_rule(7, 1), live(3, tag)];
+        let rules = |tag: Tag| vec![live(2, tag), stale_rule(7), live(3, tag)];
         let tag = c.curr_tag();
         c.on_reply(reply_from_switch(1, &[0], &[0], rules(tag), tag));
         // This iteration completes the round; the next one must emit the cleanup.
@@ -634,7 +633,7 @@ mod tests {
             1,
             &[0],
             &[0, 7],
-            vec![stale_rule(7, 1)],
+            vec![stale_rule(7)],
             tag,
         ));
         let _ = c.iterate(&[n(1)]);
@@ -643,7 +642,7 @@ mod tests {
             1,
             &[0],
             &[0, 7],
-            vec![stale_rule(7, 1)],
+            vec![stale_rule(7)],
             tag,
         ));
         let out = c.iterate(&[n(1)]);
@@ -727,6 +726,54 @@ mod tests {
         let _ = c.iterate(&[n(1)]);
         assert_eq!(c.first_hop_candidates(n(2)).collect::<Vec<_>>(), vec![n(1)]);
         assert_eq!(c.first_hop_candidates(n(99)).count(), 0);
+    }
+
+    /// `myRules()` is built once per (plan, switch): iterations over an unchanged view
+    /// hand out the same allocation, a completed round (new tag) still does, and a
+    /// changed reference graph hands out new sets.
+    #[test]
+    fn rule_sets_are_shared_until_the_plan_changes() {
+        let mut c = Controller::new(n(0), config());
+        let _ = c.iterate(&[n(1)]);
+        let answer = |c: &mut Controller| {
+            run_discovery_round_trip(c, &[(1, vec![0, 2]), (2, vec![1])]);
+        };
+        answer(&mut c);
+        let first = c.iterate(&[n(1)]);
+        let second = c.iterate(&[n(1)]);
+        for switch in [1, 2] {
+            let (a, b) = (rules_for(&first, switch), rules_for(&second, switch));
+            assert!(!a.is_empty());
+            assert!(RuleSet::ptr_eq(&a, &b), "switch {switch}: unchanged view");
+        }
+
+        // Both switches answer the current round: the next iteration starts a new one.
+        answer(&mut c);
+        let rounds = c.stats().rounds_completed;
+        let third = c.iterate(&[n(1)]);
+        assert_eq!(c.stats().rounds_completed, rounds + 1);
+        assert_ne!(
+            update_rules(&third[0].1).unwrap().0,
+            update_rules(&second[0].1).unwrap().0,
+            "the new round sends a new tag"
+        );
+        for switch in [1, 2] {
+            let (a, b) = (rules_for(&second, switch), rules_for(&third, switch));
+            assert!(
+                RuleSet::ptr_eq(&a, &b),
+                "switch {switch}: new round, same plan"
+            );
+        }
+
+        // Switch 2 reports a new neighbor: the reference graph, and so the plan, change.
+        let tag = c.curr_tag();
+        c.on_reply(reply_from_switch(2, &[1, 3], &[0], vec![], tag));
+        let fourth = c.iterate(&[n(1)]);
+        for switch in [1, 2] {
+            let (a, b) = (rules_for(&third, switch), rules_for(&fourth, switch));
+            assert!(!RuleSet::ptr_eq(&a, &b), "switch {switch}: new plan");
+            assert!(b.iter().any(|r| r.dst == n(3)));
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl FaultInjector {
                 }
             }
             for _ in 0..plan.garbage_rules_per_switch {
-                let rule = self.random_rule(s, node_count);
+                let rule = self.random_rule(node_count);
                 if let Some(switch) = net.switch_mut(s) {
                     switch.corrupt_install_rule(rule);
                     mutations += 1;
@@ -185,10 +185,9 @@ impl FaultInjector {
         chosen
     }
 
-    fn random_rule(&mut self, switch: NodeId, node_count: u32) -> Rule {
+    fn random_rule(&mut self, node_count: u32) -> Rule {
         Rule {
             cid: NodeId::new(self.rng.gen_range(0..node_count + 8)),
-            sid: switch,
             src: if self.rng.gen_bool(0.5) {
                 None
             } else {

@@ -431,7 +431,6 @@ mod tests {
         let victim = sdn.switch_ids()[0];
         let bogus = sdn_switch::Rule {
             cid: NodeId::new(99),
-            sid: victim,
             src: None,
             dst: NodeId::new(1),
             prt: 200,

@@ -170,6 +170,40 @@ mod tests {
         assert_eq!(p.ttl, 0);
     }
 
+    /// A packet copy (a duplicating link, a retransmission) carries the same rule set,
+    /// not a second one.
+    #[test]
+    fn cloning_a_packet_shares_its_rule_set() {
+        use sdn_switch::{RuleBody, RuleSet};
+        let rules = |p: &ControlPacket| match &p.body {
+            PacketBody::Commands(batch) => match &batch.commands[0] {
+                SwitchCommand::UpdateRules { rules, .. } => rules.clone(),
+                other => panic!("unexpected command {other:?}"),
+            },
+            PacketBody::Reply(_) => panic!("a command packet"),
+        };
+        let set: RuleSet = (1..=3)
+            .map(|dst| RuleBody {
+                dst: n(dst),
+                src: None,
+                prt: 255,
+                fwd: n(4),
+            })
+            .collect();
+        let update = SwitchCommand::UpdateRules {
+            tag: Tag::new(0, 1),
+            rules: set.clone(),
+            keep_tags: vec![],
+        };
+        let batch = CommandBatch::new(n(0), vec![update]);
+        let packet = ControlPacket::new(n(0), n(5), 8, PacketBody::Commands(batch));
+        let copy = packet.clone();
+        assert_eq!(copy, packet);
+        assert!(RuleSet::ptr_eq(&rules(&packet), &set));
+        assert!(RuleSet::ptr_eq(&rules(&copy), &set));
+        assert_eq!(copy.wire_size(), packet.wire_size());
+    }
+
     #[test]
     fn wire_size_includes_body_and_state() {
         let p = query_packet(0, 5, 8);

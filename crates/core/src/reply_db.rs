@@ -452,7 +452,6 @@ mod tests {
                 let rules: Vec<Rule> = (0..rng.gen_range(0..6u32))
                     .map(|_| Rule {
                         cid: n(rng.gen_range(0..5u32)),
-                        sid: n(responder),
                         src: None,
                         dst: n(rng.gen_range(0..20u32)),
                         prt: 1,

@@ -4,8 +4,13 @@
 //! update commands, and a trailing `query`. The switch answers queries with a
 //! [`QueryReply`] describing its identifier, neighborhood, manager set, and a
 //! summary of its rule set.
+//!
+//! Rules travel in neither direction as copies: an `updateRule` carries a shared
+//! [`RuleSet`] (cloning a batch — a duplicating link, a retransmission — bumps a
+//! reference count) and a reply carries a [`RuleSummary`]. Both are charged on the
+//! wire as if every rule were spelled out, [`Rule::WIRE_SIZE`] bytes apiece.
 
-use crate::rules::{Rule, RuleSummary};
+use crate::rules::{Rule, RuleSet, RuleSummary};
 use sdn_tags::Tag;
 use sdn_topology::NodeId;
 
@@ -34,10 +39,14 @@ pub enum SwitchCommand {
     },
     /// `<'updateRule', newRules>`: replaces the sender's rules with `rules`, keeping any
     /// existing rules whose tag appears in `keep_tags` (empty for plain Algorithm 2;
-    /// the previous round's tag for the Section 6.2 evaluation variant).
+    /// the previous round's tag for the Section 6.2 evaluation variant). The rules'
+    /// `cID` is the batch's sender — a batch cannot name rules under another
+    /// controller's id — and their tag is `tag`.
     UpdateRules {
+        /// The synchronization-round tag every rule of the command carries.
+        tag: Tag,
         /// The new rule set of the sending controller at this switch.
-        rules: Vec<Rule>,
+        rules: RuleSet,
         /// Tags of existing rules of the sending controller that must survive.
         keep_tags: Vec<Tag>,
     },
@@ -57,9 +66,9 @@ impl SwitchCommand {
             SwitchCommand::DelManager { .. }
             | SwitchCommand::AddManager { .. }
             | SwitchCommand::DelAllRules { .. } => 8,
-            SwitchCommand::UpdateRules { rules, keep_tags } => {
-                8 + rules.len() * Rule::WIRE_SIZE + keep_tags.len() * 12
-            }
+            SwitchCommand::UpdateRules {
+                rules, keep_tags, ..
+            } => 8 + rules.len() * Rule::WIRE_SIZE + keep_tags.len() * 12,
         }
     }
 }
@@ -147,6 +156,7 @@ impl QueryReply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::RuleBody;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -155,13 +165,23 @@ mod tests {
     fn sample_rule() -> Rule {
         Rule {
             cid: n(0),
-            sid: n(3),
             src: Some(n(0)),
             dst: n(4),
             prt: 1,
             fwd: n(4),
             tag: Tag::new(0, 1),
         }
+    }
+
+    /// `len` rules towards distinct destinations.
+    fn sample_set(len: u32) -> RuleSet {
+        let body = sample_rule().body();
+        (0..len)
+            .map(|dst| RuleBody {
+                dst: n(dst),
+                ..body
+            })
+            .collect()
     }
 
     #[test]
@@ -188,7 +208,8 @@ mod tests {
     fn wire_sizes_grow_with_content() {
         let small = SwitchCommand::DelManager { controller: n(1) };
         let update = SwitchCommand::UpdateRules {
-            rules: vec![sample_rule(); 10],
+            tag: Tag::new(0, 2),
+            rules: sample_set(10),
             keep_tags: vec![Tag::new(0, 1)],
         };
         assert!(update.wire_size() > small.wire_size());
@@ -204,6 +225,35 @@ mod tests {
         };
         let empty_reply = QueryReply::from_controller(n(1), vec![n(2)], Tag::new(0, 1));
         assert!(reply.wire_size() > empty_reply.wire_size());
+    }
+
+    /// Message-size invariance: an `updateRule` is charged for every rule of the set
+    /// it references, as when the rules themselves travelled, and a batch is the sum
+    /// of its commands.
+    #[test]
+    fn update_wire_size_counts_every_rule_and_keep_tag() {
+        let tag = Tag::new(0, 9);
+        for (n_rules, n_keep) in [(0u32, 0u64), (1, 0), (7, 1), (906, 2)] {
+            let update = SwitchCommand::UpdateRules {
+                tag,
+                rules: sample_set(n_rules),
+                keep_tags: (0..n_keep).map(|v| Tag::new(0, v)).collect(),
+            };
+            let expected = 8 + 24 * n_rules as usize + 12 * n_keep as usize;
+            assert_eq!(update.wire_size(), expected);
+            let batch = CommandBatch::new(
+                n(0),
+                vec![
+                    SwitchCommand::NewRound { tag },
+                    SwitchCommand::DelManager { controller: n(1) },
+                    SwitchCommand::DelAllRules { controller: n(1) },
+                    SwitchCommand::AddManager { controller: n(0) },
+                    update,
+                    SwitchCommand::Query { tag },
+                ],
+            );
+            assert_eq!(batch.wire_size(), 8 + 16 + 8 + 8 + 8 + expected + 16);
+        }
     }
 
     #[test]

@@ -60,7 +60,6 @@ mod tests {
     fn rule(src: u32, dst: u32, prt: u8, fwd: u32) -> Rule {
         Rule {
             cid: n(0),
-            sid: n(9),
             src: Some(n(src)),
             dst: n(dst),
             prt,
@@ -152,27 +151,41 @@ mod tests {
     }
 
     /// Random tables (several owners, wildcard and exact sources, equal priorities and
-    /// next hops across owners), random visited / neighbor sets and link masks: the
-    /// in-place walk picks the same hop and asks `is_up` the same questions in the
-    /// same order as the collect-and-sort formulation.
+    /// next hops across owners — including the `(prt, fwd, cid, src)` tie order), built
+    /// the way tables come about: whole sets installed over kept ones, which leaves
+    /// owners with partly overwritten sets, plus single inserts, which leave one-rule
+    /// sets. Random visited / neighbor sets and link masks: the in-place walk picks the
+    /// same hop and asks `is_up` the same questions in the same order as the
+    /// collect-and-sort formulation.
     #[test]
     fn decide_matches_the_collecting_reference() {
+        use crate::rules::{RuleBody, RuleSet};
         use sdn_rng::Rng;
-        let (mut decided, mut probes) = (0, 0);
+        let (mut decided, mut probes, mut layered) = (0, 0, 0);
         for seed in 0..40u64 {
             let mut rng = Rng::seed_from_u64(seed);
             let mut t = RuleTable::new(rng.gen_range(8..120usize));
-            for _ in 0..rng.gen_range(0..150u32) {
-                t.insert(Rule {
-                    cid: n(rng.gen_range(0..4u32)),
-                    src: rng.gen_bool(0.3).then(|| n(rng.gen_range(0..3u32))),
-                    ..rule(
-                        0,
-                        rng.gen_range(0..6u32),
-                        rng.gen_range(0..4u32) as u8,
-                        rng.gen_range(0..8u32),
-                    )
-                });
+            let random_body = |rng: &mut Rng| RuleBody {
+                src: rng.gen_bool(0.3).then(|| n(rng.gen_range(0..3u32))),
+                dst: n(rng.gen_range(0..6u32)),
+                prt: rng.gen_range(0..4u32) as u8,
+                fwd: n(rng.gen_range(0..8u32)),
+            };
+            for _ in 0..rng.gen_range(0..20u32) {
+                let cid = n(rng.gen_range(0..4u32));
+                let tag = Tag::new(cid.index(), rng.gen_range(1..3u64));
+                if rng.gen_bool(0.4) {
+                    t.insert(random_body(&mut rng).owned_by(cid, tag));
+                    continue;
+                }
+                let set: RuleSet = (0..rng.gen_range(0..25u32))
+                    .map(|_| random_body(&mut rng))
+                    .collect();
+                let keep = Tag::new(cid.index(), rng.gen_range(1..3u64));
+                let kept = |t: &RuleTable| t.rules_of(cid).iter().filter(|r| r.tag == keep).count();
+                let before = kept(&t);
+                t.install(cid, tag, &set, &[keep]);
+                layered += usize::from(tag != keep && (1..before).contains(&kept(&t)));
             }
             for _ in 0..60 {
                 let mut subset =
@@ -195,8 +208,8 @@ mod tests {
             }
         }
         assert!(
-            decided > 500 && probes > 500,
-            "{decided} decisions, {probes} multi-probe"
+            decided > 500 && probes > 500 && layered > 20,
+            "{decided} decisions, {probes} multi-probe, {layered} partly overwritten sets"
         );
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! This crate provides the switch-side half of the control plane:
 //!
-//! * [`rules`] — prioritized match-action rules and the bounded, LRU-evicting rule table,
+//! * [`rules`] — prioritized match-action rules, the shared immutable rule sets they
+//!   travel in, and the bounded, LRU-evicting rule table that holds such sets,
 //! * [`managers`] — the bounded manager set,
 //! * [`commands`] — the controller-to-switch command batches and query replies,
 //! * [`switch`] — the [`AbstractSwitch`] control module that applies command batches
@@ -18,21 +19,20 @@
 //! # Example
 //!
 //! ```
-//! use sdn_switch::{AbstractSwitch, CommandBatch, Rule, SwitchCommand, SwitchConfig};
+//! use sdn_switch::{AbstractSwitch, CommandBatch, RuleBody, RuleSet, SwitchCommand, SwitchConfig};
 //! use sdn_tags::Tag;
 //! use sdn_topology::NodeId;
 //!
 //! let mut sw = AbstractSwitch::new(NodeId::new(3), SwitchConfig::default());
 //! let tag = Tag::new(0, 1);
-//! let rule = Rule {
-//!     cid: NodeId::new(0), sid: NodeId::new(3),
+//! let rules: RuleSet = [RuleBody {
 //!     src: Some(NodeId::new(0)), dst: NodeId::new(7),
-//!     prt: 2, fwd: NodeId::new(4), tag,
-//! };
+//!     prt: 2, fwd: NodeId::new(4),
+//! }].into_iter().collect();
 //! let batch = CommandBatch::new(NodeId::new(0), vec![
 //!     SwitchCommand::NewRound { tag },
 //!     SwitchCommand::AddManager { controller: NodeId::new(0) },
-//!     SwitchCommand::UpdateRules { rules: vec![rule], keep_tags: vec![] },
+//!     SwitchCommand::UpdateRules { tag, rules, keep_tags: vec![] },
 //!     SwitchCommand::Query { tag },
 //! ]);
 //! let reply = sw.apply_batch(&batch, &[NodeId::new(2), NodeId::new(4)]).unwrap();
@@ -52,5 +52,5 @@ pub mod switch;
 
 pub use commands::{CommandBatch, QueryReply, SwitchCommand};
 pub use managers::ManagerSet;
-pub use rules::{Rule, RuleSummary, RuleTable};
+pub use rules::{Rule, RuleBody, RuleSet, RuleSummary, RuleTable};
 pub use switch::{AbstractSwitch, SwitchConfig, SwitchStats};

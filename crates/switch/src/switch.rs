@@ -186,10 +186,12 @@ impl AbstractSwitch {
                     self.stats.rules_deleted += removed as u64;
                     self.meta_tags.remove(controller);
                 }
-                SwitchCommand::UpdateRules { rules, keep_tags } => {
-                    let removed =
-                        self.rules
-                            .replace_controller_rules(from, rules.iter().copied(), keep_tags);
+                SwitchCommand::UpdateRules {
+                    tag,
+                    rules,
+                    keep_tags,
+                } => {
+                    let removed = self.rules.install(from, *tag, rules, keep_tags);
                     self.stats.rules_deleted += removed as u64;
                 }
                 SwitchCommand::Query { tag } => {
@@ -278,12 +280,20 @@ mod tests {
     fn rule(cid: u32, src: u32, dst: u32, prt: u8, fwd: u32, tag: u64) -> Rule {
         Rule {
             cid: n(cid),
-            sid: n(9),
             src: Some(n(src)),
             dst: n(dst),
             prt,
             fwd: n(fwd),
             tag: Tag::new(cid, tag),
+        }
+    }
+
+    /// An `updateRule` carrying `rules` — their bodies, under their common tag.
+    fn update(rules: &[Rule]) -> SwitchCommand {
+        SwitchCommand::UpdateRules {
+            tag: rules[0].tag,
+            rules: rules.iter().map(Rule::body).collect(),
+            keep_tags: vec![],
         }
     }
 
@@ -303,10 +313,7 @@ mod tests {
             tag,
             vec![
                 SwitchCommand::AddManager { controller: n(0) },
-                SwitchCommand::UpdateRules {
-                    rules: vec![rule(0, 0, 5, 2, 4, 7), rule(0, 5, 0, 2, 3, 7)],
-                    keep_tags: vec![],
-                },
+                update(&[rule(0, 0, 5, 2, 4, 7), rule(0, 5, 0, 2, 3, 7)]),
             ],
         );
         let reply = sw.apply_batch(&batch, &[n(3), n(4)]).unwrap();
@@ -360,10 +367,7 @@ mod tests {
                 t1,
                 vec![
                     SwitchCommand::AddManager { controller: n(1) },
-                    SwitchCommand::UpdateRules {
-                        rules: vec![rule(1, 1, 5, 2, 4, 1)],
-                        keep_tags: vec![],
-                    },
+                    update(&[rule(1, 1, 5, 2, 4, 1)]),
                 ],
             ),
             &[n(4)],
@@ -399,25 +403,11 @@ mod tests {
     fn update_rules_only_touches_the_sender() {
         let mut sw = AbstractSwitch::new(n(9), SwitchConfig::default());
         sw.apply_batch(
-            &query_batch(
-                1,
-                Tag::new(1, 1),
-                vec![SwitchCommand::UpdateRules {
-                    rules: vec![rule(1, 1, 5, 2, 4, 1)],
-                    keep_tags: vec![],
-                }],
-            ),
+            &query_batch(1, Tag::new(1, 1), vec![update(&[rule(1, 1, 5, 2, 4, 1)])]),
             &[],
         );
         sw.apply_batch(
-            &query_batch(
-                0,
-                Tag::new(0, 1),
-                vec![SwitchCommand::UpdateRules {
-                    rules: vec![rule(0, 0, 5, 2, 4, 1)],
-                    keep_tags: vec![],
-                }],
-            ),
+            &query_batch(0, Tag::new(0, 1), vec![update(&[rule(0, 0, 5, 2, 4, 1)])]),
             &[],
         );
         assert_eq!(sw.rules().rules_of(n(1)).len(), 1);

@@ -125,7 +125,6 @@ fn switch_memory_bounds_hold() {
             let fwd = rng.gen_range(0..8u32);
             table.insert(Rule {
                 cid: NodeId::new(cid),
-                sid: NodeId::new(100),
                 src: None,
                 dst: NodeId::new(dst),
                 prt: prt as u8,
