@@ -8,7 +8,7 @@
 //! [`crate::nodes`], which keeps this module testable in isolation.
 
 use crate::config::{ControllerConfig, Variant};
-use crate::reply_db::{InsertOutcome, ReplyDb};
+use crate::reply_db::{InsertOutcome, ReplyDb, View, ViewInput, ViewKey};
 use sdn_switch::{CommandBatch, QueryReply, RuleBody, RuleSet, SwitchCommand};
 use sdn_tags::{RoundTracker, Tag, TagGenerator};
 use sdn_topology::{FlowPlan, FlowPlanner, Graph, NextHopSet, NodeId};
@@ -37,6 +37,49 @@ pub struct ControllerStats {
     pub replies_ignored: u64,
     /// Queries from other controllers answered.
     pub queries_answered: u64,
+    /// Derived views (`G(res(tag))`, `G(fusion)`) an iteration had to build.
+    pub views_built: u64,
+    /// Derived views an iteration found already built from the same inputs.
+    pub views_reused: u64,
+}
+
+/// The derived views the latest iterations read, each beside the key it was built
+/// from, most recently used first. One iteration reads `G(res(currTag))`,
+/// `G(res(prevTag))` and `G(fusion)`, so three entries are one iteration's working set.
+#[derive(Clone, Debug, Default)]
+struct ViewMemo(Vec<(ViewKey, Arc<View>)>);
+
+impl ViewMemo {
+    const ENTRIES: usize = 3;
+
+    fn position(&self, input: ViewInput<'_>) -> Option<usize> {
+        self.0.iter().position(|(key, _)| key.matches(input))
+    }
+
+    /// The memoized view of exactly these inputs, if there is one.
+    fn peek(&self, input: ViewInput<'_>) -> Option<&Arc<View>> {
+        self.position(input).map(|hit| &self.0[hit].1)
+    }
+
+    /// The view of `input`, built only if no entry's key matches it.
+    fn get(&mut self, input: ViewInput<'_>, stats: &mut ControllerStats) -> Arc<View> {
+        if let Some(hit) = self.position(input) {
+            stats.views_reused += 1;
+            self.0[..=hit].rotate_right(1);
+        } else {
+            stats.views_built += 1;
+            let key = input.key();
+            let view = Arc::new(key.view());
+            self.0.truncate(Self::ENTRIES - 1);
+            self.0.insert(0, (key, view));
+        }
+        self.0[0].1.clone()
+    }
+}
+
+/// Whether two views hold the same topology: shared, or equal by value.
+fn same_graph(a: &Arc<View>, b: &Arc<View>) -> bool {
+    Arc::ptr_eq(a, b) || a.graph() == b.graph()
 }
 
 /// One Renaissance controller (a member of `PC`).
@@ -51,15 +94,16 @@ pub struct Controller {
     /// the controller's own outgoing packets. Shared (`Arc`) because the plan of each
     /// round is identical to the rule plan — one computation, no clone.
     plan: Arc<FlowPlan>,
-    /// The reference graph `plan` was computed over. Once the view converges the
+    /// The reference view `plan` was computed over. Once the view converges its
     /// graph stops changing, and every subsequent iteration reuses the plan instead
-    /// of re-running the all-pairs planner — the steady state costs one graph
+    /// of re-running the all-pairs planner — the steady state costs one view
     /// comparison instead of `n` BFS traversals. `None` until the first plan.
-    planned_graph: Option<Graph>,
+    planned: Option<Arc<View>>,
     /// `myRules()` per switch under `plan`, built the first time a switch is sent
     /// rules and handed out by reference from then on. A set names neither tag nor
     /// owner, so it outlives rounds; only a new plan empties the memo.
     rule_sets: BTreeMap<NodeId, RuleSet>,
+    views: ViewMemo,
     stats: ControllerStats,
     /// Bumped whenever state a legitimacy check reads (`replyDB`, round tags, the
     /// routing plan) may have changed; the harness dirty-tracks on it.
@@ -83,8 +127,9 @@ impl Controller {
             rounds,
             tag_gen,
             plan: Arc::new(FlowPlan::default()),
-            planned_graph: None,
+            planned: None,
             rule_sets: BTreeMap::new(),
+            views: ViewMemo::default(),
             stats: ControllerStats::default(),
             state_version: 0,
         }
@@ -136,8 +181,12 @@ impl Controller {
     /// The topology this controller currently believes in (the fusion view of
     /// Algorithm 2 line 5, including its own neighborhood).
     pub fn discovered_graph(&self, neighbors: &[NodeId]) -> Graph {
-        self.reply_db
-            .fusion_graph(self.rounds.curr(), self.rounds.prev(), self.id, neighbors)
+        let (curr, prev) = (self.rounds.curr(), self.rounds.prev());
+        let input = self.reply_db.fusion(curr, prev, self.id, neighbors);
+        match self.views.peek(input) {
+            Some(view) => view.graph().clone(),
+            None => input.key().graph(),
+        }
     }
 
     /// The first-hop candidates (in priority order) this controller would use to reach
@@ -167,8 +216,12 @@ impl Controller {
 
         // Line 8: keep only live, reachable replies; re-learn every tag seen so far so
         // that nextTag() stays ahead of anything in the system.
-        let live_tags = [self.rounds.curr(), self.rounds.prev()];
-        self.reply_db.prune(self.id, neighbors, &live_tags);
+        let id = self.id;
+        let (views, stats) = (&mut self.views, &mut self.stats);
+        let (curr, prev) = (self.rounds.curr(), self.rounds.prev());
+        self.reply_db.prune(id, [curr, prev], |db, tag| {
+            views.get(db.res(tag, id, neighbors), stats)
+        });
         // The generator only keeps the running max, so one representative tag is
         // equivalent to observing every tag in the database (`observed_tags`).
         if let Some(tag) = self.reply_db.max_observed_tag() {
@@ -176,80 +229,63 @@ impl Controller {
         }
 
         // Lines 10–12: finish the round when every reachable node has answered it.
-        let mut new_round = false;
-        if self
-            .reply_db
-            .round_complete(self.rounds.curr(), self.id, neighbors)
-        {
+        let res_curr = views.get(self.reply_db.res(curr, id, neighbors), stats);
+        let new_round = self.reply_db.round_complete(curr, id, &res_curr);
+        if new_round {
             let next = self.tag_gen.next_tag();
             self.rounds.start_round(next);
             self.reply_db.drop_tag(self.rounds.curr());
-            self.stats.rounds_completed += 1;
-            new_round = true;
+            stats.rounds_completed += 1;
         }
-        let curr = self.rounds.curr();
-        let prev = self.rounds.prev();
+        let (curr, prev) = (self.rounds.curr(), self.rounds.prev());
 
-        // Line 13: pick the reference view for rule generation — a borrow of whichever
-        // derived graph matches, never a clone.
-        let fusion_graph = self.reply_db.fusion_graph(curr, prev, self.id, neighbors);
-        let prev_graph = self.reply_db.res_graph(prev, self.id, neighbors);
-        let use_prev = fusion_graph == prev_graph;
-        let (refer_tag, refer_graph) = if use_prev {
-            (prev, &prev_graph)
+        // Line 13: pick the reference view for rule generation. Reachability in the
+        // *previous* round's view also decides which controllers are considered alive
+        // when a new round cleans up stale state (line 15).
+        let fusion = views.get(self.reply_db.fusion(curr, prev, id, neighbors), stats);
+        let res_prev = views.get(self.reply_db.res(prev, id, neighbors), stats);
+        let (refer_tag, refer) = if same_graph(&fusion, &res_prev) {
+            (prev, &res_prev)
         } else {
-            (curr, &fusion_graph)
+            (curr, &fusion)
         };
 
-        // Controllers never relay packets, so flows must not be planned through them.
-        let non_transit: BTreeSet<NodeId> = refer_graph
-            .nodes()
-            .filter(|n| n.is_controller(self.config.n_controllers))
-            .collect();
-        // The reference graph always equals the fusion view (`use_prev` means the two
+        // The reference graph always equals the fusion view (taking `prev` means the two
         // coincide), so the rule plan doubles as the controller's own routing plan:
         // one computation, shared through the `Arc`. The plan is a pure function of
         // the reference graph (the planner config is fixed and `non_transit` is
         // derived from the graph), so an unchanged graph reuses the previous plan.
-        if self.planned_graph.as_ref() != Some(refer_graph) {
+        if !(self.planned.as_ref()).is_some_and(|planned| same_graph(planned, refer)) {
+            // Controllers never relay packets, so flows must not be planned through them.
+            let non_transit: BTreeSet<NodeId> = (refer.graph().nodes())
+                .filter(|n| n.is_controller(self.config.n_controllers))
+                .collect();
             let mut planner = FlowPlanner::new(self.config.kappa);
             if let Some(limit) = self.config.max_priorities {
                 planner = planner.with_max_candidates(limit);
             }
-            self.planned_graph = Some(refer_graph.clone());
-            self.plan = Arc::new(planner.plan_restricted(refer_graph, &non_transit));
+            self.plan = Arc::new(planner.plan_restricted(refer.graph(), &non_transit));
             self.rule_sets.clear();
         }
-
-        // Reachability in the *previous* round's view decides which controllers are
-        // considered alive when a new round cleans up stale state (line 15).
-        let prev_reachable: BTreeSet<NodeId> =
-            sdn_topology::paths::reachable_set(&prev_graph, self.id)
-                .into_iter()
-                .collect();
+        self.planned = Some(refer.clone());
 
         // Lines 14–19: build one batch per reachable node.
-        let keep_tags = if self.config.three_tags {
-            vec![prev]
-        } else {
-            Vec::new()
-        };
         let mut messages = Vec::new();
-        for dst in sdn_topology::paths::reachable_set(&fusion_graph, self.id) {
+        for &dst in fusion.reachable() {
             if dst == self.id {
                 continue;
             }
             let mut commands = vec![SwitchCommand::NewRound { tag: curr }];
             if dst.is_switch(self.config.n_controllers) {
                 if let Some(reply) = self.reply_db.get(dst, refer_tag) {
-                    let (update, manager_deletions, rule_deletions) = switch_update_commands(
+                    let (manager_deletions, rule_deletions) = switch_update_commands(
                         self.config,
                         self.id,
                         reply,
                         new_round,
-                        &prev_reachable,
+                        &res_prev,
+                        &mut commands,
                     );
-                    commands.extend(update);
                     self.stats.manager_deletions_requested += manager_deletions;
                     self.stats.rule_deletions_requested += rule_deletions;
                 } else {
@@ -264,7 +300,11 @@ impl Controller {
                 commands.push(SwitchCommand::UpdateRules {
                     tag: curr,
                     rules: self.my_rules(dst),
-                    keep_tags: keep_tags.clone(),
+                    keep_tags: if self.config.three_tags {
+                        vec![prev]
+                    } else {
+                        Vec::new()
+                    },
                 });
                 self.stats.rule_updates_sent += 1;
             }
@@ -344,8 +384,8 @@ impl Controller {
     }
 }
 
-/// Builds the manager / stale-rule cleanup commands for one switch, returning the
-/// commands plus the `(delMngr, delAllRules)` counts for the stats.
+/// Appends the manager / stale-rule cleanup commands for one switch to `commands`,
+/// returning the `(delMngr, delAllRules)` counts for the stats.
 ///
 /// The cleanup criterion follows the paper's Algorithm 1 (line 10): at the start of
 /// a new synchronization round, remove any manager or rule belonging to a controller
@@ -364,14 +404,14 @@ fn switch_update_commands(
     self_id: NodeId,
     reply: &QueryReply,
     new_round: bool,
-    prev_reachable: &BTreeSet<NodeId>,
-) -> (Vec<SwitchCommand>, u64, u64) {
-    let mut commands = Vec::new();
+    res_prev: &View,
+    commands: &mut Vec<SwitchCommand>,
+) -> (u64, u64) {
     let mut manager_deletions = 0u64;
     let mut rule_deletions = 0u64;
     if config.variant == Variant::MemoryAdaptive && new_round {
         let is_stale = |k: &NodeId| {
-            *k != self_id && (!k.is_controller(config.n_controllers) || !prev_reachable.contains(k))
+            *k != self_id && (!k.is_controller(config.n_controllers) || !res_prev.reaches(*k))
         };
         for &manager in &reply.managers {
             if is_stale(&manager) {
@@ -391,7 +431,7 @@ fn switch_update_commands(
     commands.push(SwitchCommand::AddManager {
         controller: self_id,
     });
-    (commands, manager_deletions, rule_deletions)
+    (manager_deletions, rule_deletions)
 }
 
 #[cfg(test)]
@@ -774,6 +814,219 @@ mod tests {
             assert!(!RuleSet::ptr_eq(&a, &b), "switch {switch}: new plan");
             assert!(b.iter().any(|r| r.dst == n(3)));
         }
+    }
+
+    /// `G(res(tag))` (`fusion` false, `curr == prev == tag`) or `G(fusion)` written out
+    /// as Algorithm 2 states them, with the set of nodes `self_id` reaches: the oracle
+    /// the streamed claims, the keys and the memo are held to.
+    fn literal_view(
+        db: &ReplyDb,
+        (curr, prev, fusion): (Tag, Tag, bool),
+        self_id: NodeId,
+        self_neighbors: &[NodeId],
+    ) -> (Graph, Vec<NodeId>) {
+        let mut chosen: BTreeMap<NodeId, &QueryReply> = BTreeMap::new();
+        for tag in [prev, curr] {
+            for ((node, t), reply) in db.iter() {
+                if *t == tag {
+                    chosen.insert(*node, reply);
+                }
+            }
+        }
+        let mut g = Graph::new();
+        g.add_node(self_id);
+        for &nb in self_neighbors {
+            g.add_link(self_id, nb);
+        }
+        for (&node, reply) in &chosen {
+            g.add_node(node);
+            for &nb in reply.neighbors.iter().filter(|&&nb| nb != node) {
+                let contradicted = if nb == self_id {
+                    !self_neighbors.contains(&node)
+                } else {
+                    chosen.get(&nb).is_some_and(|other| {
+                        other.echo_tag > reply.echo_tag && !other.neighbors.contains(&node)
+                    })
+                };
+                if !(fusion && contradicted) {
+                    g.add_link(node, nb);
+                }
+            }
+        }
+        let mut reached = BTreeSet::from([self_id]);
+        let mut frontier = vec![self_id];
+        while let Some(at) = frontier.pop() {
+            frontier.extend(g.neighbors(at).filter(|&nb| reached.insert(nb)));
+        }
+        (g, reached.into_iter().collect())
+    }
+
+    #[test]
+    fn memoized_views_equal_the_literal_derivation() {
+        use sdn_rng::Rng;
+        // Asymmetric claims: what a node lists is independent of who lists it, and may
+        // name the node itself, the controller, or nobody at all.
+        fn claim(rng: &mut Rng, tag: Tag) -> QueryReply {
+            let listed = (0..rng.gen_range(0..4u32)).map(|_| rng.gen_range(0..11u32));
+            let listed: Vec<u32> = listed.collect();
+            reply_from_switch(rng.gen_range(0..11u32), &listed, &[0], vec![], tag)
+        }
+        let tags = [1u64, 2, 2, 3, 7].map(|value| Tag::new(0, value));
+        let (mut hits, mut lookups) = (0u32, 0u32);
+        for seed in 0..40u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            // A capacity of 12 makes overflowing C-resets part of the sequence.
+            let tight = ControllerConfig {
+                max_replies: 12,
+                ..ControllerConfig::for_network(2, 8)
+            };
+            let mut c = Controller::new(n(0), tight);
+            let mut neighbors = vec![n(2)];
+            for step in 0..150 {
+                match rng.gen_range(0..12u32) {
+                    0..=4 => c.on_reply(claim(&mut rng, c.curr_tag())),
+                    5 => {
+                        let tag = tags[rng.gen_range(0..5usize)];
+                        c.corrupt_inject_reply(claim(&mut rng, tag));
+                    }
+                    6 => {
+                        // Any order of the two tags, `curr < prev` and `curr == prev` included.
+                        let (curr, prev) = (rng.gen_range(0..5usize), rng.gen_range(0..5usize));
+                        c.corrupt_tags(tags[curr], tags[prev]);
+                    }
+                    7 => {
+                        neighbors = (2..6).filter(|_| rng.gen_bool(0.5)).map(n).collect();
+                    }
+                    8 => c.reply_db.drop_tag(c.prev_tag()),
+                    9 if rng.gen_bool(0.2) => c.reply_db.c_reset(),
+                    _ => {
+                        let _ = c.iterate(&neighbors);
+                    }
+                }
+                let (curr, prev) = (c.curr_tag(), c.prev_tag());
+                for select in [(curr, curr, false), (prev, prev, false), (curr, prev, true)] {
+                    let expected = literal_view(&c.reply_db, select, n(0), &neighbors);
+                    let input = match select {
+                        (tag, _, false) => c.reply_db.res(tag, n(0), &neighbors),
+                        _ => c.reply_db.fusion(curr, prev, n(0), &neighbors),
+                    };
+                    lookups += 1;
+                    hits += u32::from(c.views.peek(input).is_some());
+                    let view = c.views.clone().get(input, &mut ControllerStats::default());
+                    assert_eq!(
+                        (view.graph(), view.reachable()),
+                        (&expected.0, &expected.1[..]),
+                        "seed {seed} step {step} {select:?}"
+                    );
+                }
+                let expected = literal_view(&c.reply_db, (curr, prev, true), n(0), &neighbors);
+                assert_eq!(c.discovered_graph(&neighbors), expected.0);
+            }
+        }
+        assert!(
+            hits > lookups / 10 && hits < lookups,
+            "both the reuse and the build path are exercised: {hits} of {lookups}"
+        );
+    }
+
+    /// Two controllers fed one reply stream, one of them forgetting its views before
+    /// every iteration, emit the same batches and end in the same state.
+    #[test]
+    fn forgetting_the_views_changes_nothing_a_controller_emits() {
+        use sdn_rng::Rng;
+        for seed in 0..20u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            // Controller 0 on a ring of switches 1..=6 with one chord; links come and go.
+            let mut truth = Graph::from_links((1..=6).map(|i| (n(i), n(i % 6 + 1))));
+            truth.add_link(n(0), n(1));
+            truth.add_link(n(0), n(4));
+            truth.add_link(n(2), n(5));
+            let mut twins = [(); 2].map(|()| Controller::new(n(0), config()));
+            for step in 0..150 {
+                let (a, b) = (n(rng.gen_range(0..7u32)), n(rng.gen_range(1..7u32)));
+                if a != b && rng.gen_bool(0.15) && !truth.remove_link(a, b) {
+                    truth.add_link(a, b);
+                }
+                if rng.gen_bool(0.03) {
+                    let ahead = Tag::new(0, twins[0].curr_tag().value() + rng.gen_range(0..3u64));
+                    let bogus = reply_from_switch(9, &[3, u32::MAX - 1], &[9], vec![], ahead);
+                    for twin in &mut twins {
+                        twin.corrupt_tags(twin.prev_tag(), ahead);
+                        twin.corrupt_inject_reply(bogus.clone());
+                    }
+                }
+                let neighbors = truth.neighbor_vec(n(0));
+                twins[1].views = ViewMemo::default();
+                let [out, twin_out] = twins.each_mut().map(|twin| twin.iterate(&neighbors));
+                assert_eq!(out, twin_out, "seed {seed} step {step}");
+                // Most switches answer, with what they see now; some replies are lost.
+                for (dst, batch) in out {
+                    if truth.degree(dst) > 0 && rng.gen_bool(0.85) {
+                        let listed: Vec<u32> = truth.neighbors(dst).map(NodeId::index).collect();
+                        let tag = batch.query_tag().expect("every batch queries");
+                        let reply = reply_from_switch(dst.index(), &listed, &[0], vec![], tag);
+                        for twin in &mut twins {
+                            twin.on_reply(reply.clone());
+                        }
+                    }
+                }
+                let [(tags, stats), twin] = twins.each_ref().map(|twin| {
+                    let stats = ControllerStats {
+                        views_built: 0,
+                        views_reused: 0,
+                        ..twin.stats()
+                    };
+                    ((twin.curr_tag(), twin.prev_tag()), stats)
+                });
+                assert_eq!((tags, stats), twin, "seed {seed} step {step}");
+                assert_eq!(twins[0].reply_db, twins[1].reply_db);
+            }
+            let [kept, forgot] = twins.each_ref().map(|twin| twin.stats());
+            assert!(
+                kept.rounds_completed > 10,
+                "seed {seed}: rounds do complete"
+            );
+            assert_eq!(
+                forgot.views_reused + forgot.views_built,
+                5 * forgot.iterations
+            );
+            assert!(kept.views_built < forgot.views_built, "seed {seed}");
+        }
+    }
+
+    /// Two databases whose fusion differs only in which claimant holds the fresher
+    /// tag: the contradiction rule drops a link in one and keeps it in the other, so
+    /// the view of the first must not be served for the second.
+    #[test]
+    fn the_fusion_key_tells_tag_orders_apart() {
+        let (old, new) = (Tag::new(0, 4), Tag::new(0, 5));
+        let db_with = |tag_of_4: Tag, tag_of_5: Tag| {
+            let mut db = ReplyDb::new(8);
+            db.insert(
+                reply_from_switch(4, &[0, 3], &[0], vec![], tag_of_4),
+                tag_of_4,
+            );
+            db.insert(
+                reply_from_switch(5, &[4, 6], &[0], vec![], tag_of_5),
+                tag_of_5,
+            );
+            db
+        };
+        let (mut memo, mut stats) = (ViewMemo::default(), ControllerStats::default());
+        let four_is_fresher = db_with(new, old);
+        let view = memo.get(four_is_fresher.fusion(new, old, n(0), &[n(4)]), &mut stats);
+        assert!(!view.graph().has_link(n(4), n(5)), "4 no longer lists 5");
+        let five_is_fresher = db_with(old, new);
+        let view = memo.get(five_is_fresher.fusion(new, old, n(0), &[n(4)]), &mut stats);
+        assert!(view.graph().has_link(n(4), n(5)), "5's claim is the news");
+        assert_eq!((stats.views_built, stats.views_reused), (2, 0));
+
+        // The same order under other tags is the same view.
+        let (older, newer) = (Tag::new(1, 8), Tag::new(1, 9));
+        let renamed = db_with(older, newer);
+        let again = memo.get(renamed.fusion(newer, older, n(0), &[n(4)]), &mut stats);
+        assert!(Arc::ptr_eq(&view, &again));
+        assert_eq!((stats.views_built, stats.views_reused), (2, 1));
     }
 
     #[test]

@@ -6,11 +6,19 @@
 //! the bound and the reset are essential to the self-stabilization argument (Lemma 2:
 //! at most one C-reset per controller per execution once the system is past its
 //! arbitrary initial state).
+//!
+//! The topologies Algorithm 2 reads off the database — `G(res(tag))` and `G(fusion)` —
+//! are [`View`]s. A view is a pure function of a [`ViewKey`], the by-value copy of
+//! everything it reads, and a [`ViewInput`] is the same data still borrowed from the
+//! database, which a key is compared against without allocating; that pair is what
+//! lets the controller keep a view for as long as its inputs stay what they were.
 
 use sdn_switch::QueryReply;
 use sdn_tags::Tag;
 use sdn_topology::{paths, Graph, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Outcome of inserting a reply into the database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,6 +29,167 @@ pub enum InsertOutcome {
     StoredAfterReset,
     /// The reply was ignored because its tag is not the current round's tag.
     IgnoredStaleTag,
+}
+
+/// One neighborhood claim a view is built from: the claimant, how its reply's tag
+/// orders against `prevTag`, and the neighbors it lists.
+pub type Claim<'a> = (NodeId, Ordering, &'a [NodeId]);
+
+/// A topology derived from the database, with the nodes the controller reaches in it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct View {
+    graph: Graph,
+    reachable: Vec<NodeId>,
+}
+
+impl View {
+    /// The derived topology, the controller's own neighborhood included.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The nodes reachable from the controller (itself included), ascending.
+    pub fn reachable(&self) -> &[NodeId] {
+        &self.reachable
+    }
+
+    /// Whether the controller reaches `node` in this view.
+    pub fn reaches(&self, node: NodeId) -> bool {
+        self.reachable.binary_search(&node).is_ok()
+    }
+}
+
+/// The inputs of one view, borrowed from where they live: the controller's identity
+/// and observed neighborhood, and the claims of the replies tagged `curr` plus, from
+/// nodes without one, those tagged `prev` (the fusion of Algorithm 2 line 5;
+/// `res(tag)` is the case `curr == prev == tag`).
+#[derive(Clone, Copy, Debug)]
+pub struct ViewInput<'a> {
+    records: &'a BTreeMap<(NodeId, Tag), QueryReply>,
+    curr: Tag,
+    prev: Tag,
+    fusion: bool,
+    self_id: NodeId,
+    self_neighbors: &'a [NodeId],
+}
+
+impl<'a> ViewInput<'a> {
+    /// The claims in ascending claimant order, one per claimant. Every selected tag is
+    /// `curr` or `prev`, so a claim's order relative to `prev` decides which of two
+    /// claims is fresher — all the contradiction rule of [`ViewKey::graph`] asks of a tag.
+    pub fn claims(self) -> impl Iterator<Item = Claim<'a>> {
+        let ViewInput {
+            records,
+            curr,
+            prev,
+            ..
+        } = self;
+        records
+            .iter()
+            .filter(move |((node, tag), _)| {
+                *tag == curr || (*tag == prev && !records.contains_key(&(*node, curr)))
+            })
+            .map(move |((node, tag), reply)| (*node, tag.cmp(&prev), &reply.neighbors[..]))
+    }
+
+    /// Copies the inputs out of the database.
+    pub fn key(self) -> ViewKey {
+        let mut key = ViewKey {
+            self_id: self.self_id,
+            self_neighbors: self.self_neighbors.to_vec(),
+            fusion: self.fusion,
+            claims: Vec::new(),
+            listed: Vec::new(),
+        };
+        for (node, fresh, neighbors) in self.claims() {
+            key.listed.extend_from_slice(neighbors);
+            key.claims.push((node, fresh, key.listed.len()));
+        }
+        key
+    }
+}
+
+/// Everything a [`View`] is a function of, by value. Two equal keys yield equal views
+/// whatever tags the replies carried, which is what makes a view outlive the round it
+/// was built in: a new round re-inserts every reply under a new tag, and the key of
+/// the new `res(prevTag)` is the key of the old `res(currTag)`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ViewKey {
+    self_id: NodeId,
+    self_neighbors: Vec<NodeId>,
+    /// Whether contradicted links are dropped (`G(fusion)`) or not (`G(res(tag))`).
+    fusion: bool,
+    /// Per claimant, ascending: its id, its freshness, the end of its list in `listed`.
+    claims: Vec<(NodeId, Ordering, usize)>,
+    listed: Vec<NodeId>,
+}
+
+impl ViewKey {
+    fn claim(&self, i: usize) -> Claim<'_> {
+        let (node, fresh, end) = self.claims[i];
+        let start = i.checked_sub(1).map_or(0, |before| self.claims[before].2);
+        (node, fresh, &self.listed[start..end])
+    }
+
+    fn claims(&self) -> impl Iterator<Item = Claim<'_>> {
+        (0..self.claims.len()).map(|i| self.claim(i))
+    }
+
+    /// Whether `input` holds exactly what this key was copied from.
+    pub fn matches(&self, input: ViewInput<'_>) -> bool {
+        self.fusion == input.fusion
+            && self.self_id == input.self_id
+            && self.self_neighbors == input.self_neighbors
+            && self.claims().eq(input.claims())
+    }
+
+    /// The topology the claims and the controller's own neighborhood add up to.
+    ///
+    /// In a fusion view a link claimed by one endpoint's reply is *dropped* when the
+    /// other endpoint has strictly fresher information contradicting it — a
+    /// newer-tagged reply (or the controller's own live neighborhood) that does not
+    /// list the claimant. Without this tie-break a failed link can wedge the whole
+    /// control plane: the stale endpoint's previous-round reply keeps the dead link in
+    /// the fusion view, the plan keeps routing that endpoint's queries over the dead
+    /// link, so its current-round reply never arrives, the round never completes, and
+    /// the stale reply is never evicted. Replies of one tag keep union semantics.
+    pub fn graph(&self) -> Graph {
+        let mut g = Graph::new();
+        g.add_node(self.self_id);
+        for &nb in &self.self_neighbors {
+            g.add_link(self.self_id, nb);
+        }
+        for (node, fresh, neighbors) in self.claims() {
+            g.add_node(node);
+            for &nb in neighbors {
+                if nb == node {
+                    continue;
+                }
+                let contradicted = self.fusion
+                    && if nb == self.self_id {
+                        // The controller's own observation is always current.
+                        !self.self_neighbors.contains(&node)
+                    } else {
+                        let other = self.claims.binary_search_by_key(&nb, |claim| claim.0);
+                        other.is_ok_and(|i| {
+                            let (_, fresher, listed) = self.claim(i);
+                            fresher > fresh && !listed.contains(&node)
+                        })
+                    };
+                if !contradicted {
+                    g.add_link(node, nb);
+                }
+            }
+        }
+        g
+    }
+
+    /// The view of this key: [`ViewKey::graph`] and what the controller reaches in it.
+    pub fn view(&self) -> View {
+        let graph = self.graph();
+        let reachable = paths::reachable_set(&graph, self.self_id);
+        View { graph, reachable }
+    }
 }
 
 /// Bounded store of query replies keyed by `(responder, round tag)`.
@@ -88,25 +257,21 @@ impl ReplyDb {
 
     /// Removes every reply whose tag is not in `live_tags` or whose responder is not
     /// reachable from the controller according to the topology derivable from replies of
-    /// the *same* tag (Algorithm 2 line 8).
-    pub fn prune(&mut self, self_id: NodeId, self_neighbors: &[NodeId], live_tags: &[Tag]) {
+    /// the *same* tag (Algorithm 2 line 8). `view_of` supplies `G(res(tag))` for the
+    /// database as it stands once replies claiming to be the controller are gone.
+    pub fn prune(
+        &mut self,
+        self_id: NodeId,
+        live_tags: [Tag; 2],
+        mut view_of: impl FnMut(&ReplyDb, Tag) -> Arc<View>,
+    ) {
         // Replies claiming to come from the controller itself are always synthesized
         // fresh, never stored (line 5 of Algorithm 1): drop any stored one.
         self.records.retain(|(node, _), _| *node != self_id);
-        let reachable_per_tag: BTreeMap<Tag, BTreeSet<NodeId>> = live_tags
-            .iter()
-            .map(|&tag| {
-                let graph = self.res_graph(tag, self_id, self_neighbors);
-                let reachable: BTreeSet<NodeId> =
-                    paths::reachable_set(&graph, self_id).into_iter().collect();
-                (tag, reachable)
-            })
-            .collect();
+        let live = live_tags.map(|tag| (tag, view_of(self, tag)));
         self.records.retain(|(node, tag), _| {
-            reachable_per_tag
-                .get(tag)
-                .map(|reachable| reachable.contains(node))
-                .unwrap_or(false)
+            live.iter()
+                .any(|(live_tag, view)| live_tag == tag && view.reaches(*node))
         });
     }
 
@@ -131,15 +296,6 @@ impl ReplyDb {
         self.records.iter()
     }
 
-    /// The set of nodes that have replied with round tag `tag`.
-    pub fn responders(&self, tag: Tag) -> BTreeSet<NodeId> {
-        self.records
-            .keys()
-            .filter(|(_, t)| *t == tag)
-            .map(|(n, _)| *n)
-            .collect()
-    }
-
     /// Every tag present anywhere in the stored replies (including the tags of the
     /// rules they summarize) — what the practically-self-stabilizing tag generator
     /// must stay ahead of.
@@ -162,100 +318,47 @@ impl ReplyDb {
             .max()
     }
 
-    /// `G(res(tag))`: the topology derivable from the replies of round `tag` plus the
-    /// controller's own neighborhood record.
-    pub fn res_graph(&self, tag: Tag, self_id: NodeId, self_neighbors: &[NodeId]) -> Graph {
-        let mut g = Graph::new();
-        g.add_node(self_id);
-        for &nb in self_neighbors {
-            g.add_link(self_id, nb);
+    /// The inputs of `G(res(tag))`: the topology derivable from the replies of round
+    /// `tag` plus the controller's own neighborhood record.
+    pub fn res<'a>(
+        &'a self,
+        tag: Tag,
+        self_id: NodeId,
+        self_neighbors: &'a [NodeId],
+    ) -> ViewInput<'a> {
+        ViewInput {
+            fusion: false,
+            ..self.fusion(tag, tag, self_id, self_neighbors)
         }
-        for ((node, t), reply) in &self.records {
-            if *t != tag {
-                continue;
-            }
-            g.add_node(*node);
-            for &nb in &reply.neighbors {
-                if nb != *node {
-                    g.add_link(*node, nb);
-                }
-            }
-        }
-        g
     }
 
-    /// The *fusion* view (Algorithm 2 line 5): the current round's replies plus, for
-    /// nodes that have not answered the current round yet, the previous round's replies.
-    pub fn fusion(&self, curr: Tag, prev: Tag) -> BTreeMap<NodeId, &QueryReply> {
-        let mut out: BTreeMap<NodeId, &QueryReply> = BTreeMap::new();
-        for ((node, tag), reply) in &self.records {
-            if *tag == prev {
-                out.entry(*node).or_insert(reply);
-            }
-        }
-        for ((node, tag), reply) in &self.records {
-            if *tag == curr {
-                out.insert(*node, reply);
-            }
-        }
-        out
-    }
-
-    /// `G(fusion)`: the topology derivable from the fusion view plus the controller's
-    /// own neighborhood.
-    ///
-    /// A link claimed by one endpoint's reply is *dropped* when the other endpoint
-    /// has strictly fresher information contradicting it — a newer-tagged reply (or
-    /// the controller's own live neighborhood) that does not list the claimant.
-    /// Without this tie-break a failed link can wedge the whole control plane: the
-    /// stale endpoint's previous-round reply keeps the dead link in the fusion view,
-    /// the plan keeps routing that endpoint's queries over the dead link, so its
-    /// current-round reply never arrives, the round never completes, and the stale
-    /// reply is never evicted.
-    pub fn fusion_graph(
-        &self,
+    /// The inputs of `G(fusion)` (Algorithm 2 line 5): the current round's replies
+    /// plus, for nodes that have not answered the current round yet, the previous
+    /// round's, plus the controller's own neighborhood.
+    pub fn fusion<'a>(
+        &'a self,
         curr: Tag,
         prev: Tag,
         self_id: NodeId,
-        self_neighbors: &[NodeId],
-    ) -> Graph {
-        let fusion = self.fusion(curr, prev);
-        let mut g = Graph::new();
-        g.add_node(self_id);
-        for &nb in self_neighbors {
-            g.add_link(self_id, nb);
+        self_neighbors: &'a [NodeId],
+    ) -> ViewInput<'a> {
+        ViewInput {
+            records: &self.records,
+            curr,
+            prev,
+            fusion: true,
+            self_id,
+            self_neighbors,
         }
-        for (&node, reply) in &fusion {
-            g.add_node(node);
-            for &nb in &reply.neighbors {
-                if nb == node {
-                    continue;
-                }
-                let contradicted = if nb == self_id {
-                    // The controller's own observation is always current.
-                    !self_neighbors.contains(&node)
-                } else {
-                    fusion.get(&nb).is_some_and(|other| {
-                        other.echo_tag > reply.echo_tag && !other.neighbors.contains(&node)
-                    })
-                };
-                if !contradicted {
-                    g.add_link(node, nb);
-                }
-            }
-        }
-        g
     }
 
-    /// The round-completion test of Algorithm 2 line 10: every node reachable from the
-    /// controller in `G(res(curr))` has sent a reply tagged `curr`.
-    pub fn round_complete(&self, curr: Tag, self_id: NodeId, self_neighbors: &[NodeId]) -> bool {
-        let graph = self.res_graph(curr, self_id, self_neighbors);
-        let responders = self.responders(curr);
-        paths::reachable_set(&graph, self_id)
-            .into_iter()
-            .filter(|&n| n != self_id)
-            .all(|n| responders.contains(&n))
+    /// The round-completion test of Algorithm 2 line 10: every node the controller
+    /// reaches in `res_curr`, the view of `G(res(curr))`, has sent a reply tagged `curr`.
+    pub fn round_complete(&self, curr: Tag, self_id: NodeId, res_curr: &View) -> bool {
+        res_curr
+            .reachable()
+            .iter()
+            .all(|&n| n == self_id || self.records.contains_key(&(n, curr)))
     }
 }
 
@@ -281,6 +384,13 @@ mod tests {
 
     const T1: Tag = Tag::new(0, 1);
     const T2: Tag = Tag::new(0, 2);
+
+    /// Line 8 with `tag` as the only live tag and its view derived afresh.
+    fn prune(db: &mut ReplyDb, self_id: NodeId, self_neighbors: &[NodeId], tag: Tag) {
+        db.prune(self_id, [tag, tag], |db, tag| {
+            Arc::new(db.res(tag, self_id, self_neighbors).key().view())
+        });
+    }
 
     #[test]
     fn insert_stores_current_tag_and_ignores_stale() {
@@ -321,12 +431,12 @@ mod tests {
     fn res_graph_includes_self_neighborhood() {
         let mut db = ReplyDb::new(8);
         db.insert(reply(3, &[4], T1), T1);
-        let g = db.res_graph(T1, n(0), &[n(3)]);
+        let g = db.res(T1, n(0), &[n(3)]).key().graph();
         assert!(g.has_link(n(0), n(3)));
         assert!(g.has_link(n(3), n(4)));
         assert_eq!(g.node_count(), 3);
         // A different tag sees only the self record.
-        let g2 = db.res_graph(T2, n(0), &[n(3)]);
+        let g2 = db.res(T2, n(0), &[n(3)]).key().graph();
         assert_eq!(g2.node_count(), 2);
     }
 
@@ -337,7 +447,7 @@ mod tests {
         db.insert(reply(9, &[10], T1), T1); // not connected to controller 0
                                             // An old-tag reply sneaks in (e.g. left over from a corrupted state).
         db.records.insert((n(7), T2), reply(7, &[0], T2));
-        db.prune(n(0), &[n(3)], &[T1]);
+        prune(&mut db, n(0), &[n(3)], T1);
         assert!(db.get(n(3), T1).is_some());
         assert!(db.get(n(9), T1).is_none(), "unreachable responder pruned");
         assert!(db.get(n(7), T2).is_none(), "stale tag pruned");
@@ -347,7 +457,7 @@ mod tests {
     fn prune_drops_replies_claiming_to_be_self() {
         let mut db = ReplyDb::new(8);
         db.records.insert((n(0), T1), reply(0, &[42], T1));
-        db.prune(n(0), &[n(3)], &[T1]);
+        prune(&mut db, n(0), &[n(3)], T1);
         assert!(db.get(n(0), T1).is_none());
     }
 
@@ -357,14 +467,19 @@ mod tests {
         db.records.insert((n(3), T1), reply(3, &[0], T1));
         db.records.insert((n(3), T2), reply(3, &[0, 4], T2));
         db.records.insert((n(5), T1), reply(5, &[0], T1));
-        let fusion = db.fusion(T2, T1);
-        assert_eq!(fusion[&n(3)].neighbors.len(), 2, "current-round reply wins");
+        let observed = [n(3), n(5)];
+        let fusion = db.fusion(T2, T1, n(0), &observed);
+        let claims: Vec<Claim<'_>> = fusion.claims().collect();
+        let (three, five) = (&[n(0), n(4)][..], &[n(0)][..]);
         assert_eq!(
-            fusion[&n(5)].neighbors.len(),
-            1,
-            "previous round fills gaps"
+            claims,
+            [
+                (n(3), Ordering::Greater, three),
+                (n(5), Ordering::Equal, five)
+            ],
+            "current-round reply wins, previous round fills gaps"
         );
-        let g = db.fusion_graph(T2, T1, n(0), &[n(3), n(5)]);
+        let g = fusion.key().graph();
         assert!(g.has_link(n(3), n(4)));
         assert!(g.has_link(n(0), n(5)));
     }
@@ -376,7 +491,7 @@ mod tests {
         // node 5's previous-round reply still claims it.
         db.records.insert((n(4), T2), reply(4, &[0, 3], T2));
         db.records.insert((n(5), T1), reply(5, &[4, 6], T1));
-        let g = db.fusion_graph(T2, T1, n(0), &[n(4)]);
+        let g = db.fusion(T2, T1, n(0), &[n(4)]).key().graph();
         assert!(
             !g.has_link(n(4), n(5)),
             "stale claim loses to the fresher contradicting reply"
@@ -389,7 +504,7 @@ mod tests {
         let mut db = ReplyDb::new(8);
         db.records.insert((n(4), T2), reply(4, &[0], T2));
         db.records.insert((n(5), T2), reply(5, &[4], T2));
-        let g = db.fusion_graph(T2, T1, n(0), &[n(4)]);
+        let g = db.fusion(T2, T1, n(0), &[n(4)]).key().graph();
         assert!(
             g.has_link(n(4), n(5)),
             "equal freshness falls back to union"
@@ -402,7 +517,7 @@ mod tests {
         // Node 3's stale reply claims adjacency to the controller, but the
         // controller no longer observes node 3.
         db.records.insert((n(3), T1), reply(3, &[0, 4], T1));
-        let g = db.fusion_graph(T2, T1, n(0), &[n(5)]);
+        let g = db.fusion(T2, T1, n(0), &[n(5)]).key().graph();
         assert!(!g.has_link(n(0), n(3)), "own observation is always current");
         assert!(g.has_link(n(3), n(4)), "claims about third parties survive");
     }
@@ -412,12 +527,13 @@ mod tests {
         let mut db = ReplyDb::new(8);
         // Controller 0 has neighbor 3; 3 knows 4.
         db.insert(reply(3, &[0, 4], T1), T1);
-        assert!(
-            !db.round_complete(T1, n(0), &[n(3)]),
-            "node 4 is reachable but has not replied"
-        );
+        let complete = |db: &ReplyDb| {
+            let view = db.res(T1, n(0), &[n(3)]).key().view();
+            db.round_complete(T1, n(0), &view)
+        };
+        assert!(!complete(&db), "node 4 is reachable but has not replied");
         db.insert(reply(4, &[3], T1), T1);
-        assert!(db.round_complete(T1, n(0), &[n(3)]));
+        assert!(complete(&db));
     }
 
     #[test]

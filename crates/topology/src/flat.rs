@@ -6,7 +6,9 @@
 //! connectivity validation, diameter sweeps) instead take a [`FlatGraph`] snapshot:
 //! a dense `NodeId -> u32` index map plus offset/neighbor arrays, giving O(1)
 //! neighbor slices, and run their searches through a reusable [`BfsScratch`]
-//! workspace so steady-state traversals allocate nothing.
+//! workspace so steady-state traversals allocate nothing. The index map is bounded
+//! by the node count, not by the largest identifier: a controller's view is built
+//! from what replies claim, and a claim may name any `u32`.
 //!
 //! Neighbor rows preserve the ascending identifier order of [`Graph::neighbors`],
 //! so a BFS over a `FlatGraph` discovers exactly the same "first shortest paths"
@@ -47,7 +49,9 @@ pub const NO_INDEX: u32 = u32::MAX;
 pub struct FlatGraph {
     /// All nodes in ascending identifier order; dense index = position.
     nodes: Vec<NodeId>,
-    /// Raw identifier -> dense index ([`NO_INDEX`] = absent). Length `max_id + 1`.
+    /// Raw identifier -> dense index ([`NO_INDEX`] = absent) for the identifiers below
+    /// `lookup.len()`, which is at most [`LOOKUP_PER_NODE`] times the node count;
+    /// larger identifiers are found by binary search over `nodes`.
     lookup: Vec<u32>,
     /// CSR row offsets into `neighbors`; length `nodes.len() + 1`.
     offsets: Vec<u32>,
@@ -55,21 +59,38 @@ pub struct FlatGraph {
     neighbors: Vec<u32>,
 }
 
+/// How many `lookup` entries a snapshot spends per node at most. Identifiers handed
+/// out by the topology builders are dense, so every real snapshot is indexed in full.
+const LOOKUP_PER_NODE: usize = 4;
+
+/// The dense index of `node` among the ascending `nodes` ([`NO_INDEX`] = absent),
+/// through `lookup` where it reaches and by binary search beyond.
+fn dense_index(lookup: &[u32], nodes: &[NodeId], node: NodeId) -> u32 {
+    match lookup.get(node.index() as usize) {
+        Some(&idx) => idx,
+        None => nodes
+            .binary_search(&node)
+            .map_or(NO_INDEX, |idx| idx as u32),
+    }
+}
+
 impl FlatGraph {
     /// Builds the snapshot from a mutable [`Graph`].
     pub fn from_graph(graph: &Graph) -> Self {
         let nodes: Vec<NodeId> = graph.nodes().collect();
         let max_raw = nodes.last().map(|n| n.index() as usize + 1).unwrap_or(0);
-        let mut lookup = vec![NO_INDEX; max_raw];
+        let mut lookup = vec![NO_INDEX; max_raw.min(LOOKUP_PER_NODE * nodes.len())];
         for (i, node) in nodes.iter().enumerate() {
-            lookup[node.index() as usize] = i as u32;
+            if let Some(slot) = lookup.get_mut(node.index() as usize) {
+                *slot = i as u32;
+            }
         }
         let mut offsets = Vec::with_capacity(nodes.len() + 1);
         let mut neighbors = Vec::with_capacity(2 * graph.link_count());
         offsets.push(0);
         for &node in &nodes {
             for peer in graph.neighbors(node) {
-                neighbors.push(lookup[peer.index() as usize]);
+                neighbors.push(dense_index(&lookup, &nodes, peer));
             }
             offsets.push(neighbors.len() as u32);
         }
@@ -103,10 +124,8 @@ impl FlatGraph {
 
     /// The dense index of `node`, or `None` when it is not part of the snapshot.
     pub fn index_of(&self, node: NodeId) -> Option<u32> {
-        match self.lookup.get(node.index() as usize) {
-            Some(&idx) if idx != NO_INDEX => Some(idx),
-            _ => None,
-        }
+        let idx = dense_index(&self.lookup, &self.nodes, node);
+        (idx != NO_INDEX).then_some(idx)
     }
 
     /// The node at dense index `idx`.
@@ -337,6 +356,28 @@ mod tests {
         assert_eq!(flat.index_of(n(3)), Some(0));
         assert_eq!(flat.index_of(n(500)), Some(2));
         assert_eq!(flat.index_of(n(4)), None);
+        assert_eq!(flat.index_of(n(10)), Some(1));
+        assert_eq!(flat.index_of(n(499)), None);
+    }
+
+    /// An identifier near `u32::MAX` costs a binary search, not a table of that size.
+    #[test]
+    fn index_map_is_bounded_by_the_node_count() {
+        let far = n(u32::MAX - 1);
+        let mut g = ring4();
+        g.add_link(n(2), far);
+        g.add_link(far, n(u32::MAX));
+        let flat = g.snapshot();
+        assert!(flat.lookup.len() <= LOOKUP_PER_NODE * flat.node_count());
+        assert_eq!(flat.index_of(far), Some(4));
+        assert_eq!(flat.index_of(n(u32::MAX)), Some(5));
+        assert_eq!(flat.index_of(n(u32::MAX - 2)), None);
+        assert_eq!(flat.neighbors(far).collect::<Vec<_>>(), [n(2), n(u32::MAX)]);
+        let mut scratch = BfsScratch::new();
+        assert_eq!(flat.bfs(0, &mut scratch), 6);
+        assert_eq!(scratch.distance(5), Some(4));
+        // Dense identifiers, the builders' case, are still indexed in full.
+        assert_eq!(ring4().snapshot().lookup.len(), 4);
     }
 
     #[test]

@@ -83,6 +83,32 @@ fn controller_knowledge_matches_reality_after_bootstrap() {
     }
 }
 
+/// Once the network has settled, every derived view an iteration reads was built by
+/// an earlier one from the same inputs: rounds keep completing under new tags, and no
+/// graph is constructed.
+#[test]
+fn a_settled_network_builds_no_views() {
+    let (mut sdn, _) = bootstrap("B4", 3);
+    sdn.run_for(SimDuration::from_secs(5));
+    let stats = |sdn: &SdnNetwork| {
+        let ids = sdn.controller_ids();
+        let of = |id| sdn.controller(id).expect("controller").stats();
+        ids.into_iter().map(of).collect::<Vec<_>>()
+    };
+    let settled = stats(&sdn);
+    sdn.run_for(SimDuration::from_secs(30));
+    for (before, after) in settled.iter().zip(stats(&sdn)) {
+        assert!(after.iterations >= before.iterations + 100);
+        assert!(after.rounds_completed > before.rounds_completed);
+        assert_eq!(after.views_built, before.views_built);
+        assert_eq!(
+            after.views_reused - before.views_reused,
+            5 * (after.iterations - before.iterations),
+            "an iteration reads five views"
+        );
+    }
+}
+
 #[test]
 fn switch_memory_stays_within_lemma1_bound() {
     let (sdn, _) = bootstrap("B4", 3);

@@ -6,7 +6,8 @@ use renaissance::{
     ControllerConfig, CorruptionPlan, FaultInjector, HarnessConfig, SdnNetwork, Variant,
 };
 use sdn_netsim::SimDuration;
-use sdn_topology::builders;
+use sdn_switch::{QueryReply, RuleSummary};
+use sdn_topology::{builders, NodeId};
 
 const CHECK: SimDuration = SimDuration::from_millis(200);
 const TIMEOUT: SimDuration = SimDuration::from_secs(900);
@@ -147,4 +148,36 @@ fn corrupted_controller_tags_do_not_prevent_progress() {
     injector.corrupt(&mut sdn, plan);
     let recovery = sdn.run_until_legitimate(CHECK, TIMEOUT).expect("recovery");
     assert!(recovery > SimDuration::ZERO);
+}
+
+/// A corrupted reply may name any `u32` as a neighbor. The identifier enters the
+/// controller's views like every other claim, and nothing that reads a view — the
+/// planner, the batch loop, a snapshot, the legitimacy predicate — may size a table
+/// by it (at four bytes an identifier, `u32::MAX` is a 16 GiB table).
+#[test]
+fn a_reply_naming_a_huge_neighbor_id_is_just_another_bogus_claim() {
+    let mut sdn = build(true, 53);
+    sdn.run_until_legitimate(CHECK, TIMEOUT).expect("bootstrap");
+    let far = NodeId::new(u32::MAX - 1);
+    let id = sdn.controller_ids()[0];
+    let switch = sdn.switch_ids()[0];
+    let neighbors = sdn.sim().observed_neighbors(id);
+    let controller = sdn.controller_mut(id).expect("controller");
+    controller.corrupt_inject_reply(QueryReply {
+        responder: switch,
+        neighbors: vec![far],
+        managers: vec![id],
+        rules: RuleSummary::default(),
+        echo_tag: controller.curr_tag(),
+    });
+    let batches = controller.iterate(&neighbors);
+    assert!(
+        batches.iter().any(|(dst, _)| *dst == far),
+        "the claimed node is reachable in the view, so it is queried"
+    );
+    let flat = controller.discovered_graph(&neighbors).snapshot();
+    assert_eq!(flat.neighbors(far).collect::<Vec<_>>(), [switch]);
+    assert!(!sdn.legitimacy_report_fresh().is_legitimate());
+    sdn.run_until_legitimate(CHECK, TIMEOUT)
+        .expect("the next honest reply from the switch replaces the claim");
 }
