@@ -1,9 +1,9 @@
 //! The scale campaign: sweeps topology family x size x fault scenario, records
 //! simulated-time metrics through the typed metric pipeline, and writes the
-//! machine-readable `BENCH_scale.json` CI tracks — optionally gating it against a
-//! committed baseline. Every field of the artifact is a function of the flags alone, so
-//! equal commands produce byte-identical files; host time is `renaissance-perf`'s job
-//! (`BENCHMARK.json`).
+//! machine-readable `BENCH_scale.json`, one result cell per line. Every field of the
+//! artifact is a function of the flags alone, so equal commands produce byte-identical
+//! files: a committed artifact is accepted only byte for byte, and `git diff` of it is
+//! the per-cell delta. Host time is `renaissance-perf`'s job (`BENCHMARK.json`).
 //!
 //! Three fault scenarios per topology, mirroring the paper's core measurements at
 //! datacenter scale:
@@ -42,18 +42,11 @@
 //!
 //! `--smoke` shrinks the sweep to three tiny topologies with one seed each so the CI
 //! job finishes in seconds; the full campaign reaches several hundred switches.
-//!
-//! `--baseline BENCH.json --gate PCT` compares the fresh artifact against a committed
-//! one: if any gated metric (`bootstrap_s`, `recovery_s`, `messages_sent` — all
-//! simulated quantities, deterministic for equal seeds) regressed by more than PCT
-//! percent in any matched cell, the campaign writes a `*.delta.json` report and exits
-//! nonzero.
 
 use renaissance::scenario::{
     ControllerSelector, DegradeSpec, Endpoints, FaultEvent, LinkSelector, PartitionSpec, Probe,
     RunReport, ScenarioReport,
 };
-use renaissance_bench::baseline::gate_campaign;
 use renaissance_bench::cli::{self, Flag};
 use renaissance_bench::output::OutputFormat;
 use renaissance_bench::report::{fmt2, print_table, write_json_file, Row, Table};
@@ -65,8 +58,7 @@ use sdn_topology::{builders, connectivity};
 use sdn_traffic::engine::{FlowEngineWorkload, FlowSetConfig};
 
 const ABOUT: &str = "Scale campaign: topology family x size x fault scenario sweep, \
-emitting BENCH_scale.json (--out PATH, --format json|csv) and optionally gating it \
-against a baseline (--baseline BENCH.json --gate PCT)";
+emitting BENCH_scale.json (--out PATH, --format json|csv), one result cell per line";
 
 const EXTRA_FLAGS: &[Flag] = &[
     Flag {
@@ -78,16 +70,6 @@ const EXTRA_FLAGS: &[Flag] = &[
         name: "--large",
         value_name: None,
         help: "scale-large tier: fat_tree(16) and jellyfish(1024, 8, 1), 1 seed",
-    },
-    Flag {
-        name: "--baseline",
-        value_name: Some("PATH"),
-        help: "committed BENCH_scale.json to gate against; exits nonzero on regression",
-    },
-    Flag {
-        name: "--gate",
-        value_name: Some("PCT"),
-        help: "regression threshold in percent for --baseline (default 25)",
     },
 ];
 
@@ -106,7 +88,7 @@ const GRAY_SCENARIOS: [&str; 4] = [
 ];
 
 /// Whether a network runs the gray-failure family in the given tier. One small and
-/// one mid-size fabric per gated tier keeps the smoke job fast while every schedule
+/// one mid-size fabric per committed tier keeps the smoke job fast while every schedule
 /// shape still runs on a fat tree (exercising the rack-correlated selector) and on a
 /// non-fat-tree family (exercising the random-safe fallback).
 fn runs_gray_cells(network: &str, tier: &str) -> bool {
@@ -380,11 +362,6 @@ fn main() {
         rows,
         trailer: Vec::new(),
     });
-
-    if let Some(baseline_path) = args.value("--baseline") {
-        let gate_pct = args.parsed::<f64>("--gate").unwrap_or(25.0);
-        std::process::exit(gate_against(&doc, baseline_path, gate_pct, &out));
-    }
 }
 
 /// Writes the campaign summary as CSV: one row per (cell, metric) with the digest
@@ -409,64 +386,6 @@ fn write_campaign_csv(out: &str, pipeline: &MetricPipeline) {
         ));
     }
     std::fs::write(out, text).unwrap_or_else(|e| panic!("failed to write {out}: {e}"));
-}
-
-/// Gates the fresh artifact against a committed baseline; returns the process exit
-/// code (0 = no regression) and writes the delta report next to the artifact.
-fn gate_against(current: &Json, baseline_path: &str, gate_pct: f64, out: &str) -> i32 {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("failed to read baseline {baseline_path}: {e}"));
-    let baseline = Json::parse(&text)
-        .unwrap_or_else(|e| panic!("failed to parse baseline {baseline_path}: {e}"));
-    let report = gate_campaign(current, &baseline, gate_pct)
-        .unwrap_or_else(|e| panic!("cannot gate against {baseline_path}: {e}"));
-
-    let delta_path = match out.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.delta.json"),
-        None => format!("{out}.delta.json"),
-    };
-    write_json_file(std::path::Path::new(&delta_path), &report.to_json())
-        .unwrap_or_else(|e| panic!("failed to write {delta_path}: {e}"));
-
-    let regressions = report.regressions();
-    println!(
-        "\n== Baseline gate: {} vs {baseline_path} (threshold {gate_pct}%) ==",
-        out
-    );
-    for cell in &report.unmatched {
-        println!("  (unmatched: {cell})");
-    }
-    // Context metrics: FCT and goodput trend, reported but never gated.
-    for entry in &report.context {
-        println!(
-            "  context {}/{} {}: {:.0} -> {:.0} ({:+.1}%)",
-            entry.spec,
-            entry.scenario,
-            entry.metric,
-            entry.baseline,
-            entry.current,
-            entry.change_pct
-        );
-    }
-    if regressions.is_empty() {
-        println!(
-            "  OK — no gated metric regressed by more than {gate_pct}% \
-             (delta report: {delta_path})"
-        );
-        0
-    } else {
-        for r in &regressions {
-            println!(
-                "  REGRESSION {}/{} {}: {} -> {} ({:+.1}%)",
-                r.spec, r.scenario, r.metric, r.baseline, r.current, r.change_pct
-            );
-        }
-        println!(
-            "  {} regression(s) past the {gate_pct}% gate (delta report: {delta_path})",
-            regressions.len()
-        );
-        1
-    }
 }
 
 /// Builds and runs one campaign cell on the same scenario skeleton (timeout,

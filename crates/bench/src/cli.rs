@@ -16,8 +16,8 @@
 //!
 //! The flags are the only input: no binary reads an environment variable. Flags take
 //! their value as the next argument (`--runs 5`) or inline (`--runs=5`). A binary can
-//! register extra flags (the scale campaign adds `--smoke`, `--large`, `--baseline`,
-//! and `--gate`; `renaissance-fig` adds `--all`) and, by declaring a [`Flag`] whose
+//! register extra flags (the scale campaign adds `--smoke` and `--large`;
+//! `renaissance-fig` adds `--all`) and, by declaring a [`Flag`] whose
 //! name is a placeholder such as `<id>...`, positional arguments. A bare word given
 //! to a binary that declares none is a typo and fails like an unknown flag.
 

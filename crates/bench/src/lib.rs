@@ -16,12 +16,12 @@
 //! `renaissance-perf` package (`crates/bench/perf`, `BENCHMARK.json`).
 //!
 //! The `scale_campaign` binary sweeps topology family x size x fault scenario and
-//! emits the machine-readable `BENCH_scale.json` artifact CI tracks and gates.
+//! emits the machine-readable `BENCH_scale*.json` artifacts, each held byte for byte
+//! against its committed copy (`tests/gate.rs`, CI's `bench-smoke`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod cli;
 pub mod experiments;
 pub mod figures;

@@ -1,5 +1,5 @@
 //! Reporting helpers shared by the experiment binaries: fixed-width stdout tables and
-//! the writer of machine-readable benchmark artifacts (`BENCH_scale.json`). The JSON
+//! the writer of the committed benchmark artifacts (`BENCH_scale*.json`). The JSON
 //! value itself lives in [`sdn_metrics::json`].
 
 use sdn_metrics::json::Json;
@@ -70,9 +70,28 @@ pub fn fmt2(value: f64) -> String {
     format!("{value:.2}")
 }
 
-/// Writes a JSON document to `path` with a trailing newline.
+/// Writes a JSON document to `path` with a trailing newline: compact, except that each
+/// element of a top-level `results` array sits on its own line, so `git diff` of two
+/// artifacts names the cells that moved.
 pub fn write_json_file(path: &std::path::Path, doc: &Json) -> std::io::Result<()> {
-    std::fs::write(path, format!("{doc}\n"))
+    let Json::Obj(members) = doc else {
+        return std::fs::write(path, format!("{doc}\n"));
+    };
+    let mut text = String::from("{");
+    for (i, (key, value)) in members.iter().enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        text.push_str(&format!("{}:", Json::str(key.as_str())));
+        match value {
+            Json::Arr(cells) if key == "results" => {
+                let lines: Vec<String> = cells.iter().map(|cell| format!("\n{cell}")).collect();
+                text.push_str(&format!("[{}\n]", lines.join(",")));
+            }
+            other => text.push_str(&other.to_string()),
+        }
+    }
+    std::fs::write(path, text + "}\n")
 }
 
 #[cfg(test)]
@@ -106,6 +125,21 @@ mod tests {
         write_json_file(&path, &doc).expect("write");
         let content = std::fs::read_to_string(&path).expect("read");
         assert_eq!(content, "{\"k\":[1,\"two\"]}\n");
+        // A campaign artifact: one result cell per line, everything else compact.
+        let doc = Json::obj([
+            ("tier", Json::str("smoke")),
+            (
+                "results",
+                Json::arr([Json::obj([("a", Json::num(1.0))]), Json::arr([])]),
+            ),
+        ]);
+        write_json_file(&path, &doc).expect("write");
+        let content = std::fs::read_to_string(&path).expect("read");
+        assert_eq!(
+            content,
+            "{\"tier\":\"smoke\",\"results\":[\n{\"a\":1},\n[]\n]}\n"
+        );
+        assert_eq!(Json::parse(&content), Ok(doc));
         let _ = std::fs::remove_file(&path);
     }
 }

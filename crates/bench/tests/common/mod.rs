@@ -3,13 +3,11 @@
 use std::path::PathBuf;
 
 /// Panics unless `current` equals the committed root file `name` byte for byte,
-/// naming the first differing line (and column — the campaign artifacts are one
-/// line) and the command that regenerates the file.
+/// naming the first differing line (a campaign artifact holds one result cell per
+/// line, so the line names the cell) and column, and the command that regenerates the
+/// file.
 pub fn assert_equals_committed(current: &str, name: &str, regenerate: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(name);
-    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {name}: {e}"));
+    let committed = read_committed(name);
     if current == committed {
         return;
     }
@@ -40,4 +38,12 @@ pub fn assert_equals_committed(current: &str, name: &str, regenerate: &str) {
         around(theirs),
         around(ours),
     );
+}
+
+/// The committed root file `name`.
+pub fn read_committed(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {name}: {e}"))
 }

@@ -1,15 +1,17 @@
-//! End-to-end test of the scale campaign's baseline regression gate: the binary must
-//! exit zero when the fresh artifact matches the baseline and nonzero when a gated
-//! metric regressed past `--gate` — and the smoke tier must still write the committed
-//! `BENCH_scale_smoke.json`.
+//! The scale campaign's artifacts are byte-identical contracts. A committed
+//! `BENCH_scale*.json` is accepted only if the command that wrote it writes the same
+//! bytes again, and since an artifact holds one result cell per line, `git diff` of it
+//! is the per-cell delta.
 //!
-//! The campaign's gated metrics are simulated quantities, deterministic for equal
-//! seeds, so "no regression against an artifact produced by the same command" is an
-//! exact statement, not a tolerance.
+//! The campaign's metrics are simulated quantities, deterministic for equal seeds, so
+//! "equal to the artifact the same command wrote" is an exact statement, not a
+//! tolerance. This file holds the smoke tier to its committed file, proves an artifact
+//! is a function of the flags alone, and checks what every committed tier must say.
 
 mod common;
 
 use sdn_metrics::json::Json;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -25,6 +27,14 @@ const FLAG_NAMED_ENV: [(&str, &str); 4] = [
     ("RENAISSANCE_RUNS", "3"),
     ("RENAISSANCE_THREADS", "1"),
     ("RENAISSANCE_NETWORKS", "B4"),
+];
+
+/// The gray-failure scenarios (see `scale_campaign`'s `GRAY_SCENARIOS`).
+const GRAY_SCENARIOS: [&str; 4] = [
+    "gray_link_recovery",
+    "partition_heal",
+    "flapping_link",
+    "rolling_upgrade",
 ];
 
 /// Runs the scale campaign's smoke tier with `args` and `env` on top of a clean
@@ -46,79 +56,34 @@ fn campaign(args: &[&str], env: &[(&str, &str)]) -> (i32, String) {
     )
 }
 
-/// Runs the scale campaign on one tiny network and returns (exit code, stdout).
-fn run_campaign(extra: &[&str]) -> (i32, String) {
-    let mut args = vec!["--networks", "grid(3, 3)", "--seed", "77", "--runs", "1"];
-    args.extend(extra);
-    campaign(&args, &[])
+/// Runs the smoke tier on one tiny network with `args` and `env` and returns the
+/// artifact's bytes.
+fn artifact(name: &str, args: &[&str], env: &[(&str, &str)]) -> Vec<u8> {
+    let out = scratch(name);
+    let mut all = vec!["--networks", "grid(3, 3)", "--out", out.to_str().unwrap()];
+    all.extend(args);
+    let (code, stdout) = campaign(&all, env);
+    assert_eq!(code, 0, "campaign run failed:\n{stdout}");
+    let bytes = std::fs::read(&out).expect("read artifact");
+    let _ = std::fs::remove_file(&out);
+    bytes
 }
 
 #[test]
-fn campaign_gate_passes_on_identical_baseline_and_fails_on_regression() {
-    let baseline = scratch("baseline.json");
-    let current = scratch("current.json");
-    let doctored = scratch("doctored.json");
-    let baseline_str = baseline.to_str().unwrap().to_string();
-
-    // 1. Produce a baseline artifact.
-    let (code, _) = run_campaign(&["--out", &baseline_str]);
-    assert_eq!(code, 0, "baseline campaign run failed");
-
-    // 2. The same command gated against its own artifact is clean: simulated metrics
-    //    are deterministic for equal seeds.
-    let (code, stdout) = run_campaign(&[
-        "--out",
-        current.to_str().unwrap(),
-        "--baseline",
-        &baseline_str,
-        "--gate",
-        "5",
-    ]);
-    assert_eq!(code, 0, "identical rerun tripped the gate:\n{stdout}");
-    assert!(
-        stdout.contains("OK — no gated metric regressed"),
-        "{stdout}"
-    );
-    let delta = scratch("current.delta.json");
-    assert!(delta.exists(), "delta report missing");
-    // Not just gate-clean: the artifact holds no host time, so the two runs of the
-    // same command wrote the same bytes.
-    let read = |path: &PathBuf| std::fs::read(path).expect("read artifact");
-    assert_eq!(read(&current), read(&baseline), "same command, same bytes");
-
-    // The flags are the only input: without --seed, variables named after the flags
-    // change nothing, and neither does the thread count.
-    let from_env = scratch("from_env.json");
-    let flags = ["--networks", "grid(3, 3)", "--threads", "2", "--out"];
-    for (out, env) in [(&current, &[][..]), (&from_env, &FLAG_NAMED_ENV[..])] {
-        let mut args = flags.to_vec();
-        args.push(out.to_str().unwrap());
-        let (code, _) = campaign(&args, env);
-        assert_eq!(code, 0, "seedless campaign run failed");
+fn campaign_artifact_is_a_function_of_the_flags() {
+    // The artifact holds no host time, so the same command writes the same bytes, and
+    // the thread count is not an input: runs are merged in seed order.
+    let seeded = |threads| ["--seed", "77", "--runs", "2", "--threads", threads];
+    let first = artifact("t1.json", &seeded("1"), &[]);
+    for name in ["t4.json", "t4_again.json"] {
+        assert_eq!(artifact(name, &seeded("4"), &[]), first, "{name}");
     }
-    assert_eq!(read(&from_env), read(&current), "environment leaked in");
 
-    // 3. Doctor the baseline so the current run looks 10x slower to bootstrap, then
-    //    verify the synthetic regression makes the campaign exit nonzero.
-    let text = std::fs::read_to_string(&baseline).expect("read baseline");
-    let mut doc = Json::parse(&text).expect("parse baseline");
-    shrink_bootstrap_means(&mut doc, 10.0);
-    std::fs::write(&doctored, format!("{doc}\n")).expect("write doctored baseline");
-    let (code, stdout) = run_campaign(&[
-        "--out",
-        current.to_str().unwrap(),
-        "--baseline",
-        doctored.to_str().unwrap(),
-        "--gate",
-        "25",
-    ]);
-    assert_eq!(code, 1, "synthetic regression must exit nonzero:\n{stdout}");
-    assert!(stdout.contains("REGRESSION"), "{stdout}");
-    assert!(stdout.contains("bootstrap_s"), "{stdout}");
-
-    for path in [&baseline, &current, &doctored, &delta, &from_env] {
-        let _ = std::fs::remove_file(path);
-    }
+    // Without --seed, variables named after the flags change nothing.
+    let seedless = ["--threads", "2"];
+    let clean = artifact("clean.json", &seedless, &[]);
+    let from_env = artifact("from_env.json", &seedless, &FLAG_NAMED_ENV);
+    assert_eq!(from_env, clean, "environment leaked in");
 }
 
 /// The committed smoke baseline is what the smoke campaign writes today, byte for
@@ -138,35 +103,71 @@ fn smoke_campaign_reproduces_the_committed_baseline() {
     );
 }
 
-/// Divides every result cell's `bootstrap_s.mean` by `factor`, making a re-run of the
-/// same command appear `factor`x slower than this baseline.
-fn shrink_bootstrap_means(doc: &mut Json, factor: f64) {
-    let Json::Obj(members) = doc else {
-        panic!("artifact is not an object")
-    };
-    let results = members
-        .iter_mut()
-        .find(|(k, _)| k == "results")
-        .map(|(_, v)| v)
-        .expect("results array");
-    let Json::Arr(cells) = results else {
-        panic!("results is not an array")
-    };
-    let mut shrunk = 0;
-    for cell in cells {
-        let Json::Obj(cell_members) = cell else {
-            continue;
-        };
-        let Some((_, bootstrap)) = cell_members.iter_mut().find(|(k, _)| k == "bootstrap_s") else {
-            continue;
-        };
-        let Json::Obj(stats) = bootstrap else {
-            continue;
-        };
-        if let Some((_, Json::Num(mean))) = stats.iter_mut().find(|(k, _)| k == "mean") {
-            *mean /= factor;
-            shrunk += 1;
+/// What every committed tier must say, beyond being reproducible: one result cell
+/// per line, every cell converged, every under-load cell completed flows, the gray
+/// cells carry their dedicated metrics, and the gray family runs on enough networks.
+/// The large tier runs it on one network only.
+#[test]
+fn committed_artifacts_hold_the_campaign_invariants() {
+    for (name, min_gray_networks, min_gray_cells) in [
+        ("BENCH_scale_smoke.json", 2, 8),
+        ("BENCH_scale.json", 2, 8),
+        ("BENCH_scale_large.json", 1, 4),
+    ] {
+        let text = common::read_committed(name);
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("parse {name}: {e}"));
+        assert_eq!(
+            doc.get("benchmark").and_then(Json::as_str),
+            Some("scale_campaign"),
+            "{name}"
+        );
+        let cells = doc
+            .get("results")
+            .and_then(Json::as_array)
+            .unwrap_or_default();
+        assert!(!cells.is_empty(), "{name}: no results");
+        assert_eq!(
+            text.lines().count(),
+            cells.len() + 2,
+            "{name}: not one result cell per line"
+        );
+
+        let mut loaded = 0;
+        let mut gray_networks = BTreeSet::new();
+        let mut gray_cells = 0;
+        for cell in cells {
+            let field = |key: &str| {
+                cell.get(key)
+                    .unwrap_or_else(|| panic!("{name}: a cell has no {key}: {cell}"))
+            };
+            let network = field("network").as_str().unwrap_or_default();
+            let scenario = field("scenario").as_str().unwrap_or_default();
+            let id = format!("{name}: {network}/{scenario}");
+            for key in ["family", "switches", "bootstrap_s"] {
+                field(key);
+            }
+            assert_eq!(field("converged").as_bool(), Some(true), "{id} converged");
+            if scenario.ends_with("_under_load") {
+                loaded += 1;
+                assert!(
+                    field("completed_flows").as_u64().is_some_and(|n| n > 0),
+                    "{id}: no flows completed"
+                );
+            }
+            match scenario {
+                "flapping_link" => assert!(cell.get("flap_survival").is_some(), "{id}"),
+                "partition_heal" => assert!(cell.get("partition_messages").is_some(), "{id}"),
+                _ => {}
+            }
+            if GRAY_SCENARIOS.contains(&scenario) {
+                gray_networks.insert(network);
+                gray_cells += 1;
+            }
         }
+        assert!(loaded > 0, "{name}: no *_under_load cells");
+        assert!(
+            gray_networks.len() >= min_gray_networks && gray_cells >= min_gray_cells,
+            "{name}: the gray family ran {gray_cells} cells on {gray_networks:?}"
+        );
     }
-    assert!(shrunk > 0, "no bootstrap_s.mean members found to doctor");
 }

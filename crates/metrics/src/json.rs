@@ -1,7 +1,7 @@
 //! A dependency-free JSON value with an emitter *and* a parser: the one JSON
 //! implementation of the workspace, shared by the benchmark artifacts
-//! (`BENCH_scale.json` and their baseline gating), the `sdn-serve` wire format and
-//! command log, and [`JsonLinesSink`](crate::JsonLinesSink).
+//! (`BENCH_scale*.json` and the tests that read them back), the `sdn-serve` wire
+//! format and command log, and [`JsonLinesSink`](crate::JsonLinesSink).
 
 use crate::digest::Digest;
 use std::fmt::Write as _;
@@ -130,8 +130,8 @@ impl Json {
     }
 
     /// Parses a JSON document (RFC 8259) — the inverse of the emitter, used to read
-    /// committed baseline artifacts back for regression gating and `sdn-serve`'s
-    /// request bodies and log lines. Input nested deeper than [`MAX_DEPTH`] is an
+    /// committed benchmark artifacts back in tests and `sdn-serve`'s request bodies and
+    /// log lines. Input nested deeper than [`MAX_DEPTH`] is an
     /// error, not a stack overflow.
     ///
     /// # Example

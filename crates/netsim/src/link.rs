@@ -220,22 +220,7 @@ impl LinkConfig {
         if self.loss_probability > 0.0 && rng.gen_bool(self.loss_probability.min(1.0)) {
             return TransmissionOutcome::Lost;
         }
-        let copies = if self.duplication_probability > 0.0
-            && rng.gen_bool(self.duplication_probability.min(1.0))
-        {
-            2
-        } else {
-            1
-        };
-        let jitter = if self.jitter.is_zero() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_micros(rng.gen_range(0..=self.jitter.as_micros()))
-        };
-        TransmissionOutcome::Delivered {
-            copies,
-            delay: self.latency + jitter,
-        }
+        self.deliver(rng)
     }
 
     /// Samples one packet through the burst-loss process, advancing `state`.
@@ -266,8 +251,14 @@ impl LinkConfig {
         if loss > 0.0 && state.rng.gen_bool(loss) {
             return TransmissionOutcome::Lost;
         }
+        self.deliver(&mut state.rng)
+    }
+
+    /// The fate of a packet that survived the loss draw: duplication, then jitter,
+    /// both drawn from `rng` in that order.
+    fn deliver(&self, rng: &mut Rng) -> TransmissionOutcome {
         let copies = if self.duplication_probability > 0.0
-            && state.rng.gen_bool(self.duplication_probability.min(1.0))
+            && rng.gen_bool(self.duplication_probability.min(1.0))
         {
             2
         } else {
@@ -276,7 +267,7 @@ impl LinkConfig {
         let jitter = if self.jitter.is_zero() {
             SimDuration::ZERO
         } else {
-            SimDuration::from_micros(state.rng.gen_range(0..=self.jitter.as_micros()))
+            SimDuration::from_micros(rng.gen_range(0..=self.jitter.as_micros()))
         };
         TransmissionOutcome::Delivered {
             copies,

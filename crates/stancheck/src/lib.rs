@@ -2,8 +2,8 @@
 //!
 //! Every figure this repository reproduces rests on one contract: **a seeded run is
 //! bit-identical across thread counts, machines, and refactors.** The scenario
-//! runner's parallel/sequential property test and the BENCH baseline gate enforce
-//! that contract dynamically; this crate enforces it statically, flagging the code
+//! runner's parallel/sequential property test and the byte-compared BENCH baselines
+//! enforce that contract dynamically; this crate enforces it statically, flagging the code
 //! patterns that historically break it before they reach a baseline:
 //!
 //! | rule | hazard |

@@ -74,8 +74,7 @@ impl FileKind {
 
 /// The crates whose code runs *inside* the simulation: a nondeterministic data
 /// structure or clock here corrupts seeded results directly.
-pub const SIMULATION_CRATES: [&str; 6] =
-    ["core", "switch", "channel", "topology", "netsim", "traffic"];
+pub const SIMULATION_CRATES: [&str; 5] = ["core", "switch", "topology", "netsim", "traffic"];
 
 /// Per-file analysis context: which crate the file belongs to, what kind it is, and
 /// which top-level module (the first path segment under `src/`) it lives in.

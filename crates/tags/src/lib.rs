@@ -11,10 +11,13 @@
 //!   in the system, so even if a transient fault plants arbitrary tags in switches,
 //!   channels, or the generator itself, one observation pass is enough to jump past
 //!   them (the counter space of `2^64` values makes wrap-around practically
-//!   unreachable, the standard "practically stabilizing" argument),
+//!   unreachable, the standard "practically stabilizing" argument — but a corrupted
+//!   tag *at* `u64::MAX` saturates it, a known wedge pinned by an ignored test in
+//!   `tests/self_stabilization.rs`),
 //! * [`bounded`] — a genuinely bounded-domain variant with explicit epoch recycling,
-//!   demonstrating how the unbounded counter can be avoided at the cost of the
-//!   `Delta_synch` recovery rounds the paper accounts for,
+//!   showing how the unbounded counter can be avoided at the cost of the
+//!   `Delta_synch` recovery rounds the paper accounts for; not yet used by the
+//!   controller, and the candidate fix for that wedge,
 //! * [`RoundTracker`] — the `currTag` / `prevTag` bookkeeping of Algorithm 2, including
 //!   the third `beforePrevTag` slot used by the evaluation variant (Section 6.2).
 

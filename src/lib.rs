@@ -8,7 +8,6 @@
 //! probes) over the simulated control plane.
 
 pub use renaissance;
-pub use sdn_channel;
 pub use sdn_metrics;
 pub use sdn_netsim;
 pub use sdn_serve;

@@ -4,14 +4,11 @@
 //! * kappa-fault-resilient flows really survive any single link failure on
 //!   2-edge-connected topologies (the Section 2.2.2 guarantee),
 //! * the first-shortest-path plan routes along shortest paths when nothing fails,
-//! * the self-stabilizing channel delivers in order, exactly once, under arbitrary
-//!   loss/duplication patterns,
 //! * the bounded switch structures never exceed their configured capacities.
 //!
 //! Each test draws `CASES` random configurations from a fixed seed, so failures are
 //! reproducible by construction: re-running the test replays the identical cases.
 
-use sdn_channel::{Receiver, Sender};
 use sdn_rng::Rng;
 use sdn_switch::{ManagerSet, Rule, RuleTable};
 use sdn_tags::Tag;
@@ -73,38 +70,6 @@ fn primary_routes_are_shortest_paths() {
                 assert_eq!(path.len() - 1, expected, "case {case}: {a}->{b}");
             }
         }
-    }
-}
-
-/// The self-stabilizing channel never duplicates or reorders messages, no matter which
-/// pattern of transmissions is lost.
-#[test]
-fn channel_is_exactly_once_in_order() {
-    for case in 0..CASES {
-        let mut rng = Rng::seed_from_u64(0xC4A7 + case);
-        let pattern_len = rng.gen_range(40..200usize);
-        let loss_pattern: Vec<bool> = (0..pattern_len).map(|_| rng.gen_bool(0.5)).collect();
-        let mut tx: Sender<u32> = Sender::new();
-        let mut rx: Receiver<u32> = Receiver::new();
-        for i in 0..20u32 {
-            tx.push(i);
-        }
-        let mut delivered = Vec::new();
-        for &lose in &loss_pattern {
-            if let Some(frame) = tx.frame_to_send() {
-                if lose {
-                    continue; // the medium dropped the data frame
-                }
-                let (msg, ack) = rx.on_frame(frame);
-                if let Some(m) = msg {
-                    delivered.push(m);
-                }
-                tx.on_ack(ack);
-            }
-        }
-        // In-order, exactly-once prefix of the pushed sequence.
-        let expected: Vec<u32> = (0..delivered.len() as u32).collect();
-        assert_eq!(delivered, expected, "case {case}");
     }
 }
 

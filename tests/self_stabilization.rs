@@ -6,7 +6,8 @@ use renaissance::{
     ControllerConfig, CorruptionPlan, FaultInjector, HarnessConfig, SdnNetwork, Variant,
 };
 use sdn_netsim::SimDuration;
-use sdn_switch::{QueryReply, RuleSummary};
+use sdn_switch::{QueryReply, Rule, RuleSummary};
+use sdn_tags::Tag;
 use sdn_topology::{builders, NodeId};
 
 const CHECK: SimDuration = SimDuration::from_millis(200);
@@ -180,4 +181,46 @@ fn a_reply_naming_a_huge_neighbor_id_is_just_another_bogus_claim() {
     assert!(!sdn.legitimacy_report_fresh().is_legitimate());
     sdn.run_until_legitimate(CHECK, TIMEOUT)
         .expect("the next honest reply from the switch replaces the claim");
+}
+
+/// Tags are a saturating 64-bit counter. A single rule tagged `u64::MAX` is observed
+/// by every controller, so every `TagGenerator` saturates and `nextTag()` returns the
+/// same value forever: `curr == prev`, rounds can no longer be told apart, and the
+/// network is legitimate only in scattered instants (about 10 of 900 samples). The
+/// same rule at `u64::MAX - 10^9` leaves every sample legitimate. Theorem 2 promises
+/// recovery from this state too; ROADMAP item 8 is the fix.
+#[test]
+#[ignore = "known wedge: saturating TagGenerator, ROADMAP item 8"]
+fn a_rule_tagged_u64_max_does_not_wedge_the_tag_generators() {
+    for seed in [59, 60] {
+        let mut sdn = build(true, seed);
+        sdn.run_until_legitimate(CHECK, TIMEOUT).expect("bootstrap");
+        let (switch, controller) = (sdn.switch_ids()[0], sdn.controller_ids()[0]);
+        let bogus = NodeId::new(9999);
+        sdn.switch_mut(switch)
+            .expect("switch")
+            .corrupt_install_rule(Rule {
+                cid: bogus,
+                src: None,
+                dst: controller,
+                prt: 0,
+                fwd: controller,
+                tag: Tag::new(bogus.index(), u64::MAX),
+            });
+        let legitimate = (0..900)
+            .filter(|_| {
+                sdn.run_for(SimDuration::from_secs(1));
+                sdn.is_legitimate()
+            })
+            .count();
+        let c = sdn.controller(controller).expect("controller");
+        assert!(
+            legitimate >= 890,
+            "seed {seed}: legitimate in {legitimate} of 900 one-second samples \
+             (curr {}, prev {}, {} rounds completed)",
+            c.curr_tag(),
+            c.prev_tag(),
+            c.stats().rounds_completed
+        );
+    }
 }
