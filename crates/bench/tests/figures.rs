@@ -1,7 +1,8 @@
 //! The paper-figure path under the byte-identity contract: `renaissance-fig --all` at a
-//! small fixed scale must print exactly the committed `BENCH_figures.txt`, the command
-//! line must fail before any run on a typo, and the registry, `--help` and the README
-//! table must name the same figures in the same order.
+//! small fixed scale must print exactly the committed `BENCH_figures.txt`, the same
+//! bytes at `--threads 1` and `--threads 4`, the command line must fail before any run
+//! on a typo, and the registry, `--help` and the README table must name the same
+//! figures in the same order.
 //!
 //! Every number the binary prints is simulated and deterministic for equal flags, so
 //! "equal to the committed text" is an exact statement, like the campaign baselines.
@@ -47,6 +48,28 @@ fn all_figures_match_the_committed_golden() {
         GOLDEN_ARGS.join(" ")
     );
     common::assert_equals_committed(&text(&output.stdout), "BENCH_figures.txt", &regenerate);
+}
+
+#[test]
+fn all_figures_print_the_same_bytes_at_one_and_four_threads() {
+    // Two runs per cell give the worker pool something to reorder; fig15/16 carry the
+    // flow engine's FCT columns, so this also covers the engine under the parallel merge.
+    let tables = ["1", "4"].map(|threads| {
+        let args = [
+            "--all",
+            "--runs",
+            "2",
+            "--networks",
+            "B4",
+            "--task-delay-ms",
+            "5000",
+        ];
+        let output = fig(&[&args[..], &["--threads", threads]].concat());
+        assert!(output.status.success(), "{}", text(&output.stderr));
+        text(&output.stdout)
+    });
+    assert!(tables[0].contains("Figure 15"), "{}", tables[0]);
+    assert_eq!(tables[0], tables[1], "--threads 1 vs --threads 4");
 }
 
 #[test]

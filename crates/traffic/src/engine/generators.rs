@@ -6,7 +6,7 @@
 //! over an ordered endpoint list into a [`FlowBatch`]. Equal seeds produce equal
 //! batches, independent of thread count or host.
 
-use super::flows::{FlowBatch, FlowSpec};
+use super::flows::{BatchBuilder, FlowBatch};
 use super::matrix::TrafficMatrix;
 use sdn_rng::Rng;
 use sdn_topology::NodeId;
@@ -178,47 +178,28 @@ pub fn generate(endpoints: &[NodeId], config: &FlowSetConfig, seed: u64) -> Flow
     // reshuffle every flow's size.
     let mut shape_rng = Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut arrivals = config.arrival.sampler();
-    let mut specs: Vec<FlowSpec> = Vec::with_capacity(config.flow_count() as usize);
+    let mut batch = BatchBuilder::new(endpoints, config.flow_count() as usize);
     for _ in 0..config.pairs {
         let (s, d) = sampler.next_pair();
-        let (src, dst) = (endpoints[s as usize], endpoints[d as usize]);
+        let (s, d) = (s as usize, d as usize);
         let start_tick = arrivals.sample(&mut shape_rng);
         match config.fan_out {
-            None => {
-                specs.push(FlowSpec {
-                    src,
-                    dst,
-                    bytes: config.mix.sample(&mut shape_rng),
-                    start_tick,
-                });
-            }
+            None => batch.push(s, d, config.mix.sample(&mut shape_rng), start_tick),
             Some(fan) => {
-                // `dst` seeds a contiguous run of `width` servers; each server gets a
+                // `d` seeds a contiguous run of `width` servers; each server gets a
                 // request from the client and answers with a response flow.
-                for k in 0..fan.width.max(1) {
-                    let server = endpoints[(d as usize + k as usize) % endpoints.len()];
-                    let server = if server == src {
-                        endpoints[(d as usize + k as usize + 1) % endpoints.len()]
-                    } else {
-                        server
-                    };
-                    specs.push(FlowSpec {
-                        src,
-                        dst: server,
-                        bytes: fan.request_bytes,
-                        start_tick,
-                    });
-                    specs.push(FlowSpec {
-                        src: server,
-                        dst: src,
-                        bytes: config.mix.sample(&mut shape_rng),
-                        start_tick,
-                    });
+                for k in 0..fan.width.max(1) as usize {
+                    let mut server = (d + k) % endpoints.len();
+                    if endpoints[server] == endpoints[s] {
+                        server = (d + k + 1) % endpoints.len();
+                    }
+                    batch.push(s, server, fan.request_bytes, start_tick);
+                    batch.push(server, s, config.mix.sample(&mut shape_rng), start_tick);
                 }
             }
         }
     }
-    FlowBatch::from_specs(specs)
+    batch.finish()
 }
 
 #[cfg(test)]
@@ -258,7 +239,9 @@ mod tests {
         };
         let batch = generate(&eps, &config, 7);
         assert_eq!(batch.len(), 10_000);
-        let elephants = (0..batch.len()).filter(|&i| batch.bytes(i) == 10e6).count();
+        let elephants = (0..batch.len())
+            .filter(|&i| batch.remaining(i) == 10e6)
+            .count();
         // 10% elephants with binomial noise.
         assert!(
             (700..1_350).contains(&elephants),
@@ -282,8 +265,12 @@ mod tests {
         let batch = generate(&eps, &config, 9);
         assert_eq!(batch.len() as u64, config.flow_count());
         assert_eq!(batch.len(), 600);
-        let requests = (0..batch.len()).filter(|&i| batch.bytes(i) == 1e3).count();
-        let responses = (0..batch.len()).filter(|&i| batch.bytes(i) == 1e6).count();
+        let requests = (0..batch.len())
+            .filter(|&i| batch.remaining(i) == 1e3)
+            .count();
+        let responses = (0..batch.len())
+            .filter(|&i| batch.remaining(i) == 1e6)
+            .count();
         assert_eq!(requests, 300);
         assert_eq!(responses, 300);
         // No self-flows even after server remapping.

@@ -9,7 +9,8 @@
 //!
 //! The pieces:
 //!
-//! * [`flows`] — [`FlowBatch`], the struct-of-arrays population over dense [`FlowId`]s,
+//! * [`flows`] — [`FlowBatch`], the struct-of-arrays population grouped into path
+//!   classes,
 //! * [`matrix`] — seeded [`TrafficMatrix`] spatial shapes (uniform / hotspot /
 //!   permutation),
 //! * [`generators`] — size mixes, arrival processes, and request/response fan-out
@@ -20,16 +21,19 @@
 //!
 //! # The progress model
 //!
-//! Per service tick the engine makes two passes over the active flows. Pass one walks
-//! each flow's next-hop chain (a per-destination BFS tree over the operational
-//! topology's CSR snapshot) and increments a per-directed-arc load counter. Pass two
-//! walks the chain again, takes the *maximum* load along the path — the bottleneck —
-//! and delivers `capacity / bottleneck` worth of bytes for the tick, a classic
-//! max-min-flavoured fair-share approximation. Flows whose destination is unreachable
-//! stall: they deliver nothing but stay active, which is exactly the recovery signal
-//! the under-load campaign cells measure.
+//! Flows are charged by *path class*: all flows with one (source, destination) pair
+//! share a path, so the engine resolves it once per class and charges it once per
+//! tick. A retarget follows each class's next hops (a per-destination BFS tree over
+//! the operational topology's CSR snapshot) into a list of directed arcs. Per service
+//! tick the engine counts the active flows of each class and adds that count to every
+//! arc on the class's path; each class's flows then get `capacity / bottleneck` worth
+//! of bytes, the bottleneck being the *maximum* load along the path — a classic
+//! max-min-flavoured fair-share approximation — delivered flow by flow in activation
+//! order. Classes whose destination is unreachable stall: their flows deliver nothing
+//! but stay active, which is exactly the recovery signal the under-load campaign cells
+//! measure.
 //!
-//! Route tables are rebuilt only when the simulator's topology generation changes
+//! Class paths are rebuilt only when the simulator's topology generation changes
 //! ([`FlowEngine::retarget`]); between changes a tick is pure array arithmetic.
 //!
 //! Everything is deterministic: generation is a single seeded RNG stream, stepping is
@@ -58,18 +62,14 @@ pub mod generators;
 pub mod matrix;
 
 pub use fct::{FctCollector, FctSummary};
-pub use flows::{FlowBatch, FlowId, FlowSpec};
+pub use flows::{FlowBatch, FlowSpec};
 pub use generators::{generate, Arrival, FanOut, FlowMix, FlowSetConfig};
 pub use matrix::{MatrixSampler, TrafficMatrix};
 
 use renaissance::scenario::{Workload, WorkloadReport, WorkloadTick};
 use renaissance::SdnNetwork;
 use sdn_netsim::SimDuration;
-use sdn_topology::flat::NO_INDEX;
-use sdn_topology::{BfsScratch, FlatGraph, Graph, NodeId};
-
-/// Sentinel in the route tables: no usable next hop toward the destination.
-const NO_ARC: u32 = u32::MAX;
+use sdn_topology::{BfsScratch, Graph, NodeId};
 
 /// Default seed salt mixed into the harness seed by [`FlowEngineWorkload`], so the
 /// flow population is decorrelated from the harness's own random streams.
@@ -119,22 +119,23 @@ pub struct FlowEngine {
     /// Indices of active (started, not finished) flows, in activation order.
     active: Vec<u32>,
     fct: FctCollector,
-    /// CSR snapshot of the topology the routes were built against.
-    flat: FlatGraph,
-    /// Per dense node index: may this node relay traffic (switches yes,
-    /// controllers no — in-band semantics).
-    relay_ok: Vec<bool>,
-    /// Route tables: `next_arc[slot * node_count + u]` is the directed-arc index of
-    /// `u`'s next hop toward destination slot `slot`, or [`NO_ARC`].
-    next_arc: Vec<u32>,
-    node_count: usize,
-    /// Per-flow dense index of the source in the current snapshot ([`NO_INDEX`] when
-    /// the node is gone).
-    src_idx: Vec<u32>,
-    /// Per-flow dense index of the destination in the current snapshot.
-    dst_idx: Vec<u32>,
+    /// Per path class `c`, `path_arcs[path_start[c]..path_start[c + 1]]` are the
+    /// directed-arc indices of its next-hop chain, source first, in the snapshot the
+    /// routes were built against.
+    path_start: Vec<u32>,
+    path_arcs: Vec<u32>,
+    /// Per path class: does its chain reach the destination? A class that does not
+    /// stalls; any arcs its chain did follow still carry its flows.
+    routable: Vec<bool>,
     /// Per-directed-arc flow count of the current tick.
     arc_load: Vec<u32>,
+    /// Per path class: active flows this tick (all zero between ticks).
+    class_flows: Vec<u32>,
+    /// Per path class: the bytes each of its flows delivers this tick, `None` when
+    /// it stalls. Only classes with active flows are current.
+    share: Vec<Option<f64>>,
+    /// The classes with active flows this tick (empty between ticks).
+    live: Vec<u32>,
     scratch: BfsScratch,
     tick: u32,
     activated_total: usize,
@@ -145,19 +146,19 @@ impl FlowEngine {
     /// Creates an engine over a generated batch. Call [`FlowEngine::retarget`] before
     /// the first [`FlowEngine::step`]; until then every flow is unroutable.
     pub fn new(batch: FlowBatch, config: EngineConfig) -> Self {
-        let flows = batch.len();
+        let classes = batch.classes().len();
         FlowEngine {
             config,
             batch,
             active: Vec::new(),
             fct: FctCollector::new(),
-            flat: FlatGraph::default(),
-            relay_ok: Vec::new(),
-            next_arc: Vec::new(),
-            node_count: 0,
-            src_idx: vec![NO_INDEX; flows],
-            dst_idx: vec![NO_INDEX; flows],
+            path_start: vec![0; classes + 1],
+            path_arcs: Vec::new(),
+            routable: vec![false; classes],
             arc_load: Vec::new(),
+            class_flows: vec![0; classes],
+            share: vec![None; classes],
+            live: Vec::new(),
             scratch: BfsScratch::new(),
             tick: 0,
             activated_total: 0,
@@ -165,58 +166,53 @@ impl FlowEngine {
         }
     }
 
-    /// Rebuilds the route tables against `graph` (typically the simulator's
+    /// Rebuilds the class paths against `graph` (typically the simulator's
     /// operational topology). `relay` says which nodes may forward traffic — pass
     /// `|n| n.is_switch(n_controllers)` for in-band semantics, or `|_| true` on a
     /// switches-only graph.
     ///
-    /// One filtered BFS runs per distinct destination; per-flow endpoint indices and
-    /// the per-arc load array are resized to the new snapshot. Flows whose endpoints
+    /// One filtered BFS runs per distinct destination, and each path class with that
+    /// destination follows the BFS tree from its source once. Classes whose endpoints
     /// left the graph simply stall until a later retarget brings them back.
     pub fn retarget(&mut self, graph: &Graph, relay: impl Fn(NodeId) -> bool) {
-        self.flat = graph.snapshot();
-        let n = self.flat.node_count();
-        self.node_count = n;
-        self.relay_ok.clear();
-        self.relay_ok
-            .extend((0..n as u32).map(|idx| relay(self.flat.node_at(idx))));
-        let slots = self.batch.destinations().len();
-        self.next_arc.clear();
-        self.next_arc.resize(slots * n, NO_ARC);
-        for (slot, &dst) in self.batch.destinations().iter().enumerate() {
-            let Some(d) = self.flat.index_of(dst) else {
-                continue;
-            };
-            let relay_ok = &self.relay_ok;
-            self.flat
-                .bfs_filtered(d, &mut self.scratch, |u| relay_ok[u as usize]);
-            let base = slot * n;
-            for u in 0..n as u32 {
-                if u == d {
-                    continue;
-                }
-                let Some(parent) = self.scratch.parent_of(u) else {
-                    continue;
-                };
-                // The parent in a BFS tree rooted at the destination *is* the next
-                // hop; its arc index is the parent's position in u's ascending
-                // neighbor row.
-                if let Ok(pos) = self.flat.neighbor_indices(u).binary_search(&parent) {
-                    self.next_arc[base + u as usize] = self.flat.offsets()[u as usize] + pos as u32;
+        let flat = graph.snapshot();
+        let relay_ok: Vec<bool> = (0..flat.node_count() as u32)
+            .map(|idx| relay(flat.node_at(idx)))
+            .collect();
+        self.path_arcs.clear();
+        let (mut searched, mut dst) = (None, None);
+        for (c, &(src, slot)) in self.batch.classes().iter().enumerate() {
+            if searched != Some(slot) {
+                searched = Some(slot);
+                dst = flat.index_of(self.batch.destinations()[slot as usize]);
+                if let Some(d) = dst {
+                    flat.bfs_filtered(d, &mut self.scratch, |u| relay_ok[u as usize]);
                 }
             }
-        }
-        for i in 0..self.batch.len() {
-            self.src_idx[i] = self.flat.index_of(self.batch.src(i)).unwrap_or(NO_INDEX);
-            self.dst_idx[i] = self.flat.index_of(self.batch.dst(i)).unwrap_or(NO_INDEX);
+            self.routable[c] = match (flat.index_of(src), dst) {
+                (Some(mut u), Some(d)) => {
+                    // The parent in a BFS tree rooted at the destination *is* the next
+                    // hop; its arc index is the parent's position in u's ascending
+                    // neighbor row. The chain ends at the root, or at an unreached u.
+                    while let Some(parent) = self.scratch.parent_of(u) {
+                        let pos = flat.neighbor_indices(u).partition_point(|&v| v < parent);
+                        self.path_arcs.push(flat.offsets()[u as usize] + pos as u32);
+                        u = parent;
+                    }
+                    u == d
+                }
+                _ => false,
+            };
+            self.path_start[c + 1] = self.path_arcs.len() as u32;
         }
         self.arc_load.clear();
-        self.arc_load.resize(self.flat.arc_targets().len(), 0);
+        self.arc_load.resize(flat.arc_targets().len(), 0);
     }
 
-    /// Services one tick: activates this tick's flows, charges per-arc load (pass
-    /// one), delivers each flow's bottleneck share (pass two), records completions,
-    /// and retires finished flows.
+    /// Services one tick: activates this tick's flows, counts active flows per path
+    /// class, charges each class's count to the arcs of its path, gives each class's
+    /// flows its bottleneck share, delivers it flow by flow, records completions, and
+    /// retires finished flows.
     pub fn step(&mut self) -> TickStats {
         let tick = self.tick;
         let activating = self.batch.activating(tick);
@@ -226,70 +222,46 @@ impl FlowEngine {
         let concurrent = self.active.len();
         self.peak_concurrent = self.peak_concurrent.max(concurrent);
 
-        // Pass one: walk every active flow's next-hop chain, counting flows per arc.
-        self.arc_load.iter_mut().for_each(|l| *l = 0);
-        let targets = self.flat.arc_targets();
         for &i in &self.active {
-            let i = i as usize;
-            let slot_base = self.batch.dst_slot(i) as usize * self.node_count;
-            let dst = self.dst_idx[i];
-            let mut u = self.src_idx[i];
-            if u == NO_INDEX || dst == NO_INDEX {
-                continue;
+            let c = self.batch.class(i as usize);
+            if self.class_flows[c as usize] == 0 {
+                self.live.push(c);
             }
-            let mut hops = 0usize;
-            while u != dst {
-                let arc = self.next_arc[slot_base + u as usize];
-                if arc == NO_ARC {
-                    break;
-                }
-                self.arc_load[arc as usize] += 1;
-                u = targets[arc as usize];
-                hops += 1;
-                if hops > self.node_count {
-                    break; // defensive: a BFS tree cannot loop, but never spin
-                }
+            self.class_flows[c as usize] += 1;
+        }
+        let path = |c: usize| {
+            &self.path_arcs[self.path_start[c] as usize..self.path_start[c + 1] as usize]
+        };
+        self.arc_load.iter_mut().for_each(|l| *l = 0);
+        for &c in &self.live {
+            for &arc in path(c as usize) {
+                self.arc_load[arc as usize] += self.class_flows[c as usize];
             }
         }
-
-        // Pass two: each flow's rate is the capacity divided by the worst (largest)
-        // load along its path; deliver one tick's worth and record completions.
+        // A class's rate is the capacity divided by the worst (largest) load along
+        // its path. A zero-hop path delivers at full capacity.
         let capacity_bytes_per_tick =
             self.config.link_capacity_mbps * 1e6 / 8.0 * self.config.tick_secs;
+        for &c in &self.live {
+            let c = c as usize;
+            self.class_flows[c] = 0;
+            self.share[c] = self.routable[c].then(|| {
+                let bottleneck = path(c).iter().map(|&arc| self.arc_load[arc as usize]).max();
+                capacity_bytes_per_tick / f64::from(bottleneck.unwrap_or(0).max(1))
+            });
+        }
+        self.live.clear();
+
         let mut delivered_total = 0.0;
         let mut completed = 0usize;
         let mut stalled = 0usize;
-        for slot in 0..self.active.len() {
-            let i = self.active[slot] as usize;
-            let slot_base = self.batch.dst_slot(i) as usize * self.node_count;
-            let dst = self.dst_idx[i];
-            let mut u = self.src_idx[i];
-            let mut bottleneck = 0u32;
-            let mut routable = u != NO_INDEX && dst != NO_INDEX;
-            let mut hops = 0usize;
-            while routable && u != dst {
-                let arc = self.next_arc[slot_base + u as usize];
-                if arc == NO_ARC {
-                    routable = false;
-                    break;
-                }
-                bottleneck = bottleneck.max(self.arc_load[arc as usize]);
-                u = self.flat.arc_targets()[arc as usize];
-                hops += 1;
-                if hops > self.node_count {
-                    routable = false;
-                    break;
-                }
-            }
-            if !routable {
+        for &i in &self.active {
+            let i = i as usize;
+            let Some(share) = self.share[self.batch.class(i) as usize] else {
                 stalled += 1;
                 continue;
-            }
-            // A zero-hop flow (src == dst cannot happen, but src adjacent to a gone
-            // path can leave bottleneck at 0) delivers at full capacity.
-            let share = capacity_bytes_per_tick / f64::from(bottleneck.max(1));
-            let counted = self.batch.deliver(i, share);
-            delivered_total += counted;
+            };
+            delivered_total += self.batch.deliver(i, share);
             if self.batch.remaining(i) == 0.0 {
                 let fct_s = f64::from(tick + 1 - self.batch.start_tick(i)) * self.config.tick_secs;
                 self.fct.record_completion(fct_s);
@@ -675,6 +647,274 @@ mod tests {
         let fct = wl.digest("fct_s").expect("fct digest");
         assert!(fct.count() > 0, "flows must complete under load");
         assert!(wl.series("concurrent_flows").is_some());
+    }
+
+    /// The engine before path classes, written out literally: per tick, pass one
+    /// walks every active flow's next-hop chain to count flows per arc, and pass two
+    /// walks it again for the bottleneck and delivers.
+    struct PerFlowReference {
+        config: EngineConfig,
+        batch: FlowBatch,
+        active: Vec<u32>,
+        fct: FctCollector,
+        flat: sdn_topology::FlatGraph,
+        next_arc: Vec<u32>,
+        node_count: usize,
+        src_idx: Vec<u32>,
+        dst_idx: Vec<u32>,
+        arc_load: Vec<u32>,
+        scratch: BfsScratch,
+        tick: u32,
+    }
+
+    const NO_ARC: u32 = u32::MAX;
+    const NO_INDEX: u32 = sdn_topology::flat::NO_INDEX;
+
+    impl PerFlowReference {
+        fn new(batch: FlowBatch, config: EngineConfig) -> Self {
+            let flows = batch.len();
+            PerFlowReference {
+                config,
+                batch,
+                active: Vec::new(),
+                fct: FctCollector::new(),
+                flat: sdn_topology::FlatGraph::default(),
+                next_arc: Vec::new(),
+                node_count: 0,
+                src_idx: vec![NO_INDEX; flows],
+                dst_idx: vec![NO_INDEX; flows],
+                arc_load: Vec::new(),
+                scratch: BfsScratch::new(),
+                tick: 0,
+            }
+        }
+
+        fn retarget(&mut self, graph: &Graph, relay: impl Fn(NodeId) -> bool) {
+            self.flat = graph.snapshot();
+            let n = self.flat.node_count();
+            self.node_count = n;
+            let relay_ok: Vec<bool> = (0..n as u32)
+                .map(|idx| relay(self.flat.node_at(idx)))
+                .collect();
+            let slots = self.batch.destinations().len();
+            self.next_arc.clear();
+            self.next_arc.resize(slots * n, NO_ARC);
+            for (slot, &dst) in self.batch.destinations().iter().enumerate() {
+                let Some(d) = self.flat.index_of(dst) else {
+                    continue;
+                };
+                self.flat
+                    .bfs_filtered(d, &mut self.scratch, |u| relay_ok[u as usize]);
+                let base = slot * n;
+                for u in 0..n as u32 {
+                    if u == d {
+                        continue;
+                    }
+                    let Some(parent) = self.scratch.parent_of(u) else {
+                        continue;
+                    };
+                    if let Ok(pos) = self.flat.neighbor_indices(u).binary_search(&parent) {
+                        self.next_arc[base + u as usize] =
+                            self.flat.offsets()[u as usize] + pos as u32;
+                    }
+                }
+            }
+            for i in 0..self.batch.len() {
+                self.src_idx[i] = self.flat.index_of(self.batch.src(i)).unwrap_or(NO_INDEX);
+                self.dst_idx[i] = self.flat.index_of(self.batch.dst(i)).unwrap_or(NO_INDEX);
+            }
+            self.arc_load.clear();
+            self.arc_load.resize(self.flat.arc_targets().len(), 0);
+        }
+
+        fn step(&mut self) -> TickStats {
+            let tick = self.tick;
+            let activating = self.batch.activating(tick);
+            let activated = activating.len();
+            self.active.extend(activating.map(|i| i as u32));
+            let concurrent = self.active.len();
+            self.arc_load.iter_mut().for_each(|l| *l = 0);
+            let targets = self.flat.arc_targets();
+            for &i in &self.active {
+                let i = i as usize;
+                let slot_base = self.batch.dst_slot(i) as usize * self.node_count;
+                let dst = self.dst_idx[i];
+                let mut u = self.src_idx[i];
+                if u == NO_INDEX || dst == NO_INDEX {
+                    continue;
+                }
+                let mut hops = 0usize;
+                while u != dst {
+                    let arc = self.next_arc[slot_base + u as usize];
+                    if arc == NO_ARC {
+                        break;
+                    }
+                    self.arc_load[arc as usize] += 1;
+                    u = targets[arc as usize];
+                    hops += 1;
+                    if hops > self.node_count {
+                        break;
+                    }
+                }
+            }
+            let capacity_bytes_per_tick =
+                self.config.link_capacity_mbps * 1e6 / 8.0 * self.config.tick_secs;
+            let mut delivered_total = 0.0;
+            let mut completed = 0usize;
+            let mut stalled = 0usize;
+            for slot in 0..self.active.len() {
+                let i = self.active[slot] as usize;
+                let slot_base = self.batch.dst_slot(i) as usize * self.node_count;
+                let dst = self.dst_idx[i];
+                let mut u = self.src_idx[i];
+                let mut bottleneck = 0u32;
+                let mut routable = u != NO_INDEX && dst != NO_INDEX;
+                let mut hops = 0usize;
+                while routable && u != dst {
+                    let arc = self.next_arc[slot_base + u as usize];
+                    if arc == NO_ARC {
+                        routable = false;
+                        break;
+                    }
+                    bottleneck = bottleneck.max(self.arc_load[arc as usize]);
+                    u = self.flat.arc_targets()[arc as usize];
+                    hops += 1;
+                    if hops > self.node_count {
+                        routable = false;
+                        break;
+                    }
+                }
+                if !routable {
+                    stalled += 1;
+                    continue;
+                }
+                let share = capacity_bytes_per_tick / f64::from(bottleneck.max(1));
+                let counted = self.batch.deliver(i, share);
+                delivered_total += counted;
+                if self.batch.remaining(i) == 0.0 {
+                    let fct_s =
+                        f64::from(tick + 1 - self.batch.start_tick(i)) * self.config.tick_secs;
+                    self.fct.record_completion(fct_s);
+                    completed += 1;
+                }
+            }
+            self.fct.credit_bytes(delivered_total);
+            let batch = &self.batch;
+            self.active.retain(|&i| batch.remaining(i as usize) > 0.0);
+            self.tick = tick + 1;
+            TickStats {
+                tick,
+                activated,
+                concurrent,
+                completed,
+                stalled,
+                delivered_bytes: delivered_total,
+            }
+        }
+    }
+
+    #[test]
+    fn class_engine_matches_the_per_flow_reference_bit_for_bit() {
+        let topologies = [
+            builders::fat_tree(4, 2),
+            builders::grid(3, 4, 2),
+            builders::jellyfish(12, 3, 5, 2),
+        ];
+        let matrices = [
+            TrafficMatrix::Uniform,
+            TrafficMatrix::HotspotPod {
+                groups: 3,
+                hot_fraction: 0.6,
+            },
+            TrafficMatrix::Permutation,
+        ];
+        let arrivals = [
+            Arrival::UpFront,
+            Arrival::Uniform { over_ticks: 6 },
+            Arrival::Poisson {
+                rate_per_tick: 40.0,
+            },
+        ];
+        let fan_outs = [
+            None,
+            Some(FanOut {
+                width: 2,
+                request_bytes: 2e5,
+            }),
+        ];
+        // Small links, so that flows need several ticks and the removals below cut
+        // classes mid-transfer.
+        let config = EngineConfig {
+            link_capacity_mbps: 80.0,
+            tick_secs: 1.0,
+        };
+        let mut cases = 0;
+        for (t, net) in topologies.iter().enumerate() {
+            let n_controllers = net.controllers.len();
+            let relay = |node: NodeId| node.is_switch(n_controllers);
+            // Cut every link of the first switch and one more of the second: the
+            // classes touching the first stall, the others reroute.
+            let (a, b) = (net.switches[0], net.switches[1]);
+            let cut: Vec<(NodeId, NodeId)> = net
+                .graph
+                .neighbor_vec(a)
+                .into_iter()
+                .map(|x| (a, x))
+                .chain(
+                    net.graph
+                        .neighbor_vec(b)
+                        .into_iter()
+                        .take(1)
+                        .map(|x| (b, x)),
+                )
+                .collect();
+            let mut damaged = net.graph.clone();
+            for &(x, y) in &cut {
+                damaged.remove_link(x, y);
+            }
+            for (m, &matrix) in matrices.iter().enumerate() {
+                for (r, &arrival) in arrivals.iter().enumerate() {
+                    for (f, &fan_out) in fan_outs.iter().enumerate() {
+                        let flows = FlowSetConfig {
+                            matrix,
+                            mix: FlowMix {
+                                mice_bytes: 3e5,
+                                elephant_bytes: 4e7,
+                                elephant_fraction: 0.2,
+                            },
+                            arrival,
+                            pairs: 400,
+                            fan_out,
+                        };
+                        let seed = (t * 100 + m * 10 + r * 2 + f) as u64;
+                        let batch = generate(&net.switches, &flows, seed);
+                        let mut engine = FlowEngine::new(batch.clone(), config);
+                        let mut reference = PerFlowReference::new(batch, config);
+                        for tick in 0..24 {
+                            let graph = match tick {
+                                0 | 10 => Some(&net.graph),
+                                4 => Some(&damaged),
+                                _ => None,
+                            };
+                            if let Some(graph) = graph {
+                                engine.retarget(graph, relay);
+                                reference.retarget(graph, relay);
+                            }
+                            let stats = engine.step();
+                            assert_eq!(stats, reference.step(), "case {seed} tick {tick}");
+                            if tick == 5 && t == 0 {
+                                assert!(stats.stalled > 0, "case {seed}: the cut stalls flows");
+                            }
+                        }
+                        assert_eq!(engine.fct(), &reference.fct, "case {seed}");
+                        assert_eq!(engine.batch(), &reference.batch, "case {seed}");
+                        assert!(engine.fct().completed() > 0, "case {seed}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 54);
     }
 
     #[test]

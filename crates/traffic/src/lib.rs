@@ -47,7 +47,7 @@ pub mod reno;
 
 pub use engine::{
     generate, Arrival, EngineConfig, FanOut, FctCollector, FctSummary, FlowBatch, FlowEngine,
-    FlowEngineWorkload, FlowId, FlowMix, FlowSetConfig, FlowSpec, TrafficMatrix,
+    FlowEngineWorkload, FlowMix, FlowSetConfig, FlowSpec, TrafficMatrix,
 };
 pub use iperf::{throughput_correlation, IperfRun, IperfWorkload};
 pub use reno::{PathEvent, RenoConfig, RenoConnection};
