@@ -1,7 +1,7 @@
 //! `renaissance-fig <id>... | --all`: regenerates the tables and figures of the paper's
 //! evaluation from the registry in [`renaissance_bench::figures`].
 
-use renaissance_bench::{cli, figures, print_table, MetricPipeline};
+use renaissance_bench::{cli, figures, output::OutSink, print_table};
 
 fn main() {
     let args = cli::parse(&figures::about(), figures::FLAGS);
@@ -11,9 +11,9 @@ fn main() {
         .into_iter()
         .map(|figure| (figure, figure.scale(&args)))
         .collect();
-    let mut pipeline = MetricPipeline::from_args(&args);
+    let mut out = OutSink::from_args(&args);
     for (figure, scale) in &selected {
-        print_table(&(figure.run)(scale, &mut pipeline));
+        print_table(&(figure.run)(scale, &mut out));
     }
-    pipeline.finish();
+    out.finish();
 }

@@ -40,8 +40,8 @@
 //! * `rolling_upgrade` — controllers restarted one at a time (10 s apart, 5 s down
 //!   each), the maintenance-window schedule.
 //!
-//! `--smoke` shrinks the sweep to three tiny topologies with one seed each so the CI
-//! job finishes in seconds; the full campaign reaches several hundred switches.
+//! `--smoke` shrinks the sweep to four small topologies with one seed each so the
+//! tier-1 test finishes in seconds; the full campaign reaches several hundred switches.
 
 use renaissance::scenario::{
     ControllerSelector, DegradeSpec, Endpoints, FaultEvent, LinkSelector, PartitionSpec, Probe,
@@ -50,9 +50,9 @@ use renaissance::scenario::{
 use renaissance_bench::cli::{self, Flag};
 use renaissance_bench::output::OutputFormat;
 use renaissance_bench::report::{fmt2, print_table, write_json_file, Row, Table};
-use renaissance_bench::{ExperimentScale, MetricKey, MetricPipeline, Recorder};
+use renaissance_bench::{ExperimentScale, MetricKey, Recorder};
 use sdn_metrics::json::Json;
-use sdn_metrics::{csv_field, Digest};
+use sdn_metrics::{csv_field, Digest, MemorySink};
 use sdn_netsim::SimDuration;
 use sdn_topology::{builders, connectivity};
 use sdn_traffic::engine::{FlowEngineWorkload, FlowSetConfig};
@@ -64,7 +64,7 @@ const EXTRA_FLAGS: &[Flag] = &[
     Flag {
         name: "--smoke",
         value_name: None,
-        help: "tiny sizes, 1 seed: the CI smoke configuration",
+        help: "tiny sizes, 1 seed: the smoke tier (BENCH_scale_smoke.json)",
     },
     Flag {
         name: "--large",
@@ -179,9 +179,9 @@ fn main() {
     let scale = scale.with_args(&args);
     let seed = scale.seed_or(1_000);
 
-    // The campaign's artifact is rendered from the typed pipeline: every per-run
+    // The campaign's artifact is rendered from the typed metrics: every per-run
     // sample is recorded under "spec/scenario" scopes and digested in memory.
-    let mut pipeline = MetricPipeline::in_memory();
+    let mut sink = MemorySink::default();
     let mut rows = Vec::new();
     let mut results = Vec::new();
     for network in &scale.networks {
@@ -212,13 +212,13 @@ fn main() {
             let mut peak_concurrent = 0u64;
             for run in &report.runs {
                 if let Some(s) = run.bootstrap_s {
-                    pipeline.record(&scope, &MetricKey::BOOTSTRAP_TIME, s);
+                    sink.record(&scope, &MetricKey::BOOTSTRAP_TIME, s);
                 }
                 for recovery in run.recoveries.iter().filter_map(|r| r.recovered_in_s) {
-                    pipeline.record(&scope, &MetricKey::RECOVERY_TIME, recovery);
+                    sink.record(&scope, &MetricKey::RECOVERY_TIME, recovery);
                 }
-                pipeline.record(&scope, &MetricKey::SIM_END, run.sim_end_s);
-                pipeline.record(&scope, &MetricKey::MESSAGES_SENT, run.messages_sent as f64);
+                sink.record(&scope, &MetricKey::SIM_END, run.sim_end_s);
+                sink.record(&scope, &MetricKey::MESSAGES_SENT, run.messages_sent as f64);
                 // Gray-failure observables: flap survival is the fraction of fault
                 // batches that re-legitimized before the next batch fired, partition
                 // messages the control-plane traffic between the cut and the heal.
@@ -228,7 +228,7 @@ fn main() {
                         .iter()
                         .filter(|r| r.recovered_in_s.is_some())
                         .count();
-                    pipeline.record(
+                    sink.record(
                         &scope,
                         &MetricKey::FLAP_SURVIVAL,
                         survived as f64 / run.recoveries.len() as f64,
@@ -236,7 +236,7 @@ fn main() {
                 }
                 if scenario == "partition_heal" {
                     if let Some(messages) = messages_during_partition(run) {
-                        pipeline.record(&scope, &MetricKey::PARTITION_MESSAGES, messages);
+                        sink.record(&scope, &MetricKey::PARTITION_MESSAGES, messages);
                     }
                 }
                 // The under-load cells carry a flow-engine workload whose report has
@@ -244,15 +244,15 @@ fn main() {
                 if let Some(wl) = run.workload("flow_engine") {
                     if let Some(fct) = wl.digest("fct_s") {
                         if !fct.is_empty() {
-                            pipeline.record(&scope, &MetricKey::FCT_P50, fct.p50());
-                            pipeline.record(&scope, &MetricKey::FCT_P99, fct.p99());
+                            sink.record(&scope, &MetricKey::FCT_P50, fct.p50());
+                            sink.record(&scope, &MetricKey::FCT_P99, fct.p99());
                         }
                         completed_flows += fct.count();
                     }
                     if let Some(series) = wl.series("achieved_mbps") {
                         if !series.is_empty() {
                             let mean = series.iter().sum::<f64>() / series.len() as f64;
-                            pipeline.record(&scope, &MetricKey::ACHIEVED_THROUGHPUT, mean);
+                            sink.record(&scope, &MetricKey::ACHIEVED_THROUGHPUT, mean);
                         }
                     }
                     if let Some(peak) = wl.note("peak_concurrent").and_then(|p| p.parse().ok()) {
@@ -263,11 +263,7 @@ fn main() {
             let under_load = scenario.ends_with("_under_load");
             let converged = report.all_converged();
             let digest = |key: &MetricKey| -> Digest {
-                pipeline
-                    .memory()
-                    .digest(&scope, key)
-                    .cloned()
-                    .unwrap_or_default()
+                sink.digest(&scope, key).cloned().unwrap_or_default()
             };
             let bootstrap = digest(&MetricKey::BOOTSTRAP_TIME);
             let recovery = digest(&MetricKey::RECOVERY_TIME);
@@ -347,7 +343,7 @@ fn main() {
         ("results", Json::Arr(results)),
     ]);
     if csv {
-        write_campaign_csv(&out, &pipeline);
+        write_campaign_csv(&out, &sink);
     } else {
         write_json_file(std::path::Path::new(&out), &doc)
             .unwrap_or_else(|e| panic!("failed to write {out}: {e}"));
@@ -366,9 +362,9 @@ fn main() {
 
 /// Writes the campaign summary as CSV: one row per (cell, metric) with the digest
 /// statistics.
-fn write_campaign_csv(out: &str, pipeline: &MetricPipeline) {
+fn write_campaign_csv(out: &str, sink: &MemorySink) {
     let mut text = String::from("scope,metric,unit,n,mean,stddev,min,p50,p90,p99,max\n");
-    for (scope, key, digest) in pipeline.memory().iter() {
+    for (scope, key, digest) in sink.iter() {
         let quantiles = digest.quantiles(&[0.5, 0.9, 0.99]);
         text.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{},{}\n",

@@ -13,7 +13,7 @@ use renaissance::scenario::{
     ScenarioBuilder, SwitchSelector,
 };
 use renaissance::{ControllerConfig, CorruptionPlan, SdnNetwork};
-use sdn_metrics::{MetricKey, Namespace, Polarity, Recorder, Unit};
+use sdn_metrics::{MetricKey, Namespace, Recorder, Unit};
 use sdn_netsim::SimDuration;
 use sdn_topology::builders;
 use sdn_traffic::engine::{FctSummary, FlowEngineWorkload, FlowSetConfig};
@@ -30,32 +30,18 @@ pub const OVERHEAD: MetricKey = MetricKey::named(
     Namespace::Scenario,
     "overhead_msgs_per_node_per_iter",
     Unit::Count,
-    Polarity::LowerIsBetter,
 );
 
 /// The per-second BAD-TCP flag percentage of the iperf workload (Figure 19).
-pub const BAD_TCP: MetricKey = MetricKey::named(
-    Namespace::Workload,
-    "bad_tcp_pct",
-    Unit::Percent,
-    Polarity::LowerIsBetter,
-);
+pub const BAD_TCP: MetricKey = MetricKey::named(Namespace::Workload, "bad_tcp_pct", Unit::Percent);
 
 /// The per-second out-of-order packet percentage of the iperf workload (Figure 20).
-pub const OUT_OF_ORDER: MetricKey = MetricKey::named(
-    Namespace::Workload,
-    "out_of_order_pct",
-    Unit::Percent,
-    Polarity::LowerIsBetter,
-);
+pub const OUT_OF_ORDER: MetricKey =
+    MetricKey::named(Namespace::Workload, "out_of_order_pct", Unit::Percent);
 
 /// The with/without-recovery throughput correlation of Table 17.
-pub const CORRELATION: MetricKey = MetricKey::named(
-    Namespace::Bench,
-    "throughput_correlation",
-    Unit::Ratio,
-    Polarity::Neutral,
-);
+pub const CORRELATION: MetricKey =
+    MetricKey::named(Namespace::Bench, "throughput_correlation", Unit::Ratio);
 
 /// How long (simulated) an experiment is allowed to take before it is reported as a
 /// timeout. Generous: the paper's slowest bootstrap is ~2 minutes.

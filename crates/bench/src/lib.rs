@@ -5,7 +5,7 @@
 //! registry: each entry runs a function of the [`experiments`] module, prints a
 //! human-readable table to stdout and streams every per-run sample to `--out PATH` when
 //! asked. Its output at a small fixed scale is committed as `BENCH_figures.txt` and
-//! gated byte for byte (`tests/figures.rs`, CI's `bench-smoke`).
+//! gated byte for byte (`tests/figures.rs`).
 //!
 //! A run is a function of its flags alone (see [`cli`]): every binary accepts
 //! `--runs N` (default 3; the paper used 20), `--seed N` (each experiment documents its
@@ -16,8 +16,9 @@
 //! `renaissance-perf` package (`crates/bench/perf`, `BENCHMARK.json`).
 //!
 //! The `scale_campaign` binary sweeps topology family x size x fault scenario and
-//! emits the machine-readable `BENCH_scale*.json` artifacts, each held byte for byte
-//! against its committed copy (`tests/gate.rs`, CI's `bench-smoke`).
+//! emits the machine-readable `BENCH_scale*.json` artifacts; `tests/gate.rs` holds the
+//! smoke tier (and, in an ignored test, the large tier) byte for byte to its
+//! committed copy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +30,5 @@ pub mod output;
 pub mod report;
 
 pub use experiments::{ExperimentScale, Measurement};
-pub use output::MetricPipeline;
 pub use report::{print_table, Row, Table};
 pub use sdn_metrics::{MetricKey, Recorder};

@@ -1,13 +1,11 @@
-//! The recorder pipeline every experiment binary emits its results through.
+//! The shared `--out`/`--format` flags as a [`Recorder`].
 //!
-//! A [`MetricPipeline`] always contains an in-memory digest sink (the data behind the
-//! printed tables) and, when the shared `--out`/`--format` flags are given, a
-//! streaming file sink (JSON-lines or CSV) receiving every individual sample as it is
-//! produced — so machine-readable artifacts of arbitrarily long campaigns never
-//! require buffering the sample stream.
+//! [`OutSink`] streams every individual sample to a JSON-lines or CSV file as it is
+//! produced, so the machine-readable record of an arbitrarily long run is never
+//! buffered.
 
 use crate::cli::{die, CliArgs};
-use sdn_metrics::{CsvSink, JsonLinesSink, MemorySink, MetricKey, Recorder};
+use sdn_metrics::{CsvSink, JsonLinesSink, MetricKey, Recorder};
 use std::fs::File;
 use std::io::BufWriter;
 
@@ -34,17 +32,15 @@ impl OutputFormat {
     }
 }
 
-/// An in-memory digest store plus an optional streaming file sink, driven by the
-/// shared `--out PATH` / `--format json|csv` flags.
-pub struct MetricPipeline {
-    memory: MemorySink,
+/// The streaming file sink behind the shared `--out PATH` / `--format json|csv` flags.
+/// Without `--out` it records nothing.
+pub struct OutSink {
     file: Option<(Box<dyn Recorder>, String)>,
 }
 
-impl MetricPipeline {
-    /// A pipeline honouring the parsed `--out`/`--format` flags. Without `--out`, the
-    /// pipeline only aggregates in memory.
-    pub fn from_args(args: &CliArgs) -> MetricPipeline {
+impl OutSink {
+    /// A sink honouring the parsed `--out`/`--format` flags; creates the file.
+    pub fn from_args(args: &CliArgs) -> OutSink {
         let format = OutputFormat::from_args(args);
         let file = args.value("--out").map(|path| {
             let writer = BufWriter::new(
@@ -56,27 +52,10 @@ impl MetricPipeline {
             };
             (sink, path.to_string())
         });
-        MetricPipeline {
-            memory: MemorySink::default(),
-            file,
-        }
+        OutSink { file }
     }
 
-    /// A memory-only pipeline (used by tests and by binaries with their own artifact
-    /// format).
-    pub fn in_memory() -> MetricPipeline {
-        MetricPipeline {
-            memory: MemorySink::default(),
-            file: None,
-        }
-    }
-
-    /// The digests aggregated so far.
-    pub fn memory(&self) -> &MemorySink {
-        &self.memory
-    }
-
-    /// Flushes the file sink (if any) and reports where the records went.
+    /// Flushes the file (if any) and reports where the records went.
     pub fn finish(mut self) {
         if let Some((mut sink, path)) = self.file.take() {
             if let Err(e) = sink.flush() {
@@ -88,9 +67,8 @@ impl MetricPipeline {
     }
 }
 
-impl Recorder for MetricPipeline {
+impl Recorder for OutSink {
     fn record(&mut self, scope: &str, key: &MetricKey, value: f64) {
-        self.memory.record(scope, key, value);
         if let Some((sink, _)) = &mut self.file {
             sink.record(scope, key, value);
         }
@@ -109,27 +87,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn memory_only_pipeline_aggregates() {
-        let mut pipeline = MetricPipeline::in_memory();
-        pipeline.record("B4", &MetricKey::BOOTSTRAP_TIME, 2.0);
-        pipeline.record("B4", &MetricKey::BOOTSTRAP_TIME, 4.0);
-        assert_eq!(
-            pipeline
-                .memory()
-                .digest("B4", &MetricKey::BOOTSTRAP_TIME)
-                .unwrap()
-                .mean(),
-            3.0
-        );
-        pipeline.finish();
-    }
-
-    #[test]
     fn file_sink_streams_records() {
         let path = std::env::temp_dir().join("renaissance_pipeline_test.jsonl");
         let path_str = path.to_str().unwrap();
-        let mut pipeline = MetricPipeline {
-            memory: MemorySink::default(),
+        let mut sink = OutSink {
             file: Some((
                 Box::new(JsonLinesSink::new(BufWriter::new(
                     File::create(&path).unwrap(),
@@ -137,8 +98,8 @@ mod tests {
                 path_str.to_string(),
             )),
         };
-        pipeline.record("B4", &MetricKey::RECOVERY_TIME, 1.5);
-        pipeline.finish();
+        sink.record("B4", &MetricKey::RECOVERY_TIME, 1.5);
+        sink.finish();
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             content,

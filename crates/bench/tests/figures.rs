@@ -13,8 +13,7 @@ use renaissance_bench::figures::FIGURES;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// The command (after the binary name) whose stdout `BENCH_figures.txt` holds; CI's
-/// `bench-smoke` job diffs the same one from a release build.
+/// The command (after the binary name) whose stdout `BENCH_figures.txt` holds.
 const GOLDEN_ARGS: [&str; 5] = ["--all", "--runs", "1", "--networks", "B4,Clos"];
 
 fn repo_file(name: &str) -> PathBuf {

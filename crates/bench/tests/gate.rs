@@ -37,15 +37,14 @@ const GRAY_SCENARIOS: [&str; 4] = [
     "rolling_upgrade",
 ];
 
-/// Runs the scale campaign's smoke tier with `args` and `env` on top of a clean
-/// environment and returns (exit code, stdout).
+/// Runs the scale campaign with `args` and `env` on top of a clean environment and
+/// returns (exit code, stdout).
 fn campaign(args: &[&str], env: &[(&str, &str)]) -> (i32, String) {
     let mut command = Command::new(env!("CARGO_BIN_EXE_scale_campaign"));
     for (name, _) in FLAG_NAMED_ENV {
         command.env_remove(name);
     }
     let output = command
-        .arg("--smoke")
         .args(args)
         .envs(env.iter().copied())
         .output()
@@ -60,7 +59,13 @@ fn campaign(args: &[&str], env: &[(&str, &str)]) -> (i32, String) {
 /// artifact's bytes.
 fn artifact(name: &str, args: &[&str], env: &[(&str, &str)]) -> Vec<u8> {
     let out = scratch(name);
-    let mut all = vec!["--networks", "grid(3, 3)", "--out", out.to_str().unwrap()];
+    let mut all = vec![
+        "--smoke",
+        "--networks",
+        "grid(3, 3)",
+        "--out",
+        out.to_str().unwrap(),
+    ];
     all.extend(args);
     let (code, stdout) = campaign(&all, env);
     assert_eq!(code, 0, "campaign run failed:\n{stdout}");
@@ -86,21 +91,32 @@ fn campaign_artifact_is_a_function_of_the_flags() {
     assert_eq!(from_env, clean, "environment leaked in");
 }
 
-/// The committed smoke baseline is what the smoke campaign writes today, byte for
-/// byte: the artifact holds only simulated quantities, so any difference is a change
-/// of simulated behaviour (or of the artifact's layout) that the PR has to own.
-#[test]
-fn smoke_campaign_reproduces_the_committed_baseline() {
-    let out = scratch("smoke.json");
-    let (code, stdout) = campaign(&["--out", out.to_str().unwrap()], &[]);
-    assert_eq!(code, 0, "smoke campaign failed:\n{stdout}");
+/// A committed tier baseline is what its campaign writes today, byte for byte: the
+/// artifact holds only simulated quantities, so any difference is a change of
+/// simulated behaviour (or of the artifact's layout) that the PR has to own.
+fn tier_reproduces_the_committed_baseline(tier: &str, committed: &str) {
+    let out = scratch(&format!("{tier}.json"));
+    let flag = format!("--{tier}");
+    let (code, stdout) = campaign(&[&flag, "--out", out.to_str().unwrap()], &[]);
+    assert_eq!(code, 0, "{tier} campaign failed:\n{stdout}");
     let current = std::fs::read_to_string(&out).expect("read artifact");
     let _ = std::fs::remove_file(&out);
     common::assert_equals_committed(
         &current,
-        "BENCH_scale_smoke.json",
-        "cargo run --release -p renaissance-bench --bin scale_campaign -- --smoke",
+        committed,
+        &format!("cargo run --release -p renaissance-bench --bin scale_campaign -- {flag}"),
     );
+}
+
+#[test]
+fn smoke_campaign_reproduces_the_committed_baseline() {
+    tier_reproduces_the_committed_baseline("smoke", "BENCH_scale_smoke.json");
+}
+
+#[test]
+#[ignore = "about a minute in release: cargo test --release -p renaissance-bench --test gate -- --ignored"]
+fn large_campaign_reproduces_the_committed_baseline() {
+    tier_reproduces_the_committed_baseline("large", "BENCH_scale_large.json");
 }
 
 /// What every committed tier must say, beyond being reproducible: one result cell

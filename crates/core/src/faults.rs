@@ -141,12 +141,6 @@ impl FaultInjector {
         switches[self.rng.gen_range(0..switches.len())]
     }
 
-    /// Picks a uniformly random live controller (panics if there is none).
-    pub fn random_controller(&mut self, net: &SdnNetwork) -> NodeId {
-        let controllers = net.live_controller_ids();
-        controllers[self.rng.gen_range(0..controllers.len())]
-    }
-
     /// Picks `count` distinct random links of the current topology whose removal keeps
     /// the network *in-band connected* (mirrors the paper's random link-failure
     /// experiments, which always leave the network connected so recovery is possible).
@@ -267,7 +261,6 @@ mod tests {
         let mut a = FaultInjector::new(5);
         let mut b = FaultInjector::new(5);
         assert_eq!(a.random_switch(&sdn), b.random_switch(&sdn));
-        assert_eq!(a.random_controller(&sdn), b.random_controller(&sdn));
         let links_a = a.random_safe_links(&sdn, 2);
         let links_b = b.random_safe_links(&sdn, 2);
         assert_eq!(links_a, links_b);

@@ -58,7 +58,7 @@ pub use schedule::{
     FaultSchedule, LinkSelector, PartitionSpec, SwitchSelector,
 };
 pub use sdn_metrics::{
-    CsvSink, Digest, JsonLinesSink, MemorySink, MetricKey, Namespace, Polarity, Recorder, Unit,
+    CsvSink, Digest, JsonLinesSink, MemorySink, MetricKey, Namespace, Recorder, Unit,
 };
 pub use workload::{NamedSeries, Workload, WorkloadReport, WorkloadTick};
 

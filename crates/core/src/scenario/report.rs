@@ -4,7 +4,6 @@
 use super::probe::ProbeSeries;
 use super::workload::WorkloadReport;
 use sdn_metrics::{Digest, MetricKey};
-use std::collections::BTreeSet;
 
 /// One fault event as actually injected during a run (selectors resolved to concrete
 /// victims).
@@ -136,24 +135,6 @@ impl ScenarioReport {
             }
         }
         digest
-    }
-
-    /// Every metric this report can aggregate: bootstrap, recovery (when any run has
-    /// fault batches), and all registered summary keys, with their digests.
-    pub fn metric_digests(&self) -> Vec<(MetricKey, Digest)> {
-        let mut out = vec![(MetricKey::BOOTSTRAP_TIME, self.bootstrap_digest())];
-        if self.runs.iter().any(|r| !r.recoveries.is_empty()) {
-            out.push((MetricKey::RECOVERY_TIME, self.recovery_digest()));
-        }
-        let keys: BTreeSet<&MetricKey> = self
-            .runs
-            .iter()
-            .flat_map(|r| r.summaries.iter().map(|(k, _)| k))
-            .collect();
-        for key in keys {
-            out.push((key.clone(), self.metric_digest(key)));
-        }
-        out
     }
 
     /// Returns `true` when every run bootstrapped and every fault batch recovered.

@@ -712,9 +712,5 @@ mod tests {
             .run();
         assert_eq!(report.runs[0].metric(&key), Some(5.0));
         assert_eq!(report.metric_digest(&key).mean(), 5.0);
-        // The aggregate view exposes bootstrap plus every summary key.
-        let digests = report.metric_digests();
-        assert_eq!(digests[0].0, MetricKey::BOOTSTRAP_TIME);
-        assert!(digests.iter().any(|(k, d)| k == &key && d.len() == 1));
     }
 }

@@ -124,12 +124,6 @@ impl DegradeSpec {
         }
     }
 
-    /// Makes the degradation symmetric (both directions).
-    pub fn symmetric(mut self) -> Self {
-        self.asymmetric = false;
-        self
-    }
-
     /// The concrete link configuration of a degraded link, derived from the
     /// network's default link behaviour.
     pub fn link_config(&self, base: LinkConfig) -> LinkConfig {

@@ -79,24 +79,11 @@ impl fmt::Display for Unit {
     }
 }
 
-/// Which direction of change is an improvement — what turns a numeric delta between
-/// two measurements into "better", "worse", or "neither".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Polarity {
-    /// Smaller is better (latencies, message counts, loss).
-    LowerIsBetter,
-    /// Larger is better (throughput, legitimacy).
-    HigherIsBetter,
-    /// Neither direction is a regression (structural quantities such as rule counts).
-    #[default]
-    Neutral,
-}
-
 /// A typed, namespaced metric identity.
 ///
-/// Identity is the `(namespace, name)` pair: [`Unit`] and [`Polarity`] are carried as
-/// metadata for formatting and regression gating but do not participate in equality,
-/// ordering, or hashing. The well-known keys of the workspace are exposed as
+/// Identity is the `(namespace, name)` pair: the [`Unit`] is metadata that the sinks
+/// print beside each value, and it does not participate in equality, ordering, or
+/// hashing. The well-known keys of the workspace are exposed as
 /// associated constants ([`MetricKey::BOOTSTRAP_TIME`], ...); experiment-specific
 /// metrics are built with [`MetricKey::named`] (const, `&'static str`) or
 /// [`MetricKey::custom`] (owned name).
@@ -104,10 +91,9 @@ pub enum Polarity {
 /// # Example
 ///
 /// ```
-/// use sdn_metrics::{MetricKey, Namespace, Polarity, Unit};
+/// use sdn_metrics::{MetricKey, Namespace, Unit};
 ///
-/// const OVERHEAD: MetricKey =
-///     MetricKey::named(Namespace::Scenario, "overhead", Unit::Count, Polarity::LowerIsBetter);
+/// const OVERHEAD: MetricKey = MetricKey::named(Namespace::Scenario, "overhead", Unit::Count);
 /// assert_eq!(OVERHEAD.path(), "scenario/overhead");
 /// assert_eq!(OVERHEAD, MetricKey::custom(Namespace::Scenario, "overhead"));
 /// ```
@@ -116,163 +102,83 @@ pub struct MetricKey {
     namespace: Namespace,
     name: Cow<'static, str>,
     unit: Unit,
-    polarity: Polarity,
 }
 
 impl MetricKey {
     /// Time from the empty configuration to the first legitimate state, in simulated
     /// seconds.
-    pub const BOOTSTRAP_TIME: MetricKey = MetricKey::named(
-        Namespace::Scenario,
-        "bootstrap_s",
-        Unit::Seconds,
-        Polarity::LowerIsBetter,
-    );
+    pub const BOOTSTRAP_TIME: MetricKey =
+        MetricKey::named(Namespace::Scenario, "bootstrap_s", Unit::Seconds);
     /// Time from a fault batch back to a legitimate state, in simulated seconds.
-    pub const RECOVERY_TIME: MetricKey = MetricKey::named(
-        Namespace::Scenario,
-        "recovery_s",
-        Unit::Seconds,
-        Polarity::LowerIsBetter,
-    );
+    pub const RECOVERY_TIME: MetricKey =
+        MetricKey::named(Namespace::Scenario, "recovery_s", Unit::Seconds);
     /// Simulated clock at the end of a run, in seconds.
-    pub const SIM_END: MetricKey = MetricKey::named(
-        Namespace::Scenario,
-        "sim_end_s",
-        Unit::Seconds,
-        Polarity::Neutral,
-    );
+    pub const SIM_END: MetricKey =
+        MetricKey::named(Namespace::Scenario, "sim_end_s", Unit::Seconds);
     /// The legitimacy predicate sampled as 0/1.
-    pub const LEGITIMACY: MetricKey = MetricKey::named(
-        Namespace::Probe,
-        "legitimacy",
-        Unit::Ratio,
-        Polarity::HigherIsBetter,
-    );
+    pub const LEGITIMACY: MetricKey = MetricKey::named(Namespace::Probe, "legitimacy", Unit::Ratio);
     /// Total rules installed across all live switches.
-    pub const TOTAL_RULES: MetricKey = MetricKey::named(
-        Namespace::Probe,
-        "total_rules",
-        Unit::Count,
-        Polarity::Neutral,
-    );
+    pub const TOTAL_RULES: MetricKey =
+        MetricKey::named(Namespace::Probe, "total_rules", Unit::Count);
     /// Largest per-switch rule count.
-    pub const MAX_RULES_PER_SWITCH: MetricKey = MetricKey::named(
-        Namespace::Probe,
-        "max_rules_per_switch",
-        Unit::Count,
-        Polarity::Neutral,
-    );
+    pub const MAX_RULES_PER_SWITCH: MetricKey =
+        MetricKey::named(Namespace::Probe, "max_rules_per_switch", Unit::Count);
     /// Control-plane messages handed to the network.
-    pub const MESSAGES_SENT: MetricKey = MetricKey::named(
-        Namespace::Network,
-        "messages_sent",
-        Unit::Count,
-        Polarity::LowerIsBetter,
-    );
+    pub const MESSAGES_SENT: MetricKey =
+        MetricKey::named(Namespace::Network, "messages_sent", Unit::Count);
     /// Fraction of a run's fault batches whose recovery reached a legitimate state
     /// before the scenario moved on — the survival observable of flapping-link cells.
-    pub const FLAP_SURVIVAL: MetricKey = MetricKey::named(
-        Namespace::Scenario,
-        "flap_survival",
-        Unit::Ratio,
-        Polarity::HigherIsBetter,
-    );
+    pub const FLAP_SURVIVAL: MetricKey =
+        MetricKey::named(Namespace::Scenario, "flap_survival", Unit::Ratio);
     /// Control-plane messages sent while a partition was in force (between the cut
     /// batch and the heal batch), from the sampled messages probe.
-    pub const PARTITION_MESSAGES: MetricKey = MetricKey::named(
-        Namespace::Network,
-        "partition_messages",
-        Unit::Count,
-        Polarity::LowerIsBetter,
-    );
+    pub const PARTITION_MESSAGES: MetricKey =
+        MetricKey::named(Namespace::Network, "partition_messages", Unit::Count);
     /// Per-second TCP goodput of a traffic workload.
-    pub const THROUGHPUT: MetricKey = MetricKey::named(
-        Namespace::Workload,
-        "throughput_mbps",
-        Unit::MbitPerSec,
-        Polarity::HigherIsBetter,
-    );
+    pub const THROUGHPUT: MetricKey =
+        MetricKey::named(Namespace::Workload, "throughput_mbps", Unit::MbitPerSec);
     /// Per-second TCP retransmission percentage of a traffic workload.
-    pub const RETRANSMISSIONS: MetricKey = MetricKey::named(
-        Namespace::Workload,
-        "retransmission_pct",
-        Unit::Percent,
-        Polarity::LowerIsBetter,
-    );
+    pub const RETRANSMISSIONS: MetricKey =
+        MetricKey::named(Namespace::Workload, "retransmission_pct", Unit::Percent);
     /// Flow completion time of one finished flow of the heavy-traffic engine, in
     /// simulated seconds. Record per-flow samples under this key and the digest's
     /// quantiles are the paper-style FCT statistics.
-    pub const FCT: MetricKey = MetricKey::named(
-        Namespace::Workload,
-        "fct_s",
-        Unit::Seconds,
-        Polarity::LowerIsBetter,
-    );
+    pub const FCT: MetricKey = MetricKey::named(Namespace::Workload, "fct_s", Unit::Seconds);
     /// Median flow completion time of a heavy-traffic run, in simulated seconds.
-    pub const FCT_P50: MetricKey = MetricKey::named(
-        Namespace::Workload,
-        "fct_p50_s",
-        Unit::Seconds,
-        Polarity::LowerIsBetter,
-    );
+    pub const FCT_P50: MetricKey =
+        MetricKey::named(Namespace::Workload, "fct_p50_s", Unit::Seconds);
     /// 99th-percentile flow completion time of a heavy-traffic run, in simulated
     /// seconds — the tail-latency observable of datacenter traffic studies.
-    pub const FCT_P99: MetricKey = MetricKey::named(
-        Namespace::Workload,
-        "fct_p99_s",
-        Unit::Seconds,
-        Polarity::LowerIsBetter,
-    );
+    pub const FCT_P99: MetricKey =
+        MetricKey::named(Namespace::Workload, "fct_p99_s", Unit::Seconds);
     /// Aggregate achieved goodput of the flow batch over one service interval.
-    pub const ACHIEVED_THROUGHPUT: MetricKey = MetricKey::named(
-        Namespace::Workload,
-        "achieved_mbps",
-        Unit::MbitPerSec,
-        Polarity::HigherIsBetter,
-    );
+    pub const ACHIEVED_THROUGHPUT: MetricKey =
+        MetricKey::named(Namespace::Workload, "achieved_mbps", Unit::MbitPerSec);
     /// Number of flows simultaneously in flight (sampled per service interval).
-    pub const CONCURRENT_FLOWS: MetricKey = MetricKey::named(
-        Namespace::Workload,
-        "concurrent_flows",
-        Unit::Count,
-        Polarity::Neutral,
-    );
+    pub const CONCURRENT_FLOWS: MetricKey =
+        MetricKey::named(Namespace::Workload, "concurrent_flows", Unit::Count);
 
     /// A key with a `'static` name — usable in `const` contexts.
-    pub const fn named(
-        namespace: Namespace,
-        name: &'static str,
-        unit: Unit,
-        polarity: Polarity,
-    ) -> MetricKey {
+    pub const fn named(namespace: Namespace, name: &'static str, unit: Unit) -> MetricKey {
         MetricKey {
             namespace,
             name: Cow::Borrowed(name),
             unit,
-            polarity,
         }
     }
 
-    /// A key with an owned name, default unit ([`Unit::Count`]) and neutral polarity.
+    /// A key with an owned name, default unit ([`Unit::Count`]).
     pub fn custom(namespace: Namespace, name: impl Into<String>) -> MetricKey {
         MetricKey {
             namespace,
             name: Cow::Owned(name.into()),
             unit: Unit::default(),
-            polarity: Polarity::default(),
         }
     }
 
     /// Returns this key with a different unit.
     pub fn with_unit(mut self, unit: Unit) -> MetricKey {
         self.unit = unit;
-        self
-    }
-
-    /// Returns this key with a different polarity.
-    pub fn with_polarity(mut self, polarity: Polarity) -> MetricKey {
-        self.polarity = polarity;
         self
     }
 
@@ -291,11 +197,6 @@ impl MetricKey {
         self.unit
     }
 
-    /// Which direction of change is an improvement.
-    pub fn polarity(&self) -> Polarity {
-        self.polarity
-    }
-
     /// The full `namespace/name` path, the stable serialized identity of the key.
     pub fn path(&self) -> String {
         format!("{}/{}", self.namespace, self.name)
@@ -308,7 +209,7 @@ impl fmt::Display for MetricKey {
     }
 }
 
-// Identity is (namespace, name); unit/polarity are metadata.
+// Identity is (namespace, name); the unit is metadata.
 impl PartialEq for MetricKey {
     fn eq(&self, other: &Self) -> bool {
         self.namespace == other.namespace && self.name == other.name
@@ -339,13 +240,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identity_ignores_unit_and_polarity() {
-        let a = MetricKey::named(
-            Namespace::Scenario,
-            "x",
-            Unit::Seconds,
-            Polarity::LowerIsBetter,
-        );
+    fn identity_ignores_unit() {
+        let a = MetricKey::named(Namespace::Scenario, "x", Unit::Seconds);
         let b = MetricKey::custom(Namespace::Scenario, "x");
         assert_eq!(a, b);
         assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
@@ -361,15 +257,8 @@ mod tests {
             "scenario/bootstrap_s"
         );
         assert_eq!(MetricKey::BOOTSTRAP_TIME.unit(), Unit::Seconds);
-        assert_eq!(
-            MetricKey::BOOTSTRAP_TIME.polarity(),
-            Polarity::LowerIsBetter
-        );
-        assert_eq!(MetricKey::THROUGHPUT.polarity(), Polarity::HigherIsBetter);
         assert_eq!(Unit::MbitPerSec.symbol(), "Mbit/s");
-        let k = MetricKey::custom(Namespace::Bench, "nodes")
-            .with_unit(Unit::Count)
-            .with_polarity(Polarity::Neutral);
+        let k = MetricKey::custom(Namespace::Bench, "nodes").with_unit(Unit::Count);
         assert_eq!(k.path(), "bench/nodes");
         assert_eq!(k.unit(), Unit::Count);
     }

@@ -5,9 +5,7 @@
 //! grew up with:
 //!
 //! * [`MetricKey`] — a typed, namespaced metric identity (`scenario/bootstrap_s`,
-//!   `probe/legitimacy`, ...) carrying a [`Unit`] and a [`Polarity`] so downstream
-//!   code can format values and decide which direction of change is a regression
-//!   without parsing names,
+//!   `probe/legitimacy`, ...) carrying the [`Unit`] its values are printed in,
 //! * [`Digest`] — a streaming, mergeable summary of repeated measurements
 //!   (count/mean/stddev/min/max plus p50/p90/p99 quantiles) that experiment code
 //!   aggregates instead of buffering every sample,
@@ -43,6 +41,6 @@ mod recorder;
 mod ring;
 
 pub use digest::Digest;
-pub use key::{MetricKey, Namespace, Polarity, Unit};
+pub use key::{MetricKey, Namespace, Unit};
 pub use recorder::{csv_field, CsvSink, JsonLinesSink, MemorySink, Recorder};
 pub use ring::{RingPage, RingSink};

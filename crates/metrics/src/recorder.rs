@@ -58,11 +58,6 @@ impl MemorySink {
         })
     }
 
-    /// Number of distinct `(scope, key)` series recorded.
-    pub fn series_count(&self) -> usize {
-        self.series.values().map(BTreeMap::len).sum()
-    }
-
     /// Returns `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()
@@ -235,7 +230,6 @@ mod tests {
         sink.record("B4", &MetricKey::BOOTSTRAP_TIME, 3.0);
         sink.record("B4", &MetricKey::RECOVERY_TIME, 9.0);
         sink.record("Clos", &MetricKey::BOOTSTRAP_TIME, 7.0);
-        assert_eq!(sink.series_count(), 3);
         assert_eq!(
             sink.digest("B4", &MetricKey::BOOTSTRAP_TIME)
                 .unwrap()

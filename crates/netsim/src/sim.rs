@@ -593,11 +593,6 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
     // Event loop
     // ------------------------------------------------------------------
 
-    /// Returns `true` while the event queue is non-empty.
-    pub fn has_pending_events(&self) -> bool {
-        !self.events.is_empty()
-    }
-
     /// Processes a single event, if any, and returns `true` if one was processed.
     pub fn step(&mut self) -> bool {
         let Some(ev) = self.events.pop() else {
@@ -670,20 +665,6 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
     pub fn run_for(&mut self, duration: SimDuration) {
         let deadline = self.now + duration;
         self.run_until(deadline);
-    }
-
-    /// Runs until the event queue drains or the clock would pass `max_time`.
-    /// Returns `true` if the queue drained.
-    pub fn run_until_idle(&mut self, max_time: SimTime) -> bool {
-        loop {
-            match self.events.peek() {
-                None => return true,
-                Some(ev) if ev.at > max_time => return false,
-                Some(_) => {
-                    self.step();
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1174,12 +1155,10 @@ mod tests {
     }
 
     #[test]
-    fn run_until_idle_and_clock_semantics() {
+    fn run_for_advances_the_clock_exactly() {
         let mut sim = sim_with_echo(true);
         sim.start();
-        assert!(sim.has_pending_events());
-        assert!(sim.run_until_idle(SimTime::from_secs(10)));
-        assert!(!sim.has_pending_events());
+        sim.run_until(SimTime::from_secs(10));
         let t = sim.now();
         sim.run_for(SimDuration::from_secs(5));
         assert_eq!(sim.now(), t + SimDuration::from_secs(5));

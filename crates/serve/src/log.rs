@@ -12,7 +12,7 @@
 //! applying its command, steps to the final tick, and recomputes the report.
 //! Because the session core is wall-clock-free, the recomputed report is
 //! byte-identical to the recorded one — [`CommandLog::verify`] enforces exactly
-//! that, and the CI smoke job runs it on a real recorded session.
+//! that, and `tests/binaries.rs` runs `sdn-serve replay` on a real recorded session.
 
 use crate::command::Command;
 use crate::session::{Session, SessionConfig};

@@ -10,6 +10,7 @@
 //! |------|--------|
 //! | `hash-collections` | `HashMap`/`HashSet` in simulation crates (iteration order) |
 //! | `wall-clock` | `SystemTime` / `Instant::now` outside the benchmark package and serve's transport |
+//! | `env-read` | `env::var` / `var_os` / `vars` anywhere (a run is a function of its flags) |
 //! | `thread-identity` | `thread::current` / `ThreadId` / `available_parallelism` in simulation crates or serve outside transport |
 //! | `unordered-merge` | `rayon`-style `par_*` iteration anywhere outside tests |
 //! | `unsafe-block` | `unsafe` anywhere (the workspace forbids it) |
@@ -26,9 +27,9 @@
 //! // stancheck: allow(<rule>) — <written justification>
 //! ```
 //!
-//! Run it locally with `cargo run -p sdn-stancheck`; CI runs it in the lint stage
-//! and fails on any unwaived finding. `--json` emits the machine-readable report
-//! uploaded as a CI artifact.
+//! Run it locally with `cargo run -p sdn-stancheck`; `cargo test` scans the whole
+//! workspace (`tests/fixtures.rs`) and fails on any unwaived finding. `--json` emits
+//! the machine-readable report.
 
 #![forbid(unsafe_code)]
 

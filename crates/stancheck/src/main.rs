@@ -115,7 +115,8 @@ fn main() -> ExitCode {
             };
             if path.is_dir() {
                 // Explicit directories are scanned in full — including fixture dirs
-                // the workspace walk skips (that is how CI proves the corpus fails).
+                // the workspace walk skips, so `sdn-stancheck crates/stancheck/fixtures/bad`
+                // shows the corpus failing.
                 match collect_all(&path) {
                     Ok(mut found) => files.append(&mut found),
                     Err(err) => {

@@ -1,9 +1,8 @@
 //! Resolved findings, waiver records, and the machine-readable JSON report.
 //!
 //! The JSON emitter is hand-rolled in the same offline idiom as `bench::report`:
-//! no dependencies, stable key order, and every string escaped. CI uploads the
-//! `--json` output as a build artifact so a failing run is diagnosable without
-//! re-running the tool.
+//! no dependencies, stable key order, and every string escaped, so the `--json`
+//! output of a failing run can be read by other tools without re-running this one.
 
 use crate::rules::Severity;
 

@@ -96,15 +96,14 @@ impl FileContext {
     }
 
     /// True when wall-clock reads are sanctioned here: the benchmark package
-    /// (`crates/bench/perf`, classified as crate `bench`; measuring wall time is its
-    /// whole job — the experiment harness beside it in `crates/bench/src` reads no
-    /// clock, which CI's layering grep holds) and the serve crate's transport module,
-    /// the one place where the long-running service is *supposed* to meet the host
-    /// clock.
+    /// (`crates/bench/perf`, classified as crate `perf`; measuring wall time is its
+    /// whole job — the experiment harness beside it in `crates/bench/src` is crate
+    /// `bench` and reads no clock) and the serve crate's transport module, the one
+    /// place where the long-running service is *supposed* to meet the host clock.
     /// The serve session/driver modules stay restricted — a clock read there would
     /// leak wall time into the replayable command log.
     pub fn allows_wall_clock(&self) -> bool {
-        self.crate_name == "bench" || (self.crate_name == "serve" && self.module == "transport")
+        self.crate_name == "perf" || (self.crate_name == "serve" && self.module == "transport")
     }
 
     /// True when host-thread-identity APIs are a hazard here: the simulation crates
@@ -128,7 +127,7 @@ pub struct Rule {
 }
 
 /// Every rule the analyzer knows, in report order.
-pub const RULES: [Rule; 7] = [
+pub const RULES: [Rule; 8] = [
     Rule {
         id: "hash-collections",
         severity: Severity::Error,
@@ -140,6 +139,12 @@ pub const RULES: [Rule; 7] = [
         severity: Severity::Error,
         summary: "SystemTime/Instant::now outside the benchmark package and serve's \
                   transport: wall-clock reads leak host timing into simulated results",
+    },
+    Rule {
+        id: "env-read",
+        severity: Severity::Error,
+        summary: "env::var/var_os/vars anywhere: a run is a function of its flags; \
+                  an environment read makes two equal commands differ",
     },
     Rule {
         id: "thread-identity",
@@ -253,6 +258,22 @@ pub fn scan(tokens: &[Token<'_>], mask: &[bool], ctx: &FileContext) -> Vec<RawFi
                     format!(
                         "`Instant::now` in crate `{}`: wall-clock timing belongs in \
                          the benchmark package or serve's transport",
+                        ctx.crate_name
+                    ),
+                ));
+            }
+            "env"
+                if ["var", "var_os", "vars", "vars_os"]
+                    .iter()
+                    .any(|read| next_is(tokens, i, &[":", ":", read])) =>
+            {
+                findings.push(finding(
+                    "env-read",
+                    token.line,
+                    format!(
+                        "`env::{}` in crate `{}`: inputs come from flags (or \
+                         `ScenarioBuilder` calls), never from the environment",
+                        tokens[i + 3].text,
                         ctx.crate_name
                     ),
                 ));
@@ -397,7 +418,10 @@ mod tests {
     fn wall_clock_allows_bench_crate() {
         let src = "fn t() { let s = std::time::Instant::now(); }";
         assert_eq!(ids(&scan_str(src, "netsim", FileKind::Lib)), ["wall-clock"]);
-        assert!(scan_str(src, "bench", FileKind::Lib).is_empty());
+        // The benchmark package (`perf`) measures host time; the experiment harness
+        // (`bench`) it sits beside does not.
+        assert!(scan_str(src, "perf", FileKind::Lib).is_empty());
+        assert_eq!(ids(&scan_str(src, "bench", FileKind::Lib)), ["wall-clock"]);
         // `Instant` as a type alone (stored, compared) is not flagged — only `::now`.
         let stored = "struct S { at: Instant }";
         assert!(scan_str(stored, "netsim", FileKind::Lib).is_empty());
@@ -407,6 +431,24 @@ mod tests {
             ids(&scan_str(sys, "metrics", FileKind::Lib)),
             ["wall-clock"]
         );
+    }
+
+    #[test]
+    fn env_reads_flagged_everywhere() {
+        let src = "fn f() { let _ = std::env::var(\"X\"); let _ = env::var_os(\"Y\"); }\n\
+                   fn g() { for _ in std::env::vars() {} }";
+        let rules = ["env-read", "env-read", "env-read"];
+        assert_eq!(ids(&scan_str(src, "core", FileKind::Lib)), rules);
+        assert_eq!(ids(&scan_str(src, "perf", FileKind::Bin)), rules);
+        assert_eq!(ids(&scan_str(src, "bench", FileKind::Test)), rules);
+        let in_test_mod = "#[cfg(test)]\nmod tests { fn f() { std::env::var(\"X\"); } }";
+        assert_eq!(
+            ids(&scan_str(in_test_mod, "metrics", FileKind::Lib)),
+            ["env-read"]
+        );
+        // Arguments and compile-time `env!` are inputs a run is a function of.
+        let legal = "fn f() { let _ = std::env::args(); let _ = env!(\"CARGO_MANIFEST_DIR\"); }";
+        assert!(scan_str(legal, "core", FileKind::Lib).is_empty());
     }
 
     #[test]

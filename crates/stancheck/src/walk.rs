@@ -44,7 +44,11 @@ pub fn classify(rel: &Path) -> FileContext {
         .components()
         .map(|c| c.as_os_str().to_string_lossy().into_owned())
         .collect();
-    let crate_name = if components.len() > 2 && components[0] == "crates" {
+    // The benchmark package nests inside the experiment crate's directory but is a
+    // crate of its own: `crates/bench/perf/**` is `perf`, `crates/bench/src/**` `bench`.
+    let crate_name = if components.len() > 3 && components[..3] == ["crates", "bench", "perf"] {
+        components[2].clone()
+    } else if components.len() > 2 && components[0] == "crates" {
         components[1].clone()
     } else {
         "workspace".to_string()
@@ -114,6 +118,12 @@ mod tests {
         assert_eq!(c.crate_name, "bench");
         assert_eq!(c.kind, FileKind::Bin);
         assert!(!c.is_simulation());
+        // The benchmark package is its own crate, and only it reads the clock.
+        let c = ctx("crates/bench/perf/src/run.rs");
+        assert_eq!(c.crate_name, "perf");
+        assert!(c.allows_wall_clock());
+        assert!(!ctx("crates/bench/src/report.rs").allows_wall_clock());
+        assert_eq!(ctx("crates/bench/perf/src/main.rs").kind, FileKind::Bin);
 
         assert_eq!(ctx("crates/bench/benches/hotpath.rs").kind, FileKind::Bench);
         assert_eq!(ctx("crates/bench/tests/gate.rs").kind, FileKind::Test);

@@ -3,8 +3,8 @@
 //! The corpus has one known-bad file per rule; each must produce its rule's
 //! finding(s) and nothing unrelated. The clean fixture must produce nothing, the
 //! waived fixture must produce only suppressed findings, and — the teeth — the
-//! actual workspace scan must come back clean, so `cargo test` enforces the
-//! determinism guard even before CI does.
+//! actual workspace scan must come back clean and no crate below the experiment
+//! harness may depend on it, so `cargo test` is where the determinism guard runs.
 
 use sdn_stancheck::{analyze_files, walk, Report};
 use std::path::{Path, PathBuf};
@@ -29,6 +29,7 @@ fn each_bad_fixture_triggers_exactly_its_rule() {
     let cases = [
         ("bad/hash_collections.rs", "hash-collections", 6),
         ("bad/wall_clock.rs", "wall-clock", 3),
+        ("bad/env_read.rs", "env-read", 3),
         ("bad/thread_identity.rs", "thread-identity", 2),
         ("bad/unordered_merge.rs", "unordered-merge", 1),
         ("bad/unsafe_block.rs", "unsafe-block", 1),
@@ -150,7 +151,7 @@ fn whole_bad_corpus_fails_loudly() {
         .filter(|p| p.extension().is_some_and(|e| e == "rs"))
         .collect();
     files.sort();
-    assert!(files.len() >= 8, "fixture corpus shrank: {files:?}");
+    assert!(files.len() >= 9, "fixture corpus shrank: {files:?}");
     let report = analyze_files(&root, &files);
     assert!(
         report.unwaived_count() >= files.len(),
@@ -169,11 +170,7 @@ fn json_report_is_machine_readable() {
     assert!(json.contains("\"files_scanned\": 1"));
 }
 
-#[test]
-fn the_workspace_itself_is_clean() {
-    // The determinism guard's own acceptance criterion: scanning the real
-    // workspace yields zero unwaived findings, and every waiver that exists both
-    // suppresses something and carries a written justification.
+fn workspace_root() -> PathBuf {
     let root = manifest_dir()
         .parent()
         .and_then(Path::parent)
@@ -184,6 +181,15 @@ fn the_workspace_itself_is_clean() {
         "workspace root not found at {}",
         root.display()
     );
+    root
+}
+
+#[test]
+fn the_workspace_itself_is_clean() {
+    // The determinism guard's own acceptance criterion: scanning the real
+    // workspace yields zero unwaived findings, and every waiver that exists both
+    // suppresses something and carries a written justification.
+    let root = workspace_root();
     let files = walk::workspace_files(&root).expect("walk workspace");
     assert!(files.len() > 80, "workspace walk found too few files");
     let report = analyze_files(&root, &files);
@@ -203,5 +209,29 @@ fn the_workspace_itself_is_clean() {
             waiver.file, waiver.line
         );
         assert!(!waiver.reason.is_empty());
+    }
+}
+
+#[test]
+fn no_crate_below_the_bench_layer_depends_on_it() {
+    // The experiment harness sits on top of the simulation stack and the service;
+    // an edge back up (as `sdn-serve -> renaissance-bench` once was) would make a
+    // lower crate's build and behaviour depend on the harness.
+    let root = workspace_root();
+    for name in [
+        "core", "switch", "topology", "netsim", "traffic", "metrics", "tags", "rng", "serve",
+    ] {
+        let path = root.join("crates").join(name).join("Cargo.toml");
+        let manifest = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let edges: Vec<&str> = manifest
+            .lines()
+            .filter(|line| !line.trim_start().starts_with('#'))
+            .filter(|line| line.contains("renaissance-bench"))
+            .collect();
+        assert!(
+            edges.is_empty(),
+            "crates/{name}/Cargo.toml depends on renaissance-bench: {edges:?}"
+        );
     }
 }

@@ -286,12 +286,6 @@ impl BfsScratch {
         self.distance(idx).is_some()
     }
 
-    /// The dense indices reached by the last search, in discovery order
-    /// (breadth-first, ascending identifiers within each level).
-    pub fn visit_order(&self) -> &[u32] {
-        &self.queue
-    }
-
     /// The largest distance assigned by the last search (0 when only the
     /// source was reached).
     pub fn max_distance(&self) -> u32 {
@@ -405,7 +399,6 @@ mod tests {
         let reached = small.bfs(0, &mut scratch);
         assert_eq!(reached, 2);
         assert_eq!(scratch.distances().len(), 2, "scratch resized down");
-        assert_eq!(scratch.visit_order(), &[0, 1]);
     }
 
     #[test]

@@ -128,17 +128,6 @@ impl BfsTree {
         self.reached
     }
 
-    /// The largest distance of any reachable node (the source's eccentricity restricted
-    /// to its connected component).
-    pub fn eccentricity(&self) -> u32 {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != NO_INDEX)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Reconstructs the first shortest path from the source to `target`
     /// (inclusive of both endpoints), or `None` if the target is unreachable.
     pub fn path_to(&self, target: NodeId) -> Option<Vec<NodeId>> {
@@ -264,7 +253,6 @@ mod tests {
         assert_eq!(tree.distance(n(1)), Some(1));
         assert_eq!(tree.distance(n(3)), Some(1));
         assert_eq!(tree.distance(n(2)), Some(2));
-        assert_eq!(tree.eccentricity(), 2);
         assert_eq!(tree.reachable_count(), 4);
         assert!(tree.reaches(n(2)));
     }
