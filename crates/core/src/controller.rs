@@ -108,6 +108,7 @@ pub struct Controller {
     /// Bumped whenever state a legitimacy check reads (`replyDB`, round tags, the
     /// routing plan) may have changed; the harness dirty-tracks on it.
     state_version: u64,
+    plan_version: u64,
 }
 
 impl Controller {
@@ -132,6 +133,7 @@ impl Controller {
             views: ViewMemo::default(),
             stats: ControllerStats::default(),
             state_version: 0,
+            plan_version: 0,
         }
     }
 
@@ -156,6 +158,12 @@ impl Controller {
     /// lets the harness dirty-track its legitimacy checks.
     pub fn state_version(&self) -> u64 {
         self.state_version
+    }
+
+    /// A counter that bumps whenever the plan behind [`Controller::first_hop_candidates`]
+    /// is replaced; unlike `state_version`, it stands still while a network is settled.
+    pub fn plan_version(&self) -> u64 {
+        self.plan_version
     }
 
     /// The current synchronization-round tag (`currTag`).
@@ -265,6 +273,7 @@ impl Controller {
                 planner = planner.with_max_candidates(limit);
             }
             self.plan = Arc::new(planner.plan_restricted(refer.graph(), &non_transit));
+            self.plan_version += 1;
             self.rule_sets.clear();
         }
         self.planned = Some(refer.clone());
@@ -770,7 +779,7 @@ mod tests {
 
     /// `myRules()` is built once per (plan, switch): iterations over an unchanged view
     /// hand out the same allocation, a completed round (new tag) still does, and a
-    /// changed reference graph hands out new sets.
+    /// changed reference graph hands out new sets — and only it moves `plan_version`.
     #[test]
     fn rule_sets_are_shared_until_the_plan_changes() {
         let mut c = Controller::new(n(0), config());
@@ -780,7 +789,9 @@ mod tests {
         };
         answer(&mut c);
         let first = c.iterate(&[n(1)]);
+        let planned = c.plan_version();
         let second = c.iterate(&[n(1)]);
+        assert_eq!(c.plan_version(), planned);
         for switch in [1, 2] {
             let (a, b) = (rules_for(&first, switch), rules_for(&second, switch));
             assert!(!a.is_empty());
@@ -792,6 +803,7 @@ mod tests {
         let rounds = c.stats().rounds_completed;
         let third = c.iterate(&[n(1)]);
         assert_eq!(c.stats().rounds_completed, rounds + 1);
+        assert_eq!(c.plan_version(), planned);
         assert_ne!(
             update_rules(&third[0].1).unwrap().0,
             update_rules(&second[0].1).unwrap().0,
@@ -809,6 +821,7 @@ mod tests {
         let tag = c.curr_tag();
         c.on_reply(reply_from_switch(2, &[1, 3], &[0], vec![], tag));
         let fourth = c.iterate(&[n(1)]);
+        assert_eq!(c.plan_version(), planned + 1);
         for switch in [1, 2] {
             let (a, b) = (rules_for(&third, switch), rules_for(&fourth, switch));
             assert!(!RuleSet::ptr_eq(&a, &b), "switch {switch}: new plan");
@@ -918,6 +931,8 @@ mod tests {
                         (&expected.0, &expected.1[..]),
                         "seed {seed} step {step} {select:?}"
                     );
+                    let lists = (expected.0.nodes().collect(), expected.0.links().collect());
+                    assert_eq!(input.key().lists(), lists, "seed {seed} step {step}");
                 }
                 let expected = literal_view(&c.reply_db, (curr, prev, true), n(0), &neighbors);
                 assert_eq!(c.discovered_graph(&neighbors), expected.0);

@@ -10,7 +10,7 @@ use crate::packet::ControlPacket;
 use sdn_netsim::{LinkConfig, NetworkMetrics, SimConfig, SimDuration, SimTime, Simulator};
 use sdn_switch::{AbstractSwitch, SwitchConfig};
 use sdn_topology::{NamedTopology, NodeId};
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 
 /// A fully wired simulated SDN deployment.
 ///
@@ -36,14 +36,15 @@ pub struct SdnNetwork {
     controller_config: ControllerConfig,
     harness_config: HarnessConfig,
     sim: Simulator<ControlPacket, SdnNode>,
-    /// Memoized legitimacy verdict, keyed on the simulator's topology generation and
-    /// the fold of every node's state version: when no relevant event fired since the
-    /// last check, [`SdnNetwork::legitimacy_report`] is O(nodes) instead of O(BFS).
-    /// Caching never changes observable results — the key covers every input the
-    /// predicate reads, and a property test cross-checks cached against recomputed
-    /// verdicts and reports under randomized fault schedules.
+    /// The last verdict, and the [`SdnNetwork::forwarding_key`] condition 3 last came
+    /// out clean under (never folded: a revived controller's plan version, back at 0,
+    /// can cancel a generation step). Caching never changes observable results: a
+    /// property test holds both to a from-scratch recompute under random faults.
     legitimacy_cache: RefCell<Option<LegitimacyCache>>,
+    condition3_clean: RefCell<Option<ForwardingKey>>,
 }
+
+type ForwardingKey = (u64, Vec<(NodeId, u64)>);
 
 /// One memoized legitimacy evaluation (see [`SdnNetwork::legitimacy_report`]).
 struct LegitimacyCache {
@@ -89,6 +90,7 @@ impl SdnNetwork {
             harness_config,
             sim,
             legitimacy_cache: RefCell::new(None),
+            condition3_clean: RefCell::new(None),
         }
     }
 
@@ -171,9 +173,9 @@ impl SdnNetwork {
     pub fn is_legitimate(&self) -> bool {
         let key = self.legitimacy_key();
         if let Some(memo) = self.memo(key) {
-            return memo.is_some_and(|report| report.is_legitimate());
+            return memo.report.as_ref().is_some_and(|r| r.is_legitimate());
         }
-        let legitimate = legitimacy::holds(self);
+        let legitimate = self.evaluate(1).is_legitimate();
         self.remember(key, legitimate.then(LegitimacyReport::default));
         legitimate
     }
@@ -188,10 +190,10 @@ impl SdnNetwork {
     /// explicit escape hatch that bypasses the cache.
     pub fn legitimacy_report(&self) -> LegitimacyReport {
         let key = self.legitimacy_key();
-        if let Some(Some(report)) = self.memo(key) {
+        if let Some(report) = self.memo(key).and_then(|memo| memo.report.clone()) {
             return report;
         }
-        let report = legitimacy::check(self);
+        let report = self.evaluate(legitimacy::MAX_ISSUES);
         self.remember(key, Some(report.clone()));
         report
     }
@@ -205,11 +207,10 @@ impl SdnNetwork {
         report
     }
 
-    /// What the memo holds if it was taken under `key` (see
-    /// [`LegitimacyCache::report`] for the inner `None`).
-    fn memo(&self, key: (u64, u64)) -> Option<Option<LegitimacyReport>> {
+    /// The memo if it was taken under `key`.
+    fn memo(&self, key: (u64, u64)) -> Option<Ref<'_, LegitimacyCache>> {
         let cache = self.legitimacy_cache.borrow();
-        Some(cache.as_ref().filter(|c| c.key == key)?.report.clone())
+        Ref::filter_map(cache, |c| c.as_ref().filter(|c| c.key == key)).ok()
     }
 
     fn remember(&self, key: (u64, u64), report: Option<LegitimacyReport>) {
@@ -218,6 +219,27 @@ impl SdnNetwork {
 
     fn legitimacy_key(&self) -> (u64, u64) {
         (self.sim.topology_generation(), self.state_stamp())
+    }
+
+    /// The first `limit` issues, skipping condition 3 while nothing it reads has moved.
+    fn evaluate(&self, limit: usize) -> LegitimacyReport {
+        let key = self.forwarding_key();
+        let holds = self.condition3_clean.borrow().as_ref() == Some(&key);
+        let (report, clean) = legitimacy::first_issues(self, limit, holds);
+        if clean {
+            *self.condition3_clean.borrow_mut() = Some(key);
+        }
+        report
+    }
+
+    /// The topology generation and, per node, the version of what its in-band
+    /// forwarding reads: a controller's routing plan, a switch's live rules.
+    fn forwarding_key(&self) -> ForwardingKey {
+        let versions = self.sim.nodes().map(|(id, node)| match node {
+            SdnNode::Controller(c) => (id, c.controller.plan_version()),
+            SdnNode::Switch(s) => (id, s.switch.rules().forwarding_version()),
+        });
+        (self.sim.topology_generation(), versions.collect())
     }
 
     /// Folds every node's state version into one stamp. Any single state mutation
@@ -529,8 +551,9 @@ mod tests {
     #[test]
     fn cached_legitimacy_equals_fresh_recompute_under_random_faults() {
         use sdn_rng::Rng;
-        let mut legitimate_states = 0;
+        let (mut legitimate_states, mut skips) = (0, 0);
         for seed in 0..5u64 {
+            let mut seen = std::collections::BTreeMap::new();
             let topology = builders::ring(8, 2);
             let mut sdn = SdnNetwork::new(
                 topology,
@@ -551,7 +574,7 @@ mod tests {
                 let controllers = sdn.controller_ids();
                 let s = switches[rng.gen_range(0..switches.len() as u64) as usize];
                 let c = controllers[rng.gen_range(0..controllers.len() as u64) as usize];
-                match rng.gen_range(0..8u32) {
+                match rng.gen_range(0..10u32) {
                     0 => sdn.run_for(SimDuration::from_millis(rng.gen_range(10..3000u64))),
                     1 => sdn.fail_switch(s),
                     2 => sdn.revive_switch(s),
@@ -567,17 +590,52 @@ mod tests {
                         let j = (i + 1) % switches.len();
                         sdn.restore_link(switches[i], switches[j]);
                     }
-                    _ => {
+                    7 => {
                         if let Some(sw) = sdn.switch_mut(s) {
                             sw.corrupt_clear();
                         }
                     }
+                    8 => {
+                        // Forwarding only, and after the network had time to settle:
+                        // `c`'s top-priority rule towards the other controller now
+                        // points at a random neighbor of `s`. A following run that
+                        // only repairs it must move the forwarding key again.
+                        sdn.run_for(SimDuration::from_secs(3));
+                        let neighbors = sdn.sim().topology().neighbor_vec(s);
+                        let fwd = neighbors[rng.gen_range(0..neighbors.len() as u64) as usize];
+                        let dst = controllers[usize::from(c == controllers[0])];
+                        let tag = sdn_tags::Tag::new(c.index(), 1);
+                        let rule = sdn_switch::Rule {
+                            cid: c,
+                            src: None,
+                            dst,
+                            prt: u8::MAX,
+                            fwd,
+                            tag,
+                        };
+                        if let Some(sw) = sdn.switch_mut(s) {
+                            sw.corrupt_install_rule(rule);
+                        }
+                    }
+                    _ => {
+                        // A restart: the generation moves by two while `c`'s plan
+                        // version drops to zero.
+                        sdn.fail_controller(c);
+                        sdn.revive_controller(c);
+                    }
                 }
+                let at = format!("seed {seed} step {step}");
+                // One forwarding key, one forwarding state — asked of every state, not
+                // only of those where the walk below consults the condition-3 memo.
+                let key = sdn.forwarding_key();
+                skips += usize::from(sdn.condition3_clean.borrow().as_ref() == Some(&key));
+                let state = forwarding_state(&sdn);
+                let first_seen = seen.entry(key).or_insert_with(|| state.clone());
+                assert_eq!(*first_seen, state, "forwarding moved under one key, {at}");
                 // The first query of the new state is a memo miss — the yes/no walk
                 // on even steps, the full report on odd ones — and everything after
                 // it may be served from the memo: any stale key, or a verdict that is
                 // not the report's verdict, makes them diverge from the recompute.
-                let at = format!("seed {seed} step {step}");
                 let fresh = if step % 2 == 0 {
                     let verdict = sdn.is_legitimate();
                     let explained = sdn.legitimacy_report();
@@ -604,6 +662,50 @@ mod tests {
             (1..200).contains(&legitimate_states),
             "the walk must cross both kinds of state, saw {legitimate_states} legitimate of 200"
         );
+        assert!(skips > 0, "some walk must skip condition 3");
+    }
+
+    /// What condition 3 reads of every node, by value: a controller's first hops
+    /// towards each node, a switch's live rules without their tags.
+    fn forwarding_state(sdn: &SdnNetwork) -> Vec<String> {
+        let ids: Vec<NodeId> = sdn.sim.nodes().map(|(id, _)| id).collect();
+        let state = |node: &SdnNode| match node {
+            SdnNode::Controller(c) => {
+                let hops = |&dst| c.controller.first_hop_candidates(dst).collect::<Vec<_>>();
+                format!("{:?}", ids.iter().map(hops).collect::<Vec<_>>())
+            }
+            SdnNode::Switch(s) => {
+                let rules = s.switch.rules().iter().map(|r| (r.cid, r.body()));
+                format!("{:?}", rules.collect::<Vec<_>>())
+            }
+        };
+        sdn.sim.nodes().map(|(_, node)| state(node)).collect()
+    }
+
+    /// What the condition-3 memo rests on: once a network has settled, every
+    /// iteration and reply still moves the report memo's key, but nothing condition 3
+    /// reads changes, so its key stands still and the memo holds it.
+    #[test]
+    fn a_settled_network_keeps_its_forwarding_key() {
+        let mut sdn = SdnNetwork::new(
+            builders::by_name("B4", 3),
+            ControllerConfig::for_network(3, 12),
+            HarnessConfig::default()
+                .with_task_delay(SimDuration::from_millis(200))
+                .with_seed(1),
+        );
+        sdn.run_until_legitimate(SimDuration::from_millis(200), SimDuration::from_secs(600))
+            .expect("B4 bootstraps");
+        sdn.run_for(SimDuration::from_secs(5));
+        let settled = Some(sdn.forwarding_key());
+        for tick in 0..20 {
+            let stamp = sdn.state_stamp();
+            sdn.run_for(SimDuration::from_millis(250));
+            assert_ne!(sdn.state_stamp(), stamp, "tick {tick}");
+            assert_eq!(Some(sdn.forwarding_key()), settled, "tick {tick}");
+            assert!(sdn.is_legitimate(), "tick {tick}");
+            assert_eq!(*sdn.condition3_clean.borrow(), settled, "tick {tick}");
+        }
     }
 
     #[test]

@@ -11,10 +11,16 @@
 //!
 //! Every bootstrap-time and recovery-time measurement in the bench harness is "time
 //! until [`check`] returns an empty issue list".
+//!
+//! Condition 1 compares ascending node and link lists and builds no graph. Condition
+//! 3, an in-band walk per (controller, node) pair and direction, is the costly part;
+//! it reads only `Go`, the controllers' plans and the switches' live rules, so
+//! [`SdnNetwork`] skips it while none of those moved since it last came out clean.
 
 use crate::harness::SdnNetwork;
 use sdn_switch::forwarding;
 use sdn_topology::flat::NO_INDEX;
+use sdn_topology::ids::Link;
 use sdn_topology::{BfsScratch, FlatGraph, Graph, NodeId};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -35,28 +41,30 @@ impl LegitimacyReport {
 }
 
 /// How many issues a report lists before the walk stops.
-const MAX_ISSUES: usize = 64;
+pub(crate) const MAX_ISSUES: usize = 64;
 
 /// Evaluates the legitimacy predicate over the current state of `net`.
 pub fn check(net: &SdnNetwork) -> LegitimacyReport {
-    first_issues(net, MAX_ISSUES)
+    first_issues(net, MAX_ISSUES, false).0
 }
 
-/// The yes/no form of [`check`]: the same walk, stopped at the first violation.
-pub(crate) fn holds(net: &SdnNetwork) -> bool {
-    first_issues(net, 1).is_legitimate()
-}
-
-fn first_issues(net: &SdnNetwork, limit: usize) -> LegitimacyReport {
+/// The walk behind [`check`], stopped at `limit` issues and skipping condition 3 when
+/// the caller knows it holds; also says whether condition 3 was walked and found nothing.
+pub(crate) fn first_issues(
+    net: &SdnNetwork,
+    limit: usize,
+    condition3_holds: bool,
+) -> (LegitimacyReport, bool) {
     let mut issues = Issues {
         found: Vec::new(),
         limit,
     };
     // A break only says the walk stopped at the limit; what it found is in `issues`.
-    let _ = walk(net, &mut issues);
-    LegitimacyReport {
+    let clean = walk(net, &mut issues, condition3_holds) == ControlFlow::Continue(true);
+    let report = LegitimacyReport {
         issues: issues.found,
-    }
+    };
+    (report, clean)
 }
 
 /// The issues found so far and the number at which to stop looking.
@@ -77,19 +85,18 @@ impl Issues {
 }
 
 /// Walks the four conditions of Definition 1 in order, recording each violation,
-/// until `issues` is full.
+/// until `issues` is full; continues with whether condition 3 was walked and clean.
 ///
 /// The operational graph is snapshot once into a [`FlatGraph`] and every
-/// reachability question — the per-controller switch-transit sets, the induced
-/// subgraphs, and the in-band routing walks — runs over that snapshot with a
-/// shared, reusable [`BfsScratch`] workspace.
-fn walk(net: &SdnNetwork, issues: &mut Issues) -> ControlFlow<()> {
+/// reachability question runs over that snapshot.
+fn walk(net: &SdnNetwork, issues: &mut Issues, condition3_holds: bool) -> ControlFlow<(), bool> {
     let operational = net.sim().operational_graph();
     let live_controllers = net.live_controller_ids();
     let live_switches = net.live_switch_ids();
 
     if live_controllers.is_empty() {
-        return issues.push("no live controller exists".to_string());
+        issues.push("no live controller exists".to_string())?;
+        return ControlFlow::Continue(false);
     }
 
     // All reachability below is "through switches only": controllers never forward
@@ -123,16 +130,18 @@ fn walk(net: &SdnNetwork, issues: &mut Issues) -> ControlFlow<()> {
             issues.push(format!("controller {c} has no state machine"))?;
             continue;
         };
-        let observed = net.sim().observed(c);
-        let discovered = controller.discovered_graph(observed);
-        let expected = reach.induced_subgraph(&flat);
-        if discovered != expected {
+        let (curr, prev) = (controller.curr_tag(), controller.prev_tag());
+        let fusion = controller
+            .reply_db()
+            .fusion(curr, prev, c, net.sim().observed(c));
+        let (nodes, links) = fusion.key().lists();
+        if nodes != reach.nodes || !links.iter().copied().eq(reach.links(&flat)) {
             issues.push(format!(
                 "controller {c} topology view diverges: knows {} nodes / {} links, expected {} nodes / {} links",
-                discovered.node_count(),
-                discovered.link_count(),
-                expected.node_count(),
-                expected.link_count(),
+                nodes.len(),
+                links.len(),
+                reach.nodes.len(),
+                reach.links(&flat).count(),
             ))?;
         }
     }
@@ -171,25 +180,28 @@ fn walk(net: &SdnNetwork, issues: &mut Issues) -> ControlFlow<()> {
 
     // Condition 3: in-band connectivity between every controller and every node it can
     // possibly reach without relaying through another controller.
-    let mut neighbor_buf: Vec<NodeId> = Vec::new();
+    if condition3_holds {
+        return ControlFlow::Continue(false);
+    }
+    let before = issues.found.len();
+    let mut in_band = InBandWalk::default();
     for (c, reach) in &transit {
         let c = *c;
         for &node in &reach.nodes {
             if node == c {
                 continue;
             }
-            if route_in_band_flat(net, &flat, c, node, &mut neighbor_buf).is_none() {
+            if !in_band.run(net, &flat, c, node) {
                 issues.push(format!("no in-band path from controller {c} to {node}"))?;
             }
-            if route_in_band_flat(net, &flat, node, c, &mut neighbor_buf).is_none() {
+            if !in_band.run(net, &flat, node, c) {
                 issues.push(format!(
                     "no in-band path from {node} back to controller {c}"
                 ))?;
             }
         }
     }
-
-    ControlFlow::Continue(())
+    ControlFlow::Continue(issues.found.len() == before)
 }
 
 /// The switch-transit reachability of one controller: nodes reachable along paths
@@ -234,24 +246,15 @@ impl TransitReach {
             .unwrap_or(false)
     }
 
-    /// The subgraph of the snapshot induced by the reached nodes.
-    fn induced_subgraph(&self, flat: &FlatGraph) -> Graph {
-        let mut out = Graph::new();
-        for &n in &self.nodes {
-            out.add_node(n);
-        }
-        for (idx, reached) in self.mask.iter().enumerate() {
-            if !reached {
-                continue;
-            }
-            let idx = idx as u32;
-            for &peer in flat.neighbor_indices(idx) {
-                if peer > idx && self.mask[peer as usize] {
-                    out.add_link(flat.node_at(idx), flat.node_at(peer));
-                }
-            }
-        }
-        out
+    /// The links of the snapshot between reached nodes, ascending (dense indices
+    /// ascend with identifiers).
+    fn links<'a>(&'a self, flat: &'a FlatGraph) -> impl Iterator<Item = Link> + 'a {
+        let reached = (0..flat.node_count() as u32).filter(|&idx| self.mask[idx as usize]);
+        reached.flat_map(move |idx| {
+            (flat.neighbor_indices(idx).iter())
+                .filter(move |&&peer| peer > idx && self.mask[peer as usize])
+                .map(move |&peer| Link::new(flat.node_at(idx), flat.node_at(peer)))
+        })
     }
 }
 
@@ -267,97 +270,63 @@ pub fn route_in_band(
     from: NodeId,
     to: NodeId,
 ) -> Option<Vec<NodeId>> {
-    // Walks the graph directly — a single path probe does not amortize a CSR
-    // snapshot; the batch caller [`check`] uses the snapshot variant below.
-    route_in_band_impl(
-        net,
-        operational.node_count(),
-        |cur, buf| buf.extend(operational.neighbors(cur)),
-        from,
-        to,
-        &mut Vec::new(),
-    )
+    let mut in_band = InBandWalk::default();
+    let arrived = in_band.run(net, &operational.snapshot(), from, to);
+    arrived.then_some(in_band.path)
 }
 
-/// [`route_in_band`] over a prepared snapshot: the hot-path variant [`check`] uses,
-/// reading neighbor slices straight off the CSR rows into a reusable buffer.
-fn route_in_band_flat(
-    net: &SdnNetwork,
-    flat: &FlatGraph,
-    from: NodeId,
-    to: NodeId,
-    neighbor_buf: &mut Vec<NodeId>,
-) -> Option<Vec<NodeId>> {
-    route_in_band_impl(
-        net,
-        flat.node_count(),
-        |cur, buf| buf.extend(flat.neighbors(cur)),
-        from,
-        to,
-        neighbor_buf,
-    )
+/// The buffers of the in-band walk, kept across the walks of one check.
+#[derive(Default)]
+struct InBandWalk {
+    neighbors: Vec<NodeId>,
+    visited: Vec<NodeId>,
+    trail: Vec<NodeId>,
+    /// What the last walk traversed, bounce-backs included: one node per hop.
+    path: Vec<NodeId>,
 }
 
-/// The shared in-band DFS walk, parameterized over the neighbor source.
-fn route_in_band_impl<F>(
-    net: &SdnNetwork,
-    node_count: usize,
-    mut fill_neighbors: F,
-    from: NodeId,
-    to: NodeId,
-    neighbor_buf: &mut Vec<NodeId>,
-) -> Option<Vec<NodeId>>
-where
-    F: FnMut(NodeId, &mut Vec<NodeId>),
-{
-    let ttl = 4 * node_count.max(4);
-    let mut visited: Vec<NodeId> = vec![from];
-    let mut trail: Vec<NodeId> = vec![from];
-    let mut path: Vec<NodeId> = vec![from];
-    let mut hops = 0usize;
-
-    while let Some(&cur) = trail.last() {
-        if cur == to {
-            return Some(path);
+impl InBandWalk {
+    /// Walks one packet from `from` towards `to` (see [`route_in_band`]) and returns
+    /// whether it arrives.
+    fn run(&mut self, net: &SdnNetwork, flat: &FlatGraph, from: NodeId, to: NodeId) -> bool {
+        let ttl = 4 * flat.node_count().max(4);
+        for buffer in [&mut self.visited, &mut self.trail, &mut self.path] {
+            buffer.clear();
+            buffer.push(from);
         }
-        if hops >= ttl {
-            return None;
-        }
-        neighbor_buf.clear();
-        fill_neighbors(cur, neighbor_buf);
-        let neighbors: &[NodeId] = neighbor_buf;
-        let next = if let Some(controller) = net.controller(cur) {
-            // Controllers only originate packets; mid-path controllers never forward.
-            if cur == from {
-                controller
-                    .first_hop_candidates(to)
-                    .find(|h| neighbors.contains(h) && !visited.contains(h))
-                    .or_else(|| (neighbors.contains(&to) && !visited.contains(&to)).then_some(to))
-            } else {
-                None
+        while let Some(&cur) = self.trail.last() {
+            if cur == to {
+                return true;
             }
-        } else if let Some(switch) = net.switch(cur) {
-            forwarding::decide(switch.rules(), from, to, &visited, neighbors, &mut |_| true)
-        } else {
-            None
-        };
-        match next {
-            Some(h) => {
-                visited.push(h);
-                trail.push(h);
-                path.push(h);
-                hops += 1;
+            if self.path.len() > ttl {
+                return false;
             }
-            None => {
-                trail.pop();
-                if let Some(&back) = trail.last() {
-                    path.push(back);
-                    hops += 1;
+            self.neighbors.clear();
+            self.neighbors.extend(flat.neighbors(cur));
+            let (neighbors, visited) = (&self.neighbors[..], &self.visited[..]);
+            let usable = |hop: &NodeId| neighbors.contains(hop) && !visited.contains(hop);
+            let next = match net.controller(cur) {
+                // Controllers only originate packets; mid-path controllers never forward.
+                Some(_) if cur != from => None,
+                Some(controller) => controller.first_hop_candidates(to).chain([to]).find(usable),
+                None => net.switch(cur).and_then(|switch| {
+                    forwarding::decide(switch.rules(), from, to, visited, neighbors, &mut |_| true)
+                }),
+            };
+            match next {
+                Some(hop) => {
+                    self.visited.push(hop);
+                    self.trail.push(hop);
+                    self.path.push(hop);
+                }
+                None => {
+                    self.trail.pop();
+                    self.path.extend(self.trail.last());
                 }
             }
         }
+        false
     }
-    None
 }
 
 #[cfg(test)]

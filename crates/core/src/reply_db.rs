@@ -15,6 +15,7 @@
 
 use sdn_switch::QueryReply;
 use sdn_tags::Tag;
+use sdn_topology::ids::Link;
 use sdn_topology::{paths, Graph, NodeId};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -143,7 +144,7 @@ impl ViewKey {
             && self.claims().eq(input.claims())
     }
 
-    /// The topology the claims and the controller's own neighborhood add up to.
+    /// The links the claims and the controller's own neighborhood add up to, unordered.
     ///
     /// In a fusion view a link claimed by one endpoint's reply is *dropped* when the
     /// other endpoint has strictly fresher information contradicting it — a
@@ -153,19 +154,11 @@ impl ViewKey {
     /// the fusion view, the plan keeps routing that endpoint's queries over the dead
     /// link, so its current-round reply never arrives, the round never completes, and
     /// the stale reply is never evicted. Replies of one tag keep union semantics.
-    pub fn graph(&self) -> Graph {
-        let mut g = Graph::new();
-        g.add_node(self.self_id);
-        for &nb in &self.self_neighbors {
-            g.add_link(self.self_id, nb);
-        }
-        for (node, fresh, neighbors) in self.claims() {
-            g.add_node(node);
-            for &nb in neighbors {
-                if nb == node {
-                    continue;
-                }
-                let contradicted = self.fusion
+    pub fn links(&self) -> impl Iterator<Item = Link> + '_ {
+        let own = (self.self_neighbors.iter()).map(|&nb| Link::new(self.self_id, nb));
+        let claimed = self.claims().flat_map(move |(node, fresh, neighbors)| {
+            let contradicted = move |nb: NodeId| {
+                self.fusion
                     && if nb == self.self_id {
                         // The controller's own observation is always current.
                         !self.self_neighbors.contains(&node)
@@ -175,13 +168,34 @@ impl ViewKey {
                             let (_, fresher, listed) = self.claim(i);
                             fresher > fresh && !listed.contains(&node)
                         })
-                    };
-                if !contradicted {
-                    g.add_link(node, nb);
-                }
-            }
-        }
+                    }
+            };
+            (neighbors.iter().copied())
+                .filter(move |&nb| nb != node && !contradicted(nb))
+                .map(move |nb| Link::new(node, nb))
+        });
+        own.chain(claimed)
+    }
+
+    /// The topology of the view: the controller, every claimant and [`ViewKey::links`].
+    pub fn graph(&self) -> Graph {
+        let mut g: Graph = self.links().map(|link| (link.a, link.b)).collect();
+        g.add_node(self.self_id);
+        self.claims.iter().for_each(|claim| g.add_node(claim.0));
         g
+    }
+
+    /// [`ViewKey::graph`]'s nodes and links, ascending and distinct, without the graph.
+    pub fn lists(&self) -> (Vec<NodeId>, Vec<Link>) {
+        let mut links: Vec<Link> = self.links().collect();
+        links.sort_unstable();
+        links.dedup();
+        let ends = links.iter().flat_map(|link| [link.a, link.b]);
+        let claimants = self.claims.iter().map(|claim| claim.0);
+        let mut nodes: Vec<NodeId> = ends.chain(claimants).chain([self.self_id]).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        (nodes, links)
     }
 
     /// The view of this key: [`ViewKey::graph`] and what the controller reaches in it.

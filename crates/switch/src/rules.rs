@@ -377,6 +377,7 @@ pub struct RuleTable {
     len: usize,
     next_stamp: u64,
     evictions: u64,
+    forwarding_version: u64,
 }
 
 impl PartialEq for RuleTable {
@@ -406,7 +407,14 @@ impl RuleTable {
             len: 0,
             next_stamp: 0,
             evictions: 0,
+            forwarding_version: 0,
         }
+    }
+
+    /// A counter that moves whenever the live rules' owners or bodies, all forwarding
+    /// reads, may have changed; an owner re-sending the one set it holds in full leaves it.
+    pub fn forwarding_version(&self) -> u64 {
+        self.forwarding_version
     }
 
     /// The configured capacity.
@@ -451,6 +459,7 @@ impl RuleTable {
     /// The rule becomes a set of its own; this is the path of corruption helpers,
     /// tests and a table at capacity, not of a controller's round.
     pub fn insert(&mut self, rule: Rule) -> bool {
+        self.forwarding_version += 1;
         let slot = rule.body().slot();
         let holder = self
             .sets_of(rule.cid)
@@ -492,6 +501,7 @@ impl RuleTable {
 
     /// Removes every rule installed by `controller`. Returns how many were removed.
     pub fn delete_controller(&mut self, controller: NodeId) -> usize {
+        self.forwarding_version += 1;
         self.drop_sets(controller, |_| false)
     }
 
@@ -528,6 +538,9 @@ impl RuleTable {
         rules: &RuleSet,
         keep_tags: &[Tag],
     ) -> usize {
+        // Re-sending the one set the owner holds in full changes no live rule.
+        let resent = matches!(&self.sets[self.sets_of(owner)],
+            [held] if held.live.is_none() && RuleSet::ptr_eq(&held.rules, rules));
         let removed = self.drop_sets(owner, |kept| keep_tags.contains(&kept));
         if self.len + rules.len() > self.max_rules {
             // Near capacity evictions may interleave with the insertions: take the
@@ -546,6 +559,7 @@ impl RuleTable {
             self.sets.retain(|s| s.live_len() > 0);
         }
         self.push(owner, tag, rules.clone());
+        self.forwarding_version += u64::from(!resent);
         removed
     }
 
@@ -573,6 +587,7 @@ impl RuleTable {
             return self.install(controller, first.tag, &set, keep_tags);
         }
         let removed = self.drop_sets(controller, |kept| keep_tags.contains(&kept));
+        self.forwarding_version += 1;
         for rule in new_rules {
             self.insert(rule);
         }
@@ -672,6 +687,7 @@ impl RuleTable {
     pub fn clear(&mut self) {
         self.sets.clear();
         self.len = 0;
+        self.forwarding_version += 1;
     }
 }
 
@@ -1100,6 +1116,49 @@ mod tests {
             inserted.iter().collect::<Vec<_>>()
         );
         assert_ne!(installed, inserted);
+    }
+
+    /// Re-sending the one set an owner holds in full is the only change that leaves
+    /// `forwarding_version` where it was.
+    #[test]
+    fn forwarding_version_stands_still_only_for_a_full_resend() {
+        let (t1, t2) = (Tag::new(0, 1), Tag::new(0, 2));
+        let set: RuleSet = (1..=4).map(|dst| rule(0, 0, dst, 1, 5, 1).body()).collect();
+        let copy: RuleSet = set.iter().copied().collect();
+        let mut t = RuleTable::new(8);
+        let mut last = t.forwarding_version();
+        let mut moved = |t: &RuleTable| {
+            let was = std::mem::replace(&mut last, t.forwarding_version());
+            was != last
+        };
+        t.install(n(0), t1, &set, &[]);
+        assert!(moved(&t), "first install");
+        t.install(n(0), t1, &set, &[]);
+        assert!(!moved(&t), "re-send under the same tag");
+        t.install(n(0), t2, &set, &[]);
+        assert!(!moved(&t), "re-send under a new round's tag");
+        t.install(n(0), t1, &set, &[t2]);
+        assert!(!moved(&t), "re-send keeping the previous round's set");
+        t.insert(rule(1, 1, 9, 1, 5, 1));
+        assert!(moved(&t), "insert");
+        t.install(n(0), t2, &set, &[t1]);
+        assert!(moved(&t), "re-send over a kept set, down the capacity path");
+        t.install(n(0), t1, &copy, &[]);
+        assert!(moved(&t), "a different set, however equal its contents");
+        t.install(n(0), t1, &copy, &[]);
+        assert!(!moved(&t), "re-send of that set");
+        t.delete_controller(n(1));
+        assert!(moved(&t), "delete_controller");
+        for dst in 10..15 {
+            t.insert(rule(1, 1, dst, 1, 5, 1));
+        }
+        assert_eq!(t.evictions(), 1, "owner 0's set lost a rule");
+        t.delete_controller(n(1));
+        assert!(moved(&t));
+        t.install(n(0), t1, &copy, &[]);
+        assert!(moved(&t), "re-send of a set held only in part");
+        t.clear();
+        assert!(moved(&t), "clear");
     }
 
     #[test]
