@@ -153,6 +153,9 @@ fn main() {
     let args = cli::parse(ABOUT, EXTRA_FLAGS);
     let smoke = args.switch("--smoke");
     let large = args.switch("--large");
+    if smoke && large {
+        cli::die("--smoke and --large name different tiers; give at most one");
+    }
     // Each tier has its own committed baseline (so a casual smoke run never overwrites
     // the full one) and its own sweep.
     let (tier, default_out, networks) = if smoke {

@@ -174,7 +174,7 @@ fn print_help(about: &str, flags: &[Flag]) {
 }
 
 /// Reports a command-line mistake and exits 2, before any run has started.
-pub(crate) fn die(message: &str) -> ! {
+pub fn die(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
 }

@@ -1,28 +1,18 @@
-//! The experiment implementations behind every figure and table of the evaluation.
+//! What the figures and the scale campaign share: the [`ExperimentScale`] their flags
+//! set, the [`experiment`] scenario skeleton both measure with, and the metric keys of
+//! the figure-only observables.
 //!
-//! Every function takes an [`ExperimentScale`] (how many repetitions, which networks)
-//! and a [`Recorder`] the per-run samples stream through under typed [`MetricKey`]s,
-//! and returns digest-backed results the [`crate::figures`] registry turns into tables.
-//! Each experiment is a declarative [`Scenario`]: topology + fault schedule + workloads +
-//! probes, executed by the event-driven scenario runner — no experiment hand-rolls fault
-//! injection, polling loops, or stringly-typed summaries anymore.
+//! Each figure's scenario, the samples it streams to the [`Recorder`](sdn_metrics::Recorder)
+//! and the table it prints live together in one runner of the [`crate::figures`]
+//! registry. An experiment is a declarative [`Scenario`]: topology + fault schedule +
+//! workloads + probes, executed by the event-driven scenario runner.
 
 use crate::cli::die;
-use renaissance::scenario::{
-    ControlPlane, ControllerSelector, Endpoints, FaultEvent, LinkSelector, Scenario,
-    ScenarioBuilder, SwitchSelector,
-};
-use renaissance::{ControllerConfig, CorruptionPlan, SdnNetwork};
-use sdn_metrics::{MetricKey, Namespace, Recorder, Unit};
+use renaissance::scenario::{Scenario, ScenarioBuilder};
+use sdn_metrics::{MetricKey, Namespace, Unit};
 use sdn_netsim::SimDuration;
 use sdn_topology::builders;
-use sdn_traffic::engine::{FctSummary, FlowEngineWorkload, FlowSetConfig};
-use sdn_traffic::iperf::{IperfRun, IperfWorkload};
 use std::num::{NonZeroU64, NonZeroUsize};
-
-/// Streaming summary statistics of repeated measurements (the numbers behind a violin
-/// in the paper's plots): count, mean, stddev, min/max, p50/p90/p99.
-pub use sdn_metrics::Digest as Measurement;
 
 /// The Figure 9 communication-overhead metric: messages per node per do-forever
 /// iteration of the maximum-loaded controller.
@@ -123,16 +113,6 @@ impl ExperimentScale {
     pub fn seed_or(&self, default: u64) -> u64 {
         self.seed.unwrap_or(default)
     }
-
-    /// A small scale for tests: one run on the two smallest networks.
-    pub fn smoke() -> Self {
-        ExperimentScale {
-            runs: 1,
-            networks: vec!["B4".to_string(), "Clos".to_string()],
-            task_delay: SimDuration::from_millis(200),
-            ..ExperimentScale::default()
-        }
-    }
 }
 
 /// Splits a comma-separated network list, keeping commas inside parentheses: the
@@ -188,508 +168,19 @@ pub fn experiment(
     builder
 }
 
-// ---------------------------------------------------------------------------
-// Table 8
-// ---------------------------------------------------------------------------
-
-/// One row of Table 8: network name, switch count, diameter.
-#[derive(Clone, Debug)]
-pub struct Table8Row {
-    /// Network name.
-    pub network: String,
-    /// Number of switches.
-    pub nodes: usize,
-    /// Switch-graph diameter.
-    pub diameter: u32,
-}
-
-/// Regenerates Table 8 from the topology builders, one row per network of the scale
-/// (labelled, like every other figure's rows and scopes, with the name as given).
-pub fn table8(scale: &ExperimentScale, rec: &mut dyn Recorder) -> Vec<Table8Row> {
-    let switches = MetricKey::custom(Namespace::Bench, "switches");
-    let diameter = MetricKey::custom(Namespace::Bench, "diameter");
-    scale
-        .networks
-        .iter()
-        .map(|name| {
-            let net = builders::by_name(name, 3);
-            let row = Table8Row {
-                network: name.clone(),
-                nodes: net.switch_count(),
-                diameter: sdn_topology::paths::diameter(&net.switch_graph),
-            };
-            rec.record(&row.network, &switches, row.nodes as f64);
-            rec.record(&row.network, &diameter, row.diameter as f64);
-            row
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Figures 5–7: bootstrap time
-// ---------------------------------------------------------------------------
-
-/// Result of a bootstrap-time experiment for one configuration.
-#[derive(Clone, Debug)]
-pub struct BootstrapResult {
-    /// Network name.
-    pub network: String,
-    /// Number of controllers.
-    pub controllers: usize,
-    /// Task delay used, in seconds.
-    pub task_delay_s: f64,
-    /// Bootstrap times over the repetitions, in simulated seconds.
-    pub measurement: Measurement,
-}
-
-/// Figure 5: bootstrap time for every network with `controllers` controllers.
-pub fn bootstrap_times(
-    scale: &ExperimentScale,
-    controllers: usize,
-    rec: &mut dyn Recorder,
-) -> Vec<BootstrapResult> {
-    scale
-        .networks
-        .iter()
-        .map(|name| bootstrap_one(scale, name, controllers, scale.task_delay, rec))
-        .collect()
-}
-
-/// Figure 6: bootstrap time as a function of the number of controllers.
-pub fn bootstrap_vs_controllers(
-    scale: &ExperimentScale,
-    controller_counts: &[usize],
-    rec: &mut dyn Recorder,
-) -> Vec<BootstrapResult> {
-    let mut out = Vec::new();
-    for name in &scale.networks {
-        for &controllers in controller_counts {
-            out.push(bootstrap_one(
-                scale,
-                name,
-                controllers,
-                scale.task_delay,
-                rec,
-            ));
-        }
-    }
-    out
-}
-
-/// Figure 7: bootstrap time as a function of the task delay.
-pub fn bootstrap_vs_task_delay(
-    scale: &ExperimentScale,
-    controllers: usize,
-    task_delays: &[SimDuration],
-    rec: &mut dyn Recorder,
-) -> Vec<BootstrapResult> {
-    let mut out = Vec::new();
-    for name in &scale.networks {
-        for &delay in task_delays {
-            out.push(bootstrap_one(scale, name, controllers, delay, rec));
-        }
-    }
-    out
-}
-
-fn bootstrap_one(
-    scale: &ExperimentScale,
-    name: &str,
-    controllers: usize,
-    task_delay: SimDuration,
-    rec: &mut dyn Recorder,
-) -> BootstrapResult {
-    let report = experiment(scale, "bootstrap", name, controllers, task_delay)
-        .runs(scale.runs)
-        .seeds_from(scale.seed_or(100))
-        .run();
-    let scope = format!(
-        "{name}/c={controllers}/task={:.0}ms",
-        task_delay.as_secs_f64() * 1e3
-    );
-    let mut measurement = Measurement::default();
-    for run in &report.runs {
-        if let Some(s) = run.bootstrap_s {
-            rec.record(&scope, &MetricKey::BOOTSTRAP_TIME, s);
-            measurement.record(s);
-        }
-    }
-    BootstrapResult {
-        network: name.to_string(),
-        controllers,
-        task_delay_s: task_delay.as_secs_f64(),
-        measurement,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9: communication overhead
-// ---------------------------------------------------------------------------
-
-/// Result of the communication-overhead experiment for one network.
-#[derive(Clone, Debug)]
-pub struct OverheadResult {
-    /// Network name.
-    pub network: String,
-    /// Number of controllers used.
-    pub controllers: usize,
-    /// Messages sent by the most loaded controller, divided by the number of
-    /// do-forever iterations it needed to converge, divided by the number of nodes —
-    /// the normalized per-node message count the paper plots.
-    pub messages_per_node_per_iteration: Measurement,
-}
-
-/// The Figure 9 observable, evaluated over a converged network.
-fn overhead_per_node_per_iteration(net: &SdnNetwork) -> f64 {
-    let nodes = net.topology().node_count() as f64;
-    let live = net.live_controller_ids();
-    let Some((max_ctrl, sent)) = net.metrics().max_sender_among(live.iter().copied()) else {
-        return 0.0;
-    };
-    let iterations = net
-        .controller(max_ctrl)
-        .map(|c| c.stats().iterations.max(1))
-        .unwrap_or(1) as f64;
-    sent as f64 / iterations / nodes
-}
-
-/// Figure 9: messages per node (max-loaded controller, normalized by iterations).
-pub fn communication_overhead(
-    scale: &ExperimentScale,
-    controllers: usize,
-    rec: &mut dyn Recorder,
-) -> Vec<OverheadResult> {
-    scale
-        .networks
-        .iter()
-        .map(|name| {
-            let report = experiment(scale, "comm-overhead", name, controllers, scale.task_delay)
-                .runs(scale.runs)
-                .seeds_from(scale.seed_or(300))
-                .summary(OVERHEAD, overhead_per_node_per_iteration)
-                .run();
-            let scope = format!("{name}/c={controllers}");
-            let mut measurement = Measurement::default();
-            for run in report.runs.iter().filter(|r| r.bootstrap_s.is_some()) {
-                if let Some(value) = run.metric(&OVERHEAD) {
-                    rec.record(&scope, &OVERHEAD, value);
-                    measurement.record(value);
-                }
-            }
-            OverheadResult {
-                network: name.clone(),
-                controllers,
-                messages_per_node_per_iteration: measurement,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Figures 10–14: recovery after benign failures
-// ---------------------------------------------------------------------------
-
-/// The benign failure kinds of the paper's recovery experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailureKind {
-    /// Fail-stop of `count` random controllers (Figures 10 and 11).
-    Controllers {
-        /// How many controllers fail simultaneously.
-        count: usize,
-    },
-    /// Fail-stop of one random switch (Figure 12).
-    Switch,
-    /// Permanent removal of `count` random links that keep the network connected
-    /// (Figures 13 and 14).
-    Links {
-        /// How many links are removed simultaneously.
-        count: usize,
-    },
-}
-
-impl FailureKind {
-    /// The fault event this failure kind injects.
-    fn event(self) -> FaultEvent {
-        match self {
-            FailureKind::Controllers { count } => {
-                FaultEvent::FailController(ControllerSelector::Random { count })
-            }
-            FailureKind::Switch => FaultEvent::FailSwitch(SwitchSelector::Random),
-            FailureKind::Links { count } => {
-                FaultEvent::RemoveLink(LinkSelector::RandomSafe { count })
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for FailureKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailureKind::Controllers { count } => write!(f, "controllers({count})"),
-            FailureKind::Switch => write!(f, "switch"),
-            FailureKind::Links { count } => write!(f, "links({count})"),
-        }
-    }
-}
-
-/// Result of one recovery experiment.
-#[derive(Clone, Debug)]
-pub struct RecoveryResult {
-    /// Network name.
-    pub network: String,
-    /// Number of controllers in the deployment.
-    pub controllers: usize,
-    /// The injected failure.
-    pub failure: FailureKind,
-    /// Recovery times, in simulated seconds.
-    pub measurement: Measurement,
-}
-
-/// Figures 10–14: recovery time after the given failure kind, injected into an
-/// already-legitimate network.
-pub fn recovery_after_failure(
-    scale: &ExperimentScale,
-    controllers: usize,
-    failure: FailureKind,
-    rec: &mut dyn Recorder,
-) -> Vec<RecoveryResult> {
-    scale
-        .networks
-        .iter()
-        .map(|name| {
-            let report = experiment(scale, "recovery", name, controllers, scale.task_delay)
-                .runs(scale.runs)
-                .seeds_from(scale.seed_or(700))
-                .fault_at(SimDuration::ZERO, failure.event())
-                .run();
-            let scope = format!("{name}/c={controllers}/{failure}");
-            let mut measurement = Measurement::default();
-            for run in &report.runs {
-                for recovery in run.recoveries.iter().filter_map(|r| r.recovered_in_s) {
-                    rec.record(&scope, &MetricKey::RECOVERY_TIME, recovery);
-                    measurement.record(recovery);
-                }
-            }
-            RecoveryResult {
-                network: name.clone(),
-                controllers,
-                failure,
-                measurement,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Figures 15–20 and Table 17: throughput under failure
-// ---------------------------------------------------------------------------
-
-/// Result of a throughput experiment on one network.
-#[derive(Clone, Debug)]
-pub struct ThroughputResult {
-    /// Network name.
-    pub network: String,
-    /// The per-second run data.
-    pub run: IperfRun,
-    /// Description of the mid-path link that was failed, if any.
-    pub failed_link: Option<String>,
-    /// Flow-completion-time summary of the background flow-engine population that
-    /// shared the run (present when the population completed any flows).
-    pub fct: Option<FctSummary>,
-}
-
-/// Flow-population size of the background flow engine the figure experiments run
-/// beside the iperf flow. Small enough to keep the figures fast; large
-/// enough for stable FCT quantiles.
-const FIGURE_FLOW_PAIRS: u32 = 10_000;
-
-/// Figures 15/16: per-second TCP throughput with a mid-path link failure at second 10,
-/// with (`recovery = true`) or without (`recovery = false`) controller-driven repair.
-/// Every per-second sample of the run streams through the recorder.
-///
-/// Beside the single mechanistic iperf flow, the heavy-traffic flow engine runs a
-/// 10k-flow background population on the same agenda (both workloads tick at one
-/// simulated second, and workloads observe the simulator without perturbing it — so
-/// the iperf series are bit-identical to a run without the population). Its FCT
-/// digest lands in [`ThroughputResult::fct`] and on the recorder as `fct_p50_s` /
-/// `fct_p99_s`.
-pub fn throughput_under_failure(
-    scale: &ExperimentScale,
-    recovery: bool,
-    rec: &mut dyn Recorder,
-) -> Vec<ThroughputResult> {
-    let mut out = Vec::new();
-    for name in &scale.networks {
-        let report = experiment(scale, "throughput", name, 3, scale.task_delay)
-            .seeds_from(scale.seed_or(42))
-            .workload(|| Box::new(IperfWorkload::farthest(30)))
-            .workload(|| {
-                Box::new(FlowEngineWorkload::new(
-                    FlowSetConfig::stress(FIGURE_FLOW_PAIRS),
-                    30,
-                ))
-            })
-            .fault_at(
-                SimDuration::from_secs(10),
-                FaultEvent::RemoveLink(LinkSelector::MidPath(Endpoints::FarthestSwitches)),
-            )
-            .control_plane(if recovery {
-                ControlPlane::Live
-            } else {
-                ControlPlane::Frozen
-            })
-            .run();
-        let run = &report.runs[0];
-        if run.bootstrap_s.is_none() {
-            continue;
-        }
-        let Some(iperf) = run.workload("iperf") else {
-            continue;
-        };
-        let Some(typed) = IperfWorkload::run_from_report(iperf) else {
-            continue;
-        };
-        let scope = format!(
-            "{name}/{}",
-            if recovery {
-                "with-recovery"
-            } else {
-                "no-recovery"
-            }
-        );
-        for (key, series) in [
-            (&MetricKey::THROUGHPUT, &typed.throughput_mbps),
-            (&MetricKey::RETRANSMISSIONS, &typed.retransmission_pct),
-            (&BAD_TCP, &typed.bad_tcp_pct),
-            (&OUT_OF_ORDER, &typed.out_of_order_pct),
-        ] {
-            for &value in series {
-                rec.record(&scope, key, value);
-            }
-        }
-        let fct = run
-            .workload("flow_engine")
-            .and_then(|wl| wl.digest("fct_s"))
-            .filter(|d| !d.is_empty())
-            .map(|d| {
-                rec.record(&scope, &MetricKey::FCT_P50, d.p50());
-                rec.record(&scope, &MetricKey::FCT_P99, d.p99());
-                FctSummary::from_digest(d)
-            });
-        out.push(ThroughputResult {
-            network: name.clone(),
-            run: typed,
-            failed_link: run.injected.first().map(|f| f.description.clone()),
-            fct,
-        });
-    }
-    out
-}
-
-/// Table 17: correlation between the with-recovery and without-recovery runs.
-#[derive(Clone, Debug)]
-pub struct CorrelationRow {
-    /// Network name.
-    pub network: String,
-    /// Pearson correlation coefficient of the two throughput curves.
-    pub correlation: f64,
-}
-
-/// Computes the Table 17 correlations from two sets of throughput runs.
-pub fn throughput_correlations(
-    with_recovery: &[ThroughputResult],
-    without_recovery: &[ThroughputResult],
-    rec: &mut dyn Recorder,
-) -> Vec<CorrelationRow> {
-    with_recovery
-        .iter()
-        .filter_map(|w| {
-            without_recovery
-                .iter()
-                .find(|n| n.network == w.network)
-                .and_then(|n| sdn_traffic::throughput_correlation(&w.run, &n.run))
-                .map(|correlation| {
-                    rec.record(&w.network, &CORRELATION, correlation);
-                    CorrelationRow {
-                        network: w.network.clone(),
-                        correlation,
-                    }
-                })
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Ablation: memory-adaptive vs non-adaptive variant, transient-fault recovery
-// ---------------------------------------------------------------------------
-
-/// Result of the variant ablation on one network.
-#[derive(Clone, Debug)]
-pub struct AblationResult {
-    /// Network name.
-    pub network: String,
-    /// Whether the memory-adaptive (main) algorithm was used.
-    pub memory_adaptive: bool,
-    /// Time to recover from an arbitrary corrupted state, in seconds.
-    pub transient_recovery: Measurement,
-    /// Total rules installed across all switches after stabilization.
-    pub total_rules_after: Measurement,
-}
-
-/// Compares the main memory-adaptive algorithm with the Section 8.1 non-adaptive
-/// variant: recovery time from heavy transient corruption and post-recovery memory use.
-pub fn variant_ablation(scale: &ExperimentScale, rec: &mut dyn Recorder) -> Vec<AblationResult> {
-    let mut out = Vec::new();
-    for name in &scale.networks {
-        for adaptive in [true, false] {
-            let mut builder = experiment(scale, "variant-ablation", name, 3, scale.task_delay)
-                .runs(scale.runs)
-                .seeds_from(scale.seed_or(900))
-                .fault_at(
-                    SimDuration::ZERO,
-                    FaultEvent::CorruptState(CorruptionPlan::heavy()),
-                )
-                .summary(MetricKey::TOTAL_RULES, |net| net.total_rules() as f64);
-            if !adaptive {
-                builder = builder.tune_controllers(ControllerConfig::non_adaptive);
-            }
-            let report = builder.run();
-            let scope = format!(
-                "{name}/{}",
-                if adaptive { "adaptive" } else { "non-adaptive" }
-            );
-            let mut recovery = Measurement::default();
-            let mut rules_after = Measurement::default();
-            for run in &report.runs {
-                if let Some(seconds) = run.first_recovery_s() {
-                    rec.record(&scope, &MetricKey::RECOVERY_TIME, seconds);
-                    recovery.record(seconds);
-                    if let Some(rules) = run.metric(&MetricKey::TOTAL_RULES) {
-                        rec.record(&scope, &MetricKey::TOTAL_RULES, rules);
-                        rules_after.record(rules);
-                    }
-                }
-            }
-            out.push(AblationResult {
-                network: name.clone(),
-                memory_adaptive: adaptive,
-                transient_recovery: recovery,
-                total_rules_after: rules_after,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::{self, FIGURES};
+    use renaissance::scenario::{Endpoints, FaultEvent, LinkSelector};
     use sdn_metrics::MemorySink;
+    use sdn_traffic::iperf::IperfWorkload;
 
     #[test]
     fn table8_matches_paper() {
         let mut sink = MemorySink::default();
-        let rows = table8(&ExperimentScale::default(), &mut sink);
+        let table8 = FIGURES.iter().find(|f| f.id == "table8").unwrap();
+        let rows = (table8.run)(&ExperimentScale::default(), &mut sink).rows;
         // The typed pipeline saw every row.
         assert_eq!(
             sink.digest("B4", &MetricKey::custom(Namespace::Bench, "switches"))
@@ -698,30 +189,10 @@ mod tests {
             12.0
         );
         assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].network, "B4");
-        assert_eq!(rows[0].nodes, 12);
-        assert_eq!(rows[0].diameter, 5);
-        assert_eq!(rows[4].network, "EBONE");
-        assert_eq!(rows[4].nodes, 208);
-        assert_eq!(rows[4].diameter, 11);
-    }
-
-    #[test]
-    fn measurement_statistics() {
-        let mut m = Measurement::default();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.median(), 0.0);
-        m.record(2.0);
-        m.record(4.0);
-        m.record(9.0);
-        assert_eq!(m.mean(), 5.0);
-        assert_eq!(m.median(), 4.0);
-        assert_eq!(m.min(), 2.0);
-        assert_eq!(m.max(), 9.0);
-        // The digest-backed Measurement adds the spread statistics the old Samples
-        // type could not provide.
-        assert!(m.stddev() > 0.0);
-        assert_eq!(m.p90(), 9.0);
+        assert_eq!(rows[0].label, "B4");
+        assert_eq!(rows[0].values, ["12", "5"]);
+        assert_eq!(rows[4].label, "EBONE");
+        assert_eq!(rows[4].values, ["208", "11"]);
     }
 
     #[test]
@@ -739,38 +210,7 @@ mod tests {
         let scale = ExperimentScale::default();
         assert_eq!(scale.runs, 3);
         assert_eq!(scale.networks.len(), 5);
-        let smoke = ExperimentScale::smoke();
-        assert_eq!(smoke.runs, 1);
-        assert_eq!(smoke.networks, vec!["B4", "Clos"]);
-    }
-
-    #[test]
-    fn smoke_bootstrap_and_recovery_on_b4() {
-        let scale = ExperimentScale {
-            runs: 1,
-            networks: vec!["B4".to_string()],
-            task_delay: SimDuration::from_millis(200),
-            ..ExperimentScale::default()
-        };
-        let mut sink = MemorySink::default();
-        let bootstrap = bootstrap_times(&scale, 3, &mut sink);
-        assert_eq!(bootstrap.len(), 1);
-        assert_eq!(bootstrap[0].measurement.len(), 1, "B4 must bootstrap");
-        // The same sample flowed through the typed pipeline, under a scope naming
-        // the full configuration.
-        assert_eq!(
-            sink.digest("B4/c=3/task=200ms", &MetricKey::BOOTSTRAP_TIME)
-                .unwrap()
-                .mean(),
-            bootstrap[0].measurement.mean()
-        );
-        let recovery =
-            recovery_after_failure(&scale, 3, FailureKind::Links { count: 1 }, &mut sink);
-        assert_eq!(recovery[0].measurement.len(), 1, "B4 must recover");
-        assert!(recovery[0].measurement.mean() > 0.0);
-        assert!(sink
-            .digest("B4/c=3/links(1)", &MetricKey::RECOVERY_TIME)
-            .is_some());
+        assert_eq!(scale.task_delay, SimDuration::from_millis(500));
     }
 
     #[test]
@@ -782,20 +222,19 @@ mod tests {
             ..ExperimentScale::default()
         };
         let mut sink = MemorySink::default();
-        let with_flows = throughput_under_failure(&scale, true, &mut sink);
+        let with_flows = figures::throughput_runs(&scale, true, &mut sink);
         assert_eq!(with_flows.len(), 1);
-        let fct = with_flows[0]
-            .fct
-            .expect("the background population must complete flows");
-        assert!(fct.count > 0);
-        assert!(fct.p50_s > 0.0 && fct.p50_s <= fct.p99_s);
+        let (_, with_flows, report) = &with_flows[0];
+        let fct = figures::fct(report).expect("the background population must complete flows");
+        assert!(fct.count() > 0);
+        assert!(fct.p50() > 0.0 && fct.p50() <= fct.p99());
         assert!(sink
             .digest("B4/with-recovery", &MetricKey::FCT_P50)
             .is_some());
 
         // The identical scenario minus the background population: the legacy iperf
-        // series must be bit-for-bit what the migrated experiment reports, because
-        // workloads observe the simulator without perturbing it.
+        // series must be bit-for-bit what the figure's run reports, because workloads
+        // observe the simulator without perturbing it.
         let report = experiment(&scale, "throughput", "B4", 3, scale.task_delay)
             .seeds_from(scale.seed_or(42))
             .workload(|| Box::new(IperfWorkload::farthest(30)))
@@ -806,40 +245,9 @@ mod tests {
             .run();
         let iperf = report.runs[0].workload("iperf").expect("iperf report");
         let legacy = IperfWorkload::run_from_report(iperf).expect("typed run");
-        assert_eq!(legacy.throughput_mbps, with_flows[0].run.throughput_mbps);
-        assert_eq!(
-            legacy.retransmission_pct,
-            with_flows[0].run.retransmission_pct
-        );
-        assert_eq!(legacy.bad_tcp_pct, with_flows[0].run.bad_tcp_pct);
-        assert_eq!(legacy.path_hops, with_flows[0].run.path_hops);
-    }
-
-    #[test]
-    fn smoke_overhead_and_ablation_on_b4() {
-        let scale = ExperimentScale {
-            runs: 1,
-            networks: vec!["B4".to_string()],
-            task_delay: SimDuration::from_millis(200),
-            ..ExperimentScale::default()
-        };
-        let mut sink = MemorySink::default();
-        let overhead = communication_overhead(&scale, 3, &mut sink);
-        assert_eq!(overhead.len(), 1);
-        assert!(overhead[0].messages_per_node_per_iteration.mean() > 0.0);
-        let ablation = variant_ablation(&scale, &mut sink);
-        assert_eq!(ablation.len(), 2);
-        // The memory-adaptive main algorithm recovers from arbitrary corruption
-        // (Theorem 2). The non-adaptive variant never deletes other controllers'
-        // state, so with bogus-controller garbage installed it may legitimately
-        // never return to a legitimate state — no assertion on its recovery.
-        let adaptive = &ablation[0];
-        assert!(adaptive.memory_adaptive);
-        assert_eq!(
-            adaptive.transient_recovery.len(),
-            1,
-            "adaptive variant must recover"
-        );
-        assert!(adaptive.total_rules_after.mean() > 0.0);
+        assert_eq!(legacy.throughput_mbps, with_flows.throughput_mbps);
+        assert_eq!(legacy.retransmission_pct, with_flows.retransmission_pct);
+        assert_eq!(legacy.bad_tcp_pct, with_flows.bad_tcp_pct);
+        assert_eq!(legacy.path_hops, with_flows.path_hops);
     }
 }

@@ -2,9 +2,10 @@
 //! evaluation (Section 6).
 //!
 //! One binary, `renaissance-fig <id>... | --all`, regenerates them from the [`figures`]
-//! registry: each entry runs a function of the [`experiments`] module, prints a
-//! human-readable table to stdout and streams every per-run sample to `--out PATH` when
-//! asked. Its output at a small fixed scale is committed as `BENCH_figures.txt` and
+//! registry: each entry is one function that runs the figure's scenarios on the
+//! [`experiments`] skeleton shared with the scale campaign, streams every per-run
+//! sample to `--out PATH` when asked, and returns the human-readable table it prints to
+//! stdout. Its output at a small fixed scale is committed as `BENCH_figures.txt` and
 //! gated byte for byte (`tests/figures.rs`).
 //!
 //! A run is a function of its flags alone (see [`cli`]): every binary accepts
@@ -29,6 +30,6 @@ pub mod figures;
 pub mod output;
 pub mod report;
 
-pub use experiments::{ExperimentScale, Measurement};
+pub use experiments::ExperimentScale;
 pub use report::{print_table, Row, Table};
 pub use sdn_metrics::{MetricKey, Recorder};

@@ -156,6 +156,11 @@ fn all_is_the_per_id_runs_in_registry_order() {
     }
     assert_eq!(text(&all_records), text(&records), "--out record stream");
     assert_eq!(text(&all_stdout), text(&stdout), "stdout tables");
+    // A record's scope names the full configuration it measured.
+    for scope in ["B4/c=3/task=5000ms", "B4/c=3/links(1)"] {
+        let field = format!("{{\"scope\":\"{scope}\",");
+        assert!(text(&all_records).contains(&field), "no {scope} record");
+    }
 }
 
 #[test]

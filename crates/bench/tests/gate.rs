@@ -91,6 +91,16 @@ fn campaign_artifact_is_a_function_of_the_flags() {
     assert_eq!(from_env, clean, "environment leaked in");
 }
 
+#[test]
+fn two_tiers_at_once_are_refused_before_any_run() {
+    let out = scratch("two_tiers.json");
+    let args = ["--smoke", "--large", "--out", out.to_str().unwrap()];
+    let (code, stdout) = campaign(&args, &[]);
+    assert_eq!(code, 2, "--smoke --large must exit 2:\n{stdout}");
+    assert!(stdout.is_empty(), "a tier ran:\n{stdout}");
+    assert!(!out.exists(), "an artifact was written");
+}
+
 /// A committed tier baseline is what its campaign writes today, byte for byte: the
 /// artifact holds only simulated quantities, so any difference is a change of
 /// simulated behaviour (or of the artifact's layout) that the PR has to own.

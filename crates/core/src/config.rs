@@ -35,16 +35,11 @@ pub struct ControllerConfig {
     pub max_replies: usize,
     /// Which algorithmic variant to run.
     pub variant: Variant,
-    /// Whether to use the three-tag rule retention of the evaluation prototype
-    /// (Section 6.2): rules of the previous round survive one extra round so that
-    /// failover paths remain usable while new rules are being installed.
-    pub three_tags: bool,
 }
 
 impl ControllerConfig {
     /// A configuration suitable for a network with `n_controllers` controllers and
-    /// `n_switches` switches, using the paper's defaults (`kappa = 1`, memory adaptive,
-    /// three-tag rule retention as in the evaluation prototype).
+    /// `n_switches` switches, using the paper's defaults (`kappa = 1`, memory adaptive).
     pub fn for_network(n_controllers: usize, n_switches: usize) -> Self {
         ControllerConfig {
             n_controllers,
@@ -59,7 +54,6 @@ impl ControllerConfig {
             // two-controller partition component from ever stabilizing.
             max_replies: 3 * (n_controllers + n_switches).max(1),
             variant: Variant::MemoryAdaptive,
-            three_tags: true,
         }
     }
 
@@ -73,12 +67,6 @@ impl ControllerConfig {
     pub fn with_kappa(mut self, kappa: usize) -> Self {
         self.kappa = kappa;
         self.max_priorities = self.max_priorities.map(|p| p.max(kappa + 2));
-        self
-    }
-
-    /// Disables the three-tag retention (plain Algorithm 2 semantics).
-    pub fn without_three_tags(mut self) -> Self {
-        self.three_tags = false;
         self
     }
 
@@ -142,19 +130,16 @@ mod tests {
         assert!(cfg.max_replies >= 3 * 23);
         assert_eq!(cfg.kappa, 1);
         assert!(cfg.is_memory_adaptive());
-        assert!(cfg.three_tags);
     }
 
     #[test]
     fn builder_style_overrides() {
         let cfg = ControllerConfig::for_network(2, 10)
             .with_kappa(3)
-            .non_adaptive()
-            .without_three_tags();
+            .non_adaptive();
         assert_eq!(cfg.kappa, 3);
         assert_eq!(cfg.variant, Variant::NonAdaptive);
         assert!(!cfg.is_memory_adaptive());
-        assert!(!cfg.three_tags);
         assert!(cfg.max_priorities.unwrap() >= 4);
     }
 

@@ -115,12 +115,7 @@ impl Controller {
     /// Creates a controller with empty knowledge of the network.
     pub fn new(id: NodeId, config: ControllerConfig) -> Self {
         let mut tag_gen = TagGenerator::new(id.index());
-        let initial = tag_gen.next_tag();
-        let rounds = if config.three_tags {
-            RoundTracker::with_three_tags(initial)
-        } else {
-            RoundTracker::new(initial)
-        };
+        let rounds = RoundTracker::new(tag_gen.next_tag());
         Controller {
             id,
             config,
@@ -309,11 +304,7 @@ impl Controller {
                 commands.push(SwitchCommand::UpdateRules {
                     tag: curr,
                     rules: self.my_rules(dst),
-                    keep_tags: if self.config.three_tags {
-                        vec![prev]
-                    } else {
-                        Vec::new()
-                    },
+                    keep_tags: vec![prev],
                 });
                 self.stats.rule_updates_sent += 1;
             }
@@ -706,8 +697,7 @@ mod tests {
 
     #[test]
     fn three_tag_variant_keeps_previous_round_rules() {
-        let cfg = config(); // three_tags defaults to true
-        let mut c = Controller::new(n(0), cfg);
+        let mut c = Controller::new(n(0), config());
         let _ = c.iterate(&[n(1)]);
         run_discovery_round_trip(&mut c, &[(1, vec![0])]);
         let prev = c.curr_tag();
@@ -724,22 +714,6 @@ mod tests {
             })
             .unwrap();
         assert!(keep_tags.contains(&prev) || keep_tags.contains(&c.prev_tag()));
-
-        // The plain variant sends empty keep_tags.
-        let mut plain = Controller::new(n(0), config().without_three_tags());
-        let _ = plain.iterate(&[n(1)]);
-        run_discovery_round_trip(&mut plain, &[(1, vec![0])]);
-        let out = plain.iterate(&[n(1)]);
-        let batch = &out.iter().find(|(d, _)| *d == n(1)).unwrap().1;
-        let keep_tags = batch
-            .commands
-            .iter()
-            .find_map(|cmd| match cmd {
-                SwitchCommand::UpdateRules { keep_tags, .. } => Some(keep_tags.clone()),
-                _ => None,
-            })
-            .unwrap();
-        assert!(keep_tags.is_empty());
     }
 
     #[test]

@@ -135,12 +135,6 @@ impl FaultInjector {
         mutations
     }
 
-    /// Picks a uniformly random live switch (panics if there is none).
-    pub fn random_switch(&mut self, net: &SdnNetwork) -> NodeId {
-        let switches = net.live_switch_ids();
-        switches[self.rng.gen_range(0..switches.len())]
-    }
-
     /// Picks `count` distinct random links of the current topology whose removal keeps
     /// the network *in-band connected* (mirrors the paper's random link-failure
     /// experiments, which always leave the network connected so recovery is possible).
@@ -260,7 +254,6 @@ mod tests {
         let sdn = bootstrapped();
         let mut a = FaultInjector::new(5);
         let mut b = FaultInjector::new(5);
-        assert_eq!(a.random_switch(&sdn), b.random_switch(&sdn));
         let links_a = a.random_safe_links(&sdn, 2);
         let links_b = b.random_safe_links(&sdn, 2);
         assert_eq!(links_a, links_b);

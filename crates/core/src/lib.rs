@@ -10,7 +10,9 @@
 //!   cleanup, C-resets,
 //! * [`config::Variant`] — the memory-adaptive main algorithm and the Theta(D)
 //!   non-adaptive variation of Section 8.1,
-//! * the three-tag rule-retention variant used by the paper's evaluation (Section 6.2),
+//! * the rule retention of the paper's evaluation prototype (Section 6.2): every
+//!   `updateRule` keeps the previous round's rules (`keep_tags = [prevTag]`), so
+//!   failover paths stay usable while a new round's rules are installed,
 //! * [`legitimacy`] — the legitimate-state predicate of Definition 1,
 //! * [`harness::SdnNetwork`] — a complete simulated deployment (controllers, abstract
 //!   switches, discrete-event network) with fault injection, replacing the paper's

@@ -151,10 +151,9 @@ pub struct Simulator<M: Payload, N: Node<M>> {
     /// Batched deliveries count one per message, like the unbatched reference.
     events_processed: u64,
     link_status: BTreeMap<Link, LinkStatus>,
-    link_overrides: BTreeMap<Link, LinkConfig>,
-    /// Per-direction link overrides; take precedence over the undirected map, so a
-    /// gray link can drop packets one way while staying clean the other way.
-    directed_overrides: BTreeMap<(NodeId, NodeId), LinkConfig>,
+    /// Link overrides per direction `(from, to)`, so a gray link can drop packets
+    /// one way while staying clean the other way; absent directions use the default.
+    link_overrides: BTreeMap<(NodeId, NodeId), LinkConfig>,
     /// Gilbert–Elliott state and dedicated RNG stream per burst-configured link
     /// direction. Seeded from `(config.seed, from, to, epoch)` when the override is
     /// installed, so a link's loss pattern is independent of global interleaving.
@@ -200,7 +199,6 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
             events_processed: 0,
             link_status: BTreeMap::new(),
             link_overrides: BTreeMap::new(),
-            directed_overrides: BTreeMap::new(),
             burst_states: BTreeMap::new(),
             link_config_epoch: 0,
             link_config_warnings: 0,
@@ -386,28 +384,26 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
     }
 
     /// Overrides the link behaviour of one specific link, symmetrically: both
-    /// directions get `config`, and any per-direction overrides for the pair are
-    /// cleared so the last call wins. Burst-configured overrides (re)seed the
-    /// per-direction RNG streams.
+    /// directions get `config`, replacing any per-direction override of the pair.
+    /// Burst-configured overrides (re)seed the per-direction RNG streams.
     ///
     /// Returns `true` when the link exists in `Gc`. A call naming a nonexistent
     /// link still installs the override (it applies if the link is added later)
     /// but is counted in [`Simulator::link_config_warnings`].
     pub fn set_link_config(&mut self, a: NodeId, b: NodeId, config: LinkConfig) -> bool {
         self.link_config_epoch += 1;
-        self.directed_overrides.remove(&(a, b));
-        self.directed_overrides.remove(&(b, a));
-        self.link_overrides.insert(Link::new(a, b), config);
+        self.link_overrides.insert((a, b), config);
+        self.link_overrides.insert((b, a), config);
         self.reseed_burst(a, b, &config);
         self.reseed_burst(b, a, &config);
         self.note_link_known(a, b)
     }
 
-    /// Overrides the link behaviour of one *direction* only (`from -> to`);
-    /// takes precedence over the undirected override and the default. This is the
-    /// asymmetric gray-failure primitive: degrade one direction, leave the other
-    /// clean. Returns `true` when the link exists in `Gc` (see
-    /// [`Simulator::set_link_config`] for the nonexistent-link contract).
+    /// Overrides the link behaviour of one *direction* only (`from -> to`),
+    /// leaving the other direction as it was. This is the asymmetric gray-failure
+    /// primitive: degrade one direction, leave the other clean. Returns `true` when
+    /// the link exists in `Gc` (see [`Simulator::set_link_config`] for the
+    /// nonexistent-link contract).
     pub fn set_link_config_directed(
         &mut self,
         from: NodeId,
@@ -415,22 +411,20 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
         config: LinkConfig,
     ) -> bool {
         self.link_config_epoch += 1;
-        self.directed_overrides.insert((from, to), config);
+        self.link_overrides.insert((from, to), config);
         self.reseed_burst(from, to, &config);
         self.note_link_known(from, to)
     }
 
-    /// Removes every override (undirected and both directions) for the pair,
-    /// returning the link to the default behaviour. Returns `true` when at least
-    /// one override was removed.
+    /// Removes the overrides of both directions of the pair, returning the link to
+    /// the default behaviour. Returns `true` when at least one override was removed.
     pub fn clear_link_config(&mut self, a: NodeId, b: NodeId) -> bool {
         self.link_config_epoch += 1;
-        let mut removed = self.link_overrides.remove(&Link::new(a, b)).is_some();
-        removed |= self.directed_overrides.remove(&(a, b)).is_some();
-        removed |= self.directed_overrides.remove(&(b, a)).is_some();
+        let forward = self.link_overrides.remove(&(a, b)).is_some();
+        let backward = self.link_overrides.remove(&(b, a)).is_some();
         self.burst_states.remove(&(a, b));
         self.burst_states.remove(&(b, a));
-        removed
+        forward || backward
     }
 
     /// How many link-config calls named a link absent from `Gc` so far.
@@ -791,14 +785,9 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
         self.scratch_present = scratch_present;
     }
 
-    fn link_config(&self, a: NodeId, b: NodeId) -> LinkConfig {
-        if let Some(cfg) = self.directed_overrides.get(&(a, b)) {
-            return *cfg;
-        }
-        self.link_overrides
-            .get(&Link::new(a, b))
-            .copied()
-            .unwrap_or(self.config.default_link)
+    fn link_config(&self, from: NodeId, to: NodeId) -> LinkConfig {
+        let config = self.link_overrides.get(&(from, to));
+        config.copied().unwrap_or(self.config.default_link)
     }
 
     fn run_callback<F>(&mut self, id: NodeId, f: F)

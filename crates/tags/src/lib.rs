@@ -18,8 +18,9 @@
 //!   showing how the unbounded counter can be avoided at the cost of the
 //!   `Delta_synch` recovery rounds the paper accounts for; not yet used by the
 //!   controller, and the candidate fix for that wedge,
-//! * [`RoundTracker`] — the `currTag` / `prevTag` bookkeeping of Algorithm 2, including
-//!   the third `beforePrevTag` slot used by the evaluation variant (Section 6.2).
+//! * [`RoundTracker`] — the `currTag` / `prevTag` bookkeeping of Algorithm 2. The
+//!   evaluation prototype's retention of the previous round's rules (Section 6.2) needs
+//!   no third slot: the controller names `prevTag` in every `updateRule`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -144,42 +145,22 @@ impl TagGenerator {
     }
 }
 
-/// The `currTag` / `prevTag` (and optional `beforePrevTag`) bookkeeping of Algorithm 2.
+/// The `currTag` / `prevTag` bookkeeping of Algorithm 2.
 ///
 /// The controller starts a new round by calling [`RoundTracker::start_round`] with a
-/// fresh tag; the tracker shifts the previous tags down one slot. The third slot is only
-/// populated when the tracker is created with [`RoundTracker::with_three_tags`], which
-/// is the variation used by the paper's evaluation (Section 6.2) so that the rules of
-/// the previous round survive one extra round.
+/// fresh tag; the tracker shifts the current tag into the previous slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundTracker {
     curr: Tag,
     prev: Tag,
-    before_prev: Option<Tag>,
-    three_tags: bool,
-    rounds: u64,
 }
 
 impl RoundTracker {
-    /// Creates a two-tag tracker (plain Algorithm 2).
+    /// Creates a tracker whose current and previous tags are both `initial`.
     pub fn new(initial: Tag) -> Self {
         RoundTracker {
             curr: initial,
             prev: initial,
-            before_prev: None,
-            three_tags: false,
-            rounds: 0,
-        }
-    }
-
-    /// Creates a three-tag tracker (the Section 6.2 evaluation variant).
-    pub fn with_three_tags(initial: Tag) -> Self {
-        RoundTracker {
-            curr: initial,
-            prev: initial,
-            before_prev: Some(initial),
-            three_tags: true,
-            rounds: 0,
         }
     }
 
@@ -193,31 +174,10 @@ impl RoundTracker {
         self.prev
     }
 
-    /// The round-before-previous tag, present only in three-tag mode.
-    pub fn before_prev(&self) -> Option<Tag> {
-        self.before_prev
-    }
-
-    /// Number of rounds started through this tracker.
-    pub fn rounds_started(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Returns `true` when `tag` matches the current or previous round
-    /// (or the round before that, in three-tag mode).
-    pub fn is_live(&self, tag: Tag) -> bool {
-        tag == self.curr || tag == self.prev || (self.three_tags && self.before_prev == Some(tag))
-    }
-
-    /// Starts a new round with `new_tag`: `prevTag <- currTag`, `currTag <- new_tag`
-    /// (and `beforePrevTag <- prevTag` in three-tag mode).
+    /// Starts a new round with `new_tag`: `prevTag <- currTag`, `currTag <- new_tag`.
     pub fn start_round(&mut self, new_tag: Tag) {
-        if self.three_tags {
-            self.before_prev = Some(self.prev);
-        }
         self.prev = self.curr;
         self.curr = new_tag;
-        self.rounds += 1;
     }
 
     /// Simulates a transient fault corrupting the tracker (test helper).
@@ -295,37 +255,17 @@ mod tests {
         let mut tracker = RoundTracker::new(t0);
         assert_eq!(tracker.curr(), t0);
         assert_eq!(tracker.prev(), t0);
-        assert_eq!(tracker.before_prev(), None);
         let t1 = gen.next_tag();
         tracker.start_round(t1);
         assert_eq!(tracker.curr(), t1);
         assert_eq!(tracker.prev(), t0);
-        assert_eq!(tracker.rounds_started(), 1);
-        assert!(tracker.is_live(t0));
-        assert!(tracker.is_live(t1));
         let t2 = gen.next_tag();
         tracker.start_round(t2);
-        assert!(!tracker.is_live(t0), "two-tag tracker forgets older rounds");
-    }
-
-    #[test]
-    fn round_tracker_three_tag_keeps_one_extra_round() {
-        let mut gen = TagGenerator::new(0);
-        let t0 = gen.next_tag();
-        let mut tracker = RoundTracker::with_three_tags(t0);
-        let t1 = gen.next_tag();
-        let t2 = gen.next_tag();
-        tracker.start_round(t1);
-        tracker.start_round(t2);
-        assert_eq!(tracker.before_prev(), Some(t0));
-        assert!(
-            tracker.is_live(t0),
-            "three-tag tracker keeps the extra round"
+        assert_eq!(
+            (tracker.curr(), tracker.prev()),
+            (t2, t1),
+            "t0 is forgotten"
         );
-        let t3 = gen.next_tag();
-        tracker.start_round(t3);
-        assert!(!tracker.is_live(t0));
-        assert!(tracker.is_live(t1));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! controller fail-stop, switch fail-stop, single and multiple link failures — plus the
 //! node-addition cases of Lemma 8.
 
+use renaissance::scenario::{FaultContext, FaultEvent, SwitchSelector};
 use renaissance::{ControllerConfig, FaultInjector, HarnessConfig, SdnNetwork};
 use sdn_netsim::SimDuration;
 use sdn_topology::builders;
@@ -61,9 +62,9 @@ fn all_but_one_controller_can_fail() {
 #[test]
 fn switch_fail_stop_recovers() {
     let mut sdn = bootstrapped_b4(17);
-    let mut injector = FaultInjector::new(17);
-    let victim = injector.random_switch(&sdn);
-    sdn.fail_switch(victim);
+    let fail = FaultEvent::FailSwitch(SwitchSelector::Random);
+    let done = FaultContext::new(17).apply(&mut sdn, &fail);
+    assert_eq!(done.len(), 1, "one switch fail-stops: {done:?}");
     let recovery = sdn.run_until_legitimate(CHECK, TIMEOUT);
     assert!(recovery.is_some(), "switch failure must be recoverable");
 }

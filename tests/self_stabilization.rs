@@ -1,6 +1,5 @@
 //! Integration: self-stabilization from arbitrary corrupted states (Theorem 2) and the
-//! behaviour of the algorithm variants (memory-adaptive vs Section 8.1 non-adaptive,
-//! three-tag evaluation variant).
+//! behaviour of the algorithm variants (memory-adaptive vs Section 8.1 non-adaptive).
 
 use renaissance::{
     ControllerConfig, CorruptionPlan, FaultInjector, HarnessConfig, SdnNetwork, Variant,
