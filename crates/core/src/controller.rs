@@ -11,7 +11,7 @@ use crate::config::{ControllerConfig, Variant};
 use crate::reply_db::{InsertOutcome, ReplyDb, View, ViewInput, ViewKey};
 use sdn_switch::{CommandBatch, QueryReply, RuleBody, RuleSet, SwitchCommand};
 use sdn_tags::{RoundTracker, Tag, TagGenerator};
-use sdn_topology::{FlowPlan, FlowPlanner, Graph, NextHopSet, NodeId};
+use sdn_topology::{FlowPlan, FlowPlanner, Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -97,7 +97,7 @@ pub struct Controller {
     /// The reference view `plan` was computed over. Once the view converges its
     /// graph stops changing, and every subsequent iteration reuses the plan instead
     /// of re-running the all-pairs planner — the steady state costs one view
-    /// comparison instead of `n` BFS traversals. `None` until the first plan.
+    /// comparison instead of an all-pairs distance matrix. `None` until the first plan.
     planned: Option<Arc<View>>,
     /// `myRules()` per switch under `plan`, built the first time a switch is sent
     /// rules and handed out by reference from then on. A set names neither tag nor
@@ -193,13 +193,9 @@ impl Controller {
     }
 
     /// The first-hop candidates (in priority order) this controller would use to reach
-    /// `dst`, according to its latest routing plan: that pair's row of the plan, read
-    /// in place.
+    /// `dst`, according to its latest routing plan, ranked as they are read.
     pub fn first_hop_candidates(&self, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.plan
-            .next_hops(self.id, dst)
-            .into_iter()
-            .flat_map(NextHopSet::iter)
+        self.plan.next_hops(self.id, dst)
     }
 
     /// The first plan candidate towards `dst` that is currently an observed neighbor.
@@ -325,19 +321,22 @@ impl Controller {
             plan, rule_sets, ..
         } = self;
         let build = || {
-            // One walk over the switch's rows of the plan: it only stores pairs of its
-            // own reference graph with a non-empty hop set and never an `(s, s)` pair,
-            // so this visits the reachable destinations in ascending order.
-            let rows = plan.next_hops_from(switch);
-            rows.flat_map(|(dst, hops)| {
-                hops.iter().enumerate().map(move |(level, fwd)| RuleBody {
-                    src: None,
-                    dst,
-                    prt: u8::MAX - level.min(u8::MAX as usize - 1) as u8,
-                    fwd,
+            // The plan ranks the switch's candidates towards each reachable destination,
+            // destinations ascending: the set's own order, written in one pass. Internal
+            // iteration lets the ranking inline into this loop; `for` loops over the
+            // same rows took about 40 % longer.
+            let mut bodies = Vec::new();
+            plan.next_hops_from(switch).for_each(|(dst, hops)| {
+                hops.enumerate().for_each(|(level, fwd)| {
+                    bodies.push(RuleBody {
+                        src: None,
+                        dst,
+                        prt: u8::MAX - level.min(u8::MAX as usize - 1) as u8,
+                        fwd,
+                    })
                 })
-            })
-            .collect()
+            });
+            bodies.into_iter().collect()
         };
         rule_sets.entry(switch).or_insert_with(build).clone()
     }
@@ -437,6 +436,9 @@ fn switch_update_commands(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HarnessConfig;
+    use crate::harness::SdnNetwork;
+    use sdn_netsim::SimDuration;
     use sdn_switch::{Rule, RuleSummary};
 
     fn n(i: u32) -> NodeId {
@@ -1016,6 +1018,62 @@ mod tests {
         let again = memo.get(renamed.fusion(newer, older, n(0), &[n(4)]), &mut stats);
         assert!(Arc::ptr_eq(&view, &again));
         assert_eq!((stats.views_built, stats.views_reused), (2, 1));
+    }
+
+    /// ROADMAP item 1's setup: `ring(5, 2)` with two controllers at a 100 ms task
+    /// delay, bootstrapped and then settled for 60 s, so that no plan changes any more.
+    fn settled_ring() -> SdnNetwork {
+        let mut sdn = SdnNetwork::new(
+            sdn_topology::builders::ring(5, 2),
+            ControllerConfig::for_network(2, 5),
+            HarnessConfig::default().with_task_delay(SimDuration::from_millis(100)),
+        );
+        let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
+        assert!(sdn.run_until_legitimate(second, timeout).is_some());
+        sdn.run_for(SimDuration::from_secs(60));
+        sdn
+    }
+
+    /// A transient fault that empties a controller's memoized rule sets.
+    fn forget_rules(sdn: &mut SdnNetwork, controller: NodeId) {
+        let c = sdn.controller_mut(controller).unwrap();
+        for set in c.rule_sets.values_mut() {
+            *set = RuleSet::from_iter([]);
+        }
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 1: the rule-set memo is not repaired once the plan stands"]
+    fn emptied_rule_memos_on_both_controllers_are_repaired() {
+        let mut sdn = settled_ring();
+        for controller in sdn.controller_ids() {
+            forget_rules(&mut sdn, controller);
+        }
+        // The switches still hold the rules of before; a second sends them the emptied sets.
+        let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
+        sdn.run_for(second);
+        assert!(sdn.run_until_legitimate(second, timeout).is_some());
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 1: the rule-set memo is not repaired once the plan stands"]
+    fn emptied_rule_memo_on_one_controller_is_repaired() {
+        let mut sdn = settled_ring();
+        let controllers = sdn.controller_ids();
+        forget_rules(&mut sdn, controllers[0]);
+        let owned_everywhere = |sdn: &SdnNetwork| {
+            (sdn.switch_ids().into_iter())
+                .all(|s| sdn.switch(s).unwrap().rules().controllers_with_rules() == controllers)
+        };
+        let repaired = (0..120).any(|_| {
+            sdn.run_for(SimDuration::from_secs(1));
+            owned_everywhere(&sdn)
+        });
+        assert!(
+            repaired,
+            "a switch still holds no rule of {}",
+            controllers[0]
+        );
     }
 
     #[test]

@@ -11,72 +11,21 @@
 //! The forwarding engine in `sdn-switch` picks the highest-priority rule whose out-link
 //! is currently operational, which is exactly the fast-failover group behaviour.
 
-use crate::flat::BfsScratch;
+use crate::flat::FlatGraph;
 use crate::graph::Graph;
 use crate::ids::NodeId;
 
-/// A priority-ordered list of candidate next hops from one node towards a destination:
-/// a borrowed view of one row of a [`FlowPlan`].
-///
-/// Index 0 is the primary (first-shortest-path) next hop; index `k` is the `k`-th
-/// failover alternative. The list never contains duplicates and never exceeds
-/// `kappa + 1` entries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NextHopSet<'a> {
-    hops: &'a [NodeId],
-}
-
-impl<'a> NextHopSet<'a> {
-    /// Creates a next-hop set from an ordered list of candidates.
-    pub fn new(hops: &'a [NodeId]) -> Self {
-        NextHopSet { hops }
-    }
-
-    /// The primary next hop, if any.
-    pub fn primary(self) -> Option<NodeId> {
-        self.hops.first().copied()
-    }
-
-    /// The candidate at the given priority level (0 = primary).
-    pub fn at_priority(self, level: usize) -> Option<NodeId> {
-        self.hops.get(level).copied()
-    }
-
-    /// Iterates over the candidates in priority order.
-    pub fn iter(self) -> impl Iterator<Item = NodeId> + 'a {
-        self.hops.iter().copied()
-    }
-
-    /// Number of candidates.
-    pub fn len(self) -> usize {
-        self.hops.len()
-    }
-
-    /// Returns `true` when there is no candidate at all (destination unreachable).
-    pub fn is_empty(self) -> bool {
-        self.hops.is_empty()
-    }
-
-    /// The first candidate whose out-link is reported operational by `is_up`,
-    /// mimicking a fast-failover group evaluation.
-    pub fn first_operational<F>(self, mut is_up: F) -> Option<NodeId>
-    where
-        F: FnMut(NodeId) -> bool,
-    {
-        self.iter().find(|&h| is_up(h))
-    }
-}
-
 /// All-pairs kappa-fault-resilient next-hop plan over a topology snapshot.
 ///
-/// For every ordered pair `(at, towards)` of distinct nodes the plan stores a
-/// [`NextHopSet`]. Controllers derive their switch rules from this plan; the data-plane
-/// traffic model uses it directly to route host packets.
+/// For every ordered pair `(at, towards)` of distinct, connected nodes the plan ranks
+/// `at`'s neighbors as next hops towards `towards`: index 0 is the primary
+/// (first-shortest-path) next hop, index `k` the `k`-th failover alternative, with no
+/// duplicates and at most the planner's candidate limit. Controllers derive their
+/// switch rules and their own first hops from it.
 ///
-/// The plan is one dense table over the planned graph's `n` nodes in ascending
-/// identifier order: row `at * n + towards` of `offsets` delimits that pair's slice of
-/// `hops` (empty = no entry), so reading a node's rules is a walk over `n` adjacent
-/// rows and replacing a plan frees four vectors.
+/// The plan holds only what that ranking reads: the planned graph's snapshot, which
+/// of its nodes may relay packets, and the restricted distance matrix. A pair is
+/// ranked when it is read, so a plan stores nothing per pair.
 ///
 /// # Example
 ///
@@ -88,83 +37,63 @@ impl<'a> NextHopSet<'a> {
 ///     (NodeId::new(2), NodeId::new(0)),
 /// ]);
 /// let plan = FlowPlanner::new(1).plan(&g);
-/// let hops = plan.next_hops(NodeId::new(0), NodeId::new(2)).unwrap();
-/// assert_eq!(hops.primary(), Some(NodeId::new(2)));   // direct link
-/// assert_eq!(hops.at_priority(1), Some(NodeId::new(1))); // detour via 1
+/// let hops: Vec<NodeId> = plan.next_hops(NodeId::new(0), NodeId::new(2)).collect();
+/// // The direct link first, then the detour via 1.
+/// assert_eq!(hops, [NodeId::new(2), NodeId::new(1)]);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlowPlan {
-    kappa: usize,
-    /// The planned graph's nodes, ascending; dense index = position.
-    nodes: Vec<NodeId>,
-    /// `n * n + 1` row bounds into `hops` (none for the default, node-less plan).
-    offsets: Vec<u32>,
-    /// Every pair's candidates in priority order, rows concatenated.
-    hops: Vec<NodeId>,
-    /// `dist[towards * n + from]`; `u32::MAX` marks a disconnected pair.
+    /// The planned graph; dense index = position in ascending identifier order.
+    graph: FlatGraph,
+    /// `transit[i]`: node `i` may relay packets, i.e. is not an endpoint-only node.
+    transit: Vec<bool>,
+    /// `dist[a * n + b]`: the shortest `a`–`b` path that relays only through transit
+    /// nodes. Symmetric, so row `h` is `h`'s distance towards every target;
+    /// `u32::MAX` marks a disconnected pair.
     dist: Vec<u32>,
+    /// Candidates kept per pair.
+    limit: usize,
 }
 
 impl FlowPlan {
-    /// The `kappa` this plan was computed for.
-    pub fn kappa(&self) -> usize {
-        self.kappa
-    }
-
-    /// The dense index of `node`, if the plan covers it.
-    fn index_of(&self, node: NodeId) -> Option<usize> {
-        self.nodes.binary_search(&node).ok()
-    }
-
-    /// The candidates stored for row `row`.
-    fn row(&self, row: usize) -> &[NodeId] {
-        &self.hops[self.offsets[row] as usize..self.offsets[row + 1] as usize]
-    }
-
-    /// The next-hop set stored for packets at `at` going towards `towards`.
-    pub fn next_hops(&self, at: NodeId, towards: NodeId) -> Option<NextHopSet<'_>> {
-        let row = self.index_of(at)? * self.nodes.len() + self.index_of(towards)?;
-        Some(NextHopSet::new(self.row(row))).filter(|set| !set.is_empty())
-    }
-
-    /// The shortest-path distance between the pair, if connected.
-    pub fn distance(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        if from == to {
-            return Some(0);
+    /// How far `towards` is from neighbor `hop` when packets are handed to it:
+    /// endpoint-only nodes relay nothing, so they are candidates only as the target.
+    #[inline]
+    fn via(&self, hop: u32, towards: u32) -> u32 {
+        let (hop, towards) = (hop as usize, towards as usize);
+        let d = self.dist[hop * self.transit.len() + towards];
+        if self.transit[hop] || hop == towards {
+            d
+        } else {
+            u32::MAX
         }
-        let d = self.dist[self.index_of(to)? * self.nodes.len() + self.index_of(from)?];
-        (d != u32::MAX).then_some(d)
     }
 
-    /// Iterates over every `(at, towards)` pair with its next-hop set.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId, NextHopSet<'_>)> + '_ {
-        self.nodes
-            .iter()
-            .flat_map(move |&at| self.next_hops_from(at).map(move |(t, set)| (at, t, set)))
+    /// The candidates for packets at `at` going towards `towards`, in priority order
+    /// (empty when the pair is absent or disconnected).
+    #[inline]
+    pub fn next_hops(&self, at: NodeId, towards: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let pair = self.graph.index_of(at).zip(self.graph.index_of(towards));
+        pair.map(|(at, towards)| NextHops::new(self, at, towards))
+            .into_iter()
+            .flatten()
     }
 
-    /// Iterates over the next-hop sets stored for packets at `at`, in ascending
-    /// destination order — a walk over that node's `n` adjacent rows, which is what
-    /// makes `myRules()` linear in the rule count.
+    /// The destinations reachable from `at`, ascending, each with its candidates in
+    /// priority order: what `myRules()` installs at `at`.
+    #[inline]
     pub fn next_hops_from(
         &self,
         at: NodeId,
-    ) -> impl Iterator<Item = (NodeId, NextHopSet<'_>)> + '_ {
-        let n = self.nodes.len();
-        let rows = self.index_of(at).map_or(0..0, |a| a * n..(a + 1) * n);
-        rows.zip(&self.nodes)
-            .map(move |(row, &towards)| (towards, NextHopSet::new(self.row(row))))
-            .filter(|(_, set)| !set.is_empty())
-    }
-
-    /// Number of `(at, towards)` entries in the plan.
-    pub fn len(&self) -> usize {
-        self.offsets.windows(2).filter(|w| w[0] != w[1]).count()
-    }
-
-    /// Returns `true` when the plan holds no entries (e.g. planned over an empty graph).
-    pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
+    ) -> impl Iterator<Item = (NodeId, impl ExactSizeIterator<Item = NodeId> + '_)> + '_ {
+        let (at, targets) = match self.graph.index_of(at) {
+            Some(at) => (at, 0..self.transit.len() as u32),
+            None => (0, 0..0),
+        };
+        targets.filter_map(move |towards| {
+            let hops = NextHops::new(self, at, towards);
+            (hops.len() > 0).then(|| (self.graph.node_at(towards), hops))
+        })
     }
 
     /// Simulates forwarding a packet from `from` to `to` under the given set of failed
@@ -179,8 +108,8 @@ impl FlowPlan {
     /// covers all neighbors, the packet is guaranteed to reach its destination, which is
     /// how the paper obtains kappa-fault-resilient flows.
     ///
-    /// This is the reference semantics used by the property tests to check
-    /// kappa-fault resilience, and by the traffic model to route host packets.
+    /// This is the reference semantics the property tests use to check kappa-fault
+    /// resilience.
     pub fn route<F>(
         &self,
         from: NodeId,
@@ -207,10 +136,9 @@ impl FlowPlan {
             if hops >= ttl {
                 return None;
             }
-            let next = self.next_hops(cur, to).and_then(|set| {
-                set.iter()
-                    .find(|&h| !visited.contains(&h) && link_up(cur, h))
-            });
+            let next = self
+                .next_hops(cur, to)
+                .find(|&h| !visited.contains(&h) && link_up(cur, h));
             match next {
                 Some(h) => {
                     visited.insert(h);
@@ -232,11 +160,104 @@ impl FlowPlan {
     }
 }
 
+/// One pair's candidates, ranked as they are read. They order by `(distance, id)` and
+/// a neighbor row ascends by id, so one pass marks the three nearest distances'
+/// candidates in bit masks that yield them in order: no sort, no allocation. On a
+/// transit node that is every candidate; the rest (farther ones, rows over 64
+/// neighbors) come from scanning for the next `(distance, position)` key. `#[inline]`
+/// lets `myRules()`, in another crate, rank without a call per row.
+#[derive(Clone, Debug)]
+struct NextHops<'a> {
+    plan: &'a FlowPlan,
+    neighbors: &'a [u32],
+    towards: u32,
+    /// Bit `i` of `masks[k]` marks neighbor `i` at distance `dist(at, towards) - 1 + k`.
+    masks: [u64; 3],
+    /// The smallest `(distance << 32) | position` key the scan may still emit.
+    floor: u64,
+    /// Candidates still to emit.
+    left: usize,
+}
+
+impl<'a> NextHops<'a> {
+    #[inline]
+    fn new(plan: &'a FlowPlan, at: u32, towards: u32) -> Self {
+        // No candidate is nearer than `distance(at, towards) - 1`, and the second hop of
+        // a shortest path is that near: the first level is known up front.
+        let d = plan.dist[at as usize * plan.transit.len() + towards as usize];
+        let neighbors = match d {
+            // `at` is the target itself, or the target is out of reach.
+            0 | u32::MAX => &[][..],
+            _ => plan.graph.neighbor_indices(at),
+        };
+        let (level, wide) = (d.wrapping_sub(1), neighbors.len() > 64);
+        let (mut masks, mut count) = ([0u64; 3], 0);
+        for (i, &h) in neighbors.iter().enumerate() {
+            let d = plan.via(h, towards);
+            let k = d.wrapping_sub(level);
+            if k < 3 && !wide {
+                masks[k as usize] |= 1 << i;
+            }
+            count += usize::from(d != u32::MAX);
+        }
+        let marked = if wide { 0 } else { 3 };
+        NextHops {
+            plan,
+            neighbors,
+            towards,
+            masks,
+            floor: u64::from(level.saturating_add(marked)) << 32,
+            left: plan.limit.min(count),
+        }
+    }
+
+    /// The position of the candidate with the smallest key at or above `floor`.
+    #[cold]
+    fn scan(&mut self) -> Option<usize> {
+        let (plan, towards) = (self.plan, self.towards);
+        let key = (self.neighbors.iter().enumerate())
+            .map(|(i, &h)| u64::from(plan.via(h, towards)) << 32 | i as u64)
+            .filter(|&key| key >= self.floor)
+            .min()?;
+        self.floor = key + 1;
+        Some(key as u32 as usize)
+    }
+}
+
+impl Iterator for NextHops<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let position = if self.masks == [0; 3] {
+            self.scan()?
+        } else {
+            // The first non-empty mask, picked without a data-dependent branch.
+            let [near, mid, _] = self.masks;
+            let k = usize::from(near == 0) + usize::from(near | mid == 0);
+            let mask = self.masks[k];
+            self.masks[k] = mask & (mask - 1);
+            mask.trailing_zeros() as usize
+        };
+        Some(self.plan.graph.node_at(self.neighbors[position]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for NextHops<'_> {}
+
 /// Computes [`FlowPlan`]s for a fixed resilience level `kappa`.
 ///
 /// The planner is stateless apart from its configuration; call [`FlowPlanner::plan`]
 /// with a fresh topology snapshot whenever the discovered topology changes (each
-/// controller does this once per synchronization round).
+/// controller does this once per changed reference graph).
 ///
 /// By default every neighbor of a node is a failover candidate (the paper's Lemma 3
 /// observes that `nprt >= Delta + 1` priorities suffice to express all rules), which
@@ -248,15 +269,6 @@ impl FlowPlan {
 pub struct FlowPlanner {
     kappa: usize,
     max_candidates: Option<usize>,
-}
-
-impl Default for FlowPlanner {
-    fn default() -> Self {
-        FlowPlanner {
-            kappa: 1,
-            max_candidates: None,
-        }
-    }
 }
 
 impl FlowPlanner {
@@ -282,18 +294,10 @@ impl FlowPlanner {
         self.kappa
     }
 
-    /// The configured candidate limit, if any.
-    pub fn max_candidates(&self) -> Option<usize> {
-        self.max_candidates
-    }
-
-    /// Computes the all-pairs next-hop plan over `graph`.
-    ///
-    /// For every destination `t` we run one BFS (from `t`), then every other node `j`
-    /// ranks its neighbors by `(distance(neighbor, t), neighbor id)` and keeps the best
-    /// candidates (all of them by default). The first candidate is therefore the
-    /// first-shortest-path next hop; the others are the local fast-failover
-    /// alternatives, in decreasing priority.
+    /// Computes the all-pairs next-hop plan over `graph`: node `j` ranks its neighbors
+    /// towards `t` by `(distance(neighbor, t), neighbor id)` and keeps the best (all
+    /// by default), so the first is the first-shortest-path next hop and the others
+    /// are the local fast-failover alternatives, in decreasing priority.
     pub fn plan(&self, graph: &Graph) -> FlowPlan {
         self.plan_restricted(graph, &std::collections::BTreeSet::new())
     }
@@ -311,66 +315,55 @@ impl FlowPlanner {
         graph: &Graph,
         non_transit: &std::collections::BTreeSet<NodeId>,
     ) -> FlowPlan {
-        let limit = self.max_candidates.unwrap_or(usize::MAX);
-        let full = graph.snapshot();
-        let n = full.node_count();
-        let endpoint_only: Vec<bool> = full
-            .node_ids()
-            .iter()
-            .map(|id| non_transit.contains(id))
+        let graph = graph.snapshot();
+        let n = graph.node_count();
+        let transit: Vec<bool> = (graph.node_ids().iter())
+            .map(|id| !non_transit.contains(id))
             .collect();
-        // One search per target over the one snapshot: paths may start or end at a
-        // non-transit node but never pass through one, which is a BFS that reaches
-        // such nodes without expanding them (its source always expands). Everything
-        // works on dense indices; the distance matrix becomes the plan's own.
-        let mut scratch = BfsScratch::new();
-        let mut dist: Vec<u32> = Vec::with_capacity(n * n);
-        for ti in 0..n {
-            full.bfs_filtered(ti as u32, &mut scratch, |i| !endpoint_only[i as usize]);
-            dist.extend_from_slice(scratch.distances());
-        }
-        // `at`-major rows, written straight into the plan's table. A node has at most
-        // its degree in candidates towards each target, which bounds every offset.
-        assert!(
-            n * full.arc_targets().len() <= u32::MAX as usize,
-            "a plan over {n} nodes would exceed 2^32 next hops"
-        );
-        let mut offsets: Vec<u32> = Vec::with_capacity(n * n + 1);
-        let mut hops: Vec<NodeId> = Vec::new();
-        // Candidates rank by `(distance, identifier)` — dense indices ascend with the
-        // identifiers — packed into one integer each so the sort compares words.
-        let mut candidates: Vec<u64> = Vec::new();
-        offsets.push(0);
-        for ai in 0..n {
-            for ti in 0..n {
-                candidates.clear();
-                if ti != ai {
-                    for &hi in full.neighbor_indices(ai as u32) {
-                        if endpoint_only[hi as usize] && hi as usize != ti {
-                            continue;
-                        }
-                        let d = dist[ti * n + hi as usize];
-                        if d != u32::MAX {
-                            candidates.push(u64::from(d) << 32 | u64::from(hi));
+        // Paths may start or end at a non-transit node but never pass through one. The
+        // matrix is filled by breadth-first searches from 64 sources at once: bit `j` of
+        // a node's word says source `base + j` has reached it, so one level of all 64
+        // searches is one pass over the arcs. Every source relays its own bit; from
+        // the second level on, only transit nodes relay.
+        let mut dist = vec![u32::MAX; n * n];
+        let (mut seen, mut frontier, mut next) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+        for base in (0..n).step_by(64) {
+            seen.fill(0);
+            frontier.fill(0);
+            for source in base..n.min(base + 64) {
+                seen[source] = 1 << (source - base);
+                frontier[source] = seen[source];
+                dist[source * n + source] = 0;
+            }
+            for level in 1.. {
+                let mut reached = 0;
+                for v in 0..n {
+                    let mut bits = 0;
+                    for &u in graph.neighbor_indices(v as u32) {
+                        if level == 1 || transit[u as usize] {
+                            bits |= frontier[u as usize];
                         }
                     }
-                    candidates.sort_unstable();
+                    bits &= !seen[v];
+                    seen[v] |= bits;
+                    next[v] = bits;
+                    reached |= bits;
+                    while bits != 0 {
+                        dist[(base + bits.trailing_zeros() as usize) * n + v] = level;
+                        bits &= bits - 1;
+                    }
                 }
-                hops.extend(
-                    candidates
-                        .iter()
-                        .take(limit)
-                        .map(|&c| full.node_at(c as u32)),
-                );
-                offsets.push(hops.len() as u32);
+                if reached == 0 {
+                    break;
+                }
+                std::mem::swap(&mut frontier, &mut next);
             }
         }
         FlowPlan {
-            kappa: self.kappa,
-            nodes: full.node_ids().to_vec(),
-            offsets,
-            hops,
+            graph,
+            transit,
             dist,
+            limit: self.max_candidates.unwrap_or(usize::MAX),
         }
     }
 }
@@ -378,11 +371,22 @@ impl FlowPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::BfsScratch;
     use crate::ids::Link;
     use std::collections::{BTreeMap, BTreeSet};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// The planned distance between the pair, read off the matrix.
+    fn distance(plan: &FlowPlan, from: NodeId, to: NodeId) -> Option<u32> {
+        if from == to {
+            return Some(0);
+        }
+        let (from, to) = (plan.graph.index_of(from)?, plan.graph.index_of(to)?);
+        let d = plan.dist[from as usize * plan.transit.len() + to as usize];
+        (d != u32::MAX).then_some(d)
     }
 
     /// A 2-edge-connected graph: a 5-cycle with one chord.
@@ -403,21 +407,17 @@ mod tests {
         let plan = FlowPlanner::new(1).plan(&g);
         // From 0 to 3: shortest is 0-1-3 (distance 2) or 0-4-3; lowest-index neighbor at
         // equal distance wins, so primary hop is 1.
-        let hops = plan.next_hops(n(0), n(3)).unwrap();
-        assert_eq!(hops.primary(), Some(n(1)));
-        assert_eq!(plan.distance(n(0), n(3)), Some(2));
-        assert_eq!(plan.distance(n(3), n(3)), Some(0));
+        assert_eq!(plan.next_hops(n(0), n(3)).next(), Some(n(1)));
+        assert_eq!(distance(&plan, n(0), n(3)), Some(2));
+        assert_eq!(distance(&plan, n(3), n(3)), Some(0));
     }
 
     #[test]
     fn backup_hop_differs_from_primary() {
         let g = cycle_with_chord();
         let plan = FlowPlanner::new(1).plan(&g);
-        let hops = plan.next_hops(n(0), n(3)).unwrap();
-        assert_eq!(hops.len(), 2);
-        assert_ne!(hops.at_priority(0), hops.at_priority(1));
-        assert_eq!(hops.at_priority(1), Some(n(4)));
-        assert_eq!(hops.at_priority(2), None);
+        let hops: Vec<NodeId> = plan.next_hops(n(0), n(3)).collect();
+        assert_eq!(hops, [n(1), n(4)]);
     }
 
     #[test]
@@ -425,21 +425,22 @@ mod tests {
         let g = cycle_with_chord();
         let planner = FlowPlanner::new(0).with_max_candidates(1);
         assert_eq!(planner.kappa(), 0);
-        assert_eq!(planner.max_candidates(), Some(1));
+        assert_eq!(planner.max_candidates, Some(1));
         let plan = planner.plan(&g);
-        for (_, _, set) in plan.iter() {
-            assert_eq!(set.len(), 1);
+        for at in g.nodes() {
+            for (_, hops) in plan.next_hops_from(at) {
+                assert_eq!(hops.len(), 1);
+            }
         }
     }
 
     #[test]
     fn default_keeps_all_neighbors_as_candidates() {
         let g = cycle_with_chord();
-        let plan = FlowPlanner::default().plan(&g);
+        let plan = FlowPlanner::new(1).plan(&g);
         // Node 1 has three neighbors; all must appear as candidates towards node 4.
-        let set = plan.next_hops(n(1), n(4)).unwrap();
-        assert_eq!(set.len(), 3);
-        assert_eq!(set.primary(), Some(n(0)));
+        let hops: Vec<NodeId> = plan.next_hops(n(1), n(4)).collect();
+        assert_eq!(hops, [n(0), n(3), n(2)]);
     }
 
     #[test]
@@ -489,9 +490,9 @@ mod tests {
         let mut g = cycle_with_chord();
         g.add_node(n(9));
         let plan = FlowPlanner::new(1).plan(&g);
-        assert!(plan.next_hops(n(0), n(9)).is_none());
+        assert_eq!(plan.next_hops(n(0), n(9)).next(), None);
         assert!(plan.route(n(0), n(9), |_, _| true, 16).is_none());
-        assert_eq!(plan.distance(n(0), n(9)), None);
+        assert_eq!(distance(&plan, n(0), n(9)), None);
     }
 
     #[test]
@@ -506,9 +507,9 @@ mod tests {
 
     #[test]
     fn empty_graph_plan_is_empty() {
-        let plan = FlowPlanner::default().plan(&Graph::new());
-        assert!(plan.is_empty());
-        assert_eq!(plan.len(), 0);
+        let plan = FlowPlanner::new(1).plan(&Graph::new());
+        assert_eq!(plan.next_hops_from(n(0)).count(), 0);
+        assert_eq!(plan.next_hops(n(0), n(1)).count(), 0);
     }
 
     #[test]
@@ -531,24 +532,12 @@ mod tests {
             !path.contains(&n(9)),
             "path {path:?} relays through a controller"
         );
-        assert_eq!(plan.distance(n(0), n(4)), Some(4));
+        assert_eq!(distance(&plan, n(0), n(4)), Some(4));
         // Node 9 can still be an endpoint: flows towards it exist.
-        let to_nine = plan.next_hops(n(0), n(9)).unwrap();
-        assert_eq!(to_nine.primary(), Some(n(9)));
+        assert_eq!(plan.next_hops(n(0), n(9)).next(), Some(n(9)));
         // And node 9 (as a source endpoint) has next hops towards 4 that avoid itself.
-        let from_nine = plan.next_hops(n(9), n(4)).unwrap();
-        assert!(from_nine.primary().is_some());
-        assert_eq!(plan.distance(n(9), n(4)), Some(1));
-    }
-
-    #[test]
-    fn next_hop_set_first_operational() {
-        let hops = [n(1), n(2), n(3)];
-        let set = NextHopSet::new(&hops);
-        assert_eq!(set.first_operational(|h| h == n(2)), Some(n(2)));
-        assert_eq!(set.first_operational(|_| false), None);
-        assert_eq!(set.iter().count(), 3);
-        assert!(!set.is_empty());
+        assert_eq!(plan.next_hops(n(9), n(4)).next(), Some(n(4)));
+        assert_eq!(distance(&plan, n(9), n(4)), Some(1));
     }
 
     type HopMap = BTreeMap<(NodeId, NodeId), Vec<NodeId>>;
@@ -562,7 +551,7 @@ mod tests {
         graph: &Graph,
         non_transit: &BTreeSet<NodeId>,
     ) -> (HopMap, DistanceMap) {
-        let limit = planner.max_candidates().unwrap_or(usize::MAX);
+        let limit = planner.max_candidates.unwrap_or(usize::MAX);
         let mut scratch = BfsScratch::new();
         let (mut next_hops, mut distances) = (HopMap::new(), DistanceMap::new());
         for target in graph.nodes() {
@@ -601,15 +590,22 @@ mod tests {
     }
 
     /// Over random connected and disconnected graphs with sparse identifiers, random
-    /// non-transit sets (none, some, all) and candidate limits, the dense plan equals
-    /// the map-built reference pair for pair.
+    /// non-transit sets (none, some, all) and candidate limits, the plan equals the
+    /// map-built reference pair for pair. Sizes around and past 64 nodes put sources
+    /// in more than one block of the 64-wide searches, and the last block partly full;
+    /// a hub among them has rows of 64 neighbors and more, past what the masks hold.
     #[test]
     fn dense_plan_matches_the_map_built_reference() {
         use sdn_rng::Rng;
         let (mut disconnected, mut absent_pairs) = (0, 0);
-        for seed in 0..60u64 {
+        let blocks = [63, 64, 65, 129].map(|size| size..=size);
+        let cases = (0..60u64)
+            .map(|seed| (seed, 1..=13u32))
+            .chain((60..).zip(blocks))
+            .chain((64..68).map(|seed| (seed, 70..=200)));
+        for (seed, sizes) in cases {
             let mut rng = Rng::seed_from_u64(seed);
-            let ids: Vec<NodeId> = (0..rng.gen_range(1..14u32))
+            let ids: Vec<NodeId> = (0..rng.gen_range(sizes))
                 .map(|i| n(3 * i + rng.gen_range(0..3u32)))
                 .collect();
             let mut g = Graph::new();
@@ -631,6 +627,12 @@ mod tests {
                     g.add_link(a, b);
                 }
             }
+            // A hub next to every node gives rows of 64 neighbors and more.
+            if seed >= 60 && seed % 2 == 0 {
+                for &id in &ids[1..] {
+                    g.add_link(ids[0], id);
+                }
+            }
             let non_transit: BTreeSet<NodeId> = match seed % 4 {
                 0 => BTreeSet::new(),
                 1 => ids.iter().copied().collect(),
@@ -643,23 +645,17 @@ mod tests {
             let plan = planner.plan_restricted(&g, &non_transit);
             let (next_hops, distances) = reference_plan(planner, &g, &non_transit);
 
-            let listed: Vec<(NodeId, NodeId, Vec<NodeId>)> = plan
-                .iter()
-                .map(|(a, t, set)| (a, t, set.iter().collect()))
-                .collect();
-            let expected: Vec<(NodeId, NodeId, Vec<NodeId>)> = next_hops
-                .iter()
-                .map(|(&(a, t), hops)| (a, t, hops.clone()))
-                .collect();
-            assert_eq!(listed, expected, "seed {seed}: iter()");
-            assert_eq!(plan.len(), next_hops.len(), "seed {seed}: len()");
-            assert_eq!(plan.is_empty(), next_hops.is_empty(), "seed {seed}");
             // One identifier outside the graph: every pair naming it is absent.
             let stranger = n(1000);
             for &at in ids.iter().chain([&stranger]) {
                 let from_at: Vec<(NodeId, Vec<NodeId>)> = plan
                     .next_hops_from(at)
-                    .map(|(t, set)| (t, set.iter().collect()))
+                    .map(|(t, hops)| {
+                        let len = hops.len();
+                        let hops: Vec<NodeId> = hops.collect();
+                        assert_eq!(len, hops.len(), "seed {seed}: ({at}, {t}) len()");
+                        (t, hops)
+                    })
                     .collect();
                 let expected: Vec<(NodeId, Vec<NodeId>)> = next_hops
                     .range((at, n(0))..=(at, n(u32::MAX)))
@@ -667,17 +663,17 @@ mod tests {
                     .collect();
                 assert_eq!(from_at, expected, "seed {seed}: next_hops_from({at})");
                 for &towards in ids.iter().chain([&stranger]) {
-                    let hops = plan.next_hops(at, towards);
+                    let hops: Vec<NodeId> = plan.next_hops(at, towards).collect();
                     assert_eq!(
-                        hops.map(|set| set.iter().collect::<Vec<_>>()),
-                        next_hops.get(&(at, towards)).cloned(),
+                        Some(&hops).filter(|hops| !hops.is_empty()),
+                        next_hops.get(&(at, towards)),
                         "seed {seed}: next_hops({at}, {towards})"
                     );
                     let expected = (at == towards)
                         .then_some(0)
                         .or_else(|| distances.get(&(at, towards)).copied());
-                    assert_eq!(plan.distance(at, towards), expected, "seed {seed}");
-                    absent_pairs += usize::from(hops.is_none() && at != towards);
+                    assert_eq!(distance(&plan, at, towards), expected, "seed {seed}");
+                    absent_pairs += usize::from(hops.is_empty() && at != towards);
                 }
             }
             disconnected += usize::from(!crate::paths::is_connected(&g));

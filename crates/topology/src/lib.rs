@@ -31,8 +31,8 @@
 //! // Compute 1-fault-resilient next hops between every pair of nodes.
 //! let planner = FlowPlanner::new(1);
 //! let plan = planner.plan(&net.graph);
-//! assert!(!plan.is_empty());
-//! assert!(plan.next_hops(net.switches[0], net.controllers[0]).is_some());
+//! let hops: Vec<_> = plan.next_hops(net.switches[0], net.controllers[0]).collect();
+//! assert!(!hops.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,7 +49,7 @@ pub mod paths;
 
 pub use builders::NamedTopology;
 pub use flat::{BfsScratch, FlatGraph};
-pub use flows::{FlowPlan, FlowPlanner, NextHopSet};
+pub use flows::{FlowPlan, FlowPlanner};
 pub use graph::Graph;
 pub use ids::{NodeId, NodeKind};
 pub use layout::FatTreeLayout;
