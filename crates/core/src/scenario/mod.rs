@@ -54,8 +54,8 @@ pub use probe::{Probe, ProbeSeries};
 pub use report::{InjectedFault, RecoveryRecord, RunReport, ScenarioReport};
 pub use runner::ScenarioRunner;
 pub use schedule::{
-    mid_path_link, ControllerSelector, DegradeSpec, Endpoints, FaultContext, FaultEvent,
-    FaultSchedule, LinkSelector, PartitionSpec, SwitchSelector,
+    mid_path_link, ControllerSelector, DegradeSpec, Endpoints, FaultContext, FaultError,
+    FaultEvent, FaultSchedule, LinkSelector, PartitionSpec, SwitchSelector,
 };
 pub use sdn_metrics::{
     CsvSink, Digest, JsonLinesSink, MemorySink, MetricKey, Namespace, Recorder, Unit,
@@ -346,12 +346,16 @@ impl ScenarioBuilder {
     /// # Panics
     ///
     /// Panics if no topology was specified via [`network`](Self::network) or
-    /// [`topology`](Self::topology).
+    /// [`topology`](Self::topology), or if a scheduled event fails
+    /// [`FaultEvent::validate`] (see [`FaultSchedule::validate`]).
     pub fn build(self) -> Scenario {
         let topology = self
             .topology
             // stancheck: allow(unwrap-expect) — documented builder contract (see `# Panics`): a scenario without a topology is a programming error, and the fluent builder API has no Result channel
             .expect("Scenario requires a topology: call .network(name) or .topology(t)");
+        if let Err(error) = self.schedule.validate() {
+            panic!("invalid fault schedule: {error}");
+        }
         Scenario {
             name: self.name,
             topology,

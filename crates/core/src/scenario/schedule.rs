@@ -193,7 +193,7 @@ pub enum FaultEvent {
     /// the default behaviour.
     RestoreLinkQuality(LinkSelector),
     /// Cuts the network into groups by transiently failing every crossing link.
-    /// With `heal_after` set, [`FaultSchedule::batches`] schedules a matching
+    /// With `heal_after` set, [`FaultEvent::phases`] schedules a matching
     /// [`FaultEvent::HealPartition`] that much later.
     Partition {
         /// How the groups are chosen.
@@ -204,7 +204,7 @@ pub enum FaultEvent {
     /// Restores every link cut by the `Partition` events in force.
     HealPartition,
     /// A link that goes down and comes back `count` times, `period` apart (down
-    /// for the first half of each period). Expanded by [`FaultSchedule::batches`]
+    /// for the first half of each period). Expanded by [`FaultEvent::phases`]
     /// into [`FaultEvent::FlapPhase`] pairs; the selector is resolved once, on
     /// the first down-phase, so every flap hits the same links.
     FlapLink {
@@ -216,7 +216,7 @@ pub enum FaultEvent {
         count: u32,
     },
     /// One half-cycle of an expanded [`FaultEvent::FlapLink`]. Generated by
-    /// [`FaultSchedule::batches`]; schedule `FlapLink` instead of this directly.
+    /// [`FaultEvent::phases`]; schedule `FlapLink` instead of this directly.
     FlapPhase {
         /// Identifier tying the phases of one flapping link together.
         flap: u32,
@@ -228,7 +228,7 @@ pub enum FaultEvent {
     /// A rolling restart of the controller fleet: controllers at indices
     /// `0..count` fail-stop one at a time, `interval` apart, each reviving with
     /// fresh state after `down_for` (the rolling-upgrade drill). Expanded by
-    /// [`FaultSchedule::batches`] into fail/revive pairs.
+    /// [`FaultEvent::phases`] into fail/revive pairs.
     RollingControllerRestart {
         /// Gap between consecutive controller restarts.
         interval: SimDuration,
@@ -240,6 +240,139 @@ pub enum FaultEvent {
     /// Revives the controller at this index of [`SdnNetwork::controller_ids`]
     /// with fresh state. Generated by the `RollingControllerRestart` expansion.
     ReviveControllerIndex(usize),
+}
+
+/// Why a [`FaultEvent`] is malformed whatever network it meets — the rules
+/// [`FaultEvent::validate`] checks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultError {
+    /// `AddLink(n, n)`: a link needs two distinct endpoints.
+    SelfLoop(NodeId),
+    /// A partition into explicit groups names fewer than two.
+    TooFewGroups,
+    /// The named probability of a [`DegradeSpec`] is not finite or not in `[0, 1]`.
+    NotAProbability(&'static str),
+    /// A flap whose half-period is shorter than one quantum (carried): its
+    /// down and up phases would land on the same instant.
+    FlapTooFast(SimDuration),
+    /// A rolling restart whose `down_for` is shorter than one quantum (carried)
+    /// or not shorter than `interval`, so two controllers could be down at once.
+    RestartOverlap(SimDuration),
+    /// A flap or rolling restart with a count of zero.
+    ZeroCount,
+}
+
+impl std::fmt::Display for FaultError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::SelfLoop(node) => write!(f, "cannot add a self-loop at {node}"),
+            Self::TooFewGroups => write!(f, "a partition needs at least two groups"),
+            Self::NotAProbability(name) => write!(f, "`{name}` must be a probability in [0, 1]"),
+            Self::FlapTooFast(q) => write!(f, "a flap needs a half-period of at least {q}"),
+            Self::RestartOverlap(q) => {
+                write!(f, "a restart's `down_for` must be in [{q}, `interval`)")
+            }
+            Self::ZeroCount => write!(f, "a flap or rolling restart needs a positive count"),
+        }
+    }
+}
+
+impl std::error::Error for FaultError {}
+
+impl FaultEvent {
+    /// Checks the rules that hold whatever network the event meets: no
+    /// self-loop, at least two partition groups, probabilities in `[0, 1]`,
+    /// positive compound counts, a flap half-period and a restart's down time
+    /// of at least one `quantum`, and a down time shorter than the restart
+    /// interval. `quantum` is the finest instant the caller can tell apart: a
+    /// service tick, or one microsecond for a [`FaultSchedule`]. Checks that need
+    /// the live network (does the victim exist?) belong to the caller.
+    pub fn validate(&self, quantum: SimDuration) -> Result<(), FaultError> {
+        match self {
+            FaultEvent::AddLink(a, b) if a == b => Err(FaultError::SelfLoop(*a)),
+            FaultEvent::Partition {
+                groups: PartitionSpec::Groups(groups),
+                ..
+            } if groups.len() < 2 => Err(FaultError::TooFewGroups),
+            FaultEvent::DegradeLink(_, DegradeSpec { loss, burst, .. }) => {
+                let burst = burst.iter().flat_map(|b| {
+                    [
+                        ("p_enter", b.p_enter),
+                        ("p_exit", b.p_exit),
+                        ("loss_good", b.loss_good),
+                        ("loss_bad", b.loss_bad),
+                    ]
+                });
+                let mut all = std::iter::once(("loss", *loss)).chain(burst);
+                let bad = all.find(|(_, p)| !(0.0..=1.0).contains(p));
+                bad.map_or(Ok(()), |(name, _)| Err(FaultError::NotAProbability(name)))
+            }
+            FaultEvent::FlapLink { count: 0, .. }
+            | FaultEvent::RollingControllerRestart { count: 0, .. } => Err(FaultError::ZeroCount),
+            FaultEvent::FlapLink { period, .. }
+                if SimDuration::from_micros(period.as_micros() / 2) < quantum =>
+            {
+                Err(FaultError::FlapTooFast(quantum))
+            }
+            FaultEvent::RollingControllerRestart {
+                interval, down_for, ..
+            } if *down_for < quantum || down_for >= interval => {
+                Err(FaultError::RestartOverlap(quantum))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The timed phases this event expands into, at offsets from its own instant
+    /// — the one place compound faults are expanded. `FlapLink` becomes
+    /// `FlapPhase` pairs (down for the first half of each period, rounded down to
+    /// the microsecond) tagged `flap`, so every phase reuses the victims its
+    /// first down-phase resolved: `flap` must differ between the flaps one
+    /// [`FaultContext`] applies. `Partition { heal_after: Some(..) }` gains a
+    /// `HealPartition`, and `RollingControllerRestart` becomes staggered
+    /// fail/revive pairs. Any other event is one phase at offset zero.
+    pub fn phases(&self, flap: u32) -> Vec<(SimDuration, FaultEvent)> {
+        let at = SimDuration::from_micros;
+        match self {
+            FaultEvent::FlapLink {
+                selector,
+                period,
+                count,
+            } => {
+                let (p, selector) = (period.as_micros(), *selector);
+                let phase = |down| FaultEvent::FlapPhase {
+                    flap,
+                    selector,
+                    down,
+                };
+                (0..u64::from(*count))
+                    .flat_map(|i| [(at(p * i), phase(true)), (at(p * i + p / 2), phase(false))])
+                    .collect()
+            }
+            FaultEvent::Partition {
+                heal_after: Some(delay),
+                ..
+            } => vec![
+                (SimDuration::ZERO, self.clone()),
+                (*delay, FaultEvent::HealPartition),
+            ],
+            FaultEvent::RollingControllerRestart {
+                interval,
+                down_for,
+                count,
+            } => (0..*count)
+                .flat_map(|i| {
+                    let fail_at = at(interval.as_micros() * i as u64);
+                    let fail = FaultEvent::FailController(ControllerSelector::Index(i));
+                    [
+                        (fail_at, fail),
+                        (fail_at + *down_for, FaultEvent::ReviveControllerIndex(i)),
+                    ]
+                })
+                .collect(),
+            other => vec![(SimDuration::ZERO, other.clone())],
+        }
+    }
 }
 
 /// A time-ordered list of fault events, offsets relative to the bootstrap instant.
@@ -284,74 +417,26 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
+    /// The first event that fails [`FaultEvent::validate`] at the simulator's
+    /// resolution of one microsecond, if any.
+    pub fn validate(&self) -> Result<(), FaultError> {
+        let quantum = SimDuration::from_micros(1);
+        self.events
+            .iter()
+            .try_for_each(|(_, event)| event.validate(quantum))
+    }
+
     /// The events grouped into batches by offset, sorted by offset (stable: insertion
     /// order is kept within a batch).
     ///
-    /// Compound events are expanded here: `FlapLink` becomes `FlapPhase` pairs
-    /// (the flap id is the event's insertion index, so repeated phases share
-    /// their resolved victims), `Partition { heal_after: Some(..) }` gains a
-    /// `HealPartition`, and `RollingControllerRestart` becomes staggered
-    /// fail/revive pairs.
+    /// Each event is expanded by [`FaultEvent::phases`], with its insertion index
+    /// as the flap id, so the phases of one `FlapLink` share their resolved
+    /// victims.
     pub fn batches(&self) -> Vec<(SimDuration, Vec<FaultEvent>)> {
         let mut expanded: Vec<(SimDuration, FaultEvent)> = Vec::new();
         for (idx, (offset, event)) in self.events.iter().enumerate() {
-            match event {
-                FaultEvent::FlapLink {
-                    selector,
-                    period,
-                    count,
-                } => {
-                    let period_us = period.as_micros();
-                    for i in 0..*count {
-                        let down_at = *offset + SimDuration::from_micros(period_us * i as u64);
-                        let up_at = down_at + SimDuration::from_micros(period_us / 2);
-                        expanded.push((
-                            down_at,
-                            FaultEvent::FlapPhase {
-                                flap: idx as u32,
-                                selector: *selector,
-                                down: true,
-                            },
-                        ));
-                        expanded.push((
-                            up_at,
-                            FaultEvent::FlapPhase {
-                                flap: idx as u32,
-                                selector: *selector,
-                                down: false,
-                            },
-                        ));
-                    }
-                }
-                FaultEvent::Partition { groups, heal_after } => {
-                    expanded.push((
-                        *offset,
-                        FaultEvent::Partition {
-                            groups: groups.clone(),
-                            heal_after: *heal_after,
-                        },
-                    ));
-                    if let Some(delay) = heal_after {
-                        expanded.push((*offset + *delay, FaultEvent::HealPartition));
-                    }
-                }
-                FaultEvent::RollingControllerRestart {
-                    interval,
-                    down_for,
-                    count,
-                } => {
-                    let interval_us = interval.as_micros();
-                    for i in 0..*count {
-                        let fail_at = *offset + SimDuration::from_micros(interval_us * i as u64);
-                        expanded.push((
-                            fail_at,
-                            FaultEvent::FailController(ControllerSelector::Index(i)),
-                        ));
-                        expanded.push((fail_at + *down_for, FaultEvent::ReviveControllerIndex(i)));
-                    }
-                }
-                other => expanded.push((*offset, other.clone())),
-            }
+            let phases = event.phases(idx as u32).into_iter();
+            expanded.extend(phases.map(|(at, phase)| (*offset + at, phase)));
         }
         expanded.sort_by_key(|&(offset, _)| offset);
         let mut batches: Vec<(SimDuration, Vec<FaultEvent>)> = Vec::new();
@@ -539,18 +624,16 @@ impl FaultContext {
                     net.restore_link(a, b);
                 }
             }
-            FaultEvent::FlapLink { selector, .. } => {
-                // Compound event: `batches()` expands it into `FlapPhase`s; applying
-                // it directly (e.g. a schedule handed around unexpanded) does the
-                // first down-phase so the fault is at least visible.
-                done.extend(self.apply(
-                    net,
-                    &FaultEvent::FlapPhase {
-                        flap: u32::MAX,
-                        selector: *selector,
-                        down: true,
-                    },
-                ));
+            FaultEvent::FlapLink { .. } | FaultEvent::RollingControllerRestart { .. } => {
+                // Compound event: `phases()` expands it. Applied directly (a
+                // schedule handed around unexpanded) it does the phases due at
+                // once — a flap's first down-phase, the first controller's
+                // fail-stop — so the fault is at least visible.
+                for (at, phase) in event.phases(u32::MAX) {
+                    if at.is_zero() {
+                        done.extend(self.apply(net, &phase));
+                    }
+                }
             }
             FaultEvent::FlapPhase {
                 flap,
@@ -575,14 +658,6 @@ impl FaultContext {
                         done.push(format!("flap link {a}-{b} up"));
                     }
                 }
-            }
-            FaultEvent::RollingControllerRestart { .. } => {
-                // Compound event: expanded by `batches()`. Applied directly it
-                // restarts the first controller immediately.
-                done.extend(self.apply(
-                    net,
-                    &FaultEvent::FailController(ControllerSelector::Index(0)),
-                ));
             }
             FaultEvent::ReviveControllerIndex(i) => {
                 if let Some(&id) = net.controller_ids().get(*i) {
@@ -1076,6 +1151,97 @@ mod tests {
             FaultEvent::FailController(ControllerSelector::Index(1))
         ));
         assert_eq!(batches[3].0, SimDuration::from_secs(15));
+    }
+
+    #[test]
+    fn validate_states_each_structural_rule_once() {
+        let quantum = SimDuration::from_millis(500);
+        let n = NodeId::new;
+        let flap = |period_ms, count| FaultEvent::FlapLink {
+            selector: LinkSelector::Between(n(3), n(4)),
+            period: SimDuration::from_millis(period_ms),
+            count,
+        };
+        let rolling = |interval_ms, down_ms, count| FaultEvent::RollingControllerRestart {
+            interval: SimDuration::from_millis(interval_ms),
+            down_for: SimDuration::from_millis(down_ms),
+            count,
+        };
+        let groups = |g: Vec<Vec<NodeId>>| FaultEvent::Partition {
+            groups: PartitionSpec::Groups(g),
+            heal_after: None,
+        };
+        let loss = |spec| FaultEvent::DegradeLink(LinkSelector::RandomSafe { count: 1 }, spec);
+        let lossy_good = DegradeSpec {
+            burst: Some(BurstLoss {
+                loss_good: f64::NAN,
+                ..BurstLoss::gilbert(0.1, 0.2, 1.0)
+            }),
+            ..DegradeSpec::gray()
+        };
+        for (event, verdict) in [
+            (
+                FaultEvent::AddLink(n(3), n(3)),
+                Err(FaultError::SelfLoop(n(3))),
+            ),
+            (FaultEvent::AddLink(n(3), n(4)), Ok(())),
+            (groups(vec![vec![n(2)]]), Err(FaultError::TooFewGroups)),
+            (groups(vec![vec![n(2)], vec![n(5)]]), Ok(())),
+            (
+                loss(DegradeSpec::flat(1.5)),
+                Err(FaultError::NotAProbability("loss")),
+            ),
+            (
+                loss(lossy_good),
+                Err(FaultError::NotAProbability("loss_good")),
+            ),
+            (loss(DegradeSpec::gray()), Ok(())),
+            (flap(999, 2), Err(FaultError::FlapTooFast(quantum))),
+            (flap(1_000, 2), Ok(())),
+            (flap(1_000, 0), Err(FaultError::ZeroCount)),
+            (
+                rolling(3_000, 400, 1),
+                Err(FaultError::RestartOverlap(quantum)),
+            ),
+            (
+                rolling(3_000, 3_000, 1),
+                Err(FaultError::RestartOverlap(quantum)),
+            ),
+            (rolling(3_000, 1_500, 1), Ok(())),
+            (rolling(3_000, 1_500, 0), Err(FaultError::ZeroCount)),
+        ] {
+            assert_eq!(event.validate(quantum), verdict, "{event:?}");
+        }
+    }
+
+    #[test]
+    fn build_refuses_schedules_the_validator_refuses() {
+        use crate::scenario::Scenario;
+        let secs = SimDuration::from_secs;
+        for event in [
+            FaultEvent::RollingControllerRestart {
+                interval: secs(10),
+                down_for: secs(10),
+                count: 2,
+            },
+            FaultEvent::AddLink(NodeId::new(4), NodeId::new(4)),
+            FaultEvent::Partition {
+                groups: PartitionSpec::Groups(vec![vec![NodeId::new(2), NodeId::new(3)]]),
+                heal_after: None,
+            },
+        ] {
+            let build = || {
+                Scenario::builder("malformed")
+                    .network("B4")
+                    .fault_at(secs(1), event.clone())
+                    .build()
+            };
+            let panic = std::panic::catch_unwind(build)
+                .err()
+                .expect("build must panic");
+            let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(message.starts_with("invalid fault schedule"), "{message}");
+        }
     }
 
     #[test]

@@ -6,324 +6,264 @@
 //! re-executes the same commands at the same ticks. Keeping the wire form total
 //! (every command round-trips through [`Command::to_json`] / [`Command::from_json`])
 //! is what makes a recorded session a complete, self-contained artifact.
+//!
+//! A fault on the wire is a scenario [`FaultEvent`] that names its victims: a
+//! controller or switch id, a link's endpoints, explicit partition groups. A
+//! random selector would pick other victims on replay, so it has no wire form.
+//! Periods and down times count service ticks, so both directions take the
+//! session's tick length. [`fault_from_json`] refuses what
+//! [`FaultEvent::validate`] refuses; [`fault_to_json`] refuses what it cannot
+//! write byte for byte, with an [`Unencodable`] reason.
 
+use renaissance::scenario::{
+    ControllerSelector, DegradeSpec, FaultError, FaultEvent, LinkSelector, PartitionSpec,
+    SwitchSelector,
+};
 use sdn_metrics::json::Json;
+use sdn_netsim::{BurstLoss, SimDuration};
+use sdn_topology::NodeId;
+use std::fmt;
 
-/// One fault injection, addressed by concrete node indices (no random selectors:
-/// a logged command must mean the same victims on every replay).
-#[derive(Clone, Debug, PartialEq)]
-pub enum FaultSpec {
-    /// Fail-stop the controller with this index.
-    FailController(u32),
-    /// Revive a failed controller with fresh (empty) state.
-    ReviveController(u32),
-    /// Fail-stop the switch with this index.
-    FailSwitch(u32),
-    /// Revive a failed switch with empty configuration.
-    ReviveSwitch(u32),
-    /// Temporarily fail the link between the two nodes (it stays part of `Gc`).
-    FailLink(u32, u32),
-    /// Restore a temporarily failed link.
-    RestoreLink(u32, u32),
-    /// Permanently remove the link from the topology.
-    RemoveLink(u32, u32),
-    /// Add a brand-new link to the topology.
-    AddLink(u32, u32),
-    /// Degrade the link's quality without failing it — the gray failure: the link
-    /// stays part of `Gc` but starts dropping packets.
-    DegradeLink {
-        /// One endpoint of the link.
-        a: u32,
-        /// The other endpoint.
-        b: u32,
-        /// Flat per-packet loss probability (ignored when `burst` is set: the
-        /// burst process then owns the loss decision).
-        loss: f64,
-        /// Optional Gilbert burst-loss process `(p_enter, p_exit, loss_bad)`.
-        burst: Option<(f64, f64, f64)>,
-        /// Degrade only the `a -> b` direction, leaving the reverse clean.
-        asymmetric: bool,
-    },
-    /// Remove every quality override from the link, restoring default behaviour.
-    RestoreLinkQuality(u32, u32),
-    /// Cut every link whose endpoints land in different groups. Nodes listed in
-    /// several groups keep their first assignment; unlisted nodes keep all their
-    /// links. Undone by [`FaultSpec::HealPartition`].
-    Partition {
-        /// Explicit node-index groups (at least two).
-        groups: Vec<Vec<u32>>,
-    },
-    /// Restore every link cut by the partition currently in force.
-    HealPartition,
-    /// Flap the link: starting next tick, down for half of each period and back
-    /// up for the rest, `count` times. Phases fire from the session's pending
-    /// fault queue, so a replay flips the link on exactly the same ticks.
-    FlapLink {
-        /// One endpoint of the link.
-        a: u32,
-        /// The other endpoint.
-        b: u32,
-        /// Full down-then-up cycle length in ticks (at least 2).
-        period_ticks: u32,
-        /// Number of down/up cycles.
-        count: u32,
-    },
-    /// Restart controllers one at a time: controller `i` (in index order) goes
-    /// down `i * interval_ticks` after the next tick and revives `down_ticks`
-    /// later — the rolling-upgrade drill.
-    RollingRestart {
-        /// Ticks between consecutive controllers' restarts.
-        interval_ticks: u32,
-        /// Ticks each controller stays down (less than `interval_ticks`, so at
-        /// most one controller is down at a time).
-        down_ticks: u32,
-        /// Number of controllers to cycle, lowest indices first.
-        count: u32,
-    },
+/// Why a [`FaultEvent`] has no wire form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unencodable {
+    /// A period, interval or down time that is not a whole number of ticks
+    /// below 2³².
+    Ticks,
+    /// A burst process that also drops packets in its good state (`loss_good`
+    /// other than zero).
+    LossyGoodState,
+    /// A selector other than a controller or switch id or a link's endpoints:
+    /// random, by index, by failure domain, or the last degraded links.
+    UnresolvedSelector,
+    /// Transient state corruption.
+    CorruptState,
+    /// A partition into halves grown around the live controllers.
+    Halves,
+    /// A partition that schedules its own heal (`heal_after: Some`).
+    ScheduledHeal,
+    /// An event aimed at the victims of an earlier fault (`*LastFailed*`).
+    LastFailed,
+    /// A phase that [`FaultEvent::phases`] generates (`FlapPhase`,
+    /// `ReviveControllerIndex`).
+    Phase,
 }
 
-impl FaultSpec {
-    /// The `kind` discriminant used on the wire.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FaultSpec::FailController(_) => "fail_controller",
-            FaultSpec::ReviveController(_) => "revive_controller",
-            FaultSpec::FailSwitch(_) => "fail_switch",
-            FaultSpec::ReviveSwitch(_) => "revive_switch",
-            FaultSpec::FailLink(..) => "fail_link",
-            FaultSpec::RestoreLink(..) => "restore_link",
-            FaultSpec::RemoveLink(..) => "remove_link",
-            FaultSpec::AddLink(..) => "add_link",
-            FaultSpec::DegradeLink { .. } => "degrade_link",
-            FaultSpec::RestoreLinkQuality(..) => "restore_link_quality",
-            FaultSpec::Partition { .. } => "partition",
-            FaultSpec::HealPartition => "heal_partition",
-            FaultSpec::FlapLink { .. } => "flap_link",
-            FaultSpec::RollingRestart { .. } => "rolling_restart",
-        }
+impl fmt::Display for Unencodable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Unencodable::Ticks => "a duration that is not a whole number of ticks",
+            Unencodable::LossyGoodState => "a burst process lossy in its good state",
+            Unencodable::UnresolvedSelector => "a selector that names no concrete victim",
+            Unencodable::CorruptState => "state corruption",
+            Unencodable::Halves => "a partition into halves",
+            Unencodable::ScheduledHeal => "a partition with a scheduled heal",
+            Unencodable::LastFailed => "an event aimed at an earlier fault's victims",
+            Unencodable::Phase => "a generated phase of a compound fault",
+        })?;
+        f.write_str(" has no wire form")
     }
+}
 
-    /// Serializes to the wire object (`{"kind":...,"node":n}`,
-    /// `{"kind":...,"a":n,"b":m}`, or a kind-specific shape).
-    pub fn to_json(&self) -> Json {
-        match self {
-            FaultSpec::FailController(n)
-            | FaultSpec::ReviveController(n)
-            | FaultSpec::FailSwitch(n)
-            | FaultSpec::ReviveSwitch(n) => Json::obj([
-                ("kind", Json::str(self.kind())),
-                ("node", Json::num(f64::from(*n))),
-            ]),
-            FaultSpec::FailLink(a, b)
-            | FaultSpec::RestoreLink(a, b)
-            | FaultSpec::RemoveLink(a, b)
-            | FaultSpec::AddLink(a, b)
-            | FaultSpec::RestoreLinkQuality(a, b) => Json::obj([
-                ("kind", Json::str(self.kind())),
-                ("a", Json::num(f64::from(*a))),
-                ("b", Json::num(f64::from(*b))),
-            ]),
-            FaultSpec::DegradeLink {
-                a,
-                b,
+impl std::error::Error for Unencodable {}
+
+/// Serializes a fault to its wire object (`{"kind":...,"node":n}`,
+/// `{"kind":...,"a":n,"b":m}`, or a kind-specific shape), counting durations in
+/// `tick`s.
+pub fn fault_to_json(event: &FaultEvent, tick: SimDuration) -> Result<Json, Unencodable> {
+    let kind = |kind: &str| ("kind".to_string(), Json::str(kind));
+    let node = |name: &str, id: &NodeId| Json::obj([kind(name), member("node", id.index())]);
+    let link = |name: &str, (a, b): (NodeId, NodeId), rest: Vec<(String, Json)>| {
+        let ends = [kind(name), member("a", a.index()), member("b", b.index())];
+        Json::Obj(ends.into_iter().chain(rest).collect())
+    };
+    let ticks = |d: &SimDuration| {
+        let tick_us = tick.as_micros().max(1);
+        let whole = d.as_micros() % tick_us == 0;
+        let n = u32::try_from(d.as_micros() / tick_us).ok();
+        n.filter(|_| whole).ok_or(Unencodable::Ticks)
+    };
+    Ok(match event {
+        FaultEvent::FailController(ControllerSelector::Id(id)) => node("fail_controller", id),
+        FaultEvent::ReviveController(id) => node("revive_controller", id),
+        FaultEvent::FailSwitch(SwitchSelector::Id(id)) => node("fail_switch", id),
+        FaultEvent::ReviveSwitch(id) => node("revive_switch", id),
+        FaultEvent::FailLink(selector) => link("fail_link", between(selector)?, vec![]),
+        FaultEvent::RestoreLink(a, b) => link("restore_link", (*a, *b), vec![]),
+        FaultEvent::RemoveLink(selector) => link("remove_link", between(selector)?, vec![]),
+        FaultEvent::AddLink(a, b) => link("add_link", (*a, *b), vec![]),
+        FaultEvent::DegradeLink(selector, spec) => {
+            let mut rest = vec![member("loss", spec.loss)];
+            if let Some(burst) = spec.burst {
+                if burst.loss_good != 0.0 {
+                    return Err(Unencodable::LossyGoodState);
+                }
+                let process = Json::obj([
+                    ("p_enter", Json::num(burst.p_enter)),
+                    ("p_exit", Json::num(burst.p_exit)),
+                    ("loss_bad", Json::num(burst.loss_bad)),
+                ]);
+                rest.push(("burst".to_string(), process));
+            }
+            if spec.asymmetric {
+                rest.push(("asymmetric".to_string(), Json::Bool(true)));
+            }
+            link("degrade_link", between(selector)?, rest)
+        }
+        FaultEvent::RestoreLinkQuality(selector) => {
+            link("restore_link_quality", between(selector)?, vec![])
+        }
+        FaultEvent::Partition {
+            heal_after: Some(_),
+            ..
+        } => return Err(Unencodable::ScheduledHeal),
+        FaultEvent::Partition {
+            groups: PartitionSpec::Groups(groups),
+            heal_after: None,
+        } => {
+            let group = |g: &Vec<NodeId>| Json::arr(g.iter().map(|n| Json::num(n.index())));
+            Json::obj([
+                kind("partition"),
+                ("groups".to_string(), Json::arr(groups.iter().map(group))),
+            ])
+        }
+        FaultEvent::Partition { .. } => return Err(Unencodable::Halves),
+        FaultEvent::HealPartition => Json::obj([kind("heal_partition")]),
+        FaultEvent::FlapLink {
+            selector,
+            period,
+            count,
+        } => {
+            let rest = vec![
+                member("period_ticks", ticks(period)?),
+                member("count", *count),
+            ];
+            link("flap_link", between(selector)?, rest)
+        }
+        FaultEvent::RollingControllerRestart {
+            interval,
+            down_for,
+            count,
+        } => Json::obj([
+            kind("rolling_restart"),
+            member("interval_ticks", ticks(interval)?),
+            member("down_ticks", ticks(down_for)?),
+            member("count", *count as f64),
+        ]),
+        FaultEvent::FailController(_) | FaultEvent::FailSwitch(_) => {
+            return Err(Unencodable::UnresolvedSelector)
+        }
+        FaultEvent::CorruptState(_) => return Err(Unencodable::CorruptState),
+        FaultEvent::RestoreLastFailedLinks
+        | FaultEvent::ReviveLastFailedController
+        | FaultEvent::ReviveLastFailedSwitch => return Err(Unencodable::LastFailed),
+        FaultEvent::FlapPhase { .. } | FaultEvent::ReviveControllerIndex(_) => {
+            return Err(Unencodable::Phase)
+        }
+    })
+}
+
+/// Parses a fault's wire object, counting durations in `tick`s, and refuses
+/// what [`FaultEvent::validate`] refuses at that quantum. Members left out take
+/// their defaults: `loss` 0, `loss_bad` 1, `asymmetric` false.
+pub fn fault_from_json(json: &Json, tick: SimDuration) -> Result<FaultEvent, String> {
+    let kind = json
+        .get("kind")
+        .and_then(Json::as_str)
+        .ok_or("fault needs a string `kind`")?;
+    let node = || {
+        let id = field_u32(json, "node").map(NodeId::new);
+        id.ok_or_else(|| format!("fault `{kind}` needs a `node` index"))
+    };
+    let link = || match (field_u32(json, "a"), field_u32(json, "b")) {
+        (Some(a), Some(b)) => Ok((NodeId::new(a), NodeId::new(b))),
+        _ => Err(format!("fault `{kind}` needs `a` and `b` node indices")),
+    };
+    let between = || link().map(|(a, b)| LinkSelector::Between(a, b));
+    let count = |key: &str| {
+        let n = field_u32(json, key);
+        n.ok_or_else(|| format!("fault `{kind}` needs a non-negative integer `{key}`"))
+    };
+    let ticks = |key: &str| count(key).map(|n| tick.saturating_mul(u64::from(n)));
+    let event = match kind {
+        "fail_controller" => FaultEvent::FailController(ControllerSelector::Id(node()?)),
+        "revive_controller" => FaultEvent::ReviveController(node()?),
+        "fail_switch" => FaultEvent::FailSwitch(SwitchSelector::Id(node()?)),
+        "revive_switch" => FaultEvent::ReviveSwitch(node()?),
+        "fail_link" => FaultEvent::FailLink(between()?),
+        "restore_link" => link().map(|(a, b)| FaultEvent::RestoreLink(a, b))?,
+        "remove_link" => FaultEvent::RemoveLink(between()?),
+        "add_link" => link().map(|(a, b)| FaultEvent::AddLink(a, b))?,
+        "degrade_link" => {
+            let selector = between()?;
+            let loss = field_f64(json, "loss")?.unwrap_or(0.0);
+            let burst = match json.get("burst") {
+                None => None,
+                Some(burst) => {
+                    let required = |key: &'static str| {
+                        field_f64(burst, key)?
+                            .ok_or_else(|| format!("`burst` needs a probability `{key}`"))
+                    };
+                    Some(BurstLoss {
+                        p_enter: required("p_enter")?,
+                        p_exit: required("p_exit")?,
+                        loss_good: 0.0,
+                        loss_bad: field_f64(burst, "loss_bad")?.unwrap_or(1.0),
+                    })
+                }
+            };
+            let asymmetric = json
+                .get("asymmetric")
+                .and_then(Json::as_bool)
+                .unwrap_or(false);
+            let spec = DegradeSpec {
                 loss,
                 burst,
                 asymmetric,
-            } => {
-                let mut members = vec![
-                    ("kind".to_string(), Json::str(self.kind())),
-                    ("a".to_string(), Json::num(f64::from(*a))),
-                    ("b".to_string(), Json::num(f64::from(*b))),
-                    ("loss".to_string(), Json::num(*loss)),
-                ];
-                if let Some((p_enter, p_exit, loss_bad)) = burst {
-                    members.push((
-                        "burst".to_string(),
-                        Json::obj([
-                            ("p_enter", Json::num(*p_enter)),
-                            ("p_exit", Json::num(*p_exit)),
-                            ("loss_bad", Json::num(*loss_bad)),
-                        ]),
-                    ));
-                }
-                if *asymmetric {
-                    members.push(("asymmetric".to_string(), Json::Bool(true)));
-                }
-                Json::Obj(members)
-            }
-            FaultSpec::Partition { groups } => Json::obj([
-                ("kind", Json::str(self.kind())),
-                (
-                    "groups",
-                    Json::arr(
-                        groups
-                            .iter()
-                            .map(|group| {
-                                Json::arr(
-                                    group
-                                        .iter()
-                                        .map(|n| Json::num(f64::from(*n)))
-                                        .collect::<Vec<_>>(),
-                                )
-                            })
-                            .collect::<Vec<_>>(),
-                    ),
-                ),
-            ]),
-            FaultSpec::HealPartition => Json::obj([("kind", Json::str(self.kind()))]),
-            FaultSpec::FlapLink {
-                a,
-                b,
-                period_ticks,
-                count,
-            } => Json::obj([
-                ("kind", Json::str(self.kind())),
-                ("a", Json::num(f64::from(*a))),
-                ("b", Json::num(f64::from(*b))),
-                ("period_ticks", Json::num(f64::from(*period_ticks))),
-                ("count", Json::num(f64::from(*count))),
-            ]),
-            FaultSpec::RollingRestart {
-                interval_ticks,
-                down_ticks,
-                count,
-            } => Json::obj([
-                ("kind", Json::str(self.kind())),
-                ("interval_ticks", Json::num(f64::from(*interval_ticks))),
-                ("down_ticks", Json::num(f64::from(*down_ticks))),
-                ("count", Json::num(f64::from(*count))),
-            ]),
+            };
+            FaultEvent::DegradeLink(selector, spec)
         }
-    }
+        "restore_link_quality" => FaultEvent::RestoreLinkQuality(between()?),
+        "partition" => {
+            let groups = json
+                .get("groups")
+                .and_then(Json::as_array)
+                .ok_or("fault `partition` needs `groups`: an array of node-index arrays")?;
+            let group = |group: &Json| {
+                let members = group
+                    .as_array()
+                    .ok_or("each partition group must be an array of node indices")?;
+                let index = |n: &Json| u32::try_from(n.as_u64()?).ok().map(NodeId::new);
+                let nodes = members.iter().map(index).collect::<Option<Vec<_>>>();
+                nodes.ok_or("partition group members must be node indices")
+            };
+            FaultEvent::Partition {
+                groups: PartitionSpec::Groups(groups.iter().map(group).collect::<Result<_, _>>()?),
+                heal_after: None,
+            }
+        }
+        "heal_partition" => FaultEvent::HealPartition,
+        "flap_link" => FaultEvent::FlapLink {
+            selector: between()?,
+            period: ticks("period_ticks")?,
+            count: count("count")?,
+        },
+        "rolling_restart" => FaultEvent::RollingControllerRestart {
+            interval: ticks("interval_ticks")?,
+            down_for: ticks("down_ticks")?,
+            count: count("count")? as usize,
+        },
+        other => return Err(format!("unknown fault kind `{other}`")),
+    };
+    event.validate(tick).map_err(|e| e.to_string())?;
+    Ok(event)
+}
 
-    /// Parses the wire object.
-    pub fn from_json(json: &Json) -> Result<FaultSpec, String> {
-        let kind = json
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("fault needs a string `kind`")?;
-        let node = || -> Result<u32, String> {
-            field_u32(json, "node").ok_or_else(|| format!("fault `{kind}` needs a `node` index"))
-        };
-        let link = || -> Result<(u32, u32), String> {
-            match (field_u32(json, "a"), field_u32(json, "b")) {
-                (Some(a), Some(b)) => Ok((a, b)),
-                _ => Err(format!("fault `{kind}` needs `a` and `b` node indices")),
-            }
-        };
-        Ok(match kind {
-            "fail_controller" => FaultSpec::FailController(node()?),
-            "revive_controller" => FaultSpec::ReviveController(node()?),
-            "fail_switch" => FaultSpec::FailSwitch(node()?),
-            "revive_switch" => FaultSpec::ReviveSwitch(node()?),
-            "fail_link" => {
-                let (a, b) = link()?;
-                FaultSpec::FailLink(a, b)
-            }
-            "restore_link" => {
-                let (a, b) = link()?;
-                FaultSpec::RestoreLink(a, b)
-            }
-            "remove_link" => {
-                let (a, b) = link()?;
-                FaultSpec::RemoveLink(a, b)
-            }
-            "add_link" => {
-                let (a, b) = link()?;
-                FaultSpec::AddLink(a, b)
-            }
-            "degrade_link" => {
-                let (a, b) = link()?;
-                let loss = field_prob(json, "loss")?.unwrap_or(0.0);
-                let burst = match json.get("burst") {
-                    None => None,
-                    Some(burst) => {
-                        let required = |key: &str| -> Result<f64, String> {
-                            field_prob(burst, key)?
-                                .ok_or_else(|| format!("`burst` needs a probability `{key}`"))
-                        };
-                        Some((
-                            required("p_enter")?,
-                            required("p_exit")?,
-                            field_prob(burst, "loss_bad")?.unwrap_or(1.0),
-                        ))
-                    }
-                };
-                let asymmetric = json
-                    .get("asymmetric")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(false);
-                FaultSpec::DegradeLink {
-                    a,
-                    b,
-                    loss,
-                    burst,
-                    asymmetric,
-                }
-            }
-            "restore_link_quality" => {
-                let (a, b) = link()?;
-                FaultSpec::RestoreLinkQuality(a, b)
-            }
-            "partition" => {
-                let groups = json
-                    .get("groups")
-                    .and_then(Json::as_array)
-                    .ok_or("fault `partition` needs `groups`: an array of node-index arrays")?;
-                let mut parsed = Vec::new();
-                for group in groups {
-                    let members = group
-                        .as_array()
-                        .ok_or("each partition group must be an array of node indices")?;
-                    let mut nodes = Vec::new();
-                    for member in members {
-                        let n = member
-                            .as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("partition group members must be node indices")?;
-                        nodes.push(n);
-                    }
-                    parsed.push(nodes);
-                }
-                if parsed.len() < 2 {
-                    return Err("a partition needs at least two groups".to_string());
-                }
-                FaultSpec::Partition { groups: parsed }
-            }
-            "heal_partition" => FaultSpec::HealPartition,
-            "flap_link" => {
-                let (a, b) = link()?;
-                let period_ticks = field_u32(json, "period_ticks")
-                    .filter(|p| *p >= 2)
-                    .ok_or("fault `flap_link` needs `period_ticks` of at least 2")?;
-                let count = field_u32(json, "count")
-                    .filter(|c| *c >= 1)
-                    .ok_or("fault `flap_link` needs a positive `count`")?;
-                FaultSpec::FlapLink {
-                    a,
-                    b,
-                    period_ticks,
-                    count,
-                }
-            }
-            "rolling_restart" => {
-                let interval_ticks = field_u32(json, "interval_ticks")
-                    .filter(|i| *i >= 2)
-                    .ok_or("fault `rolling_restart` needs `interval_ticks` of at least 2")?;
-                let down_ticks = field_u32(json, "down_ticks")
-                    .filter(|d| *d >= 1 && *d < interval_ticks)
-                    .ok_or("`down_ticks` must be in [1, interval_ticks)")?;
-                let count = field_u32(json, "count")
-                    .filter(|c| *c >= 1)
-                    .ok_or("fault `rolling_restart` needs a positive `count`")?;
-                FaultSpec::RollingRestart {
-                    interval_ticks,
-                    down_ticks,
-                    count,
-                }
-            }
-            other => return Err(format!("unknown fault kind `{other}`")),
-        })
+/// The concrete endpoints of a link selector that has a wire form.
+fn between(selector: &LinkSelector) -> Result<(NodeId, NodeId), Unencodable> {
+    match *selector {
+        LinkSelector::Between(a, b) => Ok((a, b)),
+        _ => Err(Unencodable::UnresolvedSelector),
     }
 }
 
@@ -409,8 +349,8 @@ impl FlowsSpec {
 /// stamps of later entries and the log's final tick.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// Inject one fault.
-    Fault(FaultSpec),
+    /// Inject one fault; the session accepts only faults with a wire form.
+    Fault(FaultEvent),
     /// Attach one flow-engine workload.
     Flows(FlowsSpec),
     /// Advance the session by this many ticks.
@@ -430,10 +370,11 @@ pub enum Command {
 }
 
 impl Command {
-    /// Serializes to the wire object (`{"op":...,...}`).
-    pub fn to_json(&self) -> Json {
-        match self {
-            Command::Fault(spec) => with_op("fault", spec.to_json()),
+    /// Serializes to the wire object (`{"op":...,...}`), counting a fault's
+    /// durations in `tick`s.
+    pub fn to_json(&self, tick: SimDuration) -> Result<Json, Unencodable> {
+        Ok(match self {
+            Command::Fault(event) => with_op("fault", fault_to_json(event, tick)?),
             Command::Flows(spec) => with_op("flows", spec.to_json()),
             Command::Step { ticks } => Json::obj([
                 ("op", Json::str("step")),
@@ -447,17 +388,17 @@ impl Command {
             },
             Command::Pause => Json::obj([("op", Json::str("pause"))]),
             Command::Shutdown => Json::obj([("op", Json::str("shutdown"))]),
-        }
+        })
     }
 
-    /// Parses the wire object.
-    pub fn from_json(json: &Json) -> Result<Command, String> {
+    /// Parses the wire object, counting a fault's durations in `tick`s.
+    pub fn from_json(json: &Json, tick: SimDuration) -> Result<Command, String> {
         let op = json
             .get("op")
             .and_then(Json::as_str)
             .ok_or("command needs a string `op`")?;
         Ok(match op {
-            "fault" => Command::Fault(FaultSpec::from_json(json)?),
+            "fault" => Command::Fault(fault_from_json(json, tick)?),
             "flows" => Command::Flows(FlowsSpec::from_json(json)?),
             "step" => Command::Step {
                 ticks: field_u32(json, "ticks").unwrap_or(1).max(1),
@@ -481,16 +422,20 @@ fn with_op(op: &str, payload: Json) -> Json {
     Json::Obj(members)
 }
 
-/// An optional probability member: absent is `Ok(None)`, present-but-invalid
-/// (non-numeric, non-finite, outside `[0, 1]`) is a hard reject — the session core
-/// clamps defensively, but a typo'd `loss` of `30` should fail loudly at the wire.
-fn field_prob(json: &Json, key: &str) -> Result<Option<f64>, String> {
+/// One numeric object member.
+fn member(key: &str, value: impl Into<f64>) -> (String, Json) {
+    (key.to_string(), Json::num(value))
+}
+
+/// An optional probability member: absent is `Ok(None)`, present but not a number
+/// is a hard reject. Its range is [`FaultEvent::validate`]'s to check.
+fn field_f64(json: &Json, key: &'static str) -> Result<Option<f64>, String> {
     match json.get(key) {
         None => Ok(None),
-        Some(value) => match value.as_f64() {
-            Some(p) if p.is_finite() && (0.0..=1.0).contains(&p) => Ok(Some(p)),
-            _ => Err(format!("`{key}` must be a probability in [0, 1]")),
-        },
+        Some(value) => value
+            .as_f64()
+            .map(Some)
+            .ok_or_else(|| FaultError::NotAProbability(key).to_string()),
     }
 }
 
@@ -501,46 +446,57 @@ fn field_u32(json: &Json, key: &str) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use renaissance::CorruptionPlan;
+
+    /// The tick every test here counts in.
+    const TICK: SimDuration = SimDuration::from_millis(500);
+
+    fn between(a: u32, b: u32) -> LinkSelector {
+        LinkSelector::Between(NodeId::new(a), NodeId::new(b))
+    }
+
+    fn ticks(n: u64) -> SimDuration {
+        TICK.saturating_mul(n)
+    }
+
+    fn parse(src: &str) -> Result<Command, String> {
+        Command::from_json(&Json::parse(src).unwrap(), TICK)
+    }
 
     #[test]
     fn every_command_round_trips_through_json() {
+        let id = NodeId::new;
         let commands = [
-            Command::Fault(FaultSpec::FailController(1)),
-            Command::Fault(FaultSpec::ReviveController(1)),
-            Command::Fault(FaultSpec::FailSwitch(9)),
-            Command::Fault(FaultSpec::ReviveSwitch(9)),
-            Command::Fault(FaultSpec::FailLink(3, 4)),
-            Command::Fault(FaultSpec::RestoreLink(3, 4)),
-            Command::Fault(FaultSpec::RemoveLink(5, 6)),
-            Command::Fault(FaultSpec::AddLink(5, 6)),
-            Command::Fault(FaultSpec::DegradeLink {
-                a: 3,
-                b: 4,
-                loss: 0.3,
-                burst: None,
-                asymmetric: false,
+            Command::Fault(FaultEvent::FailController(ControllerSelector::Id(id(1)))),
+            Command::Fault(FaultEvent::ReviveController(id(1))),
+            Command::Fault(FaultEvent::FailSwitch(SwitchSelector::Id(id(9)))),
+            Command::Fault(FaultEvent::ReviveSwitch(id(9))),
+            Command::Fault(FaultEvent::FailLink(between(3, 4))),
+            Command::Fault(FaultEvent::RestoreLink(id(3), id(4))),
+            Command::Fault(FaultEvent::RemoveLink(between(5, 6))),
+            Command::Fault(FaultEvent::AddLink(id(5), id(6))),
+            Command::Fault(FaultEvent::DegradeLink(
+                between(3, 4),
+                DegradeSpec::flat(0.3),
+            )),
+            Command::Fault(FaultEvent::DegradeLink(between(3, 4), DegradeSpec::gray())),
+            Command::Fault(FaultEvent::RestoreLinkQuality(between(3, 4))),
+            Command::Fault(FaultEvent::Partition {
+                groups: PartitionSpec::Groups(vec![
+                    vec![id(0), id(2), id(3)],
+                    vec![id(1), id(4), id(5)],
+                ]),
+                heal_after: None,
             }),
-            Command::Fault(FaultSpec::DegradeLink {
-                a: 3,
-                b: 4,
-                loss: 0.0,
-                burst: Some((0.15, 0.35, 1.0)),
-                asymmetric: true,
-            }),
-            Command::Fault(FaultSpec::RestoreLinkQuality(3, 4)),
-            Command::Fault(FaultSpec::Partition {
-                groups: vec![vec![0, 2, 3], vec![1, 4, 5]],
-            }),
-            Command::Fault(FaultSpec::HealPartition),
-            Command::Fault(FaultSpec::FlapLink {
-                a: 2,
-                b: 5,
-                period_ticks: 8,
+            Command::Fault(FaultEvent::HealPartition),
+            Command::Fault(FaultEvent::FlapLink {
+                selector: between(2, 5),
+                period: ticks(8),
                 count: 3,
             }),
-            Command::Fault(FaultSpec::RollingRestart {
-                interval_ticks: 20,
-                down_ticks: 10,
+            Command::Fault(FaultEvent::RollingControllerRestart {
+                interval: ticks(20),
+                down_for: ticks(10),
                 count: 2,
             }),
             Command::Flows(FlowsSpec {
@@ -566,11 +522,136 @@ mod tests {
             Command::Shutdown,
         ];
         for cmd in commands {
-            let wire = cmd.to_json().to_string();
-            let parsed = Command::from_json(&Json::parse(&wire).unwrap()).unwrap();
+            let wire = cmd.to_json(TICK).unwrap().to_string();
+            let parsed = parse(&wire).unwrap();
             assert_eq!(parsed, cmd, "round-trip of {wire}");
             // The wire form itself is stable under a second encode.
-            assert_eq!(parsed.to_json().to_string(), wire);
+            assert_eq!(parsed.to_json(TICK).unwrap().to_string(), wire);
+        }
+    }
+
+    #[test]
+    fn wire_objects_keep_their_bytes() {
+        // Every fault object the service wrote before faults were `FaultEvent`s,
+        // as recorded logs hold them, with defaults left out as clients send them.
+        for wire in [
+            r#"{"op":"fault","kind":"fail_controller","node":1}"#,
+            r#"{"op":"fault","kind":"revive_controller","node":1}"#,
+            r#"{"op":"fault","kind":"fail_switch","node":9}"#,
+            r#"{"op":"fault","kind":"revive_switch","node":9}"#,
+            r#"{"op":"fault","kind":"fail_link","a":3,"b":4}"#,
+            r#"{"op":"fault","kind":"restore_link","a":3,"b":4}"#,
+            r#"{"op":"fault","kind":"remove_link","a":5,"b":6}"#,
+            r#"{"op":"fault","kind":"add_link","a":5,"b":6}"#,
+            r#"{"op":"fault","kind":"degrade_link","a":3,"b":4,"loss":0.3}"#,
+            r#"{"op":"fault","kind":"degrade_link","a":3,"b":4,"loss":0,"burst":{"p_enter":0.15,"p_exit":0.35,"loss_bad":1},"asymmetric":true}"#,
+            r#"{"op":"fault","kind":"restore_link_quality","a":3,"b":4}"#,
+            r#"{"op":"fault","kind":"partition","groups":[[0,2,3],[1,4,5]]}"#,
+            r#"{"op":"fault","kind":"heal_partition"}"#,
+            r#"{"op":"fault","kind":"flap_link","a":2,"b":5,"period_ticks":8,"count":3}"#,
+            r#"{"op":"fault","kind":"rolling_restart","interval_ticks":20,"down_ticks":10,"count":2}"#,
+        ] {
+            let cmd = parse(wire).unwrap();
+            assert_eq!(cmd.to_json(TICK).unwrap().to_string(), wire);
+        }
+        // A client that leaves `loss` out and orders members freely sends the same
+        // gray link the log then writes in canonical form.
+        let sparse = parse(
+            r#"{"op":"fault","kind":"degrade_link","a":3,"b":4,"asymmetric":true,"burst":{"p_enter":0.15,"p_exit":0.35,"loss_bad":1.0}}"#,
+        );
+        assert_eq!(
+            sparse,
+            Ok(Command::Fault(FaultEvent::DegradeLink(
+                between(3, 4),
+                DegradeSpec::gray()
+            )))
+        );
+    }
+
+    #[test]
+    fn faults_without_a_wire_form_are_refused_with_reasons() {
+        let lossy_good = DegradeSpec {
+            burst: Some(BurstLoss::gilbert_elliott(0.15, 0.35, 0.1, 1.0)),
+            ..DegradeSpec::gray()
+        };
+        let groups = PartitionSpec::Groups(vec![vec![NodeId::new(2)], vec![NodeId::new(7)]]);
+        for (event, reason) in [
+            (
+                FaultEvent::FlapLink {
+                    selector: between(3, 4),
+                    period: SimDuration::from_millis(1_250),
+                    count: 2,
+                },
+                Unencodable::Ticks,
+            ),
+            (
+                FaultEvent::RollingControllerRestart {
+                    interval: ticks(6),
+                    down_for: SimDuration::from_millis(1_600),
+                    count: 1,
+                },
+                Unencodable::Ticks,
+            ),
+            (
+                FaultEvent::DegradeLink(between(3, 4), lossy_good),
+                Unencodable::LossyGoodState,
+            ),
+            (
+                FaultEvent::FailController(ControllerSelector::Random { count: 1 }),
+                Unencodable::UnresolvedSelector,
+            ),
+            (
+                FaultEvent::FailController(ControllerSelector::Index(0)),
+                Unencodable::UnresolvedSelector,
+            ),
+            (
+                FaultEvent::FailSwitch(SwitchSelector::Random),
+                Unencodable::UnresolvedSelector,
+            ),
+            (
+                FaultEvent::RemoveLink(LinkSelector::RandomSafe { count: 1 }),
+                Unencodable::UnresolvedSelector,
+            ),
+            (
+                FaultEvent::RestoreLinkQuality(LinkSelector::LastDegraded),
+                Unencodable::UnresolvedSelector,
+            ),
+            (
+                FaultEvent::CorruptState(CorruptionPlan::light()),
+                Unencodable::CorruptState,
+            ),
+            (
+                FaultEvent::Partition {
+                    groups: PartitionSpec::Halves,
+                    heal_after: None,
+                },
+                Unencodable::Halves,
+            ),
+            (
+                FaultEvent::Partition {
+                    groups,
+                    heal_after: Some(ticks(4)),
+                },
+                Unencodable::ScheduledHeal,
+            ),
+            (FaultEvent::RestoreLastFailedLinks, Unencodable::LastFailed),
+            (
+                FaultEvent::ReviveLastFailedController,
+                Unencodable::LastFailed,
+            ),
+            (FaultEvent::ReviveLastFailedSwitch, Unencodable::LastFailed),
+            (
+                FaultEvent::FlapPhase {
+                    flap: 0,
+                    selector: between(3, 4),
+                    down: true,
+                },
+                Unencodable::Phase,
+            ),
+            (FaultEvent::ReviveControllerIndex(0), Unencodable::Phase),
+        ] {
+            assert_eq!(fault_to_json(&event, TICK), Err(reason), "{event:?}");
+            assert_eq!(Command::Fault(event).to_json(TICK), Err(reason));
         }
     }
 
@@ -599,6 +680,10 @@ mod tests {
                 "probability in [0, 1]",
             ),
             (
+                r#"{"op":"fault","kind":"degrade_link","a":1,"b":2,"loss":"high"}"#,
+                "probability in [0, 1]",
+            ),
+            (
                 r#"{"op":"fault","kind":"degrade_link","a":1,"b":2,"burst":{"p_enter":0.1}}"#,
                 "needs a probability `p_exit`",
             ),
@@ -612,21 +697,32 @@ mod tests {
             ),
             (
                 r#"{"op":"fault","kind":"flap_link","a":1,"b":2,"period_ticks":1,"count":3}"#,
-                "at least 2",
+                "half-period of at least 0.500s",
+            ),
+            (
+                r#"{"op":"fault","kind":"flap_link","a":1,"b":2,"period_ticks":4,"count":0}"#,
+                "positive count",
             ),
             (
                 r#"{"op":"fault","kind":"rolling_restart","interval_ticks":4,"down_ticks":4,"count":1}"#,
-                "[1, interval_ticks)",
+                "[0.500s, `interval`)",
+            ),
+            (
+                r#"{"op":"fault","kind":"rolling_restart","interval_ticks":4,"down_ticks":0,"count":1}"#,
+                "[0.500s, `interval`)",
+            ),
+            (
+                r#"{"op":"fault","kind":"add_link","a":3,"b":3}"#,
+                "self-loop",
             ),
         ] {
-            let err = Command::from_json(&Json::parse(src).unwrap()).unwrap_err();
+            let err = parse(src).unwrap_err();
             assert!(err.contains(needle), "{src}: got `{err}`");
         }
     }
 
     #[test]
     fn step_defaults_to_one_tick() {
-        let cmd = Command::from_json(&Json::parse(r#"{"op":"step"}"#).unwrap()).unwrap();
-        assert_eq!(cmd, Command::Step { ticks: 1 });
+        assert_eq!(parse(r#"{"op":"step"}"#), Ok(Command::Step { ticks: 1 }));
     }
 }

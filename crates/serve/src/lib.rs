@@ -9,14 +9,15 @@
 //!
 //! * [`session`] — the wall-clock-free core. A [`Session`](session::Session) owns
 //!   the network and advances in fixed simulated-time ticks; every mutation enters
-//!   as a typed [`Command`](command::Command). Faults are a thin boundary over
-//!   the scenario fault engine: the session validates a request's victims, lowers
-//!   it to [`FaultEvent`](renaissance::scenario::FaultEvent)s and lets its one
-//!   [`FaultContext`](renaissance::scenario::FaultContext) execute them — the
-//!   same executor every campaign cell runs through.
+//!   as a typed [`Command`](command::Command). A fault is a scenario
+//!   [`FaultEvent`](renaissance::scenario::FaultEvent): the session checks its
+//!   victims against the live network and lets its one
+//!   [`FaultContext`](renaissance::scenario::FaultContext) execute it — the same
+//!   validator, expander and executor every campaign cell runs through.
 //! * [`command`] — the JSON wire format for commands (faults, flow attachment,
-//!   step/run/pause/shutdown). [`FaultSpec`] names concrete node indices only,
-//!   which is what makes a logged command replayable.
+//!   step/run/pause/shutdown). A fault on the wire names concrete node indices
+//!   only and counts durations in ticks, which is what makes a logged command
+//!   replayable.
 //! * [`log`] — the replayable [`CommandLog`](log::CommandLog): each applied
 //!   command stamped with its tick, plus the final report. Replaying a log
 //!   reproduces the live session's report byte for byte.
@@ -37,7 +38,7 @@ pub mod log;
 pub mod session;
 pub mod transport;
 
-pub use command::{Command, FaultSpec, FlowsSpec};
+pub use command::{Command, FlowsSpec};
 pub use log::CommandLog;
 pub use session::{ConfigError, Session, SessionConfig};
 pub use transport::Server;

@@ -55,6 +55,11 @@ impl CommandLog {
     }
 
     /// Serializes to JSON lines (trailing newline included).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fault entry with no wire form, which only a hand-pushed entry
+    /// can be: a session refuses such faults.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         out.push_str(
@@ -67,11 +72,14 @@ impl CommandLog {
         );
         out.push('\n');
         for (tick, cmd) in &self.entries {
+            let wire = cmd
+                .to_json(self.config.tick())
+                .unwrap_or_else(|e| panic!("command log entry at tick {tick}: {e}"));
             out.push_str(
                 &Json::obj([
                     ("kind", Json::str("command")),
                     ("tick", Json::num(*tick as f64)),
-                    ("cmd", cmd.to_json()),
+                    ("cmd", wire),
                 ])
                 .to_string(),
             );
@@ -124,6 +132,7 @@ impl CommandLog {
                     let cmd = Command::from_json(
                         json.get("cmd")
                             .ok_or_else(|| format!("line {}: missing `cmd`", i + 2))?,
+                        log.config.tick(),
                     )
                     .map_err(|e| format!("line {}: {e}", i + 2))?;
                     log.push(tick, cmd);
@@ -179,7 +188,10 @@ impl CommandLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::{FaultSpec, FlowsSpec};
+    use crate::command::FlowsSpec;
+    use renaissance::scenario::{DegradeSpec, FaultEvent, LinkSelector, PartitionSpec};
+    use sdn_netsim::SimDuration;
+    use sdn_topology::NodeId;
 
     fn tiny() -> SessionConfig {
         SessionConfig {
@@ -202,11 +214,14 @@ mod tests {
                 session.step();
             }
         };
+        let fault = |event| Command::Fault(event);
+        let link = LinkSelector::Between(NodeId::new(3), NodeId::new(4));
+        let ticks = |n: u64| SimDuration::from_millis(500 * n);
         drive(&mut session, &mut log, Command::Run { until_s: None }, 25);
         drive(
             &mut session,
             &mut log,
-            Command::Fault(FaultSpec::FailLink(3, 4)),
+            fault(FaultEvent::FailLink(link)),
             10,
         );
         drive(
@@ -226,44 +241,34 @@ mod tests {
         drive(
             &mut session,
             &mut log,
-            Command::Fault(FaultSpec::DegradeLink {
-                a: 3,
-                b: 4,
-                loss: 0.0,
-                burst: Some((0.15, 0.35, 1.0)),
-                asymmetric: true,
-            }),
+            fault(FaultEvent::DegradeLink(link, DegradeSpec::gray())),
             8,
         );
         drive(
             &mut session,
             &mut log,
-            Command::Fault(FaultSpec::RestoreLinkQuality(3, 4)),
+            fault(FaultEvent::RestoreLinkQuality(link)),
             4,
         );
         // grid(2,3) with 2 controllers: rows are {2,3,4} and {5,6,7}; splitting
         // along the rows keeps a controller on each side.
+        let rows = [[0, 2, 3, 4], [1, 5, 6, 7]].map(|row| row.map(NodeId::new).to_vec());
         drive(
             &mut session,
             &mut log,
-            Command::Fault(FaultSpec::Partition {
-                groups: vec![vec![0, 2, 3, 4], vec![1, 5, 6, 7]],
+            fault(FaultEvent::Partition {
+                groups: PartitionSpec::Groups(rows.to_vec()),
+                heal_after: None,
             }),
             6,
         );
+        drive(&mut session, &mut log, fault(FaultEvent::HealPartition), 6);
         drive(
             &mut session,
             &mut log,
-            Command::Fault(FaultSpec::HealPartition),
-            6,
-        );
-        drive(
-            &mut session,
-            &mut log,
-            Command::Fault(FaultSpec::FlapLink {
-                a: 3,
-                b: 4,
-                period_ticks: 4,
+            fault(FaultEvent::FlapLink {
+                selector: link,
+                period: ticks(4),
                 count: 2,
             }),
             12,
@@ -271,9 +276,9 @@ mod tests {
         drive(
             &mut session,
             &mut log,
-            Command::Fault(FaultSpec::RollingRestart {
-                interval_ticks: 6,
-                down_ticks: 3,
+            fault(FaultEvent::RollingControllerRestart {
+                interval: ticks(6),
+                down_for: ticks(3),
                 count: 2,
             }),
             16,

@@ -8,22 +8,23 @@
 //! that statically), which is why a live interactive session and a single-threaded
 //! replay of its command log produce bit-identical final reports.
 //!
-//! Faults are a thin boundary over the scenario fault engine: a [`FaultSpec`] is
-//! validated against the live network (it is input from outside the program),
-//! lowered to [`FaultEvent`]s naming concrete victims, and executed by the
-//! session's one [`FaultContext`] — at once, or from the pending queue when the
-//! phase's tick arrives. This module never mutates the network's nodes or links
-//! itself.
+//! Faults are a thin boundary over the scenario fault engine: a [`FaultEvent`]
+//! with a wire form passes [`FaultEvent::validate`] at one tick and a check of
+//! its victims against the live network (it is input from outside the program),
+//! and the session's one [`FaultContext`] executes it — at once, or, for a
+//! compound fault, phase by phase from the pending queue, as
+//! [`FaultEvent::phases`] expands it for a scenario too. This module never
+//! mutates the network's nodes or links itself.
 
-use crate::command::{Command, FaultSpec, FlowsSpec};
+use crate::command::{fault_to_json, Command, FlowsSpec};
 use renaissance::scenario::{
-    ControllerSelector, DegradeSpec, FaultContext, FaultEvent, LinkSelector, PartitionSpec,
-    SwitchSelector, Workload, WorkloadReport, WorkloadTick,
+    ControllerSelector, FaultContext, FaultEvent, LinkSelector, PartitionSpec, SwitchSelector,
+    Workload, WorkloadReport, WorkloadTick,
 };
 use renaissance::{ControllerConfig, HarnessConfig, SdnNetwork};
 use sdn_metrics::json::Json;
 use sdn_metrics::{RingPage, RingSink};
-use sdn_netsim::{BurstLoss, SimDuration};
+use sdn_netsim::SimDuration;
 use sdn_topology::{builders, NodeId};
 use sdn_traffic::{Arrival, FlowEngineWorkload, FlowMix, FlowSetConfig, TrafficMatrix};
 use std::collections::BTreeMap;
@@ -80,6 +81,12 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl SessionConfig {
+    /// The simulated time one tick advances, at least a millisecond: the unit
+    /// the fault wire form counts periods in.
+    pub fn tick(&self) -> SimDuration {
+        SimDuration::from_millis(self.tick_millis.max(1))
+    }
+
     /// Serializes to the command-log header object.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -125,14 +132,6 @@ struct FlowSlot {
     workload: FlowEngineWorkload,
     ticks_done: u32,
     duration: u32,
-}
-
-/// A validated [`FaultSpec`], lowered to the fault engine's events.
-enum Lowered {
-    /// One event to execute at the current tick boundary.
-    Now(FaultEvent),
-    /// The phases of a compound fault, each stamped with the tick it fires at.
-    Later(Vec<(u64, FaultEvent)>),
 }
 
 /// A long-running simulated SDN session. See the module docs for the contract.
@@ -254,7 +253,7 @@ impl Session {
     pub fn apply(&mut self, cmd: &Command) -> Json {
         self.commands_applied += 1;
         match cmd {
-            Command::Fault(spec) => self.apply_fault(spec),
+            Command::Fault(event) => self.apply_fault(event),
             Command::Flows(spec) => self.attach_flows(*spec),
             Command::Step { .. } | Command::Run { .. } | Command::Pause | Command::Shutdown => {
                 Json::obj([("ok", Json::Bool(true))])
@@ -262,193 +261,125 @@ impl Session {
         }
     }
 
-    /// Validates and lowers `spec`, executes what is due now through the fault
-    /// engine and queues the rest. A fault the engine reports as having changed
-    /// nothing (an absent link, no override to clear, a partition that cuts no
-    /// link, a heal with none in force) is a conflict, like a victim that does not
-    /// exist.
-    fn apply_fault(&mut self, spec: &FaultSpec) -> Json {
-        let outcome = self.lower(spec).and_then(|lowered| match lowered {
-            Lowered::Now(event) => {
-                let done = self.faults.apply(&mut self.net, &event);
-                if done.is_empty() {
-                    Err(format!("fault `{}` found nothing to change", spec.kind()))
-                } else {
-                    Ok(done.join("; "))
+    /// Checks `event` — a wire form, [`FaultEvent::validate`] at one tick, victims
+    /// present in the live network — then executes it through the fault engine,
+    /// or queues the phases of a compound fault. A fault the engine reports as
+    /// having changed nothing (an absent link, no override to clear, a partition
+    /// that cuts no link, a heal with none in force) is a conflict, like a victim
+    /// that does not exist.
+    fn apply_fault(&mut self, event: &FaultEvent) -> Json {
+        let tick = self.config.tick();
+        let outcome = fault_to_json(event, tick)
+            .map_err(|e| e.to_string())
+            .and_then(|wire| {
+                event.validate(tick).map_err(|e| e.to_string())?;
+                self.check_victims(event)?;
+                match self.execute(event) {
+                    Some(detail) => Ok((wire, detail)),
+                    None => {
+                        let kind = wire.get("kind").and_then(Json::as_str).unwrap_or_default();
+                        Err(format!("fault `{kind}` found nothing to change"))
+                    }
                 }
-            }
-            Lowered::Later(phases) => {
-                let detail = format!("{} phases queued", phases.len());
-                for (tick, event) in phases {
-                    self.pending.entry(tick).or_default().push(event);
-                }
-                Ok(detail)
-            }
-        });
+            });
         match outcome {
-            Ok(detail) => Json::obj([
+            Ok((wire, detail)) => Json::obj([
                 ("ok", Json::Bool(true)),
-                ("applied", spec.to_json()),
+                ("applied", wire),
                 ("detail", Json::str(detail)),
             ]),
             Err(error) => Json::obj([("ok", Json::Bool(false)), ("error", Json::str(error))]),
         }
     }
 
-    /// Checks `spec`'s victims against the live network and translates it into
-    /// fault-engine events: concrete-victim selectors only, so a logged command
-    /// means the same nodes and links on every replay. Compound faults start on
-    /// the next tick.
-    fn lower(&self, spec: &FaultSpec) -> Result<Lowered, String> {
-        let between = |(a, b)| LinkSelector::Between(a, b);
-        let start = self.tick + 1;
-        let event = match spec {
-            FaultSpec::FailController(n) => {
-                FaultEvent::FailController(ControllerSelector::Id(self.controller(*n)?))
+    /// Executes a checked fault now and describes what it did (`None`: nothing),
+    /// or queues the phases of a compound fault from the next tick on: a phase
+    /// at offset `d` fires on tick `next + d / tick`, rounded down. The command's
+    /// sequence number is its flap id, unique within the session.
+    fn execute(&mut self, event: &FaultEvent) -> Option<String> {
+        let mut phases = event.phases(self.commands_applied as u32);
+        if phases.len() == 1 {
+            let (_, now) = phases.remove(0);
+            let done = self.faults.apply(&mut self.net, &now);
+            return (!done.is_empty()).then(|| done.join("; "));
+        }
+        let (next, tick_us) = (self.tick + 1, self.config.tick().as_micros());
+        let detail = format!("{} phases queued", phases.len());
+        for (offset, phase) in phases {
+            let at = next + offset.as_micros() / tick_us;
+            self.pending.entry(at).or_default().push(phase);
+        }
+        Some(detail)
+    }
+
+    /// The checks that need the live network: the victims exist, a degraded,
+    /// restored or flapping link is present in `Gc`, no partition is in force,
+    /// and a rolling restart has enough controllers.
+    fn check_victims(&self, event: &FaultEvent) -> Result<(), String> {
+        match event {
+            FaultEvent::FailController(ControllerSelector::Id(id))
+            | FaultEvent::ReviveController(id) => {
+                known(&self.net.controller_ids(), *id, "controller")
             }
-            FaultSpec::ReviveController(n) => FaultEvent::ReviveController(self.controller(*n)?),
-            FaultSpec::FailSwitch(n) => {
-                FaultEvent::FailSwitch(SwitchSelector::Id(self.switch(*n)?))
+            FaultEvent::FailSwitch(SwitchSelector::Id(id)) | FaultEvent::ReviveSwitch(id) => {
+                known(&self.net.switch_ids(), *id, "switch")
             }
-            FaultSpec::ReviveSwitch(n) => FaultEvent::ReviveSwitch(self.switch(*n)?),
-            FaultSpec::FailLink(a, b) => FaultEvent::FailLink(between(self.endpoints(*a, *b)?)),
-            FaultSpec::RestoreLink(a, b) => {
-                let (a, b) = self.endpoints(*a, *b)?;
-                FaultEvent::RestoreLink(a, b)
-            }
-            FaultSpec::RemoveLink(a, b) => FaultEvent::RemoveLink(between(self.endpoints(*a, *b)?)),
-            FaultSpec::AddLink(a, b) if a == b => return Err("cannot add a self-loop".to_string()),
-            FaultSpec::AddLink(a, b) => FaultEvent::AddLink(NodeId::new(*a), NodeId::new(*b)),
-            FaultSpec::DegradeLink {
-                a,
-                b,
-                loss,
-                burst,
-                asymmetric,
-            } => {
-                let degrade = DegradeSpec {
-                    loss: *loss,
-                    burst: burst
-                        .map(|(enter, exit, loss_bad)| BurstLoss::gilbert(enter, exit, loss_bad)),
-                    asymmetric: *asymmetric,
-                };
-                FaultEvent::DegradeLink(between(self.link(*a, *b)?), degrade)
-            }
-            FaultSpec::RestoreLinkQuality(a, b) => {
-                FaultEvent::RestoreLinkQuality(between(self.link(*a, *b)?))
-            }
-            FaultSpec::Partition { groups } => FaultEvent::Partition {
-                groups: PartitionSpec::Groups(self.groups(groups)?),
-                heal_after: None,
-            },
-            FaultSpec::HealPartition => FaultEvent::HealPartition,
-            FaultSpec::FlapLink {
-                a,
-                b,
-                period_ticks,
-                count,
-            } => {
-                let (a, b) = self.link(*a, *b)?;
-                if *period_ticks < 2 || *count == 0 {
-                    return Err("flap needs period_ticks >= 2 and a positive count".to_string());
-                }
-                let (period, down_for) = (u64::from(*period_ticks), u64::from(*period_ticks / 2));
-                let phases = (0..u64::from(*count)).flat_map(|cycle| {
-                    let down_at = start + cycle * period;
-                    [
-                        (down_at, FaultEvent::FailLink(between((a, b)))),
-                        (down_at + down_for, FaultEvent::RestoreLink(a, b)),
-                    ]
-                });
-                return Ok(Lowered::Later(phases.collect()));
-            }
-            FaultSpec::RollingRestart {
-                interval_ticks,
-                down_ticks,
-                count,
-            } => {
-                let (interval, down_for) = (u64::from(*interval_ticks), u64::from(*down_ticks));
+            FaultEvent::FailLink(LinkSelector::Between(a, b))
+            | FaultEvent::RemoveLink(LinkSelector::Between(a, b))
+            | FaultEvent::RestoreLink(a, b) => self.endpoints(*a, *b),
+            FaultEvent::DegradeLink(LinkSelector::Between(a, b), _)
+            | FaultEvent::RestoreLinkQuality(LinkSelector::Between(a, b))
+            | FaultEvent::FlapLink {
+                selector: LinkSelector::Between(a, b),
+                ..
+            } => self.link(*a, *b),
+            FaultEvent::Partition {
+                groups: PartitionSpec::Groups(groups),
+                ..
+            } => self.groups(groups),
+            FaultEvent::RollingControllerRestart { count, .. } => {
                 let controllers = self.net.controller_ids().len();
-                if *count == 0 || down_for == 0 || interval <= down_for {
-                    return Err("rolling restart needs count >= 1 and down_ticks in \
-                                [1, interval_ticks)"
-                        .to_string());
-                }
-                if controllers < *count as usize {
+                if controllers < *count {
                     return Err(format!(
                         "rolling restart of {count} controllers but only {controllers} exist"
                     ));
                 }
-                let phases = (0..*count as usize).flat_map(|i| {
-                    let down_at = start + i as u64 * interval;
-                    let fail = FaultEvent::FailController(ControllerSelector::Index(i));
-                    let revive = FaultEvent::ReviveControllerIndex(i);
-                    [(down_at, fail), (down_at + down_for, revive)]
-                });
-                return Ok(Lowered::Later(phases.collect()));
+                Ok(())
             }
-        };
-        Ok(Lowered::Now(event))
-    }
-
-    fn controller(&self, n: u32) -> Result<NodeId, String> {
-        let id = NodeId::new(n);
-        let known = self.net.controller_ids().contains(&id);
-        known
-            .then_some(id)
-            .ok_or_else(|| format!("no controller with index {n}"))
-    }
-
-    fn switch(&self, n: u32) -> Result<NodeId, String> {
-        let id = NodeId::new(n);
-        let known = self.net.switch_ids().contains(&id);
-        known
-            .then_some(id)
-            .ok_or_else(|| format!("no switch with index {n}"))
+            _ => Ok(()),
+        }
     }
 
     /// Two known nodes; whether a link joins them is the fault engine's business.
-    fn endpoints(&self, a: u32, b: u32) -> Result<(NodeId, NodeId), String> {
-        let ids = (NodeId::new(a), NodeId::new(b));
+    fn endpoints(&self, a: NodeId, b: NodeId) -> Result<(), String> {
         let graph = self.net.sim().topology();
-        let known = graph.contains_node(ids.0) && graph.contains_node(ids.1);
+        let known = graph.contains_node(a) && graph.contains_node(b);
         known
-            .then_some(ids)
-            .ok_or_else(|| format!("link {a}-{b}: unknown endpoint"))
+            .then_some(())
+            .ok_or_else(|| format!("link {}-{}: unknown endpoint", a.index(), b.index()))
     }
 
     /// Like [`Session::endpoints`], but also requires the link to currently exist
     /// in `Gc` — quality overrides and flaps on a never-built link would be silent
     /// no-ops, so they are rejected up front instead.
-    fn link(&self, a: u32, b: u32) -> Result<(NodeId, NodeId), String> {
-        let ids = self.endpoints(a, b)?;
-        let present = self.net.sim().topology().has_link(ids.0, ids.1);
+    fn link(&self, a: NodeId, b: NodeId) -> Result<(), String> {
+        self.endpoints(a, b)?;
+        let present = self.net.sim().topology().has_link(a, b);
         present
-            .then_some(ids)
-            .ok_or_else(|| format!("link {a}-{b} not present"))
+            .then_some(())
+            .ok_or_else(|| format!("link {}-{} not present", a.index(), b.index()))
     }
 
-    /// The groups of a partition request as node ids: at least two groups of known
-    /// nodes, and only while no other partition is in force.
-    fn groups(&self, groups: &[Vec<u32>]) -> Result<Vec<Vec<NodeId>>, String> {
+    /// A partition's groups name known nodes, and no other partition is in force.
+    fn groups(&self, groups: &[Vec<NodeId>]) -> Result<(), String> {
         if !self.faults.partitioned_links.is_empty() {
             return Err("a partition is already in force (heal it first)".to_string());
         }
-        if groups.len() < 2 {
-            return Err("a partition needs at least two groups".to_string());
-        }
         let graph = self.net.sim().topology();
-        let node = |n: &u32| {
-            let id = NodeId::new(*n);
-            let known = graph.contains_node(id);
-            known
-                .then_some(id)
-                .ok_or_else(|| format!("partition: unknown node {n}"))
-        };
-        groups
-            .iter()
-            .map(|group| group.iter().map(node).collect())
-            .collect()
+        match groups.iter().flatten().find(|n| !graph.contains_node(**n)) {
+            Some(n) => Err(format!("partition: unknown node {}", n.index())),
+            None => Ok(()),
+        }
     }
 
     fn attach_flows(&mut self, spec: FlowsSpec) -> Json {
@@ -686,6 +617,14 @@ impl Session {
     }
 }
 
+/// `id` is among `ids`, which are the network's nodes of kind `what`.
+fn known(ids: &[NodeId], id: NodeId, what: &str) -> Result<(), String> {
+    let found = ids.contains(&id);
+    found
+        .then_some(())
+        .ok_or_else(|| format!("no {what} with index {}", id.index()))
+}
+
 /// Total flows a [`FlowsSpec`] expands to (no fan-out on this surface).
 fn config_flow_count(spec: &FlowsSpec) -> u64 {
     u64::from(spec.pairs)
@@ -763,6 +702,7 @@ fn workload_report_json(report: &WorkloadReport) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use renaissance::scenario::DegradeSpec;
 
     fn tiny() -> SessionConfig {
         SessionConfig {
@@ -801,6 +741,25 @@ mod tests {
         assert_eq!(parse("{}"), Err(ConfigError::MissingTopology));
     }
 
+    fn between(a: u32, b: u32) -> LinkSelector {
+        LinkSelector::Between(NodeId::new(a), NodeId::new(b))
+    }
+
+    /// `n` ticks of [`tiny`]'s session.
+    fn ticks(n: u64) -> SimDuration {
+        SimDuration::from_millis(500 * n)
+    }
+
+    fn ok(outcome: &Json) -> Option<bool> {
+        outcome.get("ok").and_then(Json::as_bool)
+    }
+
+    fn pending(s: &Session) -> Option<f64> {
+        s.metrics_json()
+            .get("pending_faults")
+            .and_then(Json::as_f64)
+    }
+
     #[test]
     fn stepping_twice_from_the_same_config_is_bit_identical() {
         let run = || {
@@ -808,7 +767,7 @@ mod tests {
             for _ in 0..20 {
                 s.step();
             }
-            s.apply(&Command::Fault(FaultSpec::FailLink(3, 4)));
+            s.apply(&Command::Fault(FaultEvent::FailLink(between(3, 4))));
             for _ in 0..20 {
                 s.step();
             }
@@ -820,10 +779,11 @@ mod tests {
     #[test]
     fn fault_outcomes_validate_their_victims() {
         let mut s = Session::new(tiny());
-        let bad = s.apply(&Command::Fault(FaultSpec::FailSwitch(99)));
-        assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
-        let good = s.apply(&Command::Fault(FaultSpec::FailSwitch(3)));
-        assert_eq!(good.get("ok").and_then(Json::as_bool), Some(true));
+        let switch = |n| Command::Fault(FaultEvent::FailSwitch(SwitchSelector::Id(NodeId::new(n))));
+        let bad = s.apply(&switch(99));
+        assert_eq!(ok(&bad), Some(false));
+        let good = s.apply(&switch(3));
+        assert_eq!(ok(&good), Some(true));
         // Commands counted either way: outcomes are part of session history.
         assert_eq!(
             s.metrics_json().get("commands").and_then(Json::as_f64),
@@ -832,34 +792,48 @@ mod tests {
     }
 
     #[test]
+    fn faults_without_a_wire_form_are_refused() {
+        let mut s = Session::new(tiny());
+        for event in [
+            FaultEvent::CorruptState(renaissance::CorruptionPlan::light()),
+            FaultEvent::FailLink(LinkSelector::RandomSafe { count: 1 }),
+            FaultEvent::FlapLink {
+                selector: between(3, 4),
+                period: SimDuration::from_millis(750),
+                count: 2,
+            },
+        ] {
+            let outcome = s.apply(&Command::Fault(event));
+            assert_eq!(ok(&outcome), Some(false), "{outcome}");
+            let error = outcome.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.ends_with("has no wire form"), "{error}");
+        }
+        assert_eq!(pending(&s), Some(0.0));
+    }
+
+    #[test]
     fn gray_faults_validate_and_apply() {
         let mut s = Session::new(tiny());
         for _ in 0..10 {
             s.step();
         }
-        let ok = |outcome: &Json| outcome.get("ok").and_then(Json::as_bool);
-        let degraded = s.apply(&Command::Fault(FaultSpec::DegradeLink {
-            a: 3,
-            b: 4,
-            loss: 0.25,
-            burst: None,
-            asymmetric: false,
-        }));
+        let degrade = |a, b, loss| {
+            Command::Fault(FaultEvent::DegradeLink(
+                between(a, b),
+                DegradeSpec::flat(loss),
+            ))
+        };
+        let restore = Command::Fault(FaultEvent::RestoreLinkQuality(between(3, 4)));
+        let degraded = s.apply(&degrade(3, 4, 0.25));
         assert_eq!(ok(&degraded), Some(true), "{degraded}");
-        let restored = s.apply(&Command::Fault(FaultSpec::RestoreLinkQuality(3, 4)));
+        let restored = s.apply(&restore);
         assert_eq!(ok(&restored), Some(true), "{restored}");
         // Restoring again reports there is nothing left to restore.
-        let nothing = s.apply(&Command::Fault(FaultSpec::RestoreLinkQuality(3, 4)));
+        let nothing = s.apply(&restore);
         assert_eq!(ok(&nothing), Some(false), "{nothing}");
         // Degrading a pair that is not a link is rejected up front, not silently
         // swallowed by the simulator's warning counter.
-        let no_link = s.apply(&Command::Fault(FaultSpec::DegradeLink {
-            a: 2,
-            b: 7,
-            loss: 0.5,
-            burst: None,
-            asymmetric: false,
-        }));
+        let no_link = s.apply(&degrade(2, 7, 0.5));
         assert_eq!(ok(&no_link), Some(false), "{no_link}");
     }
 
@@ -869,63 +843,95 @@ mod tests {
         for _ in 0..10 {
             s.step();
         }
-        let ok = |outcome: &Json| outcome.get("ok").and_then(Json::as_bool);
         let partitioned = |s: &Session| {
             s.metrics_json()
                 .get("partitioned_links")
                 .and_then(Json::as_f64)
         };
         // grid(2,3): splitting along the rows cuts the three vertical links.
-        let groups = vec![vec![0, 2, 3, 4], vec![1, 5, 6, 7]];
-        let cut = s.apply(&Command::Fault(FaultSpec::Partition {
-            groups: groups.clone(),
-        }));
+        let rows = [[0, 2, 3, 4], [1, 5, 6, 7]].map(|row| row.map(NodeId::new).to_vec());
+        let partition = Command::Fault(FaultEvent::Partition {
+            groups: PartitionSpec::Groups(rows.to_vec()),
+            heal_after: None,
+        });
+        let heal = Command::Fault(FaultEvent::HealPartition);
+        let cut = s.apply(&partition);
         assert_eq!(ok(&cut), Some(true), "{cut}");
         assert_eq!(partitioned(&s), Some(3.0));
-        let double = s.apply(&Command::Fault(FaultSpec::Partition { groups }));
+        let double = s.apply(&partition);
         assert_eq!(ok(&double), Some(false), "{double}");
-        let healed = s.apply(&Command::Fault(FaultSpec::HealPartition));
+        let healed = s.apply(&heal);
         assert_eq!(ok(&healed), Some(true), "{healed}");
         assert_eq!(partitioned(&s), Some(0.0));
-        let nothing = s.apply(&Command::Fault(FaultSpec::HealPartition));
+        let nothing = s.apply(&heal);
         assert_eq!(ok(&nothing), Some(false), "{nothing}");
     }
 
     #[test]
     fn flaps_and_rolling_restarts_fire_on_schedule() {
         let mut s = Session::new(tiny());
-        let ok = |outcome: &Json| outcome.get("ok").and_then(Json::as_bool);
-        let pending = |s: &Session| {
-            s.metrics_json()
-                .get("pending_faults")
-                .and_then(Json::as_f64)
-        };
-        let flap = s.apply(&Command::Fault(FaultSpec::FlapLink {
-            a: 3,
-            b: 4,
-            period_ticks: 4,
+        let flap = s.apply(&Command::Fault(FaultEvent::FlapLink {
+            selector: between(3, 4),
+            period: ticks(4),
             count: 2,
         }));
         assert_eq!(ok(&flap), Some(true), "{flap}");
         assert_eq!(pending(&s), Some(4.0), "two down/up phases per cycle");
-        let rolling = s.apply(&Command::Fault(FaultSpec::RollingRestart {
-            interval_ticks: 6,
-            down_ticks: 3,
-            count: 2,
-        }));
-        assert_eq!(ok(&rolling), Some(true), "{rolling}");
+        let rolling = |count| {
+            Command::Fault(FaultEvent::RollingControllerRestart {
+                interval: ticks(6),
+                down_for: ticks(3),
+                count,
+            })
+        };
+        let accepted = s.apply(&rolling(2));
+        assert_eq!(ok(&accepted), Some(true), "{accepted}");
         assert_eq!(pending(&s), Some(8.0));
         for _ in 0..20 {
             s.step();
         }
         assert_eq!(pending(&s), Some(0.0), "every phase fired");
         // Asking for more controllers than exist is rejected.
-        let too_many = s.apply(&Command::Fault(FaultSpec::RollingRestart {
-            interval_ticks: 6,
-            down_ticks: 3,
-            count: 9,
-        }));
+        let too_many = s.apply(&rolling(9));
         assert_eq!(ok(&too_many), Some(false), "{too_many}");
+    }
+
+    #[test]
+    fn overlapping_flaps_each_toggle_their_own_link() {
+        let mut s = Session::new(tiny());
+        for _ in 0..10 {
+            s.step();
+        }
+        let flap = |a, b, period| {
+            Command::Fault(FaultEvent::FlapLink {
+                selector: between(a, b),
+                period: ticks(period),
+                count: 2,
+            })
+        };
+        // Down half-cycles in ticks after `start`: 3-4 flaps from tick 1 with
+        // period 4, 2-5 from tick 2 with period 6.
+        let start = s.tick();
+        let down = |k: u64, spans: &[(u64, u64)]| spans.iter().any(|&(a, b)| (a..b).contains(&k));
+        let check = |s: &Session| {
+            let k = s.tick() - start;
+            let up = |a, b| {
+                s.net
+                    .sim()
+                    .link_is_operational(NodeId::new(a), NodeId::new(b))
+            };
+            assert_eq!(up(3, 4), !down(k, &[(1, 3), (5, 7)]), "3-4 at tick {k}");
+            assert_eq!(up(2, 5), !down(k, &[(2, 5), (8, 11)]), "2-5 at tick {k}");
+        };
+        assert_eq!(ok(&s.apply(&flap(3, 4, 4))), Some(true));
+        s.step();
+        check(&s);
+        assert_eq!(ok(&s.apply(&flap(2, 5, 6))), Some(true));
+        for _ in 0..12 {
+            s.step();
+            check(&s);
+        }
+        assert_eq!(pending(&s), Some(0.0));
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! (`Connection: close`), JSON bodies both ways; `GET /stream` switches to chunked
 //! transfer and tails the probe-sample feed.
 
-use crate::command::{Command, FaultSpec, FlowsSpec};
+use crate::command::{fault_from_json, Command, FlowsSpec};
 use crate::log::CommandLog;
 use crate::session::Session;
 use sdn_metrics::json::Json;
+use sdn_netsim::SimDuration;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -112,7 +113,8 @@ impl Server {
             wake: Condvar::new(),
         });
         let accept_shared = Arc::clone(&shared);
-        let accept = thread::spawn(move || accept_loop(listener, accept_shared));
+        let tick = session.config().tick();
+        let accept = thread::spawn(move || accept_loop(listener, accept_shared, tick));
         Ok(Server {
             addr,
             shared,
@@ -277,19 +279,19 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, tick: SimDuration) {
     for stream in listener.incoming() {
         if shared.lock().shutdown {
             break;
         }
         if let Ok(stream) = stream {
             let shared = Arc::clone(&shared);
-            thread::spawn(move || handle_connection(stream, shared));
+            thread::spawn(move || handle_connection(stream, shared, tick));
         }
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
+fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>, tick: SimDuration) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let (method, target, body) = match read_request(&mut stream) {
         Ok(parts) => parts,
@@ -306,7 +308,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         stream_connection(stream, shared);
         return;
     }
-    match route(&method, &path, &query, &body) {
+    match route(&method, &path, &query, &body, tick) {
         Ok(request) => {
             let (tx, rx) = mpsc::channel();
             // Decide under the lock, answer a refusal after releasing it.
@@ -349,8 +351,11 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// Maps `(method, path)` onto a typed request, or `(status, message)` on error.
-fn route(method: &str, path: &str, query: &str, body: &str) -> Result<Request, (u16, String)> {
+/// A typed request, or `(status, message)` on error.
+type Routed = Result<Request, (u16, String)>;
+
+/// Maps `(method, path)` onto a typed request; `tick` is the fault wire form's unit.
+fn route(method: &str, path: &str, query: &str, body: &str, tick: SimDuration) -> Routed {
     let body_json = || -> Result<Json, (u16, String)> {
         if body.trim().is_empty() {
             Ok(Json::obj::<String>([]))
@@ -373,8 +378,8 @@ fn route(method: &str, path: &str, query: &str, body: &str) -> Result<Request, (
             Ok(Request::Node(id))
         }
         ("POST", "/faults") => {
-            let spec = FaultSpec::from_json(&body_json()?).map_err(|e| (400, e))?;
-            Ok(Request::Command(Command::Fault(spec)))
+            let event = fault_from_json(&body_json()?, tick).map_err(|e| (400, e))?;
+            Ok(Request::Command(Command::Fault(event)))
         }
         ("POST", "/flows") => {
             let spec = FlowsSpec::from_json(&body_json()?).map_err(|e| (400, e))?;

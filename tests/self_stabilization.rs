@@ -187,9 +187,9 @@ fn a_reply_naming_a_huge_neighbor_id_is_just_another_bogus_claim() {
 /// same value forever: `curr == prev`, rounds can no longer be told apart, and the
 /// network is legitimate only in scattered instants (about 10 of 900 samples). The
 /// same rule at `u64::MAX - 10^9` leaves every sample legitimate. Theorem 2 promises
-/// recovery from this state too; ROADMAP item 8 is the fix.
+/// recovery from this state too; ROADMAP item 3 is the fix.
 #[test]
-#[ignore = "known wedge: saturating TagGenerator, ROADMAP item 8"]
+#[ignore = "known wedge: saturating TagGenerator, ROADMAP item 3"]
 fn a_rule_tagged_u64_max_does_not_wedge_the_tag_generators() {
     for seed in [59, 60] {
         let mut sdn = build(true, seed);
