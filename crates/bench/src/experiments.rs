@@ -33,12 +33,6 @@ pub const OUT_OF_ORDER: MetricKey =
 pub const CORRELATION: MetricKey =
     MetricKey::named(Namespace::Bench, "throughput_correlation", Unit::Ratio);
 
-/// How long (simulated) an experiment is allowed to take before it is reported as a
-/// timeout. Generous: the paper's slowest bootstrap is ~2 minutes.
-const TIMEOUT: SimDuration = SimDuration::from_secs(1_200);
-/// Legitimacy is probed at this period; it is also the measurement resolution.
-const CHECK_EVERY: SimDuration = SimDuration::from_millis(250);
-
 /// Global scale knobs shared by every experiment binary.
 #[derive(Clone, Debug)]
 pub struct ExperimentScale {
@@ -146,7 +140,8 @@ pub fn split_network_list(raw: &str) -> Vec<String> {
 }
 
 /// The shared scenario skeleton of every experiment: a network, the scale's task
-/// delay and thread count, and the evaluation's timeout and measurement resolution.
+/// delay and thread count, and the builder's default timeout and measurement
+/// resolution.
 /// Public so the scale campaign measures with exactly the same skeleton as the
 /// figures.
 pub fn experiment(
@@ -159,9 +154,7 @@ pub fn experiment(
     let mut builder = Scenario::builder(name)
         .network(network)
         .controllers(controllers)
-        .task_delay(task_delay)
-        .timeout(TIMEOUT)
-        .check_every(CHECK_EVERY);
+        .task_delay(task_delay);
     if let Some(threads) = scale.threads {
         builder = builder.threads(threads);
     }

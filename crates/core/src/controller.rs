@@ -105,9 +105,6 @@ pub struct Controller {
     rule_sets: BTreeMap<NodeId, RuleSet>,
     views: ViewMemo,
     stats: ControllerStats,
-    /// Bumped whenever state a legitimacy check reads (`replyDB`, round tags, the
-    /// routing plan) may have changed; the harness dirty-tracks on it.
-    state_version: u64,
     plan_version: u64,
 }
 
@@ -127,7 +124,6 @@ impl Controller {
             rule_sets: BTreeMap::new(),
             views: ViewMemo::default(),
             stats: ControllerStats::default(),
-            state_version: 0,
             plan_version: 0,
         }
     }
@@ -147,16 +143,9 @@ impl Controller {
         self.stats
     }
 
-    /// A counter that bumps whenever the state the legitimacy predicate reads —
-    /// `replyDB`, the round tags, the routing plan — may have changed. Two equal
-    /// versions on the same controller guarantee an unchanged view, which is what
-    /// lets the harness dirty-track its legitimacy checks.
-    pub fn state_version(&self) -> u64 {
-        self.state_version
-    }
-
     /// A counter that bumps whenever the plan behind [`Controller::first_hop_candidates`]
-    /// is replaced; unlike `state_version`, it stands still while a network is settled.
+    /// is replaced, so it stands still while a network is settled; condition 3's memo
+    /// keys on it.
     pub fn plan_version(&self) -> u64 {
         self.plan_version
     }
@@ -211,7 +200,6 @@ impl Controller {
     /// for wrapping them into in-band packets and routing them hop by hop.
     pub fn iterate(&mut self, neighbors: &[NodeId]) -> Vec<(NodeId, CommandBatch)> {
         self.stats.iterations += 1;
-        self.state_version += 1;
 
         // Line 8: keep only live, reachable replies; re-learn every tag seen so far so
         // that nextTag() stays ahead of anything in the system.
@@ -348,7 +336,6 @@ impl Controller {
         match self.reply_db.insert(reply, self.rounds.curr()) {
             InsertOutcome::Stored | InsertOutcome::StoredAfterReset => {
                 self.stats.replies_accepted += 1;
-                self.state_version += 1;
             }
             InsertOutcome::IgnoredStaleTag => {
                 self.stats.replies_ignored += 1;
@@ -370,14 +357,12 @@ impl Controller {
 
     /// Corrupts the round tags — models a transient fault hitting the controller.
     pub fn corrupt_tags(&mut self, curr: Tag, prev: Tag) {
-        self.state_version += 1;
         self.rounds.corrupt(curr, prev);
     }
 
     /// Injects an arbitrary (possibly bogus) reply into `replyDB`, bypassing the tag
     /// check — models a transient fault corrupting the controller's memory.
     pub fn corrupt_inject_reply(&mut self, reply: QueryReply) {
-        self.state_version += 1;
         let tag = reply.echo_tag;
         let _ = self.reply_db.insert(reply, tag);
     }
@@ -1074,6 +1059,21 @@ mod tests {
             "a switch still holds no rule of {}",
             controllers[0]
         );
+    }
+
+    /// A transient fault lands between two polls with no simulated event in between;
+    /// the verdict and the report that follow must see it, not a verdict remembered
+    /// from before. The oracle goes last, so it cannot refresh anything the others read.
+    #[test]
+    fn a_verdict_follows_a_fault_with_no_event_in_between() {
+        let mut sdn = settled_ring();
+        let (ms, timeout) = (SimDuration::from_millis(1), SimDuration::from_secs(120));
+        assert!(sdn.run_until_legitimate(ms, timeout).is_some());
+        let c0 = sdn.controller_ids()[0];
+        sdn.controller_mut(c0).unwrap().reply_db.c_reset();
+        assert!(!sdn.is_legitimate(), "verdict");
+        assert!(!sdn.legitimacy_report().is_legitimate(), "report");
+        assert!(!sdn.legitimacy_report_fresh().is_legitimate(), "oracle");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::packet::ControlPacket;
 use sdn_netsim::{LinkConfig, NetworkMetrics, SimConfig, SimDuration, SimTime, Simulator};
 use sdn_switch::{AbstractSwitch, SwitchConfig};
 use sdn_topology::{NamedTopology, NodeId};
-use std::cell::{Ref, RefCell};
+use std::cell::RefCell;
 
 /// A fully wired simulated SDN deployment.
 ///
@@ -36,24 +36,14 @@ pub struct SdnNetwork {
     controller_config: ControllerConfig,
     harness_config: HarnessConfig,
     sim: Simulator<ControlPacket, SdnNode>,
-    /// The last verdict, and the [`SdnNetwork::forwarding_key`] condition 3 last came
-    /// out clean under (never folded: a revived controller's plan version, back at 0,
-    /// can cancel a generation step). Caching never changes observable results: a
-    /// property test holds both to a from-scratch recompute under random faults.
-    legitimacy_cache: RefCell<Option<LegitimacyCache>>,
+    /// The [`SdnNetwork::forwarding_key`] condition 3 last came out clean under (never
+    /// folded: a revived controller's plan version, back at 0, can cancel a generation
+    /// step). Skipping condition 3 never changes observable results: a property test
+    /// holds every verdict and report to a from-scratch recompute under random faults.
     condition3_clean: RefCell<Option<ForwardingKey>>,
 }
 
 type ForwardingKey = (u64, Vec<(NodeId, u64)>);
-
-/// One memoized legitimacy evaluation (see [`SdnNetwork::legitimacy_report`]).
-struct LegitimacyCache {
-    /// `(topology_generation, state_stamp)` at the time of the evaluation.
-    key: (u64, u64),
-    /// `None`: [`SdnNetwork::is_legitimate`] found the state illegitimate and nobody
-    /// has asked why yet. A legitimate verdict is the complete (empty) report.
-    report: Option<LegitimacyReport>,
-}
 
 impl SdnNetwork {
     /// Builds and starts a simulated SDN over `topology`.
@@ -89,7 +79,6 @@ impl SdnNetwork {
             controller_config,
             harness_config,
             sim,
-            legitimacy_cache: RefCell::new(None),
             condition3_clean: RefCell::new(None),
         }
     }
@@ -168,57 +157,25 @@ impl SdnNetwork {
 
     /// Evaluates the legitimacy predicate (paper, Definition 1).
     ///
-    /// Memoized under the same key as [`SdnNetwork::legitimacy_report`], but a miss
-    /// costs less than a report: the walk stops at the first violated condition.
+    /// Costs less than a report: the walk stops at the first violated condition.
     pub fn is_legitimate(&self) -> bool {
-        let key = self.legitimacy_key();
-        if let Some(memo) = self.memo(key) {
-            return memo.report.as_ref().is_some_and(|r| r.is_legitimate());
-        }
-        let legitimate = self.evaluate(1).is_legitimate();
-        self.remember(key, legitimate.then(LegitimacyReport::default));
-        legitimate
+        self.evaluate(1).is_legitimate()
     }
 
     /// Detailed legitimacy report, listing the violated conditions.
     ///
-    /// Dirty-tracked: the report is recomputed only when the operational topology,
-    /// the observed neighborhoods, or any controller/switch state changed since the
-    /// last evaluation; otherwise the memoized report is returned. The cache key
-    /// covers every input [`legitimacy::check`] reads, so the cached and recomputed
-    /// reports are always identical — [`SdnNetwork::legitimacy_report_fresh`] is the
-    /// explicit escape hatch that bypasses the cache.
+    /// Conditions 1, 2 and 4 are walked on every call; condition 3 is skipped while
+    /// nothing it reads has moved since it last came out clean, which never changes
+    /// the report — [`SdnNetwork::legitimacy_report_fresh`] always walks it.
     pub fn legitimacy_report(&self) -> LegitimacyReport {
-        let key = self.legitimacy_key();
-        if let Some(report) = self.memo(key).and_then(|memo| memo.report.clone()) {
-            return report;
-        }
-        let report = self.evaluate(legitimacy::MAX_ISSUES);
-        self.remember(key, Some(report.clone()));
-        report
+        self.evaluate(legitimacy::MAX_ISSUES)
     }
 
-    /// Recomputes the legitimacy report from scratch, ignoring (and refreshing) the
-    /// memoized result — the escape hatch for callers that want to pay for certainty,
-    /// and the oracle the cache property test compares against.
+    /// Recomputes the legitimacy report from scratch, condition 3 included — the
+    /// escape hatch for callers that want to pay for certainty, and the oracle the
+    /// memo property test compares against. It reads no memo and writes none.
     pub fn legitimacy_report_fresh(&self) -> LegitimacyReport {
-        let report = legitimacy::check(self);
-        self.remember(self.legitimacy_key(), Some(report.clone()));
-        report
-    }
-
-    /// The memo if it was taken under `key`.
-    fn memo(&self, key: (u64, u64)) -> Option<Ref<'_, LegitimacyCache>> {
-        let cache = self.legitimacy_cache.borrow();
-        Ref::filter_map(cache, |c| c.as_ref().filter(|c| c.key == key)).ok()
-    }
-
-    fn remember(&self, key: (u64, u64), report: Option<LegitimacyReport>) {
-        *self.legitimacy_cache.borrow_mut() = Some(LegitimacyCache { key, report });
-    }
-
-    fn legitimacy_key(&self) -> (u64, u64) {
-        (self.sim.topology_generation(), self.state_stamp())
+        legitimacy::check(self)
     }
 
     /// The first `limit` issues, skipping condition 3 while nothing it reads has moved.
@@ -240,19 +197,6 @@ impl SdnNetwork {
             SdnNode::Switch(s) => (id, s.switch.rules().forwarding_version()),
         });
         (self.sim.topology_generation(), versions.collect())
-    }
-
-    /// Folds every node's state version into one stamp. Any single state mutation
-    /// changes the fold (each node contributes its identifier and version through a
-    /// position-sensitive mix), which is what makes `(generation, stamp)` a sound
-    /// cache key for the legitimacy predicate.
-    fn state_stamp(&self) -> u64 {
-        let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-        for (id, node) in self.sim.nodes() {
-            acc ^= (u64::from(id.index()) << 32) ^ node.state_version();
-            acc = acc.rotate_left(13).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        acc
     }
 
     // ------------------------------------------------------------------
@@ -545,9 +489,9 @@ mod tests {
         assert!(!sdn.switch(victim).unwrap().managers().is_empty());
     }
 
-    /// The dirty-tracking contract: across arbitrary interleavings of faults,
-    /// revivals, corruption, and simulation time, the memoized legitimacy report
-    /// must be indistinguishable from a from-scratch recompute.
+    /// The condition-3 memo's contract: across arbitrary interleavings of faults,
+    /// revivals, corruption, and simulation time, a verdict or report that may skip
+    /// condition 3 must be indistinguishable from a from-scratch recompute.
     #[test]
     fn cached_legitimacy_equals_fresh_recompute_under_random_faults() {
         use sdn_rng::Rng;
@@ -564,7 +508,7 @@ mod tests {
             );
             let mut rng = Rng::seed_from_u64(seed ^ 0xF00D);
             // Odd seeds start from a converged network, so the walk also crosses
-            // legitimate states (and the memo a `true` verdict leaves behind).
+            // legitimate states, where condition 3 comes out clean and is skipped next.
             if seed % 2 == 1 {
                 sdn.run_until_legitimate(SimDuration::from_millis(100), SimDuration::from_secs(60))
                     .expect("bootstrap");
@@ -632,10 +576,10 @@ mod tests {
                 let state = forwarding_state(&sdn);
                 let first_seen = seen.entry(key).or_insert_with(|| state.clone());
                 assert_eq!(*first_seen, state, "forwarding moved under one key, {at}");
-                // The first query of the new state is a memo miss — the yes/no walk
-                // on even steps, the full report on odd ones — and everything after
-                // it may be served from the memo: any stale key, or a verdict that is
-                // not the report's verdict, makes them diverge from the recompute.
+                // The first query of the new state is the yes/no walk on even steps,
+                // the full report on odd ones, and either may leave condition 3 marked
+                // clean for the queries after it: a stale key makes those diverge
+                // from the recompute.
                 let fresh = if step % 2 == 0 {
                     let verdict = sdn.is_legitimate();
                     let explained = sdn.legitimacy_report();
@@ -651,8 +595,8 @@ mod tests {
                     assert_eq!(verdict, fresh.is_legitimate(), "verdict after, {at}");
                     fresh
                 };
-                // A repeat query with no intervening event serves the cache; it must
-                // still match.
+                // A repeat query with no intervening event skips condition 3 if the
+                // state was clean; it must still match.
                 assert_eq!(sdn.legitimacy_report(), fresh, "{at}");
                 assert_eq!(sdn.is_legitimate(), fresh.is_legitimate(), "{at}");
                 legitimate_states += usize::from(fresh.is_legitimate());
@@ -682,9 +626,9 @@ mod tests {
         sdn.sim.nodes().map(|(_, node)| state(node)).collect()
     }
 
-    /// What the condition-3 memo rests on: once a network has settled, every
-    /// iteration and reply still moves the report memo's key, but nothing condition 3
-    /// reads changes, so its key stands still and the memo holds it.
+    /// What the condition-3 memo rests on: once a network has settled, iterations
+    /// and replies go on, but nothing condition 3 reads changes, so its key stands
+    /// still and the memo holds it.
     #[test]
     fn a_settled_network_keeps_its_forwarding_key() {
         let mut sdn = SdnNetwork::new(
@@ -699,9 +643,7 @@ mod tests {
         sdn.run_for(SimDuration::from_secs(5));
         let settled = Some(sdn.forwarding_key());
         for tick in 0..20 {
-            let stamp = sdn.state_stamp();
             sdn.run_for(SimDuration::from_millis(250));
-            assert_ne!(sdn.state_stamp(), stamp, "tick {tick}");
             assert_eq!(Some(sdn.forwarding_key()), settled, "tick {tick}");
             assert!(sdn.is_legitimate(), "tick {tick}");
             assert_eq!(*sdn.condition3_clean.borrow(), settled, "tick {tick}");

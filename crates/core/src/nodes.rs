@@ -245,15 +245,6 @@ impl SdnNode {
             SdnNode::Controller(_) => None,
         }
     }
-
-    /// The state-machine version counter of whichever role this node plays — the
-    /// per-node ingredient of the harness's legitimacy dirty-tracking.
-    pub fn state_version(&self) -> u64 {
-        match self {
-            SdnNode::Controller(c) => c.controller.state_version(),
-            SdnNode::Switch(s) => s.switch.state_version(),
-        }
-    }
 }
 
 impl Node<ControlPacket> for SdnNode {

@@ -156,7 +156,9 @@ impl Scenario {
             runs: 1,
             seed_base: None,
             threads: None,
+            // Generous: the paper's slowest bootstrap is ~2 minutes.
             timeout: SimDuration::from_secs(1_200),
+            // Legitimacy is probed at this period; it is also the measurement resolution.
             check_every: SimDuration::from_millis(250),
             control_plane: ControlPlane::Live,
         }

@@ -474,10 +474,6 @@ impl Session {
                 ("live", Json::Bool(live)),
                 ("degree", Json::num(degree as f64)),
                 ("c_resets", Json::num(controller.c_resets() as f64)),
-                (
-                    "state_version",
-                    Json::num(controller.state_version() as f64),
-                ),
             ]));
         }
         if let Some(switch) = self.net.switch(id) {

@@ -157,6 +157,19 @@ fn a_full_interactive_session_replays_bit_identically() {
     let (status, node) = http(&addr, "GET", &format!("/nodes/{}", link.0), "");
     assert_eq!(status, 200);
     assert!(node.get("id").is_some(), "{node}");
+    // A controller's object has a pinned wire shape.
+    let controller = topo
+        .get("controllers")
+        .and_then(Json::as_array)
+        .and_then(|ids| ids.first()?.as_u64())
+        .expect("a controller");
+    let (status, node) = http(&addr, "GET", &format!("/nodes/{controller}"), "");
+    assert_eq!(status, 200);
+    let keys: Vec<&str> = match &node {
+        Json::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other}"),
+    };
+    assert_eq!(keys, ["id", "kind", "live", "degree", "c_resets"], "{node}");
     let (status, _) = http(&addr, "GET", "/nodes/9999", "");
     assert_eq!(status, 404);
     let (status, page) = http(&addr, "GET", "/log?from=0&limit=5", "");

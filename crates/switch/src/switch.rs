@@ -96,9 +96,6 @@ pub struct AbstractSwitch {
     /// Per-controller meta-rule tag (`t_metaRule`), updated by `newRound`.
     meta_tags: BTreeMap<NodeId, Tag>,
     stats: SwitchStats,
-    /// Bumped on every configuration mutation (batches, corruption helpers);
-    /// consumers use it to dirty-track anything derived from the switch state.
-    state_version: u64,
 }
 
 impl AbstractSwitch {
@@ -111,7 +108,6 @@ impl AbstractSwitch {
             managers: ManagerSet::new(config.max_managers),
             meta_tags: BTreeMap::new(),
             stats: SwitchStats::default(),
-            state_version: 0,
         }
     }
 
@@ -145,14 +141,6 @@ impl AbstractSwitch {
         self.stats
     }
 
-    /// A counter that bumps whenever the switch configuration (rules, managers,
-    /// meta tags) may have changed. Two equal versions on the same switch
-    /// guarantee an unchanged configuration, which is what lets the harness
-    /// dirty-track its legitimacy predicate.
-    pub fn state_version(&self) -> u64 {
-        self.state_version
-    }
-
     /// Applies one command batch atomically and returns the query reply if the batch
     /// contained a query (it normally does — Algorithm 2 always ends batches with one).
     ///
@@ -164,8 +152,6 @@ impl AbstractSwitch {
         neighbors: &[NodeId],
     ) -> Option<QueryReply> {
         self.stats.batches_applied += 1;
-        // Conservative dirty-tracking: any batch may mutate the configuration.
-        self.state_version += 1;
         let from = batch.from;
         let mut reply_tag = None;
         for command in &batch.commands {
@@ -250,19 +236,16 @@ impl AbstractSwitch {
     /// Installs an arbitrary rule directly, bypassing the command interface — models a
     /// transient fault corrupting the switch configuration.
     pub fn corrupt_install_rule(&mut self, rule: Rule) {
-        self.state_version += 1;
         self.rules.insert(rule);
     }
 
     /// Adds an arbitrary manager directly — models a transient fault.
     pub fn corrupt_add_manager(&mut self, controller: NodeId) {
-        self.state_version += 1;
         self.managers.add(controller);
     }
 
     /// Clears the whole configuration — models a factory reset / power cycle.
     pub fn corrupt_clear(&mut self) {
-        self.state_version += 1;
         self.rules.clear();
         self.managers.clear();
         self.meta_tags.clear();
