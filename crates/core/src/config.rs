@@ -62,18 +62,6 @@ impl ControllerConfig {
         self.variant = Variant::NonAdaptive;
         self
     }
-
-    /// Overrides the resilience target `kappa`.
-    pub fn with_kappa(mut self, kappa: usize) -> Self {
-        self.kappa = kappa;
-        self.max_priorities = self.max_priorities.map(|p| p.max(kappa + 2));
-        self
-    }
-
-    /// Returns `true` when this configuration runs the memory-adaptive main algorithm.
-    pub fn is_memory_adaptive(&self) -> bool {
-        self.variant == Variant::MemoryAdaptive
-    }
 }
 
 /// Configuration of the simulation harness wrapping controllers and switches.
@@ -129,29 +117,24 @@ mod tests {
         // database (see `for_network`).
         assert!(cfg.max_replies >= 3 * 23);
         assert_eq!(cfg.kappa, 1);
-        assert!(cfg.is_memory_adaptive());
+        assert_eq!(cfg.variant, Variant::MemoryAdaptive);
     }
 
     #[test]
     fn builder_style_overrides() {
-        let cfg = ControllerConfig::for_network(2, 10)
-            .with_kappa(3)
-            .non_adaptive();
-        assert_eq!(cfg.kappa, 3);
+        let cfg = ControllerConfig::for_network(2, 10).non_adaptive();
         assert_eq!(cfg.variant, Variant::NonAdaptive);
-        assert!(!cfg.is_memory_adaptive());
-        assert!(cfg.max_priorities.unwrap() >= 4);
     }
 
     #[test]
     fn harness_defaults_match_paper_setup() {
         let h = HarnessConfig::default();
-        assert_eq!(h.task_delay.as_millis(), 500);
+        assert_eq!(h.task_delay, SimDuration::from_millis(500));
         assert!(h.packet_ttl > 0);
         let h2 = h
             .with_task_delay(SimDuration::from_millis(100))
             .with_seed(9);
-        assert_eq!(h2.task_delay.as_millis(), 100);
+        assert_eq!(h2.task_delay, SimDuration::from_millis(100));
         assert_eq!(h2.seed, 9);
     }
 }

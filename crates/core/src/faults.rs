@@ -41,17 +41,6 @@ impl Default for CorruptionPlan {
 }
 
 impl CorruptionPlan {
-    /// A light corruption: a few garbage rules only.
-    pub fn light() -> Self {
-        CorruptionPlan {
-            garbage_rules_per_switch: 2,
-            bogus_managers_per_switch: 0,
-            clear_some_switches: false,
-            bogus_replies_per_controller: 0,
-            corrupt_controller_tags: false,
-        }
-    }
-
     /// A heavy corruption touching every kind of state the model allows.
     pub fn heavy() -> Self {
         CorruptionPlan {
@@ -270,9 +259,8 @@ mod tests {
     fn corruption_plans_differ_in_aggressiveness() {
         assert!(
             CorruptionPlan::heavy().garbage_rules_per_switch
-                > CorruptionPlan::light().garbage_rules_per_switch
+                > CorruptionPlan::default().garbage_rules_per_switch
         );
-        assert!(!CorruptionPlan::light().corrupt_controller_tags);
         assert!(CorruptionPlan::default().clear_some_switches);
     }
 }

@@ -103,11 +103,6 @@ impl SdnNetwork {
         &self.sim
     }
 
-    /// The underlying simulator (mutable) — escape hatch for advanced fault scenarios.
-    pub fn sim_mut(&mut self) -> &mut Simulator<ControlPacket, SdnNode> {
-        &mut self.sim
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
@@ -137,6 +132,7 @@ impl SdnNetwork {
     /// `check_every`, and returns the elapsed simulated time — or `None` if `timeout`
     /// expired first. This is the measurement primitive behind every bootstrap /
     /// recovery figure of the paper.
+    // stancheck: allow(test-only-api) — API named in README or in a crate-level doc example (README, `renaissance` crate docs)
     pub fn run_until_legitimate(
         &mut self,
         check_every: SimDuration,
@@ -474,7 +470,7 @@ mod tests {
             AbstractSwitch::new(victim, SwitchConfig::default()),
             &sdn.harness_config(),
         ));
-        sdn.sim_mut().replace_node(victim, bogus);
+        sdn.sim.replace_node(victim, bogus);
         sdn.revive_switch(victim);
         let revived = sdn.switch(victim).unwrap();
         assert_eq!(

@@ -44,8 +44,7 @@
 //!     .runs(2)
 //!     .run();
 //! assert!(report.all_converged());
-//! assert!(report.bootstrap_digest().mean() > 0.0);
-//! assert!(report.recovery_digest().mean() > 0.0);
+//! assert!(report.runs.iter().all(|run| run.first_recovery_s() > Some(0.0)));
 //! ```
 //!
 //! The [`harness::SdnNetwork`] escape hatch underneath remains available for ad-hoc

@@ -295,6 +295,7 @@ impl ReplyDb {
     }
 
     /// Performs an explicit C-reset, forgetting everything.
+    // stancheck: allow(test-only-api) — transient-fault hook for Theorem 2 experiments
     pub fn c_reset(&mut self) {
         self.records.clear();
         self.c_resets += 1;
@@ -313,6 +314,7 @@ impl ReplyDb {
     /// Every tag present anywhere in the stored replies (including the tags of the
     /// rules they summarize) — what the practically-self-stabilizing tag generator
     /// must stay ahead of.
+    // stancheck: allow(test-only-api) — reference implementation a test compares against
     pub fn observed_tags(&self) -> Vec<Tag> {
         let mut tags = Vec::new();
         for ((_, tag), reply) in &self.records {

@@ -41,7 +41,7 @@
 //!     .run();
 //! assert_eq!(report.runs.len(), 2);
 //! assert!(report.all_converged());
-//! assert!(report.recovery_digest().mean() > 0.0);
+//! assert!(report.runs.iter().all(|run| run.first_recovery_s() > Some(0.0)));
 //! ```
 
 mod probe;

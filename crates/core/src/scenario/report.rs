@@ -1,9 +1,9 @@
 //! Result types produced by the [`ScenarioRunner`](super::ScenarioRunner): per-run
-//! records and typed multi-seed aggregation into [`Digest`]s.
+//! records, gathered in seed order into one [`ScenarioReport`].
 
 use super::probe::ProbeSeries;
 use super::workload::WorkloadReport;
-use sdn_metrics::{Digest, MetricKey};
+use sdn_metrics::MetricKey;
 
 /// One fault event as actually injected during a run (selectors resolved to concrete
 /// victims).
@@ -99,44 +99,6 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// Bootstrap times across runs as a [`Digest`] (runs that timed out contribute no
-    /// sample).
-    pub fn bootstrap_digest(&self) -> Digest {
-        let mut digest = Digest::default();
-        for run in &self.runs {
-            if let Some(s) = run.bootstrap_s {
-                digest.record(s);
-            }
-        }
-        digest
-    }
-
-    /// Recovery times of *every* fault batch across runs as a [`Digest`] (batches that
-    /// never recovered contribute no sample).
-    pub fn recovery_digest(&self) -> Digest {
-        let mut digest = Digest::default();
-        for run in &self.runs {
-            for recovery in &run.recoveries {
-                if let Some(s) = recovery.recovered_in_s {
-                    digest.record(s);
-                }
-            }
-        }
-        digest
-    }
-
-    /// Values of the end-of-run summary registered under `key` across runs, as a
-    /// [`Digest`].
-    pub fn metric_digest(&self, key: &MetricKey) -> Digest {
-        let mut digest = Digest::default();
-        for run in &self.runs {
-            if let Some(v) = run.metric(key) {
-                digest.record(v);
-            }
-        }
-        digest
-    }
-
     /// Returns `true` when every run bootstrapped and every fault batch recovered.
     ///
     /// Note that [`RunReport::final_legitimate`] is deliberately not part of this
@@ -176,10 +138,6 @@ mod tests {
                 },
             ],
         };
-        let bootstrap = report.bootstrap_digest();
-        assert_eq!(bootstrap.len(), 1);
-        assert_eq!(bootstrap.mean(), 1.0);
-        assert_eq!(report.recovery_digest().mean(), 2.0);
         assert!(!report.all_converged());
     }
 

@@ -433,9 +433,10 @@ mod tests {
         assert_eq!(report.network, "Ring-5");
         assert_eq!(report.runs.len(), 2);
         assert!(report.all_converged());
-        let digest = report.bootstrap_digest();
-        assert_eq!(digest.len(), 2);
-        assert!(digest.min() > 0.0);
+        assert!(report
+            .runs
+            .iter()
+            .all(|r| r.bootstrap_s.is_some_and(|s| s > 0.0)));
         // Different seeds are recorded per run.
         assert_ne!(report.runs[0].seed, report.runs[1].seed);
     }
@@ -605,13 +606,8 @@ mod tests {
         let sequential = determinism_scenario().threads(1).run();
         let parallel = determinism_scenario().threads(4).run();
         assert_eq!(sequential, parallel);
-        // The typed digests derived from the reports inherit that bit-identity:
-        // per-run values reduce in seed order regardless of worker count.
-        assert_eq!(sequential.bootstrap_digest(), parallel.bootstrap_digest());
-        assert_eq!(sequential.recovery_digest(), parallel.recovery_digest());
         let key = MetricKey::custom(Namespace::Scenario, "live_switches");
-        assert_eq!(sequential.metric_digest(&key), parallel.metric_digest(&key));
-        assert!(!parallel.metric_digest(&key).is_empty());
+        assert!(parallel.runs.iter().all(|r| r.metric(&key).is_some()));
         assert_eq!(parallel.runs.len(), 4);
         let seeds: Vec<u64> = parallel.runs.iter().map(|r| r.seed).collect();
         assert_eq!(seeds, vec![17, 18, 19, 20], "reports merged in seed order");
@@ -711,6 +707,5 @@ mod tests {
             .summary(key.clone(), |net| net.live_switch_ids().len() as f64)
             .run();
         assert_eq!(report.runs[0].metric(&key), Some(5.0));
-        assert_eq!(report.metric_digest(&key).mean(), 5.0);
     }
 }

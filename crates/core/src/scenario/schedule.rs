@@ -1307,7 +1307,10 @@ mod tests {
     fn corrupt_state_event_reports_mutations() {
         let mut net = bootstrapped();
         let mut ctx = FaultContext::new(11);
-        let done = ctx.apply(&mut net, &FaultEvent::CorruptState(CorruptionPlan::light()));
+        let done = ctx.apply(
+            &mut net,
+            &FaultEvent::CorruptState(CorruptionPlan::default()),
+        );
         assert_eq!(done.len(), 1);
         assert!(done[0].starts_with("corrupt state ("));
         assert!(!net.is_legitimate());

@@ -140,10 +140,6 @@ impl MetricKey {
     /// Per-second TCP retransmission percentage of a traffic workload.
     pub const RETRANSMISSIONS: MetricKey =
         MetricKey::named(Namespace::Workload, "retransmission_pct", Unit::Percent);
-    /// Flow completion time of one finished flow of the heavy-traffic engine, in
-    /// simulated seconds. Record per-flow samples under this key and the digest's
-    /// quantiles are the paper-style FCT statistics.
-    pub const FCT: MetricKey = MetricKey::named(Namespace::Workload, "fct_s", Unit::Seconds);
     /// Median flow completion time of a heavy-traffic run, in simulated seconds.
     pub const FCT_P50: MetricKey =
         MetricKey::named(Namespace::Workload, "fct_p50_s", Unit::Seconds);
@@ -154,9 +150,6 @@ impl MetricKey {
     /// Aggregate achieved goodput of the flow batch over one service interval.
     pub const ACHIEVED_THROUGHPUT: MetricKey =
         MetricKey::named(Namespace::Workload, "achieved_mbps", Unit::MbitPerSec);
-    /// Number of flows simultaneously in flight (sampled per service interval).
-    pub const CONCURRENT_FLOWS: MetricKey =
-        MetricKey::named(Namespace::Workload, "concurrent_flows", Unit::Count);
 
     /// A key with a `'static` name — usable in `const` contexts.
     pub const fn named(namespace: Namespace, name: &'static str, unit: Unit) -> MetricKey {
@@ -174,12 +167,6 @@ impl MetricKey {
             name: Cow::Owned(name.into()),
             unit: Unit::default(),
         }
-    }
-
-    /// Returns this key with a different unit.
-    pub fn with_unit(mut self, unit: Unit) -> MetricKey {
-        self.unit = unit;
-        self
     }
 
     /// The key's namespace.
@@ -258,7 +245,7 @@ mod tests {
         );
         assert_eq!(MetricKey::BOOTSTRAP_TIME.unit(), Unit::Seconds);
         assert_eq!(Unit::MbitPerSec.symbol(), "Mbit/s");
-        let k = MetricKey::custom(Namespace::Bench, "nodes").with_unit(Unit::Count);
+        let k = MetricKey::custom(Namespace::Bench, "nodes");
         assert_eq!(k.path(), "bench/nodes");
         assert_eq!(k.unit(), Unit::Count);
     }

@@ -274,7 +274,7 @@ mod tests {
     fn csv_quotes_fields_and_writes_header_once() {
         let mut buf = Vec::new();
         let mut sink = CsvSink::new(&mut buf);
-        let key = MetricKey::custom(Namespace::Bench, "x").with_unit(Unit::Seconds);
+        let key = MetricKey::named(Namespace::Bench, "x", Unit::Seconds);
         sink.record("a,b", &key, 1.0);
         sink.record("plain", &key, 2.5);
         assert_eq!(

@@ -15,7 +15,10 @@ use sdn_rng::Rng;
 /// ```
 /// use sdn_netsim::link::LinkConfig;
 /// use sdn_netsim::time::SimDuration;
-/// let cfg = LinkConfig::default().with_latency(SimDuration::from_micros(200));
+/// let cfg = LinkConfig {
+///     latency: SimDuration::from_micros(200),
+///     ..LinkConfig::default()
+/// };
 /// assert_eq!(cfg.latency.as_micros(), 200);
 /// assert_eq!(cfg.loss_probability, 0.0);
 /// ```
@@ -71,17 +74,6 @@ impl BurstLoss {
             p_enter: clamp_probability(p_enter),
             p_exit: clamp_probability(p_exit),
             loss_good: 0.0,
-            loss_bad: clamp_probability(loss_bad),
-        }
-    }
-
-    /// The full four-parameter Gilbert–Elliott channel (lossy in both states).
-    /// All probabilities are clamped to `[0, 1]`.
-    pub fn gilbert_elliott(p_enter: f64, p_exit: f64, loss_good: f64, loss_bad: f64) -> Self {
-        BurstLoss {
-            p_enter: clamp_probability(p_enter),
-            p_exit: clamp_probability(p_exit),
-            loss_good: clamp_probability(loss_good),
             loss_bad: clamp_probability(loss_bad),
         }
     }
@@ -142,54 +134,9 @@ impl Default for LinkConfig {
 }
 
 impl LinkConfig {
-    /// A perfectly reliable, zero-jitter link with the given latency.
-    pub fn reliable(latency: SimDuration) -> Self {
-        LinkConfig {
-            latency,
-            jitter: SimDuration::ZERO,
-            loss_probability: 0.0,
-            duplication_probability: 0.0,
-            bandwidth_bps: None,
-            burst: None,
-        }
-    }
-
-    /// A lossy link exhibiting all three unreliable-media failure modes of the paper's
-    /// fault model: omission (`loss`), duplication (`dup`), and reordering (via jitter).
-    /// Probabilities outside `[0, 1]` are clamped (NaN maps to 0).
-    pub fn lossy(latency: SimDuration, loss: f64, dup: f64, jitter: SimDuration) -> Self {
-        LinkConfig {
-            latency,
-            jitter,
-            loss_probability: clamp_probability(loss),
-            duplication_probability: clamp_probability(dup),
-            bandwidth_bps: None,
-            burst: None,
-        }
-    }
-
-    /// Replaces the base latency.
-    pub fn with_latency(mut self, latency: SimDuration) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Replaces the jitter bound. The bound is inclusive: per-packet jitter is drawn
-    /// from the closed interval `[0, jitter]`, so a draw of exactly `jitter` occurs.
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
     /// Replaces the loss probability, clamped into `[0, 1]` (NaN maps to 0).
     pub fn with_loss(mut self, loss: f64) -> Self {
         self.loss_probability = clamp_probability(loss);
-        self
-    }
-
-    /// Replaces the duplication probability, clamped into `[0, 1]` (NaN maps to 0).
-    pub fn with_duplication(mut self, dup: f64) -> Self {
-        self.duplication_probability = clamp_probability(dup);
         self
     }
 
@@ -202,12 +149,6 @@ impl LinkConfig {
     /// Removes any burst-loss process, returning to flat i.i.d. loss.
     pub fn without_burst(mut self) -> Self {
         self.burst = None;
-        self
-    }
-
-    /// Replaces the bandwidth (bits per second).
-    pub fn with_bandwidth_bps(mut self, bps: u64) -> Self {
-        self.bandwidth_bps = Some(bps);
         self
     }
 
@@ -325,9 +266,18 @@ impl LinkStatus {
 mod tests {
     use super::*;
 
+    /// `latency`, no jitter, loss or duplication, unlimited bandwidth.
+    fn link(latency: SimDuration) -> LinkConfig {
+        LinkConfig {
+            latency,
+            bandwidth_bps: None,
+            ..LinkConfig::default()
+        }
+    }
+
     #[test]
     fn reliable_link_always_delivers_once() {
-        let cfg = LinkConfig::reliable(SimDuration::from_micros(100));
+        let cfg = link(SimDuration::from_micros(100));
         let mut rng = Rng::seed_from_u64(1);
         for _ in 0..100 {
             match cfg.sample(&mut rng) {
@@ -342,7 +292,7 @@ mod tests {
 
     #[test]
     fn lossy_link_loses_roughly_the_configured_fraction() {
-        let cfg = LinkConfig::lossy(SimDuration::from_micros(10), 0.3, 0.0, SimDuration::ZERO);
+        let cfg = link(SimDuration::from_micros(10)).with_loss(0.3);
         let mut rng = Rng::seed_from_u64(7);
         let lost = (0..10_000)
             .filter(|_| matches!(cfg.sample(&mut rng), TransmissionOutcome::Lost))
@@ -352,7 +302,10 @@ mod tests {
 
     #[test]
     fn duplication_produces_two_copies() {
-        let cfg = LinkConfig::lossy(SimDuration::from_micros(10), 0.0, 1.0, SimDuration::ZERO);
+        let cfg = LinkConfig {
+            duplication_probability: 1.0,
+            ..link(SimDuration::from_micros(10))
+        };
         let mut rng = Rng::seed_from_u64(3);
         match cfg.sample(&mut rng) {
             TransmissionOutcome::Delivered { copies, .. } => assert_eq!(copies, 2),
@@ -362,9 +315,10 @@ mod tests {
 
     #[test]
     fn jitter_bounds_delay() {
-        let cfg = LinkConfig::default()
-            .with_latency(SimDuration::from_micros(100))
-            .with_jitter(SimDuration::from_micros(50));
+        let cfg = LinkConfig {
+            jitter: SimDuration::from_micros(50),
+            ..link(SimDuration::from_micros(100))
+        };
         let mut rng = Rng::seed_from_u64(11);
         for _ in 0..200 {
             if let TransmissionOutcome::Delivered { delay, .. } = cfg.sample(&mut rng) {
@@ -379,9 +333,10 @@ mod tests {
         // The jitter interval is closed: `gen_range(0..=jitter)` can return the bound
         // itself. Pin that the documented maximum delay is actually attained (with a
         // tiny bound, a few thousand draws hit every value of the support).
-        let cfg = LinkConfig::default()
-            .with_latency(SimDuration::from_micros(100))
-            .with_jitter(SimDuration::from_micros(3));
+        let cfg = LinkConfig {
+            jitter: SimDuration::from_micros(3),
+            ..link(SimDuration::from_micros(100))
+        };
         let mut rng = Rng::seed_from_u64(17);
         let max_delay = SimDuration::from_micros(103);
         let mut edge_hits = 0usize;
@@ -401,9 +356,13 @@ mod tests {
 
     #[test]
     fn serialization_delay_scales_with_size() {
-        let cfg = LinkConfig::default().with_bandwidth_bps(1_000_000); // 1 Mbit/s
-        assert_eq!(cfg.serialization_delay(125).as_millis(), 1); // 1000 bits at 1 Mbit/s
-        let unlimited = LinkConfig::reliable(SimDuration::ZERO);
+        let cfg = LinkConfig {
+            bandwidth_bps: Some(1_000_000), // 1 Mbit/s
+            ..LinkConfig::default()
+        };
+        // 1000 bits at 1 Mbit/s
+        assert_eq!(cfg.serialization_delay(125), SimDuration::from_millis(1));
+        let unlimited = link(SimDuration::ZERO);
         assert_eq!(unlimited.serialization_delay(1_000_000), SimDuration::ZERO);
     }
 
@@ -423,25 +382,16 @@ mod tests {
             LinkConfig::default().with_loss(f64::NAN).loss_probability,
             0.0
         );
-        assert_eq!(
-            LinkConfig::default()
-                .with_duplication(f64::INFINITY)
-                .duplication_probability,
-            1.0
-        );
-        assert_eq!(
-            LinkConfig::default()
-                .with_duplication(f64::NEG_INFINITY)
-                .duplication_probability,
-            0.0
-        );
         // The exact bounds pass through untouched.
         assert_eq!(LinkConfig::default().with_loss(0.0).loss_probability, 0.0);
         assert_eq!(LinkConfig::default().with_loss(1.0).loss_probability, 1.0);
-        let lossy = LinkConfig::lossy(SimDuration::ZERO, 2.0, -1.0, SimDuration::ZERO);
-        assert_eq!(lossy.loss_probability, 1.0);
-        assert_eq!(lossy.duplication_probability, 0.0);
-        let burst = BurstLoss::gilbert_elliott(-0.1, 1.7, f64::NAN, 5.0);
+        assert_eq!(
+            LinkConfig::default()
+                .with_loss(f64::NEG_INFINITY)
+                .loss_probability,
+            0.0
+        );
+        let burst = BurstLoss::gilbert(-0.1, 1.7, 5.0);
         assert_eq!(
             burst,
             BurstLoss {
@@ -458,7 +408,7 @@ mod tests {
         // p_enter 0.02, p_exit 0.2 → pi_bad = 0.02/0.22 ≈ 9.1% of packets in the
         // bad state, each lost with 0.9 → stationary loss ≈ 8.2%.
         let burst = BurstLoss::gilbert(0.02, 0.2, 0.9);
-        let cfg = LinkConfig::reliable(SimDuration::from_micros(10)).with_burst(burst);
+        let cfg = link(SimDuration::from_micros(10)).with_burst(burst);
         let mut state = BurstState::new(99);
         let n = 50_000;
         let mut lost = 0usize;
@@ -492,8 +442,7 @@ mod tests {
 
     #[test]
     fn burst_streams_are_deterministic_per_seed() {
-        let cfg = LinkConfig::reliable(SimDuration::from_micros(10))
-            .with_burst(BurstLoss::gilbert(0.05, 0.3, 0.8));
+        let cfg = link(SimDuration::from_micros(10)).with_burst(BurstLoss::gilbert(0.05, 0.3, 0.8));
         let run = |seed: u64| -> Vec<TransmissionOutcome> {
             let mut state = BurstState::new(seed);
             (0..500).map(|_| cfg.sample_bursty(&mut state)).collect()
@@ -504,12 +453,12 @@ mod tests {
 
     #[test]
     fn sample_bursty_without_burst_matches_flat_sampling() {
-        let cfg = LinkConfig::lossy(
-            SimDuration::from_micros(10),
-            0.3,
-            0.1,
-            SimDuration::from_micros(5),
-        );
+        let cfg = LinkConfig {
+            jitter: SimDuration::from_micros(5),
+            loss_probability: 0.3,
+            duplication_probability: 0.1,
+            ..link(SimDuration::from_micros(10))
+        };
         let mut flat_rng = Rng::seed_from_u64(21);
         let mut state = BurstState::new(21);
         for _ in 0..200 {

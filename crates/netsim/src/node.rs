@@ -154,11 +154,6 @@ impl<M: Payload> Context<M> {
     pub fn schedule(&mut self, delay: SimDuration, timer: TimerId) {
         self.timers.push((delay, timer));
     }
-
-    /// Number of messages queued for sending by this callback so far.
-    pub fn queued_sends(&self) -> usize {
-        self.outbox.len()
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +185,6 @@ mod tests {
         ctx.send(NodeId::new(1), 5);
         ctx.send(NodeId::new(2), 6);
         ctx.schedule(SimDuration::from_millis(10), TimerId(1));
-        assert_eq!(ctx.queued_sends(), 2);
         assert_eq!(ctx.outbox.len(), 2);
         assert_eq!(ctx.timers.len(), 1);
     }

@@ -287,6 +287,7 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
     /// Rebuilds `Go` from scratch out of `Gc`, the link statuses, and the failed
     /// node set. Reference implementation for tests and benches; always equal to
     /// [`Simulator::operational_graph`].
+    // stancheck: allow(test-only-api) — reference implementation a test compares against
     pub fn rebuild_operational_graph(&self) -> Graph {
         let mut g = Graph::new();
         for node in self.topology.nodes() {
@@ -368,12 +369,6 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
     }
 
     /// The neighbors node `id` currently *observes* through local topology discovery.
-    pub fn observed_neighbors(&self, id: NodeId) -> Vec<NodeId> {
-        self.observed(id).to_vec()
-    }
-
-    /// Borrowed view of the observed neighborhood — the allocation-free variant of
-    /// [`Simulator::observed_neighbors`].
     pub fn observed(&self, id: NodeId) -> &[NodeId] {
         let i = id.as_usize();
         if self.observed_present.get(i).copied().unwrap_or(false) {
@@ -545,27 +540,6 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
         self.started[i] = false;
         self.generation += 1;
         prev
-    }
-
-    /// Adds a brand new node to the topology together with its links and state machine.
-    pub fn add_node_with_links(&mut self, id: NodeId, links: &[NodeId], node: N) {
-        self.topology.add_node(id);
-        self.grow_node_tables(id.as_usize());
-        if !self.is_node_failed(id) && !self.operational.contains_node(id) {
-            self.operational.add_node(id);
-            self.generation += 1;
-        }
-        for &peer in links {
-            self.topology.add_link(id, peer);
-            self.grow_node_tables(peer.as_usize());
-            if !self.is_node_failed(peer) && !self.operational.contains_node(peer) {
-                self.operational.add_node(peer);
-                self.generation += 1;
-            }
-            self.sync_operational_link(id, peer);
-        }
-        self.add_node(id, node);
-        self.schedule_observation_refresh();
     }
 
     /// Permanently removes a node and its links from the simulation.
@@ -1057,12 +1031,12 @@ mod tests {
             sim.add_node(node, Echo::new(false));
         }
         sim.start();
-        assert_eq!(sim.observed_neighbors(n(1)), vec![n(0), n(2)]);
+        assert_eq!(sim.observed(n(1)), [n(0), n(2)]);
         sim.fail_link(n(0), n(1));
         // Before the detection delay elapses the stale neighbor is still observed.
-        assert_eq!(sim.observed_neighbors(n(1)), vec![n(0), n(2)]);
+        assert_eq!(sim.observed(n(1)), [n(0), n(2)]);
         sim.run_for(SimDuration::from_millis(200));
-        assert_eq!(sim.observed_neighbors(n(1)), vec![n(2)]);
+        assert_eq!(sim.observed(n(1)), [n(2)]);
     }
 
     #[test]
@@ -1130,7 +1104,10 @@ mod tests {
         let mut sim: Simulator<u64, Echo> = Simulator::new(
             &g,
             SimConfig {
-                default_link: LinkConfig::default().with_duplication(1.0),
+                default_link: LinkConfig {
+                    duplication_probability: 1.0,
+                    ..LinkConfig::default()
+                },
                 detection_delay: SimDuration::ZERO,
                 seed: 1,
             },
@@ -1180,12 +1157,13 @@ mod tests {
     }
 
     #[test]
-    fn add_node_with_links_expands_topology() {
+    fn a_new_link_brings_its_new_endpoint_into_the_topology() {
         let mut sim = sim_with_echo(false);
-        sim.add_node_with_links(n(5), &[n(2)], Echo::new(false));
+        sim.add_link(n(5), n(2));
+        sim.add_node(n(5), Echo::new(false));
         assert!(sim.topology().has_link(n(2), n(5)));
         assert!(sim.node(n(5)).is_some());
-        assert_eq!(sim.observed_neighbors(n(5)), vec![n(2)]);
+        assert_eq!(sim.observed(n(5)), [n(2)]);
     }
 
     #[test]
@@ -1306,7 +1284,8 @@ mod tests {
                     6 => {
                         let id = n(next_id);
                         next_id += 1;
-                        sim.add_node_with_links(id, &[a], Echo::new(false));
+                        sim.add_link(id, a);
+                        sim.add_node(id, Echo::new(false));
                     }
                     _ => {
                         // Advance time so scheduled refreshes interleave with faults.
@@ -1466,9 +1445,11 @@ mod tests {
                 },
             );
             sim.add_node(n(3), idle.clone());
-            let gray = LinkConfig::default()
-                .with_jitter(SimDuration::from_micros(500))
-                .with_burst(crate::link::BurstLoss::gilbert(0.1, 0.3, 0.9));
+            let gray = LinkConfig {
+                jitter: SimDuration::from_micros(500),
+                ..LinkConfig::default()
+            }
+            .with_burst(crate::link::BurstLoss::gilbert(0.1, 0.3, 0.9));
             assert!(sim.set_link_config(n(0), n(1), gray));
             // The background pair runs on a flat lossy link fed by the shared RNG.
             assert!(sim.set_link_config(n(2), n(3), LinkConfig::default().with_loss(0.5)));

@@ -43,19 +43,9 @@ impl SimTime {
         self.0
     }
 
-    /// This time point expressed in (truncated) milliseconds.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// This time point expressed in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Saturating difference `self - earlier`.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration::from_micros(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -96,27 +86,9 @@ impl SimDuration {
         SimDuration(secs * 1_000_000)
     }
 
-    /// Creates a duration from fractional seconds (rounded down to microseconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "duration must be non-negative"
-        );
-        SimDuration((secs * 1_000_000.0) as u64)
-    }
-
     /// The duration expressed in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// The duration expressed in (truncated) milliseconds.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// The duration expressed in fractional seconds.
@@ -181,17 +153,16 @@ mod tests {
     #[test]
     fn conversions_roundtrip() {
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
-        assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
+        assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_secs_f64(), 1.0);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_millis(), 500);
     }
 
     #[test]
     fn arithmetic() {
         let t = SimTime::from_secs(1) + SimDuration::from_millis(500);
-        assert_eq!(t.as_millis(), 1_500);
-        assert_eq!((t - SimTime::from_secs(1)).as_millis(), 500);
-        assert_eq!(t.duration_since(SimTime::from_secs(2)), SimDuration::ZERO);
+        assert_eq!(t.as_micros(), 1_500_000);
+        assert_eq!(t - SimTime::from_secs(1), SimDuration::from_millis(500));
+        assert_eq!(t - SimTime::from_secs(2), SimDuration::ZERO);
         let mut u = SimTime::ZERO;
         u += SimDuration::from_micros(7);
         assert_eq!(u.as_micros(), 7);
@@ -199,8 +170,8 @@ mod tests {
         d += SimDuration::from_millis(2);
         assert_eq!(d + SimDuration::from_millis(1), SimDuration::from_millis(4));
         assert_eq!(
-            SimDuration::from_millis(4).saturating_mul(3).as_millis(),
-            12
+            SimDuration::from_millis(4).saturating_mul(3),
+            SimDuration::from_millis(12)
         );
     }
 
@@ -210,11 +181,5 @@ mod tests {
         assert!(SimDuration::ZERO.is_zero());
         assert_eq!(SimTime::from_millis(1500).to_string(), "1.500s");
         assert_eq!(SimDuration::from_millis(250).to_string(), "0.250s");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_duration_panics() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 }

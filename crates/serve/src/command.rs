@@ -571,7 +571,12 @@ mod tests {
     #[test]
     fn faults_without_a_wire_form_are_refused_with_reasons() {
         let lossy_good = DegradeSpec {
-            burst: Some(BurstLoss::gilbert_elliott(0.15, 0.35, 0.1, 1.0)),
+            burst: Some(BurstLoss {
+                p_enter: 0.15,
+                p_exit: 0.35,
+                loss_good: 0.1,
+                loss_bad: 1.0,
+            }),
             ..DegradeSpec::gray()
         };
         let groups = PartitionSpec::Groups(vec![vec![NodeId::new(2)], vec![NodeId::new(7)]]);
@@ -617,7 +622,7 @@ mod tests {
                 Unencodable::UnresolvedSelector,
             ),
             (
-                FaultEvent::CorruptState(CorruptionPlan::light()),
+                FaultEvent::CorruptState(CorruptionPlan::default()),
                 Unencodable::CorruptState,
             ),
             (

@@ -791,7 +791,7 @@ mod tests {
     fn faults_without_a_wire_form_are_refused() {
         let mut s = Session::new(tiny());
         for event in [
-            FaultEvent::CorruptState(renaissance::CorruptionPlan::light()),
+            FaultEvent::CorruptState(renaissance::CorruptionPlan::default()),
             FaultEvent::FailLink(LinkSelector::RandomSafe { count: 1 }),
             FaultEvent::FlapLink {
                 selector: between(3, 4),

@@ -7,28 +7,29 @@
 //!   suppresses nothing;
 //! - a waiver naming an unknown rule is a `waiver-unknown-rule` finding;
 //! - a justified waiver that suppresses nothing is a `waiver-unused` finding, so
-//!   stale waivers are flushed out when the hazard they covered is fixed;
+//!   stale waivers are flushed out when the hazard they covered is fixed — except a
+//!   `test-only-api` waiver when the cross-file pass did not run (a scan of explicit
+//!   paths), which cannot know whether it is stale;
 //! - malformed `stancheck:` comments are `waiver-syntax` findings.
 //!
 //! None of the `waiver-*` meta findings can themselves be waived: the waiver channel
 //! must stay auditable.
 
-use crate::lexer::lex;
+use crate::lexer::Comment;
 use crate::report::{Finding, WaiverRecord};
-use crate::rules::{rule_by_id, scan, FileContext, FileKind, Severity};
-use crate::scope::test_mask;
+use crate::rules::{rule_by_id, FileContext, FileKind, RawFinding, Severity};
 use crate::waiver::parse_waivers;
 
-/// Analyzes one file's source. `file` is the repo-relative path used in reports.
-pub fn analyze_source(
+/// Matches one file's raw findings against its waivers. `file` is the repo-relative
+/// path used in reports; `cross_file` says whether the `test-only-api` pass ran, so
+/// whether its waivers can be judged unused.
+pub fn resolve(
     file: &str,
-    src: &str,
-    ctx: &FileContext,
+    raw: Vec<RawFinding>,
+    comments: &[Comment<'_>],
+    cross_file: bool,
 ) -> (Vec<Finding>, Vec<WaiverRecord>) {
-    let lexed = lex(src);
-    let mask = test_mask(&lexed.tokens);
-    let raw = scan(&lexed.tokens, &mask, ctx);
-    let (waivers, syntax_errors) = parse_waivers(&lexed.comments);
+    let (waivers, syntax_errors) = parse_waivers(comments);
 
     let mut used = vec![false; waivers.len()];
     let mut findings = Vec::new();
@@ -86,7 +87,10 @@ pub fn analyze_source(
                 w.line,
                 "waiver has no written justification; append `— <reason>`".to_string(),
             ));
-        } else if !used[wi] && w.rules.iter().all(|r| rule_by_id(r).is_some()) {
+        } else if !used[wi]
+            && w.rules.iter().all(|r| rule_by_id(r).is_some())
+            && (cross_file || !w.rules.iter().any(|r| r == "test-only-api"))
+        {
             findings.push(meta(
                 file,
                 "waiver-unused",
@@ -159,6 +163,21 @@ pub fn fixture_directive(src: &str) -> Option<FileContext> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
+    use crate::rules::scan;
+    use crate::scope::test_mask;
+
+    /// One file through the per-file rules and waiver resolution.
+    fn analyze_source(
+        file: &str,
+        src: &str,
+        ctx: &FileContext,
+    ) -> (Vec<Finding>, Vec<WaiverRecord>) {
+        let lexed = lex(src);
+        let mask = test_mask(&lexed.tokens);
+        let raw = scan(&lexed.tokens, &mask, ctx);
+        resolve(file, raw, &lexed.comments, false)
+    }
 
     fn lib_ctx(name: &str) -> FileContext {
         FileContext {

@@ -8,11 +8,12 @@
 //!   --out PATH     also write the JSON report to PATH
 //!   --list-rules   print the rule table and exit
 //!   PATHS...       explicit files or directories to scan instead of the workspace
+//!                  (per-file rules only: `test-only-api` needs the whole workspace)
 //!
 //! exit status: 0 = no unwaived findings, 1 = unwaived findings, 2 = usage/IO error
 //! ```
 
-use sdn_stancheck::{analyze_files, walk, Report, Severity, RULES};
+use sdn_stancheck::{analyze_files, analyze_workspace, walk, Report, Severity, RULES};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -132,7 +133,12 @@ fn main() -> ExitCode {
         files
     };
 
-    let report = analyze_files(&root, &files);
+    // Only a whole-workspace scan can tell that a public item has no caller.
+    let report = if opts.paths.is_empty() {
+        analyze_workspace(&root, &files)
+    } else {
+        analyze_files(&root, &files)
+    };
 
     if let Some(out_path) = &opts.out {
         if let Err(err) = std::fs::write(out_path, report.to_json()) {

@@ -9,12 +9,12 @@
 use crate::lexer::{Token, TokenKind};
 
 /// How bad an unwaived finding is. Both severities fail the build; the split exists
-/// so reports can rank determinism breakers above robustness smells.
+/// so reports can rank determinism breakers above robustness and dead-code smells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// Breaks seeded bit-identical reproduction (hash iteration, wall clock, ...).
     Error,
-    /// Robustness hazard in library code (`unwrap`/`expect`).
+    /// Robustness hazard or dead public API in library code.
     Warning,
 }
 
@@ -127,7 +127,7 @@ pub struct Rule {
 }
 
 /// Every rule the analyzer knows, in report order.
-pub const RULES: [Rule; 8] = [
+pub const RULES: [Rule; 9] = [
     Rule {
         id: "hash-collections",
         severity: Severity::Error,
@@ -181,6 +181,17 @@ pub const RULES: [Rule; 8] = [
                   library paths abort whole campaigns; return errors or justify \
                   infallibility with a waiver",
     },
+    Rule {
+        id: "test-only-api",
+        severity: Severity::Warning,
+        summary: "pub/pub(crate) fn, const, static, struct, enum, type or trait in \
+                  library code that no production token names (whole-workspace scans \
+                  only): callers are the item's own file, library code, binaries, \
+                  examples and every token of the benchmark package; tests and docs \
+                  are not. Delete it, or waive it as a test's reference \
+                  implementation, a transient-fault hook, API named in README or a \
+                  crate doc example, or API awaiting a ROADMAP decision",
+    },
 ];
 
 /// Looks up a rule by id.
@@ -209,7 +220,8 @@ const PAR_IDENTS: [&str; 6] = [
     "par_extend",
 ];
 
-/// Runs every rule over a lexed token stream.
+/// Runs every per-file rule over a lexed token stream (`test-only-api` is the
+/// cross-file pass in [`crate::callers`]).
 ///
 /// `mask[i]` marks tokens inside test-only scopes (see [`crate::scope::test_mask`]);
 /// most rules skip those.
@@ -355,7 +367,7 @@ pub fn scan(tokens: &[Token<'_>], mask: &[bool], ctx: &FileContext) -> Vec<RawFi
     findings
 }
 
-fn finding(id: &str, line: u32, message: String) -> RawFinding {
+pub(crate) fn finding(id: &str, line: u32, message: String) -> RawFinding {
     RawFinding {
         rule: rule_by_id(id).unwrap_or(&RULES[0]),
         line,

@@ -8,8 +8,9 @@
 //! The detection is a heuristic over tokens, not a full parse: an attribute that
 //! mentions `test` (and does not mention `not`, so `#[cfg(not(test))]` stays
 //! production code) arms a pending flag; the next `{` opens a test scope that covers
-//! everything to the matching `}`. A `;` before any `{` disarms the flag, so
-//! `#[cfg(test)] use foo;` does not quarantine the rest of the file.
+//! everything to the matching `}`. The item header between the attribute and that
+//! `{` (`pub(crate) fn helper()`) is test-only too. A `;` before any `{` disarms the
+//! flag, so `#[cfg(test)] use foo;` masks that item and not the rest of the file.
 
 use crate::lexer::Token;
 
@@ -78,14 +79,17 @@ pub fn test_mask(tokens: &[Token<'_>]) -> Vec<bool> {
                 i += 1;
                 continue;
             }
-            ";" => {
+            ";" if pending => {
                 // An item ended without a body: the armed attribute applied to a
                 // braceless item (`use`, `type`, ...), not to a scope.
                 pending = false;
+                mask[i] = true;
+                i += 1;
+                continue;
             }
             _ => {}
         }
-        mask[i] = in_test;
+        mask[i] = in_test || pending;
         i += 1;
     }
     mask
@@ -159,7 +163,20 @@ mod tests {
             use std::collections::BTreeMap;
             fn production() { real() }
         "#;
+        assert!(is_test(src, "BTreeMap"));
         assert!(!is_test(src, "real"));
+    }
+
+    #[test]
+    fn a_test_gated_item_header_is_masked() {
+        let src = r#"
+            #[cfg(test)]
+            pub(crate) fn reference(x: Input) -> Output { body() }
+            pub fn live() {}
+        "#;
+        assert!(is_test(src, "reference"));
+        assert!(is_test(src, "Input"));
+        assert!(!is_test(src, "live"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! actual workspace scan must come back clean and no crate below the experiment
 //! harness may depend on it, so `cargo test` is where the determinism guard runs.
 
-use sdn_stancheck::{analyze_files, walk, Report};
+use sdn_stancheck::{analyze_files, analyze_workspace, walk, Report, RULES};
 use std::path::{Path, PathBuf};
 
 fn manifest_dir() -> PathBuf {
@@ -142,6 +142,63 @@ fn serve_transport_fixture_is_clean_under_the_scope_rule() {
 }
 
 #[test]
+fn test_only_api_fixture_flags_what_no_production_code_names() {
+    let root = manifest_dir();
+    let dir = root.join("fixtures").join("test_only_api");
+    let files = [dir.join("caller.rs"), dir.join("lib.rs")];
+    let report = analyze_workspace(&root, &files);
+    let unwaived: Vec<(&str, u32)> = report
+        .unwaived()
+        .map(|f| (f.rule.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        unwaived,
+        [
+            ("test-only-api", 11), // used_only_by_tests: only its own test calls it
+            ("test-only-api", 16), // NAMED_BY_NOBODY
+            ("test-only-api", 20), // NamedInDocs: named only in a doc comment and a string
+            ("waiver-unused", 34), // hook has a production caller
+        ]
+    );
+    for (finding, name) in
+        report
+            .unwaived()
+            .zip(["used_only_by_tests", "NAMED_BY_NOBODY", "NamedInDocs"])
+    {
+        assert!(
+            finding.message.contains(&format!("`{name}`")),
+            "{finding:?}"
+        );
+    }
+    // The waived reference implementation is suppressed, and its reason recorded.
+    let waived: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.waived)
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(waived.len(), 1);
+    assert!(waived[0].contains("`reference`"));
+    let reasons: Vec<(&str, bool)> = report
+        .waivers
+        .iter()
+        .map(|w| (w.reason.as_str(), w.used))
+        .collect();
+    assert_eq!(
+        reasons,
+        [
+            ("reference implementation a test compares against", true),
+            ("transient-fault hook for Theorem 2 experiments", false),
+        ]
+    );
+
+    // Explicit paths run only the per-file rules: nothing is flagged, and a
+    // `test-only-api` waiver is not judged unused by a pass that did not run.
+    let per_file = analyze_files(&root, &files);
+    assert_eq!(per_file.findings.len(), 0, "{:?}", per_file.findings);
+}
+
+#[test]
 fn whole_bad_corpus_fails_loudly() {
     let root = manifest_dir();
     let dir = root.join("fixtures").join("bad");
@@ -192,7 +249,7 @@ fn the_workspace_itself_is_clean() {
     let root = workspace_root();
     let files = walk::workspace_files(&root).expect("walk workspace");
     assert!(files.len() > 80, "workspace walk found too few files");
-    let report = analyze_files(&root, &files);
+    let report = analyze_workspace(&root, &files);
     let offenders: Vec<String> = report
         .unwaived()
         .map(|f| format!("{}:{} {} {}", f.file, f.line, f.rule, f.message))
@@ -210,6 +267,47 @@ fn the_workspace_itself_is_clean() {
         );
         assert!(!waiver.reason.is_empty());
     }
+    // Public API only tests call stays for one of four reasons, and says which.
+    let reasons = [
+        "reference implementation a test compares against",
+        "transient-fault hook for Theorem 2 experiments",
+        "API named in README or in a crate-level doc example",
+        "awaits a ROADMAP decision",
+    ];
+    for waiver in report
+        .waivers
+        .iter()
+        .filter(|w| w.rules.iter().any(|r| r == "test-only-api"))
+    {
+        assert!(
+            reasons.iter().any(|r| waiver.reason.starts_with(r)),
+            "{}:{}: a test-only-api waiver must give one of {reasons:?}, not `{}`",
+            waiver.file,
+            waiver.line,
+            waiver.reason
+        );
+    }
+}
+
+#[test]
+fn readme_rule_table_names_every_rule_in_order() {
+    // README's "Correctness tooling" table names every rule, in `RULES` order:
+    // `| `id` | severity | what it flags |`.
+    let readme = std::fs::read_to_string(workspace_root().join("README.md")).expect("read README");
+    let section = readme
+        .split("## Correctness tooling")
+        .nth(1)
+        .expect("README section")
+        .split("\n## ")
+        .next()
+        .unwrap_or_default();
+    let rows: Vec<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split('`').next())
+        .collect();
+    let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
+    assert_eq!(rows, ids, "README rule table vs stancheck::RULES");
 }
 
 #[test]

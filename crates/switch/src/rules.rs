@@ -108,6 +108,7 @@ impl RuleSummary {
     /// Summarizes arbitrary rules, in any order — including rule sets no switch would
     /// produce (foreign owners, tags far ahead of any generator), which is what a
     /// corrupted `replyDB` holds. The reference [`RuleTable::summary`] is tested against.
+    // stancheck: allow(test-only-api) — reference implementation a test compares against
     pub fn from_rules<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> Self {
         let mut pairs: Vec<(NodeId, Tag)> = rules.into_iter().map(|r| (r.cid, r.tag)).collect();
         pairs.sort_unstable();

@@ -131,11 +131,6 @@ impl AbstractSwitch {
         &self.managers
     }
 
-    /// The meta-rule tag most recently installed by `controller`, if any.
-    pub fn meta_tag(&self, controller: NodeId) -> Option<Tag> {
-        self.meta_tags.get(&controller).copied()
-    }
-
     /// Activity counters.
     pub fn stats(&self) -> SwitchStats {
         self.stats
@@ -305,7 +300,7 @@ mod tests {
         assert_eq!(reply.managers, vec![n(0)]);
         assert_eq!(reply.rules.rule_count(), 2);
         assert_eq!(reply.echo_tag, tag);
-        assert_eq!(sw.meta_tag(n(0)), Some(tag));
+        assert_eq!(sw.meta_tags.get(&n(0)), Some(&tag));
         assert_eq!(sw.stats().batches_applied, 1);
         assert_eq!(sw.stats().queries_answered, 1);
     }
@@ -374,7 +369,7 @@ mod tests {
         assert_eq!(reply.managers, vec![n(0)]);
         assert_eq!(reply.rules.rule_count(), 0);
         assert_eq!(
-            sw.meta_tag(n(1)),
+            sw.meta_tags.get(&n(1)),
             None,
             "delAllRules drops the meta tag too"
         );
@@ -432,7 +427,7 @@ mod tests {
         sw.corrupt_clear();
         assert!(sw.managers().is_empty());
         assert!(sw.rules().is_empty());
-        assert_eq!(sw.meta_tag(n(7)), None);
+        assert_eq!(sw.meta_tags.get(&n(7)), None);
     }
 
     #[test]

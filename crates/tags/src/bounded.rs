@@ -73,6 +73,7 @@ impl BoundedTagGenerator {
 
     /// Starts a new observation round; observations accumulate until
     /// [`BoundedTagGenerator::end_observation_round`].
+    // stancheck: allow(test-only-api) — awaits a ROADMAP decision: item 3 keeps or deletes `bounded`
     pub fn begin_observation_round(&mut self) {
         self.observing.clear();
     }
@@ -87,6 +88,7 @@ impl BoundedTagGenerator {
 
     /// Completes the observation round: the observed set becomes the authoritative
     /// "still in use" set for recycling decisions.
+    // stancheck: allow(test-only-api) — awaits a ROADMAP decision: item 3 keeps or deletes `bounded`
     pub fn end_observation_round(&mut self) {
         self.in_use = std::mem::take(&mut self.observing);
     }

@@ -29,12 +29,6 @@ pub mod bounded;
 
 use std::fmt;
 
-/// Number of synchronization rounds the round-synchronization machinery may need to
-/// recover after a transient fault (the paper's `Delta_synch`). For this tag scheme a
-/// single full observation round suffices, but we keep the constant explicit because the
-/// analysis (Theorem 2) is parameterized by it.
-pub const DELTA_SYNCH: usize = 1;
-
 /// A synchronization-round tag: unique per owner during legal executions.
 ///
 /// Tags are ordered by `(value, owner)` so that "strictly newer than anything observed"

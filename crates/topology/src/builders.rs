@@ -163,14 +163,6 @@ fn parse_generator(lower: &str) -> Option<Box<dyn Fn(usize) -> NamedTopology>> {
     }
 }
 
-/// All five paper networks with the given number of controllers, in Table 8 order.
-pub fn paper_networks(n_controllers: usize) -> Vec<NamedTopology> {
-    PAPER_NETWORK_NAMES
-        .iter()
-        .map(|name| by_name(name, n_controllers))
-        .collect()
-}
-
 /// Google's B4 inter-datacenter WAN: 12 switches, diameter 5 (Table 8).
 pub fn b4(n_controllers: usize) -> NamedTopology {
     isp_named("B4", 12, 5, n_controllers)
@@ -605,68 +597,6 @@ pub fn line(n_switches: usize, n_controllers: usize) -> NamedTopology {
     }
 }
 
-/// A random connected 2-edge-connected topology, reproducible from `seed`.
-///
-/// Starts from a ring (guaranteeing 2-edge-connectivity) and adds `extra_links` random
-/// chords. Used by property tests to exercise the algorithms on irregular graphs.
-///
-/// # Panics
-///
-/// Panics if `n_switches < 3`.
-pub fn random_2connected(
-    n_switches: usize,
-    extra_links: usize,
-    n_controllers: usize,
-    seed: u64,
-) -> NamedTopology {
-    assert!(
-        n_switches >= 3,
-        "random_2connected needs at least 3 switches"
-    );
-    let mut rng = Rng::seed_from_u64(seed);
-    let sw = |i: usize| NodeId::new((n_controllers + i) as u32);
-    // Random ring: permute the switches so the ring order is not the identifier order.
-    let mut order: Vec<usize> = (0..n_switches).collect();
-    rng.shuffle(&mut order);
-    let mut g = Graph::new();
-    for i in 0..n_switches {
-        g.add_link(sw(order[i]), sw(order[(i + 1) % n_switches]));
-    }
-    let mut added = 0;
-    let mut attempts = 0;
-    while added < extra_links && attempts < extra_links * 20 + 100 {
-        attempts += 1;
-        let a = rng.gen_range(0..n_switches);
-        let b = rng.gen_range(0..n_switches);
-        if a != b && !g.has_link(sw(a), sw(b)) {
-            g.add_link(sw(a), sw(b));
-            added += 1;
-        }
-    }
-    let switch_graph = g.clone();
-    let mut full = g;
-    let controllers: Vec<NodeId> = (0..n_controllers).map(|i| NodeId::new(i as u32)).collect();
-    for &c in &controllers {
-        let a = rng.gen_range(0..n_switches);
-        let mut b = rng.gen_range(0..n_switches);
-        while b == a {
-            b = rng.gen_range(0..n_switches);
-        }
-        full.add_link(c, sw(a));
-        full.add_link(c, sw(b));
-    }
-    let switches: Vec<NodeId> = (0..n_switches).map(sw).collect();
-    let expected_diameter = crate::paths::diameter(&switch_graph);
-    NamedTopology {
-        name: format!("Random-{n_switches}-{seed}"),
-        graph: full,
-        switch_graph,
-        controllers,
-        switches,
-        expected_diameter,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,7 +627,7 @@ mod tests {
 
     #[test]
     fn paper_networks_are_two_edge_connected() {
-        for net in paper_networks(3) {
+        for net in PAPER_NETWORK_NAMES.map(|name| by_name(name, 3)) {
             assert!(
                 connectivity::supports_kappa(&net.graph, 1),
                 "{} must be 2-edge-connected including controllers",
@@ -762,7 +692,7 @@ mod tests {
     #[test]
     fn controllers_stay_close_to_backbone() {
         // Attaching controllers must not blow up the full-graph diameter by more than 2.
-        for net in paper_networks(7) {
+        for net in PAPER_NETWORK_NAMES.map(|name| by_name(name, 7)) {
             let full_d = paths::diameter(&net.graph);
             assert!(
                 full_d <= net.expected_diameter + 2,
@@ -785,16 +715,6 @@ mod tests {
         assert_eq!(l.switch_count(), 5);
         assert_eq!(paths::diameter(&l.switch_graph), 4);
         assert_eq!(connectivity::edge_connectivity(&l.switch_graph), 1);
-    }
-
-    #[test]
-    fn random_topology_is_reproducible_and_robust() {
-        let a = random_2connected(30, 10, 3, 42);
-        let b = random_2connected(30, 10, 3, 42);
-        assert_eq!(a.graph, b.graph);
-        assert!(connectivity::supports_kappa(&a.graph, 1));
-        let c = random_2connected(30, 10, 3, 43);
-        assert_ne!(a.graph, c.graph, "different seeds should differ");
     }
 
     #[test]

@@ -150,11 +150,6 @@ impl Graph {
         self.adjacency.values().map(|n| n.len()).max().unwrap_or(0)
     }
 
-    /// Returns the minimum degree over all nodes (0 for the empty graph).
-    pub fn min_degree(&self) -> usize {
-        self.adjacency.values().map(|n| n.len()).min().unwrap_or(0)
-    }
-
     /// Iterates over every undirected link exactly once, in canonical order.
     pub fn links(&self) -> impl Iterator<Item = Link> + '_ {
         self.adjacency.iter().flat_map(|(&a, neighbors)| {
@@ -164,21 +159,6 @@ impl Graph {
                 .filter(move |&b| a < b)
                 .map(move |b| Link::new(a, b))
         })
-    }
-
-    /// Returns a copy of this graph with the given links removed (nodes kept).
-    ///
-    /// Used to model the operational graph `Go(k)` obtained from `Gc` by removing `k`
-    /// failed links (paper, Section 2.2.2).
-    pub fn without_links<'a, I>(&self, removed: I) -> Graph
-    where
-        I: IntoIterator<Item = &'a Link>,
-    {
-        let mut g = self.clone();
-        for link in removed {
-            g.remove_link(link.a, link.b);
-        }
-        g
     }
 
     /// Returns a copy of this graph with the given nodes removed.
@@ -255,7 +235,6 @@ mod tests {
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.link_count(), 0);
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.min_degree(), 0);
         assert_eq!(g.neighbors(n(0)).count(), 0);
     }
 
@@ -302,7 +281,6 @@ mod tests {
         assert_eq!(neighbors, vec![n(1), n(3), n(9)]);
         assert_eq!(g.degree(n(5)), 3);
         assert_eq!(g.max_degree(), 3);
-        assert_eq!(g.min_degree(), 1);
     }
 
     #[test]
@@ -318,9 +296,6 @@ mod tests {
     #[test]
     fn without_links_and_nodes() {
         let g = triangle();
-        let cut = g.without_links(&[Link::new(n(0), n(1))]);
-        assert_eq!(cut.link_count(), 2);
-        assert_eq!(g.link_count(), 3, "original untouched");
         let pruned = g.without_nodes(&[n(2)]);
         assert_eq!(pruned.node_count(), 2);
         assert_eq!(pruned.link_count(), 1);

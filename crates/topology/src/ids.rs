@@ -157,11 +157,6 @@ impl Link {
             None
         }
     }
-
-    /// Returns `true` if `node` is one of the two endpoints.
-    pub fn touches(&self, node: NodeId) -> bool {
-        self.a == node || self.b == node
-    }
 }
 
 impl fmt::Display for Link {
@@ -200,8 +195,6 @@ mod tests {
         assert_eq!(l.other(NodeId::new(1)), Some(NodeId::new(9)));
         assert_eq!(l.other(NodeId::new(9)), Some(NodeId::new(1)));
         assert_eq!(l.other(NodeId::new(5)), None);
-        assert!(l.touches(NodeId::new(9)));
-        assert!(!l.touches(NodeId::new(2)));
     }
 
     #[test]

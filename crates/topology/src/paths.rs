@@ -30,8 +30,7 @@ use crate::ids::NodeId;
 /// ]);
 /// let tree = BfsTree::compute(&g, NodeId::new(0));
 /// assert_eq!(tree.distance(NodeId::new(2)), Some(2));
-/// assert_eq!(tree.path_to(NodeId::new(2)).unwrap(),
-///            vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
+/// assert_eq!(tree.parent(NodeId::new(2)), Some(NodeId::new(1)));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BfsTree {
@@ -42,7 +41,6 @@ pub struct BfsTree {
     dist: Vec<u32>,
     /// Per dense index; [`NO_INDEX`] marks the source and unreachable nodes.
     parent: Vec<u32>,
-    reached: usize,
 }
 
 impl BfsTree {
@@ -73,13 +71,12 @@ impl BfsTree {
             .index_of(source)
             // stancheck: allow(unwrap-expect) — documented contract (see `# Panics`): callers pass sources drawn from the same snapshot they hand in
             .expect("BFS source must be part of the snapshot");
-        let reached = flat.bfs(source_idx, scratch);
+        flat.bfs(source_idx, scratch);
         BfsTree {
             source,
             source_idx,
             dist: scratch.distances().to_vec(),
             parent: scratch.parents().to_vec(),
-            reached,
             flat,
         }
     }
@@ -121,31 +118,6 @@ impl BfsTree {
             .zip(&self.dist)
             .filter(|(_, &d)| d != NO_INDEX)
             .map(|(&n, &d)| (n, d))
-    }
-
-    /// Number of reachable nodes, including the source.
-    pub fn reachable_count(&self) -> usize {
-        self.reached
-    }
-
-    /// Reconstructs the first shortest path from the source to `target`
-    /// (inclusive of both endpoints), or `None` if the target is unreachable.
-    pub fn path_to(&self, target: NodeId) -> Option<Vec<NodeId>> {
-        let target_idx = self.flat.index_of(target)?;
-        if self.dist[target_idx as usize] == NO_INDEX {
-            return None;
-        }
-        let mut path = vec![target];
-        let mut cur = target_idx;
-        while cur != self.source_idx {
-            cur = self.parent[cur as usize];
-            if cur == NO_INDEX {
-                return None;
-            }
-            path.push(self.flat.node_at(cur));
-        }
-        path.reverse();
-        Some(path)
     }
 
     /// The first hop from the source towards `target`, or `None` if the target is the
@@ -253,7 +225,7 @@ mod tests {
         assert_eq!(tree.distance(n(1)), Some(1));
         assert_eq!(tree.distance(n(3)), Some(1));
         assert_eq!(tree.distance(n(2)), Some(2));
-        assert_eq!(tree.reachable_count(), 4);
+        assert_eq!(tree.reachable().count(), 4);
         assert!(tree.reaches(n(2)));
     }
 
@@ -261,9 +233,8 @@ mod tests {
     fn first_shortest_path_uses_lowest_index_neighbors() {
         // Two shortest paths 0->3: 0-1-3 and 0-2-3. The "first" one goes through 1.
         let g = Graph::from_links([(n(0), n(1)), (n(0), n(2)), (n(1), n(3)), (n(2), n(3))]);
-        let path = BfsTree::compute(&g, n(0)).path_to(n(3)).unwrap();
-        assert_eq!(path, vec![n(0), n(1), n(3)]);
         let tree = BfsTree::compute(&g, n(0));
+        assert_eq!(tree.parent(n(3)), Some(n(1)));
         assert_eq!(tree.first_hop(n(3)), Some(n(1)));
         assert_eq!(tree.first_hop(n(0)), None);
     }
@@ -274,7 +245,7 @@ mod tests {
         g.add_node(n(9));
         let tree = BfsTree::compute(&g, n(0));
         assert_eq!(tree.distance(n(9)), None);
-        assert!(tree.path_to(n(9)).is_none());
+        assert!(tree.parent(n(9)).is_none());
         assert!(tree.first_hop(n(9)).is_none());
         assert!(!is_connected(&g));
         assert_eq!(reachable_set(&g, n(0)).len(), 4);
@@ -286,7 +257,7 @@ mod tests {
     fn bfs_from_missing_source_contains_only_source() {
         let g = ring4();
         let tree = BfsTree::compute(&g, n(42));
-        assert_eq!(tree.reachable_count(), 1);
+        assert_eq!(tree.reachable().count(), 1);
         assert_eq!(tree.distance(n(42)), Some(0));
         assert_eq!(tree.distance(n(0)), None);
     }
@@ -306,16 +277,6 @@ mod tests {
         assert_eq!(diameter(&Graph::new()), 0);
         assert!(is_connected(&Graph::new()));
         assert!(farthest_pair(&Graph::new()).is_none());
-    }
-
-    #[test]
-    fn path_endpoints_are_inclusive() {
-        let g = ring4();
-        let p = BfsTree::compute(&g, n(1)).path_to(n(1)).unwrap();
-        assert_eq!(p, vec![n(1)]);
-        let p = BfsTree::compute(&g, n(1)).path_to(n(2)).unwrap();
-        assert_eq!(p.first(), Some(&n(1)));
-        assert_eq!(p.last(), Some(&n(2)));
     }
 
     #[test]

@@ -49,14 +49,6 @@ impl FctCollector {
         &self.digest
     }
 
-    /// Achieved goodput in Mbit/s over a window of `secs` seconds.
-    pub fn achieved_mbps(&self, secs: f64) -> f64 {
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.delivered_bytes * 8.0 / secs / 1e6
-    }
-
     /// Collapses the collected population into its summary statistics.
     pub fn summary(&self) -> FctSummary {
         FctSummary::from_digest(&self.digest)
@@ -115,9 +107,6 @@ mod tests {
         fct.credit_bytes(5e5);
         assert_eq!(fct.completed(), 2);
         assert_eq!(fct.delivered_bytes(), 3.5e6);
-        // 3.5e6 bytes over 4 s = 7 Mbit/s.
-        assert!((fct.achieved_mbps(4.0) - 7.0).abs() < 1e-9);
-        assert_eq!(fct.achieved_mbps(0.0), 0.0);
         let summary = fct.summary();
         assert_eq!(summary.count, 2);
         assert!((summary.mean_s - 2.0).abs() < 1e-9);

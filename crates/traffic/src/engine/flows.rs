@@ -13,8 +13,9 @@
 use sdn_topology::NodeId;
 
 /// One flow handed to [`FlowBatch::from_specs`], before batching.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FlowSpec {
+pub(crate) struct FlowSpec {
     /// Source endpoint (a switch the sending host attaches to).
     pub src: NodeId,
     /// Destination endpoint (a switch the receiving host attaches to).
@@ -31,17 +32,20 @@ pub struct FlowSpec {
 ///
 /// ```
 /// use sdn_topology::NodeId;
-/// use sdn_traffic::engine::{FlowBatch, FlowSpec};
+/// use sdn_traffic::engine::{generate, Arrival, FlowSetConfig};
 ///
-/// let batch = FlowBatch::from_specs(vec![
-///     FlowSpec { src: NodeId::new(3), dst: NodeId::new(4), bytes: 1e6, start_tick: 1 },
-///     FlowSpec { src: NodeId::new(4), dst: NodeId::new(5), bytes: 2e6, start_tick: 0 },
-/// ]);
-/// assert_eq!(batch.len(), 2);
-/// // Flows are re-ordered by start tick; epoch buckets address them by tick.
-/// assert_eq!(batch.activating(0), 0..1);
-/// assert_eq!(batch.activating(1), 1..2);
-/// assert_eq!(batch.activating(7), 2..2);
+/// let endpoints = [NodeId::new(3), NodeId::new(4), NodeId::new(5)];
+/// let config = FlowSetConfig {
+///     arrival: Arrival::Uniform { over_ticks: 2 },
+///     ..FlowSetConfig::stress(10)
+/// };
+/// let batch = generate(&endpoints, &config, 7);
+/// assert_eq!(batch.len(), 10);
+/// // Flows are ordered by start tick; epoch buckets address them by tick.
+/// let (first, second) = (batch.activating(0), batch.activating(1));
+/// assert_eq!((first.start, first.end), (0, second.start));
+/// assert_eq!(second.end, 10);
+/// assert_eq!(batch.activating(7), 10..10);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlowBatch {
@@ -64,7 +68,8 @@ impl FlowBatch {
     /// Batches a set of flows: sorts them by start tick (stable, so list order breaks
     /// ties deterministically), groups them into path classes, and builds the epoch
     /// bucket table.
-    pub fn from_specs(specs: Vec<FlowSpec>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_specs(specs: Vec<FlowSpec>) -> Self {
         let endpoints: Vec<NodeId> = specs.iter().flat_map(|f| [f.src, f.dst]).collect();
         let mut batch = BatchBuilder::new(&endpoints, specs.len());
         for (k, f) in specs.iter().enumerate() {
@@ -145,7 +150,7 @@ impl FlowBatch {
 }
 
 /// Lays flows pushed in generation order out as a [`FlowBatch`]: the one
-/// construction path behind [`FlowBatch::from_specs`] and [`super::generate`].
+/// construction path behind [`super::generate`].
 pub(super) struct BatchBuilder {
     /// Distinct endpoints, ascending.
     nodes: Vec<NodeId>,

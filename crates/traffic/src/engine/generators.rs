@@ -32,15 +32,6 @@ impl FlowMix {
         }
     }
 
-    /// All flows the same size — removes size variance from an experiment.
-    pub fn uniform(bytes: f64) -> Self {
-        FlowMix {
-            mice_bytes: bytes,
-            elephant_bytes: bytes,
-            elephant_fraction: 0.0,
-        }
-    }
-
     fn sample(&self, rng: &mut Rng) -> f64 {
         if rng.gen_bool(self.elephant_fraction) {
             self.elephant_bytes
@@ -210,6 +201,15 @@ mod tests {
         (0..n).map(NodeId::new).collect()
     }
 
+    /// All flows `bytes` long: no size variance.
+    fn same_size(bytes: f64) -> FlowMix {
+        FlowMix {
+            mice_bytes: bytes,
+            elephant_bytes: bytes,
+            elephant_fraction: 0.0,
+        }
+    }
+
     #[test]
     fn generation_is_seed_deterministic() {
         let eps = endpoints(32);
@@ -254,7 +254,7 @@ mod tests {
         let eps = endpoints(8);
         let config = FlowSetConfig {
             matrix: TrafficMatrix::Uniform,
-            mix: FlowMix::uniform(1e6),
+            mix: same_size(1e6),
             arrival: Arrival::UpFront,
             pairs: 100,
             fan_out: Some(FanOut {
@@ -284,7 +284,7 @@ mod tests {
         let eps = endpoints(16);
         let config = FlowSetConfig {
             matrix: TrafficMatrix::Uniform,
-            mix: FlowMix::uniform(1e3),
+            mix: same_size(1e3),
             arrival: Arrival::Uniform { over_ticks: 20 },
             pairs: 2_000,
             fan_out: None,
@@ -303,7 +303,7 @@ mod tests {
         let rate = 50.0;
         let config = FlowSetConfig {
             matrix: TrafficMatrix::Uniform,
-            mix: FlowMix::uniform(1e3),
+            mix: same_size(1e3),
             arrival: Arrival::Poisson {
                 rate_per_tick: rate,
             },
@@ -335,7 +335,7 @@ mod tests {
         let eps = endpoints(4);
         let config = FlowSetConfig {
             matrix: TrafficMatrix::Uniform,
-            mix: FlowMix::uniform(1e3),
+            mix: same_size(1e3),
             arrival: Arrival::Poisson { rate_per_tick: 0.0 },
             pairs: 50,
             fan_out: None,

@@ -50,7 +50,7 @@
 //! let batch = generate(&net.switches, &FlowSetConfig::stress(1_000), 42);
 //! let mut engine = FlowEngine::new(batch, EngineConfig::default());
 //! engine.retarget(&net.switch_graph, |_| true);
-//! while !engine.is_done() {
+//! while engine.fct().completed() < 1_000 {
 //!     engine.step();
 //! }
 //! assert_eq!(engine.fct().completed(), 1_000);
@@ -62,7 +62,7 @@ pub mod generators;
 pub mod matrix;
 
 pub use fct::{FctCollector, FctSummary};
-pub use flows::{FlowBatch, FlowSpec};
+pub use flows::FlowBatch;
 pub use generators::{generate, Arrival, FanOut, FlowMix, FlowSetConfig};
 pub use matrix::{MatrixSampler, TrafficMatrix};
 
@@ -138,7 +138,6 @@ pub struct FlowEngine {
     live: Vec<u32>,
     scratch: BfsScratch,
     tick: u32,
-    activated_total: usize,
     peak_concurrent: usize,
 }
 
@@ -161,7 +160,6 @@ impl FlowEngine {
             live: Vec::new(),
             scratch: BfsScratch::new(),
             tick: 0,
-            activated_total: 0,
             peak_concurrent: 0,
         }
     }
@@ -217,7 +215,6 @@ impl FlowEngine {
         let tick = self.tick;
         let activating = self.batch.activating(tick);
         let activated = activating.len();
-        self.activated_total += activated;
         self.active.extend(activating.map(|i| i as u32));
         let concurrent = self.active.len();
         self.peak_concurrent = self.peak_concurrent.max(concurrent);
@@ -280,11 +277,6 @@ impl FlowEngine {
             stalled,
             delivered_bytes: delivered_total,
         }
-    }
-
-    /// `true` once every flow has activated and completed.
-    pub fn is_done(&self) -> bool {
-        self.activated_total == self.batch.len() && self.active.is_empty()
     }
 
     /// The completion-time / delivered-bytes telemetry collected so far.
@@ -427,6 +419,7 @@ impl Workload for FlowEngineWorkload {
 
 #[cfg(test)]
 mod tests {
+    use super::flows::FlowSpec;
     use super::*;
     use renaissance::scenario::{Endpoints, FaultEvent, LinkSelector, Scenario};
     use sdn_topology::builders;
@@ -473,7 +466,6 @@ mod tests {
         assert_eq!(t0.delivered_bytes, 1e6);
         let t1 = engine.step();
         assert_eq!(t1.completed, 2);
-        assert!(engine.is_done());
         let summary = engine.fct().summary();
         assert_eq!(summary.count, 2);
         assert_eq!(summary.p50_s, 2.0);
@@ -571,13 +563,17 @@ mod tests {
         let mut engine = FlowEngine::new(batch, mb_config());
         engine.retarget(&line3(), |_| true);
         assert_eq!(engine.step().concurrent, 1);
-        assert!(!engine.is_done(), "a flow is still waiting to activate");
+        assert_eq!(
+            engine.fct().completed(),
+            1,
+            "a flow is still waiting to activate"
+        );
         assert_eq!(engine.step().concurrent, 0);
         let t2 = engine.step();
         assert_eq!(t2.activated, 1);
         assert_eq!(t2.concurrent, 1);
         assert_eq!(t2.completed, 1);
-        assert!(engine.is_done());
+        assert_eq!(engine.fct().completed(), 2);
         assert_eq!(engine.peak_concurrent(), 1);
     }
 
@@ -601,7 +597,7 @@ mod tests {
             let mut stats = Vec::new();
             for _ in 0..50 {
                 stats.push(engine.step());
-                if engine.is_done() {
+                if engine.fct().completed() as usize == engine.batch().len() {
                     break;
                 }
             }
@@ -926,7 +922,11 @@ mod tests {
         let net = builders::fat_tree(16, 3);
         let config = FlowSetConfig {
             matrix: TrafficMatrix::Uniform,
-            mix: FlowMix::uniform(1e9),
+            mix: FlowMix {
+                mice_bytes: 1e9,
+                elephant_bytes: 1e9,
+                elephant_fraction: 0.0,
+            },
             arrival: Arrival::UpFront,
             pairs: 1_000_000,
             fan_out: None,

@@ -73,11 +73,11 @@ fn controller_knowledge_matches_reality_after_bootstrap() {
     let (sdn, _) = bootstrap("Clos", 2);
     let operational = sdn.sim().operational_graph();
     for controller in sdn.controller_ids() {
-        let observed = sdn.sim().observed_neighbors(controller);
+        let observed = sdn.sim().observed(controller);
         let discovered = sdn
             .controller(controller)
             .expect("controller")
-            .discovered_graph(&observed);
+            .discovered_graph(observed);
         assert_eq!(discovered.node_count(), operational.node_count());
         assert_eq!(discovered.link_count(), operational.link_count());
     }

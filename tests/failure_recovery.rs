@@ -123,11 +123,11 @@ fn link_addition_is_incorporated() {
     assert!(recovery > SimDuration::ZERO);
     // Every controller's view now includes the new link.
     for controller in sdn.controller_ids() {
-        let observed = sdn.sim().observed_neighbors(controller);
+        let observed = sdn.sim().observed(controller);
         let discovered = sdn
             .controller(controller)
             .expect("controller")
-            .discovered_graph(&observed);
+            .discovered_graph(observed);
         assert!(
             discovered.has_link(a, b),
             "controller {controller} missed the new link"

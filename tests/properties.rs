@@ -12,10 +12,59 @@
 use sdn_rng::Rng;
 use sdn_switch::{ManagerSet, Rule, RuleTable};
 use sdn_tags::Tag;
-use sdn_topology::{builders, ids::Link, FlowPlanner, NodeId};
+use sdn_topology::{builders, ids::Link, FlowPlanner, Graph, NodeId};
 
 /// Number of random cases per property (the proptest setup used 24).
 const CASES: u64 = 24;
+
+/// A random 2-edge-connected topology, reproducible from `seed`: a ring over the
+/// switches in shuffled order, up to `extra_links` random chords, and each controller
+/// (ids `0..n_controllers`) linked to two distinct random switches.
+fn random_2connected(
+    n_switches: usize,
+    extra_links: usize,
+    n_controllers: usize,
+    seed: u64,
+) -> Graph {
+    let mut rng = Rng::seed_from_u64(seed);
+    let sw = |i: usize| NodeId::new((n_controllers + i) as u32);
+    let mut order: Vec<usize> = (0..n_switches).collect();
+    rng.shuffle(&mut order);
+    let mut g = Graph::new();
+    for i in 0..n_switches {
+        g.add_link(sw(order[i]), sw(order[(i + 1) % n_switches]));
+    }
+    let mut added = 0;
+    let mut attempts = 0;
+    while added < extra_links && attempts < extra_links * 20 + 100 {
+        attempts += 1;
+        let a = rng.gen_range(0..n_switches);
+        let b = rng.gen_range(0..n_switches);
+        if a != b && !g.has_link(sw(a), sw(b)) {
+            g.add_link(sw(a), sw(b));
+            added += 1;
+        }
+    }
+    for c in 0..n_controllers {
+        let a = rng.gen_range(0..n_switches);
+        let mut b = rng.gen_range(0..n_switches);
+        while b == a {
+            b = rng.gen_range(0..n_switches);
+        }
+        g.add_link(NodeId::new(c as u32), sw(a));
+        g.add_link(NodeId::new(c as u32), sw(b));
+    }
+    g
+}
+
+#[test]
+fn random_topology_is_reproducible_and_robust() {
+    let a = random_2connected(30, 10, 3, 42);
+    assert_eq!(a, random_2connected(30, 10, 3, 42));
+    assert!(sdn_topology::connectivity::supports_kappa(&a, 1));
+    let c = random_2connected(30, 10, 3, 43);
+    assert_ne!(a, c, "different seeds should differ");
+}
 
 /// Any single link failure on a random 2-edge-connected topology leaves every pair of
 /// nodes routable through the planned fast-failover candidates.
@@ -26,13 +75,13 @@ fn flows_survive_any_single_link_failure() {
         let n_switches = rng.gen_range(4..16usize);
         let extra_links = rng.gen_range(0..8usize);
         let seed = rng.gen_range(0..1000u64);
-        let net = builders::random_2connected(n_switches, extra_links, 2, seed);
-        let plan = FlowPlanner::new(1).plan(&net.graph);
-        let links: Vec<Link> = net.graph.links().collect();
+        let graph = random_2connected(n_switches, extra_links, 2, seed);
+        let plan = FlowPlanner::new(1).plan(&graph);
+        let links: Vec<Link> = graph.links().collect();
         let failed = links[rng.gen_range(0..links.len())];
-        let ttl = 4 * net.graph.node_count();
-        for a in net.graph.nodes() {
-            for b in net.graph.nodes() {
+        let ttl = 4 * graph.node_count();
+        for a in graph.nodes() {
+            for b in graph.nodes() {
                 if a == b {
                     continue;
                 }
@@ -57,16 +106,16 @@ fn primary_routes_are_shortest_paths() {
         let n_switches = rng.gen_range(4..14usize);
         let extra_links = rng.gen_range(0..6usize);
         let seed = rng.gen_range(0..1000u64);
-        let net = builders::random_2connected(n_switches, extra_links, 0, seed);
-        let plan = FlowPlanner::new(1).plan(&net.graph);
-        let ttl = 4 * net.graph.node_count();
-        for a in net.graph.nodes() {
-            for b in net.graph.nodes() {
+        let graph = random_2connected(n_switches, extra_links, 0, seed);
+        let plan = FlowPlanner::new(1).plan(&graph);
+        let ttl = 4 * graph.node_count();
+        for a in graph.nodes() {
+            for b in graph.nodes() {
                 if a == b {
                     continue;
                 }
                 let path = plan.route(a, b, |_, _| true, ttl).expect("connected");
-                let expected = sdn_topology::paths::distance(&net.graph, a, b).unwrap() as usize;
+                let expected = sdn_topology::paths::distance(&graph, a, b).unwrap() as usize;
                 assert_eq!(path.len() - 1, expected, "case {case}: {a}->{b}");
             }
         }

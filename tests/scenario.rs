@@ -124,8 +124,6 @@ fn composite_scenario_is_a_few_declarative_lines() {
             .zip(&legitimacy.values)
             .any(|(&t, &v)| t > 5.0 && v == 1.0));
     }
-    // Different seeds may pick different victims, but both runs recorded them.
-    assert!(report.recovery_digest().len() == 2);
 }
 
 /// The paper's temporary link-failure experiment, plus revival of the crashed

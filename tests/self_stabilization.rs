@@ -56,8 +56,15 @@ fn recovers_from_light_corruption_repeatedly() {
     let mut sdn = build(true, 43);
     sdn.run_until_legitimate(CHECK, TIMEOUT).expect("bootstrap");
     let mut injector = FaultInjector::new(43);
+    let light = CorruptionPlan {
+        garbage_rules_per_switch: 2,
+        bogus_managers_per_switch: 0,
+        clear_some_switches: false,
+        bogus_replies_per_controller: 0,
+        corrupt_controller_tags: false,
+    };
     for round in 0..3 {
-        injector.corrupt(&mut sdn, CorruptionPlan::light());
+        injector.corrupt(&mut sdn, light);
         sdn.run_until_legitimate(CHECK, TIMEOUT)
             .unwrap_or_else(|| panic!("recovery round {round}"));
     }
@@ -161,7 +168,7 @@ fn a_reply_naming_a_huge_neighbor_id_is_just_another_bogus_claim() {
     let far = NodeId::new(u32::MAX - 1);
     let id = sdn.controller_ids()[0];
     let switch = sdn.switch_ids()[0];
-    let neighbors = sdn.sim().observed_neighbors(id);
+    let neighbors = sdn.sim().observed(id).to_vec();
     let controller = sdn.controller_mut(id).expect("controller");
     controller.corrupt_inject_reply(QueryReply {
         responder: switch,
