@@ -267,6 +267,14 @@ fn between(selector: &LinkSelector) -> Result<(NodeId, NodeId), Unencodable> {
     }
 }
 
+/// The most pairs one `/flows` attachment may sample. The engine holds 16 B per flow,
+/// so the cap bounds one attachment at 256 MB.
+const MAX_FLOW_PAIRS: u32 = 1 << 24;
+
+/// The longest Poisson arrival window, `pairs / rate_per_tick`, one attachment may
+/// span. The engine's epoch table holds 4 B per tick of the window.
+const MAX_POISSON_HORIZON_TICKS: f64 = (1u32 << 20) as f64;
+
 /// A flow-engine workload attachment: which traffic shape to offer and for how many
 /// service ticks. The arrival process is the open-loop Poisson law when
 /// `rate_per_tick` is set, otherwise every flow starts up front.
@@ -315,10 +323,18 @@ impl FlowsSpec {
         if pairs == 0 || duration_ticks == 0 {
             return Err("`pairs` and `duration_ticks` must be positive".to_string());
         }
+        if pairs > MAX_FLOW_PAIRS {
+            return Err(format!("`pairs` must be at most {MAX_FLOW_PAIRS}"));
+        }
         let rate_per_tick = json.get("rate_per_tick").and_then(Json::as_f64);
         if let Some(rate) = rate_per_tick {
             if !rate.is_finite() || rate <= 0.0 {
                 return Err("`rate_per_tick` must be positive".to_string());
+            }
+            if f64::from(pairs) / rate > MAX_POISSON_HORIZON_TICKS {
+                return Err(format!(
+                    "`pairs / rate_per_tick` must be at most {MAX_POISSON_HORIZON_TICKS} ticks"
+                ));
             }
         }
         let permutation = match json.get("matrix").and_then(Json::as_str) {
@@ -681,6 +697,14 @@ mod tests {
                 "unknown matrix",
             ),
             (
+                r#"{"op":"flows","pairs":16777217,"duration_ticks":5}"#,
+                "`pairs` must be at most 16777216",
+            ),
+            (
+                r#"{"op":"flows","pairs":1,"duration_ticks":1,"rate_per_tick":1e-12}"#,
+                "must be at most 1048576 ticks",
+            ),
+            (
                 r#"{"op":"fault","kind":"degrade_link","a":1,"b":2,"loss":30}"#,
                 "probability in [0, 1]",
             ),
@@ -724,6 +748,16 @@ mod tests {
             let err = parse(src).unwrap_err();
             assert!(err.contains(needle), "{src}: got `{err}`");
         }
+    }
+
+    #[test]
+    fn flow_limits_admit_their_bounds() {
+        let spec =
+            parse(r#"{"op":"flows","pairs":16777216,"duration_ticks":5,"rate_per_tick":16}"#);
+        assert!(
+            matches!(spec, Ok(Command::Flows(f)) if f.pairs == 1 << 24),
+            "{spec:?}"
+        );
     }
 
     #[test]

@@ -262,6 +262,24 @@ fn a_full_interactive_session_replays_bit_identically() {
     assert_eq!(parsed.to_jsonl(), text);
 }
 
+/// A Poisson window the engine cannot hold is refused before it reaches the driver,
+/// and the service keeps serving.
+#[test]
+fn an_unholdable_flow_population_is_refused_with_400() {
+    let server = Server::bind(Session::new(config()), "127.0.0.1:0").expect("bind");
+    let addr = server.addr().to_string();
+    let driver = thread::spawn(move || server.run());
+    let body = r#"{"pairs":1,"duration_ticks":1,"rate_per_tick":1e-12}"#;
+    let (status, reply) = http(&addr, "POST", "/flows", body);
+    assert_eq!(status, 400, "{reply}");
+    let (status, _) = http(&addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let (status, _) = http(&addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    let (_, log) = driver.join().expect("driver thread");
+    assert_eq!(log.entries.len(), 1, "only the shutdown was logged");
+}
+
 /// The driver's queue is bounded: with the driver not draining, the 257th pending
 /// request is refused with 503, and the service keeps serving once it drains.
 #[test]

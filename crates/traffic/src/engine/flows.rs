@@ -1,14 +1,15 @@
 //! Struct-of-arrays flow batches grouped into path classes.
 //!
-//! A [`FlowBatch`] holds every flow of a heavy-traffic run in three parallel arrays —
-//! path class, bytes remaining, start tick. A *path class* is one distinct (source,
-//! destination) pair; the batch keeps their ascending table and reads each flow's
-//! endpoints through it, so the engine routes and charges load once per class. There
-//! is no per-flow object and no per-flow allocation.
+//! A [`FlowBatch`] holds every flow of a heavy-traffic run in two parallel arrays —
+//! path class and bytes remaining, 12 B per flow. A *path class* is one distinct
+//! (source, destination) pair; the batch keeps their ascending table and reads each
+//! flow's endpoints through it, so the engine routes and charges load once per class.
+//! There is no per-flow object and no per-flow allocation.
 //!
 //! Flows are stored sorted by start tick, and an epoch bucket table maps each service
 //! tick to the contiguous range of flows that activate on it ([`FlowBatch::activating`]),
-//! so activation is a range append instead of a scan over the whole population.
+//! so activation is a range append instead of a scan over the whole population. The
+//! same table is the only record of a flow's start tick ([`FlowBatch::start_tick`]).
 
 use sdn_topology::NodeId;
 
@@ -53,8 +54,6 @@ pub struct FlowBatch {
     class: Vec<u32>,
     /// Bytes still to deliver per flow (the transfer size until the flow activates).
     remaining: Vec<f64>,
-    /// Activation tick per flow (ascending across the batch).
-    start_tick: Vec<u32>,
     /// Distinct (source, destination slot) pairs, ascending by destination, source.
     classes: Vec<(NodeId, u32)>,
     /// Distinct destination endpoints, ascending; a class's slot indexes this.
@@ -116,17 +115,20 @@ impl FlowBatch {
     }
 
     /// Source endpoint of flow `i`.
-    pub fn src(&self, i: usize) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn src(&self, i: usize) -> NodeId {
         self.classes[self.class[i] as usize].0
     }
 
     /// Destination endpoint of flow `i`.
-    pub fn dst(&self, i: usize) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn dst(&self, i: usize) -> NodeId {
         self.destinations[self.dst_slot(i) as usize]
     }
 
     /// Destination slot of flow `i` (index into [`FlowBatch::destinations`]).
-    pub fn dst_slot(&self, i: usize) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn dst_slot(&self, i: usize) -> u32 {
         self.classes[self.class[i] as usize].1
     }
 
@@ -143,9 +145,9 @@ impl FlowBatch {
         counted
     }
 
-    /// Activation tick of flow `i`.
+    /// Activation tick of flow `i`: the epoch bucket whose range holds `i`.
     pub fn start_tick(&self, i: usize) -> u32 {
-        self.start_tick[i]
+        (self.buckets.partition_point(|&b| b as usize <= i) - 1) as u32
     }
 }
 
@@ -159,9 +161,10 @@ pub(super) struct BatchBuilder {
     /// Per (destination rank, source rank) pair: `u32::MAX` while no flow uses it.
     /// Quadratic in the distinct endpoints (4 MB at 1 024 of them).
     pair_class: Vec<u32>,
-    /// Per pushed flow: its index into `pair_class`.
+    /// Per pushed flow: its index into `pair_class`, then its path class.
     pair: Vec<u32>,
     bytes: Vec<f64>,
+    /// Per pushed flow: its start tick, then its position in the batch.
     start_tick: Vec<u32>,
 }
 
@@ -194,9 +197,10 @@ impl BatchBuilder {
         self.start_tick.push(start_tick);
     }
 
-    /// Numbers the used pairs in ascending (destination, source) order, then places
-    /// the flows by a counting sort on start tick, which is stable: push order breaks
-    /// ties.
+    /// Numbers the used pairs in ascending (destination, source) order, then turns
+    /// each flow's start tick into its position under a stable counting sort (push
+    /// order breaks ties) and permutes the arrays in place by following that
+    /// permutation's cycles. Sorted input is the identity and swaps nothing.
     pub(super) fn finish(mut self) -> FlowBatch {
         let n = self.nodes.len();
         let mut classes = Vec::new();
@@ -221,27 +225,33 @@ impl BatchBuilder {
             buckets[t] += buckets[t - 1];
         }
         let mut next = buckets.clone();
-        let mut batch = FlowBatch {
-            class: vec![0; self.pair.len()],
-            remaining: vec![0.0; self.pair.len()],
-            start_tick: vec![0; self.pair.len()],
+        for (pair, at) in self.pair.iter_mut().zip(&mut self.start_tick) {
+            *pair = self.pair_class[*pair as usize];
+            let t = *at as usize;
+            (*at, next[t]) = (next[t], next[t] + 1);
+        }
+        for i in 0..self.start_tick.len() {
+            while self.start_tick[i] as usize != i {
+                let j = self.start_tick[i] as usize;
+                self.pair.swap(i, j);
+                self.bytes.swap(i, j);
+                self.start_tick.swap(i, j);
+            }
+        }
+        FlowBatch {
+            class: self.pair,
+            remaining: self.bytes,
             classes,
             destinations,
             buckets,
-        };
-        for (i, &t) in self.start_tick.iter().enumerate() {
-            let at = next[t as usize] as usize;
-            next[t as usize] += 1;
-            batch.class[at] = self.pair_class[self.pair[i] as usize];
-            batch.remaining[at] = self.bytes[i];
-            batch.start_tick[at] = t;
         }
-        batch
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::generators::push_flows;
+    use super::super::{generate, Arrival, FanOut, FlowSetConfig};
     use super::*;
 
     fn spec(src: u32, dst: u32, bytes: f64, tick: u32) -> FlowSpec {
@@ -323,5 +333,143 @@ mod tests {
         assert!(batch.destinations().is_empty());
         assert!(batch.classes().is_empty());
         assert_eq!(batch.activating(0), 0..0);
+    }
+
+    /// The copying layout `finish` replaced, kept as its reference: the same class
+    /// numbering and buckets, and a counting sort that writes every flow into fresh
+    /// arrays. Returns the batch and each placed flow's start tick.
+    fn finish_by_copy(mut builder: BatchBuilder) -> (FlowBatch, Vec<u32>) {
+        let n = builder.nodes.len();
+        let mut classes = Vec::new();
+        let mut destinations = Vec::new();
+        for (pair, class) in builder.pair_class.iter_mut().enumerate() {
+            if *class == u32::MAX {
+                continue;
+            }
+            let dst = builder.nodes[pair / n];
+            if destinations.last() != Some(&dst) {
+                destinations.push(dst);
+            }
+            *class = classes.len() as u32;
+            classes.push((builder.nodes[pair % n], destinations.len() as u32 - 1));
+        }
+        let last_tick = builder.start_tick.iter().copied().max().unwrap_or(0);
+        let mut buckets = vec![0u32; last_tick as usize + 2];
+        for &t in &builder.start_tick {
+            buckets[t as usize + 1] += 1;
+        }
+        for t in 1..buckets.len() {
+            buckets[t] += buckets[t - 1];
+        }
+        let mut next = buckets.clone();
+        let mut start_tick = vec![0; builder.pair.len()];
+        let mut batch = FlowBatch {
+            class: vec![0; builder.pair.len()],
+            remaining: vec![0.0; builder.pair.len()],
+            classes,
+            destinations,
+            buckets,
+        };
+        for (i, &t) in builder.start_tick.iter().enumerate() {
+            let at = next[t as usize] as usize;
+            next[t as usize] += 1;
+            batch.class[at] = builder.pair_class[builder.pair[i] as usize];
+            batch.remaining[at] = builder.bytes[i];
+            start_tick[at] = t;
+        }
+        (batch, start_tick)
+    }
+
+    /// Lays the builder `build` returns out both ways and holds the in-place batch
+    /// to the copy.
+    fn assert_lays_out_like_the_copy(build: impl Fn() -> BatchBuilder, case: &str) {
+        let (expected, ticks) = finish_by_copy(build());
+        let batch = build().finish();
+        assert_eq!(batch.len(), expected.len(), "{case}");
+        for (i, &tick) in ticks.iter().enumerate() {
+            assert_eq!(batch.class(i), expected.class(i), "{case}: flow {i}");
+            assert_eq!(
+                batch.remaining(i),
+                expected.remaining(i),
+                "{case}: flow {i}"
+            );
+            assert_eq!(batch.start_tick(i), tick, "{case}: flow {i}");
+        }
+        let last = ticks.last().copied().unwrap_or(0);
+        for t in 0..=last + 1 {
+            assert_eq!(
+                batch.activating(t),
+                expected.activating(t),
+                "{case}: tick {t}"
+            );
+        }
+        assert_eq!(batch, expected, "{case}");
+    }
+
+    #[test]
+    fn in_place_layout_matches_the_copying_reference() {
+        let endpoints: Vec<NodeId> = (0..12).map(NodeId::new).collect();
+        let arrivals = [
+            Arrival::UpFront,
+            Arrival::Uniform { over_ticks: 9 },
+            Arrival::Poisson {
+                rate_per_tick: 30.0,
+            },
+        ];
+        let fan_outs = [
+            None,
+            Some(FanOut {
+                width: 3,
+                request_bytes: 1e3,
+            }),
+        ];
+        for arrival in arrivals {
+            for fan_out in fan_outs {
+                let config = FlowSetConfig {
+                    arrival,
+                    fan_out,
+                    ..FlowSetConfig::stress(500)
+                };
+                let build = || push_flows(&endpoints, &config, 11);
+                let ticks = build().start_tick;
+                let sorted = ticks.windows(2).all(|w| w[0] <= w[1]);
+                // Only uniform arrivals push ticks out of order: the cycles are walked.
+                let uniform = matches!(arrival, Arrival::Uniform { .. });
+                assert_eq!(sorted, !uniform, "{arrival:?}");
+                assert_lays_out_like_the_copy(build, &format!("{arrival:?} {fan_out:?}"));
+            }
+        }
+        assert_lays_out_like_the_copy(|| BatchBuilder::new(&endpoints, 0), "empty");
+        let one = || {
+            let mut one = BatchBuilder::new(&endpoints, 1);
+            one.push(4, 7, 5e3, 3);
+            one
+        };
+        assert_lays_out_like_the_copy(one, "one flow");
+    }
+
+    #[test]
+    fn a_generated_batch_holds_each_flow_once() {
+        // 12 B per flow and no slack: two per-flow vectors beside the three tables, and
+        // each exactly as long as the batch. A new field or a grown vector fails this.
+        assert_eq!(size_of::<FlowBatch>(), 5 * size_of::<Vec<u32>>());
+        let endpoints: Vec<NodeId> = (0..12).map(NodeId::new).collect();
+        for fan_out in [
+            None,
+            Some(FanOut {
+                width: 2,
+                request_bytes: 1e3,
+            }),
+        ] {
+            let config = FlowSetConfig {
+                arrival: Arrival::Uniform { over_ticks: 5 },
+                fan_out,
+                ..FlowSetConfig::stress(1_000)
+            };
+            let batch = generate(&endpoints, &config, 3);
+            assert_eq!(batch.len() as u64, config.flow_count());
+            assert_eq!(batch.class.capacity(), batch.len());
+            assert_eq!(batch.remaining.capacity(), batch.len());
+        }
     }
 }

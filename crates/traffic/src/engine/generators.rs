@@ -164,6 +164,11 @@ impl FlowSetConfig {
 /// Panics when fewer than two endpoints are supplied (delegated to
 /// [`TrafficMatrix::sampler`]).
 pub fn generate(endpoints: &[NodeId], config: &FlowSetConfig, seed: u64) -> FlowBatch {
+    push_flows(endpoints, config, seed).finish()
+}
+
+/// [`generate`]'s flows in generation order, before the batch is laid out.
+pub(super) fn push_flows(endpoints: &[NodeId], config: &FlowSetConfig, seed: u64) -> BatchBuilder {
     let mut sampler = config.matrix.sampler(endpoints.len(), seed);
     // Independent stream for sizes/arrivals so changing the matrix kind does not
     // reshuffle every flow's size.
@@ -190,7 +195,7 @@ pub fn generate(endpoints: &[NodeId], config: &FlowSetConfig, seed: u64) -> Flow
             }
         }
     }
-    batch.finish()
+    batch
 }
 
 #[cfg(test)]

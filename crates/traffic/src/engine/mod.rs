@@ -24,14 +24,14 @@
 //! Flows are charged by *path class*: all flows with one (source, destination) pair
 //! share a path, so the engine resolves it once per class and charges it once per
 //! tick. A retarget follows each class's next hops (a per-destination BFS tree over
-//! the operational topology's CSR snapshot) into a list of directed arcs. Per service
-//! tick the engine counts the active flows of each class and adds that count to every
-//! arc on the class's path; each class's flows then get `capacity / bottleneck` worth
-//! of bytes, the bottleneck being the *maximum* load along the path — a classic
-//! max-min-flavoured fair-share approximation — delivered flow by flow in activation
-//! order. Classes whose destination is unreachable stall: their flows deliver nothing
-//! but stay active, which is exactly the recovery signal the under-load campaign cells
-//! measure.
+//! the operational topology's CSR snapshot) into a list of directed arcs. Each class's
+//! count of active flows is kept across ticks; per service tick it is added to every
+//! arc on the class's path, and the class's flows get `capacity / bottleneck` worth of
+//! bytes, the bottleneck being the *maximum* load along the path — a classic max-min-
+//! flavoured fair-share approximation. One pass in activation order delivers, records
+//! completions and retires finished flows. Classes whose destination is unreachable
+//! stall: their flows deliver nothing but stay active, which is exactly the recovery
+//! signal the under-load campaign cells measure.
 //!
 //! Class paths are rebuilt only when the simulator's topology generation changes
 //! ([`FlowEngine::retarget`]); between changes a tick is pure array arithmetic.
@@ -129,12 +129,12 @@ pub struct FlowEngine {
     routable: Vec<bool>,
     /// Per-directed-arc flow count of the current tick.
     arc_load: Vec<u32>,
-    /// Per path class: active flows this tick (all zero between ticks).
+    /// Per path class: its active flows. Raised at activation, lowered at retirement.
     class_flows: Vec<u32>,
     /// Per path class: the bytes each of its flows delivers this tick, `None` when
     /// it stalls. Only classes with active flows are current.
     share: Vec<Option<f64>>,
-    /// The classes with active flows this tick (empty between ticks).
+    /// The classes with active flows, in no particular order.
     live: Vec<u32>,
     scratch: BfsScratch,
     tick: u32,
@@ -207,25 +207,24 @@ impl FlowEngine {
         self.arc_load.resize(flat.arc_targets().len(), 0);
     }
 
-    /// Services one tick: activates this tick's flows, counts active flows per path
-    /// class, charges each class's count to the arcs of its path, gives each class's
-    /// flows its bottleneck share, delivers it flow by flow, records completions, and
-    /// retires finished flows.
+    /// Services one tick: activates this tick's flows, charges each live class's flow
+    /// count to its path's arcs and gives its flows their bottleneck share, then in one
+    /// pass delivers, records completions and retires every flow with nothing left.
     pub fn step(&mut self) -> TickStats {
         let tick = self.tick;
         let activating = self.batch.activating(tick);
         let activated = activating.len();
-        self.active.extend(activating.map(|i| i as u32));
+        for i in activating {
+            let c = self.batch.class(i) as usize;
+            if self.class_flows[c] == 0 {
+                self.live.push(c as u32);
+            }
+            self.class_flows[c] += 1;
+            self.active.push(i as u32);
+        }
         let concurrent = self.active.len();
         self.peak_concurrent = self.peak_concurrent.max(concurrent);
 
-        for &i in &self.active {
-            let c = self.batch.class(i as usize);
-            if self.class_flows[c as usize] == 0 {
-                self.live.push(c);
-            }
-            self.class_flows[c as usize] += 1;
-        }
         let path = |c: usize| {
             &self.path_arcs[self.path_start[c] as usize..self.path_start[c + 1] as usize]
         };
@@ -241,33 +240,35 @@ impl FlowEngine {
             self.config.link_capacity_mbps * 1e6 / 8.0 * self.config.tick_secs;
         for &c in &self.live {
             let c = c as usize;
-            self.class_flows[c] = 0;
             self.share[c] = self.routable[c].then(|| {
                 let bottleneck = path(c).iter().map(|&arc| self.arc_load[arc as usize]).max();
                 capacity_bytes_per_tick / f64::from(bottleneck.unwrap_or(0).max(1))
             });
         }
-        self.live.clear();
 
         let mut delivered_total = 0.0;
         let mut completed = 0usize;
         let mut stalled = 0usize;
-        for &i in &self.active {
+        self.active.retain(|&i| {
             let i = i as usize;
-            let Some(share) = self.share[self.batch.class(i) as usize] else {
-                stalled += 1;
-                continue;
-            };
-            delivered_total += self.batch.deliver(i, share);
-            if self.batch.remaining(i) == 0.0 {
+            let c = self.batch.class(i) as usize;
+            match self.share[c] {
+                Some(share) => delivered_total += self.batch.deliver(i, share),
+                None => stalled += 1,
+            }
+            if self.batch.remaining(i) > 0.0 {
+                return true;
+            }
+            if self.share[c].is_some() {
                 let fct_s = f64::from(tick + 1 - self.batch.start_tick(i)) * self.config.tick_secs;
                 self.fct.record_completion(fct_s);
                 completed += 1;
             }
-        }
+            self.class_flows[c] -= 1;
+            false
+        });
         self.fct.credit_bytes(delivered_total);
-        let batch = &self.batch;
-        self.active.retain(|&i| batch.remaining(i as usize) > 0.0);
+        self.live.retain(|&c| self.class_flows[c as usize] > 0);
         self.tick = tick + 1;
         TickStats {
             tick,
@@ -290,18 +291,14 @@ impl FlowEngine {
     }
 
     /// Number of currently active flows.
-    pub fn concurrent(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn concurrent(&self) -> usize {
         self.active.len()
     }
 
     /// The highest concurrent-flow count observed on any tick.
     pub fn peak_concurrent(&self) -> usize {
         self.peak_concurrent
-    }
-
-    /// The next tick [`FlowEngine::step`] will service.
-    pub fn tick(&self) -> u32 {
-        self.tick
     }
 }
 
@@ -838,6 +835,13 @@ mod tests {
                 request_bytes: 2e5,
             }),
         ];
+        // The second mix's mice carry zero bytes: served, they complete on their first
+        // tick; stalled, they retire with no completion.
+        let mixes = [3e5, 0.0].map(|mice_bytes| FlowMix {
+            mice_bytes,
+            elephant_bytes: 4e7,
+            elephant_fraction: 0.2,
+        });
         // Small links, so that flows need several ticks and the removals below cut
         // classes mid-transfer.
         let config = EngineConfig {
@@ -845,6 +849,7 @@ mod tests {
             tick_secs: 1.0,
         };
         let mut cases = 0;
+        let mut retired_unserved = 0;
         for (t, net) in topologies.iter().enumerate() {
             let n_controllers = net.controllers.len();
             let relay = |node: NodeId| node.is_switch(n_controllers);
@@ -870,19 +875,17 @@ mod tests {
             }
             for (m, &matrix) in matrices.iter().enumerate() {
                 for (r, &arrival) in arrivals.iter().enumerate() {
-                    for (f, &fan_out) in fan_outs.iter().enumerate() {
+                    for k in 0..fan_outs.len() * mixes.len() {
+                        let (f, z) = (k / mixes.len(), k % mixes.len());
+                        let (fan_out, mix) = (fan_outs[f], mixes[z]);
                         let flows = FlowSetConfig {
                             matrix,
-                            mix: FlowMix {
-                                mice_bytes: 3e5,
-                                elephant_bytes: 4e7,
-                                elephant_fraction: 0.2,
-                            },
+                            mix,
                             arrival,
                             pairs: 400,
                             fan_out,
                         };
-                        let seed = (t * 100 + m * 10 + r * 2 + f) as u64;
+                        let seed = (z * 1000 + t * 100 + m * 10 + r * 2 + f) as u64;
                         let batch = generate(&net.switches, &flows, seed);
                         let mut engine = FlowEngine::new(batch.clone(), config);
                         let mut reference = PerFlowReference::new(batch, config);
@@ -905,12 +908,19 @@ mod tests {
                         assert_eq!(engine.fct(), &reference.fct, "case {seed}");
                         assert_eq!(engine.batch(), &reference.batch, "case {seed}");
                         assert!(engine.fct().completed() > 0, "case {seed}");
+                        let activated = engine.batch().activating(24).start;
+                        retired_unserved +=
+                            activated - engine.fct().completed() as usize - engine.concurrent();
                         cases += 1;
                     }
                 }
             }
         }
-        assert_eq!(cases, 54);
+        assert_eq!(cases, 108);
+        assert!(
+            retired_unserved > 0,
+            "stalled zero-byte flows retire unserved"
+        );
     }
 
     #[test]
