@@ -271,6 +271,26 @@ fn between(selector: &LinkSelector) -> Result<(NodeId, NodeId), Unencodable> {
 /// so the cap bounds one attachment at 256 MB.
 const MAX_FLOW_PAIRS: u32 = 1 << 24;
 
+/// The most ticks one `step` may advance. The driver answers no other request while
+/// it steps, so this caps how long one request holds every client (about a minute
+/// at a millisecond per tick).
+const MAX_STEP_TICKS: u32 = 1 << 16;
+
+/// The tick count of a `step` from its `ticks` value: absent means one tick, a count
+/// below one steps once, and one that is not a number or is above
+/// [`MAX_STEP_TICKS`] is refused.
+pub(crate) fn step_ticks(ticks: Option<&Json>) -> Result<u32, String> {
+    let Some(ticks) = ticks else {
+        return Ok(1);
+    };
+    match ticks.as_f64() {
+        Some(n) if n <= f64::from(MAX_STEP_TICKS) => Ok(n.max(1.0) as u32),
+        _ => Err(format!(
+            "`ticks` must be a number of at most {MAX_STEP_TICKS}"
+        )),
+    }
+}
+
 /// The longest Poisson arrival window, `pairs / rate_per_tick`, one attachment may
 /// span. The engine's epoch table holds 4 B per tick of the window.
 const MAX_POISSON_HORIZON_TICKS: f64 = (1u32 << 20) as f64;
@@ -417,7 +437,7 @@ impl Command {
             "fault" => Command::Fault(fault_from_json(json, tick)?),
             "flows" => Command::Flows(FlowsSpec::from_json(json)?),
             "step" => Command::Step {
-                ticks: field_u32(json, "ticks").unwrap_or(1).max(1),
+                ticks: step_ticks(json.get("ticks"))?,
             },
             "run" => Command::Run {
                 until_s: json.get("until_s").and_then(Json::as_f64),
@@ -744,6 +764,18 @@ mod tests {
                 r#"{"op":"fault","kind":"add_link","a":3,"b":3}"#,
                 "self-loop",
             ),
+            (
+                r#"{"op":"step","ticks":65537}"#,
+                "`ticks` must be a number of at most 65536",
+            ),
+            (
+                r#"{"op":"step","ticks":1e12}"#,
+                "`ticks` must be a number of at most 65536",
+            ),
+            (
+                r#"{"op":"step","ticks":"many"}"#,
+                "`ticks` must be a number of at most 65536",
+            ),
         ] {
             let err = parse(src).unwrap_err();
             assert!(err.contains(needle), "{src}: got `{err}`");
@@ -763,5 +795,9 @@ mod tests {
     #[test]
     fn step_defaults_to_one_tick() {
         assert_eq!(parse(r#"{"op":"step"}"#), Ok(Command::Step { ticks: 1 }));
+        assert_eq!(
+            parse(r#"{"op":"step","ticks":65536}"#),
+            Ok(Command::Step { ticks: 1 << 16 })
+        );
     }
 }

@@ -21,10 +21,10 @@
 //! * [`log`] — the replayable [`CommandLog`](log::CommandLog): each applied
 //!   command stamped with its tick, plus the final report. Replaying a log
 //!   reproduces the live session's report byte for byte.
-//! * [`transport`] — the dependency-free HTTP/1.1 server. The **only** module
-//!   allowed to read the host clock or spawn threads (`sdn-stancheck` enforces
-//!   this scope rule); server threads never touch the session, they enqueue
-//!   requests the driver answers between ticks.
+//! * [`transport`] — the dependency-free HTTP/1.1 server, on one thread: the
+//!   driver accepts, reads and answers every connection itself between ticks.
+//!   The **only** module allowed to read the host clock (`sdn-stancheck`
+//!   enforces this scope rule).
 //!
 //! The crate sits on the simulation crates and `sdn-metrics` (which hosts the JSON
 //! value type); it does not depend on the benchmark harness.

@@ -7,7 +7,6 @@ use sdn_metrics::json::Json;
 use sdn_serve::{CommandLog, Server, Session, SessionConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
@@ -238,8 +237,9 @@ fn a_full_interactive_session_replays_bit_identically() {
     let (status, _) = http(&addr, "POST", "/faults", "{\"kind\":\"nonsense\"}");
     assert_eq!(status, 400);
     // A body under the request limit that nests 60 000 arrays deep: the parser's depth
-    // bound makes it one more 400 (unbounded recursion would overflow the connection
-    // thread's stack and abort the process), and the service keeps serving.
+    // bound makes it one more 400 (unbounded recursion would overflow the driver
+    // thread's stack, which parses every request, and abort the process), and the
+    // service keeps serving.
     let (status, _) = http(&addr, "POST", "/faults", &"[".repeat(60_000));
     assert_eq!(status, 400);
     let (status, _) = http(&addr, "GET", "/metrics", "");
@@ -280,59 +280,180 @@ fn an_unholdable_flow_population_is_refused_with_400() {
     assert_eq!(log.entries.len(), 1, "only the shutdown was logged");
 }
 
-/// The driver's queue is bounded: with the driver not draining, the 257th pending
-/// request is refused with 503, and the service keeps serving once it drains.
-#[test]
-fn a_full_driver_queue_refuses_with_503_and_recovers() {
-    const QUEUE: usize = 256; // transport::MAX_PENDING_REQUESTS
-    const SURPLUS: usize = 8;
-    // Bound but not running: every routed request waits in the queue.
+/// Boots a server on an ephemeral port and runs its driver on its own thread.
+fn serve() -> (String, thread::JoinHandle<(Json, CommandLog)>) {
     let server = Server::bind(Session::new(config()), "127.0.0.1:0").expect("bind");
     let addr = server.addr().to_string();
+    (addr, thread::spawn(move || server.run()))
+}
 
-    let (refused_tx, refused_rx) = mpsc::channel();
-    let clients: Vec<_> = (0..QUEUE + SURPLUS)
-        .map(|_| {
-            let (addr, refused_tx) = (addr.clone(), refused_tx.clone());
-            thread::spawn(move || {
-                let (status, body) = http(&addr, "POST", "/step?ticks=1", "");
-                if status == 503 {
-                    refused_tx.send(body.to_string()).expect("report refusal");
-                }
-                status
-            })
-        })
-        .collect();
-    // Nothing leaves the queue, so exactly the surplus is refused — and once those
-    // refusals are in, the other 256 requests are known to be queued.
-    for _ in 0..SURPLUS {
-        let body = refused_rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("a refusal");
-        assert!(body.contains("driver queue is full"), "{body}");
-    }
-    let (status, _) = http(&addr, "GET", "/metrics", "");
-    assert_eq!(status, 503, "the 257th pending request is refused");
-
-    // Drain: every queued request is answered, and the service serves again.
-    let driver = thread::spawn(move || server.run());
-    let statuses: Vec<u16> = clients
-        .into_iter()
-        .map(|c| c.join().expect("client thread"))
-        .collect();
-    assert_eq!(statuses.iter().filter(|&&s| s == 200).count(), QUEUE);
-    assert_eq!(statuses.iter().filter(|&&s| s == 503).count(), SURPLUS);
-    let (status, metrics) = http(&addr, "GET", "/metrics", "");
-    assert_eq!(status, 200);
-    assert_eq!(
-        metrics.get("tick").and_then(Json::as_f64),
-        Some(QUEUE as f64)
-    );
-
-    let (status, _) = http(&addr, "POST", "/shutdown", "");
+/// Shuts the service down and checks the sealed log replays to the final report.
+fn shut_down(addr: &str, driver: thread::JoinHandle<(Json, CommandLog)>) -> CommandLog {
+    let (status, _) = http(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     let (report, log) = driver.join().expect("driver thread");
-    // Only accepted commands were logged: the queued steps and the shutdown.
-    assert_eq!(log.entries.len(), QUEUE + 1);
     assert_eq!(log.replay().to_string(), report.to_string());
+    log
+}
+
+/// Opens `n` connections that never send a byte. The driver accepts in arrival
+/// order, so a request sent after them is accepted after them.
+fn idle_connections(addr: &str, n: usize) -> Vec<TcpStream> {
+    (0..n)
+        .map(|_| TcpStream::connect(addr).expect("connect idle"))
+        .collect()
+}
+
+/// The driver holds at most 256 connections: with 256 idle ones open the next is
+/// refused with 503, and once they close the service serves again.
+#[test]
+fn the_257th_open_connection_is_refused_with_503_and_the_service_recovers() {
+    const CAP: usize = 256; // transport::MAX_CONNECTIONS
+    let (addr, driver) = serve();
+    let idle = idle_connections(&addr, CAP);
+    let (status, body) = http(&addr, "GET", "/metrics", "");
+    assert_eq!(status, 503, "{body}");
+    assert!(
+        body.to_string().contains("too many open connections"),
+        "{body}"
+    );
+
+    drop(idle);
+    // The driver notices the hang-ups on its next pass; poll until it has.
+    let recovered = (0..500).any(|_| {
+        let (status, _) = http(&addr, "GET", "/metrics", "");
+        status == 200 || {
+            thread::sleep(Duration::from_millis(10));
+            false
+        }
+    });
+    assert!(recovered, "the service never served again");
+    let log = shut_down(&addr, driver);
+    assert_eq!(log.entries.len(), 1, "only the shutdown was logged");
+}
+
+/// One connection under the cap is still a connection: with 255 idle ones open, a
+/// step is answered.
+#[test]
+fn a_step_is_answered_beside_255_idle_connections() {
+    let (addr, driver) = serve();
+    let idle = idle_connections(&addr, 255);
+    let (status, ack) = http(&addr, "POST", "/step?ticks=1", "");
+    assert_eq!(status, 200, "{ack}");
+    assert_eq!(ack.get("tick").and_then(Json::as_f64), Some(1.0), "{ack}");
+    drop(idle);
+    shut_down(&addr, driver);
+}
+
+/// A client that sends its head one byte per 100 ms does not hold the driver: others
+/// are served meanwhile, and the slow one gets a 400 at its deadline.
+#[test]
+fn a_slow_loris_is_cut_off_at_its_deadline_without_blocking_others() {
+    const DEADLINE: Duration = Duration::from_secs(2); // transport::REQUEST_DEADLINE
+    let (addr, driver) = serve();
+    // Taken before the connection exists, so it precedes the driver's accept.
+    let opened = std::time::Instant::now();
+    let mut slow = TcpStream::connect(&addr).expect("connect slow");
+    let mut writer = slow.try_clone().expect("clone slow stream");
+    // Over 50 bytes at 10 bytes/s: the head would take over 5 s to arrive.
+    let head = format!(
+        "GET /metrics HTTP/1.1\r\nHost: {addr}\r\nX-Pad: {}\r\n\r\n",
+        "p".repeat(8)
+    );
+    assert!(head.len() >= 50, "{}", head.len());
+    let trickle = thread::spawn(move || {
+        for byte in head.bytes() {
+            if writer.write_all(&[byte]).is_err() {
+                return;
+            }
+            thread::sleep(Duration::from_millis(100));
+        }
+    });
+
+    // The driver keeps serving while the slow head trickles in.
+    for _ in 0..3 {
+        let (status, _) = http(&addr, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        thread::sleep(Duration::from_millis(300));
+    }
+
+    let mut response = Vec::new();
+    let mut buf = [0u8; 1024];
+    // Bytes queued before the close are readable even if a reset follows them.
+    while let Ok(n) = slow.read(&mut buf) {
+        if n == 0 {
+            break;
+        }
+        response.extend_from_slice(&buf[..n]);
+    }
+    let elapsed = opened.elapsed();
+    let response = String::from_utf8_lossy(&response);
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(response.contains("request deadline passed"), "{response}");
+    assert!(elapsed >= DEADLINE, "cut off early, after {elapsed:?}");
+    assert!(
+        elapsed < Duration::from_secs(6),
+        "not cut off, after {elapsed:?}"
+    );
+    trickle.join().expect("trickle thread");
+    shut_down(&addr, driver);
+}
+
+/// `/shutdown` is answered in full and every stream is ended before `run` returns.
+#[test]
+fn shutdown_flushes_its_reply_and_ends_every_stream() {
+    let (addr, driver) = serve();
+    let mut stream = TcpStream::connect(&addr).expect("connect stream");
+    stream
+        .write_all(format!("GET /stream HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
+        .expect("write stream request");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set timeout");
+    // The response head arrives once the driver has made this a subscriber.
+    let mut seen = Vec::new();
+    let mut buf = [0u8; 4096];
+    while !seen.windows(4).any(|w| w == b"\r\n\r\n") {
+        let n = stream.read(&mut buf).expect("read stream head");
+        assert!(n > 0, "stream closed before its head");
+        seen.extend_from_slice(&buf[..n]);
+    }
+    assert!(seen.starts_with(b"HTTP/1.1 200 OK"));
+    let (status, _) = http(&addr, "POST", "/step?ticks=2", "");
+    assert_eq!(status, 200);
+
+    let (status, ack) = http(&addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200, "{ack}");
+    assert_eq!(ack.get("tick").and_then(Json::as_f64), Some(2.0), "{ack}");
+    stream
+        .read_to_end(&mut seen)
+        .expect("read stream to its end");
+    let text = String::from_utf8_lossy(&seen);
+    assert_eq!(text.matches("\"tick\"").count(), 2, "{text}");
+    assert!(text.ends_with("\r\n0\r\n\r\n"), "{text}");
+
+    let (report, log) = driver.join().expect("driver thread");
+    assert_eq!(log.entries.len(), 2, "the step and the shutdown");
+    assert_eq!(log.replay().to_string(), report.to_string());
+}
+
+/// A step count past the bound (or not a number) is a 400, not hours of driver time.
+#[test]
+fn an_unbounded_step_is_refused_with_400() {
+    let (addr, driver) = serve();
+    for (path, body) in [
+        ("/step?ticks=1e12", ""),
+        ("/step?ticks=65537", ""),
+        ("/step?ticks=many", ""),
+        ("/step", "{\"ticks\":4294967296}"),
+    ] {
+        let (status, reply) = http(&addr, "POST", path, body);
+        assert_eq!(status, 400, "{path} {body} -> {reply}");
+        assert!(reply.to_string().contains("at most 65536"), "{reply}");
+    }
+    let (status, metrics) = http(&addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert_eq!(metrics.get("tick").and_then(Json::as_f64), Some(0.0));
+    let log = shut_down(&addr, driver);
+    assert_eq!(log.entries.len(), 1, "only the shutdown was logged");
 }
