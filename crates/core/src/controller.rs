@@ -202,7 +202,8 @@ impl Controller {
         self.stats.iterations += 1;
 
         // Line 8: keep only live, reachable replies; re-learn every tag seen so far so
-        // that nextTag() stays ahead of anything in the system.
+        // that nextTag() stays ahead of anything in the system (past `u64::MAX` it
+        // wraps to 0, which the `sdn_tags` crate docs show costs a few rounds at most).
         let id = self.id;
         let (views, stats) = (&mut self.views, &mut self.stats);
         let (curr, prev) = (self.rounds.curr(), self.rounds.prev());

@@ -735,6 +735,17 @@ mod tests {
             Err(ConfigError::NotACount("ring_capacity"))
         );
         assert_eq!(parse("{}"), Err(ConfigError::MissingTopology));
+        // A network too large to build is refused on its name, before anything is built.
+        for big in ["fat_tree(128)", "jellyfish(100000,8,1)", "grid(4096,4096)"] {
+            assert_eq!(
+                parse(&wire.replace("grid(2,3)", big)),
+                Err(ConfigError::UnknownTopology(big.to_string()))
+            );
+        }
+        assert_eq!(
+            parse(&wire.replace("\"controllers\":2", "\"controllers\":10000000")),
+            Err(ConfigError::UnknownTopology("grid(2,3)".to_string()))
+        );
     }
 
     fn between(a: u32, b: u32) -> LinkSelector {

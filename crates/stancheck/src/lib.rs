@@ -23,9 +23,9 @@
 //! with the item's name: the item's own file, library code, binaries, examples, and
 //! every token of the benchmark package `crates/bench/perf` (frozen, so its tests
 //! count too); integration tests, test scopes, docs and strings are not. A finding is
-//! deleted or waived for one of four reasons: a reference implementation a test
-//! compares against, a transient-fault hook for Theorem 2 experiments, API named in
-//! README or in a crate-level doc example, or API that awaits a ROADMAP decision.
+//! deleted or waived for one of three reasons: a reference implementation a test
+//! compares against, a transient-fault hook for Theorem 2 experiments, or API named in
+//! README or in a crate-level doc example.
 //!
 //! The tool is hand-rolled and dependency-free, in the same offline idiom as
 //! `sdn-rng` and the `bench::report` JSON emitter: a small Rust lexer

@@ -189,8 +189,8 @@ pub const RULES: [Rule; 9] = [
                   only): callers are the item's own file, library code, binaries, \
                   examples and every token of the benchmark package; tests and docs \
                   are not. Delete it, or waive it as a test's reference \
-                  implementation, a transient-fault hook, API named in README or a \
-                  crate doc example, or API awaiting a ROADMAP decision",
+                  implementation, a transient-fault hook, or API named in README or \
+                  a crate doc example",
     },
 ];
 

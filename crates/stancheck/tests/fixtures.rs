@@ -267,12 +267,11 @@ fn the_workspace_itself_is_clean() {
         );
         assert!(!waiver.reason.is_empty());
     }
-    // Public API only tests call stays for one of four reasons, and says which.
+    // Public API only tests call stays for one of three reasons, and says which.
     let reasons = [
         "reference implementation a test compares against",
         "transient-fault hook for Theorem 2 experiments",
         "API named in README or in a crate-level doc example",
-        "awaits a ROADMAP decision",
     ];
     for waiver in report
         .waivers

@@ -6,26 +6,33 @@
 //! Alon et al. \[20\]; this crate provides:
 //!
 //! * [`Tag`] — an owner-qualified, totally ordered tag value,
-//! * [`TagGenerator`] — a practically-self-stabilizing `nextTag()` implementation: the
-//!   next tag is strictly larger than every tag the controller has *observed* anywhere
-//!   in the system, so even if a transient fault plants arbitrary tags in switches,
-//!   channels, or the generator itself, one observation pass is enough to jump past
-//!   them (the counter space of `2^64` values makes wrap-around practically
-//!   unreachable, the standard "practically stabilizing" argument — but a corrupted
-//!   tag *at* `u64::MAX` saturates it, a known wedge pinned by an ignored test in
-//!   `tests/self_stabilization.rs`),
-//! * [`bounded`] — a genuinely bounded-domain variant with explicit epoch recycling,
-//!   showing how the unbounded counter can be avoided at the cost of the
-//!   `Delta_synch` recovery rounds the paper accounts for; not yet used by the
-//!   controller, and the candidate fix for that wedge,
+//! * [`TagGenerator`] — a practically-self-stabilizing `nextTag()` implementation: a
+//!   wrapping 64-bit counter whose next tag is larger than every tag the controller has
+//!   *observed* anywhere in the system, so even if a transient fault plants arbitrary
+//!   tags in switches, channels, or the generator itself, one observation pass is
+//!   enough to jump past them,
 //! * [`RoundTracker`] — the `currTag` / `prevTag` bookkeeping of Algorithm 2. The
 //!   evaluation prototype's retention of the previous round's rules (Section 6.2) needs
 //!   no third slot: the controller names `prevTag` in every `updateRule`.
+//!
+//! # Why a wrapping counter is enough
+//!
+//! The paper's bounded labeling scheme \[20\] is replaced by a 64-bit counter that
+//! wraps: the successor of `u64::MAX` is 0. Tag *order* matters in one place only, the
+//! generator's running maximum ([`TagGenerator::observe`], fed the largest tag in the
+//! controller's replies and the rule summaries they carry). Every other use
+//! compares tags for equality: a reply echoing a stale tag is ignored, a finished
+//! round's replies are dropped, and a switch keeps the rules whose tag `updateRule`
+//! names. So a wrapped tag costs at most a few rounds. While a tag at `u64::MAX` is
+//! still in the system, observing it pulls the counter back to the top and the next
+//! tag wraps again. That stops once the last such tag has left the system, which takes
+//! bounded time: rules of a dead or bogus owner are deleted at the next new round, a
+//! live owner's own rules are dropped once their tag is neither `currTag` nor
+//! `prevTag`, stored replies are pruned, and messages in flight are delivered or lost.
+//! Without a planted tag near the top, the counter would need `2^64` rounds to wrap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod bounded;
 
 use std::fmt;
 
@@ -41,7 +48,6 @@ use std::fmt;
 /// let a = Tag::new(3, 10);
 /// let b = Tag::new(5, 11);
 /// assert!(b > a);
-/// assert_eq!(a.owner(), 3);
 /// assert_eq!(a.value(), 10);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -51,17 +57,9 @@ pub struct Tag {
 }
 
 impl Tag {
-    /// A tag that precedes every tag any generator will ever produce.
-    pub const ZERO: Tag = Tag { value: 0, owner: 0 };
-
     /// Creates a tag owned by controller `owner` with the given counter value.
     pub const fn new(owner: u32, value: u64) -> Self {
         Tag { value, owner }
-    }
-
-    /// The controller that generated this tag.
-    pub const fn owner(self) -> u32 {
-        self.owner
     }
 
     /// The counter component of this tag.
@@ -85,9 +83,10 @@ impl fmt::Display for Tag {
 /// Practically-self-stabilizing `nextTag()` generator.
 ///
 /// The generator remembers the largest counter value it has produced *or observed*; the
-/// next tag uses that value plus one. Feeding every tag seen in query replies back via
-/// [`TagGenerator::observe`] guarantees that, one round after the last transient fault,
-/// freshly generated tags are unique in the system.
+/// next tag uses that value plus one, wrapping from `u64::MAX` to 0. Feeding every tag
+/// seen in query replies back via [`TagGenerator::observe`] guarantees that, one round
+/// after the last transient fault, freshly generated tags are unique in the system; a
+/// few rounds if the fault planted a tag at `u64::MAX` (see the crate docs).
 ///
 /// # Example
 ///
@@ -98,8 +97,7 @@ impl fmt::Display for Tag {
 /// gen.observe(Tag::new(9, 100)); // a (possibly corrupted) tag seen in a reply
 /// let t2 = gen.next_tag();
 /// assert!(t2 > t1);
-/// assert!(t2.value() > 100);
-/// assert_eq!(t2.owner(), 2);
+/// assert_eq!(t2, Tag::new(2, 101));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TagGenerator {
@@ -116,26 +114,17 @@ impl TagGenerator {
         }
     }
 
-    /// The controller this generator belongs to.
-    pub fn owner(&self) -> u32 {
-        self.owner
-    }
-
     /// Incorporates a tag observed anywhere in the system (query replies, switch rules,
     /// channel contents). Future tags will be strictly larger.
     pub fn observe(&mut self, tag: Tag) {
         self.last_value = self.last_value.max(tag.value());
     }
 
-    /// Generates the next tag: strictly larger than everything generated or observed.
+    /// Generates the next tag: strictly larger than everything generated or observed,
+    /// except that the successor of `u64::MAX` wraps to 0.
     pub fn next_tag(&mut self) -> Tag {
-        self.last_value = self.last_value.saturating_add(1);
+        self.last_value = self.last_value.wrapping_add(1);
         Tag::new(self.owner, self.last_value)
-    }
-
-    /// Simulates a transient fault by overwriting the internal counter (test helper).
-    pub fn corrupt(&mut self, value: u64) {
-        self.last_value = value;
     }
 }
 
@@ -190,7 +179,6 @@ mod tests {
         assert!(Tag::new(0, 2) > Tag::new(9, 1));
         assert!(Tag::new(2, 5) > Tag::new(1, 5));
         assert_eq!(Tag::new(1, 5), Tag::new(1, 5));
-        assert_eq!(Tag::ZERO.value(), 0);
         assert_eq!(format!("{}", Tag::new(3, 7)), "t7@c3");
         assert_eq!(format!("{:?}", Tag::new(3, 7)), "t7@c3");
     }
@@ -198,12 +186,11 @@ mod tests {
     #[test]
     fn generator_produces_strictly_increasing_tags() {
         let mut gen = TagGenerator::new(4);
-        assert_eq!(gen.owner(), 4);
-        let mut last = Tag::ZERO;
+        let mut last = Tag::new(0, 0);
         for _ in 0..100 {
             let t = gen.next_tag();
             assert!(t > last);
-            assert_eq!(t.owner(), 4);
+            assert_eq!(t, Tag::new(4, t.value()));
             last = t;
         }
     }
@@ -224,11 +211,12 @@ mod tests {
     #[test]
     fn generator_recovers_after_corruption() {
         let mut gen = TagGenerator::new(1);
-        gen.corrupt(u64::MAX - 1);
-        let t = gen.next_tag();
-        assert_eq!(t.value(), u64::MAX);
-        // Saturating add keeps producing the maximum rather than wrapping to stale values.
-        assert_eq!(gen.next_tag().value(), u64::MAX);
+        gen.observe(Tag::new(7, u64::MAX - 1));
+        assert_eq!(gen.next_tag(), Tag::new(1, u64::MAX));
+        // The counter wraps rather than saturating: successive rounds still get
+        // distinct tags, so `currTag != prevTag` even at the top of the range.
+        assert_eq!(gen.next_tag(), Tag::new(1, 0));
+        assert_eq!(gen.next_tag(), Tag::new(1, 1));
     }
 
     #[test]

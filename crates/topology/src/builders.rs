@@ -102,7 +102,7 @@ pub const GENERATOR_FAMILY_NAMES: [&str; 3] = [
 ///
 /// # Panics
 ///
-/// Panics if `name` is neither a paper network nor a well-formed generator name.
+/// Panics if `name` and `n_controllers` are not a network [`try_by_name`] accepts.
 pub fn by_name(name: &str, n_controllers: usize) -> NamedTopology {
     try_by_name(name, n_controllers).unwrap_or_else(|| {
         panic!(
@@ -112,12 +112,31 @@ pub fn by_name(name: &str, n_controllers: usize) -> NamedTopology {
     })
 }
 
+/// The most switches a generator name may ask for: twice the largest network in use
+/// (`jellyfish(1024, 8, 1)`). Building `fat_tree(64)` (5 120 switches) takes seconds
+/// and `fat_tree(128)` minutes, so a name from outside the program is refused on its
+/// arguments alone, before anything is built.
+const MAX_SWITCHES: u64 = 2048;
+
+/// The largest `jellyfish` degree (twice the largest in use). The construction costs
+/// about `switches^2 * degree`, so the switch bound alone would still admit
+/// `jellyfish(2048, 64)`, which takes over ten seconds to build.
+const MAX_JELLYFISH_DEGREE: u64 = 16;
+
+/// The most controllers a network may have: the paper evaluates up to 7. Attaching
+/// 10^7 controllers to B4 takes seconds, and 2^32 of them would wrap the `u32` node ids.
+const MAX_CONTROLLERS: usize = 64;
+
 /// [`by_name`] for names that come from outside the program (a command-log header,
 /// a request): `None` when `name` is neither a paper network nor a well-formed
 /// generator name with parameters inside the generator's range (`fat_tree`: even
-/// `k >= 4`; `jellyfish`: `degree >= 3`, more switches than `degree`, an even port
-/// count; `grid`: both dimensions `>= 2`).
+/// `k >= 4`; `jellyfish`: `3 <= degree <= 16`, more switches than `degree`, an even
+/// port count; `grid`: both dimensions `>= 2`; at most 2048 switches), or when
+/// `n_controllers` is above 64.
 pub fn try_by_name(name: &str, n_controllers: usize) -> Option<NamedTopology> {
+    if n_controllers > MAX_CONTROLLERS {
+        return None;
+    }
     Some(match name.to_ascii_lowercase().as_str() {
         "b4" => b4(n_controllers),
         "clos" => clos(n_controllers),
@@ -144,10 +163,18 @@ fn parse_generator(lower: &str) -> Option<Box<dyn Fn(usize) -> NamedTopology>> {
         .map(|s| s.parse().ok())
         .collect::<Option<_>>()?;
     // A name can come from outside the program (a flag, a command-log header), so the
-    // ranges the generators assert are checked here first: out of range is "unknown".
-    let jellyfish_in_range = |n: u64, d: u64| d >= 3 && n > d && (n % 2 == 0 || d % 2 == 0);
+    // ranges the generators assert, and the size bounds, are checked here first: out
+    // of range is "unknown".
+    let jellyfish_in_range = |n: u64, d: u64| {
+        (3..=MAX_JELLYFISH_DEGREE).contains(&d)
+            && n > d
+            && n <= MAX_SWITCHES
+            && (n % 2 == 0 || d % 2 == 0)
+    };
+    let fat_tree_in_range =
+        |k: u64| k >= 4 && k % 2 == 0 && k.saturating_mul(k).saturating_mul(5) / 4 <= MAX_SWITCHES;
     match (family.as_str(), args.as_slice()) {
-        ("fattree", &[k]) if k >= 4 && k % 2 == 0 => {
+        ("fattree", &[k]) if fat_tree_in_range(k) => {
             Some(Box::new(move |c| fat_tree(k as usize, c)))
         }
         ("jellyfish", &[n, d]) if jellyfish_in_range(n, d) => {
@@ -156,7 +183,9 @@ fn parse_generator(lower: &str) -> Option<Box<dyn Fn(usize) -> NamedTopology>> {
         ("jellyfish", &[n, d, seed]) if jellyfish_in_range(n, d) => Some(Box::new(move |c| {
             jellyfish(n as usize, d as usize, seed, c)
         })),
-        ("grid", &[rows, cols]) if rows >= 2 && cols >= 2 => {
+        ("grid", &[rows, cols])
+            if rows >= 2 && cols >= 2 && rows.saturating_mul(cols) <= MAX_SWITCHES =>
+        {
             Some(Box::new(move |c| grid(rows as usize, cols as usize, c)))
         }
         _ => None,
@@ -823,6 +852,28 @@ mod tests {
             assert!(try_by_name(name, 1).is_none(), "{name}");
         }
         assert!(try_by_name("jellyfish(6, 3)", 1).is_some());
+        // So are networks too large to build, refused before anything is built.
+        for name in [
+            "fat_tree(42)",
+            "fat_tree(128)",
+            "fat_tree(18446744073709551614)",
+            "jellyfish(2050, 8, 1)",
+            "jellyfish(2048, 18, 1)",
+            "grid(2, 1025)",
+            "grid(4294967296, 4294967296)",
+        ] {
+            assert!(try_by_name(name, 1).is_none(), "{name}");
+        }
+        assert!(try_by_name("B4", 65).is_none());
+        // The bounds themselves are inside.
+        assert_eq!(
+            try_by_name("B4", 64).map(|net| net.controller_count()),
+            Some(64)
+        );
+        assert_eq!(
+            try_by_name("grid(2, 1024)", 1).map(|net| net.switch_count()),
+            Some(2048)
+        );
         assert_eq!(
             try_by_name("grid(2,3)", 2).map(|net| net.graph),
             Some(by_name("grid(2,3)", 2).graph)

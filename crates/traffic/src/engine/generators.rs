@@ -56,7 +56,7 @@ pub enum Arrival {
     /// inter-arrival gaps are seeded exponential draws ([`sdn_rng::Rng::gen_exp`])
     /// accumulated onto a running clock, so flow `i+1` always starts at or after
     /// flow `i` and the offered load stays at the configured rate no matter how
-    /// the network is doing — the sustained-rate shape ROADMAP item 3 calls for.
+    /// the network is doing: a sustained offered rate.
     Poisson {
         /// Mean number of flow arrivals per service tick (> 0).
         rate_per_tick: f64,

@@ -189,14 +189,12 @@ fn a_reply_naming_a_huge_neighbor_id_is_just_another_bogus_claim() {
         .expect("the next honest reply from the switch replaces the claim");
 }
 
-/// Tags are a saturating 64-bit counter. A single rule tagged `u64::MAX` is observed
-/// by every controller, so every `TagGenerator` saturates and `nextTag()` returns the
-/// same value forever: `curr == prev`, rounds can no longer be told apart, and the
-/// network is legitimate only in scattered instants (about 10 of 900 samples). The
-/// same rule at `u64::MAX - 10^9` leaves every sample legitimate. Theorem 2 promises
-/// recovery from this state too; ROADMAP item 3 is the fix.
+/// Tags are a wrapping 64-bit counter. A single rule tagged `u64::MAX` is observed by
+/// every controller, so every `TagGenerator` reaches the top of the range; a saturating
+/// counter would then return the same value forever (`curr == prev`, legitimate in
+/// about 10 of 900 samples). Wrapping to 0 keeps rounds apart, and the bogus owner's
+/// rule is deleted at the next new round, so the wrap lasts a few rounds.
 #[test]
-#[ignore = "known wedge: saturating TagGenerator, ROADMAP item 3"]
 fn a_rule_tagged_u64_max_does_not_wedge_the_tag_generators() {
     for seed in [59, 60] {
         let mut sdn = build(true, seed);
@@ -213,20 +211,61 @@ fn a_rule_tagged_u64_max_does_not_wedge_the_tag_generators() {
                 fwd: controller,
                 tag: Tag::new(bogus.index(), u64::MAX),
             });
-        let legitimate = (0..900)
-            .filter(|_| {
-                sdn.run_for(SimDuration::from_secs(1));
-                sdn.is_legitimate()
-            })
-            .count();
-        let c = sdn.controller(controller).expect("controller");
-        assert!(
-            legitimate >= 890,
-            "seed {seed}: legitimate in {legitimate} of 900 one-second samples \
-             (curr {}, prev {}, {} rounds completed)",
-            c.curr_tag(),
-            c.prev_tag(),
-            c.stats().rounds_completed
-        );
+        assert_legitimate_in(&mut sdn, 890, 900, &format!("seed {seed}"));
     }
+}
+
+/// The own-tag path of the wedge above: every controller's `currTag`/`prevTag` sit at
+/// the top of the range, and every switch holds a rule of a *live* controller tagged
+/// with that controller's `currTag`, so `updateRule` keeps it (`keep_tags`) instead of
+/// deleting it as a bogus owner's. The controller's own generator wraps, the rule's tag
+/// stops being `curr` or `prev` two rounds later, and the rule goes. A saturating
+/// counter stays wedged here (legitimate in 0 of these 120 samples).
+#[test]
+fn own_tags_at_u64_max_do_not_wedge_the_tag_generators() {
+    let mut sdn = build(true, 59);
+    sdn.run_until_legitimate(CHECK, TIMEOUT).expect("bootstrap");
+    for c in sdn.controller_ids() {
+        let (curr, prev) = (
+            Tag::new(c.index(), u64::MAX),
+            Tag::new(c.index(), u64::MAX - 1),
+        );
+        sdn.controller_mut(c)
+            .expect("controller")
+            .corrupt_tags(curr, prev);
+    }
+    let owner = sdn.controller_ids()[0];
+    for switch in sdn.switch_ids() {
+        sdn.switch_mut(switch)
+            .expect("switch")
+            .corrupt_install_rule(Rule {
+                cid: owner,
+                src: None,
+                dst: owner,
+                prt: 0,
+                fwd: owner,
+                tag: Tag::new(owner.index(), u64::MAX),
+            });
+    }
+    assert_legitimate_in(&mut sdn, 118, 120, "seed 59");
+}
+
+/// Runs `samples` one-second steps and asserts that the network is legitimate after
+/// at least `bar` of them, naming the first controller's tags when it is not.
+fn assert_legitimate_in(sdn: &mut SdnNetwork, bar: usize, samples: usize, context: &str) {
+    let legitimate = (0..samples)
+        .filter(|_| {
+            sdn.run_for(SimDuration::from_secs(1));
+            sdn.is_legitimate()
+        })
+        .count();
+    let c = sdn.controller(sdn.controller_ids()[0]).expect("controller");
+    assert!(
+        legitimate >= bar,
+        "{context}: legitimate in {legitimate} of {samples} one-second samples \
+         (curr {}, prev {}, {} rounds completed)",
+        c.curr_tag(),
+        c.prev_tag(),
+        c.stats().rounds_completed
+    );
 }
