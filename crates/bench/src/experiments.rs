@@ -82,15 +82,13 @@ impl ExperimentScale {
             if self.networks.is_empty() {
                 die(&format!("invalid value '{networks}' for --networks"));
             }
-            for name in &self.networks {
-                if builders::try_by_name(name, 1).is_none() {
-                    die(&format!(
-                        "unknown network '{name}': expected one of {:?} or a generator name \
-                         like {:?}",
-                        builders::PAPER_NETWORK_NAMES,
-                        builders::GENERATOR_FAMILY_NAMES
-                    ));
-                }
+            if let Some(name) = self.networks.iter().find(|n| builders::family(n).is_none()) {
+                die(&format!(
+                    "unknown network '{name}': expected one of {:?} or a generator name like \
+                     {:?}",
+                    builders::PAPER_NETWORK_NAMES,
+                    builders::GENERATOR_FAMILY_NAMES
+                ));
             }
         }
         if let Some(ms) = args.parsed::<NonZeroU64>("--task-delay-ms") {

@@ -523,7 +523,7 @@ pub(crate) fn throughput_runs<'a>(
     out
 }
 
-/// The completion times of a throughput run's background population, if it completed
+/// The completion times of a run's flow-engine population, if it completed
 /// any flow.
 pub(crate) fn fct(run: &RunReport) -> Option<&Digest> {
     let engine = run.workload("flow_engine")?;

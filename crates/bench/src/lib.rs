@@ -16,14 +16,14 @@
 //! reads the environment or the host clock; host time is measured by the separate
 //! `renaissance-perf` package (`crates/bench/perf`, `BENCHMARK.json`).
 //!
-//! The `scale_campaign` binary sweeps topology family x size x fault scenario and
-//! emits the machine-readable `BENCH_scale*.json` artifacts; `tests/gate.rs` holds the
-//! smoke tier (and, in an ignored test, the large tier) byte for byte to its
-//! committed copy.
+//! The scale campaign is the [`campaign`] module: tiers, cells, typed scenarios and the
+//! `BENCH_scale*.json` renderer. `tests/gate.rs` runs it in-process and holds the smoke
+//! tier (and, in an ignored test, the large tier) byte for byte to its committed copy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod cli;
 pub mod experiments;
 pub mod figures;
@@ -32,4 +32,3 @@ pub mod report;
 
 pub use experiments::ExperimentScale;
 pub use report::{print_table, Row, Table};
-pub use sdn_metrics::{MetricKey, Recorder};

@@ -1,5 +1,5 @@
 //! Reporting helpers shared by the experiment binaries: fixed-width stdout tables and
-//! the writer of the committed benchmark artifacts (`BENCH_scale*.json`). The JSON
+//! the renderer of the committed benchmark artifacts (`BENCH_scale*.json`). The JSON
 //! value itself lives in [`sdn_metrics::json`].
 
 use sdn_metrics::json::Json;
@@ -70,28 +70,24 @@ pub fn fmt2(value: f64) -> String {
     format!("{value:.2}")
 }
 
-/// Writes a JSON document to `path` with a trailing newline: compact, except that each
-/// element of a top-level `results` array sits on its own line, so `git diff` of two
-/// artifacts names the cells that moved.
-pub fn write_json_file(path: &std::path::Path, doc: &Json) -> std::io::Result<()> {
+/// Renders a JSON document as an artifact, with a trailing newline: compact, except
+/// that each element of a top-level `results` array sits on its own line, so `git diff`
+/// of two artifacts names the cells that moved.
+pub fn json_artifact(doc: &Json) -> String {
     let Json::Obj(members) = doc else {
-        return std::fs::write(path, format!("{doc}\n"));
+        return format!("{doc}\n");
     };
-    let mut text = String::from("{");
-    for (i, (key, value)) in members.iter().enumerate() {
-        if i > 0 {
-            text.push(',');
-        }
-        text.push_str(&format!("{}:", Json::str(key.as_str())));
-        match value {
+    let members: Vec<String> = members
+        .iter()
+        .map(|(key, value)| match value {
             Json::Arr(cells) if key == "results" => {
                 let lines: Vec<String> = cells.iter().map(|cell| format!("\n{cell}")).collect();
-                text.push_str(&format!("[{}\n]", lines.join(",")));
+                format!("{}:[{}\n]", Json::str(key.as_str()), lines.join(","))
             }
-            other => text.push_str(&other.to_string()),
-        }
-    }
-    std::fs::write(path, text + "}\n")
+            other => format!("{}:{other}", Json::str(key.as_str())),
+        })
+        .collect();
+    format!("{{{}}}\n", members.join(","))
 }
 
 #[cfg(test)]
@@ -120,11 +116,8 @@ mod tests {
 
     #[test]
     fn json_file_round_trip() {
-        let path = std::env::temp_dir().join("renaissance_json_test.json");
         let doc = Json::obj([("k", Json::arr([Json::num(1.0), Json::str("two")]))]);
-        write_json_file(&path, &doc).expect("write");
-        let content = std::fs::read_to_string(&path).expect("read");
-        assert_eq!(content, "{\"k\":[1,\"two\"]}\n");
+        assert_eq!(json_artifact(&doc), "{\"k\":[1,\"two\"]}\n");
         // A campaign artifact: one result cell per line, everything else compact.
         let doc = Json::obj([
             ("tier", Json::str("smoke")),
@@ -133,13 +126,11 @@ mod tests {
                 Json::arr([Json::obj([("a", Json::num(1.0))]), Json::arr([])]),
             ),
         ]);
-        write_json_file(&path, &doc).expect("write");
-        let content = std::fs::read_to_string(&path).expect("read");
+        let content = json_artifact(&doc);
         assert_eq!(
             content,
             "{\"tier\":\"smoke\",\"results\":[\n{\"a\":1},\n[]\n]}\n"
         );
         assert_eq!(Json::parse(&content), Ok(doc));
-        let _ = std::fs::remove_file(&path);
     }
 }

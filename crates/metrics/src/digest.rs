@@ -235,6 +235,22 @@ impl Digest {
             .collect()
     }
 
+    /// The summary every benchmark artifact records, in artifact order: count, mean,
+    /// stddev, min, the p50/p90/p99 quantiles (one sort) and max.
+    pub fn summary(&self) -> [(&'static str, f64); 8] {
+        let q = self.quantiles(&[0.5, 0.9, 0.99]);
+        [
+            ("n", self.len() as f64),
+            ("mean", self.mean()),
+            ("stddev", self.stddev()),
+            ("min", self.min()),
+            ("p50", q[0]),
+            ("p90", q[1]),
+            ("p99", q[2]),
+            ("max", self.max()),
+        ]
+    }
+
     /// Median — the 0.5 quantile (0 when empty).
     pub fn median(&self) -> f64 {
         self.quantile(0.5).unwrap_or(0.0)

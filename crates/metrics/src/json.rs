@@ -64,21 +64,14 @@ impl Json {
         Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
-    /// Serializes the summary statistics of a [`Digest`] the way every benchmark
-    /// artifact records measurements: count, mean, stddev, min/max, and the
-    /// p50/p90/p99 quantiles.
+    /// Serializes the [`Digest::summary`] the way every benchmark artifact records
+    /// measurements: count, mean, stddev, min, the p50/p90/p99 quantiles and max.
     pub fn samples(samples: &Digest) -> Json {
-        let quantiles = samples.quantiles(&[0.5, 0.9, 0.99]);
-        Json::obj([
-            ("n", Json::num(samples.len() as f64)),
-            ("mean", Json::num(samples.mean())),
-            ("stddev", Json::num(samples.stddev())),
-            ("min", Json::num(samples.min())),
-            ("p50", Json::num(quantiles[0])),
-            ("p90", Json::num(quantiles[1])),
-            ("p99", Json::num(quantiles[2])),
-            ("max", Json::num(samples.max())),
-        ])
+        Json::obj(
+            samples
+                .summary()
+                .map(|(name, value)| (name, Json::num(value))),
+        )
     }
 
     /// The member of an object with the given key, if this is an object containing it.

@@ -137,19 +137,39 @@ pub fn try_by_name(name: &str, n_controllers: usize) -> Option<NamedTopology> {
     if n_controllers > MAX_CONTROLLERS {
         return None;
     }
-    Some(match name.to_ascii_lowercase().as_str() {
-        "b4" => b4(n_controllers),
-        "clos" => clos(n_controllers),
-        "telstra" => telstra(n_controllers),
-        "at&t" | "att" => att(n_controllers),
-        "ebone" => ebone(n_controllers),
-        other => parse_generator(other)?(n_controllers),
-    })
+    parse(name).map(|(_, build)| build(n_controllers))
+}
+
+/// The family a network name belongs to: `fat_tree`, `jellyfish` or `grid` for a
+/// generator name, the lowercase paper name (`b4`, `at&t`, ...) for a paper network.
+/// It is read off the parse [`try_by_name`] builds from, so every spelling the builder
+/// accepts (`fat tree(4)`, `Jelly-Fish(20, 3, 1)`) names the family it builds. `None`
+/// when [`try_by_name`] refuses the name.
+pub fn family(name: &str) -> Option<&'static str> {
+    parse(name).map(|(family, _)| family)
+}
+
+/// A parsed network name's builder, taking the controller count.
+type Builder = Box<dyn Fn(usize) -> NamedTopology>;
+
+/// Parses a network name (case-insensitive) into its family and builder, or `None`
+/// when the name is neither a paper network nor a well-formed generator name.
+fn parse(name: &str) -> Option<(&'static str, Builder)> {
+    let (family, build): (&'static str, fn(usize) -> NamedTopology) =
+        match name.to_ascii_lowercase().as_str() {
+            "b4" => ("b4", b4),
+            "clos" => ("clos", clos),
+            "telstra" => ("telstra", telstra),
+            "at&t" | "att" => ("at&t", att),
+            "ebone" => ("ebone", ebone),
+            other => return parse_generator(other),
+        };
+    Some((family, Box::new(build)))
 }
 
 /// Parses a lowercase parameterized generator name (`family(a, b)` or `family-a-b`)
-/// into a builder closure, or `None` when the name is not a known generator.
-fn parse_generator(lower: &str) -> Option<Box<dyn Fn(usize) -> NamedTopology>> {
+/// into its family and builder, or `None` when the name is not a known generator.
+fn parse_generator(lower: &str) -> Option<(&'static str, Builder)> {
     // Split "family(1, 2)" / "family-1-2" into the family word and its integer args:
     // everything before the first digit names the family, the rest is the arg list.
     let split = lower
@@ -175,18 +195,23 @@ fn parse_generator(lower: &str) -> Option<Box<dyn Fn(usize) -> NamedTopology>> {
         |k: u64| k >= 4 && k % 2 == 0 && k.saturating_mul(k).saturating_mul(5) / 4 <= MAX_SWITCHES;
     match (family.as_str(), args.as_slice()) {
         ("fattree", &[k]) if fat_tree_in_range(k) => {
-            Some(Box::new(move |c| fat_tree(k as usize, c)))
+            Some(("fat_tree", Box::new(move |c| fat_tree(k as usize, c))))
         }
-        ("jellyfish", &[n, d]) if jellyfish_in_range(n, d) => {
-            Some(Box::new(move |c| jellyfish(n as usize, d as usize, 1, c)))
-        }
-        ("jellyfish", &[n, d, seed]) if jellyfish_in_range(n, d) => Some(Box::new(move |c| {
-            jellyfish(n as usize, d as usize, seed, c)
-        })),
+        ("jellyfish", &[n, d]) if jellyfish_in_range(n, d) => Some((
+            "jellyfish",
+            Box::new(move |c| jellyfish(n as usize, d as usize, 1, c)),
+        )),
+        ("jellyfish", &[n, d, seed]) if jellyfish_in_range(n, d) => Some((
+            "jellyfish",
+            Box::new(move |c| jellyfish(n as usize, d as usize, seed, c)),
+        )),
         ("grid", &[rows, cols])
             if rows >= 2 && cols >= 2 && rows.saturating_mul(cols) <= MAX_SWITCHES =>
         {
-            Some(Box::new(move |c| grid(rows as usize, cols as usize, c)))
+            Some((
+                "grid",
+                Box::new(move |c| grid(rows as usize, cols as usize, c)),
+            ))
         }
         _ => None,
     }
@@ -833,6 +858,26 @@ mod tests {
         let g = by_name("Grid(3, 4)", 2);
         assert_eq!(g.switch_count(), 12);
         assert_eq!(g.graph, by_name("grid-3-4", 2).graph);
+    }
+
+    #[test]
+    fn family_is_the_family_the_name_builds() {
+        // Spellings the parser accepts name the family they build.
+        for (name, expected, built) in [
+            ("fat_tree(4)", "fat_tree", "FatTree-4"),
+            ("fat tree(4)", "fat_tree", "FatTree-4"),
+            ("fat-tree-8", "fat_tree", "FatTree-8"),
+            ("jelly-fish(20, 3, 1)", "jellyfish", "Jellyfish-20-3-s1"),
+            ("Grid(3, 4)", "grid", "Grid-3x4"),
+            ("AT&T", "at&t", "AT&T"),
+            ("att", "at&t", "AT&T"),
+            ("B4", "b4", "B4"),
+        ] {
+            assert_eq!(family(name), Some(expected), "{name}");
+            assert_eq!(by_name(name, 1).name, built, "{name}");
+        }
+        assert_eq!(family("arpanet"), None);
+        assert_eq!(family("fat_tree(3)"), None);
     }
 
     #[test]
