@@ -9,10 +9,11 @@
 
 use crate::config::{ControllerConfig, Variant};
 use crate::reply_db::{InsertOutcome, ReplyDb, View, ViewInput, ViewKey};
-use sdn_switch::{CommandBatch, QueryReply, RuleBody, RuleSet, SwitchCommand};
+use sdn_switch::{CommandBatch, QueryReply, RuleBody, RuleSet, RuleSetWriter, SwitchCommand};
 use sdn_tags::{RoundTracker, Tag, TagGenerator};
 use sdn_topology::{FlowPlan, FlowPlanner, Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
 /// Counters describing a controller's activity; several experiments (Figure 9, the
@@ -75,6 +76,17 @@ impl ViewMemo {
         }
         self.0[0].1.clone()
     }
+
+    /// Re-derives every entry from its key and replaces a view that differs. Counted
+    /// as neither a build nor a reuse.
+    fn audit(&mut self) {
+        for (key, view) in &mut self.0 {
+            let fresh = key.view();
+            if **view != fresh {
+                *view = Arc::new(fresh);
+            }
+        }
+    }
 }
 
 /// Whether two views hold the same topology: shared, or equal by value.
@@ -103,6 +115,8 @@ pub struct Controller {
     /// rules and handed out by reference from then on. A set names neither tag nor
     /// owner, so it outlives rounds; only a new plan empties the memo.
     rule_sets: BTreeMap<NodeId, RuleSet>,
+    /// The switch whose memoized set the last iteration checked against `plan`.
+    audited: NodeId,
     views: ViewMemo,
     stats: ControllerStats,
     plan_version: u64,
@@ -122,6 +136,7 @@ impl Controller {
             plan: Arc::new(FlowPlan::default()),
             planned: None,
             rule_sets: BTreeMap::new(),
+            audited: id,
             views: ViewMemo::default(),
             stats: ControllerStats::default(),
             plan_version: 0,
@@ -182,7 +197,7 @@ impl Controller {
     }
 
     /// The first-hop candidates (in priority order) this controller would use to reach
-    /// `dst`, according to its latest routing plan, ranked as they are read.
+    /// `dst`, according to its latest routing plan, ranked when asked for.
     pub fn first_hop_candidates(&self, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.plan.next_hops(self.id, dst)
     }
@@ -242,12 +257,15 @@ impl Controller {
         // coincide), so the rule plan doubles as the controller's own routing plan:
         // one computation, shared through the `Arc`. The plan is a pure function of
         // the reference graph (the planner config is fixed and `non_transit` is
-        // derived from the graph), so an unchanged graph reuses the previous plan.
-        if !(self.planned.as_ref()).is_some_and(|planned| same_graph(planned, refer)) {
-            // Controllers never relay packets, so flows must not be planned through them.
-            let non_transit: BTreeSet<NodeId> = (refer.graph().nodes())
-                .filter(|n| n.is_controller(self.config.n_controllers))
-                .collect();
+        // derived from the graph), so an unchanged graph reuses the previous plan once
+        // the share of it this iteration audits agrees with the graph. Controllers
+        // never relay packets, so flows must not be planned through them.
+        let relays = |n: NodeId| !n.is_controller(self.config.n_controllers);
+        let turn = self.stats.iterations;
+        let planned = (self.planned.as_ref()).is_some_and(|planned| same_graph(planned, refer));
+        if !planned || !self.plan.agrees(refer.graph(), relays, turn) {
+            let non_transit: BTreeSet<NodeId> =
+                refer.graph().nodes().filter(|&n| !relays(n)).collect();
             let mut planner = FlowPlanner::new(self.config.kappa);
             if let Some(limit) = self.config.max_priorities {
                 planner = planner.with_max_candidates(limit);
@@ -257,6 +275,7 @@ impl Controller {
             self.rule_sets.clear();
         }
         self.planned = Some(refer.clone());
+        self.audit_memos();
 
         // Lines 14–19: build one batch per reachable node.
         let mut messages = Vec::new();
@@ -301,33 +320,43 @@ impl Controller {
     }
 
     /// `myRules(G, j, tag)`: the rules this controller installs at switch `j` given its
-    /// current view `G` (paper, Sections 2.2.2 and 3.3). One wildcard-source rule per
-    /// destination and priority level, encoding the kappa-fault-resilient flow towards
-    /// that destination. The tag and the owner are the `updateRule` command's; the
-    /// set is a function of the plan and `j` alone, so it is built once per plan.
+    /// current view `G` (paper, Sections 2.2.2 and 3.3). The tag and the owner are the
+    /// `updateRule` command's; the set is a function of the plan and `j` alone, so it
+    /// is built once per plan.
     fn my_rules(&mut self, switch: NodeId) -> RuleSet {
         let Controller {
             plan, rule_sets, ..
         } = self;
-        let build = || {
-            // The plan ranks the switch's candidates towards each reachable destination,
-            // destinations ascending: the set's own order, written in one pass. Internal
-            // iteration lets the ranking inline into this loop; `for` loops over the
-            // same rows took about 40 % longer.
-            let mut bodies = Vec::new();
-            plan.next_hops_from(switch).for_each(|(dst, hops)| {
-                hops.enumerate().for_each(|(level, fwd)| {
-                    bodies.push(RuleBody {
-                        src: None,
-                        dst,
-                        prt: u8::MAX - level.min(u8::MAX as usize - 1) as u8,
-                        fwd,
-                    })
-                })
-            });
-            bodies.into_iter().collect()
+        (rule_sets.entry(switch))
+            .or_insert_with(|| build_rules(plan, switch))
+            .clone()
+    }
+
+    /// Re-derives a share of the memos per iteration, so that a transient fault in
+    /// them is repaired within a bound (README, "Repairing the memos"): the memoized
+    /// set of the switch after the one checked last is compared with `myRules()` under
+    /// the current plan and rebuilt only if it differs, and each time that cursor wraps
+    /// around, every memoized view is re-derived from its key.
+    fn audit_memos(&mut self) {
+        let next = match self
+            .rule_sets
+            .range((Excluded(self.audited), Unbounded))
+            .next()
+        {
+            Some(next) => Some(next),
+            None => {
+                self.views.audit();
+                self.rule_sets.iter().next()
+            }
         };
-        rule_sets.entry(switch).or_insert_with(build).clone()
+        let Some((&switch, set)) = next else {
+            return;
+        };
+        self.audited = switch;
+        if !rules_match(&self.plan, switch, set) {
+            self.rule_sets
+                .insert(switch, build_rules(&self.plan, switch));
+        }
     }
 
     /// Handles a query reply travelling back to this controller
@@ -367,6 +396,48 @@ impl Controller {
         let tag = reply.echo_tag;
         let _ = self.reply_db.insert(reply, tag);
     }
+}
+
+/// The lowest priority level: a destination with more candidates than levels keeps
+/// its last candidate there, as if each later rule had overwritten the one before.
+const LOWEST_LEVEL: usize = u8::MAX as usize - 1;
+
+/// `myRules()` at `switch` under `plan`, body by body in the set's slot order: one
+/// wildcard-source rule per reachable destination and priority level, encoding the
+/// kappa-fault-resilient flow towards that destination.
+fn for_each_body(plan: &FlowPlan, switch: NodeId, mut f: impl FnMut(RuleBody)) {
+    plan.for_each_rule(switch, |dst, hops| {
+        let last = hops.len() - 1;
+        for (level, fwd) in hops.enumerate() {
+            if level < LOWEST_LEVEL || level == last {
+                let prt = u8::MAX - level.min(LOWEST_LEVEL) as u8;
+                f(RuleBody {
+                    src: None,
+                    dst,
+                    prt,
+                    fwd,
+                });
+            }
+        }
+    });
+}
+
+/// `myRules()` at `switch`, written in the pass that ranks it.
+fn build_rules(plan: &FlowPlan, switch: NodeId) -> RuleSet {
+    let mut writer = RuleSetWriter::with_capacity(plan.rule_bound(switch));
+    for_each_body(plan, switch, |body| writer.push(body));
+    writer.finish()
+}
+
+/// Whether `set` is `myRules()` at `switch`, compared body by body as the plan ranks
+/// them, with nothing allocated.
+fn rules_match(plan: &FlowPlan, switch: NodeId, set: &RuleSet) -> bool {
+    let (mut next, mut same) = (0, true);
+    for_each_body(plan, switch, |body| {
+        same &= set.get(next) == Some(&body);
+        next += 1;
+    });
+    same && next == set.len()
 }
 
 /// Appends the manager / stale-rule cleanup commands for one switch to `commands`,
@@ -1029,7 +1100,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "ROADMAP item 1: the rule-set memo is not repaired once the plan stands"]
     fn emptied_rule_memos_on_both_controllers_are_repaired() {
         let mut sdn = settled_ring();
         for controller in sdn.controller_ids() {
@@ -1042,7 +1112,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "ROADMAP item 1: the rule-set memo is not repaired once the plan stands"]
     fn emptied_rule_memo_on_one_controller_is_repaired() {
         let mut sdn = settled_ring();
         let controllers = sdn.controller_ids();
@@ -1060,6 +1129,40 @@ mod tests {
             "a switch still holds no rule of {}",
             controllers[0]
         );
+    }
+
+    /// Transient faults in a settled controller's plan and memoized views. A replaced
+    /// plan is rebuilt within `⌈n/64⌉` iterations, equal to the plan of before; every
+    /// view is re-derived from its key within one pass of the rule-set cursor, and the
+    /// network, which the wrong views made the controller forget, is legitimate again.
+    #[test]
+    fn corrupted_plan_and_views_are_repaired_within_their_bounds() {
+        let mut sdn = settled_ring();
+        let id = sdn.controller_ids()[0];
+        let neighbors = sdn.sim().observed(id).to_vec();
+        let c = sdn.controller_mut(id).unwrap();
+        let (plan, version) = (c.plan.clone(), c.plan_version());
+        c.plan = Arc::new(FlowPlan::default());
+        // `ring(5, 2)` has seven nodes: one block, checked on every turn.
+        let _ = c.iterate(&neighbors);
+        assert_eq!((*c.plan == *plan, c.plan_version()), (true, version + 1));
+
+        let nobody = ReplyDb::new(1).res(c.curr_tag(), id, &[]).key().view();
+        for (_, view) in &mut c.views.0 {
+            *view = Arc::new(nobody.clone());
+        }
+        for _ in 0..=c.rule_sets.len() {
+            c.audit_memos();
+        }
+        assert_eq!(c.views.0.len(), ViewMemo::ENTRIES);
+        for (key, view) in &c.views.0 {
+            assert_eq!(**view, key.view());
+        }
+        for (_, view) in &mut sdn.controller_mut(id).unwrap().views.0 {
+            *view = Arc::new(nobody.clone());
+        }
+        let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
+        assert!(sdn.run_until_legitimate(second, timeout).is_some());
     }
 
     /// A transient fault lands between two polls with no simulated event in between;

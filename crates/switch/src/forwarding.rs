@@ -153,21 +153,30 @@ mod tests {
     /// Random tables (several owners, wildcard and exact sources, equal priorities and
     /// next hops across owners — including the `(prt, fwd, cid, src)` tie order), built
     /// the way tables come about: whole sets installed over kept ones, which leaves
-    /// owners with partly overwritten sets, plus single inserts, which leave one-rule
-    /// sets. Random visited / neighbor sets and link masks: the in-place walk picks the
-    /// same hop and asks `is_up` the same questions in the same order as the
-    /// collect-and-sort formulation.
+    /// owners with partly overwritten sets, plus single inserts and one-rule sets,
+    /// towards destinations that are dense, sparse or near `u32::MAX`, so that sets
+    /// find their rows through an index and by search. Random visited / neighbor sets
+    /// and link masks: the in-place walk picks the same hop and asks `is_up` the same
+    /// questions in the same order as the collect-and-sort formulation.
     #[test]
     fn decide_matches_the_collecting_reference() {
         use crate::rules::{RuleBody, RuleSet};
         use sdn_rng::Rng;
         let (mut decided, mut probes, mut layered) = (0, 0, 0);
-        for seed in 0..40u64 {
+        let (mut indexed, mut searched) = (0, 0);
+        for seed in 0..90u64 {
             let mut rng = Rng::seed_from_u64(seed);
             let mut t = RuleTable::new(rng.gen_range(8..120usize));
+            // Six destinations: dense, spread out, or at the top of the id space.
+            let dsts = match seed % 3 {
+                0 => [0, 1, 2, 3, 4, 5],
+                1 => [0, 7, 1_000, 1_003, 77_777, 1 << 30],
+                _ => [2, 3, u32::MAX - 5, u32::MAX - 3, u32::MAX - 2, u32::MAX - 1],
+            }
+            .map(n);
             let random_body = |rng: &mut Rng| RuleBody {
                 src: rng.gen_bool(0.3).then(|| n(rng.gen_range(0..3u32))),
-                dst: n(rng.gen_range(0..6u32)),
+                dst: dsts[rng.gen_range(0..6usize)],
                 prt: rng.gen_range(0..4u32) as u8,
                 fwd: n(rng.gen_range(0..8u32)),
             };
@@ -178,9 +187,14 @@ mod tests {
                     t.insert(random_body(&mut rng).owned_by(cid, tag));
                     continue;
                 }
-                let set: RuleSet = (0..rng.gen_range(0..25u32))
-                    .map(|_| random_body(&mut rng))
-                    .collect();
+                let len = match rng.gen_range(0..8u32) {
+                    0 => 1,
+                    1 => 40,
+                    _ => rng.gen_range(0..25u32),
+                };
+                let set: RuleSet = (0..len).map(|_| random_body(&mut rng)).collect();
+                indexed += usize::from(set.index_len() > 0);
+                searched += usize::from(set.index_len() == 0);
                 let keep = Tag::new(cid.index(), rng.gen_range(1..3u64));
                 let kept = |t: &RuleTable| t.rules_of(cid).iter().filter(|r| r.tag == keep).count();
                 let before = kept(&t);
@@ -191,7 +205,7 @@ mod tests {
                 let mut subset =
                     |p: f64| -> Vec<NodeId> { (0..8).filter(|_| rng.gen_bool(p)).map(n).collect() };
                 let (visited, neighbors, up) = (subset(0.2), subset(0.7), subset(0.6));
-                let packet = (n(rng.gen_range(0..3u32)), n(rng.gen_range(0..6u32)));
+                let packet = (n(rng.gen_range(0..3u32)), dsts[rng.gen_range(0..6usize)]);
                 let (mut asked, mut expected_asked) = (Vec::new(), Vec::new());
                 let hop = decide(&t, packet.0, packet.1, &visited, &neighbors, &mut |h| {
                     asked.push(h);
@@ -208,8 +222,9 @@ mod tests {
             }
         }
         assert!(
-            decided > 500 && probes > 500 && layered > 20,
-            "{decided} decisions, {probes} multi-probe, {layered} partly overwritten sets"
+            decided > 500 && probes > 500 && layered > 20 && indexed > 20 && searched > 20,
+            "{decided} decisions, {probes} multi-probe, {layered} partly overwritten sets, \
+             {indexed} indexed and {searched} searched sets"
         );
     }
 }

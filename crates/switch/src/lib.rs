@@ -52,5 +52,5 @@ pub mod switch;
 
 pub use commands::{CommandBatch, QueryReply, SwitchCommand};
 pub use managers::ManagerSet;
-pub use rules::{Rule, RuleBody, RuleSet, RuleSummary, RuleTable};
+pub use rules::{Rule, RuleBody, RuleSet, RuleSetWriter, RuleSummary, RuleTable};
 pub use switch::{AbstractSwitch, SwitchConfig, SwitchStats};

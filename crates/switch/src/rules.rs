@@ -9,7 +9,8 @@
 //! plan and the addressed switch. So that part is built once, as an immutable
 //! [`RuleSet`], and shared by reference between the controller that built it, the
 //! packets that carry it and every table it is installed in; a [`RuleTable`] is the
-//! short list of the sets installed in it. [`Rule`] is the by-value view of one rule.
+//! short list of the sets installed in it. A set is laid out by destination, so a
+//! forwarding lookup reads one row per set. [`Rule`] is the by-value view of one rule.
 //!
 //! The table is bounded by `maxRules` and evicts the least-recently-updated rules first,
 //! which is the memory-management behaviour the paper requires in Section 2.1.1.
@@ -197,6 +198,13 @@ impl RuleBody {
 /// yields the canonical set; of bodies naming the same slot the last one wins, as it
 /// would if they were inserted one after the other.
 ///
+/// A set is laid out by destination: the rules towards one destination are a row. A
+/// set of at least 16 rules whose destinations span no more identifiers than it has
+/// rules also holds where each row starts, so finding a row is two loads. Every other
+/// set (a tiny one, or one with sparse destinations, such as a corrupted rule towards
+/// `u32::MAX - 1`) finds a row by binary search, so no identifier sizes an allocation.
+/// Equality is by rules alone.
+///
 /// # Example
 ///
 /// ```
@@ -213,13 +221,54 @@ impl RuleBody {
 /// assert!(RuleSet::ptr_eq(&set, &set.clone()));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RuleSet(Arc<[RuleBody]>);
+pub struct RuleSet(Arc<Rows>);
+
+/// A set's rules and row index; the index is a function of the rules, so equal rules
+/// make equal `Rows`.
+#[derive(Debug, PartialEq, Eq)]
+struct Rows {
+    bodies: Box<[RuleBody]>,
+    /// `starts[k]`: the index of the first rule towards the first row's destination
+    /// plus `k`, or a later one, with the length at the end; empty when rows are found
+    /// by search.
+    starts: Box<[u32]>,
+}
 
 impl RuleSet {
+    /// Sets smaller than this find their rows by binary search.
+    const INDEXED_FROM: usize = 16;
+
     /// Returns `true` when both handles point at one allocation. Equal contents do not
     /// imply it; it is only ever a shortcut for a comparison that would say "equal".
     pub fn ptr_eq(a: &RuleSet, b: &RuleSet) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The index range of the rules towards `dst`.
+    #[inline]
+    fn row(&self, dst: NodeId) -> Range<usize> {
+        let Rows { bodies, starts } = &*self.0;
+        match bodies.first() {
+            Some(first) if !starts.is_empty() => {
+                let k = dst.index().wrapping_sub(first.dst.index()) as usize;
+                match starts.get(k..k + 2) {
+                    Some(&[lo, hi]) => lo as usize..hi as usize,
+                    _ => 0..0,
+                }
+            }
+            _ => {
+                let lo = bodies.partition_point(|r| r.dst < dst);
+                lo..lo + bodies[lo..].partition_point(|r| r.dst == dst)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl RuleSet {
+    /// How many row starts the set keeps (0 when rows are found by search).
+    pub(crate) fn index_len(&self) -> usize {
+        self.0.starts.len()
     }
 }
 
@@ -227,7 +276,7 @@ impl Deref for RuleSet {
     type Target = [RuleBody];
 
     fn deref(&self) -> &[RuleBody] {
-        &self.0
+        &self.0.bodies
     }
 }
 
@@ -244,9 +293,67 @@ impl FromIterator<RuleBody> for RuleSet {
                 same_slot
             });
         }
+        let mut writer = RuleSetWriter::with_capacity(bodies.len());
+        bodies.into_iter().for_each(|body| writer.push(body));
+        writer.finish()
+    }
+}
+
+/// Writes a [`RuleSet`] in one pass: bodies arrive in slot order, and each row's start
+/// is noted as the row opens.
+#[derive(Debug)]
+pub struct RuleSetWriter {
+    bodies: Vec<RuleBody>,
+    /// The row starts so far, with room for one row per rule the capacity allows; a
+    /// row further out than that rules out an index, and the starts are dropped.
+    starts: Vec<u32>,
+}
+
+impl RuleSetWriter {
+    /// A writer for a set of at most `capacity` rules.
+    pub fn with_capacity(capacity: usize) -> Self {
+        RuleSetWriter {
+            bodies: Vec::with_capacity(capacity),
+            starts: Vec::with_capacity(capacity + 1),
+        }
+    }
+
+    /// Appends `body`, whose slot comes after every slot written so far.
+    #[inline]
+    pub fn push(&mut self, body: RuleBody) {
+        debug_assert!((self.bodies.last()).is_none_or(|last| last.slot() < body.slot()));
+        if self.bodies.last().is_none_or(|last| last.dst != body.dst) {
+            self.open_row(body.dst);
+        }
+        self.bodies.push(body);
+    }
+
+    /// Notes where the row towards `dst` starts, and where the empty rows before it do.
+    fn open_row(&mut self, dst: NodeId) {
+        let first = self.bodies.first().map_or(dst, |b| b.dst);
+        let row = (dst.index() - first.index()) as usize;
+        if row >= self.starts.capacity() {
+            self.starts = Vec::new();
+        }
+        while self.starts.len() <= row && row < self.starts.capacity() {
+            self.starts.push(self.bodies.len() as u32);
+        }
+    }
+
+    /// The set written, with a row index if it has at least 16 rules and no more rows
+    /// than rules.
+    pub fn finish(mut self) -> RuleSet {
+        let len = self.bodies.len();
         // A table addresses the rules of a set by `u32` index.
-        assert!(u32::try_from(bodies.len()).is_ok(), "rule set too large");
-        RuleSet(bodies.into())
+        assert!(u32::try_from(len).is_ok(), "rule set too large");
+        self.starts.push(len as u32);
+        if len < RuleSet::INDEXED_FROM || !(2..=len + 1).contains(&self.starts.len()) {
+            self.starts = Vec::new();
+        }
+        RuleSet(Arc::new(Rows {
+            bodies: self.bodies.into_boxed_slice(),
+            starts: self.starts.into_boxed_slice(),
+        }))
     }
 }
 
@@ -294,26 +401,31 @@ impl InstalledSet {
 
     /// Index of the live rule in `slot`, if there is one.
     fn find(&self, slot: &Slot) -> Option<usize> {
-        let i = self.rules.binary_search_by_key(slot, RuleBody::slot).ok()?;
+        let row = self.rules.row(slot.0);
+        let i = row.start
+            + self.rules[row]
+                .binary_search_by_key(slot, RuleBody::slot)
+                .ok()?;
         match &self.live {
             None => Some(i),
             Some(indices) => indices.binary_search(&(i as u32)).ok().map(|_| i),
         }
     }
 
-    /// The live rules towards `dst`, in slot order.
+    /// The live rules towards `dst`, in slot order: the set's row, less what is struck.
+    #[inline]
     fn towards(&self, dst: NodeId) -> impl Iterator<Item = &RuleBody> + '_ {
-        let rules = &self.rules[..];
+        let (rules, row) = (&self.rules[..], self.rules.row(dst));
         let (all, some): (&[RuleBody], &[u32]) = match &self.live {
-            None => (&rules[rules.partition_point(|r| r.dst < dst)..], &[]),
+            None => (&rules[row.clone()], &[]),
             Some(live) => {
-                let from = live.partition_point(|&i| rules[i as usize].dst < dst);
+                let from = live.partition_point(|&i| (i as usize) < row.start);
                 (&[], &live[from..])
             }
         };
+        let struck_in = some.iter().take_while(move |&&i| (i as usize) < row.end);
         all.iter()
-            .chain(some.iter().map(move |&i| &rules[i as usize]))
-            .take_while(move |r| r.dst == dst)
+            .chain(struck_in.map(move |&i| &rules[i as usize]))
     }
 
     /// Takes the live rule at `index` out of force.
@@ -325,20 +437,28 @@ impl InstalledSet {
 
     /// Takes out of force every live rule whose slot `newer` also fills, and returns
     /// how many that were. The same allocation fills exactly the same slots; any other
-    /// set costs one walk over both, writing only the survivors.
+    /// set is compared row by row, each live row against `newer`'s row for the same
+    /// destination, writing only the survivors.
     fn strike_slots_of(&mut self, newer: &RuleSet) -> usize {
         let before = self.live_len();
         if RuleSet::ptr_eq(&self.rules, newer) {
             self.live = Some(Vec::new());
             return before;
         }
-        let mut theirs = newer.iter().map(RuleBody::slot).peekable();
+        let (mine, new) = (&self.rules[..], &newer[..]);
+        let (mut dst, mut theirs) = (None, &new[..0]);
         let survivors: Vec<u32> = self
             .live_indices()
             .filter(|&i| {
-                let mine = self.rules[i].slot();
-                while theirs.next_if(|slot| *slot < mine).is_some() {}
-                theirs.peek() != Some(&mine)
+                let slot = mine[i].slot();
+                if dst != Some(slot.0) {
+                    (dst, theirs) = (Some(slot.0), &new[newer.row(slot.0)]);
+                }
+                // Both rows ascend by slot: pass the new rules ahead of this one.
+                while theirs.first().is_some_and(|r| r.slot() < slot) {
+                    theirs = &theirs[1..];
+                }
+                theirs.first().is_none_or(|r| r.slot() != slot)
             })
             .map(|i| i as u32)
             .collect();
@@ -654,9 +774,9 @@ impl RuleTable {
 
     /// The next hops of the rules matching a packet `(src, dst)`, by decreasing
     /// priority (ties: ascending next hop, then owner, then source match), without
-    /// collecting them: each step scans every set's `dst` range for the successor of
-    /// the rule it yielded last. A packet matches a handful of rules and mostly takes
-    /// the first.
+    /// collecting them: each step reads every set's row towards `dst` for the
+    /// successor of the rule it yielded last, through the set's row index where it has
+    /// one. A packet matches a handful of rules and mostly takes the first.
     pub fn matching_hops(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let mut last = None;
         std::iter::from_fn(move || {
@@ -884,6 +1004,130 @@ mod tests {
             evictions += t.evictions();
         }
         assert!(evictions > 0, "the near-capacity path must have run");
+    }
+
+    /// The slot merge `strike_slots_of` did before sets were laid out by destination:
+    /// one walk over both sets' `(dst, src, Reverse(prt))` tuples.
+    fn strike_by_merge(set: &mut InstalledSet, newer: &RuleSet) -> usize {
+        let before = set.live_len();
+        let mut theirs = newer.iter().map(RuleBody::slot).peekable();
+        let survivors: Vec<u32> = (set.live_indices())
+            .filter(|&i| {
+                let mine = set.rules[i].slot();
+                while theirs.next_if(|slot| *slot < mine).is_some() {}
+                theirs.peek() != Some(&mine)
+            })
+            .map(|i| i as u32)
+            .collect();
+        let struck = before - survivors.len();
+        if struck > 0 {
+            set.live = Some(survivors);
+        }
+        struck
+    }
+
+    /// Random bodies towards dense, sparse or near-`u32::MAX` destinations: sets of
+    /// every kind, indexed or searched.
+    fn random_bodies(rng: &mut sdn_rng::Rng, len: u32) -> RuleSet {
+        let base = [0, 1_000, u32::MAX - 40][rng.gen_range(0..3usize)];
+        let spread = [8, 40, u32::MAX / 2][rng.gen_range(0..3usize)];
+        (0..len)
+            .map(|_| RuleBody {
+                dst: n(base
+                    .saturating_add(rng.gen_range(0..8u32) * (spread / 8))
+                    .min(u32::MAX - 1)),
+                src: rng.gen_bool(0.2).then(|| n(rng.gen_range(0..3u32))),
+                prt: rng.gen_range(0..4u32) as u8,
+                fwd: n(rng.gen_range(0..6u32)),
+            })
+            .collect()
+    }
+
+    /// `install` over kept sets strikes row by row through both sets' indexes; a
+    /// table whose kept sets are struck by the tuple merge instead, under the same
+    /// random histories (kept sets partly overwritten, indexed and searched sets,
+    /// sparse and near-`u32::MAX` destinations), is equal after every step.
+    #[test]
+    fn row_wise_strike_matches_the_tuple_merge() {
+        use sdn_rng::Rng;
+        let (mut struck, mut indexed, mut searched) = (0, 0, 0);
+        for seed in 0..30u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let (mut t, mut reference) = (RuleTable::new(400), RuleTable::new(400));
+            for step in 0..80 {
+                let owner = n(rng.gen_range(0..3u32));
+                let tag = Tag::new(owner.index(), rng.gen_range(1..4u64));
+                let keep = [Tag::new(owner.index(), rng.gen_range(1..4u64))];
+                let len = rng.gen_range(0..60u32);
+                let set = random_bodies(&mut rng, len);
+                indexed += usize::from(set.index_len() > 0);
+                searched += usize::from(set.index_len() == 0 && set.len() > 1);
+                t.install(owner, tag, &set, &keep);
+                // `install`'s fast path, with the merge in place of the row walk.
+                reference.drop_sets(owner, |kept| keep.contains(&kept));
+                let mut gone = 0;
+                for at in reference.sets_of(owner) {
+                    gone += strike_by_merge(&mut reference.sets[at], &set);
+                }
+                reference.len -= gone;
+                reference.sets.retain(|s| s.live_len() > 0);
+                reference.push(owner, tag, set);
+                struck += gone;
+                assert_eq!(t, reference, "seed {seed} step {step}");
+                assert_eq!(t.summary(), reference.summary(), "seed {seed} step {step}");
+            }
+        }
+        assert!(
+            struck > 1_000 && indexed > 500 && searched > 500,
+            "{struck} rules struck, {indexed} indexed and {searched} searched sets"
+        );
+    }
+
+    /// Rules towards `u32::MAX - 1`, from a corruption and from an `updateRule`, next
+    /// to a dense set: no row index grows past the length of its set, and forwarding
+    /// answers as the collect-and-sort reference does.
+    #[test]
+    fn hostile_destinations_size_no_index() {
+        use crate::{AbstractSwitch, CommandBatch, SwitchCommand, SwitchConfig};
+        let far = u32::MAX - 1;
+        let mut sw = AbstractSwitch::new(n(7), SwitchConfig::for_network(2, 8, 4));
+        let dense: RuleSet = (0..40).map(|d| rule(0, 0, d, 1, d % 5, 1).body()).collect();
+        let hostile: RuleSet = [3, 4, far, far - 2]
+            .iter()
+            .flat_map(|&d| (1..4).map(move |prt| rule(1, 0, d, prt, prt as u32, 1).body()))
+            .chain((10..30).map(|d| rule(1, 0, d, 1, 2, 1).body()))
+            .collect();
+        let update = |from: u32, rules: &RuleSet| {
+            let tag = Tag::new(from, 1);
+            let commands = vec![SwitchCommand::UpdateRules {
+                tag,
+                rules: rules.clone(),
+                keep_tags: vec![],
+            }];
+            CommandBatch::new(n(from), commands)
+        };
+        sw.apply_batch(&update(0, &dense), &[]);
+        sw.apply_batch(&update(1, &hostile), &[]);
+        sw.corrupt_install_rule(rule(2, 0, far, 9, 4, 1));
+        sw.corrupt_install_rule(Rule {
+            src: None,
+            ..rule(2, 0, far - 1, 9, 3, 1)
+        });
+        let t = sw.rules();
+        assert_eq!(t.len(), dense.len() + hostile.len() + 2);
+        for set in &t.sets {
+            assert!(set.rules.index_len() <= set.rules.len() + 1, "{set:?}");
+        }
+        assert!(dense.index_len() > 0 && hostile.index_len() == 0);
+        for dst in [0, 3, 4, 12, 39, 40, far - 2, far - 1, far, u32::MAX] {
+            for src in [0, 1] {
+                let hops: Vec<NodeId> = t.matching_hops(n(src), n(dst)).collect();
+                let expected: Vec<NodeId> =
+                    t.matching(n(src), n(dst)).iter().map(|r| r.fwd).collect();
+                assert_eq!(hops, expected, "({src}, {dst})");
+            }
+        }
+        assert_eq!(t.matching_hops(n(0), n(far)).count(), 4);
     }
 
     /// The table as the paper words it — rules with freshness stamps and three laws:

@@ -24,8 +24,10 @@ use crate::ids::NodeId;
 /// switch rules and their own first hops from it.
 ///
 /// The plan holds only what that ranking reads: the planned graph's snapshot, which
-/// of its nodes may relay packets, and the restricted distance matrix. A pair is
-/// ranked when it is read, so a plan stores nothing per pair.
+/// of its nodes may relay packets, and the restricted distance matrix. Nothing is
+/// stored per pair: [`FlowPlan::for_each_rule`] ranks one node's candidates towards
+/// every destination in one pass over the matrix, and [`FlowPlan::next_hops`] ranks
+/// one pair.
 ///
 /// # Example
 ///
@@ -55,6 +57,11 @@ pub struct FlowPlan {
     limit: usize,
 }
 
+/// How many sources one breadth-first sweep searches at once (one bit of a `u64`
+/// each), and how many neighbors a node may have before ranking its candidates needs
+/// the heap.
+const BLOCK: usize = 64;
+
 impl FlowPlan {
     /// How far `towards` is from neighbor `hop` when packets are handed to it:
     /// endpoint-only nodes relay nothing, so they are candidates only as the target.
@@ -69,31 +76,102 @@ impl FlowPlan {
         }
     }
 
-    /// The candidates for packets at `at` going towards `towards`, in priority order
-    /// (empty when the pair is absent or disconnected).
+    /// Ranks `at`'s neighbors as next hops towards `towards` into `keys` (one slot per
+    /// neighbor) and returns how many of them the plan keeps, best first. A candidate's
+    /// key is `(distance << 32) | id`, so ascending keys are the `(distance, id)` order.
     #[inline]
-    pub fn next_hops(&self, at: NodeId, towards: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let pair = self.graph.index_of(at).zip(self.graph.index_of(towards));
-        pair.map(|(at, towards)| NextHops::new(self, at, towards))
-            .into_iter()
-            .flatten()
+    fn rank(&self, at: u32, towards: u32, keys: &mut [u64]) -> usize {
+        let d = self.dist[at as usize * self.transit.len() + towards as usize];
+        if d == 0 || d == u32::MAX {
+            // `at` is the target itself, or the target is out of reach.
+            return 0;
+        }
+        let mut count = 0;
+        for &hop in self.graph.neighbor_indices(at) {
+            let d = self.via(hop, towards);
+            keys[count] = u64::from(d) << 32 | u64::from(self.graph.node_at(hop).index());
+            count += usize::from(d != u32::MAX);
+        }
+        keys[..count].sort_unstable();
+        count.min(self.limit)
     }
 
-    /// The destinations reachable from `at`, ascending, each with its candidates in
-    /// priority order: what `myRules()` installs at `at`.
-    #[inline]
-    pub fn next_hops_from(
-        &self,
-        at: NodeId,
-    ) -> impl Iterator<Item = (NodeId, impl ExactSizeIterator<Item = NodeId> + '_)> + '_ {
-        let (at, targets) = match self.graph.index_of(at) {
-            Some(at) => (at, 0..self.transit.len() as u32),
-            None => (0, 0..0),
+    /// The candidates for packets at `at` going towards `towards`, in priority order
+    /// (empty when the pair is absent or disconnected).
+    pub fn next_hops(&self, at: NodeId, towards: NodeId) -> impl Iterator<Item = NodeId> {
+        let mut keys = Vec::new();
+        if let Some((at, towards)) = self.graph.index_of(at).zip(self.graph.index_of(towards)) {
+            keys.resize(self.graph.neighbor_indices(at).len(), 0);
+            let kept = self.rank(at, towards, &mut keys);
+            keys.truncate(kept);
+        }
+        keys.into_iter().map(|key| hop(&key))
+    }
+
+    /// Calls `f` with every destination reachable from `at`, ascending, and its
+    /// candidates in priority order: what `myRules()` installs at `at`. One pass goes
+    /// column by column over `at`'s distance row and its neighbors' rows, with one
+    /// small sort per destination; nothing is allocated unless `at` has more than 64
+    /// neighbors.
+    pub fn for_each_rule(&self, at: NodeId, mut f: impl FnMut(NodeId, Ranked<'_>)) {
+        let Some(at) = self.graph.index_of(at) else {
+            return;
         };
-        targets.filter_map(move |towards| {
-            let hops = NextHops::new(self, at, towards);
-            (hops.len() > 0).then(|| (self.graph.node_at(towards), hops))
-        })
+        let degree = self.graph.neighbor_indices(at).len();
+        let (mut inline, mut wide) = ([0u64; BLOCK], Vec::new());
+        let keys = match inline.get_mut(..degree) {
+            Some(keys) => keys,
+            None => {
+                wide.resize(degree, 0);
+                &mut wide[..]
+            }
+        };
+        for towards in 0..self.transit.len() as u32 {
+            let kept = self.rank(at, towards, keys);
+            if kept > 0 {
+                f(self.graph.node_at(towards), keys[..kept].iter().map(hop));
+            }
+        }
+    }
+
+    /// An upper bound on how many candidates [`FlowPlan::for_each_rule`] hands out for
+    /// `at` in all: as many as it keeps per pair, towards every node.
+    pub fn rule_bound(&self, at: NodeId) -> usize {
+        let degree = |at| self.graph.neighbor_indices(at).len();
+        (self.graph.index_of(at)).map_or(0, |at| degree(at).min(self.limit) * self.transit.len())
+    }
+
+    /// Whether the plan still is the plan of `graph` in which the nodes `relays` accepts
+    /// relay, as far as the `turn`-th of its blocks of 64 sources shows (turns wrap
+    /// around the blocks): the distances from that block's sources must equal a fresh
+    /// sweep, the planner's unit of work, and block 0's turn also compares the snapshot
+    /// and the relay flags. A corruption of any of the three shows within ⌈n/64⌉ turns.
+    pub fn agrees(&self, graph: &Graph, relays: impl Fn(NodeId) -> bool, turn: u64) -> bool {
+        let n = self.transit.len();
+        if self.graph.node_count() != n || self.dist.len() != n * n {
+            return false;
+        }
+        let base = (turn % n.div_ceil(BLOCK).max(1) as u64) as usize * BLOCK;
+        if base == 0 {
+            let transit = self.graph.node_ids().iter().map(|&id| relays(id));
+            if self.graph != graph.snapshot() || !transit.eq(self.transit.iter().copied()) {
+                return false;
+            }
+        }
+        // The block's columns, row by row: the matrix is symmetric.
+        let columns = base..(base + BLOCK).min(n);
+        let (mut agree, mut reached) = (true, 0);
+        sweep(&self.graph, &self.transit, base, |source, v, level| {
+            agree &= self.dist[v * n + source] == level;
+            reached += 1;
+        });
+        let finite = (self.dist.chunks_exact(n.max(1))).map(|row| {
+            row[columns.clone()]
+                .iter()
+                .filter(|&&d| d != u32::MAX)
+                .count()
+        });
+        agree && reached == finite.sum::<usize>()
     }
 
     /// Simulates forwarding a packet from `from` to `to` under the given set of failed
@@ -160,98 +238,65 @@ impl FlowPlan {
     }
 }
 
-/// One pair's candidates, ranked as they are read. They order by `(distance, id)` and
-/// a neighbor row ascends by id, so one pass marks the three nearest distances'
-/// candidates in bit masks that yield them in order: no sort, no allocation. On a
-/// transit node that is every candidate; the rest (farther ones, rows over 64
-/// neighbors) come from scanning for the next `(distance, position)` key. `#[inline]`
-/// lets `myRules()`, in another crate, rank without a call per row.
-#[derive(Clone, Debug)]
-struct NextHops<'a> {
-    plan: &'a FlowPlan,
-    neighbors: &'a [u32],
-    towards: u32,
-    /// Bit `i` of `masks[k]` marks neighbor `i` at distance `dist(at, towards) - 1 + k`.
-    masks: [u64; 3],
-    /// The smallest `(distance << 32) | position` key the scan may still emit.
-    floor: u64,
-    /// Candidates still to emit.
-    left: usize,
+/// One pair's candidates in priority order, as [`FlowPlan::for_each_rule`] hands them
+/// out: its ranked keys, read as node ids.
+pub type Ranked<'a> = std::iter::Map<std::slice::Iter<'a, u64>, fn(&u64) -> NodeId>;
+
+/// The candidate a ranked key names.
+fn hop(key: &u64) -> NodeId {
+    NodeId::new(*key as u32)
 }
 
-impl<'a> NextHops<'a> {
-    #[inline]
-    fn new(plan: &'a FlowPlan, at: u32, towards: u32) -> Self {
-        // No candidate is nearer than `distance(at, towards) - 1`, and the second hop of
-        // a shortest path is that near: the first level is known up front.
-        let d = plan.dist[at as usize * plan.transit.len() + towards as usize];
-        let neighbors = match d {
-            // `at` is the target itself, or the target is out of reach.
-            0 | u32::MAX => &[][..],
-            _ => plan.graph.neighbor_indices(at),
-        };
-        let (level, wide) = (d.wrapping_sub(1), neighbors.len() > 64);
-        let (mut masks, mut count) = ([0u64; 3], 0);
-        for (i, &h) in neighbors.iter().enumerate() {
-            let d = plan.via(h, towards);
-            let k = d.wrapping_sub(level);
-            if k < 3 && !wide {
-                masks[k as usize] |= 1 << i;
+/// Breadth-first searches from the sources `base..base + 64` at once over `graph`,
+/// reporting each `(source, node, distance)` as it is reached, every source itself at
+/// distance 0 first. Paths may start or end at a non-transit node but never pass
+/// through one. Bit `j` of a node's word says source `base + j` has reached it, so one
+/// level of all 64 searches is one pass over the arcs. Every source relays its own
+/// bit; from the second level on, only transit nodes relay.
+fn sweep(
+    graph: &FlatGraph,
+    transit: &[bool],
+    base: usize,
+    mut reach: impl FnMut(usize, usize, u32),
+) {
+    let n = graph.node_count();
+    let (mut seen, mut frontier, mut next) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+    let mut all = 0;
+    for source in base..n.min(base + BLOCK) {
+        seen[source] = 1 << (source - base);
+        frontier[source] = seen[source];
+        all |= seen[source];
+        reach(source, source, 0);
+    }
+    for level in 1.. {
+        let mut reached = 0;
+        for v in 0..n {
+            if seen[v] == all {
+                // Every search has been here: nothing new can arrive.
+                next[v] = 0;
+                continue;
             }
-            count += usize::from(d != u32::MAX);
+            let mut bits = 0;
+            for &u in graph.neighbor_indices(v as u32) {
+                if level == 1 || transit[u as usize] {
+                    bits |= frontier[u as usize];
+                }
+            }
+            bits &= !seen[v];
+            seen[v] |= bits;
+            next[v] = bits;
+            reached |= bits;
+            while bits != 0 {
+                reach(base + bits.trailing_zeros() as usize, v, level);
+                bits &= bits - 1;
+            }
         }
-        let marked = if wide { 0 } else { 3 };
-        NextHops {
-            plan,
-            neighbors,
-            towards,
-            masks,
-            floor: u64::from(level.saturating_add(marked)) << 32,
-            left: plan.limit.min(count),
+        if reached == 0 {
+            break;
         }
-    }
-
-    /// The position of the candidate with the smallest key at or above `floor`.
-    #[cold]
-    fn scan(&mut self) -> Option<usize> {
-        let (plan, towards) = (self.plan, self.towards);
-        let key = (self.neighbors.iter().enumerate())
-            .map(|(i, &h)| u64::from(plan.via(h, towards)) << 32 | i as u64)
-            .filter(|&key| key >= self.floor)
-            .min()?;
-        self.floor = key + 1;
-        Some(key as u32 as usize)
+        std::mem::swap(&mut frontier, &mut next);
     }
 }
-
-impl Iterator for NextHops<'_> {
-    type Item = NodeId;
-
-    #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        let position = if self.masks == [0; 3] {
-            self.scan()?
-        } else {
-            // The first non-empty mask, picked without a data-dependent branch.
-            let [near, mid, _] = self.masks;
-            let k = usize::from(near == 0) + usize::from(near | mid == 0);
-            let mask = self.masks[k];
-            self.masks[k] = mask & (mask - 1);
-            mask.trailing_zeros() as usize
-        };
-        Some(self.plan.graph.node_at(self.neighbors[position]))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-impl ExactSizeIterator for NextHops<'_> {}
 
 /// Computes [`FlowPlan`]s for a fixed resilience level `kappa`.
 ///
@@ -320,44 +365,12 @@ impl FlowPlanner {
         let transit: Vec<bool> = (graph.node_ids().iter())
             .map(|id| !non_transit.contains(id))
             .collect();
-        // Paths may start or end at a non-transit node but never pass through one. The
-        // matrix is filled by breadth-first searches from 64 sources at once: bit `j` of
-        // a node's word says source `base + j` has reached it, so one level of all 64
-        // searches is one pass over the arcs. Every source relays its own bit; from
-        // the second level on, only transit nodes relay.
         let mut dist = vec![u32::MAX; n * n];
-        let (mut seen, mut frontier, mut next) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
-        for base in (0..n).step_by(64) {
-            seen.fill(0);
-            frontier.fill(0);
-            for source in base..n.min(base + 64) {
-                seen[source] = 1 << (source - base);
-                frontier[source] = seen[source];
-                dist[source * n + source] = 0;
-            }
-            for level in 1.. {
-                let mut reached = 0;
-                for v in 0..n {
-                    let mut bits = 0;
-                    for &u in graph.neighbor_indices(v as u32) {
-                        if level == 1 || transit[u as usize] {
-                            bits |= frontier[u as usize];
-                        }
-                    }
-                    bits &= !seen[v];
-                    seen[v] |= bits;
-                    next[v] = bits;
-                    reached |= bits;
-                    while bits != 0 {
-                        dist[(base + bits.trailing_zeros() as usize) * n + v] = level;
-                        bits &= bits - 1;
-                    }
-                }
-                if reached == 0 {
-                    break;
-                }
-                std::mem::swap(&mut frontier, &mut next);
-            }
+        for base in (0..n).step_by(BLOCK) {
+            // The matrix is symmetric, so a block of sources fills a block of columns.
+            sweep(&graph, &transit, base, |source, v, level| {
+                dist[v * n + source] = level;
+            });
         }
         FlowPlan {
             graph,
@@ -428,9 +441,7 @@ mod tests {
         assert_eq!(planner.max_candidates, Some(1));
         let plan = planner.plan(&g);
         for at in g.nodes() {
-            for (_, hops) in plan.next_hops_from(at) {
-                assert_eq!(hops.len(), 1);
-            }
+            plan.for_each_rule(at, |_, hops| assert_eq!(hops.len(), 1));
         }
     }
 
@@ -508,7 +519,9 @@ mod tests {
     #[test]
     fn empty_graph_plan_is_empty() {
         let plan = FlowPlanner::new(1).plan(&Graph::new());
-        assert_eq!(plan.next_hops_from(n(0)).count(), 0);
+        plan.for_each_rule(n(0), |towards, _| panic!("a rule towards {towards}"));
+        assert!(plan.agrees(&Graph::new(), |_| true, 0));
+        assert!(!plan.agrees(&cycle_with_chord(), |_| true, 0));
         assert_eq!(plan.next_hops(n(0), n(1)).count(), 0);
     }
 
@@ -593,7 +606,7 @@ mod tests {
     /// non-transit sets (none, some, all) and candidate limits, the plan equals the
     /// map-built reference pair for pair. Sizes around and past 64 nodes put sources
     /// in more than one block of the 64-wide searches, and the last block partly full;
-    /// a hub among them has rows of 64 neighbors and more, past what the masks hold.
+    /// a hub among them has rows of 64 neighbors and more, past what the stack holds.
     #[test]
     fn dense_plan_matches_the_map_built_reference() {
         use sdn_rng::Rng;
@@ -648,20 +661,18 @@ mod tests {
             // One identifier outside the graph: every pair naming it is absent.
             let stranger = n(1000);
             for &at in ids.iter().chain([&stranger]) {
-                let from_at: Vec<(NodeId, Vec<NodeId>)> = plan
-                    .next_hops_from(at)
-                    .map(|(t, hops)| {
-                        let len = hops.len();
-                        let hops: Vec<NodeId> = hops.collect();
-                        assert_eq!(len, hops.len(), "seed {seed}: ({at}, {t}) len()");
-                        (t, hops)
-                    })
-                    .collect();
+                let mut from_at: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+                plan.for_each_rule(at, |t, hops| {
+                    let len = hops.len();
+                    let hops: Vec<NodeId> = hops.collect();
+                    assert_eq!(len, hops.len(), "seed {seed}: ({at}, {t}) len()");
+                    from_at.push((t, hops));
+                });
                 let expected: Vec<(NodeId, Vec<NodeId>)> = next_hops
                     .range((at, n(0))..=(at, n(u32::MAX)))
                     .map(|(&(_, t), hops)| (t, hops.clone()))
                     .collect();
-                assert_eq!(from_at, expected, "seed {seed}: next_hops_from({at})");
+                assert_eq!(from_at, expected, "seed {seed}: for_each_rule({at})");
                 for &towards in ids.iter().chain([&stranger]) {
                     let hops: Vec<NodeId> = plan.next_hops(at, towards).collect();
                     assert_eq!(
@@ -676,6 +687,29 @@ mod tests {
                     absent_pairs += usize::from(hops.is_empty() && at != towards);
                 }
             }
+            // The plan agrees with its inputs on every turn; one wrong distance shows
+            // on its block's turn and no other, a wrong graph or relay flag on block 0's.
+            let relays = |id: NodeId| !non_transit.contains(&id);
+            let blocks = ids.len().div_ceil(64) as u64;
+            assert!(
+                (0..2 * blocks).all(|turn| plan.agrees(&g, relays, turn)),
+                "seed {seed}"
+            );
+            let mut corrupted = plan.clone();
+            let at = rng.gen_range(0..corrupted.dist.len());
+            corrupted.dist[at] = corrupted.dist[at].wrapping_add(1 + rng.gen_range(0..2u32));
+            let block = (at % ids.len() / 64) as u64;
+            for turn in 0..blocks {
+                let agrees = corrupted.agrees(&g, relays, turn);
+                assert_eq!(agrees, turn != block, "seed {seed}: {turn}");
+            }
+            let flipped = |id: NodeId| id != ids[0] && relays(id);
+            assert_eq!(plan.agrees(&g, flipped, 0), non_transit.contains(&ids[0]));
+            let mut other = g.clone();
+            other.add_node(stranger);
+            assert!(
+                !plan.agrees(&other, relays, 0) && plan.agrees(&other, relays, 1) == (blocks > 1)
+            );
             disconnected += usize::from(!crate::paths::is_connected(&g));
         }
         assert!(
