@@ -14,7 +14,7 @@ use sdn_tags::{RoundTracker, Tag, TagGenerator};
 use sdn_topology::{FlowPlan, FlowPlanner, Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound::{Excluded, Unbounded};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// Counters describing a controller's activity; several experiments (Figure 9, the
 /// Theorem 1 illegitimate-deletion bound) are read straight off these numbers.
@@ -42,6 +42,15 @@ pub struct ControllerStats {
     pub views_built: u64,
     /// Derived views an iteration found already built from the same inputs.
     pub views_reused: u64,
+    /// Routing plans this controller computed itself.
+    pub plans_built: u64,
+    /// Routing plans this controller took from the network's plan table, computed
+    /// by another controller, or by itself, that still held them.
+    pub plans_shared: u64,
+    /// `myRules()` sets this controller ranked itself.
+    pub rule_sets_built: u64,
+    /// `myRules()` sets this controller took from its plan's shared sets.
+    pub rule_sets_shared: u64,
 }
 
 /// The derived views the latest iterations read, each beside the key it was built
@@ -89,6 +98,90 @@ impl ViewMemo {
     }
 }
 
+/// The routing plans of one network's controllers, so that controllers whose planning
+/// inputs are equal share one plan and one `myRules()` set per switch.
+///
+/// The table caches two pure functions, the plan of (reference graph, relay flags,
+/// planner) and `myRules()` of (plan, switch); it is not controller state. Each
+/// controller keeps its own handle to its plan and its own memo of the sets it sends,
+/// and audits both against the plan (README, "Repairing the memos"). The entries are
+/// weak: a plan nobody holds is dropped, with its sets, and pruned at the next lookup.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PlanTable(Arc<Mutex<Vec<Weak<SharedPlan>>>>);
+
+impl PlanTable {
+    /// The plan `planner` makes of `graph` with the nodes `relays` accepts as relays:
+    /// the one a controller holding it already has if there is one, else a new one.
+    fn plan(
+        &self,
+        planner: FlowPlanner,
+        graph: &Graph,
+        relays: impl Fn(NodeId) -> bool,
+        stats: &mut ControllerStats,
+    ) -> Arc<SharedPlan> {
+        let mut entries = lock(&self.0);
+        entries.retain(|entry| entry.strong_count() > 0);
+        let snapshot = graph.snapshot();
+        let held = (entries.iter().filter_map(Weak::upgrade))
+            .find(|held| held.planner == planner && held.plan.is_plan_of(&snapshot, &relays));
+        if let Some(held) = held {
+            stats.plans_shared += 1;
+            return held;
+        }
+        stats.plans_built += 1;
+        let non_transit: BTreeSet<NodeId> = graph.nodes().filter(|&n| !relays(n)).collect();
+        let plan = SharedPlan::new(planner, planner.plan_restricted(graph, &non_transit));
+        entries.push(Arc::downgrade(&plan));
+        plan
+    }
+
+    /// The plans some controller holds.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> Vec<Arc<SharedPlan>> {
+        lock(&self.0).iter().filter_map(Weak::upgrade).collect()
+    }
+}
+
+/// A routing plan as the [`PlanTable`] shares it: the planner that made it, and the
+/// `myRules()` set of each switch some controller has asked for under it.
+#[derive(Debug)]
+pub(crate) struct SharedPlan {
+    planner: FlowPlanner,
+    plan: FlowPlan,
+    sets: Mutex<BTreeMap<NodeId, RuleSet>>,
+}
+
+impl SharedPlan {
+    fn new(planner: FlowPlanner, plan: FlowPlan) -> Arc<Self> {
+        let sets = Mutex::default();
+        Arc::new(SharedPlan {
+            planner,
+            plan,
+            sets,
+        })
+    }
+
+    /// `myRules()` at `switch` under this plan, ranked by the first controller that
+    /// asks for it.
+    fn rules(&self, switch: NodeId, stats: &mut ControllerStats) -> RuleSet {
+        let mut sets = lock(&self.sets);
+        if let Some(set) = sets.get(&switch) {
+            stats.rule_sets_shared += 1;
+            return set.clone();
+        }
+        stats.rule_sets_built += 1;
+        let set = build_rules(&self.plan, switch);
+        sets.insert(switch, set.clone());
+        set
+    }
+}
+
+/// The table's lock. What it guards is a cache of pure functions that no panic
+/// leaves half-written, so a poisoned lock is taken as it is.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Whether two views hold the same topology: shared, or equal by value.
 fn same_graph(a: &Arc<View>, b: &Arc<View>) -> bool {
     Arc::ptr_eq(a, b) || a.graph() == b.graph()
@@ -104,16 +197,20 @@ pub struct Controller {
     tag_gen: TagGenerator,
     /// The routing plan derived from the latest fusion view; used to pick first hops for
     /// the controller's own outgoing packets. Shared (`Arc`) because the plan of each
-    /// round is identical to the rule plan — one computation, no clone.
-    plan: Arc<FlowPlan>,
+    /// round is identical to the rule plan, and with every controller of `plans` whose
+    /// reference graph is the same — one computation, no clone.
+    plan: Arc<SharedPlan>,
+    /// Where a new plan is looked up before it is computed.
+    plans: PlanTable,
     /// The reference view `plan` was computed over. Once the view converges its
     /// graph stops changing, and every subsequent iteration reuses the plan instead
     /// of re-running the all-pairs planner — the steady state costs one view
     /// comparison instead of an all-pairs distance matrix. `None` until the first plan.
     planned: Option<Arc<View>>,
-    /// `myRules()` per switch under `plan`, built the first time a switch is sent
-    /// rules and handed out by reference from then on. A set names neither tag nor
-    /// owner, so it outlives rounds; only a new plan empties the memo.
+    /// `myRules()` per switch under `plan`, taken from the plan's shared sets the
+    /// first time a switch is sent rules and handed out by reference from then on. A
+    /// set names neither tag nor owner, so it outlives rounds; only a new plan empties
+    /// the memo.
     rule_sets: BTreeMap<NodeId, RuleSet>,
     /// The switch whose memoized set the last iteration checked against `plan`.
     audited: NodeId,
@@ -123,8 +220,15 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Creates a controller with empty knowledge of the network.
+    /// Creates a controller with empty knowledge of the network, sharing its plans
+    /// with no other controller.
     pub fn new(id: NodeId, config: ControllerConfig) -> Self {
+        Controller::with_plans(id, config, PlanTable::default())
+    }
+
+    /// Creates a controller with empty knowledge of the network that shares its plans
+    /// with every other controller of `plans`.
+    pub(crate) fn with_plans(id: NodeId, config: ControllerConfig, plans: PlanTable) -> Self {
         let mut tag_gen = TagGenerator::new(id.index());
         let rounds = RoundTracker::new(tag_gen.next_tag());
         Controller {
@@ -133,7 +237,8 @@ impl Controller {
             reply_db: ReplyDb::new(config.max_replies),
             rounds,
             tag_gen,
-            plan: Arc::new(FlowPlan::default()),
+            plan: SharedPlan::new(planner(config), FlowPlan::default()),
+            plans,
             planned: None,
             rule_sets: BTreeMap::new(),
             audited: id,
@@ -199,7 +304,7 @@ impl Controller {
     /// The first-hop candidates (in priority order) this controller would use to reach
     /// `dst`, according to its latest routing plan, ranked when asked for.
     pub fn first_hop_candidates(&self, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.plan.next_hops(self.id, dst)
+        self.plan.plan.next_hops(self.id, dst)
     }
 
     /// The first plan candidate towards `dst` that is currently an observed neighbor.
@@ -258,19 +363,15 @@ impl Controller {
         // one computation, shared through the `Arc`. The plan is a pure function of
         // the reference graph (the planner config is fixed and `non_transit` is
         // derived from the graph), so an unchanged graph reuses the previous plan once
-        // the share of it this iteration audits agrees with the graph. Controllers
+        // the share of it this iteration audits agrees with the graph, and a changed
+        // one takes the plan of any controller that planned the same graph. Controllers
         // never relay packets, so flows must not be planned through them.
         let relays = |n: NodeId| !n.is_controller(self.config.n_controllers);
         let turn = self.stats.iterations;
         let planned = (self.planned.as_ref()).is_some_and(|planned| same_graph(planned, refer));
-        if !planned || !self.plan.agrees(refer.graph(), relays, turn) {
-            let non_transit: BTreeSet<NodeId> =
-                refer.graph().nodes().filter(|&n| !relays(n)).collect();
-            let mut planner = FlowPlanner::new(self.config.kappa);
-            if let Some(limit) = self.config.max_priorities {
-                planner = planner.with_max_candidates(limit);
-            }
-            self.plan = Arc::new(planner.plan_restricted(refer.graph(), &non_transit));
+        if !planned || !self.plan.plan.agrees(refer.graph(), relays, turn) {
+            let planner = planner(self.config);
+            self.plan = (self.plans).plan(planner, refer.graph(), relays, &mut self.stats);
             self.plan_version += 1;
             self.rule_sets.clear();
         }
@@ -322,13 +423,16 @@ impl Controller {
     /// `myRules(G, j, tag)`: the rules this controller installs at switch `j` given its
     /// current view `G` (paper, Sections 2.2.2 and 3.3). The tag and the owner are the
     /// `updateRule` command's; the set is a function of the plan and `j` alone, so it
-    /// is built once per plan.
+    /// is built once per plan, whichever controller holding the plan asks first.
     fn my_rules(&mut self, switch: NodeId) -> RuleSet {
         let Controller {
-            plan, rule_sets, ..
+            plan,
+            rule_sets,
+            stats,
+            ..
         } = self;
         (rule_sets.entry(switch))
-            .or_insert_with(|| build_rules(plan, switch))
+            .or_insert_with(|| plan.rules(switch, stats))
             .clone()
     }
 
@@ -336,7 +440,8 @@ impl Controller {
     /// them is repaired within a bound (README, "Repairing the memos"): the memoized
     /// set of the switch after the one checked last is compared with `myRules()` under
     /// the current plan and rebuilt only if it differs, and each time that cursor wraps
-    /// around, every memoized view is re-derived from its key.
+    /// around, every memoized view is re-derived from its key. The repair ranks the
+    /// set from the plan and never reads the plan's shared sets.
     fn audit_memos(&mut self) {
         let next = match self
             .rule_sets
@@ -353,9 +458,10 @@ impl Controller {
             return;
         };
         self.audited = switch;
-        if !rules_match(&self.plan, switch, set) {
+        if !rules_match(&self.plan.plan, switch, set) {
+            self.stats.rule_sets_built += 1;
             self.rule_sets
-                .insert(switch, build_rules(&self.plan, switch));
+                .insert(switch, build_rules(&self.plan.plan, switch));
         }
     }
 
@@ -395,6 +501,16 @@ impl Controller {
     pub fn corrupt_inject_reply(&mut self, reply: QueryReply) {
         let tag = reply.echo_tag;
         let _ = self.reply_db.insert(reply, tag);
+    }
+}
+
+/// The planner `config` asks for: resilient to `kappa` failures, keeping at most
+/// `max_priorities` candidates per destination.
+fn planner(config: ControllerConfig) -> FlowPlanner {
+    let planner = FlowPlanner::new(config.kappa);
+    match config.max_priorities {
+        Some(limit) => planner.with_max_candidates(limit),
+        None => planner,
     }
 }
 
@@ -1022,6 +1138,10 @@ mod tests {
                     let stats = ControllerStats {
                         views_built: 0,
                         views_reused: 0,
+                        plans_built: 0,
+                        plans_shared: 0,
+                        rule_sets_built: 0,
+                        rule_sets_shared: 0,
                         ..twin.stats()
                     };
                     ((twin.curr_tag(), twin.prev_tag()), stats)
@@ -1091,6 +1211,12 @@ mod tests {
         sdn
     }
 
+    /// A transient fault that replaces a controller's plan handle with an empty plan
+    /// of its own; the plan the handle pointed at is left as it was.
+    fn corrupt_plan(c: &mut Controller) {
+        c.plan = SharedPlan::new(planner(c.config), FlowPlan::default());
+    }
+
     /// A transient fault that empties a controller's memoized rule sets.
     fn forget_rules(sdn: &mut SdnNetwork, controller: NodeId) {
         let c = sdn.controller_mut(controller).unwrap();
@@ -1141,11 +1267,11 @@ mod tests {
         let id = sdn.controller_ids()[0];
         let neighbors = sdn.sim().observed(id).to_vec();
         let c = sdn.controller_mut(id).unwrap();
-        let (plan, version) = (c.plan.clone(), c.plan_version());
-        c.plan = Arc::new(FlowPlan::default());
+        let (plan, version) = (c.plan.plan.clone(), c.plan_version());
+        corrupt_plan(c);
         // `ring(5, 2)` has seven nodes: one block, checked on every turn.
         let _ = c.iterate(&neighbors);
-        assert_eq!((*c.plan == *plan, c.plan_version()), (true, version + 1));
+        assert_eq!((c.plan.plan == plan, c.plan_version()), (true, version + 1));
 
         let nobody = ReplyDb::new(1).res(c.curr_tag(), id, &[]).key().view();
         for (_, view) in &mut c.views.0 {
@@ -1163,6 +1289,144 @@ mod tests {
         }
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
         assert!(sdn.run_until_legitimate(second, timeout).is_some());
+    }
+
+    /// The rule set each live controller would send every switch next, keyed by
+    /// switch, one entry per controller: what the switch installs under that owner.
+    fn next_sets(sdn: &SdnNetwork) -> BTreeMap<NodeId, Vec<RuleSet>> {
+        let mut sets: BTreeMap<NodeId, Vec<RuleSet>> = BTreeMap::new();
+        for id in sdn.live_controller_ids() {
+            let mut c = sdn.controller(id).unwrap().clone();
+            for (dst, batch) in c.iterate(sdn.sim().observed(id)) {
+                if let Some((_, set)) = update_rules(&batch) {
+                    sets.entry(dst).or_default().push(set);
+                }
+            }
+        }
+        sets
+    }
+
+    /// The plans the table holds, each once.
+    fn held_plans(sdn: &SdnNetwork) -> Vec<Arc<SharedPlan>> {
+        let c = sdn.controller(sdn.controller_ids()[0]).unwrap();
+        c.plans.held()
+    }
+
+    /// Once the controllers of a settled network hold one view, they hold one plan and
+    /// send every switch one allocation, and the counters show the plans and sets
+    /// they took from each other.
+    #[test]
+    fn settled_controllers_share_their_plan_and_every_rule_set() {
+        let sdn = settled_ring();
+        let controllers = sdn.controller_ids();
+        let plan = |id| &sdn.controller(id).unwrap().plan;
+        assert!(controllers
+            .iter()
+            .all(|&id| Arc::ptr_eq(plan(id), plan(controllers[0]))));
+        assert_eq!(held_plans(&sdn).len(), 1);
+        let sets = next_sets(&sdn);
+        assert_eq!(sets.len(), sdn.switch_ids().len());
+        for (switch, sets) in &sets {
+            assert_eq!(sets.len(), controllers.len(), "switch {switch}");
+            assert!(!sets[0].is_empty());
+            assert!(
+                sets.iter().all(|set| RuleSet::ptr_eq(set, &sets[0])),
+                "switch {switch}: one allocation for every owner"
+            );
+        }
+        let stats: Vec<ControllerStats> = (controllers.iter())
+            .map(|&id| sdn.controller(id).unwrap().stats())
+            .collect();
+        let shared = |count: fn(&ControllerStats) -> u64| stats.iter().map(count).sum::<u64>();
+        assert!(shared(|s| s.plans_shared) > 0 && shared(|s| s.rule_sets_shared) > 0);
+    }
+
+    /// A fault in one controller's plan handle and rule memo is that controller's
+    /// alone: the other's plan and sets keep their allocations and their contents, and
+    /// the faulty controller comes back to the plan the other holds.
+    #[test]
+    fn a_corrupted_controller_leaves_the_shared_plan_and_sets_alone() {
+        let mut sdn = settled_ring();
+        let [victim, other] = sdn.controller_ids()[..] else {
+            panic!("two controllers");
+        };
+        let c = sdn.controller(other).unwrap();
+        let (plan, kept) = (c.plan.clone(), c.plan.plan.clone());
+        let sets = c.rule_sets.clone();
+        let by_value = |sets: &BTreeMap<NodeId, RuleSet>| {
+            let bodies = sets.iter().map(|(&switch, set)| (switch, set.to_vec()));
+            bodies.collect::<Vec<_>>()
+        };
+        let kept_sets = by_value(&sets);
+        let version = sdn.controller(victim).unwrap().plan_version();
+        corrupt_plan(sdn.controller_mut(victim).unwrap());
+        forget_rules(&mut sdn, victim);
+        sdn.run_for(SimDuration::from_secs(30));
+        let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
+        assert!(sdn.run_until_legitimate(second, timeout).is_some());
+
+        let c = sdn.controller(other).unwrap();
+        assert!(Arc::ptr_eq(&c.plan, &plan) && c.plan.plan == kept);
+        assert_eq!(c.rule_sets.len(), sets.len());
+        for (switch, set) in &c.rule_sets {
+            assert!(RuleSet::ptr_eq(set, &sets[switch]), "switch {switch}");
+        }
+        assert_eq!(by_value(&c.rule_sets), kept_sets);
+        assert_eq!(by_value(&plan.sets.lock().unwrap()), kept_sets);
+        let repaired = sdn.controller(victim).unwrap();
+        assert!(Arc::ptr_eq(&repaired.plan, &plan));
+        assert_eq!(repaired.plan_version(), version + 1);
+    }
+
+    /// Once every controller has replanned after a link removal, the table holds
+    /// only plans some controller holds: the plan of before is gone, sets and all.
+    #[test]
+    fn a_replaced_plan_leaves_the_table() {
+        let mut sdn = settled_ring();
+        let controllers = sdn.controller_ids();
+        let versions: Vec<u64> = (controllers.iter())
+            .map(|&id| sdn.controller(id).unwrap().plan_version())
+            .collect();
+        let before = Arc::downgrade(&sdn.controller(controllers[0]).unwrap().plan);
+        let switches = sdn.switch_ids();
+        assert!(sdn.remove_link(switches[0], switches[1]));
+        let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
+        assert!(sdn.run_until_legitimate(second, timeout).is_some());
+        sdn.run_for(SimDuration::from_secs(10));
+        for (&id, version) in controllers.iter().zip(versions) {
+            assert!(sdn.controller(id).unwrap().plan_version() > version, "{id}");
+        }
+        assert!(before.upgrade().is_none(), "the plan of before is dropped");
+        let held = held_plans(&sdn);
+        assert!(!held.is_empty());
+        for plan in &held {
+            assert!(
+                (controllers.iter())
+                    .any(|&id| Arc::ptr_eq(&sdn.controller(id).unwrap().plan, plan)),
+                "the table holds a plan no controller holds"
+            );
+        }
+    }
+
+    /// A revived controller starts from nothing but the network's table, and ends up
+    /// holding the plan the other controller holds.
+    #[test]
+    fn a_revived_controller_joins_the_network_table() {
+        let mut sdn = settled_ring();
+        let [survivor, victim] = sdn.controller_ids()[..] else {
+            panic!("two controllers");
+        };
+        sdn.fail_controller(victim);
+        sdn.run_for(SimDuration::from_secs(5));
+        sdn.revive_controller(victim);
+        let table = |sdn: &SdnNetwork, id| sdn.controller(id).unwrap().plans.0.clone();
+        assert!(Arc::ptr_eq(&table(&sdn, victim), &table(&sdn, survivor)));
+        let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
+        assert!(sdn.run_until_legitimate(second, timeout).is_some());
+        sdn.run_for(SimDuration::from_secs(10));
+        let [revived, kept] = [victim, survivor].map(|id| sdn.controller(id).unwrap());
+        assert!(Arc::ptr_eq(&revived.plan, &kept.plan));
+        assert!(revived.stats().plans_shared > 0);
     }
 
     /// A transient fault lands between two polls with no simulated event in between;

@@ -3,7 +3,7 @@
 //! paper's Mininet testbed.
 
 use crate::config::{ControllerConfig, HarnessConfig};
-use crate::controller::Controller;
+use crate::controller::{Controller, PlanTable};
 use crate::legitimacy::{self, LegitimacyReport};
 use crate::nodes::{ControllerNode, SdnNode, SwitchNode};
 use crate::packet::ControlPacket;
@@ -36,6 +36,8 @@ pub struct SdnNetwork {
     controller_config: ControllerConfig,
     harness_config: HarnessConfig,
     sim: Simulator<ControlPacket, SdnNode>,
+    /// The plans every controller of the network shares, revived ones included.
+    plans: PlanTable,
     /// The [`SdnNetwork::forwarding_key`] condition 3 last came out clean under (never
     /// folded: a revived controller's plan version, back at 0, can cancel a generation
     /// step). Skipping condition 3 never changes observable results: a property test
@@ -59,8 +61,10 @@ impl SdnNetwork {
         };
         let mut sim = Simulator::new(&topology.graph, sim_config);
         let switch_config = network_switch_config(&topology, &controller_config);
+        let plans = PlanTable::default();
         for &controller_id in &topology.controllers {
-            let controller = Controller::new(controller_id, controller_config);
+            let controller =
+                Controller::with_plans(controller_id, controller_config, plans.clone());
             sim.add_node(
                 controller_id,
                 SdnNode::Controller(ControllerNode::new(controller, &harness_config)),
@@ -79,6 +83,7 @@ impl SdnNetwork {
             controller_config,
             harness_config,
             sim,
+            plans,
             condition3_clean: RefCell::new(None),
         }
     }
@@ -341,7 +346,7 @@ impl SdnNetwork {
     /// Revives a previously failed controller with a *fresh* (empty) state, as the paper
     /// assumes for node additions (Lemma 8: new nodes start with empty memory).
     pub fn revive_controller(&mut self, id: NodeId) {
-        let controller = Controller::new(id, self.controller_config);
+        let controller = Controller::with_plans(id, self.controller_config, self.plans.clone());
         let node = SdnNode::Controller(ControllerNode::new(controller, &self.harness_config));
         self.sim.replace_node(id, node);
         self.sim.revive_node(id);

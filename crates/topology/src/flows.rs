@@ -141,6 +141,14 @@ impl FlowPlan {
         (self.graph.index_of(at)).map_or(0, |at| degree(at).min(self.limit) * self.transit.len())
     }
 
+    /// Whether the plan was made over `snapshot` with the nodes `relays` accepts as
+    /// relays: the inputs block 0's turn of [`FlowPlan::agrees`] compares, and what
+    /// tells two planners' requests for one plan apart.
+    pub fn is_plan_of(&self, snapshot: &FlatGraph, relays: impl Fn(NodeId) -> bool) -> bool {
+        let transit = snapshot.node_ids().iter().map(|&id| relays(id));
+        self.graph == *snapshot && transit.eq(self.transit.iter().copied())
+    }
+
     /// Whether the plan still is the plan of `graph` in which the nodes `relays` accepts
     /// relay, as far as the `turn`-th of its blocks of 64 sources shows (turns wrap
     /// around the blocks): the distances from that block's sources must equal a fresh
@@ -152,11 +160,8 @@ impl FlowPlan {
             return false;
         }
         let base = (turn % n.div_ceil(BLOCK).max(1) as u64) as usize * BLOCK;
-        if base == 0 {
-            let transit = self.graph.node_ids().iter().map(|&id| relays(id));
-            if self.graph != graph.snapshot() || !transit.eq(self.transit.iter().copied()) {
-                return false;
-            }
+        if base == 0 && !self.is_plan_of(&graph.snapshot(), relays) {
+            return false;
         }
         // The block's columns, row by row: the matrix is symmetric.
         let columns = base..(base + BLOCK).min(n);
