@@ -18,8 +18,8 @@
 //! * **repetition** — [`ScenarioBuilder::runs`] executes the scenario over consecutive
 //!   seeds and aggregates the per-run reports into a [`ScenarioReport`].
 //!
-//! The old [`SdnNetwork`](crate::SdnNetwork) fault-injection and `run_until_legitimate`
-//! methods remain available as the escape hatch the runner itself is built on.
+//! Every seeded run boots and drives a [`Driver`], as `sdn-serve`'s interactive
+//! session does: both surfaces share one boot path and one workload loop.
 //!
 //! # Example
 //!
@@ -44,12 +44,14 @@
 //! assert!(report.runs.iter().all(|run| run.first_recovery_s() > Some(0.0)));
 //! ```
 
+mod driver;
 mod probe;
 mod report;
 mod runner;
 mod schedule;
 mod workload;
 
+pub use driver::{Driver, Fired, Order};
 pub use probe::{Probe, ProbeSeries};
 pub use report::{InjectedFault, RecoveryRecord, RunReport, ScenarioReport};
 pub use runner::ScenarioRunner;
@@ -108,8 +110,8 @@ impl TopologySpec {
 /// Factory producing a fresh workload instance for each seeded run.
 ///
 /// `Send + Sync` so a scenario can be shared across the parallel runner's worker
-/// threads; the produced [`Workload`] itself is created, driven, and dropped entirely
-/// inside one worker, so it needs no bounds of its own.
+/// threads; the produced [`Workload`] is created, driven, and dropped inside one
+/// worker.
 pub type WorkloadFactory = Box<dyn Fn() -> Box<dyn Workload> + Send + Sync>;
 
 /// An end-of-run summary statistic: a pure function of the final network state.
@@ -142,25 +144,29 @@ impl Scenario {
     /// Starts building a scenario with the given display name.
     pub fn builder(name: impl Into<String>) -> ScenarioBuilder {
         ScenarioBuilder {
-            name: name.into(),
             topology: None,
-            controllers: 3,
-            controller_config: None,
-            tune: None,
-            harness: HarnessConfig::default(),
-            schedule: FaultSchedule::new(),
-            probes: Vec::new(),
-            sample_every: SimDuration::from_secs(1),
-            workloads: Vec::new(),
-            summaries: Vec::new(),
-            runs: 1,
-            seed_base: None,
-            threads: None,
-            // Generous: the paper's slowest bootstrap is ~2 minutes.
-            timeout: SimDuration::from_secs(1_200),
-            // Legitimacy is probed at this period; it is also the measurement resolution.
-            check_every: SimDuration::from_millis(250),
-            control_plane: ControlPlane::Live,
+            scenario: Scenario {
+                name: name.into(),
+                // A placeholder: `build` installs the topology the builder names.
+                topology: TopologySpec::Named(String::new()),
+                controllers: 3,
+                controller_config: None,
+                tune: None,
+                harness: HarnessConfig::default(),
+                schedule: FaultSchedule::new(),
+                probes: Vec::new(),
+                sample_every: SimDuration::from_secs(1),
+                workloads: Vec::new(),
+                summaries: Vec::new(),
+                runs: 1,
+                seed_base: None,
+                threads: None,
+                // Generous: the paper's slowest bootstrap is ~2 minutes.
+                timeout: SimDuration::from_secs(1_200),
+                // Legitimacy is probed at this period; it is also the measurement resolution.
+                check_every: SimDuration::from_millis(250),
+                control_plane: ControlPlane::Live,
+            },
         }
     }
 
@@ -180,25 +186,11 @@ impl Scenario {
     }
 }
 
-/// Fluent builder for [`Scenario`]s — the entry point of the declarative API.
+/// Fluent builder for [`Scenario`]s — the entry point of the declarative API: the
+/// scenario under construction, and the topology once one is named.
 pub struct ScenarioBuilder {
-    name: String,
+    scenario: Scenario,
     topology: Option<TopologySpec>,
-    controllers: usize,
-    controller_config: Option<ControllerConfig>,
-    tune: Option<fn(ControllerConfig) -> ControllerConfig>,
-    harness: HarnessConfig,
-    schedule: FaultSchedule,
-    probes: Vec<Probe>,
-    sample_every: SimDuration,
-    workloads: Vec<WorkloadFactory>,
-    summaries: Vec<(MetricKey, SummaryFn)>,
-    runs: usize,
-    seed_base: Option<u64>,
-    threads: Option<usize>,
-    timeout: SimDuration,
-    check_every: SimDuration,
-    control_plane: ControlPlane,
 }
 
 impl ScenarioBuilder {
@@ -213,21 +205,21 @@ impl ScenarioBuilder {
     /// Runs on an explicit topology (cloned per run). The controller count is taken
     /// from the topology itself.
     pub fn topology(mut self, topology: NamedTopology) -> Self {
-        self.controllers = topology.controller_count();
+        self.scenario.controllers = topology.controller_count();
         self.topology = Some(TopologySpec::Custom(Box::new(topology)));
         self
     }
 
     /// Number of controllers to attach when building a named network (default 3).
     pub fn controllers(mut self, controllers: usize) -> Self {
-        self.controllers = controllers;
+        self.scenario.controllers = controllers;
         self
     }
 
     /// Replaces the derived [`ControllerConfig`] wholesale. Without this, each run uses
     /// [`ControllerConfig::for_network`] for its topology.
     pub fn controller_config(mut self, config: ControllerConfig) -> Self {
-        self.controller_config = Some(config);
+        self.scenario.controller_config = Some(config);
         self
     }
 
@@ -235,47 +227,47 @@ impl ScenarioBuilder {
     /// e.g. `ControllerConfig::non_adaptive`. A plain function pointer keeps the
     /// scenario reusable across runs.
     pub fn tune_controllers(mut self, tune: fn(ControllerConfig) -> ControllerConfig) -> Self {
-        self.tune = Some(tune);
+        self.scenario.tune = Some(tune);
         self
     }
 
     /// Replaces the harness configuration (task delay, detection delay, packet TTL).
     /// The per-run seed still comes from [`runs`](Self::runs)/[`seeds_from`](Self::seeds_from).
     pub fn harness_config(mut self, config: HarnessConfig) -> Self {
-        self.harness = config;
+        self.scenario.harness = config;
         self
     }
 
     /// Overrides the controller task delay (the paper's 500 ms default, Figure 7's
     /// sweep parameter).
     pub fn task_delay(mut self, delay: SimDuration) -> Self {
-        self.harness = self.harness.with_task_delay(delay);
+        self.scenario.harness = self.scenario.harness.with_task_delay(delay);
         self
     }
 
     /// Adds a fault event at `offset` after the bootstrap instant. Events at equal
     /// offsets form one batch with a single recovery measurement.
     pub fn fault_at(mut self, offset: SimDuration, event: FaultEvent) -> Self {
-        self.schedule = self.schedule.at(offset, event);
+        self.scenario.schedule = self.scenario.schedule.at(offset, event);
         self
     }
 
     /// Replaces the whole fault schedule.
     pub fn schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.schedule = schedule;
+        self.scenario.schedule = schedule;
         self
     }
 
     /// Attaches a probe, sampled every [`sample_probes_every`](Self::sample_probes_every).
     pub fn probe(mut self, probe: Probe) -> Self {
-        self.probes.push(probe);
+        self.scenario.probes.push(probe);
         self
     }
 
     /// Probe sampling period (default: one simulated second).
     pub fn sample_probes_every(mut self, period: SimDuration) -> Self {
         assert!(!period.is_zero(), "probe sampling period must be non-zero");
-        self.sample_every = period;
+        self.scenario.sample_every = period;
         self
     }
 
@@ -286,26 +278,26 @@ impl ScenarioBuilder {
         mut self,
         factory: impl Fn() -> Box<dyn Workload> + Send + Sync + 'static,
     ) -> Self {
-        self.workloads.push(Box::new(factory));
+        self.scenario.workloads.push(Box::new(factory));
         self
     }
 
     /// Registers an end-of-run summary statistic under a typed [`MetricKey`],
     /// evaluated once per run when the run finishes.
     pub fn summary(mut self, key: MetricKey, f: fn(&SdnNetwork) -> f64) -> Self {
-        self.summaries.push((key, f));
+        self.scenario.summaries.push((key, f));
         self
     }
 
     /// Number of seeded repetitions (default 1). Run `i` uses seed `base + i`.
     pub fn runs(mut self, runs: usize) -> Self {
-        self.runs = runs.max(1);
+        self.scenario.runs = runs.max(1);
         self
     }
 
     /// Base seed for the repetitions (default: the harness configuration's seed).
     pub fn seeds_from(mut self, base: u64) -> Self {
-        self.seed_base = Some(base);
+        self.scenario.seed_base = Some(base);
         self
     }
 
@@ -315,14 +307,14 @@ impl ScenarioBuilder {
     /// bit-identical regardless of the thread count: every seeded run is fully
     /// self-contained and reports are merged back in seed order.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.scenario.threads = Some(threads.max(1));
         self
     }
 
     /// Convergence timeout applied to the bootstrap and to each recovery wait
     /// (default 1200 simulated seconds — the paper's slowest bootstrap is ~2 minutes).
     pub fn timeout(mut self, timeout: SimDuration) -> Self {
-        self.timeout = timeout;
+        self.scenario.timeout = timeout;
         self
     }
 
@@ -332,14 +324,14 @@ impl ScenarioBuilder {
             !period.is_zero(),
             "legitimacy check period must be non-zero"
         );
-        self.check_every = period;
+        self.scenario.check_every = period;
         self
     }
 
     /// Selects whether controllers keep running during workloads (default
     /// [`ControlPlane::Live`]).
     pub fn control_plane(mut self, mode: ControlPlane) -> Self {
-        self.control_plane = mode;
+        self.scenario.control_plane = mode;
         self
     }
 
@@ -355,27 +347,12 @@ impl ScenarioBuilder {
             .topology
             // stancheck: allow(unwrap-expect) — documented builder contract (see `# Panics`): a scenario without a topology is a programming error, and the fluent builder API has no Result channel
             .expect("Scenario requires a topology: call .network(name) or .topology(t)");
-        if let Err(error) = self.schedule.validate() {
+        if let Err(error) = self.scenario.schedule.validate() {
             panic!("invalid fault schedule: {error}");
         }
         Scenario {
-            name: self.name,
             topology,
-            controllers: self.controllers,
-            controller_config: self.controller_config,
-            tune: self.tune,
-            harness: self.harness,
-            schedule: self.schedule,
-            probes: self.probes,
-            sample_every: self.sample_every,
-            workloads: self.workloads,
-            summaries: self.summaries,
-            runs: self.runs,
-            seed_base: self.seed_base,
-            threads: self.threads,
-            timeout: self.timeout,
-            check_every: self.check_every,
-            control_plane: self.control_plane,
+            ..self.scenario
         }
     }
 

@@ -1,18 +1,18 @@
 //! The event-driven scenario executor.
 //!
 //! One [`ScenarioRunner`] run replaces the bespoke bootstrap/inject/poll loops the
-//! experiment binaries used to hand-roll: a single agenda merges fault batches,
-//! workload ticks, probe samples, and legitimacy checks, and the simulator is advanced
-//! from one agenda instant to the next. Legitimacy is still evaluated on the
-//! scenario's `check_every` cadence — measurement resolution is unchanged from the
-//! polling days, so results are bit-identical with equal seeds (the scenario
-//! regression test relies on this).
+//! experiment binaries used to hand-roll. Each seeded run boots a [`Driver`] — the
+//! network, its fault engine and one agenda that `sdn-serve`'s session drives too —
+//! attaches the scenario's workloads and pushes its fault batches at the bootstrap
+//! instant, and advances the simulator from one agenda instant to the next. The run
+//! keeps to itself what only a scenario measures: legitimacy checks on the
+//! scenario's `check_every` cadence, recovery records and probe samples. Measurement
+//! resolution is unchanged from the polling days, so results are bit-identical with
+//! equal seeds (the scenario regression test relies on this).
 
+use super::driver::{Driver, Fired, Order};
 use super::report::{InjectedFault, RecoveryRecord, RunReport, ScenarioReport};
-use super::schedule::FaultContext;
-use super::workload::{Workload, WorkloadTick};
 use super::{ControlPlane, ProbeSeries, Scenario};
-use crate::config::ControllerConfig;
 use crate::harness::SdnNetwork;
 use sdn_netsim::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,27 +122,9 @@ impl<'a> ScenarioRunner<'a> {
     }
 }
 
-/// One agenda entry of the post-bootstrap phase. Offsets are relative to the bootstrap
-/// instant; `order` breaks ties at equal offsets: workload ticks observe the pre-fault
-/// state, then workloads finish, then fault batches fire.
-struct AgendaItem {
-    offset: SimDuration,
-    order: u8,
-    kind: AgendaKind,
-}
-
-enum AgendaKind {
-    Tick { workload: usize, tick: WorkloadTick },
-    Finish { workload: usize },
-    Batch { index: usize },
-}
-
 struct SingleRun<'a> {
     sc: &'a Scenario,
-    seed: u64,
-    net: SdnNetwork,
-    ctx: FaultContext,
-    workloads: Vec<Box<dyn Workload>>,
+    driver: Driver,
     probe_series: Vec<ProbeSeries>,
     next_probe: Option<SimTime>,
     /// The run's logical clock: equals the simulator clock in live mode, advances
@@ -153,32 +135,16 @@ struct SingleRun<'a> {
 
 impl<'a> SingleRun<'a> {
     fn new(sc: &'a Scenario, seed: u64) -> Self {
-        let topology = sc.topology.build(sc.controllers);
-        let controller_config = sc.controller_config.unwrap_or_else(|| {
-            ControllerConfig::for_network(topology.controller_count(), topology.switch_count())
-        });
-        let controller_config = match sc.tune {
-            Some(tune) => tune(controller_config),
-            None => controller_config,
-        };
-        let harness = sc.harness.with_seed(seed);
-        let net = SdnNetwork::new(topology, controller_config, harness);
+        let driver = Driver::boot(sc, seed);
         let probe_series = sc
             .probes
             .iter()
             .map(|p| ProbeSeries::new(p.key().clone()))
             .collect();
-        let next_probe = if sc.probes.is_empty() {
-            None
-        } else {
-            Some(net.now())
-        };
+        let next_probe = (!sc.probes.is_empty()).then(|| driver.net.now());
         SingleRun {
             sc,
-            seed,
-            net,
-            ctx: FaultContext::new(seed),
-            workloads: sc.workloads.iter().map(|factory| factory()).collect(),
+            driver,
             probe_series,
             next_probe,
             clock: SimTime::ZERO,
@@ -202,152 +168,86 @@ impl<'a> SingleRun<'a> {
     /// state. Semantically identical to `SdnNetwork::run_until_legitimate` — legitimacy
     /// is checked every `check_every` — with probe samples interleaved.
     fn bootstrap(&mut self) -> Option<SimDuration> {
-        let started = self.net.now();
+        let started = self.driver.net.now();
         let deadline = started + self.sc.timeout;
         loop {
-            if self.net.is_legitimate() {
-                return Some(self.net.now() - started);
+            let now = self.driver.net.now();
+            if self.driver.net.is_legitimate() {
+                return Some(now - started);
             }
-            if self.net.now() >= deadline {
+            if now >= deadline {
                 return None;
             }
-            let target = self.net.now() + self.sc.check_every;
-            self.advance_to(target, true);
+            self.advance_to(now + self.sc.check_every, true);
         }
     }
 
     /// Phase B: workloads, scheduled faults, and recovery measurements, all relative to
-    /// the bootstrap instant.
+    /// the bootstrap instant. The workloads and fault batches go on the driver's
+    /// agenda; the legitimacy checks of a recovery wait run between its items.
     fn post_bootstrap(&mut self) {
-        let origin = self.net.now();
+        let origin = self.driver.net.now();
         let live = self.sc.control_plane == ControlPlane::Live;
-
-        for workload in &mut self.workloads {
-            workload.start(&mut self.net);
+        for factory in &self.sc.workloads {
+            let workload = factory();
+            let interval = workload.tick_interval();
+            let ticks = workload
+                .duration()
+                .as_micros()
+                .checked_div(interval.as_micros());
+            self.driver.attach(workload, interval, ticks.unwrap_or(0));
         }
-        let agenda = self.build_agenda();
-        let batches = self.sc.schedule.batches();
+        for (offset, events) in self.sc.schedule.batches() {
+            self.driver.push_faults(origin + offset, events);
+        }
 
-        let mut idx = 0usize;
-        // Time of the fault batch we are currently measuring recovery for, plus the
-        // instant of its next legitimacy check.
+        // The instant of the fault batch whose recovery is being measured (only in
+        // live mode), and the instant of its next legitimacy check.
         let mut awaiting: Option<SimTime> = None;
         let mut next_check = SimTime::ZERO;
+        let record = |since: SimTime, recovered_in_s| RecoveryRecord {
+            fault_at_s: (since - origin).as_secs_f64(),
+            recovered_in_s,
+        };
         loop {
-            let agenda_at = agenda.get(idx).map(|item| origin + item.offset);
-            // A check step carries the fault instant it is measuring recovery for, so
-            // no later lookup into `awaiting` is needed (or can be wrong).
-            let check_at = if live {
-                awaiting.map(|since| (next_check, since))
-            } else {
-                None
-            };
-            let step = match (agenda_at, check_at) {
-                (None, None) => break,
-                (Some(a), Some((c, since))) if c <= a => Step::Check(c, since),
-                (Some(a), _) => Step::Agenda(a),
-                (None, Some((c, since))) => Step::Check(c, since),
-            };
-            match step {
-                Step::Check(at, since) => {
-                    self.advance_to(at, live);
-                    if self.net.is_legitimate() {
-                        self.report.recoveries.push(RecoveryRecord {
-                            fault_at_s: (since - origin).as_secs_f64(),
-                            recovered_in_s: Some((at - since).as_secs_f64()),
-                        });
-                        awaiting = None;
-                    } else if at >= since + self.sc.timeout {
-                        self.report.recoveries.push(RecoveryRecord {
-                            fault_at_s: (since - origin).as_secs_f64(),
-                            recovered_in_s: None,
-                        });
-                        awaiting = None;
-                    } else {
-                        next_check = at + self.sc.check_every;
+            let agenda_at = self.driver.next_at();
+            // A recovery check due no later than the next agenda item runs first.
+            if let Some(since) = awaiting.filter(|_| agenda_at.is_none_or(|a| next_check <= a)) {
+                let at = next_check;
+                self.advance_to(at, live);
+                let recovered = self.driver.net.is_legitimate();
+                if recovered || at >= since + self.sc.timeout {
+                    let recovered_in_s = recovered.then(|| (at - since).as_secs_f64());
+                    self.report.recoveries.push(record(since, recovered_in_s));
+                    awaiting = None;
+                } else {
+                    next_check = at + self.sc.check_every;
+                }
+                continue;
+            }
+            let Some(at) = agenda_at else { break };
+            self.advance_to(at, live);
+            match self.driver.fire_due(at, Order::Faults) {
+                Some(Fired::Finish(_, report)) => self.report.workloads.push(report),
+                Some(Fired::Faults(done)) => {
+                    // A new batch interrupts any still-pending recovery wait.
+                    if let Some(since) = awaiting.take() {
+                        self.report.recoveries.push(record(since, None));
+                    }
+                    let at_s = (at - origin).as_secs_f64();
+                    for description in done {
+                        self.report
+                            .injected
+                            .push(InjectedFault { at_s, description });
+                    }
+                    if live {
+                        awaiting = Some(at);
+                        next_check = at;
                     }
                 }
-                Step::Agenda(at) => {
-                    self.advance_to(at, live);
-                    let item = &agenda[idx];
-                    idx += 1;
-                    match item.kind {
-                        AgendaKind::Tick { workload, tick } => {
-                            self.workloads[workload].tick(&mut self.net, tick);
-                        }
-                        AgendaKind::Finish { workload } => {
-                            let report = self.workloads[workload].finish(&mut self.net);
-                            self.report.workloads.push(report);
-                        }
-                        AgendaKind::Batch { index } => {
-                            // A new batch interrupts any still-pending recovery wait.
-                            if let Some(since) = awaiting.take() {
-                                self.report.recoveries.push(RecoveryRecord {
-                                    fault_at_s: (since - origin).as_secs_f64(),
-                                    recovered_in_s: None,
-                                });
-                            }
-                            let (offset, events) = &batches[index];
-                            for event in events {
-                                for description in self.ctx.apply(&mut self.net, event) {
-                                    self.report.injected.push(InjectedFault {
-                                        at_s: offset.as_secs_f64(),
-                                        description,
-                                    });
-                                }
-                            }
-                            if live {
-                                awaiting = Some(at);
-                                next_check = at;
-                            }
-                        }
-                    }
-                }
+                Some(Fired::Tick) | None => {}
             }
         }
-    }
-
-    /// Builds the sorted post-bootstrap agenda from workload windows and fault batches.
-    fn build_agenda(&self) -> Vec<AgendaItem> {
-        let mut items = Vec::new();
-        for (wi, workload) in self.workloads.iter().enumerate() {
-            let interval = workload.tick_interval();
-            assert!(
-                !interval.is_zero(),
-                "workload '{}' has a zero tick interval",
-                workload.label()
-            );
-            let ticks = workload.duration().as_micros() / interval.as_micros();
-            let mut offset = SimDuration::ZERO;
-            for k in 1..=ticks {
-                offset += interval;
-                items.push(AgendaItem {
-                    offset,
-                    order: 0,
-                    kind: AgendaKind::Tick {
-                        workload: wi,
-                        tick: WorkloadTick {
-                            index: k as u32,
-                            elapsed: offset,
-                        },
-                    },
-                });
-            }
-            items.push(AgendaItem {
-                offset,
-                order: 1,
-                kind: AgendaKind::Finish { workload: wi },
-            });
-        }
-        for (bi, (offset, _)) in self.sc.schedule.batches().iter().enumerate() {
-            items.push(AgendaItem {
-                offset: *offset,
-                order: 2,
-                kind: AgendaKind::Batch { index: bi },
-            });
-        }
-        items.sort_by_key(|item| (item.offset, item.order));
-        items
     }
 
     /// Brings the run to `target`: samples every probe instant up to `target`, and (in
@@ -359,15 +259,15 @@ impl<'a> SingleRun<'a> {
                 break;
             }
             if live {
-                self.net.run_until(at);
+                self.driver.net.run_until(at);
             }
             for (probe, series) in self.sc.probes.iter().zip(&mut self.probe_series) {
-                series.push(at.as_secs_f64(), probe.sample(&self.net));
+                series.push(at.as_secs_f64(), probe.sample(&self.driver.net));
             }
             self.next_probe = Some(at + self.sc.sample_every);
         }
         if live {
-            self.net.run_until(target);
+            self.driver.net.run_until(target);
         }
         self.clock = self.clock.max(target);
     }
@@ -383,31 +283,25 @@ impl<'a> SingleRun<'a> {
             return;
         }
         for (probe, series) in self.sc.probes.iter().zip(&mut self.probe_series) {
-            series.push(at, probe.sample(&self.net));
+            series.push(at, probe.sample(&self.driver.net));
         }
     }
 
     fn finalize(mut self) -> RunReport {
         self.sample_probes_at_end();
+        let net = &self.driver.net;
         for (key, f) in &self.sc.summaries {
-            self.report.summaries.push((key.clone(), f(&self.net)));
+            self.report.summaries.push((key.clone(), f(net)));
         }
         self.report.probes = self.probe_series;
-        self.report.final_legitimate = self.net.is_legitimate();
-        self.report.total_rules = self.net.total_rules();
-        self.report.max_rules_per_switch = self.net.max_rules_per_switch();
-        self.report.messages_sent = self.net.metrics().total_sent();
-        self.report.events_processed = self.net.sim().events_processed();
-        self.report.sim_end_s = self.net.now().as_secs_f64();
-        self.report.seed = self.seed;
+        self.report.final_legitimate = net.is_legitimate();
+        self.report.total_rules = net.total_rules();
+        self.report.max_rules_per_switch = net.max_rules_per_switch();
+        self.report.messages_sent = net.metrics().total_sent();
+        self.report.events_processed = net.sim().events_processed();
+        self.report.sim_end_s = net.now().as_secs_f64();
         self.report
     }
-}
-
-enum Step {
-    Agenda(SimTime),
-    /// Legitimacy check at `.0`, measuring recovery from the fault at `.1`.
-    Check(SimTime, SimTime),
 }
 
 #[cfg(test)]
@@ -448,7 +342,7 @@ mod tests {
         let topology = builders::ring(5, 2);
         let mut direct = SdnNetwork::new(
             topology,
-            ControllerConfig::for_network(2, 5),
+            crate::ControllerConfig::for_network(2, 5),
             crate::HarnessConfig::default()
                 .with_task_delay(SimDuration::from_millis(100))
                 .with_seed(3),

@@ -1,10 +1,10 @@
-//! Traffic workloads attached to a scenario.
+//! Traffic workloads attached to a scenario or a service session.
 //!
-//! A [`Workload`] is started at the bootstrap instant and ticked on a fixed cadence by
-//! the [`ScenarioRunner`](super::ScenarioRunner); at the end of its window it produces
-//! a [`WorkloadReport`] of named per-tick series. The concrete TCP/iperf workload lives
+//! A [`Workload`] is started and ticked on a fixed cadence by a
+//! [`Driver`](super::Driver); at the end of its window it produces a
+//! [`WorkloadReport`] of named per-tick series. The concrete TCP/iperf workload lives
 //! in the `sdn-traffic` crate (which depends on this one); the trait lives here so the
-//! scenario runner can drive any traffic model without a dependency cycle.
+//! driver can run any traffic model without a dependency cycle.
 
 use crate::harness::SdnNetwork;
 use sdn_metrics::Digest;
@@ -16,32 +16,34 @@ use sdn_netsim::SimDuration;
 pub struct WorkloadTick {
     /// 1-based tick index.
     pub index: u32,
-    /// Elapsed workload time at this tick (`index * tick_interval`).
+    /// Elapsed workload time at this tick: `index` times the interval it is ticked at.
     pub elapsed: SimDuration,
 }
 
-/// A traffic workload driven tick-by-tick by the scenario runner.
+/// A traffic workload driven tick-by-tick by a [`Driver`](super::Driver); `Send`
+/// because a service session, which owns its workloads, moves to the server's thread.
 ///
 /// With a live control plane the runner advances the simulation between ticks, so the
 /// workload observes genuine controller repair; with a frozen control plane
 /// ([`ControlPlane::Frozen`](super::ControlPlane::Frozen)) the simulator clock stands
 /// still and the workload sees only the static data plane — the paper's
 /// "without recovery" mode (Figure 16).
-pub trait Workload {
+pub trait Workload: Send {
     /// Display label of this workload; also the key of its report.
     fn label(&self) -> String;
 
-    /// Total workload window length. The runner calls [`Workload::tick`]
+    /// Total workload window length. A scenario run calls [`Workload::tick`]
     /// `duration / tick_interval` times.
     fn duration(&self) -> SimDuration;
 
-    /// Cadence at which [`Workload::tick`] is called (default: one simulated second).
+    /// Cadence at which a scenario run calls [`Workload::tick`] (default: one simulated
+    /// second); a service session ticks its workloads once per session tick.
     fn tick_interval(&self) -> SimDuration {
         SimDuration::from_secs(1)
     }
 
-    /// Called once at the bootstrap instant, before the first tick — resolve endpoints,
-    /// open connections, etc.
+    /// Called once when attached (a scenario's bootstrap instant), before the first
+    /// tick — resolve endpoints, open connections, etc.
     fn start(&mut self, net: &mut SdnNetwork);
 
     /// Called once per tick, after the simulator has advanced to the tick instant.

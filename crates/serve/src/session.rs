@@ -1,33 +1,33 @@
 //! The deterministic session core: a simulated SDN advanced tick by tick.
 //!
-//! A [`Session`] owns the [`SdnNetwork`], the attached flow workloads, and a bounded
-//! ring of probe samples. It exposes exactly two mutations — [`Session::step`] (one
-//! simulated tick) and [`Session::apply`] (one [`Command`]) — and everything it
-//! computes derives from simulated state alone. No wall clock, no thread identity,
-//! no host entropy reaches this module (the `sdn-stancheck` scope rule enforces
-//! that statically), which is why a live interactive session and a single-threaded
-//! replay of its command log produce bit-identical final reports.
+//! A [`Session`] owns a [`Driver`] — the [`SdnNetwork`](renaissance::SdnNetwork),
+//! its fault engine and the agenda of attached flow workloads and queued fault
+//! phases, the same driver a scenario run uses — and a bounded ring of probe
+//! samples. It boots the way a same-seed [`Scenario`] on its topology boots. It
+//! exposes exactly two mutations — [`Session::step`] (one simulated tick) and
+//! [`Session::apply`] (one [`Command`]) — and everything it computes derives from
+//! simulated state alone. No wall clock, no thread identity, no host entropy reaches
+//! this module (the `sdn-stancheck` scope rule enforces that statically), which is
+//! why a live interactive session and a single-threaded replay of its command log
+//! produce bit-identical final reports.
 //!
 //! Faults are a thin boundary over the scenario fault engine: a [`FaultEvent`]
 //! with a wire form passes [`FaultEvent::validate`] at one tick and a check of
 //! its victims against the live network (it is input from outside the program),
-//! and the session's one [`FaultContext`] executes it — at once, or, for a
-//! compound fault, phase by phase from the pending queue, as
-//! [`FaultEvent::phases`] expands it for a scenario too. This module never
-//! mutates the network's nodes or links itself.
+//! and the driver's fault engine executes it — at once, or, for a compound fault,
+//! phase by phase from the agenda, as [`FaultEvent::phases`] expands it for a
+//! scenario too. This module never mutates the network's nodes or links itself.
 
 use crate::command::{fault_to_json, Command, FlowsSpec};
 use renaissance::scenario::{
-    ControllerSelector, FaultContext, FaultEvent, LinkSelector, PartitionSpec, SwitchSelector,
-    Workload, WorkloadReport, WorkloadTick,
+    ControllerSelector, Driver, FaultEvent, Fired, LinkSelector, Order, PartitionSpec, Scenario,
+    SwitchSelector, WorkloadReport,
 };
-use renaissance::{ControllerConfig, HarnessConfig, SdnNetwork};
 use sdn_metrics::json::Json;
 use sdn_metrics::{RingPage, RingSink};
-use sdn_netsim::SimDuration;
+use sdn_netsim::{SimDuration, SimTime};
 use sdn_topology::{builders, NodeId};
 use sdn_traffic::{Arrival, FlowEngineWorkload, FlowMix, FlowSetConfig, TrafficMatrix};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Everything needed to rebuild a session from scratch — the command log's header.
@@ -125,62 +125,35 @@ impl SessionConfig {
     }
 }
 
-/// One attached flow workload, advanced a service tick per session tick.
-struct FlowSlot {
-    /// Stable attachment label (`flows-<n>`), carried into the finished report.
-    label: String,
-    workload: FlowEngineWorkload,
-    ticks_done: u32,
-    duration: u32,
-}
-
 /// A long-running simulated SDN session. See the module docs for the contract.
 pub struct Session {
     config: SessionConfig,
-    net: SdnNetwork,
-    flows: Vec<FlowSlot>,
+    driver: Driver,
     finished_flows: Vec<WorkloadReport>,
-    flows_attached: u64,
     samples: RingSink,
     tick: u64,
     commands_applied: u64,
-    /// The scenario fault engine: the only path a fault takes to the network. It
-    /// also keeps the cut set of the partition in force.
-    faults: FaultContext,
-    /// Later phases of accepted faults (flap half-cycles, rolling fail/revive
-    /// pairs), keyed by the absolute tick they fire at; a `BTreeMap` keeps the
-    /// draining order deterministic.
-    pending: BTreeMap<u64, Vec<FaultEvent>>,
 }
 
 impl Session {
-    /// Boots a session: builds the named topology, wires the SDN, and records the
-    /// tick-0 probe sample.
+    /// Boots a session through [`Driver::boot`], as a same-seed [`Scenario`] on the
+    /// named topology boots, and records the tick-0 probe sample.
     ///
     /// # Panics
     ///
     /// Panics when `config.topology` is not a name [`builders::by_name`] accepts.
     pub fn new(config: SessionConfig) -> Self {
-        let topology = builders::by_name(&config.topology, config.controllers);
-        let n_switches = topology.switch_count();
-        let net = SdnNetwork::new(
-            topology,
-            ControllerConfig::for_network(config.controllers, n_switches),
-            HarnessConfig::default().with_seed(config.seed),
-        );
-        let samples = RingSink::new(config.ring_capacity.max(1));
-        let faults = FaultContext::new(config.seed);
+        let scenario = Scenario::builder("session")
+            .network(config.topology.as_str())
+            .controllers(config.controllers)
+            .build();
         let mut session = Session {
+            driver: Driver::boot(&scenario, config.seed),
+            samples: RingSink::new(config.ring_capacity.max(1)),
             config,
-            net,
-            flows: Vec::new(),
             finished_flows: Vec::new(),
-            flows_attached: 0,
-            samples,
             tick: 0,
             commands_applied: 0,
-            faults,
-            pending: BTreeMap::new(),
         };
         session.record_sample();
         session
@@ -198,7 +171,7 @@ impl Session {
 
     /// Current simulated time in seconds.
     pub fn sim_secs(&self) -> f64 {
-        self.net.now().as_secs_f64()
+        self.driver.net.now().as_secs_f64()
     }
 
     /// The telemetry ring backing `/log` and `/stream`.
@@ -216,38 +189,33 @@ impl Session {
             .next()
     }
 
-    /// Advances the session by one tick: fires any fault phases pending for this
-    /// tick, runs the simulator for the configured slice, drives every attached
-    /// flow workload one service tick, retires workloads whose window ended, and
-    /// records a probe sample.
+    /// Advances the session by one tick of [`SessionConfig::tick`]: fires the fault
+    /// phases due at the tick's start, runs the simulator to its end, fires the
+    /// workload ticks and finishes due there — a finished workload's report is
+    /// kept for the final report — and records a probe sample.
     pub fn step(&mut self) {
         self.tick += 1;
-        for event in self.pending.remove(&self.tick).unwrap_or_default() {
-            self.faults.apply(&mut self.net, &event);
-        }
-        self.net
-            .run_for(SimDuration::from_millis(self.config.tick_millis));
-        for slot in &mut self.flows {
-            slot.ticks_done += 1;
-            let tick = WorkloadTick {
-                index: slot.ticks_done,
-                elapsed: SimDuration::from_secs(u64::from(slot.ticks_done)),
-            };
-            slot.workload.tick(&mut self.net, tick);
-        }
-        while let Some(pos) = self.flows.iter().position(|s| s.ticks_done >= s.duration) {
-            let mut slot = self.flows.remove(pos);
-            let mut report = slot.workload.finish(&mut self.net);
-            report.push_note("attached_as", slot.label.clone());
-            report.push_note("finished_at_tick", self.tick.to_string());
-            self.finished_flows.push(report);
-        }
+        let start = self.driver.net.now();
+        let end = start + self.config.tick();
+        self.fire_due(start, Order::Faults);
+        self.driver.net.run_until(end);
+        self.fire_due(end, Order::Finish);
         self.record_sample();
+    }
+
+    fn fire_due(&mut self, at: SimTime, through: Order) {
+        while let Some(fired) = self.driver.fire_due(at, through) {
+            if let Fired::Finish(id, mut report) = fired {
+                report.push_note("attached_as", format!("flows-{id}"));
+                report.push_note("finished_at_tick", self.tick.to_string());
+                self.finished_flows.push(report);
+            }
+        }
     }
 
     /// Applies one command at the current tick boundary and returns its outcome
     /// object. Control commands (`step`/`run`/`pause`/`shutdown`) do not touch
-    /// simulated state here — the driver (or replay's tick stamps) realizes their
+    /// simulated state here — the transport (or replay's tick stamps) realizes their
     /// effect — but they still count toward `commands_applied` so live and replayed
     /// reports agree.
     pub fn apply(&mut self, cmd: &Command) -> Json {
@@ -293,21 +261,21 @@ impl Session {
     }
 
     /// Executes a checked fault now and describes what it did (`None`: nothing),
-    /// or queues the phases of a compound fault from the next tick on: a phase
-    /// at offset `d` fires on tick `next + d / tick`, rounded down. The command's
-    /// sequence number is its flap id, unique within the session.
+    /// or queues the phases of a compound fault on the agenda: a phase at offset
+    /// `d` fires at the start of the tick beginning `⌊d / tick⌋` ticks from now.
+    /// The command's sequence number is its flap id, unique within the session.
     fn execute(&mut self, event: &FaultEvent) -> Option<String> {
         let mut phases = event.phases(self.commands_applied as u32);
         if phases.len() == 1 {
-            let (_, now) = phases.remove(0);
-            let done = self.faults.apply(&mut self.net, &now);
+            let (faults, net) = (&mut self.driver.faults, &mut self.driver.net);
+            let done = faults.apply(net, &phases.remove(0).1);
             return (!done.is_empty()).then(|| done.join("; "));
         }
-        let (next, tick_us) = (self.tick + 1, self.config.tick().as_micros());
+        let (now, tick_us) = (self.driver.net.now(), self.config.tick().as_micros());
         let detail = format!("{} phases queued", phases.len());
         for (offset, phase) in phases {
-            let at = next + offset.as_micros() / tick_us;
-            self.pending.entry(at).or_default().push(phase);
+            let at = now + SimDuration::from_micros(offset.as_micros() / tick_us * tick_us);
+            self.driver.push_faults(at, vec![phase]);
         }
         Some(detail)
     }
@@ -319,10 +287,10 @@ impl Session {
         match event {
             FaultEvent::FailController(ControllerSelector::Id(id))
             | FaultEvent::ReviveController(id) => {
-                known(&self.net.controller_ids(), *id, "controller")
+                known(&self.driver.net.controller_ids(), *id, "controller")
             }
             FaultEvent::FailSwitch(SwitchSelector::Id(id)) | FaultEvent::ReviveSwitch(id) => {
-                known(&self.net.switch_ids(), *id, "switch")
+                known(&self.driver.net.switch_ids(), *id, "switch")
             }
             FaultEvent::FailLink(LinkSelector::Between(a, b))
             | FaultEvent::RemoveLink(LinkSelector::Between(a, b))
@@ -338,7 +306,7 @@ impl Session {
                 ..
             } => self.groups(groups),
             FaultEvent::RollingControllerRestart { count, .. } => {
-                let controllers = self.net.controller_ids().len();
+                let controllers = self.driver.net.controller_ids().len();
                 if controllers < *count {
                     return Err(format!(
                         "rolling restart of {count} controllers but only {controllers} exist"
@@ -352,7 +320,7 @@ impl Session {
 
     /// Two known nodes; whether a link joins them is the fault engine's business.
     fn endpoints(&self, a: NodeId, b: NodeId) -> Result<(), String> {
-        let graph = self.net.sim().topology();
+        let graph = self.driver.net.sim().topology();
         let known = graph.contains_node(a) && graph.contains_node(b);
         known
             .then_some(())
@@ -364,7 +332,7 @@ impl Session {
     /// no-ops, so they are rejected up front instead.
     fn link(&self, a: NodeId, b: NodeId) -> Result<(), String> {
         self.endpoints(a, b)?;
-        let present = self.net.sim().topology().has_link(a, b);
+        let present = self.driver.net.sim().topology().has_link(a, b);
         present
             .then_some(())
             .ok_or_else(|| format!("link {}-{} not present", a.index(), b.index()))
@@ -372,10 +340,10 @@ impl Session {
 
     /// A partition's groups name known nodes, and no other partition is in force.
     fn groups(&self, groups: &[Vec<NodeId>]) -> Result<(), String> {
-        if !self.faults.partitioned_links.is_empty() {
+        if !self.driver.faults.partitioned_links.is_empty() {
             return Err("a partition is already in force (heal it first)".to_string());
         }
-        let graph = self.net.sim().topology();
+        let graph = self.driver.net.sim().topology();
         match groups.iter().flatten().find(|n| !graph.contains_node(**n)) {
             Some(n) => Err(format!("partition: unknown node {}", n.index())),
             None => Ok(()),
@@ -383,7 +351,9 @@ impl Session {
     }
 
     fn attach_flows(&mut self, spec: FlowsSpec) -> Json {
-        let label = format!("flows-{}", self.flows_attached);
+        // Every attached workload is active or finished: this is the attachment's
+        // number, which the driver gives it too.
+        let n = (self.finished_flows.len() + self.driver.active_workloads()) as u64;
         let arrival = match spec.rate_per_tick {
             Some(rate_per_tick) => Arrival::Poisson { rate_per_tick },
             None => Arrival::UpFront,
@@ -399,24 +369,16 @@ impl Session {
             pairs: spec.pairs,
             fan_out: None,
         };
-        let mut workload = FlowEngineWorkload::new(config, spec.duration_ticks);
         // Decorrelate repeated attachments by default; an explicit salt wins.
-        let salt = spec
-            .seed_salt
-            .unwrap_or(0x666c_6f77 ^ self.flows_attached.rotate_left(17));
-        workload = workload.with_seed_salt(salt);
-        workload.start(&mut self.net);
-        self.flows_attached += 1;
-        self.flows.push(FlowSlot {
-            label: label.clone(),
-            workload,
-            ticks_done: 0,
-            duration: spec.duration_ticks.max(1),
-        });
+        let salt = spec.seed_salt.unwrap_or(0x666c_6f77 ^ n.rotate_left(17));
+        let workload = FlowEngineWorkload::new(config, spec.duration_ticks).with_seed_salt(salt);
+        let ticks = u64::from(spec.duration_ticks.max(1));
+        self.driver
+            .attach(Box::new(workload), self.config.tick(), ticks);
         Json::obj([
             ("ok", Json::Bool(true)),
-            ("attached_as", Json::str(label)),
-            ("flows", Json::num(config_flow_count(&spec) as f64)),
+            ("attached_as", Json::str(format!("flows-{n}"))),
+            ("flows", Json::num(f64::from(spec.pairs))),
         ])
     }
 
@@ -426,8 +388,9 @@ impl Session {
 
     /// The current communication graph `Gc`: node sets and links.
     pub fn topology_json(&self) -> Json {
-        let topo = self.net.topology();
-        let graph = self.net.sim().topology();
+        let net = &self.driver.net;
+        let topo = net.topology();
+        let graph = net.sim().topology();
         let ids = |nodes: &[NodeId]| {
             Json::arr(
                 nodes
@@ -452,7 +415,7 @@ impl Session {
             ("links", Json::Arr(links)),
             (
                 "generation",
-                Json::num(self.net.sim().topology_generation() as f64),
+                Json::num(net.sim().topology_generation() as f64),
             ),
             (
                 "expected_diameter",
@@ -463,51 +426,38 @@ impl Session {
 
     /// One node's state, or `None` when the index names no node.
     pub fn node_json(&self, index: u32) -> Option<Json> {
-        let id = NodeId::new(index);
-        let topo = self.net.topology();
-        let live = !self.net.sim().is_node_failed(id);
-        let degree = self.net.sim().operational_graph().degree(id);
-        if let Some(controller) = self.net.controller(id) {
-            return Some(Json::obj([
-                ("id", Json::num(f64::from(index))),
-                ("kind", Json::str("controller")),
-                ("live", Json::Bool(live)),
-                ("degree", Json::num(degree as f64)),
-                ("c_resets", Json::num(controller.c_resets() as f64)),
-            ]));
-        }
-        if let Some(switch) = self.net.switch(id) {
-            return Some(Json::obj([
-                ("id", Json::num(f64::from(index))),
-                ("kind", Json::str("switch")),
-                ("live", Json::Bool(live)),
-                ("degree", Json::num(degree as f64)),
-                ("rules", Json::num(switch.rules().len() as f64)),
-            ]));
-        }
-        // A failed node's state machine may be unreachable; report what the
+        let (id, net) = (NodeId::new(index), &self.driver.net);
+        let topo = net.topology();
+        // A failed node's state machine may be unreachable; then report what the
         // topology still knows.
-        if topo.controllers.contains(&id) || topo.switches.contains(&id) {
-            return Some(Json::obj([
-                ("id", Json::num(f64::from(index))),
-                (
-                    "kind",
-                    Json::str(if topo.controllers.contains(&id) {
-                        "controller"
-                    } else {
-                        "switch"
-                    }),
-                ),
-                ("live", Json::Bool(live)),
-                ("degree", Json::num(degree as f64)),
-            ]));
-        }
-        None
+        let (kind, state) = if let Some(controller) = net.controller(id) {
+            (
+                "controller",
+                Some(("c_resets", controller.c_resets() as f64)),
+            )
+        } else if let Some(switch) = net.switch(id) {
+            ("switch", Some(("rules", switch.rules().len() as f64)))
+        } else if topo.controllers.contains(&id) {
+            ("controller", None)
+        } else if topo.switches.contains(&id) {
+            ("switch", None)
+        } else {
+            return None;
+        };
+        let degree = net.sim().operational_graph().degree(id) as f64;
+        let node = [
+            ("id", Json::num(f64::from(index))),
+            ("kind", Json::str(kind)),
+            ("live", Json::Bool(!net.sim().is_node_failed(id))),
+            ("degree", Json::num(degree)),
+        ];
+        let state = state.map(|(key, value)| (key, Json::num(value)));
+        Some(Json::obj(node.into_iter().chain(state)))
     }
 
     /// The legitimacy verdict (paper, Definition 1) with every violated condition.
     pub fn legitimacy_json(&self) -> Json {
-        let report = self.net.legitimacy_report();
+        let report = self.driver.net.legitimacy_report();
         Json::obj([
             ("legitimate", Json::Bool(report.is_legitimate())),
             (
@@ -526,37 +476,35 @@ impl Session {
     /// Counters of the session so far: tick, simulated time, control-plane message
     /// totals, rule footprint, workload and sample accounting.
     pub fn metrics_json(&self) -> Json {
-        let metrics = self.net.metrics();
+        let (driver, net) = (&self.driver, &self.driver.net);
+        let metrics = net.metrics();
         Json::obj([
             ("tick", Json::num(self.tick as f64)),
             ("sim_s", Json::num(self.sim_secs())),
-            (
-                "events",
-                Json::num(self.net.sim().events_processed() as f64),
-            ),
+            ("events", Json::num(net.sim().events_processed() as f64)),
             ("msgs_sent", Json::num(metrics.total_sent() as f64)),
             ("msgs_received", Json::num(metrics.total_received() as f64)),
             ("bytes_sent", Json::num(metrics.total_bytes_sent() as f64)),
-            ("rules_total", Json::num(self.net.total_rules() as f64)),
+            ("rules_total", Json::num(net.total_rules() as f64)),
             (
                 "rules_max_per_switch",
-                Json::num(self.net.max_rules_per_switch() as f64),
+                Json::num(net.max_rules_per_switch() as f64),
             ),
-            ("flow_workloads", Json::num(self.flows.len() as f64)),
+            (
+                "flow_workloads",
+                Json::num(driver.active_workloads() as f64),
+            ),
             ("flow_reports", Json::num(self.finished_flows.len() as f64)),
             ("commands", Json::num(self.commands_applied as f64)),
             ("samples_dropped", Json::num(self.samples.dropped() as f64)),
-            (
-                "pending_faults",
-                Json::num(self.pending.values().map(Vec::len).sum::<usize>() as f64),
-            ),
+            ("pending_faults", Json::num(driver.pending_faults() as f64)),
             (
                 "partitioned_links",
-                Json::num(self.faults.partitioned_links.len() as f64),
+                Json::num(driver.faults.partitioned_links.len() as f64),
             ),
             (
                 "link_config_warnings",
-                Json::num(self.net.link_config_warnings() as f64),
+                Json::num(net.link_config_warnings() as f64),
             ),
         ])
     }
@@ -593,20 +541,21 @@ impl Session {
     }
 
     fn record_sample(&mut self) {
-        let metrics = self.net.metrics();
-        let report = self.net.legitimacy_report();
+        let (driver, net) = (&self.driver, &self.driver.net);
+        let metrics = net.metrics();
+        let report = net.legitimacy_report();
         let line = Json::obj([
             ("tick", Json::num(self.tick as f64)),
             ("sim_s", Json::num(self.sim_secs())),
             ("legitimate", Json::Bool(report.is_legitimate())),
             ("issues", Json::num(report.issues.len() as f64)),
-            (
-                "events",
-                Json::num(self.net.sim().events_processed() as f64),
-            ),
+            ("events", Json::num(net.sim().events_processed() as f64)),
             ("msgs_sent", Json::num(metrics.total_sent() as f64)),
-            ("rules_total", Json::num(self.net.total_rules() as f64)),
-            ("flow_workloads", Json::num(self.flows.len() as f64)),
+            ("rules_total", Json::num(net.total_rules() as f64)),
+            (
+                "flow_workloads",
+                Json::num(driver.active_workloads() as f64),
+            ),
         ])
         .to_string();
         self.samples.push_line(line);
@@ -619,11 +568,6 @@ fn known(ids: &[NodeId], id: NodeId, what: &str) -> Result<(), String> {
     found
         .then_some(())
         .ok_or_else(|| format!("no {what} with index {}", id.index()))
-}
-
-/// Total flows a [`FlowsSpec`] expands to (no fan-out on this surface).
-fn config_flow_count(spec: &FlowsSpec) -> u64 {
-    u64::from(spec.pairs)
 }
 
 /// Renders a [`RingPage`] as the `/log` response object; samples are re-embedded as
@@ -875,6 +819,26 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_millisecond_tick_steps_one_millisecond_and_fires_its_phases() {
+        let mut s = Session::new(SessionConfig {
+            tick_millis: 0,
+            ..tiny()
+        });
+        let flap = s.apply(&Command::Fault(FaultEvent::FlapLink {
+            selector: between(3, 4),
+            period: SimDuration::from_millis(4),
+            count: 2,
+        }));
+        assert_eq!(ok(&flap), Some(true), "{flap}");
+        assert_eq!(pending(&s), Some(4.0));
+        for _ in 0..10 {
+            s.step();
+        }
+        assert_eq!(s.sim_secs(), 0.010);
+        assert_eq!(pending(&s), Some(0.0), "every phase fired");
+    }
+
+    #[test]
     fn flaps_and_rolling_restarts_fire_on_schedule() {
         let mut s = Session::new(tiny());
         let flap = s.apply(&Command::Fault(FaultEvent::FlapLink {
@@ -923,7 +887,8 @@ mod tests {
         let check = |s: &Session| {
             let k = s.tick() - start;
             let up = |a, b| {
-                s.net
+                s.driver
+                    .net
                     .sim()
                     .link_is_operational(NodeId::new(a), NodeId::new(b))
             };

@@ -387,7 +387,7 @@ impl Workload for FlowEngineWorkload {
         let engine = self
             .engine
             .as_mut()
-            // stancheck: allow(unwrap-expect) — Workload trait contract: the ScenarioRunner always calls start() before the first tick()
+            // stancheck: allow(unwrap-expect) — Workload trait contract: Driver::attach always calls start() before the first tick()
             .expect("tick before start");
         let stats = engine.step();
         self.concurrent.push(stats.concurrent as f64);

@@ -205,7 +205,7 @@ impl Workload for IperfWorkload {
     fn tick(&mut self, net: &mut SdnNetwork, _tick: WorkloadTick) {
         self.flow
             .as_mut()
-            // stancheck: allow(unwrap-expect) — Workload trait contract: the ScenarioRunner always calls start() before the first tick()
+            // stancheck: allow(unwrap-expect) — Workload trait contract: Driver::attach always calls start() before the first tick()
             .expect("tick before start")
             .observe_second(net);
     }
