@@ -7,14 +7,15 @@
 //! networking (packet envelopes, in-band forwarding, timers) lives in
 //! [`crate::nodes`], which keeps this module testable in isolation.
 
+pub(crate) mod derived;
+
 use crate::config::{ControllerConfig, Variant};
-use crate::reply_db::{InsertOutcome, ReplyDb, View, ViewInput, ViewKey};
-use sdn_switch::{CommandBatch, QueryReply, RuleBody, RuleSet, RuleSetWriter, SwitchCommand};
+use crate::reply_db::{InsertOutcome, ReplyDb, View};
+use derived::{Derived, PlanTable};
+use sdn_switch::{CommandBatch, QueryReply, SwitchCommand};
 use sdn_tags::{RoundTracker, Tag, TagGenerator};
-use sdn_topology::{FlowPlan, FlowPlanner, Graph, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound::{Excluded, Unbounded};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use sdn_topology::{Graph, NodeId};
+use std::sync::Arc;
 
 /// Counters describing a controller's activity; several experiments (Figure 9, the
 /// Theorem 1 illegitimate-deletion bound) are read straight off these numbers.
@@ -53,135 +54,6 @@ pub struct ControllerStats {
     pub rule_sets_shared: u64,
 }
 
-/// The derived views the latest iterations read, each beside the key it was built
-/// from, most recently used first. One iteration reads `G(res(currTag))`,
-/// `G(res(prevTag))` and `G(fusion)`, so three entries are one iteration's working set.
-#[derive(Clone, Debug, Default)]
-struct ViewMemo(Vec<(ViewKey, Arc<View>)>);
-
-impl ViewMemo {
-    const ENTRIES: usize = 3;
-
-    fn position(&self, input: ViewInput<'_>) -> Option<usize> {
-        self.0.iter().position(|(key, _)| key.matches(input))
-    }
-
-    /// The memoized view of exactly these inputs, if there is one.
-    fn peek(&self, input: ViewInput<'_>) -> Option<&Arc<View>> {
-        self.position(input).map(|hit| &self.0[hit].1)
-    }
-
-    /// The view of `input`, built only if no entry's key matches it.
-    fn get(&mut self, input: ViewInput<'_>, stats: &mut ControllerStats) -> Arc<View> {
-        if let Some(hit) = self.position(input) {
-            stats.views_reused += 1;
-            self.0[..=hit].rotate_right(1);
-        } else {
-            stats.views_built += 1;
-            let key = input.key();
-            let view = Arc::new(key.view());
-            self.0.truncate(Self::ENTRIES - 1);
-            self.0.insert(0, (key, view));
-        }
-        self.0[0].1.clone()
-    }
-
-    /// Re-derives every entry from its key and replaces a view that differs. Counted
-    /// as neither a build nor a reuse.
-    fn audit(&mut self) {
-        for (key, view) in &mut self.0 {
-            let fresh = key.view();
-            if **view != fresh {
-                *view = Arc::new(fresh);
-            }
-        }
-    }
-}
-
-/// The routing plans of one network's controllers, so that controllers whose planning
-/// inputs are equal share one plan and one `myRules()` set per switch.
-///
-/// The table caches two pure functions, the plan of (reference graph, relay flags,
-/// planner) and `myRules()` of (plan, switch); it is not controller state. Each
-/// controller keeps its own handle to its plan and its own memo of the sets it sends,
-/// and audits both against the plan (README, "Repairing the memos"). The entries are
-/// weak: a plan nobody holds is dropped, with its sets, and pruned at the next lookup.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct PlanTable(Arc<Mutex<Vec<Weak<SharedPlan>>>>);
-
-impl PlanTable {
-    /// The plan `planner` makes of `graph` with the nodes `relays` accepts as relays:
-    /// the one a controller holding it already has if there is one, else a new one.
-    fn plan(
-        &self,
-        planner: FlowPlanner,
-        graph: &Graph,
-        relays: impl Fn(NodeId) -> bool,
-        stats: &mut ControllerStats,
-    ) -> Arc<SharedPlan> {
-        let mut entries = lock(&self.0);
-        entries.retain(|entry| entry.strong_count() > 0);
-        let snapshot = graph.snapshot();
-        let held = (entries.iter().filter_map(Weak::upgrade))
-            .find(|held| held.planner == planner && held.plan.is_plan_of(&snapshot, &relays));
-        if let Some(held) = held {
-            stats.plans_shared += 1;
-            return held;
-        }
-        stats.plans_built += 1;
-        let non_transit: BTreeSet<NodeId> = graph.nodes().filter(|&n| !relays(n)).collect();
-        let plan = SharedPlan::new(planner, planner.plan_restricted(graph, &non_transit));
-        entries.push(Arc::downgrade(&plan));
-        plan
-    }
-
-    /// The plans some controller holds.
-    #[cfg(test)]
-    pub(crate) fn held(&self) -> Vec<Arc<SharedPlan>> {
-        lock(&self.0).iter().filter_map(Weak::upgrade).collect()
-    }
-}
-
-/// A routing plan as the [`PlanTable`] shares it: the planner that made it, and the
-/// `myRules()` set of each switch some controller has asked for under it.
-#[derive(Debug)]
-pub(crate) struct SharedPlan {
-    planner: FlowPlanner,
-    plan: FlowPlan,
-    sets: Mutex<BTreeMap<NodeId, RuleSet>>,
-}
-
-impl SharedPlan {
-    fn new(planner: FlowPlanner, plan: FlowPlan) -> Arc<Self> {
-        let sets = Mutex::default();
-        Arc::new(SharedPlan {
-            planner,
-            plan,
-            sets,
-        })
-    }
-
-    /// `myRules()` at `switch` under this plan, ranked by the first controller that
-    /// asks for it.
-    fn rules(&self, switch: NodeId, stats: &mut ControllerStats) -> RuleSet {
-        let mut sets = lock(&self.sets);
-        if let Some(set) = sets.get(&switch) {
-            stats.rule_sets_shared += 1;
-            return set.clone();
-        }
-        stats.rule_sets_built += 1;
-        let set = build_rules(&self.plan, switch);
-        sets.insert(switch, set.clone());
-        set
-    }
-}
-
-/// The table's lock. What it guards is a cache of pure functions that no panic
-/// leaves half-written, so a poisoned lock is taken as it is.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Whether two views hold the same topology: shared, or equal by value.
 fn same_graph(a: &Arc<View>, b: &Arc<View>) -> bool {
     Arc::ptr_eq(a, b) || a.graph() == b.graph()
@@ -195,39 +67,20 @@ pub struct Controller {
     reply_db: ReplyDb,
     rounds: RoundTracker,
     tag_gen: TagGenerator,
-    /// The routing plan derived from the latest fusion view; used to pick first hops for
-    /// the controller's own outgoing packets. Shared (`Arc`) because the plan of each
-    /// round is identical to the rule plan, and with every controller of `plans` whose
-    /// reference graph is the same — one computation, no clone.
-    plan: Arc<SharedPlan>,
-    /// Where a new plan is looked up before it is computed.
-    plans: PlanTable,
-    /// The reference view `plan` was computed over. Once the view converges its
-    /// graph stops changing, and every subsequent iteration reuses the plan instead
-    /// of re-running the all-pairs planner — the steady state costs one view
-    /// comparison instead of an all-pairs distance matrix. `None` until the first plan.
-    planned: Option<Arc<View>>,
-    /// `myRules()` per switch under `plan`, taken from the plan's shared sets the
-    /// first time a switch is sent rules and handed out by reference from then on. A
-    /// set names neither tag nor owner, so it outlives rounds; only a new plan empties
-    /// the memo.
-    rule_sets: BTreeMap<NodeId, RuleSet>,
-    /// The switch whose memoized set the last iteration checked against `plan`.
-    audited: NodeId,
-    views: ViewMemo,
+    /// The views, the plan and the rule sets, re-derivable from the fields above.
+    derived: Derived,
     stats: ControllerStats,
-    plan_version: u64,
 }
 
 impl Controller {
     /// Creates a controller with empty knowledge of the network, sharing its plans
     /// with no other controller.
     pub fn new(id: NodeId, config: ControllerConfig) -> Self {
-        Controller::with_plans(id, config, PlanTable::default())
+        Controller::with_plans(id, config, PlanTable::new(config))
     }
 
-    /// Creates a controller with empty knowledge of the network that shares its plans
-    /// with every other controller of `plans`.
+    /// Creates a controller with empty knowledge of the network that shares `plans`, a
+    /// table made for `config`, with every other controller of it.
     pub(crate) fn with_plans(id: NodeId, config: ControllerConfig, plans: PlanTable) -> Self {
         let mut tag_gen = TagGenerator::new(id.index());
         let rounds = RoundTracker::new(tag_gen.next_tag());
@@ -237,14 +90,8 @@ impl Controller {
             reply_db: ReplyDb::new(config.max_replies),
             rounds,
             tag_gen,
-            plan: SharedPlan::new(planner(config), FlowPlan::default()),
-            plans,
-            planned: None,
-            rule_sets: BTreeMap::new(),
-            audited: id,
-            views: ViewMemo::default(),
+            derived: Derived::new(id, plans),
             stats: ControllerStats::default(),
-            plan_version: 0,
         }
     }
 
@@ -267,7 +114,7 @@ impl Controller {
     /// is replaced, so it stands still while a network is settled; condition 3's memo
     /// keys on it.
     pub fn plan_version(&self) -> u64 {
-        self.plan_version
+        self.derived.plan_version()
     }
 
     /// The current synchronization-round tag (`currTag`).
@@ -294,17 +141,13 @@ impl Controller {
     /// Algorithm 2 line 5, including its own neighborhood).
     pub fn discovered_graph(&self, neighbors: &[NodeId]) -> Graph {
         let (curr, prev) = (self.rounds.curr(), self.rounds.prev());
-        let input = self.reply_db.fusion(curr, prev, self.id, neighbors);
-        match self.views.peek(input) {
-            Some(view) => view.graph().clone(),
-            None => input.key().graph(),
-        }
+        (self.derived).graph(self.reply_db.fusion(curr, prev, self.id, neighbors))
     }
 
     /// The first-hop candidates (in priority order) this controller would use to reach
     /// `dst`, according to its latest routing plan, ranked when asked for.
     pub fn first_hop_candidates(&self, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.plan.plan.next_hops(self.id, dst)
+        self.derived.plan().next_hops(self.id, dst)
     }
 
     /// The first plan candidate towards `dst` that is currently an observed neighbor.
@@ -325,10 +168,9 @@ impl Controller {
         // that nextTag() stays ahead of anything in the system (past `u64::MAX` it
         // wraps to 0, which the `sdn_tags` crate docs show costs a few rounds at most).
         let id = self.id;
-        let (views, stats) = (&mut self.views, &mut self.stats);
         let (curr, prev) = (self.rounds.curr(), self.rounds.prev());
         self.reply_db.prune(id, [curr, prev], |db, tag| {
-            views.get(db.res(tag, id, neighbors), stats)
+            (self.derived).view(db.res(tag, id, neighbors), &mut self.stats)
         });
         // The generator only keeps the running max, so one representative tag is
         // equivalent to observing every tag in the database (`observed_tags`).
@@ -337,21 +179,22 @@ impl Controller {
         }
 
         // Lines 10–12: finish the round when every reachable node has answered it.
-        let res_curr = views.get(self.reply_db.res(curr, id, neighbors), stats);
+        let res_curr = (self.derived).view(self.reply_db.res(curr, id, neighbors), &mut self.stats);
         let new_round = self.reply_db.round_complete(curr, id, &res_curr);
         if new_round {
             let next = self.tag_gen.next_tag();
             self.rounds.start_round(next);
             self.reply_db.drop_tag(self.rounds.curr());
-            stats.rounds_completed += 1;
+            self.stats.rounds_completed += 1;
         }
         let (curr, prev) = (self.rounds.curr(), self.rounds.prev());
 
         // Line 13: pick the reference view for rule generation. Reachability in the
         // *previous* round's view also decides which controllers are considered alive
         // when a new round cleans up stale state (line 15).
-        let fusion = views.get(self.reply_db.fusion(curr, prev, id, neighbors), stats);
-        let res_prev = views.get(self.reply_db.res(prev, id, neighbors), stats);
+        let fusion = self.reply_db.fusion(curr, prev, id, neighbors);
+        let fusion = self.derived.view(fusion, &mut self.stats);
+        let res_prev = (self.derived).view(self.reply_db.res(prev, id, neighbors), &mut self.stats);
         let (refer_tag, refer) = if same_graph(&fusion, &res_prev) {
             (prev, &res_prev)
         } else {
@@ -359,24 +202,10 @@ impl Controller {
         };
 
         // The reference graph always equals the fusion view (taking `prev` means the two
-        // coincide), so the rule plan doubles as the controller's own routing plan:
-        // one computation, shared through the `Arc`. The plan is a pure function of
-        // the reference graph (the planner config is fixed and `non_transit` is
-        // derived from the graph), so an unchanged graph reuses the previous plan once
-        // the share of it this iteration audits agrees with the graph, and a changed
-        // one takes the plan of any controller that planned the same graph. Controllers
-        // never relay packets, so flows must not be planned through them.
+        // coincide), so the rule plan doubles as the controller's own routing plan.
+        // Controllers never relay packets, so flows must not be planned through them.
         let relays = |n: NodeId| !n.is_controller(self.config.n_controllers);
-        let turn = self.stats.iterations;
-        let planned = (self.planned.as_ref()).is_some_and(|planned| same_graph(planned, refer));
-        if !planned || !self.plan.plan.agrees(refer.graph(), relays, turn) {
-            let planner = planner(self.config);
-            self.plan = (self.plans).plan(planner, refer.graph(), relays, &mut self.stats);
-            self.plan_version += 1;
-            self.rule_sets.clear();
-        }
-        self.planned = Some(refer.clone());
-        self.audit_memos();
+        self.derived.plan_for(refer, relays, &mut self.stats);
 
         // Lines 14–19: build one batch per reachable node.
         let mut messages = Vec::new();
@@ -408,7 +237,7 @@ impl Controller {
                 }
                 commands.push(SwitchCommand::UpdateRules {
                     tag: curr,
-                    rules: self.my_rules(dst),
+                    rules: self.derived.my_rules(dst, &mut self.stats),
                     keep_tags: vec![prev],
                 });
                 self.stats.rule_updates_sent += 1;
@@ -418,51 +247,6 @@ impl Controller {
             messages.push((dst, CommandBatch::new(self.id, commands)));
         }
         messages
-    }
-
-    /// `myRules(G, j, tag)`: the rules this controller installs at switch `j` given its
-    /// current view `G` (paper, Sections 2.2.2 and 3.3). The tag and the owner are the
-    /// `updateRule` command's; the set is a function of the plan and `j` alone, so it
-    /// is built once per plan, whichever controller holding the plan asks first.
-    fn my_rules(&mut self, switch: NodeId) -> RuleSet {
-        let Controller {
-            plan,
-            rule_sets,
-            stats,
-            ..
-        } = self;
-        (rule_sets.entry(switch))
-            .or_insert_with(|| plan.rules(switch, stats))
-            .clone()
-    }
-
-    /// Re-derives a share of the memos per iteration, so that a transient fault in
-    /// them is repaired within a bound (README, "Repairing the memos"): the memoized
-    /// set of the switch after the one checked last is compared with `myRules()` under
-    /// the current plan and rebuilt only if it differs, and each time that cursor wraps
-    /// around, every memoized view is re-derived from its key. The repair ranks the
-    /// set from the plan and never reads the plan's shared sets.
-    fn audit_memos(&mut self) {
-        let next = match self
-            .rule_sets
-            .range((Excluded(self.audited), Unbounded))
-            .next()
-        {
-            Some(next) => Some(next),
-            None => {
-                self.views.audit();
-                self.rule_sets.iter().next()
-            }
-        };
-        let Some((&switch, set)) = next else {
-            return;
-        };
-        self.audited = switch;
-        if !rules_match(&self.plan.plan, switch, set) {
-            self.stats.rule_sets_built += 1;
-            self.rule_sets
-                .insert(switch, build_rules(&self.plan.plan, switch));
-        }
     }
 
     /// Handles a query reply travelling back to this controller
@@ -502,58 +286,6 @@ impl Controller {
         let tag = reply.echo_tag;
         let _ = self.reply_db.insert(reply, tag);
     }
-}
-
-/// The planner `config` asks for: resilient to `kappa` failures, keeping at most
-/// `max_priorities` candidates per destination.
-fn planner(config: ControllerConfig) -> FlowPlanner {
-    let planner = FlowPlanner::new(config.kappa);
-    match config.max_priorities {
-        Some(limit) => planner.with_max_candidates(limit),
-        None => planner,
-    }
-}
-
-/// The lowest priority level: a destination with more candidates than levels keeps
-/// its last candidate there, as if each later rule had overwritten the one before.
-const LOWEST_LEVEL: usize = u8::MAX as usize - 1;
-
-/// `myRules()` at `switch` under `plan`, body by body in the set's slot order: one
-/// wildcard-source rule per reachable destination and priority level, encoding the
-/// kappa-fault-resilient flow towards that destination.
-fn for_each_body(plan: &FlowPlan, switch: NodeId, mut f: impl FnMut(RuleBody)) {
-    plan.for_each_rule(switch, |dst, hops| {
-        let last = hops.len() - 1;
-        for (level, fwd) in hops.enumerate() {
-            if level < LOWEST_LEVEL || level == last {
-                let prt = u8::MAX - level.min(LOWEST_LEVEL) as u8;
-                f(RuleBody {
-                    src: None,
-                    dst,
-                    prt,
-                    fwd,
-                });
-            }
-        }
-    });
-}
-
-/// `myRules()` at `switch`, written in the pass that ranks it.
-fn build_rules(plan: &FlowPlan, switch: NodeId) -> RuleSet {
-    let mut writer = RuleSetWriter::with_capacity(plan.rule_bound(switch));
-    for_each_body(plan, switch, |body| writer.push(body));
-    writer.finish()
-}
-
-/// Whether `set` is `myRules()` at `switch`, compared body by body as the plan ranks
-/// them, with nothing allocated.
-fn rules_match(plan: &FlowPlan, switch: NodeId, set: &RuleSet) -> bool {
-    let (mut next, mut same) = (0, true);
-    for_each_body(plan, switch, |body| {
-        same &= set.get(next) == Some(&body);
-        next += 1;
-    });
-    same && next == set.len()
 }
 
 /// Appends the manager / stale-rule cleanup commands for one switch to `commands`,
@@ -611,8 +343,10 @@ mod tests {
     use super::*;
     use crate::config::HarnessConfig;
     use crate::harness::SdnNetwork;
+    use derived::SharedPlan;
     use sdn_netsim::SimDuration;
-    use sdn_switch::{Rule, RuleSummary};
+    use sdn_switch::{Rule, RuleSet, RuleSummary};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -1072,9 +806,10 @@ mod tests {
                         (tag, _, false) => c.reply_db.res(tag, n(0), &neighbors),
                         _ => c.reply_db.fusion(curr, prev, n(0), &neighbors),
                     };
+                    let mut stats = ControllerStats::default();
+                    let view = c.derived.clone().view(input, &mut stats);
                     lookups += 1;
-                    hits += u32::from(c.views.peek(input).is_some());
-                    let view = c.views.clone().get(input, &mut ControllerStats::default());
+                    hits += u32::from(stats.views_reused > 0);
                     assert_eq!(
                         (view.graph(), view.reachable()),
                         (&expected.0, &expected.1[..]),
@@ -1093,8 +828,10 @@ mod tests {
         );
     }
 
-    /// Two controllers fed one reply stream, one of them forgetting its views before
-    /// every iteration, emit the same batches and end in the same state.
+    /// Three controllers fed one reply stream emit the same batches and end in the
+    /// same state: one keeps its memos, one forgets its views before every iteration,
+    /// and one starts every iteration from fresh memos over a fresh plan table, so it
+    /// re-derives every view, plan and rule set it reads.
     #[test]
     fn forgetting_the_views_changes_nothing_a_controller_emits() {
         use sdn_rng::Rng;
@@ -1105,7 +842,7 @@ mod tests {
             truth.add_link(n(0), n(1));
             truth.add_link(n(0), n(4));
             truth.add_link(n(2), n(5));
-            let mut twins = [(); 2].map(|()| Controller::new(n(0), config()));
+            let mut twins = [(); 3].map(|()| Controller::new(n(0), config()));
             for step in 0..150 {
                 let (a, b) = (n(rng.gen_range(0..7u32)), n(rng.gen_range(1..7u32)));
                 if a != b && rng.gen_bool(0.15) && !truth.remove_link(a, b) {
@@ -1120,9 +857,11 @@ mod tests {
                     }
                 }
                 let neighbors = truth.neighbor_vec(n(0));
-                twins[1].views = ViewMemo::default();
-                let [out, twin_out] = twins.each_mut().map(|twin| twin.iterate(&neighbors));
-                assert_eq!(out, twin_out, "seed {seed} step {step}");
+                twins[1].derived.forget_views();
+                twins[2].derived = Derived::new(n(0), PlanTable::new(config()));
+                let [out, forgot, fresh] = twins.each_mut().map(|twin| twin.iterate(&neighbors));
+                assert_eq!(out, forgot, "seed {seed} step {step}");
+                assert_eq!(out, fresh, "seed {seed} step {step}: fresh memos");
                 // Most switches answer, with what they see now; some replies are lost.
                 for (dst, batch) in out {
                     if truth.degree(dst) > 0 && rng.gen_bool(0.85) {
@@ -1134,7 +873,7 @@ mod tests {
                         }
                     }
                 }
-                let [(tags, stats), twin] = twins.each_ref().map(|twin| {
+                let [kept, forgot, fresh] = twins.each_ref().map(|twin| {
                     let stats = ControllerStats {
                         views_built: 0,
                         views_reused: 0,
@@ -1146,10 +885,12 @@ mod tests {
                     };
                     ((twin.curr_tag(), twin.prev_tag()), stats)
                 });
-                assert_eq!((tags, stats), twin, "seed {seed} step {step}");
+                assert_eq!(kept, forgot, "seed {seed} step {step}");
+                assert_eq!(kept, fresh, "seed {seed} step {step}: fresh memos");
                 assert_eq!(twins[0].reply_db, twins[1].reply_db);
+                assert_eq!(twins[0].reply_db, twins[2].reply_db);
             }
-            let [kept, forgot] = twins.each_ref().map(|twin| twin.stats());
+            let [kept, forgot, fresh] = twins.each_ref().map(|twin| twin.stats());
             assert!(
                 kept.rounds_completed > 10,
                 "seed {seed}: rounds do complete"
@@ -1159,6 +900,7 @@ mod tests {
                 5 * forgot.iterations
             );
             assert!(kept.views_built < forgot.views_built, "seed {seed}");
+            assert_eq!(fresh.plans_built, fresh.iterations, "seed {seed}");
         }
     }
 
@@ -1180,19 +922,20 @@ mod tests {
             );
             db
         };
-        let (mut memo, mut stats) = (ViewMemo::default(), ControllerStats::default());
+        let mut memo = Derived::new(n(0), PlanTable::new(config()));
+        let mut stats = ControllerStats::default();
         let four_is_fresher = db_with(new, old);
-        let view = memo.get(four_is_fresher.fusion(new, old, n(0), &[n(4)]), &mut stats);
+        let view = memo.view(four_is_fresher.fusion(new, old, n(0), &[n(4)]), &mut stats);
         assert!(!view.graph().has_link(n(4), n(5)), "4 no longer lists 5");
         let five_is_fresher = db_with(old, new);
-        let view = memo.get(five_is_fresher.fusion(new, old, n(0), &[n(4)]), &mut stats);
+        let view = memo.view(five_is_fresher.fusion(new, old, n(0), &[n(4)]), &mut stats);
         assert!(view.graph().has_link(n(4), n(5)), "5's claim is the news");
         assert_eq!((stats.views_built, stats.views_reused), (2, 0));
 
         // The same order under other tags is the same view.
         let (older, newer) = (Tag::new(1, 8), Tag::new(1, 9));
         let renamed = db_with(older, newer);
-        let again = memo.get(renamed.fusion(newer, older, n(0), &[n(4)]), &mut stats);
+        let again = memo.view(renamed.fusion(newer, older, n(0), &[n(4)]), &mut stats);
         assert!(Arc::ptr_eq(&view, &again));
         assert_eq!((stats.views_built, stats.views_reused), (2, 1));
     }
@@ -1211,25 +954,16 @@ mod tests {
         sdn
     }
 
-    /// A transient fault that replaces a controller's plan handle with an empty plan
-    /// of its own; the plan the handle pointed at is left as it was.
-    fn corrupt_plan(c: &mut Controller) {
-        c.plan = SharedPlan::new(planner(c.config), FlowPlan::default());
-    }
-
-    /// A transient fault that empties a controller's memoized rule sets.
-    fn forget_rules(sdn: &mut SdnNetwork, controller: NodeId) {
-        let c = sdn.controller_mut(controller).unwrap();
-        for set in c.rule_sets.values_mut() {
-            *set = RuleSet::from_iter([]);
-        }
+    /// The memos of `controller`, for a test to corrupt.
+    fn memos(sdn: &mut SdnNetwork, controller: NodeId) -> &mut Derived {
+        &mut sdn.controller_mut(controller).unwrap().derived
     }
 
     #[test]
     fn emptied_rule_memos_on_both_controllers_are_repaired() {
         let mut sdn = settled_ring();
         for controller in sdn.controller_ids() {
-            forget_rules(&mut sdn, controller);
+            memos(&mut sdn, controller).forget_rules();
         }
         // The switches still hold the rules of before; a second sends them the emptied sets.
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
@@ -1241,7 +975,7 @@ mod tests {
     fn emptied_rule_memo_on_one_controller_is_repaired() {
         let mut sdn = settled_ring();
         let controllers = sdn.controller_ids();
-        forget_rules(&mut sdn, controllers[0]);
+        memos(&mut sdn, controllers[0]).forget_rules();
         let owned_everywhere = |sdn: &SdnNetwork| {
             (sdn.switch_ids().into_iter())
                 .all(|s| sdn.switch(s).unwrap().rules().controllers_with_rules() == controllers)
@@ -1257,36 +991,42 @@ mod tests {
         );
     }
 
-    /// Transient faults in a settled controller's plan and memoized views. A replaced
-    /// plan is rebuilt within `⌈n/64⌉` iterations, equal to the plan of before; every
-    /// view is re-derived from its key within one pass of the rule-set cursor, and the
-    /// network, which the wrong views made the controller forget, is legitimate again.
+    /// Transient faults in a settled controller's plan, rule sets and views. A
+    /// replaced plan is rebuilt within `⌈n/64⌉` iterations, equal to the plan of
+    /// before; every set, overwritten with another switch's, is ranked afresh within
+    /// `|rule_sets|` iterations; every view is re-derived from its key within one more,
+    /// and the network, which the wrong views made the controller forget, is
+    /// legitimate again.
     #[test]
     fn corrupted_plan_and_views_are_repaired_within_their_bounds() {
         let mut sdn = settled_ring();
         let id = sdn.controller_ids()[0];
         let neighbors = sdn.sim().observed(id).to_vec();
         let c = sdn.controller_mut(id).unwrap();
-        let (plan, version) = (c.plan.plan.clone(), c.plan_version());
-        corrupt_plan(c);
+        let (plan, version) = (c.derived.plan().clone(), c.plan_version());
+        c.derived.corrupt_plan();
         // `ring(5, 2)` has seven nodes: one block, checked on every turn.
         let _ = c.iterate(&neighbors);
-        assert_eq!((c.plan.plan == plan, c.plan_version()), (true, version + 1));
+        assert_eq!(
+            (c.derived.plan() == &plan, c.plan_version()),
+            (true, version + 1)
+        );
 
         let nobody = ReplyDb::new(1).res(c.curr_tag(), id, &[]).key().view();
-        for (_, view) in &mut c.views.0 {
-            *view = Arc::new(nobody.clone());
-        }
-        for _ in 0..=c.rule_sets.len() {
-            c.audit_memos();
-        }
-        assert_eq!(c.views.0.len(), ViewMemo::ENTRIES);
-        for (key, view) in &c.views.0 {
+        c.derived.corrupt_views(&nobody);
+        c.derived.swap_rules();
+        let switches: Vec<NodeId> = c.derived.rule_sets().keys().copied().collect();
+        assert_eq!(switches.len(), 5);
+        assert!(c.derived.rule_sets().values().all(|set| !set.is_empty()));
+        assert_eq!(c.derived.stale_sets(), switches, "every set is wrong");
+        c.derived.audit_steps(switches.len());
+        assert_eq!(c.derived.stale_sets(), [], "every set is ranked afresh");
+        c.derived.audit_steps(1);
+        assert_eq!(c.derived.views().len(), 3, "one iteration's working set");
+        for (key, view) in c.derived.views() {
             assert_eq!(**view, key.view());
         }
-        for (_, view) in &mut sdn.controller_mut(id).unwrap().views.0 {
-            *view = Arc::new(nobody.clone());
-        }
+        memos(&mut sdn, id).corrupt_views(&nobody);
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
         assert!(sdn.run_until_legitimate(second, timeout).is_some());
     }
@@ -1309,7 +1049,7 @@ mod tests {
     /// The plans the table holds, each once.
     fn held_plans(sdn: &SdnNetwork) -> Vec<Arc<SharedPlan>> {
         let c = sdn.controller(sdn.controller_ids()[0]).unwrap();
-        c.plans.held()
+        c.derived.table().held()
     }
 
     /// Once the controllers of a settled network hold one view, they hold one plan and
@@ -1319,7 +1059,7 @@ mod tests {
     fn settled_controllers_share_their_plan_and_every_rule_set() {
         let sdn = settled_ring();
         let controllers = sdn.controller_ids();
-        let plan = |id| &sdn.controller(id).unwrap().plan;
+        let plan = |id| sdn.controller(id).unwrap().derived.shared_plan();
         assert!(controllers
             .iter()
             .all(|&id| Arc::ptr_eq(plan(id), plan(controllers[0]))));
@@ -1350,31 +1090,31 @@ mod tests {
         let [victim, other] = sdn.controller_ids()[..] else {
             panic!("two controllers");
         };
-        let c = sdn.controller(other).unwrap();
-        let (plan, kept) = (c.plan.clone(), c.plan.plan.clone());
-        let sets = c.rule_sets.clone();
+        let c = &sdn.controller(other).unwrap().derived;
+        let (plan, kept) = (c.shared_plan().clone(), c.plan().clone());
+        let sets = c.rule_sets().clone();
         let by_value = |sets: &BTreeMap<NodeId, RuleSet>| {
             let bodies = sets.iter().map(|(&switch, set)| (switch, set.to_vec()));
             bodies.collect::<Vec<_>>()
         };
         let kept_sets = by_value(&sets);
         let version = sdn.controller(victim).unwrap().plan_version();
-        corrupt_plan(sdn.controller_mut(victim).unwrap());
-        forget_rules(&mut sdn, victim);
+        memos(&mut sdn, victim).corrupt_plan();
+        memos(&mut sdn, victim).forget_rules();
         sdn.run_for(SimDuration::from_secs(30));
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
         assert!(sdn.run_until_legitimate(second, timeout).is_some());
 
-        let c = sdn.controller(other).unwrap();
-        assert!(Arc::ptr_eq(&c.plan, &plan) && c.plan.plan == kept);
-        assert_eq!(c.rule_sets.len(), sets.len());
-        for (switch, set) in &c.rule_sets {
+        let c = &sdn.controller(other).unwrap().derived;
+        assert!(Arc::ptr_eq(c.shared_plan(), &plan) && c.plan() == &kept);
+        assert_eq!(c.rule_sets().len(), sets.len());
+        for (switch, set) in c.rule_sets() {
             assert!(RuleSet::ptr_eq(set, &sets[switch]), "switch {switch}");
         }
-        assert_eq!(by_value(&c.rule_sets), kept_sets);
-        assert_eq!(by_value(&plan.sets.lock().unwrap()), kept_sets);
+        assert_eq!(by_value(c.rule_sets()), kept_sets);
+        assert_eq!(by_value(&plan.sets()), kept_sets);
         let repaired = sdn.controller(victim).unwrap();
-        assert!(Arc::ptr_eq(&repaired.plan, &plan));
+        assert!(Arc::ptr_eq(repaired.derived.shared_plan(), &plan));
         assert_eq!(repaired.plan_version(), version + 1);
     }
 
@@ -1387,7 +1127,8 @@ mod tests {
         let versions: Vec<u64> = (controllers.iter())
             .map(|&id| sdn.controller(id).unwrap().plan_version())
             .collect();
-        let before = Arc::downgrade(&sdn.controller(controllers[0]).unwrap().plan);
+        let first = sdn.controller(controllers[0]).unwrap();
+        let before = Arc::downgrade(first.derived.shared_plan());
         let switches = sdn.switch_ids();
         assert!(sdn.remove_link(switches[0], switches[1]));
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
@@ -1401,8 +1142,10 @@ mod tests {
         assert!(!held.is_empty());
         for plan in &held {
             assert!(
-                (controllers.iter())
-                    .any(|&id| Arc::ptr_eq(&sdn.controller(id).unwrap().plan, plan)),
+                (controllers.iter()).any(|&id| Arc::ptr_eq(
+                    sdn.controller(id).unwrap().derived.shared_plan(),
+                    plan
+                )),
                 "the table holds a plan no controller holds"
             );
         }
@@ -1419,13 +1162,14 @@ mod tests {
         sdn.fail_controller(victim);
         sdn.run_for(SimDuration::from_secs(5));
         sdn.revive_controller(victim);
-        let table = |sdn: &SdnNetwork, id| sdn.controller(id).unwrap().plans.0.clone();
-        assert!(Arc::ptr_eq(&table(&sdn, victim), &table(&sdn, survivor)));
+        let table = |id| sdn.controller(id).unwrap().derived.table();
+        assert!(PlanTable::same_table(table(victim), table(survivor)));
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
         assert!(sdn.run_until_legitimate(second, timeout).is_some());
         sdn.run_for(SimDuration::from_secs(10));
         let [revived, kept] = [victim, survivor].map(|id| sdn.controller(id).unwrap());
-        assert!(Arc::ptr_eq(&revived.plan, &kept.plan));
+        let [revived_plan, kept_plan] = [revived, kept].map(|c| c.derived.shared_plan());
+        assert!(Arc::ptr_eq(revived_plan, kept_plan));
         assert!(revived.stats().plans_shared > 0);
     }
 

@@ -3,7 +3,7 @@
 //! paper's Mininet testbed.
 
 use crate::config::{ControllerConfig, HarnessConfig};
-use crate::controller::{Controller, PlanTable};
+use crate::controller::{derived::PlanTable, Controller};
 use crate::legitimacy::{self, LegitimacyReport};
 use crate::nodes::{ControllerNode, SdnNode, SwitchNode};
 use crate::packet::ControlPacket;
@@ -61,7 +61,7 @@ impl SdnNetwork {
         };
         let mut sim = Simulator::new(&topology.graph, sim_config);
         let switch_config = network_switch_config(&topology, &controller_config);
-        let plans = PlanTable::default();
+        let plans = PlanTable::new(controller_config);
         for &controller_id in &topology.controllers {
             let controller =
                 Controller::with_plans(controller_id, controller_config, plans.clone());

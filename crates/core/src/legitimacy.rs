@@ -12,6 +12,9 @@
 //! Every bootstrap-time and recovery-time measurement in the bench harness is "time
 //! until [`check`] returns an empty issue list".
 //!
+//! Condition 3 checks that the rules carry packets, not that every switch holds each
+//! live controller's exact `myRules()`; README, "Deviations from the paper", says why.
+//!
 //! Condition 1 compares ascending node and link lists and builds no graph. Condition
 //! 3, an in-band walk per (controller, node) pair and direction, is the costly part;
 //! it reads only `Go`, the controllers' plans and the switches' live rules, so
