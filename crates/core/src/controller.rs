@@ -342,6 +342,7 @@ fn switch_update_commands(
 mod tests {
     use super::*;
     use crate::config::HarnessConfig;
+    use crate::faults::Action;
     use crate::harness::SdnNetwork;
     use derived::SharedPlan;
     use sdn_netsim::SimDuration;
@@ -1130,7 +1131,7 @@ mod tests {
         let first = sdn.controller(controllers[0]).unwrap();
         let before = Arc::downgrade(first.derived.shared_plan());
         let switches = sdn.switch_ids();
-        assert!(sdn.remove_link(switches[0], switches[1]));
+        assert!(sdn.apply(&Action::RemoveLink(switches[0], switches[1])));
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
         assert!(sdn.run_until_legitimate(second, timeout).is_some());
         sdn.run_for(SimDuration::from_secs(10));
@@ -1159,9 +1160,9 @@ mod tests {
         let [survivor, victim] = sdn.controller_ids()[..] else {
             panic!("two controllers");
         };
-        sdn.fail_controller(victim);
+        sdn.apply(&Action::FailController(victim));
         sdn.run_for(SimDuration::from_secs(5));
-        sdn.revive_controller(victim);
+        sdn.apply(&Action::ReviveController(victim));
         let table = |id| sdn.controller(id).unwrap().derived.table();
         assert!(PlanTable::same_table(table(victim), table(survivor)));
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));

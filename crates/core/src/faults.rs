@@ -2,12 +2,16 @@
 //! paper's fault model (Section 3.4.2) that the Mininet prototype could not exercise but
 //! a simulation can.
 //!
-//! The injector scribbles over switch rule tables, manager sets, controller reply
-//! databases, and round tags. Theorem 2 of the paper promises recovery from *any* such
-//! state within a bounded number of frames; the integration tests and
-//! `renaissance-fig ablation` use this module to check that empirically.
+//! Every fault reaches the network as a list of [`Action`]s, concrete operations with
+//! every victim named, which [`SdnNetwork::apply`] executes one at a time. The
+//! [`FaultInjector`] draws the corruption writes: it scribbles over switch rule tables,
+//! manager sets, controller reply databases, and round tags. Theorem 2 of the paper
+//! promises recovery from *any* such state within a bounded number of frames; the
+//! integration tests and `renaissance-fig ablation` use this module to check that
+//! empirically.
 
 use crate::harness::SdnNetwork;
+use sdn_netsim::LinkConfig;
 use sdn_rng::Rng;
 use sdn_switch::{QueryReply, Rule, RuleSummary};
 use sdn_tags::Tag;
@@ -53,6 +57,56 @@ impl CorruptionPlan {
     }
 }
 
+/// One concrete change a fault makes to the network, every victim named — what
+/// [`SdnNetwork::apply`] executes. The first ten are the benign failures of Section
+/// 3.4.2 and their repairs; the last five are the transient-corruption writes
+/// [`FaultInjector::draw`] makes.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Action {
+    /// Fail-stops a controller.
+    FailController(NodeId),
+    /// Fail-stops a switch.
+    FailSwitch(NodeId),
+    /// Revives a controller with fresh (empty) state, as the paper assumes for node
+    /// additions (Lemma 8: new nodes start with empty memory).
+    ReviveController(NodeId),
+    /// Revives a switch with empty configuration and the Lemma 1 capacity of the
+    /// deployment, recomputed rather than copied from whatever node state survived.
+    ReviveSwitch(NodeId),
+    /// Permanently removes a link from `Gc`.
+    RemoveLink(NodeId, NodeId),
+    /// Adds a link to `Gc`.
+    AddLink(NodeId, NodeId),
+    /// Fails a link temporarily; it stays part of `Gc`.
+    FailLink(NodeId, NodeId),
+    /// Restores a temporarily failed link.
+    RestoreLink(NodeId, NodeId),
+    /// Overrides a link's quality (gray failure: the link stays part of `Gc`), in
+    /// the `a -> b` direction only when `directed`.
+    DegradeLink {
+        /// One endpoint; the degraded direction starts here when `directed`.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+        /// The link behaviour from now on.
+        config: LinkConfig,
+        /// Whether only `a -> b` degrades.
+        directed: bool,
+    },
+    /// Removes every quality override from a link, restoring default behaviour.
+    ClearLinkQuality(NodeId, NodeId),
+    /// Wipes a switch's rules, managers and meta tags (a factory reset).
+    ClearSwitch(NodeId),
+    /// Installs an arbitrary rule in a switch, bypassing the command interface.
+    InstallRule(NodeId, Rule),
+    /// Adds an arbitrary manager (second id) to a switch.
+    AddManager(NodeId, NodeId),
+    /// Overwrites a controller's current and previous round tags, in that order.
+    SetTags(NodeId, Tag, Tag),
+    /// Injects a (possibly bogus) reply into a controller's `replyDB`.
+    InjectReply(NodeId, QueryReply),
+}
+
 /// Deterministic transient-fault injector.
 #[derive(Debug)]
 pub struct FaultInjector {
@@ -67,61 +121,39 @@ impl FaultInjector {
         }
     }
 
-    /// Applies `plan` to the whole network: every switch and every controller is
-    /// corrupted according to the plan. Returns the number of state mutations performed.
-    pub fn corrupt(&mut self, net: &mut SdnNetwork, plan: CorruptionPlan) -> usize {
-        let mut mutations = 0;
+    /// The corruption writes of `plan` over the whole network, in the order they are
+    /// drawn: per switch, maybe a wipe, then garbage rules and bogus managers; per
+    /// controller, maybe new round tags, then bogus replies. Only the node lists are
+    /// read, so applying the writes afterwards equals writing each as it is drawn.
+    pub fn draw(&mut self, net: &SdnNetwork, plan: CorruptionPlan) -> Vec<Action> {
         let node_count = net.topology().node_count() as u32;
-        let switches = net.switch_ids();
-        let controllers = net.controller_ids();
-
-        for &s in &switches {
+        let mut writes = Vec::new();
+        for s in net.switch_ids() {
             if plan.clear_some_switches && self.rng.gen_bool(0.25) {
-                if let Some(switch) = net.switch_mut(s) {
-                    switch.corrupt_clear();
-                    mutations += 1;
-                }
+                writes.push(Action::ClearSwitch(s));
             }
             for _ in 0..plan.garbage_rules_per_switch {
-                let rule = self.random_rule(node_count);
-                if let Some(switch) = net.switch_mut(s) {
-                    switch.corrupt_install_rule(rule);
-                    mutations += 1;
-                }
+                writes.push(Action::InstallRule(s, self.random_rule(node_count)));
             }
             for _ in 0..plan.bogus_managers_per_switch {
                 let bogus = NodeId::new(self.rng.gen_range(0..node_count + 16));
-                if let Some(switch) = net.switch_mut(s) {
-                    switch.corrupt_add_manager(bogus);
-                    mutations += 1;
-                }
+                writes.push(Action::AddManager(s, bogus));
             }
         }
-
-        for &c in &controllers {
+        for c in net.controller_ids() {
             if plan.corrupt_controller_tags {
-                let curr = Tag::new(
-                    self.rng.gen_range(0..node_count),
-                    self.rng.gen_range(1..1_000u64),
-                );
-                let prev = Tag::new(
-                    self.rng.gen_range(0..node_count),
-                    self.rng.gen_range(1..1_000u64),
-                );
-                if let Some(controller) = net.controller_mut(c) {
-                    controller.corrupt_tags(curr, prev);
-                    mutations += 1;
-                }
+                let mut tag = || {
+                    let id = self.rng.gen_range(0..node_count);
+                    Tag::new(id, self.rng.gen_range(1..1_000u64))
+                };
+                let (curr, prev) = (tag(), tag());
+                writes.push(Action::SetTags(c, curr, prev));
             }
             for _ in 0..plan.bogus_replies_per_controller {
-                let reply = self.random_reply(node_count);
-                if let Some(controller) = net.controller_mut(c) {
-                    controller.corrupt_inject_reply(reply);
-                    mutations += 1;
-                }
+                writes.push(Action::InjectReply(c, self.random_reply(node_count)));
             }
         }
-        mutations
+        writes
     }
 
     /// Picks `count` distinct random links of the current topology whose removal keeps
@@ -221,17 +253,19 @@ mod tests {
     #[test]
     fn corruption_mutates_state_and_breaks_legitimacy() {
         let mut sdn = bootstrapped();
-        let mut injector = FaultInjector::new(11);
-        let mutations = injector.corrupt(&mut sdn, CorruptionPlan::heavy());
+        let writes = FaultInjector::new(11).draw(&sdn, CorruptionPlan::heavy());
+        let mutations = writes.iter().filter(|write| sdn.apply(write)).count();
         assert!(mutations > 0);
+        assert_eq!(mutations, writes.len(), "every write lands on a node");
         assert!(!sdn.is_legitimate());
     }
 
     #[test]
     fn system_self_stabilizes_after_heavy_corruption() {
         let mut sdn = bootstrapped();
-        let mut injector = FaultInjector::new(23);
-        injector.corrupt(&mut sdn, CorruptionPlan::heavy());
+        for write in FaultInjector::new(23).draw(&sdn, CorruptionPlan::heavy()) {
+            sdn.apply(&write);
+        }
         let elapsed = sdn
             .run_until_legitimate(SimDuration::from_millis(200), SimDuration::from_secs(300))
             .expect("Theorem 2: recovery from arbitrary corruption");

@@ -1,9 +1,11 @@
 //! The simulation harness: an entire SDN (controllers + switches + network) in one
 //! object, with fault injection and convergence measurement — the Rust stand-in for the
-//! paper's Mininet testbed.
+//! paper's Mininet testbed. A fault changes the network only through
+//! [`SdnNetwork::apply`], one concrete [`Action`] at a time.
 
 use crate::config::{ControllerConfig, HarnessConfig};
 use crate::controller::{derived::PlanTable, Controller};
+use crate::faults::Action;
 use crate::legitimacy::{self, LegitimacyReport};
 use crate::nodes::{ControllerNode, SdnNode, SwitchNode};
 use crate::packet::ControlPacket;
@@ -276,61 +278,71 @@ impl SdnNetwork {
     }
 
     // ------------------------------------------------------------------
-    // Fault injection (the benign failures of Section 3.4.2)
+    // Fault injection: the one way a fault changes the network
     // ------------------------------------------------------------------
 
-    /// Fail-stops a controller.
-    pub fn fail_controller(&mut self, id: NodeId) {
-        self.sim.fail_node(id);
+    /// Executes one fault [`Action`] and says whether it changed anything: `false`
+    /// for a link that was not there to remove, no override to clear, an unknown link
+    /// to degrade (still counted in [`SdnNetwork::link_config_warnings`]) or no node
+    /// to corrupt. [`FaultContext`](crate::scenario::FaultContext) resolves a
+    /// `FaultEvent` into actions; tests and ad-hoc drivers may apply them directly.
+    pub fn apply(&mut self, action: &Action) -> bool {
+        match *action {
+            Action::FailController(id) | Action::FailSwitch(id) => self.sim.fail_node(id),
+            Action::ReviveController(id) => {
+                let controller =
+                    Controller::with_plans(id, self.controller_config, self.plans.clone());
+                let node = ControllerNode::new(controller, &self.harness_config);
+                self.revive(id, SdnNode::Controller(node));
+            }
+            Action::ReviveSwitch(id) => {
+                let config = network_switch_config(&self.topology, &self.controller_config);
+                let node = SwitchNode::new(AbstractSwitch::new(id, config), &self.harness_config);
+                self.revive(id, SdnNode::Switch(node));
+            }
+            Action::RemoveLink(a, b) => return self.sim.remove_link(a, b),
+            Action::AddLink(a, b) => self.sim.add_link(a, b),
+            Action::FailLink(a, b) => self.sim.fail_link(a, b),
+            Action::RestoreLink(a, b) => self.sim.restore_link(a, b),
+            Action::DegradeLink {
+                a,
+                b,
+                config,
+                directed,
+            } if directed => return self.sim.set_link_config_directed(a, b, config),
+            Action::DegradeLink { a, b, config, .. } => {
+                return self.sim.set_link_config(a, b, config)
+            }
+            Action::ClearLinkQuality(a, b) => return self.sim.clear_link_config(a, b),
+            Action::ClearSwitch(s) => match self.switch_mut(s) {
+                Some(switch) => switch.corrupt_clear(),
+                None => return false,
+            },
+            Action::InstallRule(s, rule) => match self.switch_mut(s) {
+                Some(switch) => switch.corrupt_install_rule(rule),
+                None => return false,
+            },
+            Action::AddManager(s, manager) => match self.switch_mut(s) {
+                Some(switch) => switch.corrupt_add_manager(manager),
+                None => return false,
+            },
+            Action::SetTags(c, curr, prev) => match self.controller_mut(c) {
+                Some(controller) => controller.corrupt_tags(curr, prev),
+                None => return false,
+            },
+            Action::InjectReply(c, ref reply) => match self.controller_mut(c) {
+                Some(controller) => controller.corrupt_inject_reply(reply.clone()),
+                None => return false,
+            },
+        }
+        true
     }
 
-    /// Fail-stops a switch.
-    pub fn fail_switch(&mut self, id: NodeId) {
-        self.sim.fail_node(id);
-    }
-
-    /// Permanently removes a link from the topology.
-    pub fn remove_link(&mut self, a: NodeId, b: NodeId) -> bool {
-        self.sim.remove_link(a, b)
-    }
-
-    /// Adds a link to the topology.
-    pub fn add_link(&mut self, a: NodeId, b: NodeId) {
-        self.sim.add_link(a, b);
-    }
-
-    /// Temporarily fails a link (it stays part of `Gc`).
-    pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
-        self.sim.fail_link(a, b);
-    }
-
-    /// Restores a temporarily failed link.
-    pub fn restore_link(&mut self, a: NodeId, b: NodeId) {
-        self.sim.restore_link(a, b);
-    }
-
-    /// Overrides the behaviour of one link symmetrically (gray failure: the link
-    /// stays part of `Gc` but degrades). Returns `false` when the link does not
-    /// exist — the call is still counted in [`SdnNetwork::link_config_warnings`].
-    pub fn set_link_config(&mut self, a: NodeId, b: NodeId, config: LinkConfig) -> bool {
-        self.sim.set_link_config(a, b, config)
-    }
-
-    /// Overrides the behaviour of one link *direction* only (asymmetric gray
-    /// failure). Returns `false` when the link does not exist.
-    pub fn set_link_config_directed(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        config: LinkConfig,
-    ) -> bool {
-        self.sim.set_link_config_directed(from, to, config)
-    }
-
-    /// Removes every quality override from a link, restoring default behaviour.
-    /// Returns `true` when an override was actually removed.
-    pub fn clear_link_config(&mut self, a: NodeId, b: NodeId) -> bool {
-        self.sim.clear_link_config(a, b)
+    /// Puts fresh state in `id`'s place and brings it back up.
+    fn revive(&mut self, id: NodeId, node: SdnNode) {
+        self.sim.replace_node(id, node);
+        self.sim.revive_node(id);
+        self.sim.start();
     }
 
     /// The default link behaviour degraded links return to.
@@ -341,34 +353,6 @@ impl SdnNetwork {
     /// How many link-config calls named a link absent from `Gc` so far.
     pub fn link_config_warnings(&self) -> u64 {
         self.sim.link_config_warnings()
-    }
-
-    /// Revives a previously failed controller with a *fresh* (empty) state, as the paper
-    /// assumes for node additions (Lemma 8: new nodes start with empty memory).
-    pub fn revive_controller(&mut self, id: NodeId) {
-        let controller = Controller::with_plans(id, self.controller_config, self.plans.clone());
-        let node = SdnNode::Controller(ControllerNode::new(controller, &self.harness_config));
-        self.sim.replace_node(id, node);
-        self.sim.revive_node(id);
-        self.sim.start();
-    }
-
-    /// Revives a previously failed switch with empty configuration.
-    ///
-    /// The switch capacity is recomputed from the deployment
-    /// ([`SwitchConfig::for_network`], the Lemma 1 sizing) rather than copied from
-    /// whatever node state happens to survive — a revived switch starts fresh
-    /// (Lemma 8), and falling back to `SwitchConfig::default()` when the old node was
-    /// gone used to silently mis-size its rule capacity.
-    pub fn revive_switch(&mut self, id: NodeId) {
-        let switch_config = network_switch_config(&self.topology, &self.controller_config);
-        let node = SdnNode::Switch(SwitchNode::new(
-            AbstractSwitch::new(id, switch_config),
-            &self.harness_config,
-        ));
-        self.sim.replace_node(id, node);
-        self.sim.revive_node(id);
-        self.sim.start();
     }
 }
 
@@ -430,7 +414,7 @@ mod tests {
         sdn.run_until_legitimate(SimDuration::from_millis(100), SimDuration::from_secs(120))
             .expect("bootstrap");
         let victim = sdn.controller_ids()[1];
-        sdn.fail_controller(victim);
+        sdn.apply(&Action::FailController(victim));
         assert_eq!(sdn.live_controller_ids().len(), 1);
         let elapsed = sdn
             .run_until_legitimate(SimDuration::from_millis(100), SimDuration::from_secs(120))
@@ -453,7 +437,7 @@ mod tests {
             .expect("bootstrap");
         // Remove one ring link (the ring stays connected).
         let switches = sdn.switch_ids();
-        let removed = sdn.remove_link(switches[0], switches[1]);
+        let removed = sdn.apply(&Action::RemoveLink(switches[0], switches[1]));
         assert!(removed);
         let elapsed = sdn
             .run_until_legitimate(SimDuration::from_millis(100), SimDuration::from_secs(120))
@@ -468,7 +452,7 @@ mod tests {
             .expect("bootstrap");
         let victim = sdn.switch_ids()[2];
         let expected = sdn.switch(victim).unwrap().config();
-        sdn.fail_switch(victim);
+        sdn.apply(&Action::FailSwitch(victim));
         // Simulate the old node's state being gone (or corrupted): replace it with a
         // switch carrying the wrong, default capacity before reviving.
         let bogus = SdnNode::Switch(SwitchNode::new(
@@ -476,7 +460,7 @@ mod tests {
             &sdn.harness_config(),
         ));
         sdn.sim.replace_node(victim, bogus);
-        sdn.revive_switch(victim);
+        sdn.apply(&Action::ReviveSwitch(victim));
         let revived = sdn.switch(victim).unwrap();
         assert_eq!(
             revived.config(),
@@ -521,25 +505,21 @@ mod tests {
                 let c = controllers[rng.gen_range(0..controllers.len() as u64) as usize];
                 match rng.gen_range(0..10u32) {
                     0 => sdn.run_for(SimDuration::from_millis(rng.gen_range(10..3000u64))),
-                    1 => sdn.fail_switch(s),
-                    2 => sdn.revive_switch(s),
-                    3 => sdn.fail_controller(c),
-                    4 => sdn.revive_controller(c),
+                    1 => _ = sdn.apply(&Action::FailSwitch(s)),
+                    2 => _ = sdn.apply(&Action::ReviveSwitch(s)),
+                    3 => _ = sdn.apply(&Action::FailController(c)),
+                    4 => _ = sdn.apply(&Action::ReviveController(c)),
                     5 => {
                         let i = rng.gen_range(0..switches.len() as u64) as usize;
                         let j = (i + 1) % switches.len();
-                        sdn.fail_link(switches[i], switches[j]);
+                        sdn.apply(&Action::FailLink(switches[i], switches[j]));
                     }
                     6 => {
                         let i = rng.gen_range(0..switches.len() as u64) as usize;
                         let j = (i + 1) % switches.len();
-                        sdn.restore_link(switches[i], switches[j]);
+                        sdn.apply(&Action::RestoreLink(switches[i], switches[j]));
                     }
-                    7 => {
-                        if let Some(sw) = sdn.switch_mut(s) {
-                            sw.corrupt_clear();
-                        }
-                    }
+                    7 => _ = sdn.apply(&Action::ClearSwitch(s)),
                     8 => {
                         // Forwarding only, and after the network had time to settle:
                         // `c`'s top-priority rule towards the other controller now
@@ -558,15 +538,13 @@ mod tests {
                             fwd,
                             tag,
                         };
-                        if let Some(sw) = sdn.switch_mut(s) {
-                            sw.corrupt_install_rule(rule);
-                        }
+                        sdn.apply(&Action::InstallRule(s, rule));
                     }
                     _ => {
                         // A restart: the generation moves by two while `c`'s plan
                         // version drops to zero.
-                        sdn.fail_controller(c);
-                        sdn.revive_controller(c);
+                        sdn.apply(&Action::FailController(c));
+                        sdn.apply(&Action::ReviveController(c));
                     }
                 }
                 let at = format!("seed {seed} step {step}");

@@ -3,10 +3,11 @@
 //! A [`FaultSchedule`] is a list of [`FaultEvent`]s at offsets relative to the moment
 //! the network first reaches a legitimate state (the paper injects every fault into an
 //! already-stabilized network). Events carry *selectors* rather than concrete victims,
-//! so one declarative scenario covers the paper's randomized experiments: the runner
-//! resolves selectors per seeded run, deterministically.
+//! so one declarative scenario covers the paper's randomized experiments: a
+//! [`FaultContext`] resolves them per seeded run, deterministically, into concrete
+//! [`Action`]s, which [`SdnNetwork::apply`] executes.
 
-use crate::faults::{CorruptionPlan, FaultInjector};
+use crate::faults::{Action, CorruptionPlan, FaultInjector};
 use crate::harness::SdnNetwork;
 use crate::legitimacy;
 use sdn_netsim::{BurstLoss, LinkConfig, SimDuration};
@@ -452,22 +453,22 @@ impl FaultSchedule {
 
 /// Per-run state the fault executor threads through event applications: deterministic
 /// randomness plus the victims of the most recent events (for the `*LastFailed*`
-/// targets).
+/// targets). [`FaultContext::resolve`] is the only writer of that state.
 #[derive(Debug)]
 pub struct FaultContext {
     rng: Rng,
     injector: FaultInjector,
     /// Links taken down by the most recent `FailLink` event.
-    pub last_failed_links: Vec<(NodeId, NodeId)>,
+    last_failed_links: Vec<(NodeId, NodeId)>,
     /// Controller taken down most recently.
-    pub last_failed_controller: Option<NodeId>,
+    last_failed_controller: Option<NodeId>,
     /// Switch taken down most recently.
-    pub last_failed_switch: Option<NodeId>,
+    last_failed_switch: Option<NodeId>,
     /// Links degraded by the most recent `DegradeLink` event.
-    pub last_degraded_links: Vec<(NodeId, NodeId)>,
+    last_degraded_links: Vec<(NodeId, NodeId)>,
     /// Links cut by every `Partition` event since the last `HealPartition`, which
     /// restores them all.
-    pub partitioned_links: Vec<(NodeId, NodeId)>,
+    partitioned_links: Vec<(NodeId, NodeId)>,
     /// Victims of each flapping link, resolved on its first down-phase so every
     /// subsequent phase of the same flap hits the same links.
     flap_targets: BTreeMap<u32, Vec<(NodeId, NodeId)>>,
@@ -489,184 +490,127 @@ impl FaultContext {
         }
     }
 
-    /// Applies one event to `net`, resolving selectors, and returns a human-readable
-    /// description of everything that was actually done — nothing for an event that
-    /// changed nothing (no victim resolved, no link to remove, no override to clear,
-    /// no link cut or healed), which is how `sdn-serve` tells a no-op request from
-    /// an applied one.
+    /// Links cut by every `Partition` event since the last `HealPartition`.
+    pub fn partitioned_links(&self) -> &[(NodeId, NodeId)] {
+        &self.partitioned_links
+    }
+
+    /// Applies one event to `net` — [`FaultContext::resolve`], then
+    /// [`SdnNetwork::apply`] per action — and returns a human-readable description of
+    /// everything that was actually done: nothing for an event that changed nothing
+    /// (no victim resolved, no link to remove, no override to clear, no link cut or
+    /// healed), which is how `sdn-serve` tells a no-op request from an applied one.
     pub fn apply(&mut self, net: &mut SdnNetwork, event: &FaultEvent) -> Vec<String> {
-        let mut done = Vec::new();
-        match event {
+        let actions = self.resolve(net, event).into_iter();
+        let done: Vec<_> = actions.map(|action| (net.apply(&action), action)).collect();
+        describe(event, &done)
+    }
+
+    /// The concrete actions `event` takes on `net`, in order: every selector resolved,
+    /// and the victims kept for the events that name them later (`*LastFailed*`,
+    /// `LastDegraded`, `HealPartition`, a flap's later phases). The network is only
+    /// read. Unexpanded, a `FlapLink` fails its selector's links and a
+    /// `RollingControllerRestart` fail-stops controller index 0 (nothing at count 0).
+    pub fn resolve(&mut self, net: &SdnNetwork, event: &FaultEvent) -> Vec<Action> {
+        let (links, op): (_, fn(NodeId, NodeId) -> Action) = match event {
             FaultEvent::FailController(selector) => {
-                for victim in self.resolve_controllers(net, *selector) {
-                    net.fail_controller(victim);
-                    self.last_failed_controller = Some(victim);
-                    done.push(format!("fail-stop controller {victim}"));
-                }
+                let victims = self.resolve_controllers(net, *selector);
+                self.last_failed_controller =
+                    victims.last().copied().or(self.last_failed_controller);
+                return victims.into_iter().map(Action::FailController).collect();
             }
             FaultEvent::FailSwitch(selector) => {
-                if let Some(victim) = self.resolve_switch(net, *selector) {
-                    net.fail_switch(victim);
-                    self.last_failed_switch = Some(victim);
-                    done.push(format!("fail-stop switch {victim}"));
+                let victim = self.resolve_switch(net, *selector);
+                self.last_failed_switch = victim.or(self.last_failed_switch);
+                return victim.into_iter().map(Action::FailSwitch).collect();
+            }
+            FaultEvent::ReviveController(id) => return vec![Action::ReviveController(*id)],
+            FaultEvent::ReviveLastFailedController => {
+                let id = self.last_failed_controller.take();
+                return id.into_iter().map(Action::ReviveController).collect();
+            }
+            FaultEvent::ReviveControllerIndex(i) => {
+                let id = net.controller_ids().get(*i).copied();
+                return id.into_iter().map(Action::ReviveController).collect();
+            }
+            FaultEvent::ReviveSwitch(id) => return vec![Action::ReviveSwitch(*id)],
+            FaultEvent::ReviveLastFailedSwitch => {
+                let id = self.last_failed_switch.take();
+                return id.into_iter().map(Action::ReviveSwitch).collect();
+            }
+            FaultEvent::CorruptState(plan) => return self.injector.draw(net, *plan),
+            FaultEvent::DegradeLink(selector, spec) => {
+                let links = self.resolve_links(net, *selector);
+                if !links.is_empty() {
+                    self.last_degraded_links = links.clone();
                 }
+                let (config, directed) =
+                    (spec.link_config(net.default_link_config()), spec.asymmetric);
+                let degrade = |(a, b)| Action::DegradeLink {
+                    a,
+                    b,
+                    config,
+                    directed,
+                };
+                return links.into_iter().map(degrade).collect();
+            }
+            FaultEvent::FlapLink { count: 0, .. }
+            | FaultEvent::RollingControllerRestart { count: 0, .. } => return Vec::new(),
+            FaultEvent::RollingControllerRestart { .. } => {
+                let first = FaultEvent::FailController(ControllerSelector::Index(0));
+                return self.resolve(net, &first);
             }
             FaultEvent::RemoveLink(selector) => {
-                for (a, b) in self.resolve_links(net, *selector) {
-                    if net.remove_link(a, b) {
-                        done.push(format!("remove link {a}-{b}"));
-                    }
-                }
+                (self.resolve_links(net, *selector), Action::RemoveLink)
             }
             FaultEvent::FailLink(selector) => {
                 let links = self.resolve_links(net, *selector);
                 if !links.is_empty() {
                     self.last_failed_links = links.clone();
                 }
-                for (a, b) in links {
-                    net.fail_link(a, b);
-                    done.push(format!("fail link {a}-{b}"));
-                }
+                (links, Action::FailLink)
             }
-            FaultEvent::RestoreLink(a, b) => {
-                let (a, b) = (*a, *b);
-                net.restore_link(a, b);
-                done.push(format!("restore link {a}-{b}"));
-            }
-            FaultEvent::RestoreLastFailedLinks => {
-                for (a, b) in std::mem::take(&mut self.last_failed_links) {
-                    net.restore_link(a, b);
-                    done.push(format!("restore link {a}-{b}"));
-                }
-            }
-            FaultEvent::AddLink(a, b) => {
-                let (a, b) = (*a, *b);
-                net.add_link(a, b);
-                done.push(format!("add link {a}-{b}"));
-            }
-            FaultEvent::ReviveController(id) => {
-                let id = *id;
-                net.revive_controller(id);
-                done.push(format!("revive controller {id}"));
-            }
-            FaultEvent::ReviveLastFailedController => {
-                if let Some(id) = self.last_failed_controller.take() {
-                    net.revive_controller(id);
-                    done.push(format!("revive controller {id}"));
-                }
-            }
-            FaultEvent::ReviveSwitch(id) => {
-                let id = *id;
-                net.revive_switch(id);
-                done.push(format!("revive switch {id}"));
-            }
-            FaultEvent::ReviveLastFailedSwitch => {
-                if let Some(id) = self.last_failed_switch.take() {
-                    net.revive_switch(id);
-                    done.push(format!("revive switch {id}"));
-                }
-            }
-            FaultEvent::CorruptState(plan) => {
-                let mutations = self.injector.corrupt(net, *plan);
-                done.push(format!("corrupt state ({mutations} mutations)"));
-            }
-            FaultEvent::DegradeLink(selector, spec) => {
-                let links = self.resolve_links(net, *selector);
-                if !links.is_empty() {
-                    self.last_degraded_links = links.clone();
-                }
-                let cfg = spec.link_config(net.default_link_config());
-                let what = spec.describe();
-                for (a, b) in links {
-                    let known = if spec.asymmetric {
-                        net.set_link_config_directed(a, b, cfg)
-                    } else {
-                        net.set_link_config(a, b, cfg)
-                    };
-                    let note = if known { "" } else { ", unknown link" };
-                    done.push(format!("degrade link {a}-{b} ({what}{note})"));
-                }
-            }
+            FaultEvent::RestoreLink(a, b) => (vec![(*a, *b)], Action::RestoreLink),
+            FaultEvent::RestoreLastFailedLinks => (
+                std::mem::take(&mut self.last_failed_links),
+                Action::RestoreLink,
+            ),
+            FaultEvent::AddLink(a, b) => (vec![(*a, *b)], Action::AddLink),
             FaultEvent::RestoreLinkQuality(selector) => {
-                for (a, b) in self.resolve_links(net, *selector) {
-                    if net.clear_link_config(a, b) {
-                        done.push(format!("restore link quality {a}-{b}"));
-                    }
-                }
+                (self.resolve_links(net, *selector), Action::ClearLinkQuality)
             }
             FaultEvent::Partition { groups, .. } => {
                 let cut = partition_cut(net, groups);
-                let n_groups = match groups {
-                    PartitionSpec::Halves => 2,
-                    PartitionSpec::Groups(g) => g.len(),
-                };
-                if !cut.is_empty() {
-                    done.push(format!(
-                        "partition into {n_groups} groups ({} links cut)",
-                        cut.len()
-                    ));
-                }
                 // A partition applied while another is in force adds to the set the
                 // next heal restores (a crossing link may be in both cuts).
-                for (a, b) in cut {
-                    net.fail_link(a, b);
-                    if !self.partitioned_links.contains(&(a, b)) {
-                        self.partitioned_links.push((a, b));
+                for link in &cut {
+                    if !self.partitioned_links.contains(link) {
+                        self.partitioned_links.push(*link);
                     }
                 }
+                (cut, Action::FailLink)
             }
-            FaultEvent::HealPartition => {
-                let links = std::mem::take(&mut self.partitioned_links);
-                if !links.is_empty() {
-                    done.push(format!("heal partition ({} links restored)", links.len()));
-                }
-                for (a, b) in links {
-                    net.restore_link(a, b);
-                }
-            }
-            FaultEvent::FlapLink { .. } | FaultEvent::RollingControllerRestart { .. } => {
-                // Compound event: `phases()` expands it. Applied directly (a
-                // schedule handed around unexpanded) it does the phases due at
-                // once — a flap's first down-phase, the first controller's
-                // fail-stop — so the fault is at least visible.
-                for (at, phase) in event.phases(u32::MAX) {
-                    if at.is_zero() {
-                        done.extend(self.apply(net, &phase));
-                    }
-                }
+            FaultEvent::HealPartition => (
+                std::mem::take(&mut self.partitioned_links),
+                Action::RestoreLink,
+            ),
+            FaultEvent::FlapLink { selector, .. } => {
+                (self.resolve_links(net, *selector), Action::FailLink)
             }
             FaultEvent::FlapPhase {
                 flap,
                 selector,
                 down,
             } => {
-                let (flap, down) = (*flap, *down);
-                let links = match self.flap_targets.get(&flap) {
-                    Some(links) => links.clone(),
-                    None => {
-                        let links = self.resolve_links(net, *selector);
-                        self.flap_targets.insert(flap, links.clone());
-                        links
-                    }
-                };
-                for (a, b) in links {
-                    if down {
-                        net.fail_link(a, b);
-                        done.push(format!("flap link {a}-{b} down"));
-                    } else {
-                        net.restore_link(a, b);
-                        done.push(format!("flap link {a}-{b} up"));
-                    }
+                if !self.flap_targets.contains_key(flap) {
+                    let links = self.resolve_links(net, *selector);
+                    self.flap_targets.insert(*flap, links);
                 }
+                let op = [Action::RestoreLink, Action::FailLink][usize::from(*down)];
+                (self.flap_targets[flap].clone(), op)
             }
-            FaultEvent::ReviveControllerIndex(i) => {
-                if let Some(&id) = net.controller_ids().get(*i) {
-                    net.revive_controller(id);
-                    done.push(format!("revive controller {id} (rolling restart)"));
-                }
-            }
-        }
-        done
+        };
+        links.into_iter().map(|(a, b)| op(a, b)).collect()
     }
 
     fn resolve_controllers(
@@ -747,6 +691,67 @@ impl FaultContext {
             LinkSelector::LastDegraded => std::mem::take(&mut self.last_degraded_links),
         }
     }
+}
+
+/// The text of one applied event, from the event and each of its actions with
+/// whether it changed anything: a line per changing action in the event's words (a
+/// degrade of an unknown link is noted, not dropped), or one summary line for a
+/// corruption, a partition or a heal. Runs, `sdn-serve` and its golden pin the bytes.
+fn describe(event: &FaultEvent, done: &[(bool, Action)]) -> Vec<String> {
+    let n = done.len();
+    let summary = match event {
+        FaultEvent::CorruptState(_) => {
+            let changed = done.iter().filter(|(changed, _)| *changed).count();
+            format!("corrupt state ({changed} mutations)")
+        }
+        FaultEvent::Partition { .. } | FaultEvent::HealPartition if n == 0 => return Vec::new(),
+        FaultEvent::Partition {
+            groups: PartitionSpec::Groups(g),
+            ..
+        } => {
+            format!("partition into {} groups ({n} links cut)", g.len())
+        }
+        FaultEvent::Partition { .. } => format!("partition into 2 groups ({n} links cut)"),
+        FaultEvent::HealPartition => format!("heal partition ({n} links restored)"),
+        _ => {
+            return done
+                .iter()
+                .filter_map(|(changed, action)| line(event, *changed, action))
+                .collect()
+        }
+    };
+    vec![summary]
+}
+
+/// One action of `event` in its words, or nothing for an action that changed nothing.
+fn line(event: &FaultEvent, changed: bool, action: &Action) -> Option<String> {
+    let flap = matches!(
+        event,
+        FaultEvent::FlapLink { .. } | FaultEvent::FlapPhase { .. }
+    );
+    Some(match (action, event) {
+        (Action::DegradeLink { a, b, .. }, FaultEvent::DegradeLink(_, spec)) => {
+            let note = if changed { "" } else { ", unknown link" };
+            format!("degrade link {a}-{b} ({}{note})", spec.describe())
+        }
+        _ if !changed => return None,
+        (Action::FailController(id), _) => format!("fail-stop controller {id}"),
+        (Action::FailSwitch(id), _) => format!("fail-stop switch {id}"),
+        (Action::ReviveController(id), FaultEvent::ReviveControllerIndex(_)) => {
+            format!("revive controller {id} (rolling restart)")
+        }
+        (Action::ReviveController(id), _) => format!("revive controller {id}"),
+        (Action::ReviveSwitch(id), _) => format!("revive switch {id}"),
+        (Action::RemoveLink(a, b), _) => format!("remove link {a}-{b}"),
+        (Action::AddLink(a, b), _) => format!("add link {a}-{b}"),
+        (Action::FailLink(a, b), _) if flap => format!("flap link {a}-{b} down"),
+        (Action::FailLink(a, b), _) => format!("fail link {a}-{b}"),
+        (Action::RestoreLink(a, b), _) if flap => format!("flap link {a}-{b} up"),
+        (Action::RestoreLink(a, b), _) => format!("restore link {a}-{b}"),
+        (Action::ClearLinkQuality(a, b), _) => format!("restore link quality {a}-{b}"),
+        // The corruption writes, which their event sums up in one line.
+        _ => return None,
+    })
 }
 
 /// The set of `Gc` links to cut for a partition: every link whose endpoints are
@@ -1067,6 +1072,70 @@ mod tests {
         };
         assert!(ctx.apply(&mut net, &apart).is_empty());
         assert!(ctx.apply(&mut net, &FaultEvent::HealPartition).is_empty());
+        // Underneath, each no-op is an action that reports no change: no link to
+        // remove, no override to clear, an unknown link to degrade, no node to corrupt.
+        let (config, ghost) = (net.default_link_config(), NodeId::new(99));
+        let tag = sdn_tags::Tag::new(0, 1);
+        let rule = sdn_switch::Rule {
+            cid: ghost,
+            src: None,
+            dst: a,
+            prt: 0,
+            fwd: b,
+            tag,
+        };
+        let reply = sdn_switch::QueryReply {
+            responder: a,
+            neighbors: vec![b],
+            managers: vec![],
+            rules: Default::default(),
+            echo_tag: tag,
+        };
+        let degrade = |directed| Action::DegradeLink {
+            a,
+            b,
+            config,
+            directed,
+        };
+        for action in [
+            Action::RemoveLink(a, b),
+            Action::ClearLinkQuality(a, b),
+            degrade(false),
+            degrade(true),
+            Action::ClearSwitch(ghost),
+            Action::InstallRule(ghost, rule),
+            Action::AddManager(ghost, a),
+            Action::SetTags(ghost, tag, tag),
+            Action::InjectReply(ghost, reply),
+        ] {
+            assert!(!net.apply(&action), "{action:?} reported a change");
+        }
+        assert_eq!(net.link_config_warnings(), 2, "both degrades were counted");
+    }
+
+    /// Applied unexpanded, a compound takes what its phases do at offset zero, and
+    /// each flap its own links: no flap id is shared between two of them.
+    #[test]
+    fn unexpanded_compounds_act_on_their_own_victims() {
+        let mut net = bootstrapped();
+        let mut ctx = FaultContext::new(1);
+        let n = NodeId::new;
+        let flap = |a, b| FaultEvent::FlapLink {
+            selector: LinkSelector::Between(n(a), n(b)),
+            period: SimDuration::from_secs(2),
+            count: 2,
+        };
+        assert_eq!(ctx.apply(&mut net, &flap(2, 3)), ["flap link n2-n3 down"]);
+        assert_eq!(ctx.apply(&mut net, &flap(4, 5)), ["flap link n4-n5 down"]);
+        assert!(!net.sim().link_is_operational(n(4), n(5)));
+        let restart = |count| FaultEvent::RollingControllerRestart {
+            interval: SimDuration::from_secs(10),
+            down_for: SimDuration::from_secs(3),
+            count,
+        };
+        assert!(ctx.apply(&mut net, &restart(0)).is_empty());
+        let done = ctx.apply(&mut net, &restart(2));
+        assert_eq!(done, ["fail-stop controller n0"]);
     }
 
     #[test]

@@ -340,7 +340,7 @@ impl Session {
 
     /// A partition's groups name known nodes, and no other partition is in force.
     fn groups(&self, groups: &[Vec<NodeId>]) -> Result<(), String> {
-        if !self.driver.faults.partitioned_links.is_empty() {
+        if !self.driver.faults.partitioned_links().is_empty() {
             return Err("a partition is already in force (heal it first)".to_string());
         }
         let graph = self.driver.net.sim().topology();
@@ -500,7 +500,7 @@ impl Session {
             ("pending_faults", Json::num(driver.pending_faults() as f64)),
             (
                 "partitioned_links",
-                Json::num(driver.faults.partitioned_links.len() as f64),
+                Json::num(driver.faults.partitioned_links().len() as f64),
             ),
             (
                 "link_config_warnings",

@@ -2,6 +2,7 @@
 //! controller fail-stop, switch fail-stop, single and multiple link failures — plus the
 //! node-addition cases of Lemma 8.
 
+use renaissance::faults::Action;
 use renaissance::scenario::{FaultContext, FaultEvent, SwitchSelector};
 use renaissance::{ControllerConfig, FaultInjector, HarnessConfig, SdnNetwork};
 use sdn_netsim::SimDuration;
@@ -27,7 +28,7 @@ fn bootstrapped_b4(seed: u64) -> SdnNetwork {
 fn controller_fail_stop_is_cleaned_up_everywhere() {
     let mut sdn = bootstrapped_b4(11);
     let victim = sdn.controller_ids()[1];
-    sdn.fail_controller(victim);
+    sdn.apply(&Action::FailController(victim));
     let recovery = sdn.run_until_legitimate(CHECK, TIMEOUT).expect("recovery");
     assert!(recovery > SimDuration::ZERO);
     for switch_id in sdn.switch_ids() {
@@ -48,7 +49,7 @@ fn all_but_one_controller_can_fail() {
     let mut sdn = bootstrapped_b4(13);
     let controllers = sdn.controller_ids();
     for &victim in &controllers[1..] {
-        sdn.fail_controller(victim);
+        sdn.apply(&Action::FailController(victim));
     }
     let recovery = sdn.run_until_legitimate(CHECK, TIMEOUT).expect("recovery");
     assert!(recovery > SimDuration::ZERO);
@@ -77,7 +78,7 @@ fn single_and_multiple_link_failures_recover() {
         let links = injector.random_safe_links(&sdn, count);
         assert_eq!(links.len(), count);
         for (a, b) in links {
-            sdn.remove_link(a, b);
+            sdn.apply(&Action::RemoveLink(a, b));
         }
         let recovery = sdn.run_until_legitimate(CHECK, TIMEOUT);
         assert!(
@@ -92,10 +93,10 @@ fn temporary_link_failure_and_restoration() {
     let mut sdn = bootstrapped_b4(23);
     let mut injector = FaultInjector::new(23);
     let (a, b) = injector.random_safe_links(&sdn, 1)[0];
-    sdn.fail_link(a, b);
+    sdn.apply(&Action::FailLink(a, b));
     sdn.run_until_legitimate(CHECK, TIMEOUT)
         .expect("recovery while the link is down");
-    sdn.restore_link(a, b);
+    sdn.apply(&Action::RestoreLink(a, b));
     sdn.run_until_legitimate(CHECK, TIMEOUT)
         .expect("recovery after the link comes back");
     assert!(sdn.is_legitimate());
@@ -116,7 +117,7 @@ fn link_addition_is_incorporated() {
             }
         }
     }
-    sdn.add_link(a, b);
+    sdn.apply(&Action::AddLink(a, b));
     let recovery = sdn
         .run_until_legitimate(CHECK, TIMEOUT)
         .expect("recovery after link addition");
@@ -139,11 +140,11 @@ fn link_addition_is_incorporated() {
 fn failed_controller_can_rejoin_with_fresh_state() {
     let mut sdn = bootstrapped_b4(31);
     let victim = sdn.controller_ids()[2];
-    sdn.fail_controller(victim);
+    sdn.apply(&Action::FailController(victim));
     sdn.run_until_legitimate(CHECK, TIMEOUT)
         .expect("recovery after failure");
     // The controller comes back empty (Lemma 8: new nodes start with empty memory).
-    sdn.revive_controller(victim);
+    sdn.apply(&Action::ReviveController(victim));
     let recovery = sdn
         .run_until_legitimate(CHECK, TIMEOUT)
         .expect("recovery after rejoin");

@@ -7,6 +7,7 @@
 //!   controller crash plus an iperf workload — stays expressible in a handful of
 //!   declarative lines.
 
+use renaissance::faults::Action;
 use renaissance::scenario::{
     ControlPlane, ControllerSelector, Endpoints, FaultEvent, LinkSelector, MetricKey, Probe,
     Scenario,
@@ -53,7 +54,7 @@ fn fig10_controller_failure_scenario_matches_direct_harness_calls() {
             .run_until_legitimate(CHECK, TIMEOUT)
             .expect("direct bootstrap");
         let victim = direct.controller_ids()[1];
-        direct.fail_controller(victim);
+        direct.apply(&Action::FailController(victim));
         let recovery = direct
             .run_until_legitimate(CHECK, TIMEOUT)
             .expect("direct recovery");

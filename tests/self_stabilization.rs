@@ -1,6 +1,7 @@
 //! Integration: self-stabilization from arbitrary corrupted states (Theorem 2) and the
 //! behaviour of the algorithm variants (memory-adaptive vs Section 8.1 non-adaptive).
 
+use renaissance::faults::Action;
 use renaissance::{
     ControllerConfig, CorruptionPlan, FaultInjector, HarnessConfig, SdnNetwork, Variant,
 };
@@ -31,8 +32,8 @@ fn build(adaptive: bool, seed: u64) -> SdnNetwork {
 fn recovers_from_heavy_corruption_with_the_memory_adaptive_algorithm() {
     let mut sdn = build(true, 41);
     sdn.run_until_legitimate(CHECK, TIMEOUT).expect("bootstrap");
-    let mut injector = FaultInjector::new(41);
-    let mutations = injector.corrupt(&mut sdn, CorruptionPlan::heavy());
+    let writes = FaultInjector::new(41).draw(&sdn, CorruptionPlan::heavy());
+    let mutations = writes.iter().filter(|write| sdn.apply(write)).count();
     assert!(mutations > 0);
     assert!(!sdn.is_legitimate());
     let recovery = sdn
@@ -64,7 +65,9 @@ fn recovers_from_light_corruption_repeatedly() {
         corrupt_controller_tags: false,
     };
     for round in 0..3 {
-        injector.corrupt(&mut sdn, light);
+        for write in injector.draw(&sdn, light) {
+            sdn.apply(&write);
+        }
         sdn.run_until_legitimate(CHECK, TIMEOUT)
             .unwrap_or_else(|| panic!("recovery round {round}"));
     }
@@ -86,7 +89,7 @@ fn non_adaptive_variant_also_bootstraps_and_survives_controller_failure() {
     // paper describes in Section 8.1: memory is not adaptive), while the network keeps
     // every live controller connected to every switch.
     let victim = sdn.controller_ids()[2];
-    sdn.fail_controller(victim);
+    sdn.apply(&Action::FailController(victim));
     sdn.run_for(SimDuration::from_secs(30));
     let lingering: usize = sdn
         .switch_ids()
@@ -125,8 +128,8 @@ fn memory_adaptive_variant_uses_less_memory_after_controller_failures() {
         .expect("bootstrap non-adaptive");
     let victim_a = adaptive.controller_ids()[2];
     let victim_n = non_adaptive.controller_ids()[2];
-    adaptive.fail_controller(victim_a);
-    non_adaptive.fail_controller(victim_n);
+    adaptive.apply(&Action::FailController(victim_a));
+    non_adaptive.apply(&Action::FailController(victim_n));
     adaptive
         .run_until_legitimate(CHECK, TIMEOUT)
         .expect("adaptive recovery");
@@ -151,8 +154,9 @@ fn corrupted_controller_tags_do_not_prevent_progress() {
         bogus_replies_per_controller: 8,
         corrupt_controller_tags: true,
     };
-    let mut injector = FaultInjector::new(59);
-    injector.corrupt(&mut sdn, plan);
+    for write in FaultInjector::new(59).draw(&sdn, plan) {
+        sdn.apply(&write);
+    }
     let recovery = sdn.run_until_legitimate(CHECK, TIMEOUT).expect("recovery");
     assert!(recovery > SimDuration::ZERO);
 }
