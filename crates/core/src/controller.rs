@@ -48,9 +48,9 @@ pub struct ControllerStats {
     /// Routing plans this controller took from the network's plan table, computed
     /// by another controller, or by itself, that still held them.
     pub plans_shared: u64,
-    /// `myRules()` sets this controller ranked itself.
+    /// `myRules()` sets this controller ranked itself: its plan's shared sets lacked them.
     pub rule_sets_built: u64,
-    /// `myRules()` sets this controller took from its plan's shared sets.
+    /// `myRules()` sets this controller took from its plan's shared sets, already ranked.
     pub rule_sets_shared: u64,
 }
 
@@ -67,7 +67,7 @@ pub struct Controller {
     reply_db: ReplyDb,
     rounds: RoundTracker,
     tag_gen: TagGenerator,
-    /// The views, the plan and the rule sets, re-derivable from the fields above.
+    /// The views and the plan with its rule sets, re-derivable from the fields above.
     derived: Derived,
     stats: ControllerStats,
 }
@@ -90,7 +90,7 @@ impl Controller {
             reply_db: ReplyDb::new(config.max_replies),
             rounds,
             tag_gen,
-            derived: Derived::new(id, plans),
+            derived: Derived::new(plans),
             stats: ControllerStats::default(),
         }
     }
@@ -859,7 +859,7 @@ mod tests {
                 }
                 let neighbors = truth.neighbor_vec(n(0));
                 twins[1].derived.forget_views();
-                twins[2].derived = Derived::new(n(0), PlanTable::new(config()));
+                twins[2].derived = Derived::new(PlanTable::new(config()));
                 let [out, forgot, fresh] = twins.each_mut().map(|twin| twin.iterate(&neighbors));
                 assert_eq!(out, forgot, "seed {seed} step {step}");
                 assert_eq!(out, fresh, "seed {seed} step {step}: fresh memos");
@@ -923,7 +923,7 @@ mod tests {
             );
             db
         };
-        let mut memo = Derived::new(n(0), PlanTable::new(config()));
+        let mut memo = Derived::new(PlanTable::new(config()));
         let mut stats = ControllerStats::default();
         let four_is_fresher = db_with(new, old);
         let view = memo.view(four_is_fresher.fusion(new, old, n(0), &[n(4)]), &mut stats);
@@ -964,9 +964,10 @@ mod tests {
     fn emptied_rule_memos_on_both_controllers_are_repaired() {
         let mut sdn = settled_ring();
         for controller in sdn.controller_ids() {
-            memos(&mut sdn, controller).forget_rules();
+            memos(&mut sdn, controller).corrupt_plan(Arc::default());
         }
-        // The switches still hold the rules of before; a second sends them the emptied sets.
+        // The switches still hold the rules of before; the next iteration finds the
+        // empty plan wrong and plans again before it sends a set.
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
         sdn.run_for(second);
         assert!(sdn.run_until_legitimate(second, timeout).is_some());
@@ -976,10 +977,15 @@ mod tests {
     fn emptied_rule_memo_on_one_controller_is_repaired() {
         let mut sdn = settled_ring();
         let controllers = sdn.controller_ids();
-        memos(&mut sdn, controllers[0]).forget_rules();
+        let faulted = sdn.controller(controllers[0]).unwrap().curr_tag();
+        memos(&mut sdn, controllers[0]).corrupt_plan(Arc::default());
+        // Every switch holds rules of both controllers, the faulty one's sent since.
         let owned_everywhere = |sdn: &SdnNetwork| {
-            (sdn.switch_ids().into_iter())
-                .all(|s| sdn.switch(s).unwrap().rules().controllers_with_rules() == controllers)
+            (sdn.switch_ids().into_iter()).all(|s| {
+                let rules = sdn.switch(s).unwrap().rules();
+                let sent_since = (rules.rules_of(controllers[0]).iter()).all(|r| r.tag > faulted);
+                rules.controllers_with_rules() == controllers && sent_since
+            })
         };
         let repaired = (0..120).any(|_| {
             sdn.run_for(SimDuration::from_secs(1));
@@ -987,17 +993,15 @@ mod tests {
         });
         assert!(
             repaired,
-            "a switch still holds no rule of {}",
+            "a switch holds no rule {} sent after the fault",
             controllers[0]
         );
     }
 
-    /// Transient faults in a settled controller's plan, rule sets and views. A
-    /// replaced plan is rebuilt within `⌈n/64⌉` iterations, equal to the plan of
-    /// before; every set, overwritten with another switch's, is ranked afresh within
-    /// `|rule_sets|` iterations; every view is re-derived from its key within one more,
-    /// and the network, which the wrong views made the controller forget, is
-    /// legitimate again.
+    /// Transient faults in a settled controller's plan and views. A replaced plan is
+    /// rebuilt within `⌈n/64⌉` iterations, equal to the plan of before; every view is
+    /// re-derived from its key within `n` audit steps, and the network, which the wrong
+    /// views made the controller forget, is legitimate again.
     #[test]
     fn corrupted_plan_and_views_are_repaired_within_their_bounds() {
         let mut sdn = settled_ring();
@@ -1005,7 +1009,7 @@ mod tests {
         let neighbors = sdn.sim().observed(id).to_vec();
         let c = sdn.controller_mut(id).unwrap();
         let (plan, version) = (c.derived.plan().clone(), c.plan_version());
-        c.derived.corrupt_plan();
+        c.derived.corrupt_plan(Arc::default());
         // `ring(5, 2)` has seven nodes: one block, checked on every turn.
         let _ = c.iterate(&neighbors);
         assert_eq!(
@@ -1014,22 +1018,76 @@ mod tests {
         );
 
         let nobody = ReplyDb::new(1).res(c.curr_tag(), id, &[]).key().view();
-        c.derived.corrupt_views(&nobody);
-        c.derived.swap_rules();
-        let switches: Vec<NodeId> = c.derived.rule_sets().keys().copied().collect();
-        assert_eq!(switches.len(), 5);
-        assert!(c.derived.rule_sets().values().all(|set| !set.is_empty()));
-        assert_eq!(c.derived.stale_sets(), switches, "every set is wrong");
-        c.derived.audit_steps(switches.len());
-        assert_eq!(c.derived.stale_sets(), [], "every set is ranked afresh");
-        c.derived.audit_steps(1);
         assert_eq!(c.derived.views().len(), 3, "one iteration's working set");
-        for (key, view) in c.derived.views() {
-            assert_eq!(**view, key.view());
+        let wrong = |c: &Controller| {
+            let views = c.derived.views().iter();
+            views.filter(|(key, view)| **view != key.view()).count()
+        };
+        // Faults at eight successive phases of the turn: any cadence slower than `n`
+        // leaves one of them unrepaired.
+        for fault in 0..8 {
+            c.derived.corrupt_views(&nobody);
+            assert_eq!(wrong(c), 3);
+            c.derived.audit_steps(7);
+            assert_eq!(
+                wrong(c),
+                0,
+                "fault {fault}: views re-derived within n steps"
+            );
         }
         memos(&mut sdn, id).corrupt_views(&nobody);
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
         assert!(sdn.run_until_legitimate(second, timeout).is_some());
+    }
+
+    /// A controller handed its own plan of before a link removal, well formed over the
+    /// same `n = 65` nodes but stale, replans within `⌈n/64⌉ = 2` iterations, and from
+    /// then on sends every switch the set a fresh plan of its reference graph ranks.
+    #[test]
+    fn a_stale_plan_is_replaced_within_its_block_bound() {
+        let mut sdn = SdnNetwork::new(
+            sdn_topology::builders::grid(8, 8, 1),
+            ControllerConfig::for_network(1, 64),
+            HarnessConfig::default(),
+        );
+        let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
+        assert!(sdn.run_until_legitimate(second, timeout).is_some());
+        let id = sdn.controller_ids()[0];
+        let stale = memos(&mut sdn, id).shared_plan().clone();
+        let switches = sdn.switch_ids();
+        assert!(sdn.apply(&Action::RemoveLink(switches[0], switches[1])));
+        assert!(sdn.run_until_legitimate(second, timeout).is_some());
+        sdn.run_for(SimDuration::from_secs(10));
+
+        let neighbors = sdn.sim().observed(id).to_vec();
+        let c = sdn.controller_mut(id).unwrap();
+        let relays = |node: NodeId| !node.is_controller(1);
+        let fresh = c.derived.fresh_rules(relays);
+        let stale_sets = stale.sets();
+        assert_eq!(stale_sets.len(), switches.len());
+        assert!(
+            stale_sets
+                .iter()
+                .any(|(&switch, set)| *set != fresh(switch)),
+            "the removal moved some rules"
+        );
+        let version = c.plan_version();
+        c.derived.corrupt_plan(stale);
+        let blocks = (switches.len() + 1).div_ceil(64);
+        for step in 1..=2 * blocks {
+            let out = c.iterate(&neighbors);
+            if step < blocks {
+                continue;
+            }
+            assert_eq!(c.plan_version(), version + 1, "step {step}");
+            let sets: Vec<(NodeId, RuleSet)> = (out.iter())
+                .filter_map(|(dst, batch)| Some((*dst, update_rules(batch)?.1)))
+                .collect();
+            assert_eq!(sets.len(), switches.len());
+            for (switch, set) in sets {
+                assert_eq!(set, fresh(switch), "step {step}: switch {switch}");
+            }
+        }
     }
 
     /// The rule set each live controller would send every switch next, keyed by
@@ -1082,9 +1140,9 @@ mod tests {
         assert!(shared(|s| s.plans_shared) > 0 && shared(|s| s.rule_sets_shared) > 0);
     }
 
-    /// A fault in one controller's plan handle and rule memo is that controller's
-    /// alone: the other's plan and sets keep their allocations and their contents, and
-    /// the faulty controller comes back to the plan the other holds.
+    /// A fault in one controller's plan handle is that controller's alone: the other's
+    /// plan and its sets keep their allocations and their contents, and the faulty
+    /// controller comes back to the plan the other holds.
     #[test]
     fn a_corrupted_controller_leaves_the_shared_plan_and_sets_alone() {
         let mut sdn = settled_ring();
@@ -1093,27 +1151,26 @@ mod tests {
         };
         let c = &sdn.controller(other).unwrap().derived;
         let (plan, kept) = (c.shared_plan().clone(), c.plan().clone());
-        let sets = c.rule_sets().clone();
+        let sets = c.shared_plan().sets();
         let by_value = |sets: &BTreeMap<NodeId, RuleSet>| {
             let bodies = sets.iter().map(|(&switch, set)| (switch, set.to_vec()));
             bodies.collect::<Vec<_>>()
         };
         let kept_sets = by_value(&sets);
         let version = sdn.controller(victim).unwrap().plan_version();
-        memos(&mut sdn, victim).corrupt_plan();
-        memos(&mut sdn, victim).forget_rules();
+        memos(&mut sdn, victim).corrupt_plan(Arc::default());
         sdn.run_for(SimDuration::from_secs(30));
         let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
         assert!(sdn.run_until_legitimate(second, timeout).is_some());
 
         let c = &sdn.controller(other).unwrap().derived;
         assert!(Arc::ptr_eq(c.shared_plan(), &plan) && c.plan() == &kept);
-        assert_eq!(c.rule_sets().len(), sets.len());
-        for (switch, set) in c.rule_sets() {
+        let now = c.shared_plan().sets();
+        assert_eq!(now.len(), sets.len());
+        for (switch, set) in &now {
             assert!(RuleSet::ptr_eq(set, &sets[switch]), "switch {switch}");
         }
-        assert_eq!(by_value(c.rule_sets()), kept_sets);
-        assert_eq!(by_value(&plan.sets()), kept_sets);
+        assert_eq!(by_value(&now), kept_sets);
         let repaired = sdn.controller(victim).unwrap();
         assert!(Arc::ptr_eq(repaired.derived.shared_plan(), &plan));
         assert_eq!(repaired.plan_version(), version + 1);

@@ -7,13 +7,13 @@ use crate::reply_db::{View, ViewInput, ViewKey};
 use sdn_switch::{RuleBody, RuleSet, RuleSetWriter};
 use sdn_topology::{FlowPlan, FlowPlanner, Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
-/// A controller's memos: the latest views of `replyDB`, the plan of the reference
-/// graph and `myRules()` per switch under it. None is protocol state; after the last
-/// fault, the audit step of each [`Derived::plan_for`] repairs every memo within
-/// `max(|rule_sets| + 1, ⌈n/64⌉)` iterations (README, "Repairing the memos").
+/// A controller's memos: the latest views of `replyDB` and the plan of the reference
+/// graph, whose shared sets are `myRules()` per switch. None is protocol state; after
+/// the last fault, the audit of each [`Derived::plan_for`] repairs the plan, and with it
+/// every rule set, within `⌈n/64⌉` iterations and every view within `n`, with `n` the
+/// node count of the planned graph (README, "Repairing the memos").
 #[derive(Clone, Debug)]
 pub(super) struct Derived {
     /// The views the latest iterations read, each beside the key it was built from,
@@ -23,7 +23,8 @@ pub(super) struct Derived {
     /// Where a new plan is looked up before it is computed.
     plans: PlanTable,
     /// The plan of `planned`, which also picks first hops for the controller's own
-    /// packets; one `Arc` with every controller of `plans` that planned the same graph.
+    /// packets and hands out its rule sets; one `Arc` with every controller of `plans`
+    /// that planned the same graph.
     plan: Arc<SharedPlan>,
     /// The reference view `plan` was computed over. Once the view converges its
     /// graph stops changing, and every subsequent iteration reuses the plan instead
@@ -32,13 +33,6 @@ pub(super) struct Derived {
     planned: Option<Arc<View>>,
     /// Bumps whenever `plan` is replaced.
     plan_version: u64,
-    /// `myRules()` per switch under `plan`, taken from the plan's shared sets the
-    /// first time a switch is sent rules and handed out by reference from then on. A
-    /// set names neither tag nor owner, so it outlives rounds; only a new plan empties
-    /// the memo.
-    rule_sets: BTreeMap<NodeId, RuleSet>,
-    /// The switch whose memoized set the last audit step checked against `plan`.
-    audited: NodeId,
     /// Calls of `plan_for` so far; each checks the plan block of its turn.
     turn: u64,
 }
@@ -46,16 +40,14 @@ pub(super) struct Derived {
 impl Derived {
     const VIEWS: usize = 3;
 
-    /// Memos of nothing yet, planning through `plans`; the audit cursor starts after `id`.
-    pub(super) fn new(id: NodeId, plans: PlanTable) -> Self {
+    /// Memos of nothing yet, planning through `plans`.
+    pub(super) fn new(plans: PlanTable) -> Self {
         Derived {
             views: Vec::new(),
             plans,
             plan: Arc::default(),
             planned: None,
             plan_version: 0,
-            rule_sets: BTreeMap::new(),
-            audited: id,
             turn: 0,
         }
     }
@@ -110,45 +102,30 @@ impl Derived {
         if !planned || !self.plan.plan.agrees(refer.graph(), &relays, self.turn) {
             self.plan = self.plans.plan(refer.graph(), relays, stats);
             self.plan_version += 1;
-            self.rule_sets.clear();
         }
         self.planned = Some(refer.clone());
-        self.audit(stats);
+        self.audit();
     }
 
     /// `myRules(G, j, tag)`: the rules this controller installs at switch `j` given its
     /// current view `G` (paper, Sections 2.2.2 and 3.3). The tag and the owner are the
     /// `updateRule` command's; the set is a function of the plan and `j` alone, so it
     /// is built once per plan, whichever controller holding the plan asks first.
-    pub(super) fn my_rules(&mut self, switch: NodeId, stats: &mut ControllerStats) -> RuleSet {
-        (self.rule_sets.entry(switch))
-            .or_insert_with(|| self.plan.rules(switch, stats))
-            .clone()
+    pub(super) fn my_rules(&self, switch: NodeId, stats: &mut ControllerStats) -> RuleSet {
+        self.plan.rules(switch, stats)
     }
 
-    /// One audit step: the set of the switch after the one checked last is compared
-    /// with `myRules()` under the plan and ranked again, never read from the table, if
-    /// it differs. Each time that cursor wraps around, every view is re-derived from its
-    /// key and replaced if it differs, counted as neither a build nor a reuse.
-    fn audit(&mut self, stats: &mut ControllerStats) {
-        let mut after = (self.rule_sets).range((Excluded(self.audited), Unbounded));
-        let next = match after.next() {
-            Some(next) => Some(next),
-            None => {
-                for (key, view) in &mut self.views {
-                    let fresh = key.view();
-                    if **view != fresh {
-                        *view = Arc::new(fresh);
-                    }
+    /// The audit step of the views: on each turn that is a multiple of the planned
+    /// graph's node count, every view is re-derived from its key and replaced if it
+    /// differs, counted as neither a build nor a reuse.
+    fn audit(&mut self) {
+        let n = (self.planned.as_ref()).map_or(1, |view| view.graph().node_count());
+        if self.turn % n.max(1) as u64 == 0 {
+            for (key, view) in &mut self.views {
+                let fresh = key.view();
+                if **view != fresh {
+                    *view = Arc::new(fresh);
                 }
-                self.rule_sets.iter().next()
-            }
-        };
-        if let Some((&switch, set)) = next {
-            self.audited = switch;
-            if !rules_match(&self.plan.plan, switch, set) {
-                stats.rule_sets_built += 1;
-                (self.rule_sets).insert(switch, build_rules(&self.plan.plan, switch));
             }
         }
     }
@@ -241,16 +218,17 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// its last candidate there, as if each later rule had overwritten the one before.
 const LOWEST_LEVEL: usize = u8::MAX as usize - 1;
 
-/// `myRules()` at `switch` under `plan`, body by body in the set's slot order: one
-/// wildcard-source rule per reachable destination and priority level, encoding the
-/// kappa-fault-resilient flow towards that destination.
-fn for_each_body(plan: &FlowPlan, switch: NodeId, mut f: impl FnMut(RuleBody)) {
+/// `myRules()` at `switch` under `plan`, written body by body in the set's slot order
+/// in the pass that ranks it: one wildcard-source rule per reachable destination and
+/// priority level, encoding the kappa-fault-resilient flow towards that destination.
+fn build_rules(plan: &FlowPlan, switch: NodeId) -> RuleSet {
+    let mut writer = RuleSetWriter::with_capacity(plan.rule_bound(switch));
     plan.for_each_rule(switch, |dst, hops| {
         let last = hops.len() - 1;
         for (level, fwd) in hops.enumerate() {
             if level < LOWEST_LEVEL || level == last {
                 let prt = u8::MAX - level.min(LOWEST_LEVEL) as u8;
-                f(RuleBody {
+                writer.push(RuleBody {
                     src: None,
                     dst,
                     prt,
@@ -259,24 +237,7 @@ fn for_each_body(plan: &FlowPlan, switch: NodeId, mut f: impl FnMut(RuleBody)) {
             }
         }
     });
-}
-
-/// `myRules()` at `switch`, written in the pass that ranks it.
-fn build_rules(plan: &FlowPlan, switch: NodeId) -> RuleSet {
-    let mut writer = RuleSetWriter::with_capacity(plan.rule_bound(switch));
-    for_each_body(plan, switch, |body| writer.push(body));
     writer.finish()
-}
-
-/// Whether `set` is `myRules()` at `switch`, compared body by body as the plan ranks
-/// them, with nothing allocated.
-fn rules_match(plan: &FlowPlan, switch: NodeId, set: &RuleSet) -> bool {
-    let (mut next, mut same) = (0, true);
-    for_each_body(plan, switch, |body| {
-        same &= set.get(next) == Some(&body);
-        next += 1;
-    });
-    same && next == set.len()
 }
 
 /// Transient faults in the memos, and what the tests read of them. A fault writes
@@ -292,50 +253,35 @@ impl Derived {
         &self.plans
     }
 
-    pub(super) fn rule_sets(&self) -> &BTreeMap<NodeId, RuleSet> {
-        &self.rule_sets
-    }
-
     pub(super) fn views(&self) -> &[(ViewKey, Arc<View>)] {
         &self.views
     }
 
-    /// Runs `steps` audit steps, as that many iterations would after planning.
+    /// Runs `steps` turns of the view audit, as that many iterations would after
+    /// planning.
     pub(super) fn audit_steps(&mut self, steps: usize) {
         for _ in 0..steps {
-            self.audit(&mut ControllerStats::default());
+            self.turn += 1;
+            self.audit();
         }
     }
 
-    /// The memoized switches whose set differs from a fresh ranking under the plan.
-    pub(super) fn stale_sets(&self) -> Vec<NodeId> {
-        let stale = |(&switch, set): (&NodeId, &RuleSet)| {
-            (*set != build_rules(&self.plan.plan, switch)).then_some(switch)
-        };
-        self.rule_sets.iter().filter_map(stale).collect()
+    /// `myRules()` per switch under a plan of the planned graph computed afresh, not
+    /// taken from the table, with the nodes `relays` accepts as relays.
+    pub(super) fn fresh_rules(
+        &self,
+        relays: impl Fn(NodeId) -> bool,
+    ) -> impl Fn(NodeId) -> RuleSet {
+        let graph = self.planned.as_ref().expect("a planned graph").graph();
+        let non_transit = graph.nodes().filter(|&n| !relays(n)).collect();
+        let plan = self.plans.planner.plan_restricted(graph, &non_transit);
+        move |switch| build_rules(&plan, switch)
     }
 
-    /// Replaces the plan handle with an empty plan of its own; the plan the handle
-    /// pointed at is left as it was.
-    pub(super) fn corrupt_plan(&mut self) {
-        self.plan = Arc::default();
-    }
-
-    /// Empties every memoized rule set.
-    pub(super) fn forget_rules(&mut self) {
-        for set in self.rule_sets.values_mut() {
-            *set = RuleSet::from_iter([]);
-        }
-    }
-
-    /// Gives every memoized switch the set memoized for the next one, and the last
-    /// switch the first one's.
-    pub(super) fn swap_rules(&mut self) {
-        let sets: Vec<RuleSet> = self.rule_sets.values().cloned().collect();
-        let next = sets.iter().cycle().skip(1);
-        for (set, other) in self.rule_sets.values_mut().zip(next) {
-            *set = other.clone();
-        }
+    /// Replaces the plan handle with `plan`; the plan the handle pointed at is left as
+    /// it was.
+    pub(super) fn corrupt_plan(&mut self, plan: Arc<SharedPlan>) {
+        self.plan = plan;
     }
 
     /// Overwrites every memoized view with `view`, keys unchanged.

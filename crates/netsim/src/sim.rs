@@ -389,15 +389,17 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
     /// Burst-configured overrides (re)seed the per-direction RNG streams.
     ///
     /// Returns `true` when the link exists in `Gc`. A call naming a nonexistent
-    /// link still installs the override (it applies if the link is added later)
-    /// but is counted in [`Simulator::link_config_warnings`].
+    /// link changes nothing but is counted in [`Simulator::link_config_warnings`].
     pub fn set_link_config(&mut self, a: NodeId, b: NodeId, config: LinkConfig) -> bool {
         self.link_config_epoch += 1;
+        if !self.note_link_known(a, b) {
+            return false;
+        }
         self.link_overrides.insert((a, b), config);
         self.link_overrides.insert((b, a), config);
         self.reseed_burst(a, b, &config);
         self.reseed_burst(b, a, &config);
-        self.note_link_known(a, b)
+        true
     }
 
     /// Overrides the link behaviour of one *direction* only (`from -> to`),
@@ -412,9 +414,12 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
         config: LinkConfig,
     ) -> bool {
         self.link_config_epoch += 1;
+        if !self.note_link_known(from, to) {
+            return false;
+        }
         self.link_overrides.insert((from, to), config);
         self.reseed_burst(from, to, &config);
-        self.note_link_known(from, to)
+        true
     }
 
     /// Removes the overrides of both directions of the pair, returning the link to
@@ -1343,7 +1348,21 @@ mod tests {
         // Clearing reports whether anything was actually removed.
         assert!(sim.clear_link_config(n(0), n(1)));
         assert!(!sim.clear_link_config(n(0), n(1)));
-        assert!(sim.clear_link_config(n(0), n(2)));
+        assert!(!sim.clear_link_config(n(0), n(2)));
+    }
+
+    #[test]
+    fn a_link_degraded_before_it_exists_is_added_at_default_quality() {
+        let mut sim = sim_with_echo(true);
+        let lossy = LinkConfig::default().with_loss(1.0);
+        assert!(!sim.set_link_config(n(0), n(2), lossy));
+        assert!(!sim.set_link_config_directed(n(2), n(0), lossy));
+        sim.add_link(n(0), n(2));
+        sim.start();
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.node(n(2)).unwrap().received, vec![(n(0), 1)]);
+        assert!(sim.node(n(0)).unwrap().received.contains(&(n(2), 2)));
+        assert_eq!(sim.metrics().dropped(), 0);
     }
 
     #[test]
