@@ -15,7 +15,7 @@ use renaissance::scenario::{
     ControlPlane, ControllerSelector, Endpoints, FaultEvent, LinkSelector, RunReport,
     SwitchSelector,
 };
-use renaissance::{ControllerConfig, CorruptionPlan, SdnNetwork};
+use renaissance::{ControllerConfig, SdnNetwork};
 use sdn_metrics::{Digest, MetricKey, Namespace, Recorder};
 use sdn_netsim::SimDuration;
 use sdn_topology::{builders, paths};
@@ -655,10 +655,7 @@ fn ablation(scale: &ExperimentScale, rec: &mut dyn Recorder) -> Table {
             let mut builder = experiment(scale, "variant-ablation", name, 3, scale.task_delay)
                 .runs(scale.runs)
                 .seeds_from(scale.seed_or(900))
-                .fault_at(
-                    SimDuration::ZERO,
-                    FaultEvent::CorruptState(CorruptionPlan::heavy()),
-                )
+                .fault_at(SimDuration::ZERO, FaultEvent::CorruptState)
                 .summary(MetricKey::TOTAL_RULES, |net| net.total_rules() as f64);
             if !adaptive {
                 builder = builder.tune_controllers(ControllerConfig::non_adaptive);

@@ -12,8 +12,9 @@ pub(crate) mod derived;
 use crate::config::{ControllerConfig, Variant};
 use crate::reply_db::{InsertOutcome, ReplyDb, View};
 use derived::{Derived, PlanTable};
+use sdn_rng::Rng;
 use sdn_switch::{CommandBatch, QueryReply, SwitchCommand};
-use sdn_tags::{RoundTracker, Tag, TagGenerator};
+use sdn_tags::{IdRange, RoundTracker, Tag, TagGenerator};
 use sdn_topology::{Graph, NodeId};
 use std::sync::Arc;
 
@@ -272,10 +273,32 @@ impl Controller {
     }
 
     // ------------------------------------------------------------------
-    // Transient-fault injection helpers (Theorem 2 experiments).
+    // Transient faults (Theorem 2 experiments).
     // ------------------------------------------------------------------
 
+    /// Rewrites every part of the controller's memory as a transient fault may, and
+    /// stores up to 16 scrambled replies past the tag check.
+    pub(crate) fn scramble(&mut self, rng: &mut Rng, ids: IdRange) {
+        let Controller {
+            id: _,     // identity, not memory a fault reaches
+            config: _, // the deployment's configuration
+            reply_db,
+            rounds,
+            tag_gen,
+            derived,
+            stats: _, // counters the experiments read, not algorithm state
+        } = self;
+        reply_db.scramble(rng, ids);
+        rounds.scramble(rng, ids);
+        tag_gen.scramble(rng);
+        derived.scramble(rng, ids);
+        for _ in 0..rng.gen_range(0..=16u32) {
+            self.corrupt_inject_reply(QueryReply::scrambled(rng, ids));
+        }
+    }
+
     /// Corrupts the round tags — models a transient fault hitting the controller.
+    // stancheck: allow(test-only-api) — transient-fault hook for Theorem 2 experiments: the exact write the pinned tag tests make; `scramble` draws the tags through `RoundTracker::scramble`
     pub fn corrupt_tags(&mut self, curr: Tag, prev: Tag) {
         self.rounds.corrupt(curr, prev);
     }
@@ -996,6 +1019,20 @@ mod tests {
             "a switch holds no rule {} sent after the fault",
             controllers[0]
         );
+    }
+
+    /// A scramble draws `turn` over all of `u64`, so it advances by `wrapping_add`: at
+    /// `u64::MAX` the next iteration wraps to 0 instead of overflowing (a panic in a
+    /// debug build), and the network is legitimate again.
+    #[test]
+    fn a_turn_at_u64_max_wraps_and_the_network_recovers() {
+        let mut sdn = settled_ring();
+        for controller in sdn.controller_ids() {
+            memos(&mut sdn, controller).corrupt_turn(u64::MAX);
+        }
+        let (second, timeout) = (SimDuration::from_secs(1), SimDuration::from_secs(120));
+        sdn.run_for(second);
+        assert!(sdn.run_until_legitimate(second, timeout).is_some());
     }
 
     /// Transient faults in a settled controller's plan and views. A replaced plan is

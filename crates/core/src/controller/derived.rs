@@ -4,7 +4,9 @@
 use super::{same_graph, ControllerStats};
 use crate::config::ControllerConfig;
 use crate::reply_db::{View, ViewInput, ViewKey};
+use sdn_rng::Rng;
 use sdn_switch::{RuleBody, RuleSet, RuleSetWriter};
+use sdn_tags::IdRange;
 use sdn_topology::{FlowPlan, FlowPlanner, Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
@@ -97,7 +99,7 @@ impl Derived {
         relays: impl Fn(NodeId) -> bool,
         stats: &mut ControllerStats,
     ) {
-        self.turn += 1;
+        self.turn = self.turn.wrapping_add(1);
         let planned = (self.planned.as_ref()).is_some_and(|planned| same_graph(planned, refer));
         if !planned || !self.plan.plan.agrees(refer.graph(), &relays, self.turn) {
             self.plan = self.plans.plan(refer.graph(), relays, stats);
@@ -113,6 +115,38 @@ impl Derived {
     /// is built once per plan, whichever controller holding the plan asks first.
     pub(super) fn my_rules(&self, switch: NodeId, stats: &mut ControllerStats) -> RuleSet {
         self.plan.rules(switch, stats)
+    }
+
+    /// Rewrites the memos as a transient fault may, with views over `ids`. A scrambled
+    /// plan is this controller's alone, never in the table, and bumps `plan_version`.
+    pub(super) fn scramble(&mut self, rng: &mut Rng, ids: IdRange) {
+        let Derived {
+            views,
+            plans: _, // the network's table caches pure functions, outside the fault model
+            plan,
+            planned,
+            plan_version,
+            turn,
+        } = self;
+        views.truncate(rng.gen_range(0..=views.len()));
+        for (_, view) in views.iter_mut() {
+            if rng.gen_bool(0.5) {
+                *view = Arc::new(View::scrambled(rng, ids));
+            }
+        }
+        if rng.gen_bool(0.5) {
+            *planned = Some(Arc::new(View::scrambled(rng, ids)));
+        }
+        if rng.gen_bool(0.5) {
+            let view = View::scrambled(rng, ids);
+            let new = (self.plans.planner).plan_restricted(view.graph(), &BTreeSet::new());
+            *plan = Arc::new(SharedPlan {
+                plan: new,
+                sets: Mutex::default(),
+            });
+            *plan_version += 1;
+        }
+        *turn = rng.next_u64();
     }
 
     /// The audit step of the views: on each turn that is a multiple of the planned
@@ -261,7 +295,7 @@ impl Derived {
     /// planning.
     pub(super) fn audit_steps(&mut self, steps: usize) {
         for _ in 0..steps {
-            self.turn += 1;
+            self.turn = self.turn.wrapping_add(1);
             self.audit();
         }
     }
@@ -294,6 +328,11 @@ impl Derived {
     /// Forgets every memoized view.
     pub(super) fn forget_views(&mut self) {
         self.views.clear();
+    }
+
+    /// Sets the count of `plan_for` calls to `turn`.
+    pub(super) fn corrupt_turn(&mut self, turn: u64) {
+        self.turn = turn;
     }
 }
 

@@ -3,64 +3,21 @@
 //! a simulation can.
 //!
 //! Every fault reaches the network as a list of [`Action`]s, concrete operations with
-//! every victim named, which [`SdnNetwork::apply`] executes one at a time. The
-//! [`FaultInjector`] draws the corruption writes: it scribbles over switch rule tables,
-//! manager sets, controller reply databases, and round tags. Theorem 2 of the paper
-//! promises recovery from *any* such state within a bounded number of frames; the
-//! integration tests and `renaissance-fig ablation` use this module to check that
-//! empirically.
+//! every victim named, which [`SdnNetwork::apply`] executes one at a time. A state
+//! corruption is one [`Action::Scramble`] per node ([`FaultInjector::draw`]): each
+//! state type's `scramble`, which opens with an exhaustive destructure, rewrites its
+//! fields with values from their whole domains. Theorem 2 of the paper promises
+//! recovery from *any* such state within a bounded number of frames; the integration
+//! tests and `renaissance-fig ablation` use this module to check that empirically.
 
 use crate::harness::SdnNetwork;
 use sdn_netsim::LinkConfig;
 use sdn_rng::Rng;
-use sdn_switch::{QueryReply, Rule, RuleSummary};
-use sdn_tags::Tag;
 use sdn_topology::NodeId;
-
-/// How aggressively to corrupt the network state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CorruptionPlan {
-    /// Number of garbage rules injected per switch.
-    pub garbage_rules_per_switch: usize,
-    /// Number of bogus managers injected per switch.
-    pub bogus_managers_per_switch: usize,
-    /// Whether to wipe a random subset of switches completely.
-    pub clear_some_switches: bool,
-    /// Number of bogus replies injected into each controller's replyDB.
-    pub bogus_replies_per_controller: usize,
-    /// Whether to corrupt every controller's round tags.
-    pub corrupt_controller_tags: bool,
-}
-
-impl Default for CorruptionPlan {
-    fn default() -> Self {
-        CorruptionPlan {
-            garbage_rules_per_switch: 8,
-            bogus_managers_per_switch: 2,
-            clear_some_switches: true,
-            bogus_replies_per_controller: 4,
-            corrupt_controller_tags: true,
-        }
-    }
-}
-
-impl CorruptionPlan {
-    /// A heavy corruption touching every kind of state the model allows.
-    pub fn heavy() -> Self {
-        CorruptionPlan {
-            garbage_rules_per_switch: 32,
-            bogus_managers_per_switch: 8,
-            clear_some_switches: true,
-            bogus_replies_per_controller: 16,
-            corrupt_controller_tags: true,
-        }
-    }
-}
 
 /// One concrete change a fault makes to the network, every victim named — what
 /// [`SdnNetwork::apply`] executes. The first ten are the benign failures of Section
-/// 3.4.2 and their repairs; the last five are the transient-corruption writes
-/// [`FaultInjector::draw`] makes.
+/// 3.4.2 and their repairs; the last is the transient corruption of one node.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Action {
     /// Fail-stops a controller.
@@ -95,16 +52,9 @@ pub enum Action {
     },
     /// Removes every quality override from a link, restoring default behaviour.
     ClearLinkQuality(NodeId, NodeId),
-    /// Wipes a switch's rules, managers and meta tags (a factory reset).
-    ClearSwitch(NodeId),
-    /// Installs an arbitrary rule in a switch, bypassing the command interface.
-    InstallRule(NodeId, Rule),
-    /// Adds an arbitrary manager (second id) to a switch.
-    AddManager(NodeId, NodeId),
-    /// Overwrites a controller's current and previous round tags, in that order.
-    SetTags(NodeId, Tag, Tag),
-    /// Injects a (possibly bogus) reply into a controller's `replyDB`.
-    InjectReply(NodeId, QueryReply),
+    /// Rewrites the state of a node (a switch or a controller) with values drawn from
+    /// an [`Rng`] of this seed.
+    Scramble(NodeId, u64),
 }
 
 /// Deterministic transient-fault injector.
@@ -121,39 +71,13 @@ impl FaultInjector {
         }
     }
 
-    /// The corruption writes of `plan` over the whole network, in the order they are
-    /// drawn: per switch, maybe a wipe, then garbage rules and bogus managers; per
-    /// controller, maybe new round tags, then bogus replies. Only the node lists are
-    /// read, so applying the writes afterwards equals writing each as it is drawn.
-    pub fn draw(&mut self, net: &SdnNetwork, plan: CorruptionPlan) -> Vec<Action> {
-        let node_count = net.topology().node_count() as u32;
-        let mut writes = Vec::new();
-        for s in net.switch_ids() {
-            if plan.clear_some_switches && self.rng.gen_bool(0.25) {
-                writes.push(Action::ClearSwitch(s));
-            }
-            for _ in 0..plan.garbage_rules_per_switch {
-                writes.push(Action::InstallRule(s, self.random_rule(node_count)));
-            }
-            for _ in 0..plan.bogus_managers_per_switch {
-                let bogus = NodeId::new(self.rng.gen_range(0..node_count + 16));
-                writes.push(Action::AddManager(s, bogus));
-            }
-        }
-        for c in net.controller_ids() {
-            if plan.corrupt_controller_tags {
-                let mut tag = || {
-                    let id = self.rng.gen_range(0..node_count);
-                    Tag::new(id, self.rng.gen_range(1..1_000u64))
-                };
-                let (curr, prev) = (tag(), tag());
-                writes.push(Action::SetTags(c, curr, prev));
-            }
-            for _ in 0..plan.bogus_replies_per_controller {
-                writes.push(Action::InjectReply(c, self.random_reply(node_count)));
-            }
-        }
-        writes
+    /// A corruption of the whole network: one [`Action::Scramble`] per switch, then
+    /// one per controller, each with a seed of its own.
+    pub fn draw(&mut self, net: &SdnNetwork) -> Vec<Action> {
+        let nodes = net.switch_ids().into_iter().chain(net.controller_ids());
+        nodes
+            .map(|id| Action::Scramble(id, self.rng.next_u64()))
+            .collect()
     }
 
     /// Picks `count` distinct random links of the current topology whose removal keeps
@@ -193,42 +117,6 @@ impl FaultInjector {
         }
         chosen
     }
-
-    fn random_rule(&mut self, node_count: u32) -> Rule {
-        Rule {
-            cid: NodeId::new(self.rng.gen_range(0..node_count + 8)),
-            src: if self.rng.gen_bool(0.5) {
-                None
-            } else {
-                Some(NodeId::new(self.rng.gen_range(0..node_count)))
-            },
-            dst: NodeId::new(self.rng.gen_range(0..node_count)),
-            prt: self.rng.gen_range(0..=u8::MAX),
-            fwd: NodeId::new(self.rng.gen_range(0..node_count)),
-            tag: Tag::new(
-                self.rng.gen_range(0..node_count),
-                self.rng.gen_range(1..500u64),
-            ),
-        }
-    }
-
-    fn random_reply(&mut self, node_count: u32) -> QueryReply {
-        let responder = NodeId::new(self.rng.gen_range(0..node_count + 8));
-        let neighbors = (0..self.rng.gen_range(0..4u32))
-            .map(|_| NodeId::new(self.rng.gen_range(0..node_count)))
-            .filter(|&n| n != responder)
-            .collect();
-        QueryReply {
-            responder,
-            neighbors,
-            managers: vec![],
-            rules: RuleSummary::default(),
-            echo_tag: Tag::new(
-                self.rng.gen_range(0..node_count),
-                self.rng.gen_range(1..500u64),
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -253,23 +141,44 @@ mod tests {
     #[test]
     fn corruption_mutates_state_and_breaks_legitimacy() {
         let mut sdn = bootstrapped();
-        let writes = FaultInjector::new(11).draw(&sdn, CorruptionPlan::heavy());
+        let writes = FaultInjector::new(11).draw(&sdn);
+        assert_eq!(writes.len(), 7, "one scramble per node");
         let mutations = writes.iter().filter(|write| sdn.apply(write)).count();
-        assert!(mutations > 0);
         assert_eq!(mutations, writes.len(), "every write lands on a node");
         assert!(!sdn.is_legitimate());
     }
 
+    /// Theorem 2 on three topologies: from a scramble of every node, each network
+    /// reaches legitimacy again within the timeout.
     #[test]
     fn system_self_stabilizes_after_heavy_corruption() {
-        let mut sdn = bootstrapped();
-        for write in FaultInjector::new(23).draw(&sdn, CorruptionPlan::heavy()) {
-            sdn.apply(&write);
+        let networks = [
+            builders::ring(5, 2),
+            builders::clos(3),
+            builders::fat_tree(4, 3),
+        ];
+        for topology in networks {
+            for seed in [23, 24] {
+                let name = format!("{} seed {seed}", topology.name);
+                let config = ControllerConfig::for_network(
+                    topology.controller_count(),
+                    topology.switch_count(),
+                );
+                let harness = HarnessConfig::default()
+                    .with_task_delay(SimDuration::from_millis(100))
+                    .with_seed(seed);
+                let mut sdn = SdnNetwork::new(topology.clone(), config, harness);
+                let (check, timeout) = (SimDuration::from_millis(200), SimDuration::from_secs(300));
+                sdn.run_until_legitimate(check, timeout)
+                    .unwrap_or_else(|| panic!("{name}: bootstrap"));
+                for write in FaultInjector::new(seed).draw(&sdn) {
+                    assert!(sdn.apply(&write), "{name}: {write:?} landed nowhere");
+                }
+                assert!(!sdn.is_legitimate(), "{name}: the scramble changed nothing");
+                sdn.run_until_legitimate(check, timeout)
+                    .unwrap_or_else(|| panic!("{name}: Theorem 2, recovery from any state"));
+            }
         }
-        let elapsed = sdn
-            .run_until_legitimate(SimDuration::from_millis(200), SimDuration::from_secs(300))
-            .expect("Theorem 2: recovery from arbitrary corruption");
-        assert!(elapsed > SimDuration::ZERO);
     }
 
     #[test]
@@ -287,14 +196,5 @@ mod tests {
             graph.remove_link(*x, *y);
         }
         assert!(sdn_topology::paths::is_connected(&graph));
-    }
-
-    #[test]
-    fn corruption_plans_differ_in_aggressiveness() {
-        assert!(
-            CorruptionPlan::heavy().garbage_rules_per_switch
-                > CorruptionPlan::default().garbage_rules_per_switch
-        );
-        assert!(CorruptionPlan::default().clear_some_switches);
     }
 }

@@ -10,7 +10,9 @@ use crate::legitimacy::{self, LegitimacyReport};
 use crate::nodes::{ControllerNode, SdnNode, SwitchNode};
 use crate::packet::ControlPacket;
 use sdn_netsim::{LinkConfig, NetworkMetrics, SimConfig, SimDuration, SimTime, Simulator};
+use sdn_rng::Rng;
 use sdn_switch::{AbstractSwitch, SwitchConfig};
+use sdn_tags::IdRange;
 use sdn_topology::{NamedTopology, NodeId};
 use std::cell::RefCell;
 
@@ -284,7 +286,7 @@ impl SdnNetwork {
     /// Executes one fault [`Action`] and says whether it changed anything: `false`
     /// for a link that was not there to remove, no override to clear, an unknown link
     /// to degrade (still counted in [`SdnNetwork::link_config_warnings`]) or no node
-    /// to corrupt. [`FaultContext`](crate::scenario::FaultContext) resolves a
+    /// to scramble. [`FaultContext`](crate::scenario::FaultContext) resolves a
     /// `FaultEvent` into actions; tests and ad-hoc drivers may apply them directly.
     pub fn apply(&mut self, action: &Action) -> bool {
         match *action {
@@ -314,26 +316,17 @@ impl SdnNetwork {
                 return self.sim.set_link_config(a, b, config)
             }
             Action::ClearLinkQuality(a, b) => return self.sim.clear_link_config(a, b),
-            Action::ClearSwitch(s) => match self.switch_mut(s) {
-                Some(switch) => switch.corrupt_clear(),
-                None => return false,
-            },
-            Action::InstallRule(s, rule) => match self.switch_mut(s) {
-                Some(switch) => switch.corrupt_install_rule(rule),
-                None => return false,
-            },
-            Action::AddManager(s, manager) => match self.switch_mut(s) {
-                Some(switch) => switch.corrupt_add_manager(manager),
-                None => return false,
-            },
-            Action::SetTags(c, curr, prev) => match self.controller_mut(c) {
-                Some(controller) => controller.corrupt_tags(curr, prev),
-                None => return false,
-            },
-            Action::InjectReply(c, ref reply) => match self.controller_mut(c) {
-                Some(controller) => controller.corrupt_inject_reply(reply.clone()),
-                None => return false,
-            },
+            Action::Scramble(id, seed) => {
+                let ids = IdRange(self.topology.node_count() as u32);
+                let rng = &mut Rng::seed_from_u64(seed);
+                if let Some(switch) = self.switch_mut(id) {
+                    switch.scramble(rng, ids);
+                } else if let Some(controller) = self.controller_mut(id) {
+                    controller.scramble(rng, ids);
+                } else {
+                    return false;
+                }
+            }
         }
         true
     }
@@ -503,7 +496,7 @@ mod tests {
                 let controllers = sdn.controller_ids();
                 let s = switches[rng.gen_range(0..switches.len() as u64) as usize];
                 let c = controllers[rng.gen_range(0..controllers.len() as u64) as usize];
-                match rng.gen_range(0..10u32) {
+                match rng.gen_range(0..11u32) {
                     0 => sdn.run_for(SimDuration::from_millis(rng.gen_range(10..3000u64))),
                     1 => _ = sdn.apply(&Action::FailSwitch(s)),
                     2 => _ = sdn.apply(&Action::ReviveSwitch(s)),
@@ -519,8 +512,10 @@ mod tests {
                         let j = (i + 1) % switches.len();
                         sdn.apply(&Action::RestoreLink(switches[i], switches[j]));
                     }
-                    7 => _ = sdn.apply(&Action::ClearSwitch(s)),
-                    8 => {
+                    7 => _ = sdn.apply(&Action::Scramble(s, rng.next_u64())),
+                    // Reaches `c`'s memos: a scrambled plan must move its plan version.
+                    8 => _ = sdn.apply(&Action::Scramble(c, rng.next_u64())),
+                    9 => {
                         // Forwarding only, and after the network had time to settle:
                         // `c`'s top-priority rule towards the other controller now
                         // points at a random neighbor of `s`. A following run that
@@ -538,7 +533,7 @@ mod tests {
                             fwd,
                             tag,
                         };
-                        sdn.apply(&Action::InstallRule(s, rule));
+                        sdn.switch_mut(s).unwrap().corrupt_install_rule(rule);
                     }
                     _ => {
                         // A restart: the generation moves by two while `c`'s plan

@@ -81,7 +81,7 @@ pub mod scenario;
 
 pub use config::{ControllerConfig, HarnessConfig, Variant};
 pub use controller::{Controller, ControllerStats};
-pub use faults::{CorruptionPlan, FaultInjector};
+pub use faults::FaultInjector;
 pub use harness::SdnNetwork;
 pub use legitimacy::LegitimacyReport;
 pub use nodes::SdnNode;

@@ -13,8 +13,9 @@
 //! database, which a key is compared against without allocating; that pair is what
 //! lets the controller keep a view for as long as its inputs stay what they were.
 
+use sdn_rng::Rng;
 use sdn_switch::QueryReply;
-use sdn_tags::Tag;
+use sdn_tags::{IdRange, Tag};
 use sdn_topology::ids::Link;
 use sdn_topology::{paths, Graph, NodeId};
 use std::cmp::Ordering;
@@ -57,6 +58,16 @@ impl View {
     /// Whether the controller reaches `node` in this view.
     pub fn reaches(&self, node: NodeId) -> bool {
         self.reachable.binary_search(&node).is_ok()
+    }
+
+    /// A view as a transient fault may leave it in a memo: up to 16 links over `ids`,
+    /// and any of their ends claimed reachable.
+    pub(crate) fn scrambled(rng: &mut Rng, ids: IdRange) -> View {
+        let mut node = || NodeId::new(ids.draw(rng));
+        let links = (0..16).map(|_| (node(), node()));
+        let graph: Graph = links.filter(|(a, b)| a != b).collect();
+        let reachable = graph.nodes().filter(|_| rng.gen_bool(0.5)).collect();
+        View { graph, reachable }
     }
 }
 
@@ -292,6 +303,30 @@ impl ReplyDb {
     /// Removes every reply carrying `tag` (Algorithm 2 line 12).
     pub fn drop_tag(&mut self, tag: Tag) {
         self.records.retain(|(_, t), _| *t != tag);
+    }
+
+    /// Rewrites the stored replies as a transient fault may: maybe all dropped, then
+    /// each kept key's reply with a [`QueryReply::scrambled`] one.
+    pub fn scramble(&mut self, rng: &mut Rng, ids: IdRange) {
+        let ReplyDb {
+            max_replies: _, // configuration
+            records,
+            c_resets: _, // a count Lemma 2's experiments read, not controller state
+        } = self;
+        if rng.gen_bool(0.25) {
+            records.clear();
+        }
+        for (&(responder, echo_tag), reply) in records.iter_mut() {
+            if rng.gen_bool(0.5) {
+                // The key stays the reply's own `(responder, echo_tag)`.
+                let scrambled = QueryReply::scrambled(rng, ids);
+                *reply = QueryReply {
+                    responder,
+                    echo_tag,
+                    ..scrambled
+                };
+            }
+        }
     }
 
     /// Performs an explicit C-reset, forgetting everything.

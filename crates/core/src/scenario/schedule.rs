@@ -7,7 +7,7 @@
 //! [`FaultContext`] resolves them per seeded run, deterministically, into concrete
 //! [`Action`]s, which [`SdnNetwork::apply`] executes.
 
-use crate::faults::{Action, CorruptionPlan, FaultInjector};
+use crate::faults::{Action, FaultInjector};
 use crate::harness::SdnNetwork;
 use crate::legitimacy;
 use sdn_netsim::{BurstLoss, LinkConfig, SimDuration};
@@ -184,8 +184,9 @@ pub enum FaultEvent {
     ReviveSwitch(NodeId),
     /// Revives the switch taken down by the most recent `FailSwitch` event.
     ReviveLastFailedSwitch,
-    /// Arbitrary transient state corruption (the Theorem 2 experiments).
-    CorruptState(CorruptionPlan),
+    /// Arbitrary transient state corruption (the Theorem 2 experiments): every switch
+    /// and every controller scrambled.
+    CorruptState,
     /// Degrades link quality without failing the link (gray failure): the link
     /// stays in `Gc`, no failure detector fires, but packets drop/delay per the
     /// spec. Victims are recorded for [`LinkSelector::LastDegraded`].
@@ -538,7 +539,7 @@ impl FaultContext {
                 let id = self.last_failed_switch.take();
                 return id.into_iter().map(Action::ReviveSwitch).collect();
             }
-            FaultEvent::CorruptState(plan) => return self.injector.draw(net, *plan),
+            FaultEvent::CorruptState => return self.injector.draw(net),
             FaultEvent::DegradeLink(selector, spec) => {
                 let links = self.resolve_links(net, *selector);
                 if !links.is_empty() {
@@ -700,7 +701,7 @@ impl FaultContext {
 fn describe(event: &FaultEvent, done: &[(bool, Action)]) -> Vec<String> {
     let n = done.len();
     let summary = match event {
-        FaultEvent::CorruptState(_) => {
+        FaultEvent::CorruptState => {
             let changed = done.iter().filter(|(changed, _)| *changed).count();
             format!("corrupt state ({changed} mutations)")
         }
@@ -1075,22 +1076,6 @@ mod tests {
         // Underneath, each no-op is an action that reports no change: no link to
         // remove, no override to clear, an unknown link to degrade, no node to corrupt.
         let (config, ghost) = (net.default_link_config(), NodeId::new(99));
-        let tag = sdn_tags::Tag::new(0, 1);
-        let rule = sdn_switch::Rule {
-            cid: ghost,
-            src: None,
-            dst: a,
-            prt: 0,
-            fwd: b,
-            tag,
-        };
-        let reply = sdn_switch::QueryReply {
-            responder: a,
-            neighbors: vec![b],
-            managers: vec![],
-            rules: Default::default(),
-            echo_tag: tag,
-        };
         let degrade = |directed| Action::DegradeLink {
             a,
             b,
@@ -1102,11 +1087,7 @@ mod tests {
             Action::ClearLinkQuality(a, b),
             degrade(false),
             degrade(true),
-            Action::ClearSwitch(ghost),
-            Action::InstallRule(ghost, rule),
-            Action::AddManager(ghost, a),
-            Action::SetTags(ghost, tag, tag),
-            Action::InjectReply(ghost, reply),
+            Action::Scramble(ghost, 1),
         ] {
             assert!(!net.apply(&action), "{action:?} reported a change");
         }
@@ -1376,12 +1357,9 @@ mod tests {
     fn corrupt_state_event_reports_mutations() {
         let mut net = bootstrapped();
         let mut ctx = FaultContext::new(11);
-        let done = ctx.apply(
-            &mut net,
-            &FaultEvent::CorruptState(CorruptionPlan::default()),
-        );
-        assert_eq!(done.len(), 1);
-        assert!(done[0].starts_with("corrupt state ("));
+        let done = ctx.apply(&mut net, &FaultEvent::CorruptState);
+        let nodes = net.switch_ids().len() + net.controller_ids().len();
+        assert_eq!(done, [format!("corrupt state ({nodes} mutations)")]);
         assert!(!net.is_legitimate());
     }
 }

@@ -153,7 +153,7 @@ pub fn fault_to_json(event: &FaultEvent, tick: SimDuration) -> Result<Json, Unen
         FaultEvent::FailController(_) | FaultEvent::FailSwitch(_) => {
             return Err(Unencodable::UnresolvedSelector)
         }
-        FaultEvent::CorruptState(_) => return Err(Unencodable::CorruptState),
+        FaultEvent::CorruptState => return Err(Unencodable::CorruptState),
         FaultEvent::RestoreLastFailedLinks
         | FaultEvent::ReviveLastFailedController
         | FaultEvent::ReviveLastFailedSwitch => return Err(Unencodable::LastFailed),
@@ -482,7 +482,6 @@ fn field_u32(json: &Json, key: &str) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use renaissance::CorruptionPlan;
 
     /// The tick every test here counts in.
     const TICK: SimDuration = SimDuration::from_millis(500);
@@ -657,10 +656,7 @@ mod tests {
                 FaultEvent::RestoreLinkQuality(LinkSelector::LastDegraded),
                 Unencodable::UnresolvedSelector,
             ),
-            (
-                FaultEvent::CorruptState(CorruptionPlan::default()),
-                Unencodable::CorruptState,
-            ),
+            (FaultEvent::CorruptState, Unencodable::CorruptState),
             (
                 FaultEvent::Partition {
                     groups: PartitionSpec::Halves,

@@ -127,7 +127,7 @@ pub struct Rule {
 }
 
 /// Every rule the analyzer knows, in report order.
-pub const RULES: [Rule; 9] = [
+pub const RULES: [Rule; 10] = [
     Rule {
         id: "hash-collections",
         severity: Severity::Error,
@@ -173,6 +173,13 @@ pub const RULES: [Rule; 9] = [
                   payloads in the slab arena and pooled buffers; a per-event heap \
                   allocation reintroduces the malloc traffic the calendar rewrite \
                   removed",
+    },
+    Rule {
+        id: "scramble-rest",
+        severity: Severity::Error,
+        summary: "a `..` rest pattern inside a `fn scramble`: a state type's scrambler \
+                  opens with an exhaustive destructure, so a field added later does \
+                  not compile until someone decides how a fault corrupts it",
     },
     Rule {
         id: "unwrap-expect",
@@ -361,7 +368,44 @@ pub fn scan(tokens: &[Token<'_>], mask: &[bool], ctx: &FileContext) -> Vec<RawFi
                     ),
                 ));
             }
+            "scramble" if i > 0 && tokens[i - 1].text == "fn" => {
+                findings.extend(scramble_rests(tokens, i));
+            }
             _ => {}
+        }
+    }
+    findings
+}
+
+/// The `..` rests (a `..` right before a `}`) in the body of the `fn scramble` whose
+/// name is token `at`; a declaration without a body has none.
+fn scramble_rests(tokens: &[Token<'_>], at: usize) -> Vec<RawFinding> {
+    let rest = &tokens[at..];
+    let Some(open) = rest.iter().position(|t| t.text == "{" || t.text == ";") else {
+        return Vec::new();
+    };
+    let mut depth = 0usize;
+    let mut findings = Vec::new();
+    for (k, token) in rest.iter().enumerate().skip(open) {
+        match token.text {
+            "{" => depth += 1,
+            "}" => depth -= 1,
+            "." if rest.get(k + 1..k + 3).is_some_and(|next| {
+                next[0].text == "." && next[1].text == "}" && rest[k - 1].text != "."
+            }) =>
+            {
+                findings.push(finding(
+                    "scramble-rest",
+                    token.line,
+                    "`..` in a `fn scramble`: destructure every field, binding the \
+                     ones a fault does not reach to `_` with the reason"
+                        .to_string(),
+                ));
+            }
+            _ => {}
+        }
+        if depth == 0 {
+            break;
         }
     }
     findings
@@ -554,6 +598,24 @@ mod tests {
         assert!(scan_str(src, "netsim", FileKind::Test).is_empty());
         let in_test_mod = "#[cfg(test)]\nmod tests { fn f() { let _ = Box::new(1u8); } }";
         assert!(scan_str(in_test_mod, "netsim", FileKind::Lib).is_empty());
+    }
+
+    #[test]
+    fn a_rest_pattern_in_a_scramble_is_flagged() {
+        let rest = "impl S { fn scramble(&mut self) { let S { a, .. } = self; *a = 1; } }";
+        assert_eq!(
+            ids(&scan_str(rest, "core", FileKind::Lib)),
+            ["scramble-rest"]
+        );
+        let exhaustive = "impl S { fn scramble(&mut self) { let S { a, b: _ } = self; \
+                          *a = 1; let r = 0..n; let t = T { x, ..t }; } }";
+        assert!(scan_str(exhaustive, "core", FileKind::Lib).is_empty());
+        // Outside a scrambler a rest pattern is ordinary Rust.
+        let elsewhere = "fn reset(&mut self) { let S { a, .. } = self; }";
+        assert!(scan_str(elsewhere, "core", FileKind::Lib).is_empty());
+        // A declaration without a body ends the search at its `;`.
+        let declared = "trait T { fn scramble(&mut self); }\nfn f() { let S { .. } = s; }";
+        assert!(scan_str(declared, "core", FileKind::Lib).is_empty());
     }
 
     #[test]

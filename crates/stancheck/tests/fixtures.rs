@@ -35,6 +35,8 @@ fn each_bad_fixture_triggers_exactly_its_rule() {
         ("bad/unsafe_block.rs", "unsafe-block", 1),
         ("bad/unwrap_expect.rs", "unwrap-expect", 2),
         ("bad/serve_session_wall_clock.rs", "wall-clock", 3),
+        // The `..` scrambler only; the exhaustive one beside it passes.
+        ("bad/scramble_rest.rs", "scramble-rest", 1),
     ];
     for (fixture, rule, count) in cases {
         let report = analyze_fixture(fixture);

@@ -11,7 +11,8 @@
 //! wire as if every rule were spelled out, [`Rule::WIRE_SIZE`] bytes apiece.
 
 use crate::rules::{Rule, RuleSet, RuleSummary};
-use sdn_tags::Tag;
+use sdn_rng::Rng;
+use sdn_tags::{IdRange, Tag};
 use sdn_topology::NodeId;
 
 /// A single command addressed to an abstract switch's control module.
@@ -141,6 +142,21 @@ impl QueryReply {
             managers: Vec::new(),
             rules: RuleSummary::default(),
             echo_tag,
+        }
+    }
+
+    /// A reply as a transient fault may leave it in a `replyDB`, every field over `ids`.
+    pub fn scrambled(rng: &mut Rng, ids: IdRange) -> Self {
+        let some = |rng: &mut Rng| {
+            let count = rng.gen_range(0..=4u32);
+            (0..count).map(|_| NodeId::new(ids.draw(rng))).collect()
+        };
+        QueryReply {
+            responder: NodeId::new(ids.draw(rng)),
+            neighbors: some(rng),
+            managers: some(rng),
+            rules: RuleSummary::from_rules(&[Rule::scrambled(rng, ids)]),
+            echo_tag: Tag::scrambled(rng, ids),
         }
     }
 

@@ -15,7 +15,8 @@
 //! The table is bounded by `maxRules` and evicts the least-recently-updated rules first,
 //! which is the memory-management behaviour the paper requires in Section 2.1.1.
 
-use sdn_tags::Tag;
+use sdn_rng::Rng;
+use sdn_tags::{IdRange, Tag};
 use sdn_topology::NodeId;
 use std::cmp::Reverse;
 use std::ops::{Deref, Range};
@@ -77,6 +78,19 @@ impl Rule {
         self.body().matches(src, dst)
     }
 
+    /// A rule as a transient fault may leave it, every field over `ids` (self-loops too).
+    pub fn scrambled(rng: &mut Rng, ids: IdRange) -> Rule {
+        let id = |rng: &mut Rng| NodeId::new(ids.draw(rng));
+        Rule {
+            cid: id(rng),
+            src: rng.gen_bool(0.5).then(|| id(rng)),
+            dst: id(rng),
+            prt: rng.gen_range(0..=u8::MAX),
+            fwd: id(rng),
+            tag: Tag::scrambled(rng, ids),
+        }
+    }
+
     /// The part of the rule that varies within one `updateRule` command.
     pub fn body(&self) -> RuleBody {
         RuleBody {
@@ -109,7 +123,6 @@ impl RuleSummary {
     /// Summarizes arbitrary rules, in any order — including rule sets no switch would
     /// produce (foreign owners, tags far ahead of any generator), which is what a
     /// corrupted `replyDB` holds. The reference [`RuleTable::summary`] is tested against.
-    // stancheck: allow(test-only-api) — reference implementation a test compares against
     pub fn from_rules<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> Self {
         let mut pairs: Vec<(NodeId, Tag)> = rules.into_iter().map(|r| (r.cid, r.tag)).collect();
         pairs.sort_unstable();

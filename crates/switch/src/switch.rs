@@ -10,7 +10,8 @@
 use crate::commands::{CommandBatch, QueryReply, SwitchCommand};
 use crate::managers::ManagerSet;
 use crate::rules::{Rule, RuleTable};
-use sdn_tags::Tag;
+use sdn_rng::Rng;
+use sdn_tags::{IdRange, Tag};
 use sdn_topology::NodeId;
 use std::collections::BTreeMap;
 
@@ -225,8 +226,34 @@ impl AbstractSwitch {
     }
 
     // ------------------------------------------------------------------
-    // Transient-fault injection helpers (used by tests and the Theorem 2 benches).
+    // Transient faults: a scramble, and the exact writes it is made of.
     // ------------------------------------------------------------------
+
+    /// Rewrites the switch's memory as a transient fault may: maybe a wipe, then rules,
+    /// managers and meta tags over `ids`.
+    pub fn scramble(&mut self, rng: &mut Rng, ids: IdRange) {
+        let AbstractSwitch {
+            id: _,        // identity, not memory a fault reaches
+            config: _,    // the hardware's capacities
+            rules: _,     // below, by `clear` and `insert`: invariants and version kept
+            managers: _,  // below, by `clear` and `add`: the bound kept
+            meta_tags: _, // below, by `clear` and any owner's entry set to any tag
+            stats: _,     // counters the experiments read, not switch state
+        } = self;
+        let id = |rng: &mut Rng| NodeId::new(ids.draw(rng));
+        if rng.gen_bool(0.25) {
+            self.corrupt_clear();
+        }
+        for _ in 0..rng.gen_range(0..=32u32) {
+            self.corrupt_install_rule(Rule::scrambled(rng, ids));
+        }
+        for _ in 0..rng.gen_range(0..=8u32) {
+            self.corrupt_add_manager(id(rng));
+        }
+        for _ in 0..rng.gen_range(0..=4u32) {
+            self.meta_tags.insert(id(rng), Tag::scrambled(rng, ids));
+        }
+    }
 
     /// Installs an arbitrary rule directly, bypassing the command interface — models a
     /// transient fault corrupting the switch configuration.

@@ -34,7 +34,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use sdn_rng::Rng;
 use std::fmt;
+
+/// The node identifiers a transient fault may write where a node is named: the
+/// topology's `0..n` and the eight past it, which name no node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IdRange(pub u32);
+
+impl IdRange {
+    /// One identifier of the range.
+    pub fn draw(self, rng: &mut Rng) -> u32 {
+        rng.gen_range(0..self.0.saturating_add(8))
+    }
+}
 
 /// A synchronization-round tag: unique per owner during legal executions.
 ///
@@ -65,6 +78,11 @@ impl Tag {
     /// The counter component of this tag.
     pub const fn value(self) -> u64 {
         self.value
+    }
+
+    /// A tag as a transient fault may leave it: any value, owned by any of `ids`.
+    pub fn scrambled(rng: &mut Rng, ids: IdRange) -> Tag {
+        Tag::new(ids.draw(rng), rng.next_u64())
     }
 }
 
@@ -126,6 +144,15 @@ impl TagGenerator {
         self.last_value = self.last_value.wrapping_add(1);
         Tag::new(self.owner, self.last_value)
     }
+
+    /// Overwrites the counter with any value, as a transient fault may.
+    pub fn scramble(&mut self, rng: &mut Rng) {
+        let TagGenerator {
+            owner: _, // whose tags these are: the controller's identity, not memory
+            last_value,
+        } = self;
+        *last_value = rng.next_u64();
+    }
 }
 
 /// The `currTag` / `prevTag` bookkeeping of Algorithm 2.
@@ -167,6 +194,16 @@ impl RoundTracker {
     pub fn corrupt(&mut self, curr: Tag, prev: Tag) {
         self.curr = curr;
         self.prev = prev;
+    }
+
+    /// Overwrites either tag, both or neither with any tag of `ids`.
+    pub fn scramble(&mut self, rng: &mut Rng, ids: IdRange) {
+        let RoundTracker { curr, prev } = self;
+        for tag in [curr, prev] {
+            if rng.gen_bool(0.5) {
+                *tag = Tag::scrambled(rng, ids);
+            }
+        }
     }
 }
 

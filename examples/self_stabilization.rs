@@ -7,22 +7,18 @@
 //! Run with: `cargo run --release --example self_stabilization`
 
 use renaissance::scenario::{FaultEvent, MetricKey, Probe, Scenario};
-use renaissance::CorruptionPlan;
 use sdn_netsim::SimDuration;
 
 fn main() {
-    // Corrupt everything the fault model allows: garbage rules, bogus managers, wiped
-    // switches, fabricated replyDB entries, corrupted round tags — then watch the
-    // legitimacy probe fall to 0 and climb back to 1.
+    // Corrupt everything the fault model allows: every switch's rules, managers and
+    // meta tags, every controller's replyDB, round tags, tag generator and memos —
+    // then watch the legitimacy probe fall to 0 and climb back to 1.
     let report = Scenario::builder("self-stabilization")
         .network("Clos")
         .controllers(3)
         .task_delay(SimDuration::from_millis(500))
         .timeout(SimDuration::from_secs(900))
-        .fault_at(
-            SimDuration::ZERO,
-            FaultEvent::CorruptState(CorruptionPlan::heavy()),
-        )
+        .fault_at(SimDuration::ZERO, FaultEvent::CorruptState)
         .probe(Probe::legitimacy())
         .probe(Probe::total_rules())
         .sample_probes_every(SimDuration::from_secs(2))

@@ -17,7 +17,7 @@ use renaissance::scenario::{
     ControllerSelector, DegradeSpec, Endpoints, FaultContext, FaultEvent, LinkSelector,
     PartitionSpec, SwitchSelector,
 };
-use renaissance::{ControllerConfig, CorruptionPlan, HarnessConfig, SdnNetwork};
+use renaissance::{ControllerConfig, HarnessConfig, SdnNetwork};
 use sdn_netsim::SimDuration;
 use sdn_topology::{builders, NamedTopology, NodeId};
 use std::fmt::Write;
@@ -93,7 +93,7 @@ fn agenda(net: &SdnNetwork) -> Vec<FaultEvent> {
             count: 2,
         },
         FaultEvent::ReviveControllerIndex(0),
-        FaultEvent::CorruptState(CorruptionPlan::default()),
+        FaultEvent::CorruptState,
     ]
 }
 

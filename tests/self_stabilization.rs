@@ -2,9 +2,7 @@
 //! behaviour of the algorithm variants (memory-adaptive vs Section 8.1 non-adaptive).
 
 use renaissance::faults::Action;
-use renaissance::{
-    ControllerConfig, CorruptionPlan, FaultInjector, HarnessConfig, SdnNetwork, Variant,
-};
+use renaissance::{ControllerConfig, FaultInjector, HarnessConfig, SdnNetwork, Variant};
 use sdn_netsim::SimDuration;
 use sdn_switch::{QueryReply, Rule, RuleSummary};
 use sdn_tags::Tag;
@@ -32,7 +30,7 @@ fn build(adaptive: bool, seed: u64) -> SdnNetwork {
 fn recovers_from_heavy_corruption_with_the_memory_adaptive_algorithm() {
     let mut sdn = build(true, 41);
     sdn.run_until_legitimate(CHECK, TIMEOUT).expect("bootstrap");
-    let writes = FaultInjector::new(41).draw(&sdn, CorruptionPlan::heavy());
+    let writes = FaultInjector::new(41).draw(&sdn);
     let mutations = writes.iter().filter(|write| sdn.apply(write)).count();
     assert!(mutations > 0);
     assert!(!sdn.is_legitimate());
@@ -57,17 +55,11 @@ fn recovers_from_light_corruption_repeatedly() {
     let mut sdn = build(true, 43);
     sdn.run_until_legitimate(CHECK, TIMEOUT).expect("bootstrap");
     let mut injector = FaultInjector::new(43);
-    let light = CorruptionPlan {
-        garbage_rules_per_switch: 2,
-        bogus_managers_per_switch: 0,
-        clear_some_switches: false,
-        bogus_replies_per_controller: 0,
-        corrupt_controller_tags: false,
-    };
     for round in 0..3 {
-        for write in injector.draw(&sdn, light) {
-            sdn.apply(&write);
-        }
+        // One switch's scramble a round: `draw` lists the switches first.
+        let scramble = injector.draw(&sdn).swap_remove(round);
+        assert!(matches!(scramble, Action::Scramble(s, _) if sdn.switch(s).is_some()));
+        assert!(sdn.apply(&scramble));
         sdn.run_until_legitimate(CHECK, TIMEOUT)
             .unwrap_or_else(|| panic!("recovery round {round}"));
     }
@@ -146,16 +138,13 @@ fn memory_adaptive_variant_uses_less_memory_after_controller_failures() {
 fn corrupted_controller_tags_do_not_prevent_progress() {
     let mut sdn = build(true, 59);
     sdn.run_until_legitimate(CHECK, TIMEOUT).expect("bootstrap");
-    // Corrupt only the controllers (tags + replyDB), leaving switches intact.
-    let plan = CorruptionPlan {
-        garbage_rules_per_switch: 0,
-        bogus_managers_per_switch: 0,
-        clear_some_switches: false,
-        bogus_replies_per_controller: 8,
-        corrupt_controller_tags: true,
-    };
-    for write in FaultInjector::new(59).draw(&sdn, plan) {
-        sdn.apply(&write);
+    // Scramble only the controllers (replyDB, tags, generator, memos), leaving
+    // switches intact.
+    let controllers = sdn.controller_ids();
+    for write in FaultInjector::new(59).draw(&sdn) {
+        if matches!(write, Action::Scramble(c, _) if controllers.contains(&c)) {
+            assert!(sdn.apply(&write));
+        }
     }
     let recovery = sdn.run_until_legitimate(CHECK, TIMEOUT).expect("recovery");
     assert!(recovery > SimDuration::ZERO);
@@ -191,6 +180,32 @@ fn a_reply_naming_a_huge_neighbor_id_is_just_another_bogus_claim() {
     assert!(!sdn.legitimacy_report_fresh().is_legitimate());
     sdn.run_until_legitimate(CHECK, TIMEOUT)
         .expect("the next honest reply from the switch replaces the claim");
+}
+
+/// A reply under the live tag from a node that does not exist, claiming a link to a
+/// real switch and one to another absent node. Its own claim keeps the phantom
+/// reachable in `G(res(currTag))`, so pruning keeps the reply; the absent node it lists
+/// is reachable through it and never answers, so Algorithm 2 line 10 never completes
+/// the round, and the claim is never pruned. A stale one-sided claim of a real node is
+/// replaced by that node's next reply; a phantom sends none.
+#[test]
+#[ignore = "Theorem 2 finding, ROADMAP item 27: a round waits forever on a node only a phantom reply claims"]
+fn a_phantom_reply_under_the_live_tag_does_not_wedge_the_round() {
+    let mut sdn = build(true, 53);
+    sdn.run_until_legitimate(CHECK, TIMEOUT).expect("bootstrap");
+    let absent = sdn.topology().node_count() as u32;
+    let (phantom, beyond) = (NodeId::new(absent), NodeId::new(absent + 1));
+    let (id, switch) = (sdn.controller_ids()[0], sdn.switch_ids()[0]);
+    let controller = sdn.controller_mut(id).expect("controller");
+    controller.corrupt_inject_reply(QueryReply {
+        responder: phantom,
+        neighbors: vec![switch, beyond],
+        managers: vec![],
+        rules: RuleSummary::default(),
+        echo_tag: controller.curr_tag(),
+    });
+    sdn.run_until_legitimate(CHECK, TIMEOUT)
+        .expect("Theorem 2: the phantom's claims leave the views");
 }
 
 /// Tags are a wrapping 64-bit counter. A single rule tagged `u64::MAX` is observed by
