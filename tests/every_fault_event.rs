@@ -6,13 +6,14 @@
 //! `apply` returned and a summary of the state that second left: installed rules,
 //! messages sent, operational links, link-config warnings and the legitimacy verdict,
 //! beside the rules and links the event itself left.
-//! The agenda covers all twenty variants, the unexpanded compounds and the no-op
+//! The agenda covers all seventeen variants, the unexpanded compounds and the no-op
 //! cases (an absent link to remove, degrade or restore), so any change to how a fault
 //! is resolved, applied or described moves a line of
-//! `tests/fixtures/every_fault_event.txt`. The record was made before a fault was
-//! resolved into `faults::Action`s and applied by `SdnNetwork::apply`, so it pins
-//! "same victims, same text, same aftermath" across that split.
+//! `tests/fixtures/every_fault_event.txt`. Every repair names its victim: the victims
+//! of a random or path-based selector are read off a second context of the record's
+//! seed, which draws them as the record's own context does.
 
+use renaissance::faults::Action;
 use renaissance::scenario::{
     ControllerSelector, DegradeSpec, Endpoints, FaultContext, FaultEvent, LinkSelector,
     PartitionSpec, SwitchSelector,
@@ -21,6 +22,9 @@ use renaissance::{ControllerConfig, HarnessConfig, SdnNetwork};
 use sdn_netsim::SimDuration;
 use sdn_topology::{builders, NamedTopology, NodeId};
 use std::fmt::Write;
+
+/// The seed of the network and of the fault context.
+const SEED: u64 = 5;
 
 /// One event per line of the record, in order; every `FaultEvent` variant appears.
 fn agenda(net: &SdnNetwork) -> Vec<FaultEvent> {
@@ -39,28 +43,56 @@ fn agenda(net: &SdnNetwork) -> Vec<FaultEvent> {
     );
     let secs = SimDuration::from_secs;
     let rest: Vec<NodeId> = graph.nodes().filter(|&n| n != s[0]).collect();
-    vec![
-        FaultEvent::FailController(ControllerSelector::Random { count: 1 }),
-        FaultEvent::ReviveLastFailedController,
-        FaultEvent::FailSwitch(SwitchSelector::Random),
-        FaultEvent::ReviveLastFailedSwitch,
+    // The random selectors draw from one stream in the order they are applied below,
+    // and the mid-path link is the bootstrapped network's: the network is back in its
+    // legitimate state each time the record's context resolves one of them.
+    let mut preview = FaultContext::new(SEED);
+    let fail_controller = FaultEvent::FailController(ControllerSelector::Random { count: 1 });
+    let fail_switch = FaultEvent::FailSwitch(SwitchSelector::Random);
+    let fail_mid_path = FaultEvent::FailLink(LinkSelector::MidPath(Endpoints::FarthestSwitches));
+    let degrade_rack = FaultEvent::DegradeLink(LinkSelector::SameRack, DegradeSpec::gray());
+    let [Action::FailController(controller)] = preview.resolve(net, &fail_controller)[..] else {
+        panic!("one controller victim")
+    };
+    let [Action::FailSwitch(switch)] = preview.resolve(net, &fail_switch)[..] else {
+        panic!("one switch victim")
+    };
+    let [Action::FailLink(m1, m2)] = preview.resolve(net, &fail_mid_path)[..] else {
+        panic!("one mid-path link")
+    };
+    let rack_repairs = preview
+        .resolve(net, &degrade_rack)
+        .into_iter()
+        .map(|action| {
+            let Action::DegradeLink { a, b, .. } = action else {
+                panic!("a degrade resolves to degrades")
+            };
+            FaultEvent::RestoreLinkQuality(LinkSelector::Between(a, b))
+        });
+    let mut agenda = vec![
+        fail_controller,
+        FaultEvent::ReviveController(controller),
+        fail_switch,
+        FaultEvent::ReviveSwitch(switch),
         FaultEvent::FailController(ControllerSelector::Id(c[1])),
         FaultEvent::ReviveController(c[1]),
         FaultEvent::FailSwitch(SwitchSelector::Id(s[1])),
         FaultEvent::ReviveSwitch(s[1]),
-        FaultEvent::FailLink(LinkSelector::MidPath(Endpoints::FarthestSwitches)),
-        FaultEvent::RestoreLastFailedLinks,
+        fail_mid_path,
+        FaultEvent::RestoreLink(m1, m2),
         FaultEvent::FailLink(LinkSelector::Between(a, b)),
         FaultEvent::RestoreLink(a, b),
         FaultEvent::RemoveLink(LinkSelector::RandomSafe { count: 2 }),
         FaultEvent::RemoveLink(LinkSelector::Between(s[0], x)),
         FaultEvent::AddLink(s[0], x),
-        FaultEvent::DegradeLink(LinkSelector::SameRack, DegradeSpec::gray()),
-        FaultEvent::RestoreLinkQuality(LinkSelector::LastDegraded),
+        degrade_rack,
+    ];
+    agenda.extend(rack_repairs);
+    agenda.extend([
         FaultEvent::DegradeLink(LinkSelector::Between(s[0], y), DegradeSpec::flat(0.5)),
         FaultEvent::RestoreLinkQuality(LinkSelector::Between(a, b)),
-        FaultEvent::DegradeLink(LinkSelector::SamePod, DegradeSpec::flat(0.2)),
-        FaultEvent::RestoreLinkQuality(LinkSelector::LastDegraded),
+        FaultEvent::DegradeLink(LinkSelector::Between(a, b), DegradeSpec::flat(0.2)),
+        FaultEvent::RestoreLinkQuality(LinkSelector::Between(a, b)),
         FaultEvent::Partition {
             groups: PartitionSpec::Halves,
             heal_after: Some(secs(5)),
@@ -94,7 +126,8 @@ fn agenda(net: &SdnNetwork) -> Vec<FaultEvent> {
         },
         FaultEvent::ReviveControllerIndex(0),
         FaultEvent::CorruptState,
-    ]
+    ]);
+    agenda
 }
 
 /// The record of one topology: a header, then one line per event of [`agenda`] with
@@ -106,11 +139,11 @@ fn record(name: &str, topology: NamedTopology) -> String {
         ControllerConfig::for_network(controllers, switches),
         HarnessConfig::default()
             .with_task_delay(SimDuration::from_millis(100))
-            .with_seed(5),
+            .with_seed(SEED),
     );
     net.run_until_legitimate(SimDuration::from_millis(100), SimDuration::from_secs(120))
         .expect("bootstrap");
-    let mut ctx = FaultContext::new(5);
+    let mut ctx = FaultContext::new(SEED);
     let mut out = format!("# {name}\n");
     for (i, event) in agenda(&net).iter().enumerate() {
         let done = ctx.apply(&mut net, event);
