@@ -71,22 +71,15 @@ pub struct HarnessConfig {
     /// switches' neighborhood-discovery refreshes — the paper's *task delay*
     /// (default 500 ms, Section 6.3).
     pub task_delay: SimDuration,
-    /// Time-to-live of in-band control packets, in hops.
-    pub packet_ttl: u16,
     /// Seed for the simulator's randomness.
     pub seed: u64,
-    /// How long after a failure the neighbors' local discovery notices it
-    /// (the Theta detector latency).
-    pub detection_delay: SimDuration,
 }
 
 impl Default for HarnessConfig {
     fn default() -> Self {
         HarnessConfig {
             task_delay: SimDuration::from_millis(500),
-            packet_ttl: 2048,
             seed: 7,
-            detection_delay: SimDuration::from_millis(100),
         }
     }
 }
@@ -130,7 +123,6 @@ mod tests {
     fn harness_defaults_match_paper_setup() {
         let h = HarnessConfig::default();
         assert_eq!(h.task_delay, SimDuration::from_millis(500));
-        assert!(h.packet_ttl > 0);
         let h2 = h
             .with_task_delay(SimDuration::from_millis(100))
             .with_seed(9);

@@ -155,7 +155,7 @@ mod tests {
         let networks = [
             builders::ring(5, 2),
             builders::clos(3),
-            builders::fat_tree(4, 3),
+            builders::grid(3, 4, 3),
         ];
         for topology in networks {
             for seed in [23, 24] {

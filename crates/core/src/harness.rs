@@ -16,6 +16,10 @@ use sdn_tags::IdRange;
 use sdn_topology::{NamedTopology, NodeId};
 use std::cell::RefCell;
 
+/// How long after a failure the neighbors' local discovery notices it (the Theta
+/// detector latency).
+const DETECTION_DELAY: SimDuration = SimDuration::from_millis(100);
+
 /// A fully wired simulated SDN deployment.
 ///
 /// # Example
@@ -59,7 +63,7 @@ impl SdnNetwork {
         harness_config: HarnessConfig,
     ) -> Self {
         let sim_config = SimConfig {
-            detection_delay: harness_config.detection_delay,
+            detection_delay: DETECTION_DELAY,
             seed: harness_config.seed,
             ..SimConfig::default()
         };
@@ -76,10 +80,7 @@ impl SdnNetwork {
         }
         for &switch_id in &topology.switches {
             let switch = AbstractSwitch::new(switch_id, switch_config);
-            sim.add_node(
-                switch_id,
-                SdnNode::Switch(SwitchNode::new(switch, &harness_config)),
-            );
+            sim.add_node(switch_id, SdnNode::Switch(SwitchNode::new(switch)));
         }
         sim.start();
         SdnNetwork {
@@ -299,7 +300,7 @@ impl SdnNetwork {
             }
             Action::ReviveSwitch(id) => {
                 let config = network_switch_config(&self.topology, &self.controller_config);
-                let node = SwitchNode::new(AbstractSwitch::new(id, config), &self.harness_config);
+                let node = SwitchNode::new(AbstractSwitch::new(id, config));
                 self.revive(id, SdnNode::Switch(node));
             }
             Action::RemoveLink(a, b) => return self.sim.remove_link(a, b),
@@ -448,10 +449,10 @@ mod tests {
         sdn.apply(&Action::FailSwitch(victim));
         // Simulate the old node's state being gone (or corrupted): replace it with a
         // switch carrying the wrong, default capacity before reviving.
-        let bogus = SdnNode::Switch(SwitchNode::new(
-            AbstractSwitch::new(victim, SwitchConfig::default()),
-            &sdn.harness_config(),
-        ));
+        let bogus = SdnNode::Switch(SwitchNode::new(AbstractSwitch::new(
+            victim,
+            SwitchConfig::default(),
+        )));
         sdn.sim.replace_node(victim, bogus);
         sdn.apply(&Action::ReviveSwitch(victim));
         let revived = sdn.switch(victim).unwrap();

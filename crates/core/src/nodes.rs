@@ -16,13 +16,15 @@ use sdn_topology::NodeId;
 /// Timer identifier of the controller's do-forever loop.
 const TASK_TIMER: TimerId = TimerId(1);
 
+/// Time-to-live of in-band control packets, in hops.
+const PACKET_TTL: u16 = 2048;
+
 /// A Renaissance controller attached to the simulated network.
 #[derive(Clone, Debug)]
 pub struct ControllerNode {
     /// The controller state machine (the algorithm itself).
     pub controller: Controller,
     task_delay: SimDuration,
-    packet_ttl: u16,
     /// Number of packets this node dropped because it had no way to route them yet.
     pub unroutable_packets: u64,
 }
@@ -33,7 +35,6 @@ impl ControllerNode {
         ControllerNode {
             controller,
             task_delay: harness.task_delay,
-            packet_ttl: harness.packet_ttl,
             unroutable_packets: 0,
         }
     }
@@ -80,7 +81,7 @@ impl Node<ControlPacket> for ControllerNode {
             let packet = ControlPacket::new(
                 self.controller.id(),
                 dst,
-                self.packet_ttl,
+                PACKET_TTL,
                 PacketBody::Commands(batch),
             );
             self.send_packet(ctx, packet, None);
@@ -114,7 +115,7 @@ impl Node<ControlPacket> for ControllerNode {
                     let packet = ControlPacket::new(
                         self.controller.id(),
                         batch.from,
-                        self.packet_ttl,
+                        PACKET_TTL,
                         PacketBody::Reply(reply),
                     );
                     self.send_packet(ctx, packet, Some(from));
@@ -129,17 +130,15 @@ impl Node<ControlPacket> for ControllerNode {
 pub struct SwitchNode {
     /// The switch state machine (rule table, manager set, meta tags).
     pub switch: AbstractSwitch,
-    packet_ttl: u16,
     /// Packets dropped because no applicable rule, fallback, or bounce-back existed.
     pub undeliverable_packets: u64,
 }
 
 impl SwitchNode {
-    /// Wraps an abstract switch with the harness parameters it needs.
-    pub fn new(switch: AbstractSwitch, harness: &HarnessConfig) -> Self {
+    /// Wraps an abstract switch.
+    pub fn new(switch: AbstractSwitch) -> Self {
         SwitchNode {
             switch,
-            packet_ttl: harness.packet_ttl,
             undeliverable_packets: 0,
         }
     }
@@ -189,7 +188,7 @@ impl Node<ControlPacket> for SwitchNode {
                     let reply_packet = ControlPacket::new(
                         self.switch.id(),
                         batch.from,
-                        self.packet_ttl,
+                        PACKET_TTL,
                         PacketBody::Reply(reply),
                     );
                     self.forward(ctx, reply_packet);
@@ -286,7 +285,7 @@ mod tests {
         let controller = Controller::new(n(0), ControllerConfig::for_network(1, 2));
         let switch = AbstractSwitch::new(n(1), SwitchConfig::default());
         let mut cn = SdnNode::Controller(ControllerNode::new(controller, &harness));
-        let mut sn = SdnNode::Switch(SwitchNode::new(switch, &harness));
+        let mut sn = SdnNode::Switch(SwitchNode::new(switch));
         assert!(cn.as_controller().is_some());
         assert!(cn.as_switch().is_none());
         assert!(cn.as_controller_mut().is_some());

@@ -177,7 +177,7 @@ impl Driver {
 mod tests {
     use super::*;
     use crate::scenario::{LinkSelector, WorkloadReport};
-    use sdn_topology::builders;
+    use sdn_topology::{builders, NodeId};
     use std::sync::{Arc, Mutex};
 
     /// Records every tick it sees into a shared log, tagged with its name.
@@ -248,7 +248,8 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let second = SimDuration::from_secs(1);
         let at = SimTime::from_secs(2);
-        driver.push_faults(at, vec![FaultEvent::RestoreLastFailedLinks]);
+        // A heal with no partition in force changes nothing.
+        driver.push_faults(at, vec![FaultEvent::HealPartition]);
         for (name, interval, ticks) in [("a", second, 2), ("b", SimDuration::from_secs(2), 1)] {
             let log = log.clone();
             driver.attach(Box::new(Recorder { name, log }), interval, ticks);
@@ -277,9 +278,10 @@ mod tests {
     fn a_batch_fires_whole_and_describes_its_changes() {
         let mut driver = booted();
         let at = SimTime::from_secs(1);
+        let (a, b) = (NodeId::new(2), NodeId::new(3));
         let events = vec![
-            FaultEvent::FailLink(LinkSelector::RandomSafe { count: 1 }),
-            FaultEvent::RestoreLastFailedLinks,
+            FaultEvent::FailLink(LinkSelector::Between(a, b)),
+            FaultEvent::RestoreLink(a, b),
         ];
         driver.push_faults(at, events);
         assert_eq!(driver.pending_faults(), 2);

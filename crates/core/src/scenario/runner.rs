@@ -311,7 +311,12 @@ mod tests {
         ControllerSelector, Endpoints, FaultEvent, LinkSelector, MetricKey, Namespace, Probe,
         Scenario, SwitchSelector,
     };
-    use sdn_topology::builders;
+    use sdn_topology::{builders, NodeId};
+
+    /// Node `i` of the scenario network; `n(2)`–`n(3)` is a ring link of `small`.
+    fn n(i: u32) -> NodeId {
+        NodeId::new(i)
+    }
 
     fn small(name: &str) -> crate::scenario::ScenarioBuilder {
         Scenario::builder(name)
@@ -375,11 +380,11 @@ mod tests {
         let report = small("flap")
             .fault_at(
                 SimDuration::ZERO,
-                FaultEvent::FailLink(LinkSelector::RandomSafe { count: 1 }),
+                FaultEvent::FailLink(LinkSelector::Between(n(2), n(3))),
             )
             .fault_at(
                 SimDuration::from_secs(30),
-                FaultEvent::RestoreLastFailedLinks,
+                FaultEvent::RestoreLink(n(2), n(3)),
             )
             .run();
         let run = &report.runs[0];
@@ -521,7 +526,7 @@ mod tests {
             .seeds_from(41)
             .fault_at(
                 SimDuration::from_secs(1),
-                FaultEvent::DegradeLink(LinkSelector::RandomSafe { count: 2 }, DegradeSpec::gray()),
+                FaultEvent::DegradeLink(LinkSelector::Between(n(2), n(3)), DegradeSpec::gray()),
             )
             .fault_at(
                 SimDuration::from_secs(4),
@@ -540,7 +545,7 @@ mod tests {
             )
             .fault_at(
                 SimDuration::from_secs(26),
-                FaultEvent::RestoreLinkQuality(LinkSelector::LastDegraded),
+                FaultEvent::RestoreLinkQuality(LinkSelector::Between(n(2), n(3))),
             )
             .probe(Probe::legitimacy())
             .sample_probes_every(SimDuration::from_millis(500))

@@ -43,8 +43,6 @@ pub enum SwitchSelector {
 /// Endpoints of a data-plane path, used by [`LinkSelector::MidPath`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Endpoints {
-    /// Two concrete nodes.
-    Nodes(NodeId, NodeId),
     /// The two switches at maximal distance in the switch graph — where the paper
     /// attaches its iperf hosts (Section 6.4.3).
     FarthestSwitches,
@@ -54,7 +52,6 @@ impl Endpoints {
     /// Resolves the endpoints against a concrete network.
     pub fn resolve(&self, net: &SdnNetwork) -> Option<(NodeId, NodeId)> {
         match *self {
-            Endpoints::Nodes(a, b) => Some((a, b)),
             Endpoints::FarthestSwitches => {
                 paths::farthest_pair(&net.topology().switch_graph).map(|(a, b, _)| (a, b))
             }
@@ -81,12 +78,6 @@ pub enum LinkSelector {
     /// a correlated top-of-rack failure domain. Resolves to nothing on
     /// topologies without fat-tree coordinates.
     SameRack,
-    /// Every intra-pod link of one random fat-tree pod (the agg↔edge bipartite
-    /// block) — a correlated pod-wide failure domain. Resolves to nothing on
-    /// topologies without fat-tree coordinates.
-    SamePod,
-    /// The links degraded by the most recent `DegradeLink` event.
-    LastDegraded,
 }
 
 /// How a link's quality degrades under a [`FaultEvent::DegradeLink`] — the gray
@@ -172,24 +163,18 @@ pub enum FaultEvent {
     FailLink(LinkSelector),
     /// Restores a concrete temporarily-failed link.
     RestoreLink(NodeId, NodeId),
-    /// Restores every link taken down by the most recent `FailLink` event.
-    RestoreLastFailedLinks,
     /// Adds a brand-new link to `Gc`.
     AddLink(NodeId, NodeId),
     /// Revives a concrete controller with fresh (empty) state (Lemma 8).
     ReviveController(NodeId),
-    /// Revives the controller taken down by the most recent `FailController` event.
-    ReviveLastFailedController,
     /// Revives a concrete switch with empty configuration.
     ReviveSwitch(NodeId),
-    /// Revives the switch taken down by the most recent `FailSwitch` event.
-    ReviveLastFailedSwitch,
     /// Arbitrary transient state corruption (the Theorem 2 experiments): every switch
     /// and every controller scrambled.
     CorruptState,
     /// Degrades link quality without failing the link (gray failure): the link
     /// stays in `Gc`, no failure detector fires, but packets drop/delay per the
-    /// spec. Victims are recorded for [`LinkSelector::LastDegraded`].
+    /// spec.
     DegradeLink(LinkSelector, DegradeSpec),
     /// Removes the quality overrides from the selected links, returning them to
     /// the default behaviour.
@@ -453,20 +438,12 @@ impl FaultSchedule {
 }
 
 /// Per-run state the fault executor threads through event applications: deterministic
-/// randomness plus the victims of the most recent events (for the `*LastFailed*`
-/// targets). [`FaultContext::resolve`] is the only writer of that state.
+/// randomness plus the victims a later event acts on again (the links a heal restores,
+/// a flap's links). [`FaultContext::resolve`] is the only writer of that state.
 #[derive(Debug)]
 pub struct FaultContext {
     rng: Rng,
     injector: FaultInjector,
-    /// Links taken down by the most recent `FailLink` event.
-    last_failed_links: Vec<(NodeId, NodeId)>,
-    /// Controller taken down most recently.
-    last_failed_controller: Option<NodeId>,
-    /// Switch taken down most recently.
-    last_failed_switch: Option<NodeId>,
-    /// Links degraded by the most recent `DegradeLink` event.
-    last_degraded_links: Vec<(NodeId, NodeId)>,
     /// Links cut by every `Partition` event since the last `HealPartition`, which
     /// restores them all.
     partitioned_links: Vec<(NodeId, NodeId)>,
@@ -482,10 +459,6 @@ impl FaultContext {
         FaultContext {
             rng: Rng::seed_from_u64(seed ^ 0x5CEA_A210),
             injector: FaultInjector::new(seed ^ 0xFA17),
-            last_failed_links: Vec::new(),
-            last_failed_controller: None,
-            last_failed_switch: None,
-            last_degraded_links: Vec::new(),
             partitioned_links: Vec::new(),
             flap_targets: BTreeMap::new(),
         }
@@ -508,43 +481,29 @@ impl FaultContext {
     }
 
     /// The concrete actions `event` takes on `net`, in order: every selector resolved,
-    /// and the victims kept for the events that name them later (`*LastFailed*`,
-    /// `LastDegraded`, `HealPartition`, a flap's later phases). The network is only
+    /// and the victims kept for the events that act on them later (`HealPartition`, a
+    /// flap's later phases). The network is only
     /// read. Unexpanded, a `FlapLink` fails its selector's links and a
     /// `RollingControllerRestart` fail-stops controller index 0 (nothing at count 0).
     pub fn resolve(&mut self, net: &SdnNetwork, event: &FaultEvent) -> Vec<Action> {
         let (links, op): (_, fn(NodeId, NodeId) -> Action) = match event {
             FaultEvent::FailController(selector) => {
                 let victims = self.resolve_controllers(net, *selector);
-                self.last_failed_controller =
-                    victims.last().copied().or(self.last_failed_controller);
                 return victims.into_iter().map(Action::FailController).collect();
             }
             FaultEvent::FailSwitch(selector) => {
                 let victim = self.resolve_switch(net, *selector);
-                self.last_failed_switch = victim.or(self.last_failed_switch);
                 return victim.into_iter().map(Action::FailSwitch).collect();
             }
             FaultEvent::ReviveController(id) => return vec![Action::ReviveController(*id)],
-            FaultEvent::ReviveLastFailedController => {
-                let id = self.last_failed_controller.take();
-                return id.into_iter().map(Action::ReviveController).collect();
-            }
             FaultEvent::ReviveControllerIndex(i) => {
                 let id = net.controller_ids().get(*i).copied();
                 return id.into_iter().map(Action::ReviveController).collect();
             }
             FaultEvent::ReviveSwitch(id) => return vec![Action::ReviveSwitch(*id)],
-            FaultEvent::ReviveLastFailedSwitch => {
-                let id = self.last_failed_switch.take();
-                return id.into_iter().map(Action::ReviveSwitch).collect();
-            }
             FaultEvent::CorruptState => return self.injector.draw(net),
             FaultEvent::DegradeLink(selector, spec) => {
                 let links = self.resolve_links(net, *selector);
-                if !links.is_empty() {
-                    self.last_degraded_links = links.clone();
-                }
                 let (config, directed) =
                     (spec.link_config(net.default_link_config()), spec.asymmetric);
                 let degrade = |(a, b)| Action::DegradeLink {
@@ -565,17 +524,9 @@ impl FaultContext {
                 (self.resolve_links(net, *selector), Action::RemoveLink)
             }
             FaultEvent::FailLink(selector) => {
-                let links = self.resolve_links(net, *selector);
-                if !links.is_empty() {
-                    self.last_failed_links = links.clone();
-                }
-                (links, Action::FailLink)
+                (self.resolve_links(net, *selector), Action::FailLink)
             }
             FaultEvent::RestoreLink(a, b) => (vec![(*a, *b)], Action::RestoreLink),
-            FaultEvent::RestoreLastFailedLinks => (
-                std::mem::take(&mut self.last_failed_links),
-                Action::RestoreLink,
-            ),
             FaultEvent::AddLink(a, b) => (vec![(*a, *b)], Action::AddLink),
             FaultEvent::RestoreLinkQuality(selector) => {
                 (self.resolve_links(net, *selector), Action::ClearLinkQuality)
@@ -682,14 +633,6 @@ impl FaultContext {
                 let rack = self.rng.gen_range(0..layout.racks_per_pod());
                 layout.rack_links(pod, rack)
             }
-            LinkSelector::SamePod => {
-                let Some(layout) = FatTreeLayout::detect(net.topology()) else {
-                    return Vec::new();
-                };
-                let pod = self.rng.gen_range(0..layout.pod_count());
-                layout.pod_links(pod)
-            }
-            LinkSelector::LastDegraded => std::mem::take(&mut self.last_degraded_links),
         }
     }
 }
@@ -853,7 +796,7 @@ mod tests {
         let schedule = FaultSchedule::new()
             .at(
                 SimDuration::from_secs(10),
-                FaultEvent::RestoreLastFailedLinks,
+                FaultEvent::RestoreLink(NodeId::new(2), NodeId::new(3)),
             )
             .at(
                 SimDuration::from_secs(5),
@@ -901,21 +844,20 @@ mod tests {
     }
 
     #[test]
-    fn fail_and_restore_last_failed_links_round_trip() {
+    fn fail_and_restore_link_round_trip() {
         let mut net = bootstrapped();
         let mut ctx = FaultContext::new(7);
-        let done = ctx.apply(
-            &mut net,
-            &FaultEvent::FailLink(LinkSelector::RandomSafe { count: 1 }),
-        );
-        assert_eq!(done.len(), 1);
-        assert_eq!(ctx.last_failed_links.len(), 1);
-        let (a, b) = ctx.last_failed_links[0];
+        let fail = FaultEvent::FailLink(LinkSelector::RandomSafe { count: 1 });
+        // A context of the same seed draws the same link.
+        let [Action::FailLink(a, b)] = FaultContext::new(7).resolve(&net, &fail)[..] else {
+            panic!("one random safe link")
+        };
+        let done = ctx.apply(&mut net, &fail);
+        assert_eq!(done, [format!("fail link {a}-{b}")]);
         assert!(!net.sim().link_is_operational(a, b));
-        let done = ctx.apply(&mut net, &FaultEvent::RestoreLastFailedLinks);
-        assert_eq!(done.len(), 1);
+        let done = ctx.apply(&mut net, &FaultEvent::RestoreLink(a, b));
+        assert_eq!(done, [format!("restore link {a}-{b}")]);
         assert!(net.sim().link_is_operational(a, b));
-        assert!(ctx.last_failed_links.is_empty());
     }
 
     #[test]
@@ -935,26 +877,37 @@ mod tests {
     fn degrade_and_restore_quality_round_trip() {
         let mut net = bootstrapped();
         let mut ctx = FaultContext::new(13);
-        let done = ctx.apply(
-            &mut net,
-            &FaultEvent::DegradeLink(LinkSelector::RandomSafe { count: 2 }, DegradeSpec::gray()),
-        );
+        let degrade =
+            FaultEvent::DegradeLink(LinkSelector::RandomSafe { count: 2 }, DegradeSpec::gray());
+        // A context of the same seed draws the same links.
+        let degraded: Vec<(NodeId, NodeId)> = FaultContext::new(13)
+            .resolve(&net, &degrade)
+            .into_iter()
+            .map(|action| match action {
+                Action::DegradeLink { a, b, .. } => (a, b),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        let done = ctx.apply(&mut net, &degrade);
         assert_eq!(done.len(), 2);
         assert!(done[0].starts_with("degrade link"), "{:?}", done);
         assert!(done[0].contains("bursty loss"), "{:?}", done);
-        assert_eq!(ctx.last_degraded_links.len(), 2);
         // Gray links stay operational: no failure detector fires.
-        for &(a, b) in &ctx.last_degraded_links {
+        for &(a, b) in &degraded {
             assert!(net.sim().link_is_operational(a, b));
         }
         assert_eq!(net.link_config_warnings(), 0);
-        let done = ctx.apply(
-            &mut net,
-            &FaultEvent::RestoreLinkQuality(LinkSelector::LastDegraded),
-        );
-        assert_eq!(done.len(), 2);
-        assert!(done[0].starts_with("restore link quality"));
-        assert!(ctx.last_degraded_links.is_empty());
+        for &(a, b) in &degraded {
+            let done = ctx.apply(
+                &mut net,
+                &FaultEvent::RestoreLinkQuality(LinkSelector::Between(a, b)),
+            );
+            assert_eq!(done, [format!("restore link quality {a}-{b}")]);
+        }
+        // Nothing is left to clear.
+        for &(a, b) in &degraded {
+            assert!(!net.apply(&Action::ClearLinkQuality(a, b)));
+        }
     }
 
     #[test]
@@ -1311,7 +1264,7 @@ mod tests {
     }
 
     #[test]
-    fn rack_and_pod_selectors_resolve_on_fat_trees_only() {
+    fn rack_selector_resolves_on_fat_trees_only() {
         let topology = builders::fat_tree(4, 2);
         let mut net = SdnNetwork::new(
             topology,
@@ -1331,9 +1284,7 @@ mod tests {
             common.windows(2).all(|w| w[0] == w[1]),
             "one rack = one edge"
         );
-        let pod = ctx.resolve_links(&net, LinkSelector::SamePod);
-        assert_eq!(pod.len(), 4, "k/2 * k/2 intra-pod links");
-        for (a, b) in pod {
+        for (a, b) in rack {
             assert!(net.sim().topology().has_link(a, b));
         }
         // Determinism: equal seeds pick equal racks.
@@ -1347,9 +1298,6 @@ mod tests {
         let ring_net = bootstrapped();
         assert!(ctx
             .resolve_links(&ring_net, LinkSelector::SameRack)
-            .is_empty());
-        assert!(ctx
-            .resolve_links(&ring_net, LinkSelector::SamePod)
             .is_empty());
     }
 

@@ -43,8 +43,6 @@ impl fmt::Display for Namespace {
 pub enum Unit {
     /// Simulated or wall-clock seconds.
     Seconds,
-    /// Wall-clock milliseconds.
-    Millis,
     /// Megabits per second.
     MbitPerSec,
     /// A percentage in `[0, 100]`.
@@ -54,21 +52,17 @@ pub enum Unit {
     /// A plain count of discrete things.
     #[default]
     Count,
-    /// Bytes.
-    Bytes,
 }
 
 impl Unit {
-    /// Short symbol for table headers and sink output (`"s"`, `"ms"`, ...).
+    /// Short symbol for table headers and sink output (`"s"`, `"%"`, ...).
     pub const fn symbol(self) -> &'static str {
         match self {
             Unit::Seconds => "s",
-            Unit::Millis => "ms",
             Unit::MbitPerSec => "Mbit/s",
             Unit::Percent => "%",
             Unit::Ratio => "ratio",
             Unit::Count => "count",
-            Unit::Bytes => "B",
         }
     }
 }
@@ -167,11 +161,6 @@ impl MetricKey {
             name: Cow::Owned(name.into()),
             unit: Unit::default(),
         }
-    }
-
-    /// The key's namespace.
-    pub fn namespace(&self) -> Namespace {
-        self.namespace
     }
 
     /// The key's name within its namespace.

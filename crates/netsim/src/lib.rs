@@ -31,7 +31,7 @@ pub mod node;
 pub mod sim;
 pub mod time;
 
-pub use link::{BurstLoss, BurstState, LinkConfig, LinkStatus};
+pub use link::{BurstLoss, BurstState, LinkConfig};
 pub use metrics::NetworkMetrics;
 pub use node::{Context, Node, Payload, TimerId};
 pub use sim::{SimConfig, Simulator};

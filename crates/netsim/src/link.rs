@@ -242,26 +242,6 @@ pub enum TransmissionOutcome {
     },
 }
 
-/// The administrative / operational state of a link in the simulation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum LinkStatus {
-    /// The link forwards packets.
-    #[default]
-    Up,
-    /// The link is temporarily unavailable (a transient link failure: packets are
-    /// dropped but the link is still part of `Gc`).
-    Down,
-    /// The link has been permanently removed from `Gc`.
-    Removed,
-}
-
-impl LinkStatus {
-    /// Returns `true` when packets can traverse the link.
-    pub fn is_operational(self) -> bool {
-        matches!(self, LinkStatus::Up)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,14 +344,6 @@ mod tests {
         assert_eq!(cfg.serialization_delay(125), SimDuration::from_millis(1));
         let unlimited = link(SimDuration::ZERO);
         assert_eq!(unlimited.serialization_delay(1_000_000), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn status_operational() {
-        assert!(LinkStatus::Up.is_operational());
-        assert!(!LinkStatus::Down.is_operational());
-        assert!(!LinkStatus::Removed.is_operational());
-        assert_eq!(LinkStatus::default(), LinkStatus::Up);
     }
 
     #[test]

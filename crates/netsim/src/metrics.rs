@@ -131,23 +131,6 @@ impl NetworkMetrics {
     pub fn reset(&mut self) {
         self.per_node.clear();
     }
-
-    /// Snapshot difference: counters in `self` minus counters in `earlier`
-    /// (used to measure a single experiment phase).
-    pub fn since(&self, earlier: &NetworkMetrics) -> NetworkMetrics {
-        let mut out = self.clone();
-        for (node, before) in earlier.per_node.iter() {
-            let after = out.per_node.entry(*node).or_default();
-            after.sent = after.sent.saturating_sub(before.sent);
-            after.received = after.received.saturating_sub(before.received);
-            after.bytes_sent = after.bytes_sent.saturating_sub(before.bytes_sent);
-            after.bytes_received = after.bytes_received.saturating_sub(before.bytes_received);
-            after.dropped = after.dropped.saturating_sub(before.dropped);
-            after.duplicated = after.duplicated.saturating_sub(before.duplicated);
-            after.undeliverable = after.undeliverable.saturating_sub(before.undeliverable);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -196,22 +179,6 @@ mod tests {
         // Restricting to controllers {0, 1} ignores the busier node 5.
         assert_eq!(m.max_sender_among([n(0), n(1)]), Some((n(1), 2)));
         assert_eq!(m.max_sender_among([]), None);
-    }
-
-    #[test]
-    fn since_computes_phase_difference() {
-        let mut m = NetworkMetrics::default();
-        m.record_send(n(0), 10);
-        m.record_drop(n(0));
-        let snapshot = m.clone();
-        m.record_send(n(0), 10);
-        m.record_send(n(2), 5);
-        m.record_drop(n(0));
-        let phase = m.since(&snapshot);
-        assert_eq!(phase.node(n(0)).sent, 1);
-        assert_eq!(phase.node(n(2)).sent, 1);
-        assert_eq!(phase.node(n(0)).dropped, 1);
-        assert_eq!(phase.dropped(), 1);
     }
 
     #[test]

@@ -36,14 +36,14 @@
 //! both pin this down).
 
 use crate::calendar::{CalendarQueue, EventRef};
-use crate::link::{BurstState, LinkConfig, LinkStatus, TransmissionOutcome};
+use crate::link::{BurstState, LinkConfig, TransmissionOutcome};
 use crate::metrics::NetworkMetrics;
 use crate::node::{Context, Node, Payload, TimerId};
 use crate::time::{SimDuration, SimTime};
 use sdn_rng::Rng;
 use sdn_topology::ids::Link;
 use sdn_topology::{Graph, NodeId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One message scheduled inside a batched delivery event.
 #[derive(Debug)]
@@ -156,7 +156,9 @@ pub struct Simulator<M: Payload, N: Node<M>> {
     /// Total events processed by [`Simulator::step`] — the throughput numerator.
     /// Batched deliveries count one per message, like the unbatched reference.
     events_processed: u64,
-    link_status: BTreeMap<Link, LinkStatus>,
+    /// Links of `Gc` that are temporarily failed: packets are dropped, but the link
+    /// is still part of `Gc`.
+    down_links: BTreeSet<Link>,
     /// Link overrides per direction `(from, to)`, so a gray link can drop packets
     /// one way while staying clean the other way; absent directions use the default.
     link_overrides: BTreeMap<(NodeId, NodeId), LinkConfig>,
@@ -203,7 +205,7 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
             operational: topology.clone(),
             generation: 0,
             events_processed: 0,
-            link_status: BTreeMap::new(),
+            down_links: BTreeSet::new(),
             link_overrides: BTreeMap::new(),
             burst_states: BTreeMap::new(),
             link_config_epoch: 0,
@@ -367,11 +369,7 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
         if self.is_node_failed(a) || self.is_node_failed(b) {
             return false;
         }
-        self.link_status
-            .get(&Link::new(a, b))
-            .copied()
-            .unwrap_or(LinkStatus::Up)
-            .is_operational()
+        !self.down_links.contains(&Link::new(a, b))
     }
 
     /// The neighbors node `id` currently *observes* through local topology discovery.
@@ -468,14 +466,14 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
     /// Marks a link as temporarily failed (still part of `Gc`). Packets in flight keep
     /// their original delivery schedule; new packets are dropped.
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
-        self.link_status.insert(Link::new(a, b), LinkStatus::Down);
+        self.down_links.insert(Link::new(a, b));
         self.sync_operational_link(a, b);
         self.schedule_observation_refresh();
     }
 
     /// Restores a temporarily failed link.
     pub fn restore_link(&mut self, a: NodeId, b: NodeId) {
-        self.link_status.insert(Link::new(a, b), LinkStatus::Up);
+        self.down_links.remove(&Link::new(a, b));
         self.sync_operational_link(a, b);
         self.schedule_observation_refresh();
     }
@@ -483,7 +481,7 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
     /// Permanently removes a link from `Gc` (the paper's permanent link failure).
     pub fn remove_link(&mut self, a: NodeId, b: NodeId) -> bool {
         let existed = self.topology.remove_link(a, b);
-        self.link_status.remove(&Link::new(a, b));
+        self.down_links.remove(&Link::new(a, b));
         self.sync_operational_link(a, b);
         self.schedule_observation_refresh();
         existed
@@ -492,7 +490,7 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
     /// Adds a (new) link to `Gc`.
     pub fn add_link(&mut self, a: NodeId, b: NodeId) {
         self.topology.add_link(a, b);
-        self.link_status.insert(Link::new(a, b), LinkStatus::Up);
+        self.down_links.remove(&Link::new(a, b));
         // `Gc` may have gained brand-new endpoints; live ones join `Go` too.
         for node in [a, b] {
             self.grow_node_tables(node.as_usize());

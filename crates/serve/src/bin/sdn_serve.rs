@@ -69,6 +69,10 @@ fn serve(args: &[String]) -> ExitCode {
         }
         i += 2;
     }
+    if let Err(error) = config.validate() {
+        eprintln!("{error}\n{USAGE}");
+        return ExitCode::from(2);
+    }
     let session = Session::new(config);
     let server = match Server::bind(session, &addr) {
         Ok(server) => server.with_pace_millis(pace_ms),

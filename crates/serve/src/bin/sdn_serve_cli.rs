@@ -38,8 +38,10 @@ fn main() -> ExitCode {
         addr = args[1].clone();
         args.drain(..2);
     }
-    let cmd = args.first().cloned().unwrap_or_default();
-    let rest = &args[1..];
+    let Some((cmd, rest)) = args.split_first() else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    };
     let outcome = match cmd.as_str() {
         "topology" => show(&addr, "GET", "/topology", ""),
         "legitimacy" => show(&addr, "GET", "/legitimacy", ""),

@@ -34,7 +34,7 @@ pub enum Unencodable {
     /// other than zero).
     LossyGoodState,
     /// A selector other than a controller or switch id or a link's endpoints:
-    /// random, by index, by failure domain, or the last degraded links.
+    /// random, by index, along a path or by failure domain.
     UnresolvedSelector,
     /// Transient state corruption.
     CorruptState,
@@ -42,8 +42,6 @@ pub enum Unencodable {
     Halves,
     /// A partition that schedules its own heal (`heal_after: Some`).
     ScheduledHeal,
-    /// An event aimed at the victims of an earlier fault (`*LastFailed*`).
-    LastFailed,
     /// A phase that [`FaultEvent::phases`] generates (`FlapPhase`,
     /// `ReviveControllerIndex`).
     Phase,
@@ -58,7 +56,6 @@ impl fmt::Display for Unencodable {
             Unencodable::CorruptState => "state corruption",
             Unencodable::Halves => "a partition into halves",
             Unencodable::ScheduledHeal => "a partition with a scheduled heal",
-            Unencodable::LastFailed => "an event aimed at an earlier fault's victims",
             Unencodable::Phase => "a generated phase of a compound fault",
         })?;
         f.write_str(" has no wire form")
@@ -154,9 +151,6 @@ pub fn fault_to_json(event: &FaultEvent, tick: SimDuration) -> Result<Json, Unen
             return Err(Unencodable::UnresolvedSelector)
         }
         FaultEvent::CorruptState => return Err(Unencodable::CorruptState),
-        FaultEvent::RestoreLastFailedLinks
-        | FaultEvent::ReviveLastFailedController
-        | FaultEvent::ReviveLastFailedSwitch => return Err(Unencodable::LastFailed),
         FaultEvent::FlapPhase { .. } | FaultEvent::ReviveControllerIndex(_) => {
             return Err(Unencodable::Phase)
         }
@@ -653,7 +647,7 @@ mod tests {
                 Unencodable::UnresolvedSelector,
             ),
             (
-                FaultEvent::RestoreLinkQuality(LinkSelector::LastDegraded),
+                FaultEvent::RestoreLinkQuality(LinkSelector::SameRack),
                 Unencodable::UnresolvedSelector,
             ),
             (FaultEvent::CorruptState, Unencodable::CorruptState),
@@ -671,12 +665,6 @@ mod tests {
                 },
                 Unencodable::ScheduledHeal,
             ),
-            (FaultEvent::RestoreLastFailedLinks, Unencodable::LastFailed),
-            (
-                FaultEvent::ReviveLastFailedController,
-                Unencodable::LastFailed,
-            ),
-            (FaultEvent::ReviveLastFailedSwitch, Unencodable::LastFailed),
             (
                 FaultEvent::FlapPhase {
                     flap: 0,

@@ -118,10 +118,17 @@ impl SessionConfig {
             tick_millis: int("tick_millis")?.max(1),
             ring_capacity: int("ring_capacity")? as usize,
         };
-        if builders::try_by_name(&config.topology, config.controllers).is_none() {
-            return Err(ConfigError::UnknownTopology(config.topology));
-        }
+        config.validate()?;
         Ok(config)
+    }
+
+    /// Refuses a config [`Session::new`] cannot boot: its topology name, at its
+    /// controller count, is one [`builders::try_by_name`] does not accept.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        match builders::try_by_name(&self.topology, self.controllers) {
+            Some(_) => Ok(()),
+            None => Err(ConfigError::UnknownTopology(self.topology.clone())),
+        }
     }
 }
 
@@ -367,7 +374,6 @@ impl Session {
             mix: FlowMix::datacenter(),
             arrival,
             pairs: spec.pairs,
-            fan_out: None,
         };
         // Decorrelate repeated attachments by default; an explicit salt wins.
         let salt = spec.seed_salt.unwrap_or(0x666c_6f77 ^ n.rotate_left(17));

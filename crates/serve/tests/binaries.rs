@@ -168,3 +168,35 @@ fn a_served_session_replays_byte_for_byte_and_a_tampered_log_is_refused() {
         let _ = std::fs::remove_file(path);
     }
 }
+
+#[test]
+fn the_client_without_a_command_prints_the_usage() {
+    for args in [&[][..], &["--addr", "127.0.0.1:9"][..]] {
+        let out = Command::new(CLI)
+            .args(args)
+            .output()
+            .expect("spawn sdn-serve-cli");
+        let why = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {why}");
+        assert!(why.contains("usage: sdn-serve-cli"), "{args:?}: {why}");
+    }
+}
+
+#[test]
+fn a_config_that_cannot_boot_is_refused_before_booting() {
+    for (topology, controllers) in [("arpanet", "2"), ("B4", "65")] {
+        let out = Command::new(SERVE)
+            .args(["serve", "--addr", "127.0.0.1:0", "--topology", topology])
+            .args(["--controllers", controllers])
+            .output()
+            .expect("spawn sdn-serve");
+        let why = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{topology}: {why}");
+        assert!(
+            why.starts_with(&format!("unknown topology `{topology}`")),
+            "{topology}: {why}"
+        );
+        assert!(why.contains("usage:"), "{topology}: {why}");
+        assert!(out.stdout.is_empty(), "{topology}: nothing is reported");
+    }
+}

@@ -36,6 +36,17 @@ pub fn hook() -> u32 {
     5
 }
 
+/// Named by `caller.rs` only as a field (`total: 6`, `stats.total`): flagged, because
+/// a field of the same name never calls a `fn`.
+pub fn total() -> u32 {
+    6
+}
+
+/// Called from `caller.rs` as a method with a turbofish: not flagged.
+pub fn tally<T>() -> u32 {
+    7
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,10 +11,13 @@
 //! never candidates. A *caller* is any identifier token with the candidate's name,
 //! other than a candidate's own definition, in production code: the item's own file
 //! (so a type named in a public signature has its caller), other library files,
-//! binaries, examples and build scripts. Integration tests and `#[cfg(test)]` /
-//! `#[test]` scopes are not callers, except under `crates/bench/perf`, where every
-//! token counts: that package is frozen and must keep compiling. Matching is by
-//! name, so a collision can hide a dead item, but every finding is real.
+//! binaries, examples and build scripts. A `fn` is not called by a token in field
+//! position — `.name` not followed by `(` or `::`, or `name` followed by a single
+//! `:` — so a struct field of the same name does not hide a dead method.
+//! Integration tests and `#[cfg(test)]` / `#[test]` scopes are not callers, except
+//! under `crates/bench/perf`, where every token counts: that package is frozen and
+//! must keep compiling. Matching is by name, so a collision can hide a dead item,
+//! but every finding is real.
 
 use crate::lexer::{Token, TokenKind};
 use crate::rules::{finding, FileContext, FileKind, RawFinding};
@@ -30,10 +33,12 @@ pub struct Scanned<'a> {
     pub mask: &'a [bool],
 }
 
-/// A public item definition: the line of its `pub` and the index of its name token.
+/// A public item definition: the line of its `pub`, the index of its name token, and
+/// whether it is a `fn`.
 struct Item {
     line: u32,
     name: usize,
+    is_fn: bool,
 }
 
 /// Runs the pass over a whole workspace; returns each file's findings, in file order.
@@ -49,6 +54,8 @@ pub fn test_only_api(files: &[Scanned<'_>]) -> Vec<Vec<RawFinding>> {
             }
         })
         .collect();
+    // Every production name, and those of them outside field position.
+    let mut named: BTreeSet<&str> = BTreeSet::new();
     let mut called: BTreeSet<&str> = BTreeSet::new();
     for (file, items) in files.iter().zip(&items) {
         let frozen = file.ctx.crate_name == "perf";
@@ -59,7 +66,10 @@ pub fn test_only_api(files: &[Scanned<'_>]) -> Vec<Vec<RawFinding>> {
                 continue;
             }
             if token.kind == TokenKind::Ident && (frozen || production && !file.mask[i]) {
-                called.insert(token.text);
+                named.insert(token.text);
+                if !field_position(file.tokens, i) {
+                    called.insert(token.text);
+                }
             }
         }
     }
@@ -69,7 +79,10 @@ pub fn test_only_api(files: &[Scanned<'_>]) -> Vec<Vec<RawFinding>> {
         .map(|(file, items)| {
             items
                 .iter()
-                .filter(|item| !called.contains(file.tokens[item.name].text))
+                .filter(|item| {
+                    let callers = if item.is_fn { &called } else { &named };
+                    !callers.contains(file.tokens[item.name].text)
+                })
                 .map(|item| {
                     finding(
                         "test-only-api",
@@ -121,10 +134,22 @@ fn public_items(tokens: &[Token<'_>], mask: &[bool]) -> Vec<Item> {
             items.push(Item {
                 line: token.line,
                 name,
+                is_fn: text(j) == "fn",
             });
         }
     }
     items
+}
+
+/// Whether the identifier at `i` is in field position: `.name` not followed by `(` or
+/// by a turbofish's `::` (a field read, not a method call), or `name` followed by a
+/// single `:` (a field's definition, initializer or pattern).
+fn field_position(tokens: &[Token<'_>], i: usize) -> bool {
+    let text = |j: usize| tokens.get(j).map_or("", |t| t.text);
+    let colon = text(i + 1) == ":";
+    let path = colon && text(i + 2) == ":";
+    let read = i.checked_sub(1).map_or("", text) == "." && text(i + 1) != "(" && !path;
+    read || colon && !path
 }
 
 #[cfg(test)]
@@ -166,6 +191,19 @@ mod tests {
             names(src),
             ["a", "b", "C", "D", "E", "F", "G", "H", "i", "j"]
         );
+    }
+
+    #[test]
+    fn field_position_is_a_read_or_a_single_colon() {
+        let src = "s.a; s.b(); s.c::<u8>(); S { d: 1 }; e::f(); g(); h.i.j";
+        let lexed = lex(src);
+        let fields: Vec<&str> = (0..lexed.tokens.len())
+            .filter(|&i| {
+                lexed.tokens[i].kind == TokenKind::Ident && field_position(&lexed.tokens, i)
+            })
+            .map(|i| lexed.tokens[i].text)
+            .collect();
+        assert_eq!(fields, ["a", "d", "i", "j"]);
     }
 
     #[test]

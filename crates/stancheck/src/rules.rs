@@ -194,8 +194,8 @@ pub const RULES: [Rule; 10] = [
         summary: "pub/pub(crate) fn, const, static, struct, enum, type or trait in \
                   library code that no production token names (whole-workspace scans \
                   only): callers are the item's own file, library code, binaries, \
-                  examples and every token of the benchmark package; tests and docs \
-                  are not. Delete it, or waive it as a test's reference \
+                  examples and every token of the benchmark package; tests, docs \
+                  and, for a fn, a field of the same name are not. Delete it, or waive it as a test's reference \
                   implementation, a transient-fault hook, or API named in README or \
                   a crate doc example",
     },

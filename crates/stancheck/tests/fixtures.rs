@@ -159,14 +159,17 @@ fn test_only_api_fixture_flags_what_no_production_code_names() {
             ("test-only-api", 11), // used_only_by_tests: only its own test calls it
             ("test-only-api", 16), // NAMED_BY_NOBODY
             ("test-only-api", 20), // NamedInDocs: named only in a doc comment and a string
+            ("test-only-api", 41), // total: named only as a field
             ("waiver-unused", 34), // hook has a production caller
         ]
     );
-    for (finding, name) in
-        report
-            .unwaived()
-            .zip(["used_only_by_tests", "NAMED_BY_NOBODY", "NamedInDocs"])
-    {
+    let names = [
+        "used_only_by_tests",
+        "NAMED_BY_NOBODY",
+        "NamedInDocs",
+        "total",
+    ];
+    for (finding, name) in report.unwaived().zip(names) {
         assert!(
             finding.message.contains(&format!("`{name}`")),
             "{finding:?}"

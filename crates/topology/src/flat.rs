@@ -281,11 +281,6 @@ impl BfsScratch {
         }
     }
 
-    /// Returns `true` when `idx` was reached by the last search.
-    pub fn reached(&self, idx: u32) -> bool {
-        self.distance(idx).is_some()
-    }
-
     /// The largest distance assigned by the last search (0 when only the
     /// source was reached).
     pub fn max_distance(&self) -> u32 {
@@ -409,8 +404,8 @@ mod tests {
         let mut scratch = BfsScratch::new();
         let reached = flat.bfs_filtered(0, &mut scratch, |idx| idx != 1);
         assert_eq!(reached, 2);
-        assert!(scratch.reached(1));
-        assert!(!scratch.reached(2));
+        assert!(scratch.distance(1).is_some());
+        assert!(scratch.distance(2).is_none());
         // The source expands even when the predicate rejects it.
         let reached = flat.bfs_filtered(0, &mut scratch, |_| false);
         assert_eq!(reached, 2);
@@ -424,6 +419,6 @@ mod tests {
         let mut scratch = BfsScratch::new();
         let reached = flat.bfs(flat.index_of(n(0)).unwrap(), &mut scratch);
         assert_eq!(reached, 4);
-        assert!(!scratch.reached(flat.index_of(n(8)).unwrap()));
+        assert!(scratch.distance(flat.index_of(n(8)).unwrap()).is_none());
     }
 }

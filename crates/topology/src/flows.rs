@@ -339,11 +339,6 @@ impl FlowPlanner {
         self
     }
 
-    /// The configured resilience level.
-    pub fn kappa(&self) -> usize {
-        self.kappa
-    }
-
     /// Computes the all-pairs next-hop plan over `graph`: node `j` ranks its neighbors
     /// towards `t` by `(distance(neighbor, t), neighbor id)` and keeps the best (all
     /// by default), so the first is the first-shortest-path next hop and the others
@@ -442,7 +437,7 @@ mod tests {
     fn candidate_limit_keeps_only_primary() {
         let g = cycle_with_chord();
         let planner = FlowPlanner::new(0).with_max_candidates(1);
-        assert_eq!(planner.kappa(), 0);
+        assert_eq!(planner.kappa, 0);
         assert_eq!(planner.max_candidates, Some(1));
         let plan = planner.plan(&g);
         for at in g.nodes() {

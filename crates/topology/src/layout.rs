@@ -1,11 +1,10 @@
 //! Physical layout coordinates for structured datacenter topologies.
 //!
 //! The fault model wants *correlated* failure domains — "degrade every uplink of
-//! one rack", "gray out a whole pod" — which requires mapping node ids back to
-//! their position in the fabric. [`FatTreeLayout`] recovers the deterministic
-//! index layout used by [`crate::builders::fat_tree`] from a built
-//! [`NamedTopology`], so selectors can enumerate rack- and pod-scoped link sets
-//! without re-deriving the builder's arithmetic.
+//! one rack" — which requires mapping node ids back to their position in the
+//! fabric. [`FatTreeLayout`] recovers the deterministic index layout used by
+//! [`crate::builders::fat_tree`] from a built [`NamedTopology`], so selectors can
+//! enumerate a rack's links without re-deriving the builder's arithmetic.
 
 use crate::builders::NamedTopology;
 use crate::NodeId;
@@ -15,7 +14,7 @@ use crate::NodeId;
 /// Index layout (switch indices are offset by `n_controllers`):
 /// `(k/2)^2` core switches first, then `k` pods of `k/2` aggregation followed by
 /// `k/2` edge switches. A *rack* is one edge switch together with its in-pod
-/// uplinks; a *pod* is the full agg↔edge bipartite block.
+/// uplinks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FatTreeLayout {
     /// The fat-tree arity `k` (even, >= 4).
@@ -81,19 +80,6 @@ impl FatTreeLayout {
         let e = self.edge(pod, rack);
         (0..self.k / 2).map(|a| (self.agg(pod, a), e)).collect()
     }
-
-    /// Every intra-pod link (the full agg↔edge bipartite block). Core uplinks
-    /// are excluded so the rest of the fabric keeps its redundancy.
-    pub fn pod_links(&self, pod: usize) -> Vec<(NodeId, NodeId)> {
-        let half = self.k / 2;
-        let mut links = Vec::with_capacity(half * half);
-        for a in 0..half {
-            for e in 0..half {
-                links.push((self.agg(pod, a), self.edge(pod, e)));
-            }
-        }
-        links
-    }
 }
 
 #[cfg(test)]
@@ -110,11 +96,8 @@ mod tests {
         assert_eq!(layout.switch_count(), net.switches.len());
         assert_eq!(layout.pod_count(), 4);
         assert_eq!(layout.racks_per_pod(), 2);
-        // Every rack uplink and every intra-pod link must exist in the graph.
+        // Every rack uplink must exist in the graph.
         for pod in 0..layout.pod_count() {
-            for (a, b) in layout.pod_links(pod) {
-                assert!(net.graph.has_link(a, b), "missing pod link {a}-{b}");
-            }
             for rack in 0..layout.racks_per_pod() {
                 let links = layout.rack_links(pod, rack);
                 assert_eq!(links.len(), 2);
@@ -122,11 +105,6 @@ mod tests {
                     assert!(net.graph.has_link(a, b), "missing rack link {a}-{b}");
                 }
             }
-        }
-        // Rack links are a subset of the pod's links.
-        let pod0: Vec<_> = layout.pod_links(0);
-        for l in layout.rack_links(0, 1) {
-            assert!(pod0.contains(&l));
         }
     }
 

@@ -34,7 +34,6 @@ use crate::ids::NodeId;
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BfsTree {
-    source: NodeId,
     flat: FlatGraph,
     source_idx: u32,
     /// Per dense index; [`NO_INDEX`] marks unreachable nodes.
@@ -73,17 +72,11 @@ impl BfsTree {
             .expect("BFS source must be part of the snapshot");
         flat.bfs(source_idx, scratch);
         BfsTree {
-            source,
             source_idx,
             dist: scratch.distances().to_vec(),
             parent: scratch.parents().to_vec(),
             flat,
         }
-    }
-
-    /// The source node the tree was computed from.
-    pub fn source(&self) -> NodeId {
-        self.source
     }
 
     /// Hop distance from the source to `node`, or `None` if unreachable.

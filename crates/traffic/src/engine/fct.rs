@@ -2,17 +2,15 @@
 //!
 //! An [`FctCollector`] accumulates the completion time of every finished flow into a
 //! deterministic streaming [`Digest`] (exact below the sketch threshold, merge-stable
-//! above it), alongside the completed-flow count and the delivered-byte total. At the
-//! end of a run it collapses into an [`FctSummary`] — the count / mean / p50 / p90 /
+//! above it), which also counts the completed flows. At the end of a run it collapses into an [`FctSummary`] — the count / mean / p50 / p90 /
 //! p99 / min / max tuple the campaign cells and figure binaries report.
 
 use sdn_metrics::Digest;
 
-/// Streaming accumulator of flow completion times and delivered bytes.
+/// Streaming accumulator of flow completion times.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FctCollector {
     digest: Digest,
-    delivered_bytes: f64,
 }
 
 impl FctCollector {
@@ -21,27 +19,14 @@ impl FctCollector {
         Self::default()
     }
 
-    /// Records one completed flow's completion time in seconds. Delivered bytes are
-    /// credited separately via [`FctCollector::credit_bytes`] so per-tick progress is
-    /// never double-counted.
+    /// Records one completed flow's completion time in seconds.
     pub fn record_completion(&mut self, fct_s: f64) {
         self.digest.record(fct_s);
-    }
-
-    /// Adds bytes delivered this tick (by completed and still-running flows alike);
-    /// counts toward achieved throughput.
-    pub fn credit_bytes(&mut self, bytes: f64) {
-        self.delivered_bytes += bytes;
     }
 
     /// Number of completed flows recorded so far.
     pub fn completed(&self) -> u64 {
         self.digest.count()
-    }
-
-    /// Total bytes delivered so far (completed and partial).
-    pub fn delivered_bytes(&self) -> f64 {
-        self.delivered_bytes
     }
 
     /// The underlying completion-time digest.
@@ -99,14 +84,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn collector_tracks_completions_and_bytes() {
+    fn collector_tracks_completions() {
         let mut fct = FctCollector::new();
         fct.record_completion(1.0);
         fct.record_completion(3.0);
-        fct.credit_bytes(3e6);
-        fct.credit_bytes(5e5);
         assert_eq!(fct.completed(), 2);
-        assert_eq!(fct.delivered_bytes(), 3.5e6);
         let summary = fct.summary();
         assert_eq!(summary.count, 2);
         assert!((summary.mean_s - 2.0).abs() < 1e-9);

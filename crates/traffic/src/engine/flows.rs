@@ -6,10 +6,11 @@
 //! flow's endpoints through it, so the engine routes and charges load once per class.
 //! There is no per-flow object and no per-flow allocation.
 //!
-//! Flows are stored sorted by start tick, and an epoch bucket table maps each service
-//! tick to the contiguous range of flows that activate on it ([`FlowBatch::activating`]),
-//! so activation is a range append instead of a scan over the whole population. The
-//! same table is the only record of a flow's start tick ([`FlowBatch::start_tick`]).
+//! Flows are stored in start-tick order, the order generation draws them in, and an
+//! epoch bucket table maps each service tick to the contiguous range of flows that
+//! activate on it ([`FlowBatch::activating`]), so activation is a range append instead
+//! of a scan over the whole population. The same table is the only record of a flow's
+//! start tick ([`FlowBatch::start_tick`]).
 
 use sdn_topology::NodeId;
 
@@ -37,16 +38,21 @@ pub(crate) struct FlowSpec {
 ///
 /// let endpoints = [NodeId::new(3), NodeId::new(4), NodeId::new(5)];
 /// let config = FlowSetConfig {
-///     arrival: Arrival::Uniform { over_ticks: 2 },
+///     arrival: Arrival::Poisson { rate_per_tick: 4.0 },
 ///     ..FlowSetConfig::stress(10)
 /// };
 /// let batch = generate(&endpoints, &config, 7);
 /// assert_eq!(batch.len(), 10);
 /// // Flows are ordered by start tick; epoch buckets address them by tick.
-/// let (first, second) = (batch.activating(0), batch.activating(1));
-/// assert_eq!((first.start, first.end), (0, second.start));
-/// assert_eq!(second.end, 10);
-/// assert_eq!(batch.activating(7), 10..10);
+/// let last = batch.start_tick(9);
+/// let mut next = 0;
+/// for tick in 0..=last {
+///     let flows = batch.activating(tick);
+///     assert_eq!(flows.start, next);
+///     next = flows.end;
+/// }
+/// assert_eq!(next, 10);
+/// assert_eq!(batch.activating(last + 1), 10..10);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlowBatch {
@@ -68,7 +74,8 @@ impl FlowBatch {
     /// ties deterministically), groups them into path classes, and builds the epoch
     /// bucket table.
     #[cfg(test)]
-    pub(crate) fn from_specs(specs: Vec<FlowSpec>) -> Self {
+    pub(crate) fn from_specs(mut specs: Vec<FlowSpec>) -> Self {
+        specs.sort_by_key(|f| f.start_tick);
         let endpoints: Vec<NodeId> = specs.iter().flat_map(|f| [f.src, f.dst]).collect();
         let mut batch = BatchBuilder::new(&endpoints, specs.len());
         for (k, f) in specs.iter().enumerate() {
@@ -151,7 +158,7 @@ impl FlowBatch {
     }
 }
 
-/// Lays flows pushed in generation order out as a [`FlowBatch`]: the one
+/// Lays flows pushed in start-tick order out as a [`FlowBatch`]: the one
 /// construction path behind [`super::generate`].
 pub(super) struct BatchBuilder {
     /// Distinct endpoints, ascending.
@@ -164,8 +171,9 @@ pub(super) struct BatchBuilder {
     /// Per pushed flow: its index into `pair_class`, then its path class.
     pair: Vec<u32>,
     bytes: Vec<f64>,
-    /// Per pushed flow: its start tick, then its position in the batch.
-    start_tick: Vec<u32>,
+    /// The epoch buckets so far: `buckets[t]` is the first flow of tick `t`, for every
+    /// tick up to the latest flow's.
+    buckets: Vec<u32>,
 }
 
 impl BatchBuilder {
@@ -184,23 +192,30 @@ impl BatchBuilder {
             rank,
             pair: Vec::with_capacity(flows),
             bytes: Vec::with_capacity(flows),
-            start_tick: Vec::with_capacity(flows),
+            buckets: vec![0],
         }
     }
 
-    /// Appends a flow from `endpoints[src]` to `endpoints[dst]`.
+    /// Appends a flow from `endpoints[src]` to `endpoints[dst]`, starting no earlier
+    /// than the flow pushed before it.
     pub(super) fn push(&mut self, src: usize, dst: usize, bytes: f64, start_tick: u32) {
+        let tick = start_tick as usize;
+        debug_assert!(
+            tick + 1 >= self.buckets.len(),
+            "flows arrive in start-tick order"
+        );
+        if tick >= self.buckets.len() {
+            // Every tick after the previous flow's, up to this one, starts here.
+            self.buckets.resize(tick + 1, self.pair.len() as u32);
+        }
         let pair = self.rank[dst] as usize * self.nodes.len() + self.rank[src] as usize;
         self.pair_class[pair] = 0;
         self.pair.push(pair as u32);
         self.bytes.push(bytes);
-        self.start_tick.push(start_tick);
     }
 
-    /// Numbers the used pairs in ascending (destination, source) order, then turns
-    /// each flow's start tick into its position under a stable counting sort (push
-    /// order breaks ties) and permutes the arrays in place by following that
-    /// permutation's cycles. Sorted input is the identity and swaps nothing.
+    /// Numbers the used pairs in ascending (destination, source) order, turns each
+    /// flow's pair into its class, and closes the last epoch bucket.
     pub(super) fn finish(mut self) -> FlowBatch {
         let n = self.nodes.len();
         let mut classes = Vec::new();
@@ -216,42 +231,23 @@ impl BatchBuilder {
             *class = classes.len() as u32;
             classes.push((self.nodes[pair % n], destinations.len() as u32 - 1));
         }
-        let last_tick = self.start_tick.iter().copied().max().unwrap_or(0);
-        let mut buckets = vec![0u32; last_tick as usize + 2];
-        for &t in &self.start_tick {
-            buckets[t as usize + 1] += 1;
-        }
-        for t in 1..buckets.len() {
-            buckets[t] += buckets[t - 1];
-        }
-        let mut next = buckets.clone();
-        for (pair, at) in self.pair.iter_mut().zip(&mut self.start_tick) {
+        for pair in &mut self.pair {
             *pair = self.pair_class[*pair as usize];
-            let t = *at as usize;
-            (*at, next[t]) = (next[t], next[t] + 1);
         }
-        for i in 0..self.start_tick.len() {
-            while self.start_tick[i] as usize != i {
-                let j = self.start_tick[i] as usize;
-                self.pair.swap(i, j);
-                self.bytes.swap(i, j);
-                self.start_tick.swap(i, j);
-            }
-        }
+        self.buckets.push(self.pair.len() as u32);
         FlowBatch {
             class: self.pair,
             remaining: self.bytes,
             classes,
             destinations,
-            buckets,
+            buckets: self.buckets,
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::generators::push_flows;
-    use super::super::{generate, Arrival, FanOut, FlowSetConfig};
+    use super::super::{generate, Arrival, FlowSetConfig};
     use super::*;
 
     fn spec(src: u32, dst: u32, bytes: f64, tick: u32) -> FlowSpec {
@@ -335,139 +331,24 @@ mod tests {
         assert_eq!(batch.activating(0), 0..0);
     }
 
-    /// The copying layout `finish` replaced, kept as its reference: the same class
-    /// numbering and buckets, and a counting sort that writes every flow into fresh
-    /// arrays. Returns the batch and each placed flow's start tick.
-    fn finish_by_copy(mut builder: BatchBuilder) -> (FlowBatch, Vec<u32>) {
-        let n = builder.nodes.len();
-        let mut classes = Vec::new();
-        let mut destinations = Vec::new();
-        for (pair, class) in builder.pair_class.iter_mut().enumerate() {
-            if *class == u32::MAX {
-                continue;
-            }
-            let dst = builder.nodes[pair / n];
-            if destinations.last() != Some(&dst) {
-                destinations.push(dst);
-            }
-            *class = classes.len() as u32;
-            classes.push((builder.nodes[pair % n], destinations.len() as u32 - 1));
-        }
-        let last_tick = builder.start_tick.iter().copied().max().unwrap_or(0);
-        let mut buckets = vec![0u32; last_tick as usize + 2];
-        for &t in &builder.start_tick {
-            buckets[t as usize + 1] += 1;
-        }
-        for t in 1..buckets.len() {
-            buckets[t] += buckets[t - 1];
-        }
-        let mut next = buckets.clone();
-        let mut start_tick = vec![0; builder.pair.len()];
-        let mut batch = FlowBatch {
-            class: vec![0; builder.pair.len()],
-            remaining: vec![0.0; builder.pair.len()],
-            classes,
-            destinations,
-            buckets,
-        };
-        for (i, &t) in builder.start_tick.iter().enumerate() {
-            let at = next[t as usize] as usize;
-            next[t as usize] += 1;
-            batch.class[at] = builder.pair_class[builder.pair[i] as usize];
-            batch.remaining[at] = builder.bytes[i];
-            start_tick[at] = t;
-        }
-        (batch, start_tick)
-    }
-
-    /// Lays the builder `build` returns out both ways and holds the in-place batch
-    /// to the copy.
-    fn assert_lays_out_like_the_copy(build: impl Fn() -> BatchBuilder, case: &str) {
-        let (expected, ticks) = finish_by_copy(build());
-        let batch = build().finish();
-        assert_eq!(batch.len(), expected.len(), "{case}");
-        for (i, &tick) in ticks.iter().enumerate() {
-            assert_eq!(batch.class(i), expected.class(i), "{case}: flow {i}");
-            assert_eq!(
-                batch.remaining(i),
-                expected.remaining(i),
-                "{case}: flow {i}"
-            );
-            assert_eq!(batch.start_tick(i), tick, "{case}: flow {i}");
-        }
-        let last = ticks.last().copied().unwrap_or(0);
-        for t in 0..=last + 1 {
-            assert_eq!(
-                batch.activating(t),
-                expected.activating(t),
-                "{case}: tick {t}"
-            );
-        }
-        assert_eq!(batch, expected, "{case}");
-    }
-
-    #[test]
-    fn in_place_layout_matches_the_copying_reference() {
-        let endpoints: Vec<NodeId> = (0..12).map(NodeId::new).collect();
-        let arrivals = [
-            Arrival::UpFront,
-            Arrival::Uniform { over_ticks: 9 },
-            Arrival::Poisson {
-                rate_per_tick: 30.0,
-            },
-        ];
-        let fan_outs = [
-            None,
-            Some(FanOut {
-                width: 3,
-                request_bytes: 1e3,
-            }),
-        ];
-        for arrival in arrivals {
-            for fan_out in fan_outs {
-                let config = FlowSetConfig {
-                    arrival,
-                    fan_out,
-                    ..FlowSetConfig::stress(500)
-                };
-                let build = || push_flows(&endpoints, &config, 11);
-                let ticks = build().start_tick;
-                let sorted = ticks.windows(2).all(|w| w[0] <= w[1]);
-                // Only uniform arrivals push ticks out of order: the cycles are walked.
-                let uniform = matches!(arrival, Arrival::Uniform { .. });
-                assert_eq!(sorted, !uniform, "{arrival:?}");
-                assert_lays_out_like_the_copy(build, &format!("{arrival:?} {fan_out:?}"));
-            }
-        }
-        assert_lays_out_like_the_copy(|| BatchBuilder::new(&endpoints, 0), "empty");
-        let one = || {
-            let mut one = BatchBuilder::new(&endpoints, 1);
-            one.push(4, 7, 5e3, 3);
-            one
-        };
-        assert_lays_out_like_the_copy(one, "one flow");
-    }
-
     #[test]
     fn a_generated_batch_holds_each_flow_once() {
         // 12 B per flow and no slack: two per-flow vectors beside the three tables, and
         // each exactly as long as the batch. A new field or a grown vector fails this.
         assert_eq!(size_of::<FlowBatch>(), 5 * size_of::<Vec<u32>>());
         let endpoints: Vec<NodeId> = (0..12).map(NodeId::new).collect();
-        for fan_out in [
-            None,
-            Some(FanOut {
-                width: 2,
-                request_bytes: 1e3,
-            }),
+        for arrival in [
+            Arrival::UpFront,
+            Arrival::Poisson {
+                rate_per_tick: 200.0,
+            },
         ] {
             let config = FlowSetConfig {
-                arrival: Arrival::Uniform { over_ticks: 5 },
-                fan_out,
+                arrival,
                 ..FlowSetConfig::stress(1_000)
             };
             let batch = generate(&endpoints, &config, 3);
-            assert_eq!(batch.len() as u64, config.flow_count());
+            assert_eq!(batch.len(), 1_000);
             assert_eq!(batch.class.capacity(), batch.len());
             assert_eq!(batch.remaining.capacity(), batch.len());
         }

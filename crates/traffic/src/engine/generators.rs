@@ -1,10 +1,10 @@
-//! Seeded flow-set generators: sizes, arrival times, and fan-out.
+//! Seeded flow-set generators: sizes and arrival times.
 //!
 //! A [`FlowSetConfig`] combines a spatial [`TrafficMatrix`], a size [`FlowMix`]
-//! (elephants and mice), an [`Arrival`] process, and an optional request/response
-//! [`FanOut`] stage into one deterministic recipe; [`generate`] expands the recipe
-//! over an ordered endpoint list into a [`FlowBatch`]. Equal seeds produce equal
-//! batches, independent of thread count or host.
+//! (elephants and mice) and an [`Arrival`] process into one deterministic recipe;
+//! [`generate`] expands the recipe over an ordered endpoint list into a
+//! [`FlowBatch`], one flow per sampled pair, in non-decreasing start-tick order.
+//! Equal seeds produce equal batches, independent of thread count or host.
 
 use super::flows::{BatchBuilder, FlowBatch};
 use super::matrix::TrafficMatrix;
@@ -46,12 +46,6 @@ impl FlowMix {
 pub enum Arrival {
     /// Every flow active from tick 0 — the peak-concurrency stress shape.
     UpFront,
-    /// Start ticks drawn uniformly over `[0, over_ticks)` — a steady arrival
-    /// process that keeps concurrency roughly level while flows complete.
-    Uniform {
-        /// Width of the arrival window in service ticks (>= 1).
-        over_ticks: u32,
-    },
     /// An open-loop Poisson process at `rate_per_tick` flows per service tick:
     /// inter-arrival gaps are seeded exponential draws ([`sdn_rng::Rng::gen_exp`])
     /// accumulated onto a running clock, so flow `i+1` always starts at or after
@@ -82,12 +76,10 @@ struct ArrivalSampler {
 }
 
 impl ArrivalSampler {
+    /// The next flow's start tick, never earlier than the one before it.
     fn sample(&mut self, rng: &mut Rng) -> u32 {
         match self.arrival {
             Arrival::UpFront => 0,
-            Arrival::Uniform { over_ticks } => {
-                rng.gen_range(0..u64::from(over_ticks.max(1))) as u32
-            }
             Arrival::Poisson { rate_per_tick } => {
                 let mean_gap = if rate_per_tick > 0.0 {
                     1.0 / rate_per_tick
@@ -107,16 +99,6 @@ impl ArrivalSampler {
     }
 }
 
-/// Optional request/response fan-out: each sampled pair becomes a client that sends
-/// a small request to `width` servers, each of which answers with a response flow.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FanOut {
-    /// Number of servers each client contacts (>= 1).
-    pub width: u32,
-    /// Request size in bytes (client to server).
-    pub request_bytes: f64,
-}
-
 /// The full recipe of one generated flow set.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlowSetConfig {
@@ -126,11 +108,8 @@ pub struct FlowSetConfig {
     pub mix: FlowMix,
     /// Arrival process — when each flow activates.
     pub arrival: Arrival,
-    /// Number of sampled pairs. Without fan-out this is the flow count; with
-    /// fan-out of width `w` each pair expands into `2 * w` flows.
+    /// Number of sampled pairs, one flow each.
     pub pairs: u32,
-    /// Optional request/response expansion.
-    pub fan_out: Option<FanOut>,
 }
 
 impl FlowSetConfig {
@@ -141,15 +120,6 @@ impl FlowSetConfig {
             mix: FlowMix::datacenter(),
             arrival: Arrival::UpFront,
             pairs,
-            fan_out: None,
-        }
-    }
-
-    /// Total flows this recipe expands to.
-    pub fn flow_count(&self) -> u64 {
-        match self.fan_out {
-            None => u64::from(self.pairs),
-            Some(f) => u64::from(self.pairs) * 2 * u64::from(f.width.max(1)),
         }
     }
 }
@@ -164,38 +134,19 @@ impl FlowSetConfig {
 /// Panics when fewer than two endpoints are supplied (delegated to
 /// [`TrafficMatrix::sampler`]).
 pub fn generate(endpoints: &[NodeId], config: &FlowSetConfig, seed: u64) -> FlowBatch {
-    push_flows(endpoints, config, seed).finish()
-}
-
-/// [`generate`]'s flows in generation order, before the batch is laid out.
-pub(super) fn push_flows(endpoints: &[NodeId], config: &FlowSetConfig, seed: u64) -> BatchBuilder {
     let mut sampler = config.matrix.sampler(endpoints.len(), seed);
     // Independent stream for sizes/arrivals so changing the matrix kind does not
     // reshuffle every flow's size.
     let mut shape_rng = Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut arrivals = config.arrival.sampler();
-    let mut batch = BatchBuilder::new(endpoints, config.flow_count() as usize);
+    let mut batch = BatchBuilder::new(endpoints, config.pairs as usize);
     for _ in 0..config.pairs {
         let (s, d) = sampler.next_pair();
-        let (s, d) = (s as usize, d as usize);
         let start_tick = arrivals.sample(&mut shape_rng);
-        match config.fan_out {
-            None => batch.push(s, d, config.mix.sample(&mut shape_rng), start_tick),
-            Some(fan) => {
-                // `d` seeds a contiguous run of `width` servers; each server gets a
-                // request from the client and answers with a response flow.
-                for k in 0..fan.width.max(1) as usize {
-                    let mut server = (d + k) % endpoints.len();
-                    if endpoints[server] == endpoints[s] {
-                        server = (d + k + 1) % endpoints.len();
-                    }
-                    batch.push(s, server, fan.request_bytes, start_tick);
-                    batch.push(server, s, config.mix.sample(&mut shape_rng), start_tick);
-                }
-            }
-        }
+        let bytes = config.mix.sample(&mut shape_rng);
+        batch.push(s as usize, d as usize, bytes, start_tick);
     }
-    batch
+    batch.finish()
 }
 
 #[cfg(test)]
@@ -221,9 +172,10 @@ mod tests {
         let config = FlowSetConfig {
             matrix: TrafficMatrix::Uniform,
             mix: FlowMix::datacenter(),
-            arrival: Arrival::Uniform { over_ticks: 10 },
+            arrival: Arrival::Poisson {
+                rate_per_tick: 50.0,
+            },
             pairs: 500,
-            fan_out: None,
         };
         let a = generate(&eps, &config, 42);
         let b = generate(&eps, &config, 42);
@@ -240,7 +192,6 @@ mod tests {
             mix: FlowMix::datacenter(),
             arrival: Arrival::UpFront,
             pairs: 10_000,
-            fan_out: None,
         };
         let batch = generate(&eps, &config, 7);
         assert_eq!(batch.len(), 10_000);
@@ -255,53 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_expands_pairs_into_requests_and_responses() {
-        let eps = endpoints(8);
-        let config = FlowSetConfig {
-            matrix: TrafficMatrix::Uniform,
-            mix: same_size(1e6),
-            arrival: Arrival::UpFront,
-            pairs: 100,
-            fan_out: Some(FanOut {
-                width: 3,
-                request_bytes: 1e3,
-            }),
-        };
-        let batch = generate(&eps, &config, 9);
-        assert_eq!(batch.len() as u64, config.flow_count());
-        assert_eq!(batch.len(), 600);
-        let requests = (0..batch.len())
-            .filter(|&i| batch.remaining(i) == 1e3)
-            .count();
-        let responses = (0..batch.len())
-            .filter(|&i| batch.remaining(i) == 1e6)
-            .count();
-        assert_eq!(requests, 300);
-        assert_eq!(responses, 300);
-        // No self-flows even after server remapping.
-        for i in 0..batch.len() {
-            assert_ne!(batch.src(i), batch.dst(i));
-        }
-    }
-
-    #[test]
-    fn uniform_arrival_spreads_start_ticks() {
-        let eps = endpoints(16);
-        let config = FlowSetConfig {
-            matrix: TrafficMatrix::Uniform,
-            mix: same_size(1e3),
-            arrival: Arrival::Uniform { over_ticks: 20 },
-            pairs: 2_000,
-            fan_out: None,
-        };
-        let batch = generate(&eps, &config, 11);
-        let first = batch.activating(0).len();
-        assert!(first > 0 && first < batch.len());
-        let total: usize = (0..20).map(|t| batch.activating(t).len()).sum();
-        assert_eq!(total, batch.len());
-    }
-
-    #[test]
     fn poisson_arrival_is_open_loop_at_the_configured_rate() {
         let eps = endpoints(16);
         let pairs = 5_000;
@@ -313,7 +217,6 @@ mod tests {
                 rate_per_tick: rate,
             },
             pairs,
-            fan_out: None,
         };
         let batch = generate(&eps, &config, 13);
         // Start ticks are non-decreasing in generation order: one cumulative clock.
@@ -343,7 +246,6 @@ mod tests {
             mix: same_size(1e3),
             arrival: Arrival::Poisson { rate_per_tick: 0.0 },
             pairs: 50,
-            fan_out: None,
         };
         let batch = generate(&eps, &config, 3);
         assert_eq!(batch.activating(0).len(), 50);

@@ -1,14 +1,10 @@
 //! Seeded traffic matrices: who talks to whom.
 //!
 //! A [`TrafficMatrix`] describes the spatial structure of a heavy-traffic workload
-//! over an ordered endpoint list (the switches hosts attach to). Three shapes cover
-//! the classic datacenter evaluations:
+//! over an ordered endpoint list (the switches hosts attach to). Two shapes cover
+//! the workloads that run:
 //!
 //! * [`TrafficMatrix::Uniform`] — all-to-all: source and destination drawn uniformly,
-//! * [`TrafficMatrix::HotspotPod`] — a configurable fraction of flows target one
-//!   "hot" endpoint group (the endpoint list split into `groups` contiguous chunks;
-//!   on a fat-tree the chunks line up with pods, on jellyfish they are just rack
-//!   groups),
 //! * [`TrafficMatrix::Permutation`] — a seeded fixed permutation: endpoint `e` sends
 //!   only to `pi(e)`, the worst case for core-link load balance.
 //!
@@ -22,24 +18,15 @@ use sdn_rng::Rng;
 pub enum TrafficMatrix {
     /// Uniform all-to-all traffic.
     Uniform,
-    /// `hot_fraction` of flows target the first of `groups` contiguous endpoint
-    /// chunks; the rest are uniform.
-    HotspotPod {
-        /// Number of contiguous endpoint groups the list is split into (>= 1).
-        groups: usize,
-        /// Probability in `[0, 1]` that a flow targets the hot group.
-        hot_fraction: f64,
-    },
     /// A seeded fixed permutation: endpoint `e` only sends to `pi(e)`.
     Permutation,
 }
 
 impl TrafficMatrix {
-    /// Short label for reports (`"uniform"`, `"hotspot"`, `"permutation"`).
+    /// Short label for reports (`"uniform"`, `"permutation"`).
     pub fn label(&self) -> &'static str {
         match self {
             TrafficMatrix::Uniform => "uniform",
-            TrafficMatrix::HotspotPod { .. } => "hotspot",
             TrafficMatrix::Permutation => "permutation",
         }
     }
@@ -48,8 +35,7 @@ impl TrafficMatrix {
     ///
     /// # Panics
     ///
-    /// Panics when fewer than two endpoints are available (no pair can be formed),
-    /// when a hotspot's `groups` is zero or `hot_fraction` is outside `[0, 1]`.
+    /// Panics when fewer than two endpoints are available (no pair can be formed).
     pub fn sampler(&self, endpoints: usize, seed: u64) -> MatrixSampler {
         assert!(
             endpoints >= 2,
@@ -58,17 +44,6 @@ impl TrafficMatrix {
         let mut rng = Rng::seed_from_u64(seed);
         let permutation = match self {
             TrafficMatrix::Uniform => Vec::new(),
-            TrafficMatrix::HotspotPod {
-                groups,
-                hot_fraction,
-            } => {
-                assert!(*groups >= 1, "hotspot needs at least one group");
-                assert!(
-                    (0.0..=1.0).contains(hot_fraction),
-                    "hot_fraction must be in [0, 1], got {hot_fraction}"
-                );
-                Vec::new()
-            }
             TrafficMatrix::Permutation => {
                 // A seeded derangement-ish permutation: shuffle, then fix any
                 // self-mapping by swapping with its cyclic successor so no endpoint
@@ -117,29 +92,6 @@ impl MatrixSampler {
                 let dst = self.distinct_from(src);
                 (src, dst)
             }
-            TrafficMatrix::HotspotPod {
-                groups,
-                hot_fraction,
-            } => {
-                let src = self.rng.gen_range(0..n) as u32;
-                let hot_len = (self.endpoints.div_ceil(groups)).max(1) as u64;
-                let dst = if self.rng.gen_bool(hot_fraction) {
-                    // Target the hot group (the first chunk), avoiding src.
-                    let d = self.rng.gen_range(0..hot_len) as u32;
-                    if d == src {
-                        ((d as u64 + 1) % hot_len.max(2)) as u32
-                    } else {
-                        d
-                    }
-                } else {
-                    self.distinct_from(src)
-                };
-                if dst == src {
-                    (src, self.distinct_from(src))
-                } else {
-                    (src, dst)
-                }
-            }
             TrafficMatrix::Permutation => {
                 let src = (self.cursor % self.endpoints) as u32;
                 self.cursor += 1;
@@ -180,28 +132,6 @@ mod tests {
         let mut a2 = TrafficMatrix::Uniform.sampler(16, 7);
         let again: Vec<_> = (0..16).map(|_| a2.next_pair()).collect();
         assert_ne!(first, again, "different seeds should differ somewhere");
-    }
-
-    #[test]
-    fn hotspot_concentrates_destinations_on_the_first_group() {
-        let matrix = TrafficMatrix::HotspotPod {
-            groups: 4,
-            hot_fraction: 0.8,
-        };
-        let mut sampler = matrix.sampler(64, 3);
-        let hot_len = 16u32;
-        let hits = (0..10_000)
-            .filter(|_| {
-                let (s, d) = sampler.next_pair();
-                assert_ne!(s, d);
-                d < hot_len
-            })
-            .count();
-        // ~0.8 hot + ~0.2 * (16/64) uniform spillover ≈ 85%.
-        assert!(
-            (7_500..9_500).contains(&hits),
-            "hot-group hits {hits} of 10000"
-        );
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //!
 //! * [`flows`] — [`FlowBatch`], the struct-of-arrays population grouped into path
 //!   classes,
-//! * [`matrix`] — seeded [`TrafficMatrix`] spatial shapes (uniform / hotspot /
-//!   permutation),
-//! * [`generators`] — size mixes, arrival processes, and request/response fan-out
-//!   expanding a [`FlowSetConfig`] into a batch,
+//! * [`matrix`] — seeded [`TrafficMatrix`] spatial shapes (uniform / permutation),
+//! * [`generators`] — size mixes and arrival processes expanding a [`FlowSetConfig`]
+//!   into a batch,
 //! * [`fct`] — flow-completion-time telemetry ([`FctCollector`] / [`FctSummary`]),
 //! * this module — the [`FlowEngine`] itself plus [`FlowEngineWorkload`], the
 //!   scenario-API adapter.
@@ -63,7 +62,7 @@ pub mod matrix;
 
 pub use fct::{FctCollector, FctSummary};
 pub use flows::FlowBatch;
-pub use generators::{generate, Arrival, FanOut, FlowMix, FlowSetConfig};
+pub use generators::{generate, Arrival, FlowMix, FlowSetConfig};
 pub use matrix::{MatrixSampler, TrafficMatrix};
 
 use renaissance::scenario::{Workload, WorkloadReport, WorkloadTick};
@@ -267,7 +266,6 @@ impl FlowEngine {
             self.class_flows[c] -= 1;
             false
         });
-        self.fct.credit_bytes(delivered_total);
         self.live.retain(|&c| self.class_flows[c as usize] > 0);
         self.tick = tick + 1;
         TickStats {
@@ -463,11 +461,11 @@ mod tests {
         assert_eq!(t0.delivered_bytes, 1e6);
         let t1 = engine.step();
         assert_eq!(t1.completed, 2);
+        assert_eq!(t1.delivered_bytes, 1e6);
         let summary = engine.fct().summary();
         assert_eq!(summary.count, 2);
         assert_eq!(summary.p50_s, 2.0);
         assert_eq!(summary.max_s, 2.0);
-        assert_eq!(engine.fct().delivered_bytes(), 2e6);
     }
 
     #[test]
@@ -578,14 +576,12 @@ mod tests {
     fn engine_runs_are_bit_identical() {
         let net = builders::fat_tree(4, 2);
         let config = FlowSetConfig {
-            matrix: TrafficMatrix::HotspotPod {
-                groups: 4,
-                hot_fraction: 0.5,
-            },
+            matrix: TrafficMatrix::Uniform,
             mix: FlowMix::datacenter(),
-            arrival: Arrival::Uniform { over_ticks: 5 },
+            arrival: Arrival::Poisson {
+                rate_per_tick: 1_000.0,
+            },
             pairs: 5_000,
-            fan_out: None,
         };
         let run = || {
             let batch = generate(&net.switches, &config, 42);
@@ -791,7 +787,6 @@ mod tests {
                     completed += 1;
                 }
             }
-            self.fct.credit_bytes(delivered_total);
             let batch = &self.batch;
             self.active.retain(|&i| batch.remaining(i as usize) > 0.0);
             self.tick = tick + 1;
@@ -813,27 +808,12 @@ mod tests {
             builders::grid(3, 4, 2),
             builders::jellyfish(12, 3, 5, 2),
         ];
-        let matrices = [
-            TrafficMatrix::Uniform,
-            TrafficMatrix::HotspotPod {
-                groups: 3,
-                hot_fraction: 0.6,
-            },
-            TrafficMatrix::Permutation,
-        ];
+        let matrices = [TrafficMatrix::Uniform, TrafficMatrix::Permutation];
         let arrivals = [
             Arrival::UpFront,
-            Arrival::Uniform { over_ticks: 6 },
             Arrival::Poisson {
                 rate_per_tick: 40.0,
             },
-        ];
-        let fan_outs = [
-            None,
-            Some(FanOut {
-                width: 2,
-                request_bytes: 2e5,
-            }),
         ];
         // The second mix's mice carry zero bytes: served, they complete on their first
         // tick; stalled, they retire with no completion.
@@ -875,17 +855,14 @@ mod tests {
             }
             for (m, &matrix) in matrices.iter().enumerate() {
                 for (r, &arrival) in arrivals.iter().enumerate() {
-                    for k in 0..fan_outs.len() * mixes.len() {
-                        let (f, z) = (k / mixes.len(), k % mixes.len());
-                        let (fan_out, mix) = (fan_outs[f], mixes[z]);
+                    for (z, &mix) in mixes.iter().enumerate() {
                         let flows = FlowSetConfig {
                             matrix,
                             mix,
                             arrival,
                             pairs: 400,
-                            fan_out,
                         };
-                        let seed = (z * 1000 + t * 100 + m * 10 + r * 2 + f) as u64;
+                        let seed = (z * 1000 + t * 100 + m * 10 + r) as u64;
                         let batch = generate(&net.switches, &flows, seed);
                         let mut engine = FlowEngine::new(batch.clone(), config);
                         let mut reference = PerFlowReference::new(batch, config);
@@ -916,7 +893,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 108);
+        assert_eq!(cases, 24);
         assert!(
             retired_unserved > 0,
             "stalled zero-byte flows retire unserved"
@@ -939,7 +916,6 @@ mod tests {
             },
             arrival: Arrival::UpFront,
             pairs: 1_000_000,
-            fan_out: None,
         };
         let batch = generate(&net.switches, &config, 7);
         assert_eq!(batch.len(), 1_000_000);

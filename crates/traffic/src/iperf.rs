@@ -14,7 +14,7 @@
 //! "without recovery" mode is the scenario's
 //! [`ControlPlane::Frozen`](renaissance::scenario::ControlPlane::Frozen).
 
-use crate::reno::{PathEvent, RenoConfig, RenoConnection, StepOutcome};
+use crate::reno::{PathEvent, RenoConnection, StepOutcome};
 use renaissance::scenario::{Endpoints, Workload, WorkloadReport, WorkloadTick};
 use renaissance::{legitimacy, SdnNetwork};
 use sdn_netsim::SimDuration;
@@ -68,7 +68,7 @@ struct IperfFlow {
 impl IperfFlow {
     fn new(sdn: &SdnNetwork, src: NodeId, dst: NodeId) -> Self {
         IperfFlow {
-            reno: RenoConnection::new(RenoConfig::default()),
+            reno: RenoConnection::default(),
             previous_path: current_path(sdn, src, dst),
             run: IperfRun {
                 endpoints: (src, dst),
@@ -91,7 +91,7 @@ impl IperfFlow {
             .as_ref()
             .map(|p| p.len().saturating_sub(1))
             .unwrap_or(0);
-        let outcome: StepOutcome = self.reno.step(1.0, hops.max(1), event);
+        let outcome: StepOutcome = self.reno.step(hops.max(1), event);
         self.run.throughput_mbps.push(outcome.throughput_mbps);
         self.run
             .retransmission_pct
@@ -139,7 +139,6 @@ fn current_path(sdn: &SdnNetwork, src: NodeId, dst: NodeId) -> Option<Vec<NodeId
 /// ```
 #[derive(Debug)]
 pub struct IperfWorkload {
-    endpoints: Endpoints,
     duration_secs: u32,
     flow: Option<IperfFlow>,
 }
@@ -148,16 +147,6 @@ impl IperfWorkload {
     /// A flow between the two farthest-apart switches, running for `duration_secs`.
     pub fn farthest(duration_secs: u32) -> Self {
         IperfWorkload {
-            endpoints: Endpoints::FarthestSwitches,
-            duration_secs,
-            flow: None,
-        }
-    }
-
-    /// A flow between two explicit switches, running for `duration_secs`.
-    pub fn between(src: NodeId, dst: NodeId, duration_secs: u32) -> Self {
-        IperfWorkload {
-            endpoints: Endpoints::Nodes(src, dst),
             duration_secs,
             flow: None,
         }
@@ -194,8 +183,7 @@ impl Workload for IperfWorkload {
     }
 
     fn start(&mut self, net: &mut SdnNetwork) {
-        let (src, dst) = self
-            .endpoints
+        let (src, dst) = Endpoints::FarthestSwitches
             .resolve(net)
             // stancheck: allow(unwrap-expect) — scenario configuration error: failing loudly at workload start beats silently simulating a run with no traffic
             .expect("iperf workload endpoints must resolve");

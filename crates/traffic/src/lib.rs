@@ -46,8 +46,8 @@ pub mod iperf;
 pub mod reno;
 
 pub use engine::{
-    generate, Arrival, EngineConfig, FanOut, FctCollector, FctSummary, FlowBatch, FlowEngine,
+    generate, Arrival, EngineConfig, FctCollector, FctSummary, FlowBatch, FlowEngine,
     FlowEngineWorkload, FlowMix, FlowSetConfig, TrafficMatrix,
 };
 pub use iperf::{throughput_correlation, IperfRun, IperfWorkload};
-pub use reno::{PathEvent, RenoConfig, RenoConnection};
+pub use reno::{PathEvent, RenoConnection};

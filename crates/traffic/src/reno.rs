@@ -9,35 +9,19 @@
 //! window advanced in discrete time steps, driven by "path available / path changed"
 //! signals from the routing layer instead of per-packet simulation.
 
-/// Configuration of a model TCP Reno connection.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RenoConfig {
-    /// Maximum segment size in bytes.
-    pub mss_bytes: f64,
-    /// Base round-trip time in milliseconds for a one-hop path; each extra hop adds
-    /// [`RenoConfig::rtt_per_hop_ms`].
-    pub base_rtt_ms: f64,
-    /// Additional round-trip time per path hop, in milliseconds.
-    pub rtt_per_hop_ms: f64,
-    /// Bottleneck link capacity in megabits per second.
-    pub link_capacity_mbps: f64,
-    /// Fraction of the link capacity a single TCP flow can reach in steady state
-    /// (protocol overheads, scheduler interference — roughly 0.5 in the paper's
-    /// Mininet measurements, which hover around 500 Mbit/s on 1 Gbit/s links).
-    pub achievable_utilization: f64,
-}
-
-impl Default for RenoConfig {
-    fn default() -> Self {
-        RenoConfig {
-            mss_bytes: 1460.0,
-            base_rtt_ms: 10.0,
-            rtt_per_hop_ms: 2.0,
-            link_capacity_mbps: 1000.0,
-            achievable_utilization: 0.52,
-        }
-    }
-}
+/// Maximum segment size in bytes.
+const MSS_BYTES: f64 = 1460.0;
+/// Base round-trip time in milliseconds for a one-hop path; each extra hop adds
+/// [`RTT_PER_HOP_MS`].
+const BASE_RTT_MS: f64 = 10.0;
+/// Additional round-trip time per path hop, in milliseconds.
+const RTT_PER_HOP_MS: f64 = 2.0;
+/// Bottleneck link capacity in megabits per second.
+const LINK_CAPACITY_MBPS: f64 = 1000.0;
+/// Fraction of the link capacity a single TCP flow can reach in steady state
+/// (protocol overheads, scheduler interference — roughly 0.5 in the paper's Mininet
+/// measurements, which hover around 500 Mbit/s on 1 Gbit/s links).
+const ACHIEVABLE_UTILIZATION: f64 = 0.52;
 
 /// What happened to the flow's path during one step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,59 +79,32 @@ fn percentage(part: u64, whole: u64) -> f64 {
 /// A model TCP Reno connection.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RenoConnection {
-    config: RenoConfig,
     /// Congestion window in segments.
     cwnd: f64,
     /// Slow-start threshold in segments.
     ssthresh: f64,
-    total_segments: u64,
-    total_retransmissions: u64,
+}
+
+impl Default for RenoConnection {
+    /// A fresh connection in slow start.
+    fn default() -> Self {
+        RenoConnection {
+            cwnd: 10.0,
+            ssthresh: f64::MAX,
+        }
+    }
 }
 
 impl RenoConnection {
-    /// Creates a fresh connection in slow start.
-    pub fn new(config: RenoConfig) -> Self {
-        RenoConnection {
-            config,
-            cwnd: 10.0,
-            ssthresh: f64::MAX,
-            total_segments: 0,
-            total_retransmissions: 0,
-        }
-    }
-
-    /// The configuration of this connection.
-    pub fn config(&self) -> RenoConfig {
-        self.config
-    }
-
-    /// Current congestion window, in segments.
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    /// Total segments sent so far.
-    pub fn total_segments(&self) -> u64 {
-        self.total_segments
-    }
-
-    /// Total retransmissions so far.
-    pub fn total_retransmissions(&self) -> u64 {
-        self.total_retransmissions
-    }
-
-    /// Advances the connection by `step_secs` of wall-clock time over a path of
-    /// `path_hops` hops that experienced `event`.
-    pub fn step(&mut self, step_secs: f64, path_hops: usize, event: PathEvent) -> StepOutcome {
-        let rtt_ms = self.config.base_rtt_ms + self.config.rtt_per_hop_ms * path_hops as f64;
+    /// Advances the connection by one second over a path of `path_hops` hops that
+    /// experienced `event`.
+    pub fn step(&mut self, path_hops: usize, event: PathEvent) -> StepOutcome {
+        let rtt_ms = BASE_RTT_MS + RTT_PER_HOP_MS * path_hops as f64;
         let rtt_s = (rtt_ms / 1000.0).max(1e-4);
-        let rtts_in_step = (step_secs / rtt_s).max(1.0);
+        let rtts_in_step = (1.0 / rtt_s).max(1.0);
         // The window that fully utilises the achievable share of the bottleneck.
         let capacity_window =
-            (self.config.link_capacity_mbps * self.config.achievable_utilization * 1_000_000.0
-                / 8.0
-                * rtt_s)
-                / self.config.mss_bytes;
+            (LINK_CAPACITY_MBPS * ACHIEVABLE_UTILIZATION * 1_000_000.0 / 8.0 * rtt_s) / MSS_BYTES;
 
         let mut outcome = StepOutcome::default();
         let in_flight = self.cwnd.min(capacity_window);
@@ -161,8 +118,6 @@ impl RenoConnection {
                 self.ssthresh = (self.cwnd / 2.0).max(2.0);
                 self.cwnd = 1.0;
                 outcome.throughput_mbps = 0.0;
-                self.total_segments += outcome.segments_sent;
-                self.total_retransmissions += outcome.retransmissions;
                 return outcome;
             }
             PathEvent::Rerouted => {
@@ -196,10 +151,8 @@ impl RenoConnection {
         // Retransmitted segments do not contribute to goodput.
         let goodput_segments = (sent - outcome.retransmissions as f64).max(0.0);
         outcome.segments_sent += sent.round() as u64 + outcome.retransmissions;
-        outcome.throughput_mbps =
-            (goodput_segments * self.config.mss_bytes * 8.0) / step_secs / 1_000_000.0;
-        self.total_segments += outcome.segments_sent;
-        self.total_retransmissions += outcome.retransmissions;
+        // Goodput over the one-second step.
+        outcome.throughput_mbps = (goodput_segments * MSS_BYTES * 8.0) / 1_000_000.0;
         outcome
     }
 }
@@ -211,29 +164,25 @@ mod tests {
     fn steady_state(conn: &mut RenoConnection, hops: usize) -> f64 {
         let mut last = 0.0;
         for _ in 0..20 {
-            last = conn.step(1.0, hops, PathEvent::Stable).throughput_mbps;
+            last = conn.step(hops, PathEvent::Stable).throughput_mbps;
         }
         last
     }
 
     #[test]
     fn steady_state_reaches_achievable_share_of_capacity() {
-        let cfg = RenoConfig::default();
-        let mut conn = RenoConnection::new(cfg);
+        let mut conn = RenoConnection::default();
         let rate = steady_state(&mut conn, 8);
-        let target = cfg.link_capacity_mbps * cfg.achievable_utilization;
+        let target = LINK_CAPACITY_MBPS * ACHIEVABLE_UTILIZATION;
         assert!(rate > target * 0.85, "rate {rate} too low");
-        assert!(
-            rate < cfg.link_capacity_mbps,
-            "rate {rate} exceeds the link"
-        );
+        assert!(rate < LINK_CAPACITY_MBPS, "rate {rate} exceeds the link");
     }
 
     #[test]
     fn reroute_causes_a_dip_and_retransmissions() {
-        let mut conn = RenoConnection::new(RenoConfig::default());
+        let mut conn = RenoConnection::default();
         let before = steady_state(&mut conn, 8);
-        let dip = conn.step(1.0, 8, PathEvent::Rerouted);
+        let dip = conn.step(8, PathEvent::Rerouted);
         assert!(dip.retransmissions > 0);
         assert!(dip.out_of_order > 0);
         assert!(dip.bad_tcp >= dip.retransmissions);
@@ -243,47 +192,49 @@ mod tests {
         // Recovery within a few seconds.
         let mut after = 0.0;
         for _ in 0..5 {
-            after = conn.step(1.0, 8, PathEvent::Stable).throughput_mbps;
+            after = conn.step(8, PathEvent::Stable).throughput_mbps;
         }
         assert!(after > before * 0.9, "after {after} vs before {before}");
     }
 
     #[test]
     fn unavailable_path_collapses_the_window() {
-        let mut conn = RenoConnection::new(RenoConfig::default());
+        let mut conn = RenoConnection::default();
         let _ = steady_state(&mut conn, 4);
-        let outage = conn.step(1.0, 4, PathEvent::Unavailable);
+        let outage = conn.step(4, PathEvent::Unavailable);
         assert_eq!(outage.throughput_mbps, 0.0);
         assert!(outage.retransmission_pct() >= 99.0);
-        assert!(conn.cwnd() <= 1.0);
+        assert!(conn.cwnd <= 1.0);
         // Slow start brings the rate back up quickly.
         let mut rate = 0.0;
         for _ in 0..10 {
-            rate = conn.step(1.0, 4, PathEvent::Stable).throughput_mbps;
+            rate = conn.step(4, PathEvent::Stable).throughput_mbps;
         }
         assert!(rate > 100.0);
     }
 
     #[test]
     fn longer_paths_have_lower_or_equal_throughput_growth() {
-        let cfg = RenoConfig::default();
-        let mut short = RenoConnection::new(cfg);
-        let mut long = RenoConnection::new(cfg);
-        let s = short.step(1.0, 2, PathEvent::Stable).throughput_mbps;
-        let l = long.step(1.0, 20, PathEvent::Stable).throughput_mbps;
+        let mut short = RenoConnection::default();
+        let mut long = RenoConnection::default();
+        let s = short.step(2, PathEvent::Stable).throughput_mbps;
+        let l = long.step(20, PathEvent::Stable).throughput_mbps;
         assert!(s >= l, "short {s} vs long {l}");
     }
 
     #[test]
     fn counters_accumulate_and_percentages_handle_zero() {
-        let mut conn = RenoConnection::new(RenoConfig::default());
-        let o = conn.step(1.0, 3, PathEvent::Stable);
-        assert!(conn.total_segments() >= o.segments_sent);
-        assert_eq!(conn.total_retransmissions(), 0);
+        let mut conn = RenoConnection::default();
+        let first = conn.step(3, PathEvent::Stable);
+        let second = conn.step(3, PathEvent::Stable);
+        assert!(
+            second.segments_sent >= first.segments_sent,
+            "the window grows"
+        );
+        assert_eq!(first.retransmissions + second.retransmissions, 0);
         let empty = StepOutcome::default();
         assert_eq!(empty.retransmission_pct(), 0.0);
         assert_eq!(empty.out_of_order_pct(), 0.0);
         assert_eq!(empty.bad_tcp_pct(), 0.0);
-        assert_eq!(conn.config().mss_bytes, 1460.0);
     }
 }

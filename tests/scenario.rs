@@ -14,7 +14,7 @@ use renaissance::scenario::{
 };
 use renaissance::{ControllerConfig, HarnessConfig, SdnNetwork};
 use sdn_netsim::SimDuration;
-use sdn_topology::builders;
+use sdn_topology::{builders, paths};
 
 const CHECK: SimDuration = SimDuration::from_millis(250);
 const TIMEOUT: SimDuration = SimDuration::from_secs(1_200);
@@ -128,9 +128,21 @@ fn composite_scenario_is_a_few_declarative_lines() {
 }
 
 /// The paper's temporary link-failure experiment, plus revival of the crashed
-/// controller — exercising the `*LastFailed*` targets end to end.
+/// controller: each repair names the victim of the failure before it.
 #[test]
 fn flapping_link_and_controller_revival_scenario() {
+    let b4 = builders::by_name("B4", 3);
+    let controller = b4.controllers[0];
+    let (a, b) = b4
+        .switch_graph
+        .links()
+        .map(|l| (l.a, l.b))
+        .find(|&(a, b)| {
+            let mut graph = b4.graph.clone();
+            graph.remove_link(a, b);
+            paths::is_connected(&graph)
+        })
+        .expect("a link whose failure keeps B4 connected");
     let report = Scenario::builder("flap-and-revive")
         .network("B4")
         .task_delay(SimDuration::from_millis(200))
@@ -138,20 +150,17 @@ fn flapping_link_and_controller_revival_scenario() {
         .timeout(SimDuration::from_secs(600))
         .fault_at(
             SimDuration::ZERO,
-            FaultEvent::FailController(ControllerSelector::Random { count: 1 }),
+            FaultEvent::FailController(ControllerSelector::Id(controller)),
         )
         .fault_at(
             SimDuration::from_secs(60),
-            FaultEvent::ReviveLastFailedController,
+            FaultEvent::ReviveController(controller),
         )
         .fault_at(
             SimDuration::from_secs(120),
-            FaultEvent::FailLink(LinkSelector::RandomSafe { count: 1 }),
+            FaultEvent::FailLink(LinkSelector::Between(a, b)),
         )
-        .fault_at(
-            SimDuration::from_secs(180),
-            FaultEvent::RestoreLastFailedLinks,
-        )
+        .fault_at(SimDuration::from_secs(180), FaultEvent::RestoreLink(a, b))
         .run();
     let run = &report.runs[0];
     assert_eq!(run.recoveries.len(), 4);
